@@ -5,7 +5,7 @@ cycle for the paper's two randomized deciders, comparing
 
 * ``engine="off"``  — the reference pure-Python per-node voting loop,
 * ``engine="exact"`` — the engine reproducing the reference coins bit for
-  bit (tape seeds derived only at coin-flipping nodes),
+  bit (the counter-based reference tapes, computed as one array operation),
 * ``engine="fast"`` — the fully vectorized Bernoulli-matrix sampler.
 
 The acceptance criterion of the engine subsystem is a ≥ 10× speedup of the
@@ -18,6 +18,7 @@ table, or under pytest for the assertions.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.core.decision import AmosDecider, ResilientDecider
@@ -55,8 +56,11 @@ def _throughput(decider, configuration, engine, trials):
     """(trials/second, estimate) for one acceptance_probability call.
 
     Includes the engine's compile step, i.e. measures end-to-end cost of the
-    call a user makes; a warm-up call absorbs one-off import costs.
+    call a user makes; a warm-up call absorbs one-off import costs, and a
+    collection first clears the garbage of the previous measurement (the
+    legacy loop's tapes), so its cost is not charged to this one.
     """
+    gc.collect()
     decider.acceptance_probability(configuration, trials=10, seed=1, engine=engine)
     start = time.perf_counter()
     estimate = decider.acceptance_probability(

@@ -7,8 +7,8 @@ shared code matrix, where the per-point path regenerates it for each point.
 Bit-identity is the contract — the fused report must equal the per-point
 report exactly, rows and verdict columns included — so this bench asserts
 equality on a small grid before timing the fused pass.
-(`bench_suite.py` guards the ≥5× fused-vs-per-point speedup on the full
-8-point grid.)
+(`bench_suite.py` guards the fused-vs-per-point speedup on the full
+12-point grid with a ≥1× floor.)
 """
 
 from conftest import run_once

@@ -95,7 +95,7 @@ True
 True
 """
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 __all__ = [
     "local",

@@ -130,7 +130,7 @@ class SizeAwareSlackDecider:
             return exact
         accepted = 0
         for trial in range(trials):
-            factory = TapeFactory(seed + trial, salt=self.name)
+            factory = TapeFactory(seed, salt=self.name, trial=trial)
             accepted += int(self.decide(configuration, tape_factory=factory).accepted)
         return accepted / trials
 

@@ -209,16 +209,16 @@ def estimate_success_probability(
     constructors are executed ``trials`` times with independent coins.
 
     Trial ``t`` of instance ``index`` draws its coins from
-    ``TapeFactory(seed * 1_000_003 + t, salt=f"{constructor.name}/{index}")``.
-    **Adjacent seeds therefore share coins across trials** (seed ``s`` at
-    trial ``t + 1_000_003`` replays seed ``s + 1`` at trial ``t``); callers
-    wanting independent runs should use distant seeds (e.g. 0 and 10_000).
+    ``TapeFactory(seed, salt=f"{constructor.name}/{index}", trial=t)``; the
+    trial is part of every tape key, so distinct seeds give independent
+    runs.
 
     Compilable constructors (those exposing ``output_program(ball)``)
     dispatch their trials to :mod:`repro.engine.construct`:
-    ``engine="auto"``/``"exact"`` replay the per-trial tape streams bit for
-    bit, ``engine="fast"`` is fully vectorized and distributionally
-    equivalent, ``engine="off"`` forces the reference loop.
+    ``engine="auto"``/``"exact"`` compute the same tape streams as one array
+    operation (bit-identical), ``engine="fast"`` draws from per-node
+    generators (distributionally equivalent), ``engine="off"`` forces the
+    reference loop.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each instance's trials sequentially until the CI
@@ -241,7 +241,7 @@ def estimate_success_probability(
                         language,
                         network,
                         target,
-                        seed_base=seed * 1_000_003,
+                        seed=seed,
                         salt=f"{constructor.name}/{index}",
                         mode=mode,
                     )
@@ -263,7 +263,7 @@ def estimate_success_probability(
                     language,
                     network,
                     runs,
-                    seed_base=seed * 1_000_003,
+                    seed=seed,
                     salt=f"{constructor.name}/{index}",
                     mode=mode,
                 )
@@ -276,9 +276,7 @@ def estimate_success_probability(
         if successes is None:
             successes = 0
             for trial in range(runs):
-                factory = TapeFactory(
-                    seed * 1_000_003 + trial, salt=f"{constructor.name}/{index}"
-                )
+                factory = TapeFactory(seed, salt=f"{constructor.name}/{index}", trial=trial)
                 configuration = constructor.configuration(network, tape_factory=factory)
                 successes += int(language.contains(configuration))
         estimate.per_instance[index] = (
@@ -298,17 +296,15 @@ def _reference_adaptive_success(
     index: int,
 ) -> ProbabilityEstimate:
     """Sequential stopping on the reference per-trial construction loop
-    (the non-compilable fallback); trial ``t`` replays
-    ``TapeFactory(seed * 1_000_003 + t, salt=f"{name}/{index}")`` exactly
-    like the fixed-trial loop."""
+    (the non-compilable fallback); trial ``t`` draws from
+    ``TapeFactory(seed, f"{name}/{index}", trial=t)`` exactly like the
+    fixed-trial loop."""
     state = {"offset": 0}
 
     def draw(count: int) -> int:
         successes = 0
         for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(
-                seed * 1_000_003 + trial, salt=f"{constructor.name}/{index}"
-            )
+            factory = TapeFactory(seed, salt=f"{constructor.name}/{index}", trial=trial)
             configuration = constructor.configuration(network, tape_factory=factory)
             successes += int(language.contains(configuration))
         state["offset"] += count

@@ -324,7 +324,7 @@ class Decider(ABC):
         balls = self._balls_of(configuration)
         accepted = 0
         for trial in range(trials):
-            factory = TapeFactory(seed + trial, salt=self.name)
+            factory = TapeFactory(seed, salt=self.name, trial=trial)
             if self._accepts_with(balls, configuration, factory):
                 accepted += 1
         return accepted / trials
@@ -380,7 +380,7 @@ class Decider(ABC):
         def draw(count: int) -> int:
             successes = 0
             for trial in range(state["offset"], state["offset"] + count):
-                factory = TapeFactory(seed + trial, salt=self.name)
+                factory = TapeFactory(seed, salt=self.name, trial=trial)
                 successes += int(self._accepts_with(balls, configuration, factory))
             state["offset"] += count
             return successes
@@ -787,9 +787,7 @@ def estimate_guarantee(
             successes = 0
             balls = decider._balls_of(configuration)
             for trial in range(runs):
-                factory = TapeFactory(
-                    seed * 1_000_003 + trial, salt=f"{decider.name}/{index}"
-                )
+                factory = TapeFactory(seed, salt=f"{decider.name}/{index}", trial=trial)
                 accepted = decider._accepts_with(balls, configuration, factory)
                 ok = accepted if member else not accepted
                 successes += int(ok)
@@ -813,15 +811,15 @@ def _reference_adaptive_success(
 ) -> ProbabilityEstimate:
     """Sequential stopping on the reference loop's per-trial coins (the
     non-compilable fallback of :func:`estimate_guarantee`); trial ``t``
-    replays ``TapeFactory(seed * 1_000_003 + t, salt=f"{name}/{index}")``
-    exactly like the fixed-trial loop."""
+    draws from ``TapeFactory(seed, f"{name}/{index}", trial=t)`` exactly
+    like the fixed-trial loop."""
     balls = decider._balls_of(configuration)
     state = {"offset": 0}
 
     def draw(count: int) -> int:
         successes = 0
         for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(seed * 1_000_003 + trial, salt=f"{decider.name}/{index}")
+            factory = TapeFactory(seed, salt=f"{decider.name}/{index}", trial=trial)
             accepted = decider._accepts_with(balls, configuration, factory)
             successes += int(accepted if member else not accepted)
         state["offset"] += count

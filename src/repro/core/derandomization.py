@@ -259,7 +259,7 @@ def find_hard_instances(
                     language,
                     network,
                     runs,
-                    seed_base=seed * 7_919,
+                    seed=seed,
                     salt=f"hard/{index}",
                     mode=construction_mode,
                 )
@@ -269,7 +269,7 @@ def find_hard_instances(
         if failures is None:
             failures = 0
             for trial in range(runs):
-                factory = TapeFactory(seed * 7_919 + trial, salt=f"hard/{index}")
+                factory = TapeFactory(seed, salt=f"hard/{index}", trial=trial)
                 configuration = constructor.configuration(network, tape_factory=factory)
                 failures += int(not language.contains(configuration))
         rate = failures / runs
@@ -310,15 +310,16 @@ def _decide_outcome(
     configuration: Configuration,
     master_seed: int,
     salt: str,
+    trial: int,
     mode: str,
     allow_fallback: bool = False,
 ) -> Tuple[DecisionOutcome, str]:
     """One decider execution, through the engine when compiled.
 
-    The engine's exact mode replays the tape streams of
-    ``TapeFactory(master_seed, salt)`` bit for bit, so the two branches are
-    interchangeable; the engine one skips per-node tape construction at
-    deterministically-voting nodes (usually almost all of them).  With
+    The engine's exact mode computes the tape streams of
+    ``TapeFactory(master_seed, salt, trial)`` bit for bit, so the two
+    branches are interchangeable; the engine one skips the per-node Python
+    voting.  With
     ``allow_fallback`` (the ``engine="auto"`` contract), a vote program the
     IR cannot express degrades to the reference execution instead of
     raising.  Returns the outcome together with the mode that actually ran,
@@ -327,13 +328,15 @@ def _decide_outcome(
     """
     if mode != "off":
         try:
-            votes = engine_single_trial_votes(decider, configuration, master_seed, salt)
+            votes = engine_single_trial_votes(decider, configuration, master_seed, salt, trial)
             return DecisionOutcome(votes=votes), mode
         except ProgramCompilationError:
             if not allow_fallback:
                 raise
             mode = "off"
-    outcome = decider.decide(configuration, tape_factory=TapeFactory(master_seed, salt=salt))
+    outcome = decider.decide(
+        configuration, tape_factory=TapeFactory(master_seed, salt=salt, trial=trial)
+    )
     return outcome, mode
 
 
@@ -353,9 +356,8 @@ def far_acceptance_probability(
     "Far from u" means every node at distance strictly greater than
     ``distance`` (the paper uses ``t + t'``) outputs true.  The probability
     is over both the constructor's and the decider's coins.  Trial ``t``
-    draws both sides' coins from master seed ``seed * 104_729 + t`` (salts
-    ``"far/construct"`` / ``"far/decide"``), so **adjacent seeds share coins
-    across trials** — use distant seeds for independent runs.
+    draws both sides' coins from ``TapeFactory(seed, salt, trial=t)`` with
+    salts ``"far/construct"`` / ``"far/decide"``.
 
     When the constructor compiles (:mod:`repro.engine.construct`) and the
     decider fuses (radius 0, one coin per node), the whole estimate runs as
@@ -392,7 +394,7 @@ def far_acceptance_probability(
                 [node],
                 distance,
                 trials,
-                seed_base=seed * 104_729,
+                seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
                 mode=construction_mode,
@@ -405,13 +407,14 @@ def far_acceptance_probability(
             return batched[node]
     accepted_far = 0
     for trial in range(trials):
-        c_factory = TapeFactory(seed * 104_729 + trial, salt="far/construct")
+        c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
         configuration = constructor.configuration(network, tape_factory=c_factory)
         outcome, mode = _decide_outcome(
             decider,
             configuration,
-            seed * 104_729 + trial,
+            seed,
             "far/decide",
+            trial,
             mode,
             allow_fallback=engine == "auto",
         )
@@ -448,7 +451,7 @@ def far_acceptance_estimate(
                 node,
                 distance,
                 target,
-                seed_base=seed * 104_729,
+                seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
                 mode=construction_mode,
@@ -464,13 +467,14 @@ def far_acceptance_estimate(
     def draw(count: int) -> int:
         accepted_far = 0
         for trial in range(state["offset"], state["offset"] + count):
-            c_factory = TapeFactory(seed * 104_729 + trial, salt="far/construct")
+            c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
             configuration = constructor.configuration(network, tape_factory=c_factory)
             outcome, state["mode"] = _decide_outcome(
                 decider,
                 configuration,
-                seed * 104_729 + trial,
+                seed,
                 "far/decide",
+                trial,
                 state["mode"],
                 allow_fallback=engine == "auto",
             )
@@ -521,7 +525,7 @@ def choose_anchor(
                 candidates,
                 distance,
                 trials,
-                seed_base=seed * 104_729,
+                seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
                 mode=construction_mode,
@@ -595,12 +599,11 @@ def _estimate_acceptance_and_membership(
 ) -> Tuple[float, float]:
     """Empirical ``(Pr[D accepts C(G)], Pr[C(G) ∈ L])`` over ``trials`` runs.
 
-    Trial ``t`` draws both sides' coins from master seed
-    ``seed * 15_485_863 + t`` (salts ``"amp/construct"`` / ``"amp/decide"``),
-    so **adjacent seeds share coins across trials** — use distant seeds for
-    independent runs.  Compilable constructors with fusable deciders run the
-    whole estimate as one batched pass (exact mode bit-identical to the
-    reference loop); anything else falls back per trial.
+    Trial ``t`` draws both sides' coins from ``TapeFactory(seed, salt,
+    trial=t)`` with salts ``"amp/construct"`` / ``"amp/decide"``.
+    Compilable constructors with fusable deciders run the whole estimate as
+    one batched pass (exact mode bit-identical to the reference loop);
+    anything else falls back per trial.
     """
     construction_mode = _construction_mode(engine, constructor)
     if construction_mode != "off":
@@ -611,7 +614,7 @@ def _estimate_acceptance_and_membership(
                 language,
                 network,
                 trials,
-                seed_base=seed * 15_485_863,
+                seed=seed,
                 construct_salt="amp/construct",
                 decide_salt="amp/decide",
                 mode=construction_mode,
@@ -626,14 +629,15 @@ def _estimate_acceptance_and_membership(
     accepted = 0
     member = 0
     for trial in range(trials):
-        c_factory = TapeFactory(seed * 15_485_863 + trial, salt="amp/construct")
+        c_factory = TapeFactory(seed, salt="amp/construct", trial=trial)
         configuration = constructor.configuration(network, tape_factory=c_factory)
         member += int(language.contains(configuration))
         outcome, mode = _decide_outcome(
             decider,
             configuration,
-            seed * 15_485_863 + trial,
+            seed,
             "amp/decide",
+            trial,
             mode,
             allow_fallback=engine == "auto",
         )

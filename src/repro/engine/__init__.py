@@ -14,8 +14,9 @@ Layers
   :class:`CompiledDecision`: the one-off flattening, and the
   ``vote_probability`` contract a decider must expose to be compilable;
 * :mod:`repro.engine.executor` — the trials×nodes Bernoulli-matrix
-  evaluation, in ``fast`` (fully vectorized) and ``exact`` (bit-for-bit
-  reproduction of the reference tape streams) modes;
+  evaluation, in ``exact`` (the reference counter-based tape streams,
+  computed as one array operation) and ``fast`` (per-node generators)
+  modes;
 * :mod:`repro.engine.adapters` — drop-in counterparts of the legacy entry
   points, used by the ``engine=`` dispatch in :mod:`repro.core.decision`
   and :mod:`repro.core.derandomization`;
@@ -31,8 +32,8 @@ Layers
   deterministic per-point seeding;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, the content-addressed
   JSON result store behind the CLI's default caching (key: experiment id +
-  parameters + seed + package version; see the module docstring for the
-  invalidation rule).
+  normalized parameters, seed included + package version; see the module
+  docstring for the invalidation rule).
 
 Fast path vs. reference path (guide for decider authors)
 --------------------------------------------------------
@@ -62,7 +63,7 @@ from repro.engine.adapters import (
     engine_success_counts,
     resolve_engine,
 )
-from repro.engine.cache import ResultCache, cache_key, default_cache_dir, request_cache_key
+from repro.engine.cache import ResultCache, default_cache_dir, request_cache_key
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
     CompiledDecision,
@@ -127,7 +128,6 @@ __all__ = [
     "any_of",
     "bernoulli_output",
     "branch",
-    "cache_key",
     "coin",
     "compile_construction",
     "compile_decision",

@@ -2,16 +2,17 @@
 
 These helpers are what :mod:`repro.core.decision` and
 :mod:`repro.core.derandomization` dispatch to when a decider is compilable
-(see :func:`repro.engine.compiler.is_compilable`).  Each mirrors the exact
-seeding convention of the reference function it replaces, so callers choose
-between
+(see :func:`repro.engine.compiler.is_compilable`).  Each takes the same
+``(seed, salt)`` stream the reference function it replaces draws from —
+trial ``t`` of node ``v`` reads the tape with key
+``(seed, salt, t, identity(v))``, whose draw ``k`` is the counter-based
+``U(key, k)`` of :mod:`repro.local.randomness` — so callers choose between
 
 * ``engine="auto"`` — compile and run in **exact** mode: bit-for-bit the
-  same accept/reject stream as the reference loop, minus the per-trial
-  Python voting (the default everywhere: safe and already much faster on
-  configurations whose balls are mostly deterministic);
-* ``engine="fast"`` — compile and run the fully vectorized chunked sampler:
-  distributionally equivalent, maximum throughput;
+  same accept/reject stream as the reference loop, computed as one
+  ``trials × coin-nodes × draws`` array operation (the default everywhere);
+* ``engine="fast"`` — compile and run the per-node-generator sampler:
+  distributionally equivalent, a different stream;
 * ``engine="off"`` — never used here; callers fall back to the reference
   loop themselves.
 
@@ -88,18 +89,12 @@ def engine_acceptance_probability(
 ) -> float:
     """Engine counterpart of :meth:`Decider.acceptance_probability`.
 
-    Exact mode replays the reference seeding ``TapeFactory(seed + trial,
-    salt=decider.name)`` and therefore returns the identical estimate.
+    Exact mode draws trial ``t`` from ``TapeFactory(seed, decider.name,
+    trial=t)``, like the reference loop, and therefore returns the identical
+    estimate.
     """
     compiled = compile_decision(decider, configuration)
-    return acceptance_probability(
-        compiled,
-        trials,
-        seed=seed,
-        mode=mode,
-        trial_seed=lambda trial: seed + trial,
-        salt=decider.name,
-    )
+    return acceptance_probability(compiled, trials, seed=seed, mode=mode, salt=decider.name)
 
 
 def engine_adaptive_acceptance(
@@ -111,20 +106,12 @@ def engine_adaptive_acceptance(
 ) -> ProbabilityEstimate:
     """Adaptive counterpart of :func:`engine_acceptance_probability`.
 
-    Same seeding convention (``TapeFactory(seed + trial, salt=decider.name)``
-    in exact mode), but trials stream in chunks until ``target`` is met —
+    Same stream, but trials arrive in chunks until ``target`` is met —
     stopping after ``k`` trials reports exactly the fixed ``k``-trial
     estimate, because the streams are chunk-invariant.
     """
     compiled = compile_decision(decider, configuration)
-    return adaptive_acceptance(
-        compiled,
-        target,
-        seed=seed,
-        mode=mode,
-        trial_seed=lambda trial: seed + trial,
-        salt=decider.name,
-    )
+    return adaptive_acceptance(compiled, target, seed=seed, mode=mode, salt=decider.name)
 
 
 def engine_adaptive_success(
@@ -137,8 +124,8 @@ def engine_adaptive_success(
     mode: str,
 ) -> ProbabilityEstimate:
     """Adaptive counterpart of :func:`engine_success_counts` (success =
-    accepted on members, rejected on non-members), on the same reference
-    seeding ``TapeFactory(seed * 1_000_003 + trial, salt=f"{name}/{index}")``.
+    accepted on members, rejected on non-members), on the same stream
+    ``TapeFactory(seed, f"{name}/{index}", trial=t)``.
     """
     compiled = compile_decision(decider, configuration)
     constant = deterministic_accept_value(compiled)
@@ -146,13 +133,7 @@ def engine_adaptive_success(
         return ProbabilityEstimate.exact(
             constant if member else not constant, confidence=target.confidence
         )
-    stream = AcceptStream(
-        compiled,
-        seed=seed * 1_000_003,
-        mode=mode,
-        trial_seed=lambda trial: seed * 1_000_003 + trial,
-        salt=f"{decider.name}/{index}",
-    )
+    stream = AcceptStream(compiled, seed=seed, mode=mode, salt=f"{decider.name}/{index}")
 
     def draw(count: int) -> int:
         accepted = int(np.count_nonzero(stream.sample(count)))
@@ -174,17 +155,12 @@ def engine_success_counts(
     :func:`repro.core.decision.estimate_guarantee`.
 
     Success means "accepted" on members and "rejected" on non-members; exact
-    mode replays the reference seeding ``TapeFactory(seed * 1_000_003 +
-    trial, salt=f"{decider.name}/{index}")``.
+    mode draws trial ``t`` from ``TapeFactory(seed, f"{decider.name}/{index}",
+    trial=t)``, like the reference loop.
     """
     compiled = compile_decision(decider, configuration)
     accepted = accept_vector(
-        compiled,
-        trials,
-        seed=seed * 1_000_003,
-        mode=mode,
-        trial_seed=lambda trial: seed * 1_000_003 + trial,
-        salt=f"{decider.name}/{index}",
+        compiled, trials, seed=seed, mode=mode, salt=f"{decider.name}/{index}"
     )
     successes = accepted if member else ~accepted
     return int(np.count_nonzero(successes))
@@ -195,15 +171,16 @@ def engine_single_trial_votes(
     configuration: "Configuration",
     master_seed: int,
     salt: object,
+    trial: int = 0,
 ) -> Dict[Hashable, bool]:
     """One decide() execution evaluated through the engine.
 
     Bit-for-bit identical to ``decider.decide(configuration,
-    tape_factory=TapeFactory(master_seed, salt)).votes`` for compilable
-    deciders; used by the derandomization loops, whose configurations change
-    every trial (fresh constructor coins) but whose decision step still
-    benefits from skipping tape construction at deterministic nodes.
+    tape_factory=TapeFactory(master_seed, salt, trial)).votes`` for
+    compilable deciders; used by the derandomization loops, whose
+    configurations change every trial (fresh constructor coins) but whose
+    decision step still skips the per-node Python voting.
     """
     compiled = compile_decision(decider, configuration)
-    votes = exact_single_trial_votes(compiled, master_seed, salt)
+    votes = exact_single_trial_votes(compiled, master_seed, salt, trial)
     return {node: bool(votes[position]) for position, node in enumerate(compiled.nodes)}

@@ -12,16 +12,12 @@ parameters and seed.  :class:`ResultCache` memoises them on disk:
   ``version`` is :data:`repro.__version__`.  Any change to the workload
   parameters, the seed, or the package version therefore produces a fresh
   key; bumping the package version is the (only) invalidation rule, so
-  results can never leak across releases whose numerics may differ.  The
-  ``schema`` marker separates the key space from the legacy
-  :func:`cache_key` scheme (raw kwargs + top-level seed), so old-style and
-  new-style keys can never collide.
+  results can never leak across releases whose numerics may differ.
 * **Location** — the directory given explicitly, else the
   ``REPRO_CACHE_DIR`` environment variable, else ``.repro-cache/`` under the
   current working directory.  Entries live in a **sharded two-level layout**
   — ``<dir>/<key[:2]>/<key>.json`` — so a hot cache never concentrates
-  thousands of files in one directory; entries written by older releases at
-  the flat ``<dir>/<key>.json`` location remain readable.
+  thousands of files in one directory.
 * **Concurrency** — writes are atomic (unique tempfile in the target shard +
   ``os.replace``), so concurrent writers — threads of the experiment
   service, parallel CLI runs, or separate processes — each publish a
@@ -56,14 +52,12 @@ from repro.obs import get_recorder
 __all__ = [
     "CacheStats",
     "ResultCache",
-    "cache_key",
     "request_cache_key",
     "default_cache_dir",
 ]
 
 #: Version of the key layout of :func:`request_cache_key`.  Bump when the
-#: key fields change shape; the field's presence alone already separates the
-#: new key space from the legacy :func:`cache_key` encoding.
+#: key fields change shape.
 REQUEST_KEY_SCHEMA = 2
 
 #: Environment variable overriding the default cache location.
@@ -95,29 +89,6 @@ def _canonical(value: object) -> object:
     return repr(value)
 
 
-def cache_key(
-    experiment_id: str,
-    parameters: Mapping[str, object],
-    seed: Optional[int],
-    version: Optional[str] = None,
-) -> str:
-    """The **legacy** content address: raw keyword dicts plus a top-level
-    seed field.  Kept for backward compatibility with existing caches and
-    external callers; new code should address runs through
-    :func:`request_cache_key` (normally via
-    :meth:`repro.harness.registry.ExperimentSpec.cache_key`)."""
-    if version is None:
-        from repro import __version__ as version
-    fields = {
-        "experiment_id": str(experiment_id),
-        "parameters": _canonical(parameters),
-        "seed": seed,
-        "version": str(version),
-    }
-    encoded = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf8")).hexdigest()
-
-
 def request_cache_key(
     experiment_id: str,
     parameters: Mapping[str, object],
@@ -127,10 +98,8 @@ def request_cache_key(
 
     ``parameters`` must be the fully normalized mapping of the experiment's
     spec (defaults applied, sequences as lists, seed inside the mapping when
-    the spec declares one).  The encoded fields carry a ``schema`` marker and
-    no top-level ``seed``, so a request key can never collide with a legacy
-    :func:`cache_key` (whose encoding always has a ``seed`` field and no
-    ``schema``).
+    the spec declares one); usually reached through
+    :meth:`repro.harness.registry.ExperimentSpec.cache_key`.
     """
     if version is None:
         from repro import __version__ as version
@@ -214,18 +183,13 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
-        """The sharded on-disk location of a key (where writes land)."""
+        """The sharded on-disk location of a key."""
         return self.directory / key[:SHARD_CHARS] / f"{key}.json"
 
-    def _legacy_path(self, key: str) -> Path:
-        """The flat pre-shard location (read fallback for old caches)."""
-        return self.directory / f"{key}.json"
-
     def _iter_entries(self) -> Iterator[Path]:
-        """Every entry file: the sharded layout plus legacy flat files."""
+        """Every entry file of the sharded layout."""
         if not self.directory.is_dir():
             return
-        yield from self.directory.glob("*.json")
         yield from self.directory.glob(f"{'?' * SHARD_CHARS}/*.json")
 
     def _count(self, field: str, value: int = 1) -> None:
@@ -240,10 +204,6 @@ class ResultCache:
         with recorder.span("cache.lookup", key=key[:16]) as span:
             started = time.perf_counter()
             path = self.path_for(key)
-            if not path.is_file():
-                legacy = self._legacy_path(key)
-                if legacy.is_file():
-                    path = legacy
             entry: object = None
             corrupt = False
             expired = False
@@ -378,7 +338,7 @@ class ResultCache:
         return removed
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).is_file() or self._legacy_path(key).is_file()
+        return self.path_for(key).is_file()
 
     def __len__(self) -> int:
         return sum(1 for _ in self._iter_entries())
@@ -409,8 +369,7 @@ class ResultCache:
         shards = set()
         for path in self._iter_entries():
             entries += 1
-            if path.parent != self.directory:
-                shards.add(path.parent.name)
+            shards.add(path.parent.name)
             try:
                 total_bytes += path.stat().st_size
             except OSError:

@@ -20,10 +20,10 @@ that per-trial Python out:
   node's ball, interns the finite output alphabet, and freezes the per-node
   programs into NumPy form; :func:`construction_matrix` then produces the
   ``trials × nodes`` matrix of output codes in one pass — **exact** mode
-  replaying the per-trial ``TapeFactory(trial_seed(t), salt)`` streams bit
-  for bit (draw *k* of trial *t* = tape draw *k* of that trial's factory),
-  **fast** mode fully vectorized from per-node generators (chunk-invariant,
-  working set bounded by ``max_bytes`` exactly like the decision executor).
+  computing the reference streams ``TapeFactory(seed, salt, trial=t)`` as
+  counter-based uniform blocks (see below), **fast** mode drawing from
+  per-node generators (chunk-invariant, working set bounded by
+  ``max_bytes`` exactly like the decision executor).
 * :func:`compile_membership` lowers language membership to array form over
   the code matrix: radius-0 LCL predicates become per-``(node, value)``
   bad-ball tables, proper coloring becomes CSR-style padded neighbour
@@ -36,18 +36,19 @@ that per-trial Python out:
   tabulated per ``(node, output value)`` once, so a whole amplification run
   (construct → membership → decide) needs no per-trial Python at all.
 
-Seed + trial convention (shared with the reference loops)
----------------------------------------------------------
-The derandomization estimators derive per-trial master seeds as
-``seed * MULTIPLIER + trial`` (``1_000_003`` for success probability,
-``104_729`` for far acceptance, ``15_485_863`` for the amplification runs,
-``7_919`` for the hard-instance screening).  **Adjacent seeds therefore share
-coins across trials**: seed ``s`` at trial ``t + MULTIPLIER`` replays seed
-``s + 1`` at trial ``t`` (see the ``seed-plus-trial-convention`` note).  The
-batched paths reproduce the convention bit for bit rather than fixing it —
-bit-identity with the reference loops is the exactness contract — so tests
-comparing runs at different seeds must use *distant* seeds (e.g. 0 and
-10_000), never adjacent ones.
+Exactness contract (shared with the reference loops)
+----------------------------------------------------
+Trial ``t`` of an estimate at ``(seed, salt)`` draws node ``v``'s coins from
+the tape with key ``(seed, salt, t, identity(v))`` — the reference loops
+build ``TapeFactory(seed, salt, trial=t)`` — and draw ``k`` of that tape is
+the counter-based ``U(key, k)`` of :mod:`repro.local.randomness`.  Every
+output program consumes draw 0 only, so exact mode computes the
+``trials × coin-nodes`` block of ``U(key, 0)`` values with
+:func:`~repro.local.randomness.counter_uniforms` and maps it to codes with
+the tape methods' own arithmetic (``randint`` is ``lo + ⌊u·n⌋``,
+``bernoulli`` is ``u < q``).  The result is bit-identical to the reference
+loops by construction, for any chunking and any resumption offset, and
+distinct seeds, salts and trials give independent streams.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ from repro.engine.compiler import (
     is_compilable,
     lower_program,
 )
-from repro.engine.executor import _resolve_max_bytes
+from repro.engine.executor import EXACT_BLOCK_BYTES, _resolve_max_bytes
 from repro.errors import ReproError
 from repro.local.ball import collect_ball
-from repro.local.randomness import derive_generator
+from repro.local.randomness import counter_uniforms, derive_generator, derive_seed, node_keys
 from repro.obs import get_recorder
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
@@ -314,13 +315,15 @@ class OutputProgram:
             return self._code_array[(generator.random(size) < self.q).astype(np.intp)]
         raise ValueError(f"constant programs are not sampled (kind={self.kind!r})")
 
-    def sample_exact(self, generator: np.random.Generator) -> int:
-        """One draw consuming the reference tape stream exactly like the
-        interpreted expression (same method, same bounds)."""
+    def codes_of(self, uniforms: np.ndarray) -> np.ndarray:
+        """The output codes when each node's tape draw 0 is ``uniforms`` —
+        the tape methods' own arithmetic (``randint`` is ``lo + ⌊u·n⌋``,
+        ``bernoulli`` is ``u < q``), so this equals the interpreted
+        expression bit for bit."""
         if self.kind == "randint":
-            return self.codes[int(generator.integers(self.low, self.high + 1)) - self.low]
+            return self._code_array[(uniforms * len(self.codes)).astype(np.intp)]
         if self.kind == "bernoulli":
-            return self.codes[int(generator.random() < self.q)]
+            return self._code_array[(uniforms < self.q).astype(np.intp)]
         raise ValueError(f"constant programs are not sampled (kind={self.kind!r})")
 
     @property
@@ -507,19 +510,17 @@ def construction_matrix(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """The ``trials × nodes`` matrix of output codes.
 
-    ``exact`` mode: for trial ``t`` the ``k``-th draw consumed by node ``v``
-    is the ``k``-th draw of ``TapeFactory(trial_seed(t), salt).tape_for(v)``
-    — bit-for-bit the stream the reference
-    ``constructor.configuration(network, tape_factory=...)`` loop consumes.
-    ``fast`` mode: per-node generators derived from ``(seed, salt, node
-    identity)``, fully vectorized; chunk-invariant in both ``trials`` and
-    ``max_bytes`` because each node's generator is consumed sequentially.
+    ``exact`` mode: row ``t`` is bit-for-bit the outputs of the reference
+    ``constructor.configuration(network, TapeFactory(seed, salt, trial=t))``
+    (see the module docstring).  ``fast`` mode: per-node generators derived
+    from ``(seed, salt, node identity)``, fully vectorized; chunk-invariant
+    in both ``trials`` and ``max_bytes`` because each node's generator is
+    consumed sequentially.
 
     This is the one-shot form of :class:`ConstructionStream` (a single
     ``sample(trials)`` on a fresh stream), so the fixed-trial and adaptive
@@ -528,12 +529,7 @@ def construction_matrix(
     if trials < 1:
         raise ValueError("trials must be positive")
     return ConstructionStream(
-        compiled,
-        seed=seed,
-        mode=mode,
-        trial_seed=trial_seed,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     ).sample(trials)
 
 
@@ -675,13 +671,12 @@ class FusedDecision:
     single-Bernoulli deciders the derandomization experiments use.  The per
     -trial vote is then ``on_true`` if the node's tape draw falls below the
     tabulated threshold and ``on_false`` otherwise (constants hold the vote
-    in both and consume no draw).
+    in both, so the draw cannot change them).
     """
 
     thresholds: np.ndarray  # (nodes, values) float64
     on_true: np.ndarray  # (nodes, values) bool
     on_false: np.ndarray  # (nodes, values) bool
-    draws: np.ndarray  # (nodes, values) int8
     decider_name: str
     compiled: CompiledConstruction
 
@@ -747,28 +742,33 @@ class FusedDecision:
         return self.fast_vote_stream(seed, salt, max_bytes=max_bytes)(codes)
 
     def vote_row_exact(
-        self, code_row: np.ndarray, master_seed: int, salt: object
+        self, code_row: np.ndarray, master_seed: int, salt: object, trial: int = 0
     ) -> np.ndarray:
-        """One trial's votes under the reference decide tape streams —
-        bit-identical to ``decider.decide(configuration,
-        TapeFactory(master_seed, salt))`` for the decoded configuration."""
-        n = len(code_row)
-        votes = np.empty(n, dtype=bool)
-        for position in range(n):
-            code = int(code_row[position])
-            if self.draws[position, code]:
-                generator = derive_generator(
-                    int(master_seed), salt, int(self.compiled.identities[position])
-                )
-                takes_true = float(generator.random()) < self.thresholds[position, code]
-                votes[position] = (
-                    self.on_true[position, code]
-                    if takes_true
-                    else self.on_false[position, code]
-                )
-            else:
-                votes[position] = self.on_true[position, code]
-        return votes
+        """Votes under the reference decide tape streams.
+
+        ``code_row`` is one trial's code row, or a ``(count, nodes)`` block
+        of rows for trials ``trial .. trial+count-1``; the votes have the
+        same shape.  Row ``i`` is bit-identical to ``decider.decide(
+        configuration, TapeFactory(master_seed, salt, trial=trial+i))`` for
+        the decoded configuration: each node's vote compares draw 0 of its
+        counter-based tape with the tabulated threshold.
+        """
+        codes = np.asarray(code_row)
+        block = codes if codes.ndim == 2 else codes[None, :]
+        count, n = block.shape
+        base = derive_seed(master_seed, salt)
+        rows = np.arange(n)
+        votes = np.empty((count, n), dtype=bool)
+        chunk = max(1, EXACT_BLOCK_BYTES // (8 * max(n, 1)))
+        for lo in range(0, count, chunk):
+            hi = min(count, lo + chunk)
+            keys = node_keys(base, np.arange(trial + lo, trial + hi), self.compiled.identities)
+            values = block[lo:hi]
+            takes_true = counter_uniforms(keys, 1)[..., 0] < self.thresholds[rows, values]
+            votes[lo:hi] = np.where(
+                takes_true, self.on_true[rows, values], self.on_false[rows, values]
+            )
+        return votes if codes.ndim == 2 else votes[0]
 
 
 def compile_fused_decision(
@@ -789,7 +789,6 @@ def compile_fused_decision(
     thresholds = np.zeros((n, n_values), dtype=np.float64)
     on_true = np.zeros((n, n_values), dtype=bool)
     on_false = np.zeros((n, n_values), dtype=bool)
-    draws = np.zeros((n, n_values), dtype=np.int8)
     for position, node in enumerate(compiled.nodes):
         program = compiled.program_of(position)
         for code in set(program.codes):
@@ -807,12 +806,10 @@ def compile_fused_decision(
                 thresholds[position, code] = float(lowered.thresholds[lowered.root])
                 on_true[position, code] = int(lowered.on_true[lowered.root]) == ACCEPT
                 on_false[position, code] = int(lowered.on_false[lowered.root]) == ACCEPT
-                draws[position, code] = 1
     return FusedDecision(
         thresholds=thresholds,
         on_true=on_true,
         on_false=on_false,
-        draws=draws,
         decider_name=str(decider.name),
         compiled=compiled,
     )
@@ -835,7 +832,7 @@ def _active_fusion():
 def _shared_codes(
     compiled: CompiledConstruction,
     trials: int,
-    seed_base: int,
+    seed: int,
     salt: object,
     mode: str,
     max_bytes: Optional[int],
@@ -845,17 +842,11 @@ def _shared_codes(
     context's exactness contract), one-shot otherwise."""
     context = _active_fusion()
     if context is not None:
-        codes = context.codes_for(compiled, trials, seed_base, salt, mode)
+        codes = context.codes_for(compiled, trials, seed, salt, mode)
         if codes is not None:
             return codes
     return construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     )
 
 
@@ -864,7 +855,7 @@ def batched_success_counts(
     language: "DistributedLanguage",
     network: "Network",
     trials: int,
-    seed_base: int,
+    seed: int,
     salt: object,
     mode: str,
     max_bytes: Optional[int] = None,
@@ -873,24 +864,18 @@ def batched_success_counts(
     :func:`repro.core.construction.estimate_success_probability` (and, with
     the complement, :func:`repro.core.derandomization.find_hard_instances`).
 
-    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit.
-    Returns the number of trials whose constructed configuration belongs to
-    the language.
+    Exact mode computes the ``TapeFactory(seed, salt, trial=t)`` streams bit
+    for bit.  Returns the number of trials whose constructed configuration
+    belongs to the language.
     """
     compiled = compile_construction(constructor, network)
     context = _active_fusion()
     if context is not None:
-        members = context.member_vector_for(compiled, language, trials, seed_base, salt, mode)
+        members = context.member_vector_for(compiled, language, trials, seed, salt, mode)
         if members is not None:
             return int(np.count_nonzero(members))
     codes = construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     )
     return int(np.count_nonzero(_member_vector(language, compiled, codes)))
 
@@ -900,7 +885,7 @@ def batched_bad_counts(
     language: "DistributedLanguage",
     network: "Network",
     trials: int,
-    seed_base: int,
+    seed: int,
     salt: object,
     mode: str,
     max_bytes: Optional[int] = None,
@@ -909,27 +894,21 @@ def batched_bad_counts(
     configurations — the engine counterpart of a ``fraction_bad`` probe loop
     (count ``t`` divided by the node count is trial ``t``'s bad fraction).
 
-    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit.
-    Returns ``None`` when the language's membership cannot be lowered
-    (callers keep their reference loop).  Inside a fused sweep group the
-    matrix and the counts are served from the shared context."""
+    Exact mode computes the ``TapeFactory(seed, salt, trial=t)`` streams bit
+    for bit.  Returns ``None`` when the language's membership cannot be
+    lowered (callers keep their reference loop).  Inside a fused sweep group
+    the matrix and the counts are served from the shared context."""
     compiled = compile_construction(constructor, network)
     context = _active_fusion()
     if context is not None:
-        counts = context.bad_counts_for(compiled, language, trials, seed_base, salt, mode)
+        counts = context.bad_counts_for(compiled, language, trials, seed, salt, mode)
         if counts is not None:
             return counts
     membership = compile_membership(language, compiled, max_bytes)
     if membership is None:
         return None
     codes = construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     )
     return membership.bad_counts(codes)
 
@@ -963,7 +942,7 @@ def batched_acceptance_and_membership(
     language: "DistributedLanguage",
     network: "Network",
     trials: int,
-    seed_base: int,
+    seed: int,
     construct_salt: object,
     decide_salt: object,
     mode: str,
@@ -974,8 +953,8 @@ def batched_acceptance_and_membership(
 
     Returns ``(acceptance, membership)`` or ``None`` when decider fusion is
     unavailable (the caller then keeps the per-trial decision loop).  Exact
-    mode replays the reference seeding ``TapeFactory(seed_base + trial,
-    construct_salt/decide_salt)`` bit for bit.
+    mode computes the reference streams ``TapeFactory(seed,
+    construct_salt/decide_salt, trial=t)`` bit for bit.
     """
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
@@ -985,24 +964,16 @@ def batched_acceptance_and_membership(
     members = None
     if context is not None:
         members = context.member_vector_for(
-            compiled, language, trials, seed_base, construct_salt, mode
+            compiled, language, trials, seed, construct_salt, mode
         )
-    codes = _shared_codes(compiled, trials, seed_base, construct_salt, mode, max_bytes)
+    codes = _shared_codes(compiled, trials, seed, construct_salt, mode, max_bytes)
     if members is None:
         members = _member_vector(language, compiled, codes)
     if mode == "exact":
-        accepted = np.fromiter(
-            (
-                bool(fused.vote_row_exact(codes[trial], seed_base + trial, decide_salt).all())
-                for trial in range(trials)
-            ),
-            dtype=bool,
-            count=trials,
-        )
+        votes = fused.vote_row_exact(codes, seed, decide_salt)
     else:
-        accepted = fused.vote_matrix_fast(
-            codes, seed_base, decide_salt, max_bytes=max_bytes
-        ).all(axis=1)
+        votes = fused.vote_matrix_fast(codes, seed, decide_salt, max_bytes=max_bytes)
+    accepted = votes.all(axis=1)
     return (
         float(np.count_nonzero(accepted)) / trials,
         float(np.count_nonzero(members)) / trials,
@@ -1015,9 +986,9 @@ class ConstructionStream:
     ``sample(count)`` returns the ``(count, nodes)`` code matrix of the
     **next** ``count`` trials; the concatenation of successive samples is
     bit-identical to one :func:`construction_matrix` call with the total
-    trial count (exact mode derives each trial from its own master seed;
-    fast mode holds every node's generator open across batches).  This is
-    the construction-side counterpart of
+    trial count (exact mode computes each trial from its own counter-based
+    keys; fast mode holds every node's generator open across batches).
+    This is the construction-side counterpart of
     :class:`repro.engine.executor.AcceptStream`.
     """
 
@@ -1026,7 +997,6 @@ class ConstructionStream:
         compiled: CompiledConstruction,
         seed: int = 0,
         mode: str = "fast",
-        trial_seed: Optional[Callable[[int], int]] = None,
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
@@ -1035,9 +1005,7 @@ class ConstructionStream:
         self.compiled = compiled
         self.mode = mode
         self._salt = compiled.constructor_name if salt is None else salt
-        if trial_seed is None:
-            trial_seed = lambda trial: seed + trial  # noqa: E731 - the legacy convention
-        self._trial_seed = trial_seed
+        self._base = derive_seed(seed, self._salt)
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._generators: List[np.random.Generator] = []
@@ -1077,15 +1045,23 @@ class ConstructionStream:
             random_nodes=len(random_positions),
         ):
             if self.mode == "exact":
-                recorder.counter("engine.chunks")
-                programs = [compiled.program_of(position) for position in random_positions]
-                for trial in range(count):
-                    master = int(self._trial_seed(start + trial))
-                    for position, program in zip(random_positions, programs):
-                        generator = derive_generator(
-                            master, self._salt, int(compiled.identities[position])
+                identities = compiled.identities[random_positions]
+                program_ids = compiled.program_ids[random_positions]
+                groups = [
+                    (compiled.programs[int(program_id)], np.flatnonzero(program_ids == program_id))
+                    for program_id in np.unique(program_ids)
+                ]
+                budget = min(self._max_bytes, EXACT_BLOCK_BYTES) // 8
+                rows = max(1, budget // len(random_positions))
+                for lo in range(0, count, rows):
+                    hi = min(count, lo + rows)
+                    recorder.counter("engine.chunks")
+                    keys = node_keys(self._base, np.arange(start + lo, start + hi), identities)
+                    uniforms = counter_uniforms(keys, 1)[..., 0]
+                    for program, columns in groups:
+                        codes[lo:hi, random_positions[columns]] = program.codes_of(
+                            uniforms[:, columns]
                         )
-                        codes[trial, position] = program.sample_exact(generator)
                 return codes
             trial_block = max(1, self._max_bytes // (8 * max(len(random_positions), 1)))
             for lo in range(0, count, trial_block):
@@ -1103,7 +1079,7 @@ def adaptive_success_estimate(
     language: "DistributedLanguage",
     network: "Network",
     target: PrecisionTarget,
-    seed_base: int,
+    seed: int,
     salt: object,
     mode: str,
     max_bytes: Optional[int] = None,
@@ -1111,20 +1087,13 @@ def adaptive_success_estimate(
     """Adaptive counterpart of :func:`batched_success_counts`: construct in
     chunks, test membership per chunk, stop once ``target`` is met.
 
-    Same seeding (``TapeFactory(seed_base + trial, salt)`` in exact mode),
-    chunk-invariant streams — stopping after ``k`` trials reports exactly
-    the fixed ``k``-trial success rate.  Constructions with no random
-    outputs are deterministic and return an exact degenerate estimate.
+    Same streams (``TapeFactory(seed, salt, trial=t)`` in exact mode),
+    chunk-invariant — stopping after ``k`` trials reports exactly the fixed
+    ``k``-trial success rate.  Constructions with no random outputs are
+    deterministic and return an exact degenerate estimate.
     """
     compiled = compile_construction(constructor, network)
-    stream = ConstructionStream(
-        compiled,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
+    stream = ConstructionStream(compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes)
     if len(compiled.random_index) == 0:
         member = bool(_member_vector(language, compiled, stream.sample(1))[0])
         return ProbabilityEstimate.exact(member, confidence=target.confidence)
@@ -1143,7 +1112,7 @@ def adaptive_far_acceptance(
     node: Hashable,
     distance: int,
     target: PrecisionTarget,
-    seed_base: int,
+    seed: int,
     construct_salt: object,
     decide_salt: object,
     mode: str,
@@ -1154,8 +1123,8 @@ def adaptive_far_acceptance(
 
     Returns ``None`` when decider fusion is unavailable (callers fall back
     to the per-trial reference loop, which handles every decider).  The
-    seeding and streams match the batched path bit for bit, so stopping
-    after ``k`` trials reports the fixed ``k``-trial estimate.
+    streams match the batched path bit for bit, so stopping after ``k``
+    trials reports the fixed ``k``-trial estimate.
     """
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
@@ -1167,15 +1136,10 @@ def adaptive_far_acceptance(
         dtype=bool,
     )
     stream = ConstructionStream(
-        compiled,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=construct_salt,
-        max_bytes=max_bytes,
+        compiled, seed=seed, mode=mode, salt=construct_salt, max_bytes=max_bytes
     )
     fast_votes = (
-        fused.fast_vote_stream(seed_base, decide_salt, max_bytes=max_bytes)
+        fused.fast_vote_stream(seed, decide_salt, max_bytes=max_bytes)
         if mode == "fast"
         else None
     )
@@ -1186,11 +1150,7 @@ def adaptive_far_acceptance(
         if fast_votes is not None:
             votes = fast_votes(codes)
         else:
-            votes = np.empty((count, compiled.n_nodes), dtype=bool)
-            for trial in range(count):
-                votes[trial] = fused.vote_row_exact(
-                    codes[trial], seed_base + start + trial, decide_salt
-                )
+            votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
         accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(count, bool)
         return int(np.count_nonzero(accepted_far))
 
@@ -1204,7 +1164,7 @@ def batched_far_acceptance(
     candidates: Sequence[Hashable],
     distance: int,
     trials: int,
-    seed_base: int,
+    seed: int,
     construct_salt: object,
     decide_salt: object,
     mode: str,
@@ -1223,15 +1183,11 @@ def batched_far_acceptance(
     fused = compile_fused_decision(decider, compiled)
     if fused is None:
         return None
-    codes = _shared_codes(compiled, trials, seed_base, construct_salt, mode, max_bytes)
+    codes = _shared_codes(compiled, trials, seed, construct_salt, mode, max_bytes)
     if mode == "exact":
-        votes = np.empty((trials, compiled.n_nodes), dtype=bool)
-        for trial in range(trials):
-            votes[trial] = fused.vote_row_exact(
-                codes[trial], seed_base + trial, decide_salt
-            )
+        votes = fused.vote_row_exact(codes, seed, decide_salt)
     else:
-        votes = fused.vote_matrix_fast(codes, seed_base, decide_salt, max_bytes=max_bytes)
+        votes = fused.vote_matrix_fast(codes, seed, decide_salt, max_bytes=max_bytes)
     results: Dict[Hashable, float] = {}
     for candidate in candidates:
         distances = network.distances_from(candidate)

@@ -6,56 +6,60 @@ global AND; ``trials`` trials are evaluated as stacked ``trials × coins``
 comparisons against the program thresholds.  Two sampling modes are
 provided:
 
-``fast`` (default)
+``exact`` (what ``engine="auto"`` runs)
+    Bit-for-bit the reference path, by construction.  The reference loop's
+    trial ``t`` draws node ``v``'s coins from the tape
+    ``TapeFactory(seed, salt, trial=t).tape_for(identity(v))``, whose key is
+    ``(seed, salt, t, identity(v))`` and whose draw ``k`` is the
+    counter-based ``U(key, k)`` of :mod:`repro.local.randomness`.  A program
+    node at depth ``d`` consumes draw ``d``, so the executor computes the
+    whole ``trials × coin-nodes × draws`` block of ``U`` values in one array
+    operation (:func:`~repro.local.randomness.counter_uniforms`) and runs
+    each program as a vectorized state machine over it — no per-trial or
+    per-node Python.  Draws a program never reads are computed and ignored;
+    and since each node's draws depend on nothing but its own key, the
+    reference loop's early return at the first rejecting node cannot change
+    any other node's coins either.
+
+``fast``
     Each coin-flipping node draws its uniform block from its own
     deterministically-derived :class:`numpy.random.Generator`.  The
-    per-trial accept/reject stream differs from the legacy per-node-tape
-    path, but its distribution is identical — the equivalence test in
-    ``tests/engine`` checks this statistically and via the exact per-trial
-    product :attr:`CompiledDecision.deterministic_accept_probability`.
-    Per-node generators also make the stream independent of the chunking
-    below: the same ``(seed, salt)`` yields the same accept vector for any
-    ``max_bytes``.
-
-``exact``
-    Bit-for-bit reproduction of the reference path: for trial ``i`` the
-    ``k``-th uniform consumed by node ``v``'s program is the ``k``-th draw
-    of the tape ``TapeFactory(trial_seed(i), salt).tape_for(identity(v))``,
-    exactly the stream :meth:`repro.core.decision.Decider.acceptance_probability`
-    and :func:`repro.core.decision.estimate_guarantee` consume.  Only nodes
-    whose vote genuinely depends on draws ever read their tape (matching
-    the reference voting rules, which return early on deterministic balls),
-    so this mode still skips the per-trial tape construction for every
-    deterministic node — usually the overwhelming majority.
+    per-trial accept/reject stream differs from the reference path, but its
+    distribution is identical — the equivalence test in ``tests/engine``
+    checks this statistically and via the exact per-trial product
+    :attr:`CompiledDecision.deterministic_accept_probability`.
 
 Chunked execution
 -----------------
-The fast mode never materialises one giant ``trials × coins`` matrix: the
-coin-flipping nodes are processed in **column blocks** whose uniform
+Neither mode materialises one giant ``trials × coins`` matrix.  The fast
+mode processes the coin-flipping nodes in **column blocks** whose uniform
 working set stays below ``max_bytes`` (default :data:`DEFAULT_MAX_BYTES`,
 overridable per call or via ``$REPRO_ENGINE_MAX_BYTES``), carrying the
 per-trial accept vector across blocks and short-circuiting the remaining
-columns once every trial has rejected.  The exact mode is a per-trial walk
-and is memory-bounded by construction; its acceptance path short-circuits
-each trial at the first rejecting coin, exactly like the reference loop's
-early return (per-node draws are independent, so skipping later coins skips
-values that could not affect the conjunction).
+columns once every trial has rejected; per-node generators consumed in
+``(trial, draw)`` order make its stream independent of the blocking.  The
+exact mode walks trial blocks of at most :data:`EXACT_BLOCK_BYTES` of
+uniforms (or ``max_bytes``, if smaller; at least one trial per block):
+its draws are pure functions of ``(trial, identity, draw)``, so every
+blocking, every ``max_bytes`` and every resumption offset yields the same
+values.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.compiler import ACCEPT, CompiledDecision, VoteProgram
-from repro.local.randomness import derive_generator
+from repro.local.randomness import counter_uniforms, derive_generator, derive_seed, node_keys
 from repro.obs import get_recorder
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
+    "EXACT_BLOCK_BYTES",
     "accept_vector",
     "vote_matrix",
     "acceptance_probability",
@@ -69,6 +73,11 @@ _MODES = ("fast", "exact")
 
 #: Default bound on the fast mode's uniform working set, in bytes.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
+
+#: Bound on one exact-mode block of uniforms, in bytes.  Small and fixed:
+#: counter-based draws gain nothing from larger batches once the per-block
+#: numpy overhead is amortized, and a small block keeps peak memory flat.
+EXACT_BLOCK_BYTES = 128 * 1024
 
 
 def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
@@ -85,38 +94,10 @@ def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
     return max_bytes
 
 
-def _resolve(
-    compiled: CompiledDecision,
-    mode: str,
-    seed: int,
-    trial_seed: Optional[Callable[[int], int]],
-    salt: Optional[object],
-):
+def _resolve_salt(compiled: CompiledDecision, mode: str, salt: Optional[object]) -> object:
     if mode not in _MODES:
         raise ValueError(f"unknown engine mode {mode!r}; expected one of {_MODES}")
-    if salt is None:
-        salt = compiled.decider_name
-    if trial_seed is None:
-        trial_seed = lambda trial: seed + trial  # noqa: E731 - the legacy convention
-    return salt, trial_seed
-
-
-# --------------------------------------------------------------------------- #
-# Fast mode: vectorized program evaluation over column blocks
-# --------------------------------------------------------------------------- #
-def _fast_node_generator(
-    compiled: CompiledDecision, position: int, seed: int, salt: object
-) -> np.random.Generator:
-    """One coin-flipping node's fast-mode generator, derived from the node
-    identity — so the stream a node sees is independent of which block (and
-    which ``max_bytes``) it lands in."""
-    return derive_generator(
-        int(seed),
-        "engine-fast",
-        salt,
-        compiled.decider_name,
-        int(compiled.identities[position]),
-    )
+    return compiled.decider_name if salt is None else salt
 
 
 def _evaluate_program_block(program: VoteProgram, uniforms: np.ndarray) -> np.ndarray:
@@ -140,6 +121,88 @@ def _evaluate_program_block(program: VoteProgram, uniforms: np.ndarray) -> np.nd
             takes_true[at_node], program.on_true[node], program.on_false[node]
         )
     return state == ACCEPT
+
+
+# --------------------------------------------------------------------------- #
+# Exact mode: counter-based uniform blocks
+# --------------------------------------------------------------------------- #
+def _exact_blocks(
+    compiled: CompiledDecision,
+    positions: np.ndarray,
+    base: int,
+    offset: int,
+    count: int,
+    max_bytes: int,
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """Exact-mode vote blocks of trials ``offset .. offset+count-1`` at the
+    listed coin positions.
+
+    Yields ``(lo, hi, columns, votes)``: ``votes`` is the
+    ``(hi-lo) × len(columns)`` vote block of trials ``offset+lo ..
+    offset+hi-1`` at ``positions[columns]``.  Positions are grouped by
+    program, and each block holds at most ``min(max_bytes,
+    EXACT_BLOCK_BYTES)`` bytes of uniforms (at least one trial).
+    """
+    recorder = get_recorder()
+    budget = min(max_bytes, EXACT_BLOCK_BYTES) // 8
+    program_ids = compiled.program_ids[positions]
+    for program_id in np.unique(program_ids):
+        program = compiled.programs[int(program_id)]
+        draws = max(program.max_draws, 1)
+        columns = np.flatnonzero(program_ids == program_id)
+        identities = compiled.identities[positions[columns]]
+        rows = max(1, budget // (len(columns) * draws))
+        for lo in range(0, count, rows):
+            hi = min(count, lo + rows)
+            recorder.counter("engine.chunks")
+            keys = node_keys(base, np.arange(offset + lo, offset + hi), identities)
+            yield lo, hi, columns, _evaluate_program_block(program, counter_uniforms(keys, draws))
+
+
+def _exact_accept_vector(
+    compiled: CompiledDecision, base: int, offset: int, count: int, max_bytes: int
+) -> np.ndarray:
+    """Per-trial global acceptance of trials ``offset .. offset+count-1``."""
+    accepted = np.ones(count, dtype=bool)
+    for lo, hi, _columns, votes in _exact_blocks(
+        compiled, compiled.random_index, base, offset, count, max_bytes
+    ):
+        accepted[lo:hi] &= votes.all(axis=1)
+        if not accepted.any():  # pure draws: skipping the rest changes nothing
+            break
+    return accepted
+
+
+def _exact_vote_matrix(
+    compiled: CompiledDecision, base: int, offset: int, count: int, max_bytes: int
+) -> np.ndarray:
+    """The ``count × nodes`` vote matrix of trials ``offset ..
+    offset+count-1`` (every node evaluated in every trial)."""
+    votes = np.broadcast_to(compiled.probabilities >= 1.0, (count, compiled.n_nodes)).copy()
+    random_positions = compiled.random_index
+    for lo, hi, columns, block in _exact_blocks(
+        compiled, random_positions, base, offset, count, max_bytes
+    ):
+        votes[lo:hi, random_positions[columns]] = block
+    return votes
+
+
+# --------------------------------------------------------------------------- #
+# Fast mode: vectorized program evaluation over column blocks
+# --------------------------------------------------------------------------- #
+def _fast_node_generator(
+    compiled: CompiledDecision, position: int, seed: int, salt: object
+) -> np.random.Generator:
+    """One coin-flipping node's fast-mode generator, derived from the node
+    identity — so the stream a node sees is independent of which block (and
+    which ``max_bytes``) it lands in."""
+    return derive_generator(
+        int(seed),
+        "engine-fast",
+        salt,
+        compiled.decider_name,
+        int(compiled.identities[position]),
+    )
 
 
 def _fast_column_blocks(
@@ -215,60 +278,6 @@ def _fast_votes_for(
 
 
 # --------------------------------------------------------------------------- #
-# Exact mode: per-trial walks over the reference tape streams
-# --------------------------------------------------------------------------- #
-def _exact_walker(
-    compiled: CompiledDecision, position: int, master_seed: int, salt: object
-) -> Callable[[], float]:
-    """Sequential uniforms of one node's reference tape for one trial."""
-    generator = derive_generator(
-        int(master_seed), salt, int(compiled.identities[position])
-    )
-    return lambda: float(generator.random())
-
-
-def _exact_accepts(
-    compiled: CompiledDecision,
-    trials: int,
-    trial_seed: Callable[[int], int],
-    salt: object,
-) -> np.ndarray:
-    """Per-trial global acceptance under the reference tape streams,
-    short-circuiting each trial at the first rejecting coin."""
-    random_positions = compiled.random_index
-    coins = [(int(position), compiled.program_of(position)) for position in random_positions]
-    accepted = np.zeros(trials, dtype=bool)
-    for trial in range(trials):
-        master = int(trial_seed(trial))
-        for position, program in coins:
-            if not program.walk(_exact_walker(compiled, position, master, salt)):
-                break
-        else:
-            accepted[trial] = True
-    return accepted
-
-
-def _exact_votes(
-    compiled: CompiledDecision,
-    positions: np.ndarray,
-    trials: int,
-    trial_seed: Callable[[int], int],
-    salt: object,
-) -> np.ndarray:
-    """The ``trials × len(positions)`` vote matrix of the reference streams
-    (no short-circuit: every listed node is evaluated in every trial)."""
-    votes = np.empty((trials, len(positions)), dtype=bool)
-    programs = [compiled.program_of(position) for position in positions]
-    for trial in range(trials):
-        master = int(trial_seed(trial))
-        for column, (position, program) in enumerate(zip(positions, programs)):
-            votes[trial, column] = program.walk(
-                _exact_walker(compiled, position, master, salt)
-            )
-    return votes
-
-
-# --------------------------------------------------------------------------- #
 # Public entry points
 # --------------------------------------------------------------------------- #
 def accept_vector(
@@ -276,7 +285,6 @@ def accept_vector(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -284,12 +292,12 @@ def accept_vector(
 
     Returns a boolean vector of length ``trials``.  Only the coin-flipping
     nodes are sampled; a deterministic reject anywhere short-circuits the
-    whole matrix to ``False``.  ``max_bytes`` bounds the fast mode's uniform
-    working set (see the module docstring).
+    whole matrix to ``False``.  ``max_bytes`` bounds the uniform working set
+    (see the module docstring).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    salt, trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
+    salt = _resolve_salt(compiled, mode, salt)
     max_bytes = _resolve_max_bytes(max_bytes)
     if compiled.always_rejects:
         return np.zeros(trials, dtype=bool)
@@ -307,8 +315,7 @@ def accept_vector(
         max_bytes=max_bytes,
     ) as span:
         if mode == "exact":
-            recorder.counter("engine.chunks")
-            return _exact_accepts(compiled, trials, trial_seed, salt)
+            return _exact_accept_vector(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
         accepted = np.ones(trials, dtype=bool)
         blocks = 0
         for program, positions in _fast_column_blocks(
@@ -331,7 +338,6 @@ def vote_matrix(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -345,12 +351,11 @@ def vote_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    salt, trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
+    salt = _resolve_salt(compiled, mode, salt)
     max_bytes = _resolve_max_bytes(max_bytes)
-    votes = np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
     random_positions = compiled.random_index
     if len(random_positions) == 0:
-        return votes
+        return np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
     recorder = get_recorder()
     with recorder.span(
         "engine.execute",
@@ -362,11 +367,8 @@ def vote_matrix(
         max_bytes=max_bytes,
     ):
         if mode == "exact":
-            recorder.counter("engine.chunks")
-            votes[:, random_positions] = _exact_votes(
-                compiled, random_positions, trials, trial_seed, salt
-            )
-            return votes
+            return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
+        votes = np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
         for program, positions in _fast_column_blocks(
             compiled, random_positions, trials, max_bytes
         ):
@@ -381,19 +383,12 @@ def acceptance_probability(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> float:
     """Monte-Carlo Pr[all nodes accept] over ``trials`` batched trials."""
     accepted = accept_vector(
-        compiled,
-        trials,
-        seed=seed,
-        mode=mode,
-        trial_seed=trial_seed,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     )
     return float(np.count_nonzero(accepted)) / trials
 
@@ -420,9 +415,9 @@ class AcceptStream:
     trials; the concatenation of successive samples is bit-identical to one
     :func:`accept_vector` call with the total trial count, in both modes:
 
-    * exact mode derives every trial from its own master seed
-      (``trial_seed(t)``), so a batch starting at offset ``o`` simply walks
-      trials ``o .. o+count-1``;
+    * exact mode draws trial ``t`` from its own counter-based keys, so a
+      batch starting at offset ``o`` simply evaluates trials
+      ``o .. o+count-1``;
     * fast mode holds every coin-flipping node's generator open across
       batches — each node's uniforms arrive in ``(trial, draw)`` order
       regardless of batching, exactly the chunk-invariance the fixed-trial
@@ -437,13 +432,13 @@ class AcceptStream:
         compiled: CompiledDecision,
         seed: int = 0,
         mode: str = "fast",
-        trial_seed: Optional[Callable[[int], int]] = None,
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
         self.compiled = compiled
         self.mode = mode
-        self._salt, self._trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
+        self._salt = _resolve_salt(compiled, mode, salt)
+        self._base = derive_seed(seed, self._salt)
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._constant = deterministic_accept_value(compiled)
@@ -482,12 +477,8 @@ class AcceptStream:
             "engine.stream_sample", mode=self.mode, trials=count, offset=start
         ):
             if self.mode == "exact":
-                recorder.counter("engine.chunks")
-                return _exact_accepts(
-                    self.compiled,
-                    count,
-                    lambda trial: self._trial_seed(start + trial),
-                    self._salt,
+                return _exact_accept_vector(
+                    self.compiled, self._base, start, count, self._max_bytes
                 )
             accepted = np.ones(count, dtype=bool)
             for program, positions in self._groups:
@@ -515,7 +506,6 @@ def adaptive_acceptance(
     target: PrecisionTarget,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> ProbabilityEstimate:
@@ -529,9 +519,7 @@ def adaptive_acceptance(
     constant = deterministic_accept_value(compiled)
     if constant is not None:
         return ProbabilityEstimate.exact(constant, confidence=target.confidence)
-    stream = AcceptStream(
-        compiled, seed=seed, mode=mode, trial_seed=trial_seed, salt=salt, max_bytes=max_bytes
-    )
+    stream = AcceptStream(compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes)
     return sequential_estimate(
         target, lambda count: int(np.count_nonzero(stream.sample(count)))
     )
@@ -541,22 +529,14 @@ def exact_single_trial_votes(
     compiled: CompiledDecision,
     master_seed: int,
     salt: object,
+    trial: int = 0,
 ) -> np.ndarray:
     """One trial's per-node votes under the reference tape streams.
 
     Equivalent to ``decider.decide(configuration,
-    tape_factory=TapeFactory(master_seed, salt))`` restricted to the vote
-    booleans, and bit-for-bit identical to it for compilable deciders.
+    tape_factory=TapeFactory(master_seed, salt, trial))`` restricted to the
+    vote booleans, and bit-for-bit identical to it for compilable deciders.
     """
-    votes = compiled.probabilities >= 1.0
-    random_positions = compiled.random_index
-    if len(random_positions):
-        votes = votes.copy()
-        votes[random_positions] = _exact_votes(
-            compiled,
-            random_positions,
-            1,
-            trial_seed=lambda _trial: int(master_seed),
-            salt=salt,
-        )[0]
-    return votes
+    return _exact_vote_matrix(
+        compiled, derive_seed(master_seed, salt), int(trial), 1, EXACT_BLOCK_BYTES
+    )[0]

@@ -214,8 +214,8 @@ class FusionContext:
         request bypasses fusion (caller falls back to the one-shot path).
 
         Bit-identical to ``construction_matrix(compiled, trials,
-        seed=seed_base, mode=mode, trial_seed=lambda t: seed_base + t,
-        salt=salt)`` — the seeding convention every batched estimator uses.
+        seed=seed_base, mode=mode, salt=salt)`` — ``seed_base`` is the
+        stream's master seed, exactly what every batched estimator passes.
         The returned array is a read-only view of the retained matrix."""
         entry = self._entry(compiled, trials, seed_base, salt, mode)
         if entry is None:

@@ -2,9 +2,8 @@
 bit-identical ``ExperimentResult`` rows versus calling the pre-redesign
 function directly at the same seed and parameters.
 
-Seeds are chosen distant from each other (the package's ``seed*K + trial``
-convention means *adjacent* seeds share coin streams; distant seeds are the
-honest check that nothing depends on the calling path).
+The toy seeds differ per experiment, so the check does not hinge on one
+seed's coins.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ def test_batch_backend_preserves_bit_identity_through_serialization():
 
 
 class TestPrecisionDefaultsPreservePr4Identity:
-    """ISSUE 5 acceptance: with ``precision=None`` (the schema default 0.0)
-    the experiments that grew the precision contract remain bit-identical to
-    their PR-4 behaviour at distant seeds — spelling the new parameters
+    """With ``precision=None`` (the schema default 0.0) the experiments
+    that grew the precision contract remain bit-identical to their
+    fixed-trial behaviour at seeds 0 and 10_000 — spelling the new parameters
     explicitly, omitting them, or injecting them as disabled through the
     session must all produce the same stochastic rows."""
 

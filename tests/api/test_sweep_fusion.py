@@ -2,7 +2,7 @@
 
 The contract under test is **bit-identity**: a fused sweep — one shared
 construction matrix per fusion group, every point's decision DAG lowered
-against it — must equal the per-point path exactly, at distant seeds, on
+against it — must equal the per-point path exactly, at several seeds, on
 both grids of the paper's sweep-shaped experiments (E2's ε grid, E8's f
 grid), through the inline and process-pool backends alike.
 """
@@ -148,17 +148,16 @@ class TestFusionContext:
 
     def test_codes_match_one_shot_matrix_for_prefix_and_extension(self):
         compiled = self._compiled()
-        context = FusionContext()
-        grown = context.codes_for(compiled, 20, seed_base=5, salt="t", mode="fast")
-        prefix = context.codes_for(compiled, 8, seed_base=5, salt="t", mode="fast")
-        extended = context.codes_for(compiled, 32, seed_base=5, salt="t", mode="fast")
-        one_shot = construction_matrix(
-            compiled, 32, seed=5, mode="fast", trial_seed=lambda t: 5 + t, salt="t"
-        )
-        assert np.array_equal(extended, one_shot)
-        assert np.array_equal(grown, one_shot[:20])
-        assert np.array_equal(prefix, one_shot[:8])
-        assert context.hits == 1 and context.misses == 2  # prefix hit, two growths
+        for mode in ("fast", "exact"):
+            context = FusionContext()
+            grown = context.codes_for(compiled, 20, seed_base=5, salt="t", mode=mode)
+            prefix = context.codes_for(compiled, 8, seed_base=5, salt="t", mode=mode)
+            extended = context.codes_for(compiled, 32, seed_base=5, salt="t", mode=mode)
+            one_shot = construction_matrix(compiled, 32, seed=5, mode=mode, salt="t")
+            assert np.array_equal(extended, one_shot)
+            assert np.array_equal(grown, one_shot[:20])
+            assert np.array_equal(prefix, one_shot[:8])
+            assert context.hits == 1 and context.misses == 2  # prefix hit, two growths
 
     def test_returned_matrix_is_read_only(self):
         context = FusionContext()

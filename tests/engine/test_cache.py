@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -12,30 +13,49 @@ import repro
 from repro.engine.cache import (
     CACHE_DIR_ENV,
     ResultCache,
-    cache_key,
     default_cache_dir,
     request_cache_key,
 )
 
 
+def key_for(experiment_id, parameters, seed, version=None):
+    """A request key with the seed inside the parameter mapping, the layout
+    every spec-normalized request has."""
+    return request_cache_key(experiment_id, {**parameters, "seed": seed}, version=version)
+
+
+def old_style_key(experiment_id, parameters, seed):
+    """The key encoding of releases before 2.3 (raw parameters plus a
+    top-level seed field, no schema marker); such entries may still sit in
+    old cache directories."""
+    fields = {
+        "experiment_id": experiment_id,
+        "parameters": parameters,
+        "seed": seed,
+        "version": repro.__version__,
+    }
+    encoded = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf8")).hexdigest()
+
+
 class TestCacheKey:
     def test_stable_for_identical_inputs(self):
-        a = cache_key("E1", {"trials": 100, "sizes": [9]}, seed=0)
-        b = cache_key("E1", {"sizes": [9], "trials": 100}, seed=0)
+        a = key_for("E1", {"trials": 100, "sizes": [9]}, seed=0)
+        b = key_for("E1", {"sizes": [9], "trials": 100}, seed=0)
         assert a == b  # canonical encoding is key-order insensitive
 
     def test_sensitive_to_every_field(self):
-        base = cache_key("E1", {"trials": 100}, seed=0)
-        assert cache_key("E2", {"trials": 100}, seed=0) != base
-        assert cache_key("E1", {"trials": 101}, seed=0) != base
-        assert cache_key("E1", {"trials": 100}, seed=1) != base
-        assert cache_key("E1", {"trials": 100}, seed=0, version="0.0.0-other") != base
+        base = key_for("E1", {"trials": 100}, seed=0)
+        assert key_for("E2", {"trials": 100}, seed=0) != base
+        assert key_for("E1", {"trials": 101}, seed=0) != base
+        assert key_for("E1", {"trials": 100}, seed=1) != base
+        assert key_for("E1", {"trials": 100}, seed=0, version="0.0.0-other") != base
 
     def test_version_defaults_to_package_version(self):
-        assert cache_key("E1", {}, 0) == cache_key("E1", {}, 0, version=repro.__version__)
+        assert key_for("E1", {}, 0) == key_for("E1", {}, 0, version=repro.__version__)
 
     def test_tuples_and_lists_key_identically(self):
-        assert cache_key("E1", {"sizes": (9, 12)}, 0) == cache_key("E1", {"sizes": [9, 12]}, 0)
+        assert key_for("E1", {"sizes": (9, 12)}, 0) == key_for("E1", {"sizes": [9, 12]}, 0)
 
 
 class TestRequestCacheKeyCanonicalization:
@@ -74,11 +94,12 @@ class TestRequestCacheKeyCanonicalization:
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_never_collides_with_old_style_keys(self, seed):
-        """The legacy encoding always carries a top-level seed field and no
-        schema marker, so for any parameter mapping and any legacy seed the
-        two schemes hash different field sets."""
+        """The old encoding always carries a top-level seed field and no
+        schema marker, so for any parameter mapping and any old seed the
+        two schemes hash different field sets: an entry an older release
+        left in the cache directory can never be served as a hit."""
         for parameters in ({}, self.PARAMS, {"schema": 2}):
-            assert request_cache_key("E5", parameters) != cache_key("E5", parameters, seed)
+            assert request_cache_key("E5", parameters) != old_style_key("E5", parameters, seed)
 
     def test_spec_cache_key_agrees_with_request_cache_key(self):
         from repro.harness.registry import REGISTRY
@@ -91,7 +112,7 @@ class TestRequestCacheKeyCanonicalization:
 class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {"trials": 10}, 0)
+        key = key_for("E1", {"trials": 10}, 0)
         assert cache.get(key) is None
         assert key not in cache
         cache.put(key, {"rows": [1, 2, 3]}, key_fields={"experiment_id": "E1"})
@@ -101,14 +122,14 @@ class TestResultCache:
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         cache.put(key, {"rows": []})
         cache.path_for(key).write_text("{not json", encoding="utf8")
         assert cache.get(key) is None
 
     def test_entry_file_is_inspectable_json(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E5", {"f_values": [1, 2]}, 3)
+        key = key_for("E5", {"f_values": [1, 2]}, 3)
         cache.put(key, {"ok": True}, key_fields={"experiment_id": "E5", "seed": 3})
         entry = json.loads(cache.path_for(key).read_text(encoding="utf8"))
         assert entry["key"] == key
@@ -118,7 +139,7 @@ class TestResultCache:
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for index in range(3):
-            cache.put(cache_key("E1", {"i": index}, 0), {"i": index})
+            cache.put(key_for("E1", {"i": index}, 0), {"i": index})
         assert cache.clear() == 3
         assert len(cache) == 0
 
@@ -132,11 +153,11 @@ class TestResultCache:
 class TestCacheStats:
     def test_traffic_counters(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {"trials": 10}, 0)
+        key = key_for("E1", {"trials": 10}, 0)
         cache.get(key)  # miss
         cache.put(key, {"rows": []})
         cache.get(key)  # hit
-        cache.get(cache_key("E1", {"trials": 11}, 0))  # miss
+        cache.get(key_for("E1", {"trials": 11}, 0))  # miss
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert cache.stats.writes == 1
@@ -147,10 +168,10 @@ class TestCacheStats:
 
     def test_corrupt_entries_counted_as_corrupt_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        unparsable = cache_key("E1", {"i": 0}, 0)
+        unparsable = key_for("E1", {"i": 0}, 0)
         cache.put(unparsable, {"rows": []})
         cache.path_for(unparsable).write_text("{not json", encoding="utf8")
-        wrong_shape = cache_key("E1", {"i": 1}, 0)
+        wrong_shape = key_for("E1", {"i": 1}, 0)
         wrong_path = cache.path_for(wrong_shape)
         wrong_path.parent.mkdir(parents=True, exist_ok=True)
         wrong_path.write_text('{"payload": [1, 2]}', encoding="utf8")
@@ -159,14 +180,14 @@ class TestCacheStats:
         assert cache.stats.corrupt == 2
         assert cache.stats.misses == 2  # corrupt entries are also misses
         # A plain absent key is a miss but not corrupt.
-        assert cache.get(cache_key("E1", {"i": 2}, 0)) is None
+        assert cache.get(key_for("E1", {"i": 2}, 0)) is None
         assert cache.stats.misses == 3
         assert cache.stats.corrupt == 2
 
     def test_clear_counts_evictions(self, tmp_path):
         cache = ResultCache(tmp_path)
         for index in range(2):
-            cache.put(cache_key("E1", {"i": index}, 0), {"i": index})
+            cache.put(key_for("E1", {"i": index}, 0), {"i": index})
         cache.clear()
         assert cache.stats.evictions == 2
 
@@ -178,7 +199,7 @@ class TestCacheStats:
         assert shape["total_bytes"] == 0
         assert shape["shards"] == 0
         assert shape["policy"] == {"ttl_seconds": None, "max_entries": None, "max_bytes": None}
-        cache.put(cache_key("E1", {}, 0), {"rows": [1]})
+        cache.put(key_for("E1", {}, 0), {"rows": [1]})
         shape = cache.describe()
         assert shape["entries"] == 1
         assert shape["total_bytes"] > 0
@@ -194,40 +215,31 @@ class TestCacheStats:
 class TestShardedLayout:
     def test_entries_land_in_two_level_shards(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {"trials": 10}, 0)
+        key = key_for("E1", {"trials": 10}, 0)
         path = cache.put(key, {"rows": []})
         assert path == tmp_path / key[:2] / f"{key}.json"
         assert path.is_file()
         assert cache.get(key) == {"rows": []}
 
-    def test_legacy_flat_entries_remain_readable(self, tmp_path):
-        """A cache written by a pre-shard release (flat <key>.json files)
-        still serves hits, counts, and clears."""
-        key = cache_key("E1", {"trials": 10}, 0)
+    def test_flat_files_are_not_entries(self, tmp_path):
+        """Only the sharded layout holds entries: a flat ``<key>.json`` file
+        in the directory root is neither served, counted, nor cleared."""
+        key = key_for("E1", {"trials": 10}, 0)
         flat = tmp_path / f"{key}.json"
         flat.write_text(
             json.dumps({"key": key, "key_fields": None, "payload": {"rows": [7]}}),
             encoding="utf8",
         )
         cache = ResultCache(tmp_path)
-        assert key in cache
-        assert cache.get(key) == {"rows": [7]}
-        assert len(cache) == 1
-        assert cache.clear() == 1
+        assert key not in cache
         assert cache.get(key) is None
-
-    def test_sharded_entry_shadows_a_legacy_one(self, tmp_path):
-        key = cache_key("E1", {"trials": 10}, 0)
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"payload": {"rows": ["legacy"]}}), encoding="utf8"
-        )
-        cache = ResultCache(tmp_path)
-        cache.put(key, {"rows": ["sharded"]})
-        assert cache.get(key) == {"rows": ["sharded"]}
+        assert len(cache) == 0
+        assert cache.clear() == 0
+        assert flat.is_file()
 
     def test_clear_removes_empty_shard_directories(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         cache.put(key, {"rows": []})
         shard = tmp_path / key[:2]
         assert shard.is_dir()
@@ -248,7 +260,7 @@ class TestEviction:
         import os as _os
 
         cache = ResultCache(tmp_path, ttl_seconds=60.0)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         path = cache.put(key, {"rows": []})
         assert cache.get(key) == {"rows": []}
         stale = path.stat().st_mtime - 3600
@@ -261,7 +273,7 @@ class TestEviction:
         import os as _os
 
         cache = ResultCache(tmp_path, max_entries=2)
-        keys = [cache_key("E1", {"i": index}, 0) for index in range(3)]
+        keys = [key_for("E1", {"i": index}, 0) for index in range(3)]
         now = time.time()
         for offset, key in enumerate(keys[:2]):
             path = cache.put(key, {"i": key})
@@ -282,8 +294,8 @@ class TestEviction:
         # Each entry is ~1.1 KB on disk; the bound holds one but not two.
         cache = ResultCache(tmp_path, max_bytes=1500)
         now = time.time()
-        newest = cache_key("E1", {"i": 1}, 0)
-        first = cache.put(cache_key("E1", {"i": 0}, 0), {"blob": "x" * 1000})
+        newest = key_for("E1", {"i": 1}, 0)
+        first = cache.put(key_for("E1", {"i": 0}, 0), {"blob": "x" * 1000})
         assert first.stat().st_size < 1500
         _os.utime(first, (now - 10, now - 10))
         cache.put(newest, {"blob": "y" * 1000})
@@ -294,7 +306,7 @@ class TestEviction:
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)
         for index in range(5):
-            cache.put(cache_key("E1", {"i": index}, 0), {"i": index})
+            cache.put(key_for("E1", {"i": index}, 0), {"i": index})
         assert len(cache) == 5
         assert cache.evict() == 0
         assert cache.stats.evictions == 0
@@ -307,7 +319,7 @@ class TestEvictionEdges:
         """Expiry is strict (*older* than the TTL): an entry whose age is
         exactly ``ttl_seconds`` survives; one instant older does not."""
         cache = ResultCache(tmp_path, ttl_seconds=60.0)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         path = cache.put(key, {"rows": []})
         written = path.stat().st_mtime
         assert cache.evict(now=written + 60.0) == 0
@@ -321,7 +333,7 @@ class TestEvictionEdges:
         import os as _os
 
         cache = ResultCache(tmp_path, ttl_seconds=1.0)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         path = cache.put(key, {"rows": []})
         ahead = time.time() + 3600
         _os.utime(path, (ahead, ahead))
@@ -335,7 +347,7 @@ class TestEvictionEdges:
         import threading
 
         cache = ResultCache(tmp_path, max_entries=1)
-        hot = cache_key("E1", {"hot": True}, 0)
+        hot = key_for("E1", {"hot": True}, 0)
         errors = []
         stop = threading.Event()
 
@@ -352,7 +364,7 @@ class TestEvictionEdges:
         try:
             for index in range(50):
                 cache.put(hot, {"hot": True})
-                cache.put(cache_key("E1", {"i": index}, 0), {"i": index})  # evicts hot
+                cache.put(key_for("E1", {"i": index}, 0), {"i": index})  # evicts hot
         finally:
             stop.set()
             thread.join(timeout=30)
@@ -364,7 +376,7 @@ class TestEvictionEdges:
         """An entry deleted between ``__contains__`` and ``get`` (the
         smallest version of the read/evict race) is a miss, not a crash."""
         cache = ResultCache(tmp_path)
-        key = cache_key("E1", {}, 0)
+        key = key_for("E1", {}, 0)
         path = cache.put(key, {"rows": []})
         assert key in cache
         path.unlink()
@@ -390,7 +402,7 @@ class TestConcurrentWriters:
         payload from one writer — never torn, never corrupt."""
         from concurrent.futures import ProcessPoolExecutor
 
-        key = cache_key("E1", {"concurrent": True}, 0)
+        key = key_for("E1", {"concurrent": True}, 0)
         cache = ResultCache(tmp_path)
         with ProcessPoolExecutor(max_workers=2) as pool:
             futures = [

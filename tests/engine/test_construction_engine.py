@@ -3,10 +3,9 @@
 Coverage for :mod:`repro.engine.construct`:
 
 * the output-program IR interprets exactly like the reference tape draws,
-  and the compiled **exact** mode replays the per-trial
-  ``TapeFactory(seed*K + trial, salt)`` streams bit for bit — checked at
-  *distant* seeds (the seed*K + trial convention makes adjacent seeds share
-  coins across trials) and under multiple salts;
+  and the compiled **exact** mode computes the per-trial
+  ``TapeFactory(seed, salt, trial=t)`` streams bit for bit — checked at
+  distant and adjacent seeds and under multiple salts;
 * the **fast** mode is distributionally correct (closed-form output
   frequencies within Monte-Carlo tolerance) and chunk-invariant: the same
   ``(seed, salt)`` yields the same ``trials × nodes`` matrix for any
@@ -57,15 +56,13 @@ from repro.harness.experiments import (
 from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.randomness import TapeFactory
 
-#: Distant seeds: the estimators derive trial masters as seed*K + trial, so
-#: adjacent seeds share coins across trials; tests must not compare or pool
-#: adjacent-seed runs as if independent.
-DISTANT_SEEDS = (0, 10_000)
+#: Seeds of the exactness checks: distant ones and an adjacent pair.
+SEEDS = (0, 1, 10_000)
 
 
-def reference_outputs(constructor, network, master_seed, salt):
+def reference_outputs(constructor, network, seed, salt, trial):
     """One reference construction run (the per-trial tape-stream path)."""
-    factory = TapeFactory(master_seed, salt=salt)
+    factory = TapeFactory(seed, salt=salt, trial=trial)
     return constructor.construct(network, tape_factory=factory)
 
 
@@ -112,48 +109,32 @@ class TestOutputExprSemantics:
 # Exact-mode bit-identity
 # --------------------------------------------------------------------------- #
 class TestExactBitIdentity:
-    @pytest.mark.parametrize("seed", DISTANT_SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("salt", ["random-3-coloring/0", "hard/2", "far/construct"])
     def test_coloring_matrix_replays_reference_tapes(self, seed, salt):
         network = cycle_network(18, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
         trials = 25
-        seed_base = seed * 1_000_003
-        codes = construction_matrix(
-            compiled,
-            trials,
-            seed=seed_base,
-            mode="exact",
-            trial_seed=lambda trial: seed_base + trial,
-            salt=salt,
-        )
+        codes = construction_matrix(compiled, trials, seed=seed, mode="exact", salt=salt)
         for trial in (0, 7, trials - 1):
-            expected = reference_outputs(constructor, network, seed_base + trial, salt)
+            expected = reference_outputs(constructor, network, seed, salt, trial)
             assert compiled.decode_row(codes[trial]) == expected
 
-    @pytest.mark.parametrize("seed", DISTANT_SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_bernoulli_matrix_replays_reference_tapes(self, seed):
         network = cycle_network(12)
         constructor = _toy_faulty_constructor(0.3)
         compiled = compile_construction(constructor, network)
         trials = 30
-        seed_base = seed * 104_729
         codes = construction_matrix(
-            compiled,
-            trials,
-            seed=seed_base,
-            mode="exact",
-            trial_seed=lambda trial: seed_base + trial,
-            salt="far/construct",
+            compiled, trials, seed=seed, mode="exact", salt="far/construct"
         )
         for trial in range(0, trials, 5):
-            expected = reference_outputs(
-                constructor, network, seed_base + trial, "far/construct"
-            )
+            expected = reference_outputs(constructor, network, seed, "far/construct", trial)
             assert compiled.decode_row(codes[trial]) == expected
 
-    @pytest.mark.parametrize("seed", DISTANT_SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_estimate_success_probability_exact_equals_off(self, seed):
         network = cycle_network(21, ids="consecutive")
         constructor = RandomColoringConstructor(3)
@@ -170,7 +151,7 @@ class TestExactBitIdentity:
             )
             assert off.per_instance == exact.per_instance
 
-    @pytest.mark.parametrize("seed", DISTANT_SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_far_acceptance_exact_equals_off(self, seed):
         network = cycle_network(14)
         constructor = _toy_faulty_constructor(0.3)
@@ -184,7 +165,7 @@ class TestExactBitIdentity:
         )
         assert off == exact
 
-    @pytest.mark.parametrize("seed", DISTANT_SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_choose_anchor_shares_one_matrix_bit_identically(self, seed):
         """The batched anchor choice (one construction pass for all
         candidates) must agree exactly with the per-candidate reference."""
@@ -322,7 +303,7 @@ class TestMembershipLowering:
         constructor = _toy_faulty_constructor(0.5)
         compiled = compile_construction(constructor, network)
         assert compile_membership(NotAllEqualLLL(), compiled) is None
-        for seed in DISTANT_SEEDS:
+        for seed in SEEDS:
             off = estimate_success_probability(
                 constructor, NotAllEqualLLL(), [network], trials=40, seed=seed,
                 engine="off",
@@ -346,9 +327,8 @@ class TestFusedDecision:
         # Output 0 accepts surely; output 1 takes one coin of bias 1 - p.
         zero = compiled.values.index(0)
         one = compiled.values.index(1)
-        assert np.all(fused.draws[:, zero] == 0)
-        assert np.all(fused.on_true[:, zero])
-        assert np.all(fused.draws[:, one] == 1)
+        assert np.all(fused.on_true[:, zero]) and np.all(fused.on_false[:, zero])
+        assert np.all(fused.on_true[:, one]) and not np.any(fused.on_false[:, one])
         assert np.allclose(fused.thresholds[:, one], 0.2)
 
     def test_multi_draw_decider_does_not_fuse(self):
@@ -370,7 +350,7 @@ class TestFusedDecision:
                 [network.nodes()[0]],
                 0,
                 10,
-                seed_base=0,
+                seed=0,
                 construct_salt="c",
                 decide_salt="d",
                 mode="exact",

@@ -55,7 +55,7 @@ def legacy_per_trial_accepts(decider, configuration, trials, seed):
     Decider.acceptance_probability."""
     accepts = []
     for trial in range(trials):
-        factory = TapeFactory(seed + trial, salt=decider.name)
+        factory = TapeFactory(seed, salt=decider.name, trial=trial)
         accepts.append(decider.decide(configuration, tape_factory=factory).accepted)
     return np.array(accepts, dtype=bool)
 
@@ -74,13 +74,7 @@ class TestExactModeBitIdentity:
         trials = 60
         reference = legacy_per_trial_accepts(decider, configuration, trials, seed)
         compiled = compile_decision(decider, configuration)
-        engine = accept_vector(
-            compiled,
-            trials,
-            mode="exact",
-            trial_seed=lambda trial: seed + trial,
-            salt=decider.name,
-        )
+        engine = accept_vector(compiled, trials, seed=seed, mode="exact", salt=decider.name)
         assert np.array_equal(engine, reference)
 
     def test_acceptance_probability_engine_auto_equals_off(self):

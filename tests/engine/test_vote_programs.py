@@ -72,7 +72,7 @@ def amos_configuration(n, selected_positions):
 def legacy_per_trial_accepts(decider, configuration, trials, seed):
     accepts = []
     for trial in range(trials):
-        factory = TapeFactory(seed + trial, salt=decider.name)
+        factory = TapeFactory(seed, salt=decider.name, trial=trial)
         accepts.append(decider.decide(configuration, tape_factory=factory).accepted)
     return np.array(accepts, dtype=bool)
 
@@ -95,8 +95,7 @@ class TestExpressionLowering:
         for seed in range(300):
             tape = RandomTape(seed)
             reference = evaluate_vote_expr(expr, tape)
-            generator = np.random.default_rng(seed)
-            assert program.walk(lambda: float(generator.random())) is reference
+            assert program.walk(RandomTape(seed).uniform) is reference
 
     @pytest.mark.parametrize("expr", EXPRESSIONS, ids=[str(i) for i in range(len(EXPRESSIONS))])
     def test_accept_probability_closed_form(self, expr):
@@ -198,13 +197,7 @@ class TestMultiDrawDeciders:
         trials = 60
         reference = legacy_per_trial_accepts(decider, configuration, trials, seed)
         compiled = compile_decision(decider, configuration)
-        engine = accept_vector(
-            compiled,
-            trials,
-            mode="exact",
-            trial_seed=lambda trial: seed + trial,
-            salt=decider.name,
-        )
+        engine = accept_vector(compiled, trials, seed=seed, mode="exact", salt=decider.name)
         assert np.array_equal(engine, reference)
 
     @pytest.mark.parametrize(

@@ -10,8 +10,11 @@ instead.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
+    _decider_row_ok,
     experiment_e1_amos_decider,
     experiment_e2_eps_slack_random_coloring,
     experiment_e3_resilient_lower_bound,
@@ -79,6 +82,17 @@ class TestE2EpsSlack:
         assert off.rows == exact.rows
         assert off.matches_paper == exact.matches_paper
 
+    def test_decider_row_turns_red_only_on_evidence(self):
+        """15/30 accepts on a planted no-instance whose closed-form
+        acceptance is 0.408: the estimate agrees with the closed form, and a
+        success rate of exactly 1/2 over 30 trials is no evidence that the
+        true success probability (about 0.59) is at most 1/2."""
+        assert _decider_row_ok(15 / 30, 0.408, member=False, trials=30)
+        # Evidence does turn a row red: 25/30 accepts on that no-instance,
+        # or an estimate far from its closed form.
+        assert not _decider_row_ok(25 / 30, 0.408, member=False, trials=30)
+        assert not _decider_row_ok(0.408, 0.9, member=False, trials=1200)
+
     def test_infeasible_no_instance_is_skipped_not_mislabelled(self):
         """When the cycle cannot hold more than ⌊εn⌋ bad balls, the decider
         stage must drop the no-instance instead of silently testing a second
@@ -144,8 +158,6 @@ class TestE6Amplification:
         assert result.rows[-1]["union_membership"] < 0.5
 
     def test_exact_engine_is_bit_identical_to_off(self):
-        # Distant seeds (the seed*K+trial convention makes adjacent seeds
-        # share coins across trials; see repro.engine.construct).
         for seed in (14, 10_014):
             kwargs = dict(
                 q=0.08, p=0.8, instance_size=8, nu_values=(1, 3), trials=60, seed=seed
@@ -217,3 +229,31 @@ class TestE10Baselines:
         result = experiment_e10_baselines(sizes=(20, 40), degree=3, runs=2, seed=10)
         assert result.matches_paper
         assert all(row["luby_valid"] and row["matching_valid"] for row in result.rows)
+
+
+#: Toy sizes of every experiment with an ``engine=`` parameter (E4 and E10
+#: run no engine path: their randomness is the reference tapes only).
+ENGINE_TOYS = {
+    "E1": dict(sizes=(9,), trials=120),
+    "E2": dict(sizes=(30,), eps_values=(0.75,), trials=30, decider_trials=60),
+    "E3": dict(n=15, radii=(0, 1), f_values=(1,), trials=60),
+    "E5": dict(f_values=(1, 2), n=24, trials=120),
+    "E6": dict(q=0.08, instance_size=8, nu_values=(1, 2), trials=40),
+    "E7": dict(n=15, deterministic_radius=1, trials=80),
+    "E8": dict(n=15, eps=0.75, f_values=(1,), trials=40),
+    "E9": dict(instance_size=10, trials=40),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10_000])
+@pytest.mark.parametrize("experiment_id", list(ENGINE_TOYS))
+def test_engine_is_bit_identical_to_off_at_adjacent_and_distant_seeds(experiment_id, seed):
+    """The engine computes the reference tape streams themselves, so
+    ``auto``/``exact`` reproduce ``off`` at every seed, adjacent ones
+    included."""
+    kwargs = dict(ENGINE_TOYS[experiment_id], seed=seed)
+    off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
+    for engine in ("auto", "exact"):
+        run = ALL_EXPERIMENTS[experiment_id](engine=engine, **kwargs)
+        assert run.rows == off.rows
+        assert run.matches_paper == off.matches_paper

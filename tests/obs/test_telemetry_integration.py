@@ -1,9 +1,8 @@
 """End-to-end telemetry: Session root spans, cache counters, cross-process
 merge under the process-pool backend, and the bit-identity invariant.
 
-The experiments here run real registry specs at quick-preset scale; seeds
-follow the repo convention (0 and 10_000 — distant, never adjacent, because
-``seed*K + trial`` means neighbouring seeds share coin streams).
+The experiments here run real registry specs at quick-preset scale, at
+seeds 0 and 10_000.
 """
 
 from __future__ import annotations

@@ -228,16 +228,11 @@ class TestVoteProgramProperties:
         decider = GeneratedDecider()
         compiled = compile_decision(decider, configuration)
         engine_accepts = accept_vector(
-            compiled,
-            trials,
-            seed=seed,
-            mode="exact",
-            trial_seed=lambda trial: seed + trial,
-            salt=decider.name,
+            compiled, trials, seed=seed, mode="exact", salt=decider.name
         )
         for trial in range(trials):
             outcome = decider.decide(
-                configuration, tape_factory=TapeFactory(seed + trial, salt=decider.name)
+                configuration, tape_factory=TapeFactory(seed, salt=decider.name, trial=trial)
             )
             assert outcome.accepted == bool(engine_accepts[trial])
 
@@ -289,16 +284,9 @@ class TestOutputProgramProperties:
         )
         network = cycle_network(6)
         compiled = compile_construction(algorithm, network)
-        codes = construction_matrix(
-            compiled,
-            trials,
-            seed=seed,
-            mode="exact",
-            trial_seed=lambda trial: seed + trial,
-            salt="prop",
-        )
+        codes = construction_matrix(compiled, trials, seed=seed, mode="exact", salt="prop")
         for trial in range(trials):
-            factory = TapeFactory(seed + trial, salt="prop")
+            factory = TapeFactory(seed, salt="prop", trial=trial)
             expected = {
                 node: evaluate_output_expr(
                     program_of(_ball(network, node)),
