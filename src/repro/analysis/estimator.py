@@ -91,9 +91,9 @@ def estimate_bernoulli(
 ) -> BernoulliEstimate:
     """Run ``experiment(trial_index)`` ``trials`` times and tally successes.
 
-    The experiment callable receives the trial index so it can derive
-    per-trial seeds (e.g. ``TapeFactory(seed + trial)``); the ``seed``
-    argument is folded into the index offset for convenience.
+    The experiment callable receives the trial index so it can select its
+    per-trial randomness (e.g. ``TapeFactory(seed, salt, trial=index)``);
+    the ``seed`` argument is folded into the index offset for convenience.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

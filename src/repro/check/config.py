@@ -25,8 +25,8 @@ __all__ = ["DEFAULT_ALLOWLIST", "is_allowlisted"]
 DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
     "DET001": {
         "local/randomness.py": (
-            "the tape layer itself: RandomTape and derive_generator are the "
-            "sanctioned RNG constructors every execution path must go through"
+            "the tape layer itself: derive_generator is the sanctioned RNG "
+            "constructor every generator-backed execution path must go through"
         ),
         "graphs/random_graphs.py": (
             "input-instance sampling, intentionally outside the tape "

@@ -8,7 +8,7 @@ Rule catalog (see DESIGN.md "Static analysis" for the prose version):
     randomness must flow through the tape layer
     (:func:`repro.local.randomness.derive_generator` /
     :class:`~repro.local.randomness.RandomTape`), which is what makes runs
-    replayable from ``(seed, salt, identity)`` alone.
+    replayable from ``(seed, salt, trial, identity)`` alone.
 ``DET002``
     No wall-clock reads (``time.time()``, ``datetime.now/utcnow/today``)
     outside the operational layers.  Wall-clock in compute code is hidden

@@ -14,7 +14,6 @@ import pytest
 
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
-    _decider_row_ok,
     experiment_e1_amos_decider,
     experiment_e2_eps_slack_random_coloring,
     experiment_e3_resilient_lower_bound,
@@ -82,16 +81,41 @@ class TestE2EpsSlack:
         assert off.rows == exact.rows
         assert off.matches_paper == exact.matches_paper
 
-    def test_decider_row_turns_red_only_on_evidence(self):
-        """15/30 accepts on a planted no-instance whose closed-form
-        acceptance is 0.408: the estimate agrees with the closed form, and a
-        success rate of exactly 1/2 over 30 trials is no evidence that the
-        true success probability (about 0.59) is at most 1/2."""
-        assert _decider_row_ok(15 / 30, 0.408, member=False, trials=30)
-        # Evidence does turn a row red: 25/30 accepts on that no-instance,
-        # or an estimate far from its closed form.
-        assert not _decider_row_ok(25 / 30, 0.408, member=False, trials=30)
-        assert not _decider_row_ok(0.408, 0.9, member=False, trials=1200)
+    @pytest.mark.parametrize(
+        "no_accepts, no_theory, green",
+        [
+            # Agrees with its closed form, and 1/2 success over 30 trials is
+            # no evidence that the true success (about 0.59) is at most 1/2.
+            (15, 0.408, True),
+            # Agrees with its closed form, but success 5/30 is evidence.
+            (25, 0.6, False),
+            # Success 1/2 again, but far from its closed form.
+            (15, 0.9, False),
+        ],
+    )
+    def test_decider_row_turns_red_only_on_evidence(
+        self, monkeypatch, no_accepts, no_theory, green
+    ):
+        """The decider rows at ``decider_trials=30``, with the decider's
+        acceptance and closed form planted: yes-instances accept surely, the
+        no-instance accepts in ``no_accepts`` of 30 trials."""
+        import repro.harness.experiments as experiments
+
+        class PlantedDecider(experiments.AmplifiedResilientDecider):
+            def theoretical_acceptance(self, bad_ball_count):
+                return 1.0 if bad_ball_count <= self.f else no_theory
+
+            def acceptance_probability(self, configuration, trials=200, seed=0, engine="auto"):
+                member = self.language.violation_count(configuration) <= self.f
+                return 1.0 if member else no_accepts / trials
+
+        monkeypatch.setattr(experiments, "AmplifiedResilientDecider", PlantedDecider)
+        result = experiment_e2_eps_slack_random_coloring(
+            sizes=(240,), eps_values=(0.8,), trials=200, decider_trials=30, seed=0
+        )
+        no_rows = [row for row in result.rows if row.get("scenario") == "decider/no"]
+        assert [row["decider_acceptance"] for row in no_rows] == [no_accepts / 30]
+        assert result.matches_paper is green
 
     def test_infeasible_no_instance_is_skipped_not_mislabelled(self):
         """When the cycle cannot hold more than ⌊εn⌋ bad balls, the decider
