@@ -176,7 +176,7 @@ def _locally_consistent_deterministic_amos_decider(radius: int) -> Deterministic
     def rule(ball: BallView) -> bool:
         selected = [
             node
-            for node in ball.graph.nodes()
+            for node in ball.adjacency
             if ball.outputs is not None and ball.outputs[node] == SELECTED
         ]
         return len(selected) <= 1

@@ -23,11 +23,10 @@ their values.  Two facts from the paper are made executable here:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.local.algorithm import BallAlgorithm
 from repro.local.ball import BallView
@@ -49,12 +48,6 @@ __all__ = [
     "CanonicalizedAlgorithm",
     "canonicalize_algorithm",
 ]
-
-
-def _id_ranks(ball: BallView) -> Dict[Hashable, int]:
-    """Rank (0-based) of every node's identity within the ball."""
-    ordered = sorted(ball.graph.nodes(), key=lambda node: ball.ids[node])
-    return {node: rank for rank, node in enumerate(ordered)}
 
 
 class OrderInvariantAlgorithm(BallAlgorithm):
@@ -80,7 +73,7 @@ class OrderInvariantAlgorithm(BallAlgorithm):
         self.name = name
 
     def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
-        return self._rule(ball, _id_ranks(ball))
+        return self._rule(ball, ball.id_ranks())
 
 
 class TableBallAlgorithm(BallAlgorithm):
@@ -166,19 +159,18 @@ def _path_order(ball: BallView) -> List[Hashable]:
     ``2t + 1`` nodes with the centre in the middle; this helper returns the
     nodes in path order (one of the two orientations, chosen arbitrarily).
     """
-    graph = ball.graph
-    degrees = dict(graph.degree())
-    endpoints = [node for node, deg in degrees.items() if deg <= 1]
-    if graph.number_of_nodes() == 1:
-        return list(graph.nodes())
-    if len(endpoints) != 2 or any(deg > 2 for deg in degrees.values()):
+    adjacency = ball.adjacency
+    if len(adjacency) == 1:
+        return list(adjacency)
+    endpoints = [node for node, others in adjacency.items() if len(others) <= 1]
+    if len(endpoints) != 2 or any(len(others) > 2 for others in adjacency.values()):
         raise ValueError("ball is not a path; cycle too small for this radius")
     start = endpoints[0]
     order = [start]
     previous = None
     current = start
-    while len(order) < graph.number_of_nodes():
-        nxt = [u for u in graph.neighbors(current) if u != previous]
+    while len(order) < len(adjacency):
+        nxt = [u for u in adjacency[current] if u != previous]
         if not nxt:
             break
         previous, current = current, nxt[0]
@@ -195,7 +187,7 @@ def cycle_ball_pattern(ball: BallView) -> Tuple[int, ...]:
     order-invariant algorithm is forced to output the same value on them.
     """
     order = _path_order(ball)
-    ranks_by_node = _id_ranks(ball)
+    ranks_by_node = ball.id_ranks()
     forward = tuple(ranks_by_node[node] for node in order)
     backward = tuple(reversed(forward))
     return min(forward, backward)
@@ -321,19 +313,10 @@ class CanonicalizedAlgorithm(BallAlgorithm):
         self.name = f"canonicalized({base_algorithm.name})"
 
     def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
-        ranked = sorted(ball.graph.nodes(), key=lambda node: ball.ids[node])
         relabelled_ids = {
-            node: self.base_identity + rank for rank, node in enumerate(ranked)
+            node: self.base_identity + rank for node, rank in ball.id_ranks().items()
         }
-        relabelled = BallView(
-            center=ball.center,
-            radius=ball.radius,
-            graph=ball.graph,
-            ids=relabelled_ids,
-            inputs=ball.inputs,
-            distances=ball.distances,
-            outputs=ball.outputs,
-        )
+        relabelled = dataclasses.replace(ball, ids=relabelled_ids)
         return self.base_algorithm.compute(relabelled, None)
 
 

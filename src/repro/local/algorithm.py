@@ -28,9 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Mapping, Optional
 
-import networkx as nx
-
-from repro.local.ball import BallView
+from repro.local.ball import BallView, _ball
 from repro.local.randomness import RandomTape
 
 __all__ = [
@@ -239,37 +237,24 @@ class _BallCollectionAlgorithm(LocalAlgorithm):
         return self.ball_algorithm.compute(ball, tape)
 
     def _reconstruct_ball(self, state: _KnowledgeState, ctx: NodeContext) -> BallView:
-        radius = self.ball_algorithm.radius
-        graph = nx.Graph()
-        graph.add_nodes_from(state.records.keys())
+        known = state.records
+        neighbours: Dict[int, list] = {ident: [] for ident in known}
         for edge in state.edges:
             u, v = tuple(edge)
-            if u in state.records and v in state.records:
-                graph.add_edge(u, v)
-        # Distances from the centre within the known graph equal the true
-        # distances for every node of the ball (shortest paths to nodes at
-        # distance <= t stay inside the ball).
-        distances = dict(
-            nx.single_source_shortest_path_length(graph, ctx.identity, cutoff=radius)
-        )
-        members = set(distances)
-        ball_graph = nx.Graph()
-        ball_graph.add_nodes_from(members)
-        for u, v in graph.edges():
-            if u in members and v in members:
-                if distances[u] == radius and distances[v] == radius:
-                    continue
-                ball_graph.add_edge(u, v)
-        ids = {ident: ident for ident in members}
-        inputs = {ident: state.records[ident] for ident in members}
-        return BallView(
-            center=ctx.identity,
-            radius=radius,
-            graph=ball_graph,
-            ids=ids,
-            inputs=inputs,
-            distances={ident: distances[ident] for ident in members},
-            outputs=None,
+            if u in known and v in known:
+                neighbours[u].append(v)
+                neighbours[v].append(u)
+        # Node objects are identities, so sorting by value is identity order.
+        # BFS distances in the learned graph equal the true distances for
+        # every node of the ball (shortest paths to nodes at distance <= t
+        # use only edges with an endpoint at distance <= t-1, all learned).
+        adjacency = {ident: sorted(others) for ident, others in neighbours.items()}
+        return _ball(
+            adjacency,
+            ctx.identity,
+            self.ball_algorithm.radius,
+            identity=lambda ident: ident,
+            input_of=known.__getitem__,
         )
 
 

@@ -6,6 +6,15 @@ the edges between nodes at distance exactly* ``t`` from ``v``.  A ``t``-round
 LOCAL algorithm is equivalent to a map from such balls (with their node
 identities and inputs, and, for decision tasks, outputs) to local outputs.
 
+That definition lives in one place, :func:`_ball`: a breadth-first search to
+depth ``t`` over an adjacency mapping whose neighbour tuples are sorted by
+identity.  :func:`collect_ball` runs it on a network's adjacency index, and
+the message-passing lift (:mod:`repro.local.algorithm`) runs it on the
+adjacency a node has learned.  A :class:`BallView` stores the ball as that
+adjacency: members in BFS order, each with its in-ball neighbours in identity
+order.  Its ``graph`` (a frozen :class:`networkx.Graph`) is built only when
+first read.
+
 The :class:`BallView` also provides the canonical keys used by the
 order-invariant machinery (Claim 1): two balls receive the same
 ``canonical_key`` exactly when an order-invariant algorithm is forced to
@@ -14,9 +23,11 @@ behave identically on them.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -40,43 +51,60 @@ class BallView:
         The node the ball is centred at.
     radius:
         The radius ``t``.
-    graph:
-        The ball's graph (nodes at distance ≤ t from the centre, without the
-        edges joining two nodes at distance exactly t).
+    adjacency:
+        The ball's structure: every member (nodes at distance ≤ t from the
+        centre, in BFS order) mapped to the tuple of its neighbours inside
+        the ball, sorted by identity.  Edges joining two nodes at distance
+        exactly t are absent.
     ids:
         Identity of every node in the ball.
     inputs:
         Input value of every node in the ball.
+    distances:
+        Hop distance (in the original graph) from the centre.
     outputs:
         Output value of every node in the ball, when the ball is extracted
         from an input-output configuration; ``None`` otherwise.
-    distances:
-        Hop distance (in the original graph) from the centre.
     """
 
     center: Hashable
     radius: int
-    graph: nx.Graph
+    adjacency: Mapping[Hashable, Tuple[Hashable, ...]]
     ids: Mapping[Hashable, int]
     inputs: Mapping[Hashable, object]
     distances: Mapping[Hashable, int]
     outputs: Optional[Mapping[Hashable, object]] = None
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The ball as a frozen :class:`networkx.Graph`, built on first access
+        and cached on the view."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self.adjacency)
+        graph.add_edges_from(self.edges())
+        return nx.freeze(graph)
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
     def nodes(self) -> list:
         """Nodes of the ball sorted by identity (deterministic order)."""
-        return sorted(self.graph.nodes(), key=lambda node: self.ids[node])
+        return sorted(self.adjacency, key=self.ids.__getitem__)
 
     def edges(self) -> list:
-        return list(self.graph.edges())
+        """Every edge of the ball once, in member order."""
+        seen: set = set()
+        edges = []
+        for node, neighbours in self.adjacency.items():
+            seen.add(node)
+            edges.extend((node, other) for other in neighbours if other not in seen)
+        return edges
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adjacency)
 
     def __contains__(self, node: Hashable) -> bool:
-        return node in self.graph
+        return node in self.adjacency
 
     def center_id(self) -> int:
         return int(self.ids[self.center])
@@ -91,7 +119,7 @@ class BallView:
 
     def neighbors(self, node: Hashable) -> list:
         """Neighbours of ``node`` inside the ball, sorted by identity."""
-        return sorted(self.graph.neighbors(node), key=lambda u: self.ids[u])
+        return list(self.adjacency[node])
 
     def center_degree(self) -> int:
         """Degree of the centre inside the ball.
@@ -99,11 +127,15 @@ class BallView:
         For ``radius >= 1`` this equals the centre's degree in the host
         graph, because all of its neighbours are at distance 1 ≤ t.
         """
-        return self.graph.degree(self.center)
+        return len(self.adjacency[self.center])
 
     def boundary(self) -> list:
         """Nodes at distance exactly ``radius`` from the centre."""
-        return [node for node in self.graph.nodes() if self.distances[node] == self.radius]
+        return [node for node, dist in self.distances.items() if dist == self.radius]
+
+    def id_ranks(self) -> Dict[Hashable, int]:
+        """Rank (0-based) of every node's identity within the ball."""
+        return {node: rank for rank, node in enumerate(self.nodes())}
 
     def id_order_pattern(self) -> Tuple[int, ...]:
         """Rank pattern of the identities, in identity-sorted node order.
@@ -113,8 +145,7 @@ class BallView:
         and used when composing canonical keys that must be insensitive to
         the identity *values*.
         """
-        nodes = self.nodes()
-        return tuple(range(len(nodes)))
+        return tuple(range(len(self)))
 
     # ------------------------------------------------------------------ #
     # Canonical keys
@@ -156,6 +187,8 @@ class BallView:
         if include_outputs and self.outputs is None:
             raise ValueError("ball carries no outputs")
 
+        ranks = self.id_ranks() if ids == "order" else {}
+
         def label_of(node: Hashable) -> Tuple:
             parts: list = [self.distances[node], repr(self.inputs[node])]
             if include_outputs:
@@ -163,29 +196,24 @@ class BallView:
             if ids == "values":
                 parts.append(int(self.ids[node]))
             elif ids == "order":
-                parts.append(self._id_rank(node))
+                parts.append(ranks[node])
             return tuple(parts)
 
-        n = self.graph.number_of_nodes()
-        if n <= _EXACT_CANONICAL_LIMIT:
+        if len(self) <= _EXACT_CANONICAL_LIMIT:
             return self._exact_canonical_key(label_of)
         return self._wl_canonical_key(label_of)
-
-    def _id_rank(self, node: Hashable) -> int:
-        ranked = sorted(self.graph.nodes(), key=lambda u: self.ids[u])
-        return ranked.index(node)
 
     def _exact_canonical_key(self, label_of) -> Tuple:
         """Exact canonical form: lexicographically smallest adjacency
         certificate over all orderings that sort nodes by label first."""
-        nodes = list(self.graph.nodes())
-        labels = {node: label_of(node) for node in nodes}
+        labels = {node: label_of(node) for node in self.adjacency}
+        edges = self.edges()
         # Group nodes by label; permute only within groups to keep the search
         # small, as permutations across distinct labels can never produce the
         # same certificate with different content.
         groups: Dict[Tuple, list] = {}
-        for node in nodes:
-            groups.setdefault(labels[node], []).append(node)
+        for node, label in labels.items():
+            groups.setdefault(label, []).append(node)
         sorted_labels = sorted(groups.keys(), key=repr)
 
         best: Optional[Tuple] = None
@@ -195,12 +223,7 @@ class BallView:
         for combo in itertools.product(*group_perms):
             ordering: list = [node for group in combo for node in group]
             index = {node: i for i, node in enumerate(ordering)}
-            adjacency = tuple(
-                sorted(
-                    tuple(sorted((index[u], index[v])))
-                    for u, v in self.graph.edges()
-                )
-            )
+            adjacency = tuple(sorted(tuple(sorted((index[u], index[v]))) for u, v in edges))
             certificate = (
                 tuple(labels[node] for node in ordering),
                 adjacency,
@@ -213,28 +236,69 @@ class BallView:
 
     def _wl_canonical_key(self, label_of) -> Tuple:
         attributed = nx.Graph()
-        attributed.add_nodes_from(self.graph.nodes())
-        attributed.add_edges_from(self.graph.edges())
-        for node in attributed.nodes():
+        for node in self.adjacency:
             marker = "C" if node == self.center else "-"
-            attributed.nodes[node]["label"] = repr((marker, label_of(node)))
+            attributed.add_node(node, label=repr((marker, label_of(node))))
+        attributed.add_edges_from(self.edges())
         digest = nx.weisfeiler_lehman_graph_hash(
             attributed, node_attr="label", iterations=3
         )
-        return ("wl", self.radius, self.graph.number_of_nodes(), digest)
+        return ("wl", self.radius, len(self), digest)
 
     def with_outputs(self, outputs: Mapping[Hashable, object]) -> "BallView":
         """Attach outputs (restricted to the ball's nodes) to this view."""
-        restricted = {node: outputs[node] for node in self.graph.nodes()}
-        return BallView(
-            center=self.center,
-            radius=self.radius,
-            graph=self.graph,
-            ids=self.ids,
-            inputs=self.inputs,
-            distances=self.distances,
-            outputs=restricted,
-        )
+        return dataclasses.replace(self, outputs={node: outputs[node] for node in self.adjacency})
+
+
+def _ball(
+    adjacency: Mapping[Hashable, Sequence[Hashable]],
+    center: Hashable,
+    radius: int,
+    identity: Callable[[Hashable], int],
+    input_of: Callable[[Hashable], object],
+    outputs: Optional[Mapping[Hashable, object]] = None,
+) -> BallView:
+    """The paper's ball ``B(center, radius)`` over an adjacency mapping.
+
+    ``adjacency`` maps each node to its neighbours sorted by identity.  A
+    breadth-first search to depth ``radius`` gives the members and their
+    distances; every edge is kept except those whose two endpoints are both
+    at distance exactly ``radius``.  ``identity`` and ``input_of`` label
+    the members; ``outputs``, when given, must cover them.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if center not in adjacency:
+        raise nx.NodeNotFound(f"Source {center} is not in G")
+    distances = {center: 0}
+    frontier = [center]
+    for depth in range(1, radius + 1):
+        reached = []
+        for node in frontier:
+            for other in adjacency[node]:
+                if other not in distances:
+                    distances[other] = depth
+                    reached.append(other)
+        if not reached:
+            break
+        frontier = reached
+    ball_adjacency = {}
+    for node, dist in distances.items():
+        # An interior node keeps every neighbour (all are at distance ≤ t);
+        # a boundary node keeps only those one step closer to the centre.
+        others = adjacency[node]
+        if dist == radius:
+            others = [other for other in others if distances.get(other, dist) < dist]
+        ball_adjacency[node] = tuple(others)
+    return BallView(
+        center=center,
+        radius=radius,
+        adjacency=ball_adjacency,
+        ids={node: identity(node) for node in distances},
+        inputs={node: input_of(node) for node in distances},
+        distances=distances,
+        outputs=None if outputs is None else {node: outputs[node] for node in distances},
+    )
 
 
 def collect_ball(
@@ -248,34 +312,10 @@ def collect_ball(
     Implements exactly the paper's definition: the ball contains every node
     at hop distance at most ``radius`` from the centre, and every edge of the
     host graph between two such nodes *except* the edges whose two endpoints
-    are both at distance exactly ``radius``.
+    are both at distance exactly ``radius``.  Raises
+    :class:`networkx.NodeNotFound` when ``center`` is not in the network.
     """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    distances = network.distances_from(center, cutoff=radius)
-    members = set(distances)
-    ball_graph = nx.Graph()
-    ball_graph.add_nodes_from(members)
-    for u, v in network.graph.edges(members):
-        if u in members and v in members:
-            if distances[u] == radius and distances[v] == radius:
-                continue
-            ball_graph.add_edge(u, v)
-
-    ids = {node: network.identity(node) for node in members}
-    inputs = {node: network.input_of(node) for node in members}
-    out = None
-    if outputs is not None:
-        out = {node: outputs[node] for node in members}
-    return BallView(
-        center=center,
-        radius=radius,
-        graph=ball_graph,
-        ids=ids,
-        inputs=inputs,
-        distances=distances,
-        outputs=out,
-    )
+    return _ball(network.adjacency, center, radius, network.identity, network.input_of, outputs)
 
 
 def all_balls(

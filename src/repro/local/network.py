@@ -7,12 +7,20 @@ input-output configurations carry an output ``y(v)`` per node; the
 :class:`Network` class stores the graph, the identities, and the inputs, while
 outputs live in :class:`repro.core.languages.Configuration` so the same
 network can be paired with many candidate outputs.
+
+Every network keeps an adjacency index, built once at construction: each
+node maps to the tuple of its neighbours sorted by identity.  Neighbour and
+degree queries, and ball extraction (:func:`repro.local.ball.collect_ball`),
+read the index instead of the graph.  The index is a second copy of the
+topology, so the network's private graph copy is frozen (``nx.freeze``):
+mutating it raises :class:`networkx.NetworkXError` instead of silently
+desynchronising the two.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -64,6 +72,7 @@ class Network:
         self._graph = nx.Graph()
         self._graph.add_nodes_from(graph.nodes())
         self._graph.add_edges_from(graph.edges())
+        nx.freeze(self._graph)
 
         if ids is None:
             ids = consecutive_ids(list(self._graph.nodes()))
@@ -85,14 +94,25 @@ class Network:
         }
 
         self._id_to_node = {ident: node for node, ident in self._ids.items()}
+        identity = self._ids.__getitem__
+        self._adjacency: Dict[Hashable, Tuple[Hashable, ...]] = {
+            node: tuple(sorted(neighbours, key=identity))
+            for node, neighbours in self._graph.adjacency()
+        }
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
     @property
     def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` (treat as read-only)."""
+        """The underlying :class:`networkx.Graph`, frozen: mutating it raises
+        :class:`networkx.NetworkXError`."""
         return self._graph
+
+    @property
+    def adjacency(self) -> Mapping[Hashable, Tuple[Hashable, ...]]:
+        """Read-only index: node -> tuple of its neighbours sorted by identity."""
+        return MappingProxyType(self._adjacency)
 
     @property
     def ids(self) -> IdAssignment:
@@ -129,16 +149,14 @@ class Network:
 
     def neighbors(self, node: Hashable) -> list:
         """Neighbours of a node, sorted by identity for determinism."""
-        return sorted(self._graph.neighbors(node), key=lambda u: self._ids[u])
+        return list(self._adjacency[node])
 
     def degree(self, node: Hashable) -> int:
-        return self._graph.degree(node)
+        return len(self._adjacency[node])
 
     def max_degree(self) -> int:
         """The maximum degree Δ of the network (0 for an empty graph)."""
-        if self.number_of_nodes() == 0:
-            return 0
-        return max(dict(self._graph.degree()).values())
+        return max(map(len, self._adjacency.values()), default=0)
 
     def identity(self, node: Hashable) -> int:
         return self._ids[node]

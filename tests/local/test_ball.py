@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.api import Session
 from repro.graphs.families import cycle_network, grid_network, path_network, star_network
 from repro.local.ball import BallView, all_balls, collect_ball
 from repro.local.identifiers import order_preserving_relabel
@@ -63,6 +64,10 @@ class TestCollectBall:
     def test_negative_radius_rejected(self, small_cycle):
         with pytest.raises(ValueError):
             collect_ball(small_cycle, small_cycle.nodes()[0], -1)
+
+    def test_unknown_center_rejected(self, small_cycle):
+        with pytest.raises(nx.NodeNotFound):
+            collect_ball(small_cycle, "not-a-node", 1)
 
     def test_outputs_attached_and_restricted(self, small_cycle):
         outputs = {node: index for index, node in enumerate(small_cycle.nodes())}
@@ -182,3 +187,23 @@ class TestCanonicalKeys:
     def test_small_ball_uses_exact_key(self, small_cycle):
         ball = collect_ball(small_cycle, small_cycle.nodes()[0], 1)
         assert ball.canonical_key()[0] == "exact"
+
+
+class TestBallGraphOnDemand:
+    def test_graph_is_cached_and_frozen(self, small_grid):
+        ball = collect_ball(small_grid, small_grid.nodes()[5], 1)
+        assert "graph" not in vars(ball)
+        graph = ball.graph
+        assert ball.graph is graph
+        with pytest.raises(nx.NetworkXError):
+            graph.add_edge(*ball.boundary()[:2])
+
+    def test_quick_e2_builds_no_ball_graph(self, monkeypatch):
+        # Every E2 predicate reads the ball's adjacency; a predicate that
+        # reads ``.graph`` on this path would bring back a networkx build
+        # per ball.
+        built = []
+        monkeypatch.setattr(BallView, "graph", property(lambda ball: built.append(ball)))
+        report = Session(cache=None).run("E2", preset="quick")
+        assert report.result.verdict == "pass"
+        assert built == []

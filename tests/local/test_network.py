@@ -53,6 +53,15 @@ class TestConstruction:
         graph.add_edge(0, 2)
         assert net.number_of_edges() == 2
 
+    def test_graph_is_frozen(self):
+        # The adjacency index mirrors the graph, so the graph must not change.
+        net = triangle()
+        with pytest.raises(nx.NetworkXError):
+            net.graph.add_edge("a", "d")
+        with pytest.raises(nx.NetworkXError):
+            net.graph.remove_node("a")
+        assert net.neighbors("a") == ["b", "c"]
+
 
 class TestAccessors:
     def test_sizes(self):
@@ -63,6 +72,12 @@ class TestAccessors:
     def test_neighbors_sorted_by_identity(self):
         net = triangle()
         assert net.neighbors("a") == ["b", "c"]  # ids 1, 2
+
+    def test_adjacency_index_is_read_only_and_identity_ordered(self):
+        net = triangle()
+        assert dict(net.adjacency) == {"a": ("b", "c"), "b": ("c", "a"), "c": ("b", "a")}
+        with pytest.raises(TypeError):
+            net.adjacency["a"] = ()  # type: ignore[index]
 
     def test_degree_and_max_degree(self):
         net = path_network(4)

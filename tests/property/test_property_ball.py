@@ -1,0 +1,260 @@
+"""Ball extraction pinned against a networkx reference implementation.
+
+:func:`reference_ball` and :func:`reference_canonical_key` are the networkx
+formulation of the paper's ball ``B_G(v, t)`` (Section 2.1.1) that
+:func:`repro.local.ball.collect_ball` used before it ran its own
+breadth-first search over the network's adjacency index.  The properties
+below check, on random graphs (disconnected ones, grids with tuple nodes,
+shuffled and sparse identities, with and without outputs), that every
+observable of a :class:`~repro.local.ball.BallView` equals the reference,
+and that the message-passing lift reconstructs the same balls.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Dict, Hashable, Mapping, Optional, Tuple
+
+import networkx as nx
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.local.algorithm import FunctionBallAlgorithm, ball_algorithm_to_local
+from repro.local.ball import collect_ball
+from repro.local.network import Network
+from repro.local.simulator import Simulator, run_ball_algorithm
+
+SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+EXACT_CANONICAL_LIMIT = 9
+ID_MODES = ("order", "values", "none")
+
+
+# --------------------------------------------------------------------------- #
+# Reference implementation (networkx)
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ReferenceBall:
+    center: Hashable
+    radius: int
+    graph: nx.Graph
+    ids: Mapping[Hashable, int]
+    inputs: Mapping[Hashable, object]
+    distances: Mapping[Hashable, int]
+    outputs: Optional[Mapping[Hashable, object]]
+
+
+def reference_ball(
+    network: Network,
+    center: Hashable,
+    radius: int,
+    outputs: Optional[Mapping[Hashable, object]] = None,
+) -> ReferenceBall:
+    """Nodes within ``radius`` hops (networkx BFS), and every host edge
+    between them except those joining two nodes at distance exactly
+    ``radius``."""
+    distances = network.distances_from(center, cutoff=radius)
+    members = set(distances)
+    graph = nx.Graph()
+    graph.add_nodes_from(members)
+    for u, v in network.graph.edges(members):
+        if u in members and v in members:
+            if distances[u] == radius and distances[v] == radius:
+                continue
+            graph.add_edge(u, v)
+    return ReferenceBall(
+        center=center,
+        radius=radius,
+        graph=graph,
+        ids={node: network.identity(node) for node in members},
+        inputs={node: network.input_of(node) for node in members},
+        distances=distances,
+        outputs=None if outputs is None else {node: outputs[node] for node in members},
+    )
+
+
+def reference_canonical_key(
+    ball: ReferenceBall, ids: str = "order", include_outputs: bool = False
+) -> Tuple:
+    """The canonical key computed over the reference ball's graph."""
+
+    def id_rank(node: Hashable) -> int:
+        ranked = sorted(ball.graph.nodes(), key=lambda u: ball.ids[u])
+        return ranked.index(node)
+
+    def label_of(node: Hashable) -> Tuple:
+        parts: list = [ball.distances[node], repr(ball.inputs[node])]
+        if include_outputs:
+            parts.append(repr(ball.outputs[node]))  # type: ignore[index]
+        if ids == "values":
+            parts.append(int(ball.ids[node]))
+        elif ids == "order":
+            parts.append(id_rank(node))
+        return tuple(parts)
+
+    n = ball.graph.number_of_nodes()
+    if n > EXACT_CANONICAL_LIMIT:
+        attributed = nx.Graph()
+        attributed.add_nodes_from(ball.graph.nodes())
+        attributed.add_edges_from(ball.graph.edges())
+        for node in attributed.nodes():
+            marker = "C" if node == ball.center else "-"
+            attributed.nodes[node]["label"] = repr((marker, label_of(node)))
+        digest = nx.weisfeiler_lehman_graph_hash(attributed, node_attr="label", iterations=3)
+        return ("wl", ball.radius, n, digest)
+
+    labels = {node: label_of(node) for node in ball.graph.nodes()}
+    groups: Dict[Tuple, list] = {}
+    for node in ball.graph.nodes():
+        groups.setdefault(labels[node], []).append(node)
+    best: Optional[Tuple] = None
+    group_perms = [
+        list(itertools.permutations(groups[lab])) for lab in sorted(groups, key=repr)
+    ]
+    for combo in itertools.product(*group_perms):
+        ordering = [node for group in combo for node in group]
+        index = {node: i for i, node in enumerate(ordering)}
+        adjacency = tuple(
+            sorted(tuple(sorted((index[u], index[v]))) for u, v in ball.graph.edges())
+        )
+        certificate = (
+            tuple(labels[node] for node in ordering),
+            adjacency,
+            index[ball.center],
+        )
+        if best is None or certificate < best:
+            best = certificate
+    return ("exact", ball.radius, best)
+
+
+# --------------------------------------------------------------------------- #
+# Strategies
+# --------------------------------------------------------------------------- #
+LABELS = ("", "0", "1", ("x", 2))
+
+
+@st.composite
+def networks(draw) -> Network:
+    """Random sparse graphs on integer nodes (often disconnected, isolated
+    nodes included) or grids on tuple nodes, with consecutive, shuffled or
+    sparse identities and random inputs."""
+    if draw(st.booleans()):
+        graph = nx.grid_2d_graph(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        n = draw(st.integers(1, 9))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(
+            (u, v) for u, v in draw(st.lists(pairs, max_size=12)) if u != v
+        )
+    nodes = list(graph.nodes())
+    n = len(nodes)
+    id_mode = draw(st.sampled_from(["consecutive", "shuffled", "sparse"]))
+    if id_mode == "consecutive":
+        values = list(range(1, n + 1))
+    elif id_mode == "shuffled":
+        values = draw(st.permutations(range(1, n + 1)))
+    else:
+        values = draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n, unique=True))
+    inputs = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    return Network(graph, dict(zip(nodes, values)), dict(zip(nodes, inputs)))
+
+
+@st.composite
+def networks_with_outputs(draw):
+    network = draw(networks())
+    if not draw(st.booleans()):
+        return network, None
+    values = draw(
+        st.lists(st.sampled_from([0, 1, 2]), min_size=len(network), max_size=len(network))
+    )
+    return network, dict(zip(network.nodes(), values))
+
+
+# --------------------------------------------------------------------------- #
+# Properties
+# --------------------------------------------------------------------------- #
+class TestBallMatchesReference:
+    @SETTINGS
+    @given(case=networks_with_outputs(), radius=st.integers(0, 3))
+    def test_every_observable_matches_reference(self, case, radius):
+        network, outputs = case
+        for center in network.nodes():
+            ball = collect_ball(network, center, radius, outputs=outputs)
+            ref = reference_ball(network, center, radius, outputs=outputs)
+
+            assert set(ball.adjacency) == set(ref.graph.nodes())
+            assert dict(ball.distances) == dict(ref.distances)
+            # Members in BFS order: distances never decrease.
+            order = [ball.distances[node] for node in ball.adjacency]
+            assert order == sorted(order)
+
+            ref_edges = {frozenset(edge) for edge in ref.graph.edges()}
+            assert len(ball.edges()) == len(ref_edges)
+            assert {frozenset(edge) for edge in ball.edges()} == ref_edges
+            assert not any(
+                ball.distances[u] == radius and ball.distances[v] == radius
+                for u, v in ball.edges()
+            )
+
+            assert dict(ball.ids) == dict(ref.ids)
+            assert dict(ball.inputs) == dict(ref.inputs)
+            assert ball.outputs == ref.outputs
+
+            assert ball.nodes() == sorted(ref.graph.nodes(), key=ref.ids.__getitem__)
+            for node in ball.nodes():
+                assert ball.neighbors(node) == sorted(
+                    ref.graph.neighbors(node), key=ref.ids.__getitem__
+                )
+            assert ball.center_degree() == ref.graph.degree(center)
+            assert set(ball.boundary()) == {
+                node for node, dist in ref.distances.items() if dist == radius
+            }
+
+            for mode in ID_MODES:
+                for with_outputs in {False, outputs is not None}:
+                    assert ball.canonical_key(
+                        ids=mode, include_outputs=with_outputs
+                    ) == reference_canonical_key(ref, ids=mode, include_outputs=with_outputs)
+
+    @SETTINGS
+    @given(network=networks(), radius=st.integers(0, 3))
+    def test_lazy_graph_matches_reference(self, network, radius):
+        for center in network.nodes():
+            graph = collect_ball(network, center, radius).graph
+            ref = reference_ball(network, center, radius).graph
+            assert set(graph.nodes()) == set(ref.nodes())
+            assert {frozenset(e) for e in graph.edges()} == {
+                frozenset(e) for e in ref.edges()
+            }
+
+
+def ball_description(ball) -> Tuple:
+    """Everything a ball shows, in terms of identities only: the lifted
+    balls' node objects are identities, the direct balls' are not."""
+    ident = ball.ids.__getitem__
+    return (
+        ident(ball.center),
+        tuple(
+            (ident(node), ball.distances[node], ball.inputs[node],
+             tuple(ident(other) for other in ball.neighbors(node)))
+            for node in ball.nodes()
+        ),
+        frozenset(ident(node) for node in ball.boundary()),
+        ball.center_degree(),
+        tuple(ball.canonical_key(ids=mode) for mode in ID_MODES),
+    )
+
+
+class TestLiftMatchesDirect:
+    @SETTINGS
+    @given(network=networks(), radius=st.integers(0, 3))
+    def test_lifted_run_equals_run_ball_algorithm(self, network, radius):
+        algorithm = FunctionBallAlgorithm(ball_description, radius=radius)
+        direct = run_ball_algorithm(network, algorithm)
+        lifted = Simulator(network).run(ball_algorithm_to_local(algorithm))
+        assert lifted.outputs == direct
