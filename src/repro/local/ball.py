@@ -279,8 +279,6 @@ def _ball(
                 if other not in distances:
                     distances[other] = depth
                     reached.append(other)
-        if not reached:
-            break
         frontier = reached
     ball_adjacency = {}
     for node, dist in distances.items():
