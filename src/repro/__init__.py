@@ -13,12 +13,12 @@ the paper's framework on top of it:
   the derandomization machinery (Claims 2–5, Eq. (3));
 * :mod:`repro.algorithms` — classic LOCAL baselines (Cole–Vishkin, Luby,
   random coloring, color reduction, matching, dominating sets, resampling);
-* :mod:`repro.analysis` — Monte-Carlo estimation, metrics, log*, sweeps;
+* :mod:`repro.analysis` — metrics, log*, growth fits, sweep tables;
 * :mod:`repro.engine` — the batched vectorized Monte-Carlo execution layer:
   it compiles a ``(Configuration, Decider)`` pair once into flat NumPy form
-  (CSR adjacency + per-node Bernoulli vote probabilities) and evaluates
-  thousands of trials as single array reductions, plus a process-pool sweep
-  runner and the content-addressed JSON result cache behind the CLI;
+  (CSR adjacency + per-node Bernoulli vote programs) and evaluates
+  thousands of trials as single array reductions, plus the process-pool
+  fan-out and the content-addressed JSON result cache behind the CLI;
 * :mod:`repro.stats` — adaptive-precision statistics: streaming
   accumulators, Wilson/Hoeffding confidence intervals, and the
   :class:`~repro.stats.PrecisionTarget` sequential-stopping rule the
@@ -31,7 +31,7 @@ the paper's framework on top of it:
   E1–E10 runner functions, plus result records and reporting;
 * :mod:`repro.api` — the programmatic facade: :class:`~repro.api.Session`
   runs single experiments, selections, and parameter sweeps through
-  pluggable execution backends (``inline``, ``process-pool``, ``batch``)
+  pluggable execution backends (``inline``, ``process-pool``)
   with canonical spec-derived cache keys; the CLI is a thin client of it
   (see DESIGN.md and EXPERIMENTS.md);
 * :mod:`repro.obs` — zero-dependency observability: the
@@ -58,10 +58,10 @@ Fast path vs. reference path
 ----------------------------
 The per-node Python voting rules in :mod:`repro.core.decision` are the
 *reference path* — they define correctness.  The engine is the *fast path*:
-any decider exposing ``vote_probability(ball)`` (a single Bernoulli decision
-per ball) is compiled and executed in batch, with ``engine="auto"``
-reproducing the reference coin streams bit for bit and ``engine="fast"``
-trading bit-identity for fully vectorized sampling.  See the
+any decider exposing ``vote_program(ball)`` (its vote as a Bernoulli circuit
+over the node's tape) is compiled and executed in batch, with
+``engine="auto"`` reproducing the reference coin streams bit for bit and
+``engine="fast"`` trading bit-identity for fully vectorized sampling.  See the
 :mod:`repro.engine` docstring for the authoring guide, and DESIGN.md for the
 architecture notes.
 

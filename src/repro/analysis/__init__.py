@@ -1,12 +1,8 @@
-"""Measurement utilities: Monte-Carlo estimation, violation metrics, log*
-helpers, parameter sweeps, and plain-text table formatting for the benches."""
+"""Measurement utilities: violation metrics, log* helpers, growth fits,
+sweep result tables, and plain-text table formatting for the benches.
 
-from repro.analysis.estimator import (
-    BernoulliEstimate,
-    estimate_bernoulli,
-    wilson_interval,
-    sequential_probability_estimate,
-)
+Confidence intervals live in :mod:`repro.stats`."""
+
 from repro.analysis.metrics import (
     fraction_bad_nodes,
     conflicting_edges,
@@ -23,14 +19,10 @@ from repro.analysis.growth import (
     grows_no_faster_than,
     GROWTH_ORDER,
 )
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.sweep import SweepResult
 from repro.analysis.tables import format_table, format_series
 
 __all__ = [
-    "BernoulliEstimate",
-    "estimate_bernoulli",
-    "wilson_interval",
-    "sequential_probability_estimate",
     "fraction_bad_nodes",
     "conflicting_edges",
     "color_count",
@@ -46,7 +38,6 @@ __all__ = [
     "grows_no_faster_than",
     "GROWTH_ORDER",
     "SweepResult",
-    "sweep",
     "format_table",
     "format_series",
 ]

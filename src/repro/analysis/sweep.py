@@ -1,18 +1,18 @@
-"""Parameter sweeps: run an experiment over a grid and collect rows.
+"""Sweep grids and result rows.
 
-Every bench in ``benchmarks/`` is a sweep over one or two parameters (cycle
-size, slack fraction, resilience budget, number of glued instances, ...);
-this tiny driver keeps the row-collection code uniform and makes the sweeps
-reusable from the example scripts and the tests.
+:meth:`repro.api.Session.sweep` is the one sweep driver.  This module holds
+the pieces it assembles a sweep from: the Cartesian grid
+(:func:`grid_points`), the per-point row (:func:`merge_point_row`), and the
+result table (:class:`SweepResult`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
-__all__ = ["SweepResult", "sweep", "sweep_points", "grid_points", "merge_point_row"]
+__all__ = ["SweepResult", "grid_points", "merge_point_row"]
 
 
 @dataclass
@@ -74,45 +74,3 @@ def merge_point_row(
     row: Dict[str, object] = dict(point)
     row.update(measured)
     return row
-
-
-def sweep(
-    experiment: Callable[..., Mapping[str, object]],
-    parameters: Mapping[str, Sequence[object]],
-) -> SweepResult:
-    """Run ``experiment(**point)`` for every point of the parameter grid.
-
-    Parameters
-    ----------
-    experiment:
-        A callable taking the grid parameters as keyword arguments and
-        returning a mapping of measured values.
-    parameters:
-        Mapping parameter name -> sequence of values; the grid is the
-        Cartesian product in the given key order.
-
-    Returns
-    -------
-    SweepResult
-        One row per grid point, containing both the parameters and the
-        measurements.  A measurement key colliding with a parameter name
-        raises ``ValueError`` (see :func:`merge_point_row`).
-    """
-    return sweep_points(experiment, grid_points(parameters))
-
-
-def sweep_points(
-    experiment: Callable[..., Mapping[str, object]],
-    points: Sequence[Mapping[str, object]],
-) -> SweepResult:
-    """Run ``experiment(**point)`` for an explicit list of points.
-
-    :func:`sweep` is the Cartesian-grid special case; the explicit-points
-    form is for point lists produced elsewhere (a filtered grid, points read
-    from a file, a subset of a spec-resolved request grid, ...).
-    """
-    result = SweepResult()
-    for point in points:
-        measured = dict(experiment(**point))
-        result.rows.append(merge_point_row(dict(point), measured))
-    return result

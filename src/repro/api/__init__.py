@@ -6,15 +6,14 @@ The facade every caller (the CLI included) goes through:
   single experiments, selections, and first-class parameter sweeps;
 * :class:`RunRequest` / :class:`RunReport` — declarative request in,
   provenance-carrying report out (result, cache hit, cache path, duration);
-* execution backends — ``inline`` (in-process), ``process-pool`` (worker
-  processes via :class:`~repro.engine.parallel.ParallelSweepRunner`), and
-  ``batch`` (serialized manifest execution), all yielding results in
-  submission order;
+* execution backends — ``inline`` (in-process) and ``process-pool``
+  (worker processes via :func:`repro.engine.parallel.imap`), both yielding
+  results in submission order;
 * the spec registry re-exports — :data:`REGISTRY`,
   :class:`~repro.harness.registry.ExperimentSpec`, and the validation
   errors, so ``import repro.api`` is a one-stop import;
 * :mod:`repro.api.wire` — the versioned wire format every process and
-  network boundary speaks (batch manifests, the service protocol);
+  network boundary speaks (the service protocol and its journal);
 * :class:`Client` — the same surface over HTTP against a running
   ``repro serve`` service (submit / stream / wait / result), bit-identical
   to an inline session at the same seed.
@@ -32,7 +31,6 @@ Quickstart
 
 from repro.api.backends import (
     BACKEND_CHOICES,
-    BatchBackend,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
@@ -64,7 +62,6 @@ __all__ = [
     "PRESET_FULL",
     "PRESET_QUICK",
     "REGISTRY",
-    "BatchBackend",
     "Client",
     "ExecutionBackend",
     "ExperimentRegistry",

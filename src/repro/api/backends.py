@@ -10,20 +10,15 @@ functions execute:
 ``inline``
     In the calling process, one request at a time, lazily — the default.
 ``process-pool``
-    Over a ``ProcessPoolExecutor``, via the existing
-    :class:`~repro.engine.parallel.ParallelSweepRunner` fan-out primitives;
+    Over a ``ProcessPoolExecutor``, via :func:`repro.engine.parallel.imap`;
     all requests are submitted eagerly and results stream back in
     submission order.
-``batch``
-    Serialized execution: the whole batch is round-tripped through its JSON
-    encoding first (proving every request is portable off-process), then
-    executed sequentially from the decoded manifest.  This is the queue-shaped
-    backend the future sharded/remote executors slot in behind.
 
 Because payloads are plain JSON-able dicts and the worker entry point
 (:func:`execute_payload`) resolves experiments through the registry by id,
-any payload can be shipped to another process — or, later, another machine —
-without pickling closures.
+any payload can be shipped to another process without pickling closures.
+The experiment service (:mod:`repro.service`) runs the same entry point
+behind the :mod:`repro.api.wire` records.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import time
 from typing import Dict, Iterator, Optional, Sequence, Union
 
 from repro.engine.fusion import fusion_scope
-from repro.engine.parallel import ParallelSweepRunner
+from repro.engine.parallel import imap
 from repro.harness.results import ExperimentResult
 from repro.obs import TraceRecorder, get_recorder, use_recorder
 
@@ -41,7 +36,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "BatchBackend",
     "BACKEND_CHOICES",
     "resolve_backend",
     "execute_payload",
@@ -215,9 +209,9 @@ class InlineBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Fan requests out over worker processes.
 
-    Built on :meth:`ParallelSweepRunner.imap`: submission is eager, results
-    stream back in submission order, and a pool is created per batch so the
-    backend object itself stays picklable and stateless.
+    Built on :func:`repro.engine.parallel.imap`: submission is eager,
+    results stream back in submission order, and a pool is created per batch
+    so the backend object itself stays picklable and stateless.
     """
 
     name = "process-pool"
@@ -240,17 +234,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 raise ValueError(
                     "the process-pool backend resolves experiment ids through the "
                     "shipped repro.harness.registry.REGISTRY inside its worker "
-                    "processes; use the inline or batch backend with a custom registry"
+                    "processes; use the inline backend with a custom registry"
                 )
 
     def execute(
         self, payloads: Sequence[Dict[str, object]], registry=None
     ) -> Iterator[ExperimentResult]:
         self._check_registry(registry)
-        runner = ParallelSweepRunner(max_workers=self.max_workers, seed_parameter=None)
         recorder = get_recorder()
         if not recorder.active:
-            for record in runner.imap(execute_payload, list(payloads)):
+            for record in imap(execute_payload, list(payloads), self.max_workers):
                 yield _result_from(record)
             return
         # Telemetry path: each worker runs under its own TraceRecorder and
@@ -260,7 +253,7 @@ class ProcessPoolBackend(ExecutionBackend):
         items = [
             {"payload": payload, "submitted_at": time.time()} for payload in payloads
         ]
-        for item, wrapped in zip(items, runner.imap(_traced_execute_payload, items)):
+        for item, wrapped in zip(items, imap(_traced_execute_payload, items, self.max_workers)):
             telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
             worker_spans = telemetry.get("spans") or []
             compute = worker_spans[0].get("wall_seconds", 0.0) if worker_spans else 0.0
@@ -283,18 +276,17 @@ class ProcessPoolBackend(ExecutionBackend):
         inside the worker (a shared matrix cannot cross process boundaries),
         results streaming back flattened in group-submission order."""
         self._check_registry(registry)
-        runner = ParallelSweepRunner(max_workers=self.max_workers, seed_parameter=None)
         recorder = get_recorder()
         tasks = [list(payloads) for payloads in groups]
         if not recorder.active:
-            for records in runner.imap(execute_group_payload, tasks):
+            for records in imap(execute_group_payload, tasks, self.max_workers):
                 for record in records:
                     yield _result_from(record)
             return
         items = [
             {"payloads": payloads, "submitted_at": time.time()} for payloads in tasks
         ]
-        for item, wrapped in zip(items, runner.imap(_traced_execute_group, items)):
+        for item, wrapped in zip(items, imap(_traced_execute_group, items, self.max_workers)):
             telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
             worker_spans = telemetry.get("spans") or []
             compute = worker_spans[0].get("wall_seconds", 0.0) if worker_spans else 0.0
@@ -313,46 +305,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 yield _result_from(record)
 
 
-class BatchBackend(ExecutionBackend):
-    """Serialized-batch execution.
-
-    The batch is encoded to a :mod:`repro.api.wire` manifest up front — any
-    unserializable request fails loudly at submission, not halfway through a
-    shard — and the *decoded* manifest is what actually runs.
-    ``last_manifest`` keeps the most recent encoding for inspection and for
-    handing off to external queue runners; the experiment service speaks the
-    same wire records, so there is one serialization, not two.
-    """
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        self.last_manifest: Optional[str] = None
-
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        # Local import: backends is imported by repro.api.session, which the
-        # wire module needs for RunRequest — the one deliberate cycle in the
-        # package, broken here.
-        from repro.api.wire import decode_manifest, encode_manifest
-
-        manifest = encode_manifest(payloads)
-        self.last_manifest = manifest
-        requests = decode_manifest(manifest)
-        recorder = get_recorder()
-        for request in requests:
-            with recorder.span(
-                "backend.task",
-                backend=self.name,
-                experiment_id=request.experiment_id,
-            ):
-                record = execute_payload(request.to_payload(), registry)
-            yield _result_from(record)
-
-
 #: Backend names accepted by :func:`resolve_backend` (and the CLI).
-BACKEND_CHOICES = ("inline", "process-pool", "batch")
+BACKEND_CHOICES = ("inline", "process-pool")
 
 
 def resolve_backend(
@@ -363,8 +317,11 @@ def resolve_backend(
 
     ``None`` picks ``inline`` (or ``process-pool`` when ``parallel`` asks for
     more than one worker); a string names one of :data:`BACKEND_CHOICES`; an
-    :class:`ExecutionBackend` instance passes through untouched.
+    :class:`ExecutionBackend` instance passes through untouched.  A worker
+    count below 1 raises ``ValueError``.
     """
+    if parallel is not None and parallel < 1:
+        raise ValueError(f"parallel must be a positive worker count; got {parallel}")
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend is None:
@@ -373,6 +330,4 @@ def resolve_backend(
         return InlineBackend()
     if backend == "process-pool":
         return ProcessPoolBackend(max_workers=parallel)
-    if backend == "batch":
-        return BatchBackend()
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}")

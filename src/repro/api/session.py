@@ -197,11 +197,11 @@ class Session:
         ``False`` to disable caching, a path for an explicit cache directory,
         or a :class:`ResultCache` instance.
     backend:
-        ``"inline"`` (default), ``"process-pool"``, ``"batch"``, or an
+        ``"inline"`` (default), ``"process-pool"``, or an
         :class:`ExecutionBackend` instance.
     parallel:
-        Worker count for the ``process-pool`` backend; with the default
-        backend selector, ``parallel > 1`` implies ``process-pool``.
+        Worker count for the ``process-pool`` backend (at least 1); with the
+        default backend selector, ``parallel > 1`` implies ``process-pool``.
     registry:
         The spec registry to resolve experiments against (defaults to the
         shipped :data:`~repro.harness.registry.REGISTRY`).
@@ -531,13 +531,14 @@ class Session:
         """A first-class parameter sweep: the Cartesian grid becomes one
         :class:`RunRequest` per point, executed through the session backend.
 
-        Seeding follows the :class:`~repro.engine.parallel.ParallelSweepRunner`
-        convention: when the session has a master seed and the spec declares
-        the seed contract, each point receives a seed derived from the master
-        seed and the point's own parameters — independent of backend, worker
-        count, and grid shape.  The returned :class:`SweepReport` carries the
-        per-point reports plus a flat :class:`SweepResult` summary table
-        (point parameters + verdict/provenance columns) in grid order.
+        Seeding: when the session has a master seed and the spec declares
+        the seed contract, each point receives
+        :func:`~repro.engine.parallel.point_seed`, a seed derived from the
+        master seed and the point's own parameters — independent of backend,
+        worker count, and grid shape.  The returned :class:`SweepReport`
+        carries the per-point reports plus a flat :class:`SweepResult`
+        summary table (point parameters + verdict/provenance columns) in
+        grid order.
 
         ``fuse`` selects whole-sweep fusion (:mod:`repro.engine.fusion`):
         points sharing a construction configuration execute against one

@@ -1,7 +1,7 @@
 """The versioned wire format of the experiment stack.
 
-Everything that crosses a process or network boundary — batch manifests, the
-HTTP service's request/result bodies, SSE event payloads — goes through this
+Everything that crosses a process or network boundary — the HTTP service's
+request/result bodies, SSE event payloads, the job journal — goes through this
 module, so there is exactly **one** serialization of a run request and of an
 experiment result.  Every record is a plain JSON-able dict carrying:
 
@@ -9,8 +9,8 @@ experiment result.  Every record is a plain JSON-able dict carrying:
   reject versions they do not understand with :class:`~repro.errors.WireFormatError`
   instead of guessing; bump the constant when a record's shape changes.
 * ``kind`` — what the record is (``run_request`` / ``experiment_result`` /
-  ``manifest`` / ``job`` / ``event`` / ``journal``), so a decoder handed the
-  wrong record fails loudly rather than mis-parsing.
+  ``job`` / ``event`` / ``journal``), so a decoder handed the wrong record
+  fails loudly rather than mis-parsing.
 
 Encode/decode are exact inverses on the supported types: a decoded request
 equals the original :class:`~repro.api.session.RunRequest` (property-tested
@@ -24,8 +24,7 @@ key.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, Mapping, Union
 
 from repro.api.session import PRESET_FULL, RunRequest
 from repro.errors import WireFormatError
@@ -38,8 +37,6 @@ __all__ = [
     "decode_request",
     "encode_result",
     "decode_result",
-    "encode_manifest",
-    "decode_manifest",
     "encode_journal_record",
     "decode_journal_record",
 ]
@@ -49,7 +46,6 @@ WIRE_SCHEMA = 1
 
 KIND_REQUEST = "run_request"
 KIND_RESULT = "experiment_result"
-KIND_MANIFEST = "manifest"
 KIND_JOURNAL = "journal"
 
 #: The job-lifecycle transitions a journal record may carry, in state-machine
@@ -89,8 +85,7 @@ def encode_request(request: Union[RunRequest, Mapping[str, object]]) -> Dict[str
 
     Accepts a :class:`RunRequest` or an already payload-shaped mapping
     (``experiment_id``/``parameters``/``preset`` — what
-    :meth:`RunRequest.to_payload` produces), so backends that traffic in
-    payloads share the encoder.
+    :meth:`RunRequest.to_payload` produces).
     """
     if isinstance(request, RunRequest):
         payload = request.to_payload()
@@ -204,37 +199,3 @@ def decode_journal_record(record: object) -> Dict[str, object]:
     if not isinstance(job_id, str) or not job_id:
         raise WireFormatError("journal record without a job_id", kind=KIND_JOURNAL)
     return fields
-
-
-# --------------------------------------------------------------------------- #
-# Batch manifests
-# --------------------------------------------------------------------------- #
-def encode_manifest(payloads: Sequence[Union[RunRequest, Mapping[str, object]]]) -> str:
-    """A whole batch as one canonical JSON document.
-
-    Each entry is a full :func:`encode_request` record, so a manifest line
-    can be decoded on its own; the document is sorted-keys JSON, making two
-    manifests of the same batch byte-identical.  Raises ``TypeError`` (from
-    ``json``) when any payload is unserializable — at submission, not
-    halfway through a shard.
-    """
-    records = [encode_request(payload) for payload in payloads]
-    return json.dumps(
-        {"schema": WIRE_SCHEMA, "kind": KIND_MANIFEST, "requests": records}, sort_keys=True
-    )
-
-
-def decode_manifest(manifest: str) -> List[RunRequest]:
-    """The requests of a manifest document, in manifest order."""
-    try:
-        document = json.loads(manifest)
-    except json.JSONDecodeError as error:
-        raise WireFormatError(f"manifest is not JSON: {error}", kind=KIND_MANIFEST) from error
-    fields = _require_record(document, KIND_MANIFEST)
-    requests = fields.get("requests")
-    if not isinstance(requests, list):
-        raise WireFormatError(
-            f"manifest requests must be a list, got {type(requests).__name__}",
-            kind=KIND_MANIFEST,
-        )
-    return [decode_request(record) for record in requests]

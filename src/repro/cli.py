@@ -6,7 +6,7 @@ Usage::
     python -m repro run E1 E3 --output-dir results/
     python -m repro run all --quick --parallel 2 --seed 7
     python -m repro run E5 --engine exact --no-cache
-    python -m repro run all --quick --backend batch
+    python -m repro run all --quick --backend process-pool --parallel 2
     python -m repro run all --quick --trace trace.jsonl --metrics
     python -m repro cache stats
     python -m repro serve --port 8765
@@ -55,7 +55,7 @@ from repro.engine.cache import ResultCache
 from repro.harness.registry import REGISTRY
 from repro.harness.reporting import render_experiment, write_json
 from repro.harness.summary import load_results_directory, render_experiments_markdown
-from repro.obs import TraceRecorder, render_summary, write_jsonl
+from repro.obs import TraceRecorder, render_summary, summarize, write_jsonl
 
 __all__ = ["main", "build_parser", "DEFAULT_SEED"]
 
@@ -69,6 +69,17 @@ def _say(stream, text: str = "") -> None:
     """Write one output line (the CLI's only output primitive; ``print`` is
     banned in ``src/repro`` so nothing can bypass the caller's stream)."""
     stream.write(f"{text}\n")
+
+
+def _positive_int(text: str) -> int:
+    """``--parallel``'s type: a worker count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--parallel",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="run the selected experiments over N worker processes (default: 1, serial)",
@@ -347,7 +358,7 @@ def _command_run(args: argparse.Namespace, stream) -> int:
             write_jsonl(export, args.trace)
             _say(stream, f"wrote trace {args.trace}")
         if args.metrics:
-            _say(stream, render_summary(export))
+            _say(stream, render_summary(summarize(export)))
     if failures:
         _say(
             stream,

@@ -43,12 +43,12 @@ Multi-draw deciders (vote programs):
 Monte-Carlo entry points (:meth:`Decider.acceptance_probability`,
 :func:`estimate_guarantee`) take an ``engine=`` parameter and dispatch to
 the batched :mod:`repro.engine` subsystem whenever the decider exposes a
-compilable vote — ``vote_program(ball)`` or the legacy single-Bernoulli
-``vote_probability(ball)``; all concrete deciders above do.  The default
-``engine="auto"`` runs the engine's *exact* mode, which reproduces the
-per-node tape streams of the reference loop bit for bit; ``engine="fast"``
-uses the fully vectorized chunked sampler (distributionally equivalent),
-and ``engine="off"`` forces the reference loop.
+compilable vote, ``vote_program(ball)``; all concrete deciders above do.
+The default ``engine="auto"`` runs the engine's *exact* mode, which
+reproduces the per-node tape streams of the reference loop bit for bit;
+``engine="fast"`` uses the fully vectorized chunked sampler
+(distributionally equivalent), and ``engine="off"`` forces the reference
+loop.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ from repro.stats import (
     wilson_interval,
 )
 from repro.engine.compiler import (
-    Const,
     ProgramCompilationError,
     VoteExpr,
+    coin,
+    const,
     evaluate_vote_expr,
     majority,
 )
@@ -427,22 +428,20 @@ class DeterministicDecider(Decider):
     def vote(self, ball: BallView, tape: Optional[RandomTape] = None) -> bool:
         return bool(self._rule(ball))
 
-    def vote_probability(self, ball: BallView) -> float:
-        """Deterministic votes are degenerate Bernoullis (engine fast path)."""
-        return 1.0 if self._rule(ball) else 0.0
+    def vote_program(self, ball: BallView) -> VoteExpr:
+        """Deterministic votes are constant programs that draw nothing."""
+        return const(self._rule(ball))
 
 
 class RandomizedDecider(Decider):
     """A randomized decider built from a rule ``(ball, tape) -> bool`` and a
     claimed guarantee ``p > 1/2``.
 
-    When the rule is a single Bernoulli decision on the ball (it consumes at
-    most the tape's first draw), pass the matching ``vote_probability``
-    callable to make the decider compilable by :mod:`repro.engine`; for
-    richer coin usage, pass the equivalent Bernoulli circuit as
-    ``vote_program`` (see :class:`ProgramDecider` for the contract).  Leave
-    both unset for rules beyond the engine IR, which must stay on the
-    reference path.
+    To make the decider compilable by :mod:`repro.engine`, pass the
+    equivalent Bernoulli circuit as ``vote_program`` — ``coin(p)`` for a
+    rule that is one ``tape.bernoulli(p)`` on the ball (see
+    :class:`ProgramDecider` for the contract).  Leave it unset for rules
+    beyond the engine IR, which must stay on the reference path.
     """
 
     randomized = True
@@ -453,7 +452,6 @@ class RandomizedDecider(Decider):
         radius: int,
         guarantee: float,
         name: str = "randomized-decider",
-        vote_probability: Optional[Callable[[BallView], float]] = None,
         vote_program: Optional[Callable[[BallView], VoteExpr]] = None,
     ) -> None:
         if not 0.5 < guarantee <= 1.0:
@@ -462,9 +460,7 @@ class RandomizedDecider(Decider):
         self.radius = int(radius)
         self.guarantee = float(guarantee)
         self.name = name
-        # Instance attributes, so `is_compilable` sees them only when given.
-        if vote_probability is not None:
-            self.vote_probability = vote_probability
+        # An instance attribute, so `is_compilable` sees it only when given.
         if vote_program is not None:
             self.vote_program = vote_program
 
@@ -540,12 +536,12 @@ class AmosDecider(RandomizedDecider):
             return True
         return tape.bernoulli(golden_ratio_guarantee())
 
-    def vote_probability(self, ball: BallView) -> float:
+    def vote_program(self, ball: BallView) -> VoteExpr:
         """Non-selected nodes accept surely; selected nodes with probability
         ``p`` — the compiled form of :meth:`_vote`."""
         if ball.center_output() != SELECTED:
-            return 1.0
-        return golden_ratio_guarantee()
+            return const(True)
+        return coin(golden_ratio_guarantee())
 
 
 class ResilientDecider(RandomizedDecider):
@@ -586,12 +582,12 @@ class ResilientDecider(RandomizedDecider):
             return True
         return tape.bernoulli(self.p_bad_ball)
 
-    def vote_probability(self, ball: BallView) -> float:
+    def vote_program(self, ball: BallView) -> VoteExpr:
         """Good balls accept surely; bad balls with probability
         ``p_bad_ball`` — the compiled form of :meth:`_vote`."""
         if not self.language.is_bad_ball(ball):
-            return 1.0
-        return self.p_bad_ball
+            return const(True)
+        return coin(self.p_bad_ball)
 
     def theoretical_acceptance(self, bad_ball_count: int) -> float:
         """Exact Pr[all nodes accept] for a configuration with the given
@@ -645,7 +641,7 @@ class AmplifiedResilientDecider(ProgramDecider):
         """Good balls accept surely; bad balls take the calibrated
         ``repetitions``-coin majority."""
         if not self.language.is_bad_ball(ball):
-            return Const(True)
+            return const(True)
         return self._bad_ball_program
 
     def theoretical_acceptance(self, bad_ball_count: int) -> float:
@@ -679,7 +675,7 @@ class AmplifiedAmosDecider(ProgramDecider):
 
     def vote_program(self, ball: BallView) -> VoteExpr:
         if ball.center_output() != SELECTED:
-            return Const(True)
+            return const(True)
         return self._selected_program
 
 

@@ -12,7 +12,7 @@ Layers
 ------
 * :mod:`repro.engine.compiler` — :func:`compile_decision` /
   :class:`CompiledDecision`: the one-off flattening, and the
-  ``vote_probability`` contract a decider must expose to be compilable;
+  ``vote_program`` contract a decider must expose to be compilable;
 * :mod:`repro.engine.executor` — the trials×nodes Bernoulli-matrix
   evaluation, in ``exact`` (the reference counter-based tape streams,
   computed as one array operation) and ``fast`` (per-node generators)
@@ -27,9 +27,9 @@ Layers
   deciders on top, so the derandomization estimators (success probability,
   far acceptance, the Claim 3/Theorem 1 amplification runs) need no
   per-trial Python;
-* :mod:`repro.engine.parallel` — :class:`ParallelSweepRunner`, the
-  process-pool counterpart of :func:`repro.analysis.sweep.sweep` with
-  deterministic per-point seeding;
+* :mod:`repro.engine.parallel` — ``imap``, the submission-ordered
+  process-pool fan-out behind the ``process-pool`` backend, and
+  :func:`point_seed`, the deterministic per-point sweep seed;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, the content-addressed
   JSON result store behind the CLI's default caching (key: experiment id +
   normalized parameters, seed included + package version; see the module
@@ -45,12 +45,11 @@ private tape built from the :mod:`repro.engine.compiler` combinators
 fresh tape (:func:`~repro.engine.compiler.evaluate_vote_expr`) behaves
 exactly like ``vote(ball, tape)`` — same result, same draws consumed —
 which is what keeps the exact mode bit-identical to the reference loop.
-The legacy single-Bernoulli contract ``vote_probability(ball) -> float``
-still compiles (it is the one-coin special case).  Deciders whose coin
-usage exceeds the IR (more than
+A single-coin decider returns ``coin(p)`` (``const`` for a vote that
+ignores the tape).  Deciders whose coin usage exceeds the IR (more than
 :data:`~repro.engine.compiler.MAX_PROGRAM_DRAWS` sequential draws) must
 stay on the reference path; ``engine="auto"`` falls back automatically for
-deciders exposing neither contract, while ``engine="fast"``/``"exact"``
+deciders without a ``vote_program``, while ``engine="fast"``/``"exact"``
 raise rather than misreport.  An equivalence test in ``tests/engine``
 asserts that both engine modes agree with the reference loop — exactly for
 ``exact`` mode, distributionally for ``fast`` mode.
@@ -106,7 +105,7 @@ from repro.engine.executor import (
     exact_single_trial_votes,
     vote_matrix,
 )
-from repro.engine.parallel import ParallelSweepRunner, point_seed
+from repro.engine.parallel import point_seed
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
@@ -117,7 +116,6 @@ __all__ = [
     "CompiledDecision",
     "ConstructionCompilationError",
     "OutputExpr",
-    "ParallelSweepRunner",
     "ProgramCompilationError",
     "ResultCache",
     "VoteExpr",

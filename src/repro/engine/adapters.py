@@ -16,8 +16,7 @@ trial ``t`` of node ``v`` reads the tape with key
 * ``engine="off"`` — never used here; callers fall back to the reference
   loop themselves.
 
-Both multi-draw vote programs (``vote_program(ball)``) and the legacy
-single-Bernoulli contract (``vote_probability(ball)``) compile; see
+A decider is compilable when it exposes ``vote_program(ball)``; see
 :mod:`repro.engine.compiler`.
 """
 

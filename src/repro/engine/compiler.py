@@ -43,10 +43,9 @@ mode replay the reference tape streams bit for bit.  Programs are capped at
 :data:`MAX_PROGRAM_DRAWS` sequential draws (and :data:`MAX_PROGRAM_NODES`
 lowered nodes); richer deciders must stay on the reference path.
 
-Deciders expose the IR through ``vote_program(ball) -> VoteExpr``.  The
-legacy single-Bernoulli contract ``vote_probability(ball) -> float`` is
-still honoured (it compiles to :func:`coin` / :func:`const`); see
-:func:`is_compilable`.
+Deciders expose the IR through ``vote_program(ball) -> VoteExpr``, the
+compiler's one entry contract (see :func:`is_compilable`); a single-coin
+decider returns :func:`coin` or :func:`const`.
 """
 
 from __future__ import annotations
@@ -495,12 +494,9 @@ def _accept_probability(root, thresholds, on_true, on_false) -> float:
 # Compiled decisions
 # --------------------------------------------------------------------------- #
 def is_compilable(decider: object) -> bool:
-    """Whether the decider exposes a vote program the engine can compile:
-    either the circuit contract ``vote_program(ball)`` or the legacy
-    single-Bernoulli contract ``vote_probability(ball)``."""
-    return callable(getattr(decider, "vote_program", None)) or callable(
-        getattr(decider, "vote_probability", None)
-    )
+    """Whether the decider exposes the vote-program contract
+    ``vote_program(ball)`` the engine compiles."""
+    return callable(getattr(decider, "vote_program", None))
 
 
 @dataclass(frozen=True)
@@ -645,36 +641,26 @@ def _structural_key(
 
 
 def _node_expression(decider: "Decider", ball) -> VoteExpr:
-    """The vote expression of one node: the decider's ``vote_program`` when
-    present, else the legacy single-Bernoulli ``vote_probability``."""
-    vote_program = getattr(decider, "vote_program", None)
-    if callable(vote_program):
-        expr = vote_program(ball)
-        if not isinstance(expr, VoteExpr):
-            raise TypeError(
-                f"vote_program of {getattr(decider, 'name', decider)!r} returned "
-                f"{expr!r}; expected a VoteExpr (coin/const/all_of/any_of/neg/branch)"
-            )
-        return expr
-    probability = float(decider.vote_probability(ball))
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(
-            f"vote_probability of {decider.name!r} returned {probability}; "
-            "probabilities must lie in [0, 1]"
+    """The vote expression of one node: the decider's ``vote_program``."""
+    expr = decider.vote_program(ball)
+    if not isinstance(expr, VoteExpr):
+        raise TypeError(
+            f"vote_program of {getattr(decider, 'name', decider)!r} returned "
+            f"{expr!r}; expected a VoteExpr (coin/const/all_of/any_of/neg/branch)"
         )
-    return coin(probability)
+    return expr
 
 
 def compile_decision(decider: "Decider", configuration: "Configuration") -> CompiledDecision:
     """Compile a decider against a fixed configuration.
 
     Extracts every radius-``t`` ball once, asks the decider for its per-node
-    vote program (or legacy vote probability), lowers each distinct program
-    once, and freezes the result into a :class:`CompiledDecision` (whose CSR
-    adjacency materialises lazily on first access).  Raises ``TypeError``
-    for deciders that expose neither contract — callers should check
-    :func:`is_compilable` first and fall back to the reference path — and
-    :class:`ProgramCompilationError` for programs beyond the IR's draw cap.
+    vote program, lowers each distinct program once, and freezes the result
+    into a :class:`CompiledDecision` (whose CSR adjacency materialises
+    lazily on first access).  Raises ``TypeError`` for deciders without a
+    ``vote_program`` — callers should check :func:`is_compilable` first and
+    fall back to the reference path — and :class:`ProgramCompilationError`
+    for programs beyond the IR's draw cap.
     """
     recorder = get_recorder()
     with recorder.span(
@@ -694,9 +680,8 @@ def compile_decision(decider: "Decider", configuration: "Configuration") -> Comp
 def _compile_decision(decider: "Decider", configuration: "Configuration") -> CompiledDecision:
     if not is_compilable(decider):
         raise TypeError(
-            f"decider {getattr(decider, 'name', decider)!r} exposes neither "
-            "vote_program(ball) nor vote_probability(ball) and cannot be "
-            "compiled; use the legacy path"
+            f"decider {getattr(decider, 'name', decider)!r} exposes no "
+            "vote_program(ball) and cannot be compiled; use the reference path"
         )
     network = configuration.network
     nodes: List[Hashable] = network.nodes()

@@ -1,46 +1,28 @@
-"""Parallel execution over a process pool: sweeps and request fan-out.
+"""Process-pool fan-out and the canonical per-point sweep seed.
 
-:class:`ParallelSweepRunner` is the multi-core counterpart of
-:func:`repro.analysis.sweep.sweep`: it evaluates the same Cartesian grid,
-produces the same :class:`~repro.analysis.sweep.SweepResult` (rows in grid
-order, key-collision checking included), but fans the grid points out over a
-``concurrent.futures.ProcessPoolExecutor``.  Its lower-level
-:meth:`~ParallelSweepRunner.imap` / :meth:`~ParallelSweepRunner.map` primitives
-fan out arbitrary picklable calls in submission order — they are what the
-``process-pool`` execution backend of :mod:`repro.api` is built on.
+* :func:`imap` applies a picklable function to a list of payloads over a
+  ``concurrent.futures.ProcessPoolExecutor`` and yields the results in
+  submission order.  It is the primitive the ``process-pool`` execution
+  backend of :mod:`repro.api` — and with it the CLI's ``--parallel N`` —
+  is built on.
+* :func:`point_seed` derives the seed of one sweep point from the master
+  seed and the point's own parameters; :meth:`repro.api.Session.sweep`
+  injects it into every point of a seeded sweep.
 
-Determinism is preserved under any worker count and any completion order:
-
-* results come back in submission (grid) order, not completion order;
-* when a master ``seed`` is configured, every grid point receives a seed
-  derived (via the package-wide SHA-256 derivation) from the master seed and
-  the point's own parameters — the seed of a point never depends on which
-  worker ran it or on the grid shape.
-
-Seeding is **declared, not introspected**: the runner injects the derived
-seed under ``seed_parameter`` (default ``"seed"``) whenever a master seed is
-set; pass ``seed_parameter=None`` for experiments that do not take one.  (The
-old ``accepts_seed`` signature-introspection helper is gone — the experiment
-registry's :class:`~repro.harness.registry.ExperimentSpec` now carries the
-seed contract explicitly.)
-
-The experiment callable and its parameter values must be picklable (a
-top-level function, like every experiment in :mod:`repro.harness`); for
-quick in-process runs or unpicklable closures, set ``max_workers=0`` to
-evaluate serially through the exact same code path.
+Determinism holds under any worker count and any completion order: results
+come back in submission order, and the seed of a point never depends on
+which worker ran it or on the grid shape.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
-from repro.analysis.sweep import SweepResult, grid_points, merge_point_row
 from repro.local.randomness import derive_seed
 from repro.obs import get_recorder
 
-__all__ = ["ParallelSweepRunner", "point_seed"]
+__all__ = ["imap", "point_seed"]
 
 
 def _canonical_value(value: object) -> object:
@@ -73,106 +55,31 @@ def point_seed(master_seed: int, point: Mapping[str, object]) -> int:
     return derive_seed(master_seed, "sweep-point", components) % (2**31)
 
 
-def _evaluate_point(
-    experiment: Callable[..., Mapping[str, object]], kwargs: Dict[str, object]
-) -> Dict[str, object]:
-    """Top-level worker body (must be picklable for the process pool)."""
-    return dict(experiment(**kwargs))
+def imap(
+    function: Callable[[Dict[str, object]], object],
+    payloads: Sequence[Dict[str, object]],
+    max_workers: Optional[int],
+) -> Iterator[object]:
+    """Apply ``function`` to every payload over a process pool, yielding
+    results in submission order.
 
-
-class ParallelSweepRunner:
-    """Evaluate parameter grids (and arbitrary call batches) over a pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; ``None`` lets :class:`ProcessPoolExecutor` pick (one per
-        CPU), ``0`` runs serially in-process (useful for unpicklable
-        experiments and for debugging — the seeding and row assembly are
-        identical either way).
-    seed:
-        Master seed for deterministic per-point seeding; ``None`` leaves the
-        experiment's own ``seed`` default untouched.
-    seed_parameter:
-        The keyword the derived per-point seed is injected under; ``None``
-        disables injection (for experiments without a seed parameter).
+    All payloads are submitted eagerly (before the first yield) and results
+    stream back as the corresponding future resolves, so a slow first
+    payload does not idle the other workers.  ``max_workers=None`` lets the
+    pool pick one worker per CPU.  A single payload runs in-process: there
+    is nothing to fan out, so no pool is started.
     """
+    if len(payloads) <= 1:
+        for payload in payloads:
+            yield function(payload)
+        return
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        seed: Optional[int] = None,
-        seed_parameter: Optional[str] = "seed",
-    ) -> None:
-        if max_workers is not None and max_workers < 0:
-            raise ValueError("max_workers must be non-negative (0 = run serially)")
-        self.max_workers = max_workers
-        self.seed = seed
-        self.seed_parameter = seed_parameter
-
-    # ------------------------------------------------------------------ #
-    def imap(
-        self,
-        function: Callable[[Dict[str, object]], object],
-        payloads: Sequence[Dict[str, object]],
-    ) -> Iterator[object]:
-        """Apply ``function`` to every payload, yielding results in
-        submission order.
-
-        Over a pool, all payloads are submitted eagerly (before the first
-        yield) and results stream back as the corresponding future resolves,
-        so a slow first payload does not idle the other workers; with
-        ``max_workers=0`` (or a single payload) the calls run serially
-        in-process, lazily, through the same interface.
-        """
-        if self.max_workers == 0 or len(payloads) <= 1:
-            for payload in payloads:
-                yield function(payload)
-            return
-
-        recorder = get_recorder()
-        pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        try:
-            with recorder.span(
-                "parallel.submit", tasks=len(payloads), max_workers=self.max_workers
-            ):
-                futures = [pool.submit(function, payload) for payload in payloads]
-            for future in futures:
-                yield future.result()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def map(
-        self,
-        function: Callable[[Dict[str, object]], object],
-        payloads: Sequence[Dict[str, object]],
-    ) -> List[object]:
-        """:meth:`imap`, fully materialized."""
-        return list(self.imap(function, payloads))
-
-    # ------------------------------------------------------------------ #
-    def _point_kwargs(self, point: Mapping[str, object]) -> Dict[str, object]:
-        kwargs = dict(point)
-        if (
-            self.seed is not None
-            and self.seed_parameter is not None
-            and self.seed_parameter not in kwargs
-        ):
-            kwargs[self.seed_parameter] = point_seed(self.seed, point)
-        return kwargs
-
-    def run(
-        self,
-        experiment: Callable[..., Mapping[str, object]],
-        parameters: Mapping[str, Sequence[object]],
-    ) -> SweepResult:
-        """Run ``experiment(**point)`` for every grid point; rows come back
-        in grid order regardless of which worker finished first."""
-        points = grid_points(parameters)
-        kwargs_per_point = [self._point_kwargs(point) for point in points]
-        measurements = self.map(partial(_evaluate_point, experiment), kwargs_per_point)
-
-        result = SweepResult()
-        for point, measured in zip(points, measurements):
-            result.rows.append(merge_point_row(point, measured))
-        return result
+    recorder = get_recorder()
+    pool = ProcessPoolExecutor(max_workers=max_workers)
+    try:
+        with recorder.span("parallel.submit", tasks=len(payloads), max_workers=max_workers):
+            futures = [pool.submit(function, payload) for payload in payloads]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)

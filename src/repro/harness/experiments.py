@@ -60,6 +60,7 @@ from repro.core.order_invariant import (
     monochromatic_core,
 )
 from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine.compiler import coin
 from repro.engine.construct import (
     batched_bad_counts,
     bernoulli_output,
@@ -749,9 +750,9 @@ def _toy_faulty_constructor(q: float) -> BallConstructor:
 
 def _toy_noisy_decider(p: float) -> RandomizedDecider:
     # The rule is written as a single direct Bernoulli (accept a non-zero
-    # output with probability 1 − p) so the matching ``vote_probability``
-    # makes the decider compilable by repro.engine, with the engine's exact
-    # mode reproducing the reference coins bit for bit.
+    # output with probability 1 − p) so the matching one-coin
+    # ``vote_program`` makes the decider compilable by repro.engine, with the
+    # engine's exact mode reproducing the reference coins bit for bit.
     return RandomizedDecider(
         rule=lambda ball, tape: True
         if ball.center_output() == 0
@@ -759,7 +760,7 @@ def _toy_noisy_decider(p: float) -> RandomizedDecider:
         radius=0,
         guarantee=p,
         name=f"noisy-all-zeros-decider(p={p})",
-        vote_probability=lambda ball: 1.0 if ball.center_output() == 0 else 1.0 - p,
+        vote_program=lambda ball: coin(1.0 if ball.center_output() == 0 else 1.0 - p),
     )
 
 

@@ -8,12 +8,12 @@ A sink consumes the JSON-able export dict (see
   (``id``/``parent`` pairs preserve the tree), then counters, then
   histograms.  :func:`read_jsonl` loads the lines back for round-trip
   tests and offline analysis.
-* :func:`render_summary` — the human-readable table the CLI's ``--metrics``
-  flag prints: per-span-name counts and total wall/CPU seconds, counter
-  values, histogram summaries.
-
-:func:`summarize` is the shared aggregation both the table and the
-benchmark suite's BENCH.json embedding use.
+* :func:`summarize` — the per-span-name aggregation of an export: counts
+  and total wall/CPU seconds, counter values, histogram summaries.  The
+  benchmark suite embeds it in BENCH.json.
+* :func:`render_summary` — the human-readable table of a
+  :func:`summarize` result; the CLI's ``--metrics`` flag prints
+  ``render_summary(summarize(export))``.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ def summarize(export: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def render_summary(export: Dict[str, object]) -> str:
-    """The ``--metrics`` table: spans, counters, histograms, one block each."""
-    summary = summarize(export)
+def render_summary(summary: Dict[str, object]) -> str:
+    """The ``--metrics`` table of a :func:`summarize` result: spans,
+    counters, histograms, one block each."""
     lines: List[str] = []
 
     spans = summary["spans"]

@@ -13,11 +13,11 @@ from repro.analysis.metrics import (
     independent_set_size,
     matching_size,
 )
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.sweep import SweepResult, grid_points, merge_point_row
 from repro.analysis.tables import format_series, format_table
 from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring
-from repro.graphs.families import cycle_network, path_network
+from repro.graphs.families import path_network
 from repro.harness.reporting import load_json, render_experiment, write_json
 from repro.harness.results import ExperimentRegistry, ExperimentResult
 
@@ -71,6 +71,13 @@ class TestLogStar:
         assert cole_vishkin_round_bound(10) <= cole_vishkin_round_bound(10**6)
         with pytest.raises(ValueError):
             cole_vishkin_round_bound(0)
+
+
+def sweep(experiment, parameters):
+    """The row assembly of ``Session.sweep``: one merged row per grid point."""
+    return SweepResult(
+        rows=[merge_point_row(point, experiment(**point)) for point in grid_points(parameters)]
+    )
 
 
 class TestSweep:

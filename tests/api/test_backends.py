@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.api import (
     BACKEND_CHOICES,
-    BatchBackend,
     InlineBackend,
     ProcessPoolBackend,
     Session,
@@ -25,8 +22,7 @@ class TestResolveBackend:
     def test_names_resolve(self):
         assert resolve_backend("inline").name == "inline"
         assert resolve_backend("process-pool").name == "process-pool"
-        assert resolve_backend("batch").name == "batch"
-        assert set(BACKEND_CHOICES) == {"inline", "process-pool", "batch"}
+        assert set(BACKEND_CHOICES) == {"inline", "process-pool"}
 
     def test_default_is_inline_unless_parallel(self):
         assert resolve_backend(None).name == "inline"
@@ -34,12 +30,18 @@ class TestResolveBackend:
         assert resolve_backend(None, parallel=3).name == "process-pool"
 
     def test_instances_pass_through(self):
-        backend = BatchBackend()
+        backend = InlineBackend()
         assert resolve_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("mainframe")
+
+    @pytest.mark.parametrize("backend", [None, "inline", "process-pool"])
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_worker_counts_below_one_rejected(self, backend, parallel):
+        with pytest.raises(ValueError, match="positive worker count"):
+            resolve_backend(backend, parallel=parallel)
 
     def test_pool_worker_count_validated(self):
         with pytest.raises(ValueError):
@@ -71,9 +73,9 @@ class TestExecutePayload:
 
 
 class TestBackendEquivalence:
-    """All three backends produce identical results in submission order."""
+    """Both backends produce identical results in submission order."""
 
-    def test_inline_pool_and_batch_agree_bit_for_bit(self):
+    def test_inline_and_pool_agree_bit_for_bit(self):
         session = Session(seed=4, cache=None)
         payloads = [
             session.request("E5", preset="quick", trials=150).to_payload(),
@@ -84,25 +86,8 @@ class TestBackendEquivalence:
             result.to_dict()
             for result in ProcessPoolBackend(max_workers=2).execute(payloads)
         ]
-        batched = [result.to_dict() for result in BatchBackend().execute(payloads)]
         assert [record["experiment_id"] for record in inline] == ["E5", "E1"]
         assert pooled == inline
-        assert batched == inline
-
-    def test_batch_manifest_is_json_and_complete(self):
-        from repro.api.wire import WIRE_SCHEMA, decode_manifest
-
-        session = Session(seed=4, cache=None)
-        backend = BatchBackend()
-        payloads = _payloads(session, "E5")
-        list(backend.execute(payloads))
-        manifest = json.loads(backend.last_manifest)
-        assert manifest["schema"] == WIRE_SCHEMA
-        assert manifest["kind"] == "manifest"
-        # The manifest is the wire encoding of the batch: decoding it yields
-        # the submitted payloads exactly.
-        decoded = [request.to_payload() for request in decode_manifest(backend.last_manifest)]
-        assert decoded == payloads
 
     def test_inline_backend_is_lazy(self):
         session = Session(seed=4, cache=None)

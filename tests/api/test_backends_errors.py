@@ -1,15 +1,15 @@
 """Error-path coverage for repro.api.backends and progress semantics.
 
-Satellite of ISSUE 5: worker exception propagation (inline and process
-pool), malformed batch manifests, and progress-callback ordering when the
-cache serves part of a request batch.
+Worker exception propagation (inline and process pool), malformed result
+records, and progress-callback ordering when the cache serves part of a
+request batch.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import BatchBackend, InlineBackend, ProcessPoolBackend, Session
+from repro.api import InlineBackend, ProcessPoolBackend, Session
 from repro.harness.registry import ExperimentRegistry, ExperimentSpec, ParameterSpec
 from repro.harness.results import ExperimentResult
 
@@ -99,57 +99,7 @@ class TestWorkerExceptionPropagation:
             list(backend.execute(payloads))
 
 
-class TestMalformedManifests:
-    def test_unserializable_payload_fails_at_submission(self):
-        """The batch backend JSON-encodes the whole batch up front: a
-        payload that cannot be transported fails loudly before anything
-        runs, not halfway through a shard."""
-        backend = BatchBackend()
-        bad = {"experiment_id": "TOY", "parameters": {"seed": object()}}
-        with pytest.raises(TypeError):
-            list(backend.execute([bad], registry=_registry_with(lambda seed=0: _toy_result())))
-        # Nothing was recorded as the last manifest: encoding never finished.
-        assert backend.last_manifest is None
-
-    def test_manifest_missing_experiment_id_fails_loudly(self):
-        from repro.errors import WireFormatError
-
-        backend = BatchBackend()
-        with pytest.raises(WireFormatError):
-            list(backend.execute([{"parameters": {}}]))
-
-    def test_decoded_manifest_is_what_runs(self):
-        """The batch backend executes the *decoded* manifest: tuple-valued
-        parameters arrive at the runner as lists (proof the JSON round-trip
-        is load-bearing, not decorative)."""
-        seen = {}
-
-        def recording(sizes=(1, 2)):
-            seen["sizes"] = sizes
-            return _toy_result()
-
-        registry = ExperimentRegistry(
-            [
-                ExperimentSpec(
-                    id="TOY",
-                    title="toy",
-                    runner=recording,
-                    parameters=(ParameterSpec("sizes", "seq[int]", [1, 2]),),
-                    quick={},
-                )
-            ]
-        )
-        backend = BatchBackend()
-        results = list(
-            backend.execute(
-                [{"experiment_id": "TOY", "parameters": {"sizes": (5, 6)}}],
-                registry=registry,
-            )
-        )
-        assert len(results) == 1
-        assert seen["sizes"] == [5, 6]
-        assert backend.last_manifest is not None and '"sizes": [5, 6]' in backend.last_manifest
-
+class TestMalformedResults:
     def test_corrupt_result_payload_from_backend_fails_loudly(self):
         """A backend yielding a record that is not an ExperimentResult dict
         must raise at conversion, not fabricate a result."""

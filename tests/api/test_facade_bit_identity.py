@@ -51,16 +51,6 @@ def test_overrides_cover_every_registered_experiment():
     assert set(TOY_OVERRIDES) == set(REGISTRY)
 
 
-def test_batch_backend_preserves_bit_identity_through_serialization():
-    """The JSON round-trip of the batch backend must not perturb a single
-    float in the result rows."""
-    overrides = TOY_OVERRIDES["E5"]
-    direct = ALL_EXPERIMENTS["E5"](**overrides)
-    report = Session(cache=None, backend="batch").run("E5", **overrides)
-    assert report.result.rows == direct.rows
-    assert report.result.matches_paper == direct.matches_paper
-
-
 class TestPrecisionDefaultsPreservePr4Identity:
     """With ``precision=None`` (the schema default 0.0) the experiments
     that grew the precision contract remain bit-identical to their

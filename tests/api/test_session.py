@@ -307,6 +307,6 @@ class TestSessionConstruction:
     def test_backend_resolution(self):
         assert Session(cache=None).backend.name == "inline"
         assert Session(cache=None, parallel=4).backend.name == "process-pool"
-        assert Session(cache=None, backend="batch").backend.name == "batch"
-        with pytest.raises(ValueError, match="unknown backend"):
-            Session(cache=None, backend="carrier-pigeon")
+        for name in ("carrier-pigeon", "batch"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                Session(cache=None, backend=name)

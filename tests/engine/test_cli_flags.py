@@ -35,10 +35,26 @@ class TestParsing:
             build_parser().parse_args(["run", "E5", "--engine", "warp"])
 
     def test_backend_flag_parses_and_validates(self):
-        args = build_parser().parse_args(["run", "E5", "--backend", "batch"])
-        assert args.backend == "batch"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E5", "--backend", "mainframe"])
+        args = build_parser().parse_args(["run", "E5", "--backend", "process-pool"])
+        assert args.backend == "process-pool"
+        for name in ("mainframe", "batch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "E5", "--backend", name])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--parallel", "0"],
+            ["--parallel", "-3"],
+            ["--parallel", "two"],
+            ["--backend", "process-pool", "--parallel", "0"],
+        ],
+    )
+    def test_parallel_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "E5"] + argv)
+        assert exit_info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_defaults(self):
         args = build_parser().parse_args(["run", "E3"])
@@ -145,13 +161,6 @@ class TestRunBehaviour:
         parallel_argv = serial_argv + ["--parallel", "2"]
         code_a, out_a = run_cli(serial_argv)
         code_b, out_b = run_cli(parallel_argv)
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
-    def test_batch_backend_matches_inline(self, tmp_path):
-        base = ["run", "E5", "--quick", "--seed", "2", "--no-cache"]
-        code_a, out_a = run_cli(base)
-        code_b, out_b = run_cli(base + ["--backend", "batch"])
         assert code_a == code_b == 0
         assert out_a == out_b
 

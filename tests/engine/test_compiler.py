@@ -14,7 +14,7 @@ from repro.core.decision import (
 )
 from repro.core.languages import SELECTED, Configuration
 from repro.core.lcl import ProperColoring
-from repro.engine.compiler import compile_decision, is_compilable
+from repro.engine.compiler import coin, compile_decision, is_compilable
 from repro.graphs.families import cycle_network
 
 
@@ -40,14 +40,30 @@ class TestIsCompilable:
         decider = RandomizedDecider(lambda ball, tape: True, radius=0, guarantee=0.9)
         assert not is_compilable(decider)
 
-    def test_randomized_rule_with_vote_probability_is(self):
+    def test_randomized_rule_with_vote_program_is(self):
         decider = RandomizedDecider(
             lambda ball, tape: tape.bernoulli(0.9),
             radius=0,
             guarantee=0.9,
-            vote_probability=lambda ball: 0.9,
+            vote_program=lambda ball: coin(0.9),
         )
         assert is_compilable(decider)
+
+    def test_vote_probability_alone_is_not_compilable(self):
+        """``vote_program`` is the compiler's only entry contract: a decider
+        carrying just the retired single-coin ``vote_probability`` attribute
+        stays on the reference path."""
+        configuration = amos_configuration(9, {0, 4})
+        decider = RandomizedDecider(
+            lambda ball, tape: tape.bernoulli(0.9), radius=0, guarantee=0.9
+        )
+        decider.vote_probability = lambda ball: 0.9
+        assert not is_compilable(decider)
+        with pytest.raises(TypeError):
+            decider.acceptance_probability(configuration, trials=50, seed=3, engine="exact")
+        auto = decider.acceptance_probability(configuration, trials=50, seed=3, engine="auto")
+        off = decider.acceptance_probability(configuration, trials=50, seed=3, engine="off")
+        assert auto == off
 
     def test_compile_rejects_non_compilable(self, proper_three_coloring):
         decider = RandomizedDecider(lambda ball, tape: True, radius=0, guarantee=0.9)
@@ -95,9 +111,9 @@ class TestCompiledProbabilities:
             lambda ball, tape: True,
             radius=0,
             guarantee=0.9,
-            vote_probability=lambda ball: 1.5,
+            vote_program=lambda ball: coin(1.5),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must lie in"):
             compile_decision(decider, proper_three_coloring)
 
 

@@ -93,7 +93,7 @@ class TestSummaries:
         assert histogram["mean"] == 0.003
 
     def test_render_summary_mentions_every_signal(self):
-        text = render_summary(sample_export())
+        text = render_summary(summarize(sample_export()))
         for needle in (
             "session.request",
             "engine.execute",
@@ -104,7 +104,7 @@ class TestSummaries:
             assert needle in text
 
     def test_render_summary_of_empty_export(self):
-        text = render_summary(TraceRecorder().export())
+        text = render_summary(summarize(TraceRecorder().export()))
         assert "(no spans recorded)" in text
 
     def test_memory_sink_collects(self):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.decision import RandomizedDecider, estimate_guarantee  # noqa: E402
 from repro.core.languages import Configuration, DistributedLanguage  # noqa: E402
-from repro.engine.compiler import compile_decision  # noqa: E402
+from repro.engine.compiler import coin, compile_decision  # noqa: E402
 from repro.engine.executor import accept_vector, vote_matrix  # noqa: E402
 from repro.graphs.families import (  # noqa: E402
     cycle_network,
@@ -61,8 +61,8 @@ probability_tables = st.lists(
 
 def _decider_from(table, name="fuzzed-single-coin-decider"):
     """A single-coin decider whose per-node bias is a pure function of the
-    node's identity — the rule and its ``vote_probability`` are the same
-    table lookup, so the engine compilation is honest by construction."""
+    node's identity — the rule and its one-coin ``vote_program`` are the
+    same table lookup, so the engine compilation is honest by construction."""
 
     def p_of(ball) -> float:
         return table[ball.center_id() % len(table)]
@@ -72,7 +72,7 @@ def _decider_from(table, name="fuzzed-single-coin-decider"):
         radius=0,
         guarantee=0.51,
         name=name,
-        vote_probability=p_of,
+        vote_program=lambda ball: coin(p_of(ball)),
     )
 
 

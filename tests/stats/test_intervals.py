@@ -108,6 +108,22 @@ class TestHoeffding:
         )
 
 
+class TestCoverage:
+    @pytest.mark.parametrize("interval", [wilson_interval, hoeffding_interval])
+    def test_coverage_is_close_to_nominal(self, interval):
+        """Frequentist check of the interval implementations: 95% intervals
+        over repeated binomial samples cover the true rate about 95% of the
+        time (Hoeffding, being conservative, more often)."""
+        rng = np.random.default_rng(0)
+        p = 0.37
+        covered = 0
+        repetitions = 300
+        for _ in range(repetitions):
+            successes = int(rng.binomial(200, p))
+            covered += int(interval(successes, 200, 0.95).contains(p))
+        assert covered / repetitions > 0.9
+
+
 class TestTriState:
     def test_interval_settles_or_straddles(self):
         interval = ConfidenceInterval(0.40, 0.45, 0.95)
