@@ -109,6 +109,40 @@ class TestMalformedResults:
             _result_from({"rows": []})
 
 
+class TestWireCrossing:
+    def test_decoded_request_is_what_runs(self):
+        """A request that crossed the wire runs with its decoded parameters:
+        tuple-valued parameters arrive at the runner as lists."""
+        import json
+
+        from repro.api.backends import execute_payload
+        from repro.api.session import RunRequest
+        from repro.api.wire import decode_request, encode_request
+
+        seen = {}
+
+        def recording(sizes=(1, 2)):
+            seen["sizes"] = sizes
+            return _toy_result()
+
+        registry = ExperimentRegistry(
+            [
+                ExperimentSpec(
+                    id="TOY",
+                    title="toy",
+                    runner=recording,
+                    parameters=(ParameterSpec("sizes", "seq[int]", [1, 2]),),
+                    quick={},
+                )
+            ]
+        )
+        text = json.dumps(encode_request(RunRequest.create("TOY", {"sizes": (5, 6)})))
+        assert '"sizes": [5, 6]' in text
+        record = execute_payload(decode_request(json.loads(text)).to_payload(), registry)
+        assert seen["sizes"] == [5, 6]
+        assert ExperimentResult.from_dict(record).rows == [{"value": 1}]
+
+
 class TestProgressOrderingUnderCaching:
     def _session(self, tmp_path, registry, **kwargs):
         return Session(cache=tmp_path / "cache", registry=registry, **kwargs)

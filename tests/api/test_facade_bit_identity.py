@@ -8,9 +8,12 @@ seed's coins.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.api import Session
+from repro.api import ProcessPoolBackend, Session
+from repro.api.wire import decode_result, encode_result
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.registry import REGISTRY
 
@@ -49,6 +52,29 @@ def test_session_is_bit_identical_to_direct_call(experiment_id):
 
 def test_overrides_cover_every_registered_experiment():
     assert set(TOY_OVERRIDES) == set(REGISTRY)
+
+
+def test_wire_round_trip_preserves_bit_identity():
+    """The JSON wire crossing the service puts a result through must not
+    perturb a single float in the result rows."""
+    overrides = TOY_OVERRIDES["E5"]
+    direct = ALL_EXPERIMENTS["E5"](**overrides)
+    report = Session(cache=None).run("E5", **overrides)
+    text = json.dumps(encode_result(report.result), sort_keys=True)
+    crossed = decode_result(json.loads(text))
+    assert crossed.rows == direct.rows
+    assert crossed.matches_paper == direct.matches_paper
+
+
+def test_process_pool_backend_preserves_bit_identity():
+    """Results shipped back from worker processes equal the direct calls."""
+    session = Session(cache=None, backend=ProcessPoolBackend(max_workers=2))
+    requests = [session.request(name, **TOY_OVERRIDES[name]) for name in ("E5", "E1")]
+    reports = session.run_many(requests)
+    for name, report in zip(("E5", "E1"), reports):
+        direct = ALL_EXPERIMENTS[name](**TOY_OVERRIDES[name])
+        assert report.result.rows == direct.rows
+        assert report.result.matches_paper == direct.matches_paper
 
 
 class TestPrecisionDefaultsPreservePr4Identity:

@@ -212,6 +212,89 @@ class TestSweep:
         assert first.table.column("from_cache") == [False, False]
         assert second.table.column("from_cache") == [True, True]
 
+    def test_sweep_seeds_do_not_depend_on_the_grid_shape(self, registry):
+        session = Session(seed=7, cache=None, registry=registry)
+        wide = session.sweep("STUB", {"n": [1, 2, 3], "factor": [2, 5]})
+        narrow = session.sweep("STUB", {"n": [3], "factor": [5]})
+        seed_of = {
+            (kwargs["n"], kwargs["factor"]): kwargs["seed"]
+            for kwargs in (report.request.kwargs for report in wide.reports)
+        }
+        assert narrow.reports[0].request.kwargs["seed"] == seed_of[(3, 5)]
+        assert seed_of[(3, 5)] == point_seed(7, {"n": 3, "factor": 5})
+
+    def test_explicit_seed_parameter_wins(self, registry):
+        session = Session(seed=7, cache=None, registry=registry)
+        sweep = session.sweep("STUB", {"n": [1, 2], "seed": [5]})
+        assert [report.request.kwargs["seed"] for report in sweep.reports] == [5, 5]
+        assert [report.result.rows[0]["value"] for report in sweep.reports] == [7, 9]
+
+    def test_seeding_is_declared_not_introspected(self):
+        """A runner with a ``seed`` keyword whose spec does not declare the
+        seed contract is swept without one: the schema decides, not the
+        function signature."""
+        seen = []
+
+        def seedless_runner(n=1, seed=0):
+            seen.append(seed)
+            result = ExperimentResult("SEEDLESS", "t", "c", parameters={"n": n})
+            result.add_row(value=n)
+            result.matches_paper = True
+            return result
+
+        spec = ExperimentSpec(
+            id="SEEDLESS",
+            title="seedless",
+            runner=seedless_runner,
+            parameters=(ParameterSpec("n", "int", 1),),
+        )
+        session = Session(seed=7, cache=None, registry=ExperimentRegistry([spec]))
+        sweep = session.sweep("SEEDLESS", {"n": [1, 2]})
+        assert [report.request.kwargs for report in sweep.reports] == [{"n": 1}, {"n": 2}]
+        assert seen == [0, 0]
+
+    def test_key_collisions_raise(self):
+        """A sweep parameter named like a summary column would be shadowed
+        in the table row; the sweep refuses it instead."""
+
+        def shadowing_runner(trials_used=1):
+            result = ExperimentResult("SHADOW", "t", "c")
+            result.add_row(value=trials_used)
+            return result
+
+        spec = ExperimentSpec(
+            id="SHADOW",
+            title="shadow",
+            runner=shadowing_runner,
+            parameters=(ParameterSpec("trials_used", "int", 1),),
+        )
+        session = Session(cache=None, registry=ExperimentRegistry([spec]))
+        with pytest.raises(ValueError, match="colliding with sweep parameters: trials_used"):
+            session.sweep("SHADOW", {"trials_used": [1, 2]})
+
+    def test_serial_in_process_mode(self):
+        """The inline backend runs points in the calling process, in grid
+        order, so a runner may be a closure over local state."""
+        calls = []
+
+        def recording_runner(n=1, factor=1):
+            calls.append((n, factor))
+            result = ExperimentResult("LOCAL", "t", "c", parameters={"n": n})
+            result.add_row(value=n * factor)
+            result.matches_paper = True
+            return result
+
+        spec = ExperimentSpec(
+            id="LOCAL",
+            title="local",
+            runner=recording_runner,
+            parameters=(ParameterSpec("n", "int", 1), ParameterSpec("factor", "int", 1)),
+        )
+        session = Session(cache=None, registry=ExperimentRegistry([spec]))
+        sweep = session.sweep("LOCAL", {"n": [1, 2], "factor": [10, 20]})
+        assert calls == [(1, 10), (1, 20), (2, 10), (2, 20)]
+        assert [report.result.rows[0]["value"] for report in sweep.reports] == [10, 20, 20, 40]
+
     def test_sweep_grid_key_colliding_with_fixed_raises(self, registry):
         session = Session(cache=None, registry=registry)
         with pytest.raises(ValueError, match="colliding"):
@@ -310,3 +393,8 @@ class TestSessionConstruction:
         for name in ("carrier-pigeon", "batch"):
             with pytest.raises(ValueError, match="unknown backend"):
                 Session(cache=None, backend=name)
+
+    @pytest.mark.parametrize("parallel", [0, -1])
+    def test_worker_counts_below_one_rejected(self, parallel):
+        with pytest.raises(ValueError, match="positive worker count"):
+            Session(cache=None, parallel=parallel)

@@ -78,6 +78,14 @@ class TestRequestRoundTrip:
         assert encode_request(request.to_payload()) == encode_request(request)
 
     @given(request=_requests)
+    def test_same_request_is_byte_identical_after_a_crossing(self, request):
+        # Canonical JSON of a request survives a wire crossing byte for byte:
+        # the receiving side re-encodes exactly what the sender wrote.
+        text = json.dumps(encode_request(request), sort_keys=True)
+        received = decode_request(json.loads(text))
+        assert json.dumps(encode_request(received), sort_keys=True) == text
+
+    @given(request=_requests)
     def test_round_trip_preserves_the_cache_key_inputs(self, request):
         # Tuple-valued parameters normalize to lists and back: the kwargs the
         # runner (and the cache key) see are unchanged by a wire crossing.
@@ -122,6 +130,13 @@ class TestEnvelopeRejection:
         record["experiment_id"] = ""
         with pytest.raises(WireFormatError, match="experiment_id"):
             decode_request(record)
+
+    def test_request_with_ill_shaped_parameters_rejected(self):
+        record = encode_request(RunRequest.create("E1", {}))
+        for parameters in (None, [["n", 3]], "n=3"):
+            record["parameters"] = parameters
+            with pytest.raises(WireFormatError, match="parameters must be a mapping"):
+                decode_request(record)
 
     def test_result_with_ill_shaped_body_rejected(self):
         record = encode_result(ExperimentResult("E1", "t", "c"))

@@ -164,6 +164,13 @@ class TestRunBehaviour:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_process_pool_backend_matches_inline(self, tmp_path):
+        base = ["run", "E3", "E5", "--quick", "--seed", "2", "--no-cache"]
+        code_a, out_a = run_cli(base)
+        code_b, out_b = run_cli(base + ["--backend", "process-pool"])
+        assert code_a == code_b == 0
+        assert out_a == out_b
+
     def test_parallel_results_are_cached(self, tmp_path):
         argv = [
             "run", "E3", "E5", "--quick", "--parallel", "2",

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.decision import (
     AmosDecider,
+    DeterministicDecider,
     LocalCheckerDecider,
     RandomizedDecider,
     ResilientDecider,
@@ -14,7 +15,7 @@ from repro.core.decision import (
 )
 from repro.core.languages import SELECTED, Configuration
 from repro.core.lcl import ProperColoring
-from repro.engine.compiler import coin, compile_decision, is_compilable
+from repro.engine.compiler import Coin, coin, compile_decision, const, is_compilable
 from repro.graphs.families import cycle_network
 
 
@@ -65,6 +66,15 @@ class TestIsCompilable:
         off = decider.acceptance_probability(configuration, trials=50, seed=3, engine="off")
         assert auto == off
 
+    def test_vote_probability_keyword_is_rejected(self):
+        with pytest.raises(TypeError, match="vote_probability"):
+            RandomizedDecider(
+                lambda ball, tape: tape.bernoulli(0.9),
+                radius=0,
+                guarantee=0.9,
+                vote_probability=lambda ball: 0.9,
+            )
+
     def test_compile_rejects_non_compilable(self, proper_three_coloring):
         decider = RandomizedDecider(lambda ball, tape: True, radius=0, guarantee=0.9)
         with pytest.raises(TypeError):
@@ -105,6 +115,57 @@ class TestCompiledProbabilities:
         assert set(np.unique(compiled.probabilities)) <= {0.0, 1.0}
         assert len(compiled.random_index) == 0
         assert compiled.always_rejects
+
+    def test_deterministic_decider_compiles_to_constants(self):
+        configuration = amos_configuration(9, {0, 4})
+        decider = DeterministicDecider(lambda ball: ball.center_output() != SELECTED, radius=0)
+        for node in configuration.nodes():
+            ball = configuration.ball(node, 0)
+            assert decider.vote_program(ball) == const(decider.vote(ball))
+        compiled = compile_decision(decider, configuration)
+        assert len(compiled.random_index) == 0
+        assert compiled.max_draws == 0
+        assert compiled.always_rejects
+        assert decider.acceptance_probability(configuration, trials=20, seed=1) == 0.0
+
+    def test_single_coin_programs_follow_the_rule(self, broken_three_coloring):
+        """Amos and the resilient decider vote ``const(True)`` on the balls
+        their rule accepts outright and one coin of the rule's bias on the
+        rest."""
+        selected_cycle = amos_configuration(9, {0, 4})
+        amos = AmosDecider()
+        for node in selected_cycle.nodes():
+            ball = selected_cycle.ball(node, amos.radius)
+            if ball.center_output() == SELECTED:
+                assert amos.vote_program(ball) == Coin(golden_ratio_guarantee())
+            else:
+                assert amos.vote_program(ball) == const(True)
+        language = ProperColoring(3)
+        resilient = ResilientDecider(language, f=1)
+        bad = set(language.bad_nodes(broken_three_coloring))
+        assert bad
+        for node in broken_three_coloring.nodes():
+            ball = broken_three_coloring.ball(node, resilient.radius)
+            expected = Coin(resilient.p_bad_ball) if node in bad else const(True)
+            assert resilient.vote_program(ball) == expected
+
+    def test_toy_noisy_decider_is_one_coin_per_nonzero_output(self):
+        """E6's toy decider accepts a zero output surely and any other
+        output with probability 1 - p, so Pr[all accept] = (1 - p)^k."""
+        from repro.harness.experiments import _toy_noisy_decider
+
+        network = cycle_network(8)
+        nodes = network.nodes()
+        configuration = Configuration(
+            network, {node: (1 if index in (1, 5, 6) else 0) for index, node in enumerate(nodes)}
+        )
+        p = 0.8
+        decider = _toy_noisy_decider(p)
+        compiled = compile_decision(decider, configuration)
+        expected = [1.0 - p if configuration.outputs[node] else 1.0 for node in compiled.nodes]
+        assert np.allclose(compiled.probabilities, expected)
+        assert len(compiled.random_index) == 3
+        assert compiled.deterministic_accept_probability == pytest.approx((1.0 - p) ** 3)
 
     def test_invalid_probability_rejected(self, proper_three_coloring):
         decider = RandomizedDecider(

@@ -103,6 +103,24 @@ class TestSummaries:
         ):
             assert needle in text
 
+    def test_render_summary_prints_the_aggregated_figures(self):
+        """The table shows the summary's per-name totals, one row per span
+        name, not the raw export's individual spans."""
+        summary = {
+            "spans": {"engine.execute": {"count": 3, "wall_seconds": 1.5, "cpu_seconds": 0.25}},
+            "counters": {"engine.chunks": 7},
+            "histograms": {
+                "cache.lookup_seconds": {"count": 2, "mean": None, "min": 0.5, "max": 1}
+            },
+        }
+        rows = render_summary(summary).splitlines()
+        assert [row for row in rows if row.startswith("engine.execute")] == [
+            f"{'engine.execute':<36} {3:>7d} {1.5:>10.4f} {0.25:>10.4f}"
+        ]
+        assert f"{'engine.chunks':<36} {7:>7d}" in rows
+        histogram_row = next(row for row in rows if row.startswith("cache.lookup_seconds"))
+        assert histogram_row.split() == ["cache.lookup_seconds", "2", "-", "0.5", "1"]
+
     def test_render_summary_of_empty_export(self):
         text = render_summary(summarize(TraceRecorder().export()))
         assert "(no spans recorded)" in text

@@ -108,6 +108,21 @@ class TestHoeffding:
         )
 
 
+    def test_stays_inside_the_unit_interval(self):
+        assert hoeffding_interval(0, 5, 0.999).low == 0.0
+        assert hoeffding_interval(5, 5, 0.999).high == 1.0
+        interval = hoeffding_interval(1, 10, 0.95)
+        assert 0.0 <= interval.low <= 0.1 <= interval.high <= 1.0
+
+    def test_counts_validated(self):
+        with pytest.raises(ValueError):
+            hoeffding_interval(5, 0)
+        with pytest.raises(ValueError):
+            hoeffding_interval(6, 5)
+        with pytest.raises(ValueError):
+            hoeffding_interval(-1, 5)
+
+
 class TestCoverage:
     @pytest.mark.parametrize("interval", [wilson_interval, hoeffding_interval])
     def test_coverage_is_close_to_nominal(self, interval):

@@ -106,6 +106,17 @@ class TestSequentialEstimate:
         assert estimate.half_width <= 0.05
         assert estimate.ci_high == 1.0
 
+    def test_estimate_is_accurate(self):
+        rng = np.random.default_rng(2)
+        target = PrecisionTarget(half_width=0.02, min_trials=100, max_trials=20_000)
+        estimate = sequential_estimate(
+            target, lambda count: int(np.count_nonzero(rng.random(count) < 0.25))
+        )
+        assert estimate.half_width <= 0.02
+        assert estimate.trials < 20_000
+        assert estimate.estimate == pytest.approx(0.25, abs=0.05)
+        assert estimate.ci_low <= 0.25 <= estimate.ci_high
+
     def test_estimate_record_invariants(self):
         with pytest.raises(ValueError):
             ProbabilityEstimate(successes=2, trials=1, ci_low=0, ci_high=1, confidence=0.9)
