@@ -5,12 +5,11 @@ cycle for the paper's two randomized deciders, comparing
 
 * ``engine="off"``  — the reference pure-Python per-node voting loop,
 * ``engine="exact"`` — the engine reproducing the reference coins bit for
-  bit (the counter-based reference tapes, computed as one array operation),
-* ``engine="fast"`` — the fully vectorized Bernoulli-matrix sampler.
+  bit (the counter-based reference tapes, computed as one array operation).
 
 The acceptance criterion of the engine subsystem is a ≥ 10× speedup of the
-engine path over the legacy path on this workload; the vectorized path is
-typically two orders of magnitude faster.
+engine path over the legacy path on this workload; the engine is typically
+one to two orders of magnitude faster.
 
 Run standalone (``python benchmarks/bench_engine_throughput.py``) for the
 table, or under pytest for the assertions.
@@ -81,9 +80,8 @@ def measure_all():
             decider, configuration, "off", LEGACY_TRIALS
         )
         rows.append((label, "off", legacy_tps, 1.0, legacy_estimate))
-        for engine in ("exact", "fast"):
-            tps, estimate = _throughput(decider, configuration, engine, ENGINE_TRIALS)
-            rows.append((label, engine, tps, tps / legacy_tps, estimate))
+        tps, estimate = _throughput(decider, configuration, "exact", ENGINE_TRIALS)
+        rows.append((label, "exact", tps, tps / legacy_tps, estimate))
     return rows
 
 
@@ -94,18 +92,14 @@ def test_engine_throughput_at_least_10x(capsys):
         _print_table(rows)
     by_key = {(workload, engine): speedup for workload, engine, _tps, speedup, _est in rows}
     for workload in ("amos", "resilient"):
-        assert by_key[(workload, "fast")] >= REQUIRED_SPEEDUP, (
-            f"{workload}: vectorized engine speedup {by_key[(workload, 'fast')]:.1f}x "
-            f"below the required {REQUIRED_SPEEDUP}x"
-        )
         assert by_key[(workload, "exact")] >= REQUIRED_SPEEDUP, (
-            f"{workload}: exact-mode engine speedup {by_key[(workload, 'exact')]:.1f}x "
+            f"{workload}: engine speedup {by_key[(workload, 'exact')]:.1f}x "
             f"below the required {REQUIRED_SPEEDUP}x"
         )
 
 
 def test_engine_estimates_match_legacy_bit_for_bit():
-    """The exact engine mode must return the identical estimate (same coins);
+    """The engine must return the identical estimate (same coins);
     see tests/engine for the per-trial equivalence suite."""
     for decider, configuration in (_amos_workload(), _resilient_workload()):
         legacy = decider.acceptance_probability(

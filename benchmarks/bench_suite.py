@@ -5,8 +5,9 @@ Runs one timed workload per ``bench_*.py`` file (the registry below is
 checked against the directory, so a new bench file without a suite entry is
 an error), and emits ``BENCH.json`` with per-workload **median seconds** and
 the **speedup versus** ``engine="off"`` for every workload with an engine
-path.  This artifact is what CI tracks; ``benchmarks/baseline.json`` is the
-committed reference it is compared against.
+path (the engine pass runs the default ``engine="auto"``).  This artifact is
+what CI tracks; ``benchmarks/baseline.json`` is the committed reference it is
+compared against.
 
 Regression policy
 -----------------
@@ -231,7 +232,7 @@ WORKLOADS: List[Workload] = [
 ]
 
 #: The throughput microbenchmark is special-cased: it measures its own
-#: speedups (per decider and engine mode) and keeps its historical ≥10× bar.
+#: speedups (per decider) and keeps its historical ≥10× bar.
 THROUGHPUT_FILE = "bench_engine_throughput.py"
 THROUGHPUT_MIN_SPEEDUP = 10.0
 
@@ -307,7 +308,7 @@ def suite_metadata() -> Dict[str, object]:
         "repro": repro_version,
         "hostname": hostname,
         "platform": platform.platform(),
-        "engine_mode": "fast vs off (engine-comparable workloads)",
+        "engine_mode": "auto vs off (engine-comparable workloads)",
     }
 
 
@@ -315,7 +316,7 @@ def _workload_telemetry(workload: Workload) -> Dict[str, object]:
     """One extra *untimed* engine pass under a trace recorder, compacted.
 
     Runs outside the timed passes so the recorder never touches the gated
-    speedup ratios, and only for engine-comparable workloads (their fast
+    speedup ratios, and only for engine-comparable workloads (their engine
     pass is cheap).  The embedded record is the :func:`repro.obs.summarize`
     digest — per-span-name counts and wall/CPU totals plus the counters —
     not the full span tree, keeping BENCH.json reviewable.
@@ -329,9 +330,9 @@ def _workload_telemetry(workload: Workload) -> Dict[str, object]:
         session.sweep(workload.experiment, workload.sweep_grid, fuse="on", **overrides)
         engine_label = str(overrides.get("engine", "auto")) + " (fuse=on)"
     else:
-        overrides["engine"] = "fast"
+        overrides["engine"] = "auto"
         session.run(workload.experiment, **overrides)
-        engine_label = "fast"
+        engine_label = "auto"
     summary = summarize(recorder.export())
     return {
         "engine": engine_label,
@@ -447,7 +448,7 @@ def run_suite(
                 lambda w=workload: w.run("off"), repeats
             )
             median_seconds, result = _median_timed(
-                lambda w=workload: w.run("fast"), repeats
+                lambda w=workload: w.run("auto"), repeats
             )
             record["off_seconds"] = round(off_seconds, 4)
             record["median_seconds"] = round(median_seconds, 4)
@@ -481,7 +482,7 @@ def run_suite(
             if workload.sweep_grid is not None:
                 profiled: Callable[[], object] = lambda w=workload: w.run_sweep("on")
             else:
-                engine = "fast" if workload.engine_comparable else None
+                engine = "auto" if workload.engine_comparable else None
                 profiled = lambda w=workload, e=engine: w.run(e)  # noqa: E731
             _profile_workload(workload.name, profiled, profile_dir=profile_dir)
 

@@ -20,11 +20,8 @@ Run with:  python examples/derandomization_demo.py
 from repro.analysis import format_table
 from repro.core import (
     DerandomizationParameters,
-    PredicateLanguage,
     amplification_disjoint_union,
     amplification_glued,
-    mu_from_guarantee,
-    nu_disconnected,
 )
 from repro.core.construction import BallConstructor
 from repro.core.decision import RandomizedDecider

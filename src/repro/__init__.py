@@ -59,9 +59,10 @@ Fast path vs. reference path
 The per-node Python voting rules in :mod:`repro.core.decision` are the
 *reference path* — they define correctness.  The engine is the *fast path*:
 any decider exposing ``vote_program(ball)`` (its vote as a Bernoulli circuit
-over the node's tape) is compiled and executed in batch, with
-``engine="auto"`` reproducing the reference coin streams bit for bit and
-``engine="fast"`` trading bit-identity for fully vectorized sampling.  See the
+over the node's tape) is compiled and executed in batch, reproducing the
+reference coin streams bit for bit (``engine="auto"``, the default, falls
+back to the reference path for deciders that do not compile; ``"exact"``
+raises instead; ``"off"`` forces the reference path).  See the
 :mod:`repro.engine` docstring for the authoring guide, and DESIGN.md for the
 architecture notes.
 

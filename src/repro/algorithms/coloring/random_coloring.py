@@ -15,7 +15,7 @@ the benches.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Optional
 
 from repro.core.construction import BallConstructor
 from repro.engine.construct import UniformInt, uniform_int

@@ -20,7 +20,7 @@ algorithm constructs it in ``k − Δ − 1`` rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.construction import MessagePassingConstructor
 from repro.local.algorithm import LocalAlgorithm, NodeContext

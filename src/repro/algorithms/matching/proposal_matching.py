@@ -20,7 +20,7 @@ pointers through the message-passing simulator; the matching language of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.core.construction import MessagePassingConstructor
 from repro.local.algorithm import LocalAlgorithm, NodeContext

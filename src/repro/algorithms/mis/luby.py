@@ -18,8 +18,8 @@ adaptive-round algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.core.construction import MessagePassingConstructor
 from repro.local.algorithm import LocalAlgorithm, NodeContext

@@ -9,8 +9,6 @@ colors used.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
-
 from repro.core.languages import Configuration
 from repro.core.lcl import LCLLanguage
 

@@ -8,7 +8,7 @@ diff against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 __all__ = ["format_table", "format_series"]
 

@@ -45,6 +45,7 @@ from repro.harness.registry import (
     REGISTRY,
     ExperimentRegistry,
     ExperimentSpec,
+    _engine_parameter,
 )
 from repro.harness.results import ExperimentResult
 
@@ -183,8 +184,9 @@ class Session:
         contract (unless the request pins its own); ``None`` leaves the
         schema default in place.
     engine:
-        Engine selector (``auto``/``exact``/``fast``/``off``) injected into
-        every request whose spec declares the engine capability.
+        Engine selector (``auto``/``exact``/``off``) injected into
+        every request whose spec declares the engine capability; any other
+        value raises :class:`~repro.harness.registry.ParameterValueError`.
     precision:
         CI half-width target injected into every request whose spec declares
         the precision capability (adaptive sequential stopping; the spec's
@@ -232,6 +234,10 @@ class Session:
         confidence: Optional[float] = None,
         telemetry: Union[Recorder, bool, None] = None,
     ) -> None:
+        if engine is not None:
+            # The per-spec check, made up front: a spec without the engine
+            # capability never sees the value, so nothing else would reject it.
+            _engine_parameter().normalize(engine)
         self.seed = seed
         self.engine = engine
         self.precision = precision

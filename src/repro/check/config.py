@@ -8,8 +8,9 @@ files (other rules apply there unchanged); only the named rule is muted.
 
 Policy, in order of preference when a new finding appears:
 
-1. Fix the code (route randomness through ``derive_generator``, clock
-   through an allowlisted layer, register the signal in the taxonomy).
+1. Fix the code (route randomness through ``RandomTape`` /
+   ``counter_uniforms``, clock through an allowlisted layer, register the
+   signal in the taxonomy).
 2. If the violation is *the point* of the module — it is the sanctioned
    constructor, or the value measured — add an entry here with the reason.
 3. Never allowlist to silence a finding you do not understand.
@@ -24,10 +25,6 @@ __all__ = ["DEFAULT_ALLOWLIST", "is_allowlisted"]
 #: ``{rule id: {path or directory/: rationale}}``.
 DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
     "DET001": {
-        "local/randomness.py": (
-            "the tape layer itself: derive_generator is the sanctioned RNG "
-            "constructor every generator-backed execution path must go through"
-        ),
         "graphs/random_graphs.py": (
             "input-instance sampling, intentionally outside the tape "
             "convention; all three families construct their generator via "

@@ -6,9 +6,9 @@ Rule catalog (see DESIGN.md "Static analysis" for the prose version):
     No RNG construction (``np.random.default_rng``, ``np.random.RandomState``,
     stdlib ``random.*``) outside the sanctioned modules.  All execution
     randomness must flow through the tape layer
-    (:func:`repro.local.randomness.derive_generator` /
-    :class:`~repro.local.randomness.RandomTape`), which is what makes runs
-    replayable from ``(seed, salt, trial, identity)`` alone.
+    (:class:`~repro.local.randomness.RandomTape` /
+    :func:`~repro.local.randomness.counter_uniforms`), which is what makes
+    runs replayable from ``(seed, salt, trial, identity)`` alone.
 ``DET002``
     No wall-clock reads (``time.time()``, ``datetime.now/utcnow/today``)
     outside the operational layers.  Wall-clock in compute code is hidden
@@ -120,7 +120,7 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 f"constructs an RNG via {dotted}(); execution randomness "
                 "must flow through repro.local.randomness "
-                "(derive_generator / RandomTape)",
+                "(RandomTape / counter_uniforms)",
             )
         elif parts[0] == "random" and len(parts) > 1:
             self._report(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional
 
 from repro.core.decision import DecisionOutcome
 from repro.core.languages import Configuration

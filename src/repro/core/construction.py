@@ -216,9 +216,7 @@ def estimate_success_probability(
     Compilable constructors (those exposing ``output_program(ball)``)
     dispatch their trials to :mod:`repro.engine.construct`:
     ``engine="auto"``/``"exact"`` compute the same tape streams as one array
-    operation (bit-identical), ``engine="fast"`` draws from per-node
-    generators (distributionally equivalent), ``engine="off"`` forces the
-    reference loop.
+    operation (bit-identical), ``engine="off"`` forces the reference loop.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each instance's trials sequentially until the CI
@@ -243,7 +241,6 @@ def estimate_success_probability(
                         target,
                         seed=seed,
                         salt=f"{constructor.name}/{index}",
-                        mode=mode,
                     )
                 except ConstructionCompilationError:
                     if engine != "auto":
@@ -265,7 +262,6 @@ def estimate_success_probability(
                     runs,
                     seed=seed,
                     salt=f"{constructor.name}/{index}",
-                    mode=mode,
                 )
             except ConstructionCompilationError:
                 # ``auto`` stays a safe default: a construction beyond the

@@ -44,11 +44,10 @@ Monte-Carlo entry points (:meth:`Decider.acceptance_probability`,
 :func:`estimate_guarantee`) take an ``engine=`` parameter and dispatch to
 the batched :mod:`repro.engine` subsystem whenever the decider exposes a
 compilable vote, ``vote_program(ball)``; all concrete deciders above do.
-The default ``engine="auto"`` runs the engine's *exact* mode, which
-reproduces the per-node tape streams of the reference loop bit for bit;
-``engine="fast"`` uses the fully vectorized chunked sampler
-(distributionally equivalent), and ``engine="off"`` forces the reference
-loop.
+The engine reproduces the per-node tape streams of the reference loop bit
+for bit.  The default ``engine="auto"`` runs it whenever the decider
+compiles, ``engine="exact"`` raises instead of falling back when it does
+not, and ``engine="off"`` forces the reference loop.
 """
 
 from __future__ import annotations
@@ -312,10 +311,9 @@ class Decider(ABC):
             ).estimate
         if not self.randomized:
             return 1.0 if self.decide(configuration).accepted else 0.0
-        mode = resolve_engine(engine, self)
-        if mode != "off":
+        if resolve_engine(engine, self) != "off":
             try:
-                return engine_acceptance_probability(self, configuration, trials, seed, mode)
+                return engine_acceptance_probability(self, configuration, trials, seed)
             except ProgramCompilationError:
                 # ``auto`` stays a safe default: a vote program the IR cannot
                 # express falls back to the reference loop, while an explicit
@@ -368,10 +366,9 @@ class Decider(ABC):
                 ci_high=interval.high,
                 confidence=confidence,
             )
-        mode = resolve_engine(engine, self)
-        if mode != "off":
+        if resolve_engine(engine, self) != "off":
             try:
-                return engine_adaptive_acceptance(self, configuration, target, seed, mode)
+                return engine_adaptive_acceptance(self, configuration, target, seed)
             except ProgramCompilationError:
                 if engine != "auto":
                     raise
@@ -752,7 +749,7 @@ def estimate_guarantee(
             if mode != "off":
                 try:
                     adaptive = engine_adaptive_success(
-                        decider, configuration, member, target, seed, index, mode
+                        decider, configuration, member, target, seed, index
                     )
                 except ProgramCompilationError:
                     if engine != "auto":
@@ -773,7 +770,7 @@ def estimate_guarantee(
         if mode != "off":
             try:
                 successes = engine_success_counts(
-                    decider, configuration, member, runs, seed, index, mode
+                    decider, configuration, member, runs, seed, index
                 )
             except ProgramCompilationError:
                 if engine != "auto":

@@ -261,7 +261,6 @@ def find_hard_instances(
                     runs,
                     seed=seed,
                     salt=f"hard/{index}",
-                    mode=construction_mode,
                 )
             except ConstructionCompilationError:
                 if engine != "auto":
@@ -287,7 +286,8 @@ def find_hard_instances(
 # Far-acceptance probabilities and anchors (Claims 4 and 5)
 # --------------------------------------------------------------------------- #
 def _construction_mode(engine: str, constructor: Constructor) -> str:
-    """The constructor-side engine mode of a derandomization loop.
+    """The constructor-side path of a derandomization loop: ``"exact"``
+    (the construction engine) or ``"off"`` (the reference loop).
 
     Unlike :func:`repro.engine.construct.resolve_construction_engine`, a
     non-compilable constructor never raises here: these loops also carry a
@@ -300,9 +300,7 @@ def _construction_mode(engine: str, constructor: Constructor) -> str:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
     if engine == "off" or not getattr(constructor, "randomized", False):
         return "off"
-    if not is_construction_compilable(constructor):
-        return "off"
-    return "exact" if engine == "auto" else engine
+    return "exact" if is_construction_compilable(constructor) else "off"
 
 
 def _decide_outcome(
@@ -397,7 +395,6 @@ def far_acceptance_probability(
                 seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
-                mode=construction_mode,
             )
         except ConstructionCompilationError:
             if engine != "auto":
@@ -454,7 +451,6 @@ def far_acceptance_estimate(
                 seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
-                mode=construction_mode,
             )
         except ConstructionCompilationError:
             if engine != "auto":
@@ -528,7 +524,6 @@ def choose_anchor(
                 seed=seed,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
-                mode=construction_mode,
             )
         except ConstructionCompilationError:
             if engine != "auto":
@@ -617,7 +612,6 @@ def _estimate_acceptance_and_membership(
                 seed=seed,
                 construct_salt="amp/construct",
                 decide_salt="amp/decide",
-                mode=construction_mode,
             )
         except ConstructionCompilationError:
             if engine != "auto":

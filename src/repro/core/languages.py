@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 from repro.local.ball import BallView, collect_ball
 from repro.local.network import Network

@@ -26,13 +26,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.local.algorithm import BallAlgorithm
 from repro.local.ball import BallView
 from repro.local.identifiers import order_preserving_relabel
 from repro.local.network import Network
-from repro.local.randomness import RandomTape, TapeFactory
+from repro.local.randomness import RandomTape
 from repro.local.simulator import run_ball_algorithm
 
 __all__ = [

@@ -21,8 +21,6 @@ apply to them unchanged.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.languages import Configuration, DistributedLanguage
 from repro.core.lcl import LCLLanguage
 

@@ -14,9 +14,8 @@ Layers
   :class:`CompiledDecision`: the one-off flattening, and the
   ``vote_program`` contract a decider must expose to be compilable;
 * :mod:`repro.engine.executor` — the trials×nodes Bernoulli-matrix
-  evaluation, in ``exact`` (the reference counter-based tape streams,
-  computed as one array operation) and ``fast`` (per-node generators)
-  modes;
+  evaluation: the reference counter-based tape streams, computed as one
+  array operation;
 * :mod:`repro.engine.adapters` — drop-in counterparts of the legacy entry
   points, used by the ``engine=`` dispatch in :mod:`repro.core.decision`
   and :mod:`repro.core.derandomization`;
@@ -44,15 +43,14 @@ private tape built from the :mod:`repro.engine.compiler` combinators
 ``majority``).  The contract is that interpreting the program against a
 fresh tape (:func:`~repro.engine.compiler.evaluate_vote_expr`) behaves
 exactly like ``vote(ball, tape)`` — same result, same draws consumed —
-which is what keeps the exact mode bit-identical to the reference loop.
+which is what keeps the engine bit-identical to the reference loop.
 A single-coin decider returns ``coin(p)`` (``const`` for a vote that
 ignores the tape).  Deciders whose coin usage exceeds the IR (more than
 :data:`~repro.engine.compiler.MAX_PROGRAM_DRAWS` sequential draws) must
 stay on the reference path; ``engine="auto"`` falls back automatically for
-deciders without a ``vote_program``, while ``engine="fast"``/``"exact"``
-raise rather than misreport.  An equivalence test in ``tests/engine``
-asserts that both engine modes agree with the reference loop — exactly for
-``exact`` mode, distributionally for ``fast`` mode.
+deciders without a ``vote_program``, while ``engine="exact"`` raises rather
+than misreport.  An equivalence test in ``tests/engine`` asserts that the
+engine agrees with the reference loop bit for bit.
 """
 
 from repro.engine.adapters import (

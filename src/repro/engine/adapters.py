@@ -6,13 +6,14 @@ These helpers are what :mod:`repro.core.decision` and
 ``(seed, salt)`` stream the reference function it replaces draws from —
 trial ``t`` of node ``v`` reads the tape with key
 ``(seed, salt, t, identity(v))``, whose draw ``k`` is the counter-based
-``U(key, k)`` of :mod:`repro.local.randomness` — so callers choose between
+``U(key, k)`` of :mod:`repro.local.randomness` — so the engine returns
+bit-for-bit the accept/reject stream of the reference loop, computed as one
+``trials × coin-nodes × draws`` array operation.  Callers choose between
 
-* ``engine="auto"`` — compile and run in **exact** mode: bit-for-bit the
-  same accept/reject stream as the reference loop, computed as one
-  ``trials × coin-nodes × draws`` array operation (the default everywhere);
-* ``engine="fast"`` — compile and run the per-node-generator sampler:
-  distributionally equivalent, a different stream;
+* ``engine="auto"`` — run the engine when the decider compiles, the
+  reference loop otherwise (the default everywhere);
+* ``engine="exact"`` — run the engine, and raise when the decider does not
+  compile;
 * ``engine="off"`` — never used here; callers fall back to the reference
   loop themselves.
 
@@ -52,15 +53,15 @@ __all__ = [
 ]
 
 #: Accepted values of the ``engine=`` parameter threaded through the stack.
-ENGINE_CHOICES = ("auto", "fast", "exact", "off")
+ENGINE_CHOICES = ("auto", "exact", "off")
 
 
 def resolve_engine(engine: str, decider: object) -> str:
     """Map an ``engine=`` parameter value to an execution path.
 
-    Returns ``"off"`` (reference path), ``"exact"`` or ``"fast"``.  ``auto``
-    selects exact mode when the decider is compilable, otherwise the
-    reference path; explicitly requesting ``fast``/``exact`` on a
+    Returns ``"off"`` (reference path) or ``"exact"`` (the engine).
+    ``auto`` selects the engine when the decider is compilable, otherwise
+    the reference path; explicitly requesting ``exact`` on a
     non-compilable decider raises, because silently falling back would
     misreport what was measured.
     """
@@ -76,7 +77,7 @@ def resolve_engine(engine: str, decider: object) -> str:
             f"engine={engine!r} requested but decider "
             f"{getattr(decider, 'name', decider)!r} is not compilable"
         )
-    return engine
+    return "exact"
 
 
 def engine_acceptance_probability(
@@ -84,16 +85,14 @@ def engine_acceptance_probability(
     configuration: "Configuration",
     trials: int,
     seed: int,
-    mode: str,
 ) -> float:
     """Engine counterpart of :meth:`Decider.acceptance_probability`.
 
-    Exact mode draws trial ``t`` from ``TapeFactory(seed, decider.name,
-    trial=t)``, like the reference loop, and therefore returns the identical
-    estimate.
+    Draws trial ``t`` from ``TapeFactory(seed, decider.name, trial=t)``,
+    like the reference loop, and therefore returns the identical estimate.
     """
     compiled = compile_decision(decider, configuration)
-    return acceptance_probability(compiled, trials, seed=seed, mode=mode, salt=decider.name)
+    return acceptance_probability(compiled, trials, seed=seed, salt=decider.name)
 
 
 def engine_adaptive_acceptance(
@@ -101,7 +100,6 @@ def engine_adaptive_acceptance(
     configuration: "Configuration",
     target: PrecisionTarget,
     seed: int,
-    mode: str,
 ) -> ProbabilityEstimate:
     """Adaptive counterpart of :func:`engine_acceptance_probability`.
 
@@ -110,7 +108,7 @@ def engine_adaptive_acceptance(
     estimate, because the streams are chunk-invariant.
     """
     compiled = compile_decision(decider, configuration)
-    return adaptive_acceptance(compiled, target, seed=seed, mode=mode, salt=decider.name)
+    return adaptive_acceptance(compiled, target, seed=seed, salt=decider.name)
 
 
 def engine_adaptive_success(
@@ -120,7 +118,6 @@ def engine_adaptive_success(
     target: PrecisionTarget,
     seed: int,
     index: int,
-    mode: str,
 ) -> ProbabilityEstimate:
     """Adaptive counterpart of :func:`engine_success_counts` (success =
     accepted on members, rejected on non-members), on the same stream
@@ -132,7 +129,7 @@ def engine_adaptive_success(
         return ProbabilityEstimate.exact(
             constant if member else not constant, confidence=target.confidence
         )
-    stream = AcceptStream(compiled, seed=seed, mode=mode, salt=f"{decider.name}/{index}")
+    stream = AcceptStream(compiled, seed=seed, salt=f"{decider.name}/{index}")
 
     def draw(count: int) -> int:
         accepted = int(np.count_nonzero(stream.sample(count)))
@@ -148,19 +145,16 @@ def engine_success_counts(
     trials: int,
     seed: int,
     index: int,
-    mode: str,
 ) -> int:
     """Engine counterpart of one configuration's inner loop in
     :func:`repro.core.decision.estimate_guarantee`.
 
-    Success means "accepted" on members and "rejected" on non-members; exact
-    mode draws trial ``t`` from ``TapeFactory(seed, f"{decider.name}/{index}",
+    Success means "accepted" on members and "rejected" on non-members; trial
+    ``t`` draws from ``TapeFactory(seed, f"{decider.name}/{index}",
     trial=t)``, like the reference loop.
     """
     compiled = compile_decision(decider, configuration)
-    accepted = accept_vector(
-        compiled, trials, seed=seed, mode=mode, salt=f"{decider.name}/{index}"
-    )
+    accepted = accept_vector(compiled, trials, seed=seed, salt=f"{decider.name}/{index}")
     successes = accepted if member else ~accepted
     return int(np.count_nonzero(successes))
 

@@ -19,11 +19,9 @@ that per-trial Python out:
 * :func:`compile_construction` walks the network **once**, extracts each
   node's ball, interns the finite output alphabet, and freezes the per-node
   programs into NumPy form; :func:`construction_matrix` then produces the
-  ``trials × nodes`` matrix of output codes in one pass — **exact** mode
-  computing the reference streams ``TapeFactory(seed, salt, trial=t)`` as
-  counter-based uniform blocks (see below), **fast** mode drawing from
-  per-node generators (chunk-invariant, working set bounded by
-  ``max_bytes`` exactly like the decision executor).
+  ``trials × nodes`` matrix of output codes in one pass, computing the
+  reference streams ``TapeFactory(seed, salt, trial=t)`` as counter-based
+  uniform blocks (see below).
 * :func:`compile_membership` lowers language membership to array form over
   the code matrix: radius-0 LCL predicates become per-``(node, value)``
   bad-ball tables, proper coloring becomes CSR-style padded neighbour
@@ -42,7 +40,7 @@ Trial ``t`` of an estimate at ``(seed, salt)`` draws node ``v``'s coins from
 the tape with key ``(seed, salt, t, identity(v))`` — the reference loops
 build ``TapeFactory(seed, salt, trial=t)`` — and draw ``k`` of that tape is
 the counter-based ``U(key, k)`` of :mod:`repro.local.randomness`.  Every
-output program consumes draw 0 only, so exact mode computes the
+output program consumes draw 0 only, so the engine computes the
 ``trials × coin-nodes`` block of ``U(key, 0)`` values with
 :func:`~repro.local.randomness.counter_uniforms` and maps it to codes with
 the tape methods' own arithmetic (``randint`` is ``lo + ⌊u·n⌋``,
@@ -78,7 +76,7 @@ from repro.engine.compiler import (
 from repro.engine.executor import EXACT_BLOCK_BYTES, _resolve_max_bytes
 from repro.errors import ReproError
 from repro.local.ball import collect_ball
-from repro.local.randomness import counter_uniforms, derive_generator, derive_seed, node_keys
+from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 from repro.obs import get_recorder
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
@@ -258,12 +256,12 @@ def is_construction_compilable(constructor: object) -> bool:
 def resolve_construction_engine(engine: str, constructor: object) -> str:
     """The constructor-side counterpart of
     :func:`repro.engine.adapters.resolve_engine`: maps an ``engine=`` value
-    to ``"off"``, ``"exact"`` or ``"fast"``.  ``auto`` selects exact mode
-    when the constructor is compilable and degrades to the reference path
-    otherwise; explicitly requesting ``fast``/``exact`` on a non-compilable
-    randomized constructor raises, because silently falling back would
-    misreport what was measured.  Deterministic constructors have no coins
-    to batch, so any (valid) engine value resolves to the reference path."""
+    to ``"off"`` or ``"exact"``.  ``auto`` selects the engine when the
+    constructor is compilable and degrades to the reference path otherwise;
+    explicitly requesting ``exact`` on a non-compilable randomized
+    constructor raises, because silently falling back would misreport what
+    was measured.  Deterministic constructors have no coins to batch, so any
+    (valid) engine value resolves to the reference path."""
     from repro.engine.adapters import ENGINE_CHOICES
 
     if engine not in ENGINE_CHOICES:
@@ -279,7 +277,7 @@ def resolve_construction_engine(engine: str, constructor: object) -> str:
             f"{getattr(constructor, 'name', constructor)!r} exposes no "
             "output_program(ball) and cannot be compiled"
         )
-    return engine
+    return "exact"
 
 
 @dataclass(frozen=True)
@@ -305,15 +303,6 @@ class OutputProgram:
     @cached_property
     def _code_array(self) -> np.ndarray:
         return np.asarray(self.codes, dtype=np.int32)
-
-    def sample_fast(self, generator: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` vectorized draws from a dedicated fast-mode generator."""
-        if self.kind == "randint":
-            draws = generator.integers(self.low, self.high + 1, size=size)
-            return self._code_array[draws - self.low]
-        if self.kind == "bernoulli":
-            return self._code_array[(generator.random(size) < self.q).astype(np.intp)]
-        raise ValueError(f"constant programs are not sampled (kind={self.kind!r})")
 
     def codes_of(self, uniforms: np.ndarray) -> np.ndarray:
         """The output codes when each node's tape draw 0 is ``uniforms`` —
@@ -509,18 +498,14 @@ def construction_matrix(
     compiled: CompiledConstruction,
     trials: int,
     seed: int = 0,
-    mode: str = "fast",
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """The ``trials × nodes`` matrix of output codes.
 
-    ``exact`` mode: row ``t`` is bit-for-bit the outputs of the reference
+    Row ``t`` is bit-for-bit the outputs of the reference
     ``constructor.configuration(network, TapeFactory(seed, salt, trial=t))``
-    (see the module docstring).  ``fast`` mode: per-node generators derived
-    from ``(seed, salt, node identity)``, fully vectorized; chunk-invariant
-    in both ``trials`` and ``max_bytes`` because each node's generator is
-    consumed sequentially.
+    (see the module docstring), for any ``max_bytes``.
 
     This is the one-shot form of :class:`ConstructionStream` (a single
     ``sample(trials)`` on a fresh stream), so the fixed-trial and adaptive
@@ -528,9 +513,7 @@ def construction_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    return ConstructionStream(
-        compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
-    ).sample(trials)
+    return ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes).sample(trials)
 
 
 # --------------------------------------------------------------------------- #
@@ -680,67 +663,6 @@ class FusedDecision:
     decider_name: str
     compiled: CompiledConstruction
 
-    def fast_vote_stream(
-        self, seed: int, salt: object, max_bytes: Optional[int] = None
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """A resumable fast-mode vote sampler over per-node generators.
-
-        The returned callable maps a ``(count, nodes)`` code chunk to its
-        vote chunk; generators persist across calls, so concatenating the
-        votes of successive chunks is bit-identical to one
-        :meth:`vote_matrix_fast` call on the concatenated codes (the
-        chunk-invariance the adaptive estimators rely on).  One uniform per
-        (trial, node) is drawn regardless of the realized value's constancy
-        — ``u < 1.0`` always holds and ``u < 0.0`` never does, so constants
-        come out right and the stream stays independent of the sampled
-        outputs.
-        """
-        max_bytes = _resolve_max_bytes(max_bytes)
-        n = self.compiled.n_nodes
-        rows = np.arange(n)
-        generators = [
-            derive_generator(
-                int(seed),
-                "construct-fast-decide",
-                salt,
-                self.decider_name,
-                int(self.compiled.identities[position]),
-            )
-            for position in range(n)
-        ]
-
-        def sample(codes: np.ndarray) -> np.ndarray:
-            trials = codes.shape[0]
-            votes = np.empty((trials, n), dtype=bool)
-            trial_block = max(1, max_bytes // (8 * max(n, 1)))
-            for start in range(0, trials, trial_block):
-                stop = min(trials, start + trial_block)
-                uniforms = np.empty((stop - start, n), dtype=np.float64)
-                for position, generator in enumerate(generators):
-                    uniforms[:, position] = generator.random(stop - start)
-                chunk = codes[start:stop]
-                thresholds = self.thresholds[rows[None, :], chunk]
-                takes_true = uniforms < thresholds
-                votes[start:stop] = np.where(
-                    takes_true,
-                    self.on_true[rows[None, :], chunk],
-                    self.on_false[rows[None, :], chunk],
-                )
-            return votes
-
-        return sample
-
-    def vote_matrix_fast(
-        self,
-        codes: np.ndarray,
-        seed: int,
-        salt: object,
-        max_bytes: Optional[int] = None,
-    ) -> np.ndarray:
-        """The ``trials × nodes`` vote matrix from per-node fast generators
-        (one-shot form of :meth:`fast_vote_stream`)."""
-        return self.fast_vote_stream(seed, salt, max_bytes=max_bytes)(codes)
-
     def vote_row_exact(
         self, code_row: np.ndarray, master_seed: int, salt: object, trial: int = 0
     ) -> np.ndarray:
@@ -769,6 +691,27 @@ class FusedDecision:
                 takes_true, self.on_true[rows, values], self.on_false[rows, values]
             )
         return votes if codes.ndim == 2 else votes[0]
+
+    def fast_vote_stream(
+        self, seed: int, salt: object
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The resumable form of :meth:`vote_row_exact`.
+
+        The returned callable maps the ``(count, nodes)`` code block of the
+        next ``count`` trials to their votes, so successive calls over any
+        chunking of a code matrix equal one :meth:`vote_row_exact` call on
+        the whole matrix.  The votes are exact; the name stays only because
+        the benchmark's instrumentation wraps this method by name.
+        """
+        offset = 0
+
+        def sample(codes: np.ndarray) -> np.ndarray:
+            nonlocal offset
+            votes = self.vote_row_exact(codes, seed, salt, trial=offset)
+            offset += len(codes)
+            return votes
+
+        return sample
 
 
 def compile_fused_decision(
@@ -834,7 +777,6 @@ def _shared_codes(
     trials: int,
     seed: int,
     salt: object,
-    mode: str,
     max_bytes: Optional[int],
 ) -> np.ndarray:
     """The trial matrix of one batched estimator call: served from the
@@ -842,12 +784,10 @@ def _shared_codes(
     context's exactness contract), one-shot otherwise."""
     context = _active_fusion()
     if context is not None:
-        codes = context.codes_for(compiled, trials, seed, salt, mode)
+        codes = context.codes_for(compiled, trials, seed, salt)
         if codes is not None:
             return codes
-    return construction_matrix(
-        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
-    )
+    return construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
 
 
 def batched_success_counts(
@@ -857,26 +797,23 @@ def batched_success_counts(
     trials: int,
     seed: int,
     salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> int:
     """Engine counterpart of one instance's inner loop in
     :func:`repro.core.construction.estimate_success_probability` (and, with
     the complement, :func:`repro.core.derandomization.find_hard_instances`).
 
-    Exact mode computes the ``TapeFactory(seed, salt, trial=t)`` streams bit
-    for bit.  Returns the number of trials whose constructed configuration
-    belongs to the language.
+    Computes the ``TapeFactory(seed, salt, trial=t)`` streams bit for bit.
+    Returns the number of trials whose constructed configuration belongs to
+    the language.
     """
     compiled = compile_construction(constructor, network)
     context = _active_fusion()
     if context is not None:
-        members = context.member_vector_for(compiled, language, trials, seed, salt, mode)
+        members = context.member_vector_for(compiled, language, trials, seed, salt)
         if members is not None:
             return int(np.count_nonzero(members))
-    codes = construction_matrix(
-        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
-    )
+    codes = construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
     return int(np.count_nonzero(_member_vector(language, compiled, codes)))
 
 
@@ -887,29 +824,26 @@ def batched_bad_counts(
     trials: int,
     seed: int,
     salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> Optional[np.ndarray]:
     """Per-trial bad-ball counts of ``language`` over freshly constructed
     configurations — the engine counterpart of a ``fraction_bad`` probe loop
     (count ``t`` divided by the node count is trial ``t``'s bad fraction).
 
-    Exact mode computes the ``TapeFactory(seed, salt, trial=t)`` streams bit
-    for bit.  Returns ``None`` when the language's membership cannot be
-    lowered (callers keep their reference loop).  Inside a fused sweep group
-    the matrix and the counts are served from the shared context."""
+    Computes the ``TapeFactory(seed, salt, trial=t)`` streams bit for bit.
+    Returns ``None`` when the language's membership cannot be lowered
+    (callers keep their reference loop).  Inside a fused sweep group the
+    matrix and the counts are served from the shared context."""
     compiled = compile_construction(constructor, network)
     context = _active_fusion()
     if context is not None:
-        counts = context.bad_counts_for(compiled, language, trials, seed, salt, mode)
+        counts = context.bad_counts_for(compiled, language, trials, seed, salt)
         if counts is not None:
             return counts
     membership = compile_membership(language, compiled, max_bytes)
     if membership is None:
         return None
-    codes = construction_matrix(
-        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
-    )
+    codes = construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
     return membership.bad_counts(codes)
 
 
@@ -945,15 +879,14 @@ def batched_acceptance_and_membership(
     seed: int,
     construct_salt: object,
     decide_salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> Optional[Tuple[float, float]]:
     """Fused engine counterpart of the amplification estimator
     :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
 
     Returns ``(acceptance, membership)`` or ``None`` when decider fusion is
-    unavailable (the caller then keeps the per-trial decision loop).  Exact
-    mode computes the reference streams ``TapeFactory(seed,
+    unavailable (the caller then keeps the per-trial decision loop).
+    Computes the reference streams ``TapeFactory(seed,
     construct_salt/decide_salt, trial=t)`` bit for bit.
     """
     compiled = compile_construction(constructor, network)
@@ -963,17 +896,11 @@ def batched_acceptance_and_membership(
     context = _active_fusion()
     members = None
     if context is not None:
-        members = context.member_vector_for(
-            compiled, language, trials, seed, construct_salt, mode
-        )
-    codes = _shared_codes(compiled, trials, seed, construct_salt, mode, max_bytes)
+        members = context.member_vector_for(compiled, language, trials, seed, construct_salt)
+    codes = _shared_codes(compiled, trials, seed, construct_salt, max_bytes)
     if members is None:
         members = _member_vector(language, compiled, codes)
-    if mode == "exact":
-        votes = fused.vote_row_exact(codes, seed, decide_salt)
-    else:
-        votes = fused.vote_matrix_fast(codes, seed, decide_salt, max_bytes=max_bytes)
-    accepted = votes.all(axis=1)
+    accepted = fused.vote_row_exact(codes, seed, decide_salt).all(axis=1)
     return (
         float(np.count_nonzero(accepted)) / trials,
         float(np.count_nonzero(members)) / trials,
@@ -986,9 +913,8 @@ class ConstructionStream:
     ``sample(count)`` returns the ``(count, nodes)`` code matrix of the
     **next** ``count`` trials; the concatenation of successive samples is
     bit-identical to one :func:`construction_matrix` call with the total
-    trial count (exact mode computes each trial from its own counter-based
-    keys; fast mode holds every node's generator open across batches).
-    This is the construction-side counterpart of
+    trial count, because each trial is computed from its own counter-based
+    keys.  This is the construction-side counterpart of
     :class:`repro.engine.executor.AcceptStream`.
     """
 
@@ -996,30 +922,13 @@ class ConstructionStream:
         self,
         compiled: CompiledConstruction,
         seed: int = 0,
-        mode: str = "fast",
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
-        if mode not in ("fast", "exact"):
-            raise ValueError(f"unknown engine mode {mode!r}; expected 'fast' or 'exact'")
         self.compiled = compiled
-        self.mode = mode
-        self._salt = compiled.constructor_name if salt is None else salt
-        self._base = derive_seed(seed, self._salt)
+        self._base = derive_seed(seed, compiled.constructor_name if salt is None else salt)
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
-        self._generators: List[np.random.Generator] = []
-        if mode == "fast":
-            self._generators = [
-                derive_generator(
-                    int(seed),
-                    "construct-fast",
-                    self._salt,
-                    compiled.constructor_name,
-                    int(compiled.identities[position]),
-                )
-                for position in compiled.random_index
-            ]
 
     @property
     def trials_sampled(self) -> int:
@@ -1038,38 +947,27 @@ class ConstructionStream:
         recorder = get_recorder()
         with recorder.span(
             "engine.construct",
-            mode=self.mode,
             trials=count,
             offset=start,
             nodes=compiled.n_nodes,
             random_nodes=len(random_positions),
         ):
-            if self.mode == "exact":
-                identities = compiled.identities[random_positions]
-                program_ids = compiled.program_ids[random_positions]
-                groups = [
-                    (compiled.programs[int(program_id)], np.flatnonzero(program_ids == program_id))
-                    for program_id in np.unique(program_ids)
-                ]
-                budget = min(self._max_bytes, EXACT_BLOCK_BYTES) // 8
-                rows = max(1, budget // len(random_positions))
-                for lo in range(0, count, rows):
-                    hi = min(count, lo + rows)
-                    recorder.counter("engine.chunks")
-                    keys = node_keys(self._base, np.arange(start + lo, start + hi), identities)
-                    uniforms = counter_uniforms(keys, 1)[..., 0]
-                    for program, columns in groups:
-                        codes[lo:hi, random_positions[columns]] = program.codes_of(
-                            uniforms[:, columns]
-                        )
-                return codes
-            trial_block = max(1, self._max_bytes // (8 * max(len(random_positions), 1)))
-            for lo in range(0, count, trial_block):
-                hi = min(count, lo + trial_block)
+            identities = compiled.identities[random_positions]
+            program_ids = compiled.program_ids[random_positions]
+            groups = [
+                (compiled.programs[int(program_id)], np.flatnonzero(program_ids == program_id))
+                for program_id in np.unique(program_ids)
+            ]
+            budget = min(self._max_bytes, EXACT_BLOCK_BYTES) // 8
+            rows = max(1, budget // len(random_positions))
+            for lo in range(0, count, rows):
+                hi = min(count, lo + rows)
                 recorder.counter("engine.chunks")
-                for position, generator in zip(random_positions, self._generators):
-                    codes[lo:hi, position] = compiled.program_of(position).sample_fast(
-                        generator, hi - lo
+                keys = node_keys(self._base, np.arange(start + lo, start + hi), identities)
+                uniforms = counter_uniforms(keys, 1)[..., 0]
+                for program, columns in groups:
+                    codes[lo:hi, random_positions[columns]] = program.codes_of(
+                        uniforms[:, columns]
                     )
             return codes
 
@@ -1081,19 +979,18 @@ def adaptive_success_estimate(
     target: PrecisionTarget,
     seed: int,
     salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> ProbabilityEstimate:
     """Adaptive counterpart of :func:`batched_success_counts`: construct in
     chunks, test membership per chunk, stop once ``target`` is met.
 
-    Same streams (``TapeFactory(seed, salt, trial=t)`` in exact mode),
-    chunk-invariant — stopping after ``k`` trials reports exactly the fixed
-    ``k``-trial success rate.  Constructions with no random outputs are
-    deterministic and return an exact degenerate estimate.
+    Same streams (``TapeFactory(seed, salt, trial=t)``), chunk-invariant —
+    stopping after ``k`` trials reports exactly the fixed ``k``-trial
+    success rate.  Constructions with no random outputs are deterministic
+    and return an exact degenerate estimate.
     """
     compiled = compile_construction(constructor, network)
-    stream = ConstructionStream(compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes)
+    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes)
     if len(compiled.random_index) == 0:
         member = bool(_member_vector(language, compiled, stream.sample(1))[0])
         return ProbabilityEstimate.exact(member, confidence=target.confidence)
@@ -1115,7 +1012,6 @@ def adaptive_far_acceptance(
     seed: int,
     construct_salt: object,
     decide_salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> Optional[ProbabilityEstimate]:
     """Adaptive counterpart of :func:`batched_far_acceptance` for a single
@@ -1135,22 +1031,11 @@ def adaptive_far_acceptance(
         [distances.get(other, np.inf) > distance for other in compiled.nodes],
         dtype=bool,
     )
-    stream = ConstructionStream(
-        compiled, seed=seed, mode=mode, salt=construct_salt, max_bytes=max_bytes
-    )
-    fast_votes = (
-        fused.fast_vote_stream(seed, decide_salt, max_bytes=max_bytes)
-        if mode == "fast"
-        else None
-    )
+    stream = ConstructionStream(compiled, seed=seed, salt=construct_salt, max_bytes=max_bytes)
+    votes_of = fused.fast_vote_stream(seed, decide_salt)
 
     def draw(count: int) -> int:
-        start = stream.trials_sampled
-        codes = stream.sample(count)
-        if fast_votes is not None:
-            votes = fast_votes(codes)
-        else:
-            votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
+        votes = votes_of(stream.sample(count))
         accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(count, bool)
         return int(np.count_nonzero(accepted_far))
 
@@ -1167,7 +1052,6 @@ def batched_far_acceptance(
     seed: int,
     construct_salt: object,
     decide_salt: object,
-    mode: str,
     max_bytes: Optional[int] = None,
 ) -> Optional[Dict[Hashable, float]]:
     """Batched far-acceptance probabilities for *all* candidate anchors from
@@ -1183,11 +1067,8 @@ def batched_far_acceptance(
     fused = compile_fused_decision(decider, compiled)
     if fused is None:
         return None
-    codes = _shared_codes(compiled, trials, seed, construct_salt, mode, max_bytes)
-    if mode == "exact":
-        votes = fused.vote_row_exact(codes, seed, decide_salt)
-    else:
-        votes = fused.vote_matrix_fast(codes, seed, decide_salt, max_bytes=max_bytes)
+    codes = _shared_codes(compiled, trials, seed, construct_salt, max_bytes)
+    votes = fused.vote_row_exact(codes, seed, decide_salt)
     results: Dict[Hashable, float] = {}
     for candidate in candidates:
         distances = network.distances_from(candidate)

@@ -3,57 +3,42 @@
 One Monte-Carlo trial of a compiled decider runs every node's vote program
 (a small Bernoulli circuit, see :mod:`repro.engine.compiler`) and takes the
 global AND; ``trials`` trials are evaluated as stacked ``trials × coins``
-comparisons against the program thresholds.  Two sampling modes are
-provided:
+comparisons against the program thresholds.
 
-``exact`` (what ``engine="auto"`` runs)
-    Bit-for-bit the reference path, by construction.  The reference loop's
-    trial ``t`` draws node ``v``'s coins from the tape
-    ``TapeFactory(seed, salt, trial=t).tape_for(identity(v))``, whose key is
-    ``(seed, salt, t, identity(v))`` and whose draw ``k`` is the
-    counter-based ``U(key, k)`` of :mod:`repro.local.randomness`.  A program
-    node at depth ``d`` consumes draw ``d``, so the executor computes the
-    whole ``trials × coin-nodes × draws`` block of ``U`` values in one array
-    operation (:func:`~repro.local.randomness.counter_uniforms`) and runs
-    each program as a vectorized state machine over it — no per-trial or
-    per-node Python.  Draws a program never reads are computed and ignored;
-    and since each node's draws depend on nothing but its own key, the
-    reference loop's early return at the first rejecting node cannot change
-    any other node's coins either.
-
-``fast``
-    Each coin-flipping node draws its uniform block from its own
-    deterministically-derived :class:`numpy.random.Generator`.  The
-    per-trial accept/reject stream differs from the reference path, but its
-    distribution is identical — the equivalence test in ``tests/engine``
-    checks this statistically and via the exact per-trial product
-    :attr:`CompiledDecision.deterministic_accept_probability`.
+Sampling is bit-for-bit the reference path, by construction.  The reference
+loop's trial ``t`` draws node ``v``'s coins from the tape
+``TapeFactory(seed, salt, trial=t).tape_for(identity(v))``, whose key is
+``(seed, salt, t, identity(v))`` and whose draw ``k`` is the counter-based
+``U(key, k)`` of :mod:`repro.local.randomness`.  A program node at depth
+``d`` consumes draw ``d``, so the executor computes the whole ``trials ×
+coin-nodes × draws`` block of ``U`` values in one array operation
+(:func:`~repro.local.randomness.counter_uniforms`) and runs each program as
+a vectorized state machine over it — no per-trial or per-node Python.
+Draws a program never reads are computed and ignored; and since each node's
+draws depend on nothing but its own key, the reference loop's early return
+at the first rejecting node cannot change any other node's coins either.
 
 Chunked execution
 -----------------
-Neither mode materialises one giant ``trials × coins`` matrix.  The fast
-mode processes the coin-flipping nodes in **column blocks** whose uniform
-working set stays below ``max_bytes`` (default :data:`DEFAULT_MAX_BYTES`,
-overridable per call or via ``$REPRO_ENGINE_MAX_BYTES``), carrying the
-per-trial accept vector across blocks and short-circuiting the remaining
-columns once every trial has rejected; per-node generators consumed in
-``(trial, draw)`` order make its stream independent of the blocking.  The
-exact mode walks trial blocks of at most :data:`EXACT_BLOCK_BYTES` of
-uniforms (or ``max_bytes``, if smaller; at least one trial per block):
-its draws are pure functions of ``(trial, identity, draw)``, so every
-blocking, every ``max_bytes`` and every resumption offset yields the same
-values.
+No entry point materialises one giant ``trials × coins`` matrix of
+uniforms: the executor walks trial blocks of at most
+:data:`EXACT_BLOCK_BYTES` of uniforms (or ``max_bytes``, if smaller; at
+least one trial per block), and :func:`accept_vector` stops once every
+trial has rejected.  Draws are pure functions of ``(trial, identity,
+draw)``, so every blocking, every ``max_bytes`` and every resumption offset
+yields the same values.  ``max_bytes`` defaults to :data:`DEFAULT_MAX_BYTES`
+and can be overridden per call or via ``$REPRO_ENGINE_MAX_BYTES``.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.compiler import ACCEPT, CompiledDecision, VoteProgram
-from repro.local.randomness import counter_uniforms, derive_generator, derive_seed, node_keys
+from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 from repro.obs import get_recorder
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
@@ -69,12 +54,11 @@ __all__ = [
     "adaptive_acceptance",
 ]
 
-_MODES = ("fast", "exact")
-
-#: Default bound on the fast mode's uniform working set, in bytes.
+#: Default ``max_bytes``: the bound on fusion retention and membership
+#: gathers, in bytes (the uniform blocks are capped lower still).
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
-#: Bound on one exact-mode block of uniforms, in bytes.  Small and fixed:
+#: Bound on one block of uniforms, in bytes.  Small and fixed:
 #: counter-based draws gain nothing from larger batches once the per-block
 #: numpy overhead is amortized, and a small block keeps peak memory flat.
 EXACT_BLOCK_BYTES = 128 * 1024
@@ -94,9 +78,7 @@ def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
     return max_bytes
 
 
-def _resolve_salt(compiled: CompiledDecision, mode: str, salt: Optional[object]) -> object:
-    if mode not in _MODES:
-        raise ValueError(f"unknown engine mode {mode!r}; expected one of {_MODES}")
+def _resolve_salt(compiled: CompiledDecision, salt: Optional[object]) -> object:
     return compiled.decider_name if salt is None else salt
 
 
@@ -124,7 +106,7 @@ def _evaluate_program_block(program: VoteProgram, uniforms: np.ndarray) -> np.nd
 
 
 # --------------------------------------------------------------------------- #
-# Exact mode: counter-based uniform blocks
+# Counter-based uniform blocks
 # --------------------------------------------------------------------------- #
 def _exact_blocks(
     compiled: CompiledDecision,
@@ -134,8 +116,8 @@ def _exact_blocks(
     count: int,
     max_bytes: int,
 ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
-    """Exact-mode vote blocks of trials ``offset .. offset+count-1`` at the
-    listed coin positions.
+    """Vote blocks of trials ``offset .. offset+count-1`` at the listed coin
+    positions.
 
     Yields ``(lo, hi, columns, votes)``: ``votes`` is the
     ``(hi-lo) × len(columns)`` vote block of trials ``offset+lo ..
@@ -188,103 +170,12 @@ def _exact_vote_matrix(
 
 
 # --------------------------------------------------------------------------- #
-# Fast mode: vectorized program evaluation over column blocks
-# --------------------------------------------------------------------------- #
-def _fast_node_generator(
-    compiled: CompiledDecision, position: int, seed: int, salt: object
-) -> np.random.Generator:
-    """One coin-flipping node's fast-mode generator, derived from the node
-    identity — so the stream a node sees is independent of which block (and
-    which ``max_bytes``) it lands in."""
-    return derive_generator(
-        int(seed),
-        "engine-fast",
-        salt,
-        compiled.decider_name,
-        int(compiled.identities[position]),
-    )
-
-
-def _fast_column_blocks(
-    compiled: CompiledDecision,
-    positions: np.ndarray,
-    trials: int,
-    max_bytes: int,
-) -> Iterator[Tuple[VoteProgram, List[int]]]:
-    """Group the coin-flipping node positions into per-program column blocks
-    whose uniform working set stays below ``max_bytes``.
-
-    Positions are grouped by program (not by adjacency in node order), so
-    configurations with interleaved ball classes still evaluate each program
-    in a handful of vectorized passes.  The resulting streams are
-    block-independent anyway: every node draws from its own generator.
-    """
-    budget_draws = max(1, max_bytes // (8 * max(trials, 1)))
-    by_program: "dict[int, List[int]]" = {}
-    for position in positions:
-        by_program.setdefault(int(compiled.program_ids[position]), []).append(int(position))
-    for program_id, group in by_program.items():
-        program = compiled.programs[program_id]
-        width = max(1, budget_draws // max(program.max_draws, 1))
-        for start in range(0, len(group), width):
-            yield program, group[start : start + width]
-
-
-def _fast_votes_for(
-    compiled: CompiledDecision,
-    program: VoteProgram,
-    positions: List[int],
-    trials: int,
-    seed: int,
-    salt: object,
-    max_bytes: int,
-) -> np.ndarray:
-    """One program group's ``trials × len(positions)`` fast-mode votes.
-
-    The trial axis is sliced so the uniform working set also honours
-    ``max_bytes`` when a *single* node column at full ``trials`` would
-    already exceed it (the high-trial regime the bound exists for).  Each
-    node's generator is created once and consumed sequentially across
-    slices, so the values equal the unsliced generation exactly
-    (``Generator.random`` fills C-order): chunk-invariance holds on both
-    axes.
-    """
-    recorder = get_recorder()
-    draws = max(program.max_draws, 1)
-    generators = [
-        _fast_node_generator(compiled, position, seed, salt) for position in positions
-    ]
-    votes = np.empty((trials, len(positions)), dtype=bool)
-    trial_block = max(1, max_bytes // (8 * len(positions) * draws))
-    # Telemetry is observation only: the span times the block, the chunk
-    # counter tallies it — neither touches a generator, so the sampled
-    # stream (and hence every estimate) is identical with telemetry on/off.
-    with recorder.span(
-        "engine.chunk",
-        mode="fast",
-        trials=trials,
-        columns=len(positions),
-        draws=draws,
-        working_set_bytes=min(trials, trial_block) * len(positions) * draws * 8,
-    ):
-        for start in range(0, trials, trial_block):
-            stop = min(trials, start + trial_block)
-            recorder.counter("engine.chunks")
-            uniforms = np.empty((stop - start, len(positions), draws), dtype=np.float64)
-            for column, generator in enumerate(generators):
-                uniforms[:, column, :] = generator.random((stop - start, draws))
-            votes[start:stop] = _evaluate_program_block(program, uniforms)
-    return votes
-
-
-# --------------------------------------------------------------------------- #
 # Public entry points
 # --------------------------------------------------------------------------- #
 def accept_vector(
     compiled: CompiledDecision,
     trials: int,
     seed: int = 0,
-    mode: str = "fast",
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -297,47 +188,28 @@ def accept_vector(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    salt = _resolve_salt(compiled, mode, salt)
+    salt = _resolve_salt(compiled, salt)
     max_bytes = _resolve_max_bytes(max_bytes)
     if compiled.always_rejects:
         return np.zeros(trials, dtype=bool)
     random_positions = compiled.random_index
     if len(random_positions) == 0:
         return np.ones(trials, dtype=bool)
-    recorder = get_recorder()
-    with recorder.span(
+    with get_recorder().span(
         "engine.execute",
         op="accept_vector",
-        mode=mode,
         trials=trials,
         nodes=compiled.n_nodes,
         random_nodes=len(random_positions),
         max_bytes=max_bytes,
-    ) as span:
-        if mode == "exact":
-            return _exact_accept_vector(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
-        accepted = np.ones(trials, dtype=bool)
-        blocks = 0
-        for program, positions in _fast_column_blocks(
-            compiled, random_positions, trials, max_bytes
-        ):
-            if not accepted.any():  # short-circuit carry: everything rejected
-                span.annotate(short_circuited=True)
-                break
-            votes = _fast_votes_for(
-                compiled, program, positions, trials, seed, salt, max_bytes
-            )
-            accepted &= votes.all(axis=1)
-            blocks += 1
-        span.annotate(column_blocks=blocks)
-    return accepted
+    ):
+        return _exact_accept_vector(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
 
 
 def vote_matrix(
     compiled: CompiledDecision,
     trials: int,
     seed: int = 0,
-    mode: str = "fast",
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -351,45 +223,31 @@ def vote_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    salt = _resolve_salt(compiled, mode, salt)
+    salt = _resolve_salt(compiled, salt)
     max_bytes = _resolve_max_bytes(max_bytes)
     random_positions = compiled.random_index
     if len(random_positions) == 0:
         return np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
-    recorder = get_recorder()
-    with recorder.span(
+    with get_recorder().span(
         "engine.execute",
         op="vote_matrix",
-        mode=mode,
         trials=trials,
         nodes=compiled.n_nodes,
         random_nodes=len(random_positions),
         max_bytes=max_bytes,
     ):
-        if mode == "exact":
-            return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
-        votes = np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
-        for program, positions in _fast_column_blocks(
-            compiled, random_positions, trials, max_bytes
-        ):
-            votes[:, positions] = _fast_votes_for(
-                compiled, program, positions, trials, seed, salt, max_bytes
-            )
-    return votes
+        return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
 
 
 def acceptance_probability(
     compiled: CompiledDecision,
     trials: int,
     seed: int = 0,
-    mode: str = "fast",
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> float:
     """Monte-Carlo Pr[all nodes accept] over ``trials`` batched trials."""
-    accepted = accept_vector(
-        compiled, trials, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
-    )
+    accepted = accept_vector(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
     return float(np.count_nonzero(accepted)) / trials
 
 
@@ -413,15 +271,9 @@ class AcceptStream:
 
     ``sample(count)`` returns the accept vector of the **next** ``count``
     trials; the concatenation of successive samples is bit-identical to one
-    :func:`accept_vector` call with the total trial count, in both modes:
-
-    * exact mode draws trial ``t`` from its own counter-based keys, so a
-      batch starting at offset ``o`` simply evaluates trials
-      ``o .. o+count-1``;
-    * fast mode holds every coin-flipping node's generator open across
-      batches — each node's uniforms arrive in ``(trial, draw)`` order
-      regardless of batching, exactly the chunk-invariance the fixed-trial
-      path already guarantees for ``max_bytes`` slicing.
+    :func:`accept_vector` call with the total trial count, because trial
+    ``t`` is drawn from its own counter-based keys: a batch starting at
+    offset ``o`` simply evaluates trials ``o .. o+count-1``.
 
     This is what lets a sequential-stopping rule decide *after* a chunk
     whether to continue, without perturbing a single sampled value.
@@ -431,34 +283,14 @@ class AcceptStream:
         self,
         compiled: CompiledDecision,
         seed: int = 0,
-        mode: str = "fast",
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
         self.compiled = compiled
-        self.mode = mode
-        self._salt = _resolve_salt(compiled, mode, salt)
-        self._base = derive_seed(seed, self._salt)
+        self._base = derive_seed(seed, _resolve_salt(compiled, salt))
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._constant = deterministic_accept_value(compiled)
-        self._groups: List[Tuple[VoteProgram, List[int]]] = []
-        self._generators: Dict[int, np.random.Generator] = {}
-        if self._constant is None and mode == "fast":
-            by_program: "Dict[int, List[int]]" = {}
-            for position in compiled.random_index:
-                by_program.setdefault(
-                    int(compiled.program_ids[position]), []
-                ).append(int(position))
-            self._groups = [
-                (compiled.programs[program_id], group)
-                for program_id, group in by_program.items()
-            ]
-            self._generators = {
-                position: _fast_node_generator(compiled, position, seed, self._salt)
-                for _, group in self._groups
-                for position in group
-            }
 
     @property
     def trials_sampled(self) -> int:
@@ -472,40 +304,16 @@ class AcceptStream:
         self._offset += count
         if self._constant is not None:
             return np.full(count, self._constant, dtype=bool)
-        recorder = get_recorder()
-        with recorder.span(
-            "engine.stream_sample", mode=self.mode, trials=count, offset=start
-        ):
-            if self.mode == "exact":
-                return _exact_accept_vector(
-                    self.compiled, self._base, start, count, self._max_bytes
-                )
-            accepted = np.ones(count, dtype=bool)
-            for program, positions in self._groups:
-                draws = max(program.max_draws, 1)
-                votes = np.empty((count, len(positions)), dtype=bool)
-                trial_block = max(1, self._max_bytes // (8 * len(positions) * draws))
-                for lo in range(0, count, trial_block):
-                    hi = min(count, lo + trial_block)
-                    recorder.counter("engine.chunks")
-                    uniforms = np.empty((hi - lo, len(positions), draws), dtype=np.float64)
-                    for column, position in enumerate(positions):
-                        uniforms[:, column, :] = self._generators[position].random(
-                            (hi - lo, draws)
-                        )
-                    votes[lo:hi] = _evaluate_program_block(program, uniforms)
-                # No cross-group short-circuit: every node's generator must
-                # advance exactly ``count`` trials per batch, or the next batch
-                # would read a shifted stream and break chunk invariance.
-                accepted &= votes.all(axis=1)
-            return accepted
+        with get_recorder().span("engine.stream_sample", trials=count, offset=start):
+            return _exact_accept_vector(
+                self.compiled, self._base, start, count, self._max_bytes
+            )
 
 
 def adaptive_acceptance(
     compiled: CompiledDecision,
     target: PrecisionTarget,
     seed: int = 0,
-    mode: str = "fast",
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> ProbabilityEstimate:
@@ -519,7 +327,7 @@ def adaptive_acceptance(
     constant = deterministic_accept_value(compiled)
     if constant is not None:
         return ProbabilityEstimate.exact(constant, confidence=target.confidence)
-    stream = AcceptStream(compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes)
+    stream = AcceptStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes)
     return sequential_estimate(
         target, lambda count: int(np.count_nonzero(stream.sample(count)))
     )

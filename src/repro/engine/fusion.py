@@ -8,7 +8,7 @@ This module factors that sharing out:
 
 * :class:`FusionContext` — a per-group memo of construction matrices and
   base-language bad-count vectors, keyed by **content** (the compiled
-  construction's programs/identities/alphabet plus seed, salt, and mode —
+  construction's programs/identities/alphabet plus seed and salt —
   exactly the inputs :func:`~repro.engine.construct.construction_matrix` is a
   deterministic function of), never by object identity.  Matrices grow via a
   retained :class:`~repro.engine.construct.ConstructionStream`, so a point
@@ -33,7 +33,7 @@ This module factors that sharing out:
 
 Exactness contract: a fused sweep is **bit-identical** to the per-point
 path.  Every served matrix equals the one-shot ``construction_matrix`` call
-it replaces (same compiled content, seed, salt, mode; prefix/extension
+it replaces (same compiled content, seed, salt; prefix/extension
 equality by chunk invariance), and every shared bad-count vector equals the
 point's own ``MembershipProgram.bad_counts`` on that matrix (the counter is
 a deterministic function of the base language, the network, and the codes —
@@ -151,11 +151,10 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-        mode: str,
     ) -> Optional[_MatrixEntry]:
         """The retained entry for one matrix request, or ``None`` when the
         request cannot (hashability) or should not (size) be retained."""
-        if mode not in ("fast", "exact") or trials < 1:
+        if trials < 1:
             return None
         # A matrix that alone busts the byte bound is never retained: the
         # caller falls back to the one-shot path, whose transient working
@@ -163,7 +162,7 @@ class FusionContext:
         if trials * max(compiled.n_nodes, 1) * 4 > self.max_bytes:
             return None
         try:
-            key = (self._compiled_key(compiled), int(seed_base), salt, mode)
+            key = (self._compiled_key(compiled), int(seed_base), salt)
             hash(key)
         except TypeError:
             return None
@@ -171,11 +170,7 @@ class FusionContext:
         if entry is None:
             entry = self._entries[key] = _MatrixEntry(
                 ConstructionStream(
-                    compiled,
-                    seed=int(seed_base),
-                    mode=mode,
-                    salt=salt,
-                    max_bytes=self.max_bytes,
+                    compiled, seed=int(seed_base), salt=salt, max_bytes=self.max_bytes
                 )
             )
         self._entries.move_to_end(key)
@@ -208,16 +203,15 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-        mode: str,
     ) -> Optional[np.ndarray]:
         """The shared ``trials × nodes`` code matrix, or ``None`` when this
         request bypasses fusion (caller falls back to the one-shot path).
 
         Bit-identical to ``construction_matrix(compiled, trials,
-        seed=seed_base, mode=mode, salt=salt)`` — ``seed_base`` is the
-        stream's master seed, exactly what every batched estimator passes.
-        The returned array is a read-only view of the retained matrix."""
-        entry = self._entry(compiled, trials, seed_base, salt, mode)
+        seed=seed_base, salt=salt)`` — ``seed_base`` is the stream's master
+        seed, exactly what every batched estimator passes.  The returned
+        array is a read-only view of the retained matrix."""
+        entry = self._entry(compiled, trials, seed_base, salt)
         if entry is None:
             return None
         codes = self._grow(entry, trials)
@@ -249,7 +243,6 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-        mode: str,
     ) -> Optional[np.ndarray]:
         """Per-trial bad-ball counts of ``language``'s base over the shared
         matrix, or ``None`` when fusion/lowering is unavailable.
@@ -257,7 +250,7 @@ class FusionContext:
         Equal to ``compile_membership(language, compiled).bad_counts(codes)``
         on the matching one-shot matrix: the counter is a deterministic
         function of (base, network, codes), all of which the memo key pins."""
-        entry = self._entry(compiled, trials, seed_base, salt, mode)
+        entry = self._entry(compiled, trials, seed_base, salt)
         if entry is None:
             return None
         membership = compile_membership(language, compiled)
@@ -286,14 +279,13 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-        mode: str,
     ) -> Optional[np.ndarray]:
         """Per-trial membership over the shared matrix, or ``None`` when the
         matrix itself bypasses fusion.  Languages the engine cannot lower
         still share the matrix and run the decoded per-row fallback on it —
         bit-identical either way (membership is a deterministic function of
         the outputs)."""
-        entry = self._entry(compiled, trials, seed_base, salt, mode)
+        entry = self._entry(compiled, trials, seed_base, salt)
         if entry is None:
             return None
         membership = compile_membership(language, compiled)
@@ -301,7 +293,7 @@ class FusionContext:
             from repro.engine.construct import _member_vector
 
             return _member_vector(language, compiled, self._grow(entry, trials))
-        counts = self.bad_counts_for(compiled, language, trials, seed_base, salt, mode)
+        counts = self.bad_counts_for(compiled, language, trials, seed_base, salt)
         assert counts is not None  # the entry above exists and lowering succeeded
         return counts <= membership.budget
 

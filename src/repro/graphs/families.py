@@ -15,7 +15,7 @@ assignment is controlled by the ``ids`` argument:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 import networkx as nx
 

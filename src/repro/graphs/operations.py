@@ -25,7 +25,7 @@ probability decay the proof establishes analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import networkx as nx
 

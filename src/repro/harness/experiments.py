@@ -375,17 +375,13 @@ def experiment_e2_eps_slack_random_coloring(
         # Mean bad fraction over a handful of runs (linearity of expectation check).
         mean_bad = 0.0
         probe_runs = min(trials, 50)
-        probe_mode = resolve_construction_engine(engine, constructor)
         probe_counts = (
-            batched_bad_counts(
-                constructor, base, network, probe_runs,
-                seed=seed, salt="e2-probe", mode=probe_mode,
-            )
-            if probe_mode != "off"
+            batched_bad_counts(constructor, base, network, probe_runs, seed=seed, salt="e2-probe")
+            if resolve_construction_engine(engine, constructor) != "off"
             else None
         )
         if probe_counts is not None:
-            # Engine probe: exact mode computes the TapeFactory(seed,
+            # Engine probe: the engine computes the TapeFactory(seed,
             # "e2-probe", trial=run) streams bit for bit, and the
             # accumulation below mirrors the reference loop's order, so the
             # float is identical too.  Inside a fused sweep the counts come

@@ -11,7 +11,7 @@ harness writes to ``benchmarks/results/`` via::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.harness.reporting import load_json
 from repro.harness.results import ExperimentResult

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Mapping, Optional
+from typing import Callable, Dict, Optional
 
 from repro.local.ball import BallView, _ball
 from repro.local.randomness import RandomTape

@@ -20,7 +20,7 @@ order-pattern helpers used by :mod:`repro.core.order_invariant`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -57,7 +57,6 @@ __all__ = [
     "RandomTape",
     "TapeFactory",
     "derive_seed",
-    "derive_generator",
     "mix64",
     "node_key",
     "counter_uniform",
@@ -99,19 +98,6 @@ def derive_seed(master_seed: int, *components: object) -> int:
         h.update(b"|")
         h.update(repr(comp).encode("utf8"))
     return int.from_bytes(h.digest()[:8], "big")
-
-
-def derive_generator(master_seed: int, *components: object) -> np.random.Generator:
-    """A :class:`numpy.random.Generator` seeded by :func:`derive_seed`.
-
-    This is the **single sanctioned RNG constructor** for engine code outside
-    the counter-based tapes (the DET001 rule in :mod:`repro.check.lint`
-    enforces it): every fast-mode stream in :mod:`repro.engine` is
-    ``derive_generator(seed, *stream components)``, so a stream's identity
-    is exactly its ``(master_seed, components)`` tuple — replayable from the
-    derivation alone, with no hidden constructor-site differences.
-    """
-    return np.random.default_rng(derive_seed(master_seed, *components))
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ behaviourally identical (tests assert this) and much faster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional
 
 from repro.local.algorithm import BallAlgorithm, LocalAlgorithm, NodeContext

@@ -88,20 +88,14 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.execute",
         "span",
         "engine/executor.py",
-        "op (`accept_vector`/`vote_matrix`), mode (fast/exact), trials, "
-        "working-set bytes",
-    ),
-    Signal(
-        "engine.chunk",
-        "span",
-        "engine/executor.py",
-        "one fast-mode column block: trials, columns, draws, working-set bytes",
+        "op (`accept_vector`/`vote_matrix`), trials, node & random-node "
+        "counts, `max_bytes`",
     ),
     Signal(
         "engine.construct",
         "span",
         "engine/construct.py",
-        "one construction batch: mode, trials, offset, random-node count",
+        "one construction batch: trials, offset, node & random-node counts",
     ),
     Signal(
         "engine.fuse",
@@ -121,7 +115,7 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.stream_sample",
         "span",
         "engine/executor.py",
-        "one resumable accept-stream batch: mode, trials, offset",
+        "one resumable accept-stream batch: trials, offset",
     ),
     Signal(
         "cache.lookup",
@@ -173,7 +167,7 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.chunks",
         "counter",
         "engine/executor.py",
-        "trial/column blocks executed (executor and construction streams)",
+        "trial blocks of uniforms computed (executor and construction streams)",
     ),
     Signal(
         "engine.fuse_hits",

@@ -57,7 +57,7 @@ from repro.engine.cache import ResultCache
 from repro.errors import WireFormatError, error_payload
 from repro.faults import FaultPlan
 from repro.harness.registry import ExperimentRegistry
-from repro.obs import TraceRecorder, use_recorder
+from repro.obs import TraceRecorder
 from repro.retry import BackoffPolicy
 from repro.service.jobs import JobManager, JobState
 

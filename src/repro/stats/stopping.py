@@ -10,14 +10,14 @@ success counter to that target on a deterministic doubling schedule.
 
 Exactness contract
 ------------------
-The engine's trial streams are **chunk-invariant by construction** (each
-node draws from its own sequential generator; exact mode derives every trial
-from its own master seed), so the batch schedule never changes the sampled
-values — only *how many* trials are looked at.  Consequently an adaptive run
-that stops after ``k`` trials reports exactly the estimate a fixed ``k``-
-trial run would have reported, and with no target at all the estimators run
-their historical fixed-trial path untouched (``precision=None`` is
-bit-identical to the pre-stats layer).
+The engine's trial streams are **chunk-invariant by construction** (every
+trial's draws are a pure function of its own counter-based tape keys), so
+the batch schedule never changes the sampled values — only *how many*
+trials are looked at.  Consequently an adaptive run that stops after ``k``
+trials reports exactly the estimate a fixed ``k``-trial run would have
+reported, and with no target at all the estimators run their historical
+fixed-trial path untouched (``precision=None`` is bit-identical to the
+pre-stats layer).
 
 Peeking bias, stated honestly: stopping at the first batch whose interval is
 narrow enough is optional stopping, so the reported CI's coverage is the

@@ -15,7 +15,8 @@ from repro.api import (
 )
 from repro.engine.cache import ResultCache
 from repro.engine.parallel import point_seed
-from repro.harness.registry import ExperimentSpec, ParameterSpec
+from repro.engine.adapters import ENGINE_CHOICES
+from repro.harness.registry import ExperimentSpec, ParameterSpec, ParameterValueError
 from repro.harness.results import ExperimentResult
 
 
@@ -40,7 +41,7 @@ def stub_spec(experiment_id="STUB"):
             ParameterSpec("n", "int", 3),
             ParameterSpec("factor", "int", 2),
             ParameterSpec("seed", "int", 0),
-            ParameterSpec("engine", "str", "auto", choices=("auto", "fast", "exact", "off")),
+            ParameterSpec("engine", "str", "auto", choices=ENGINE_CHOICES),
         ),
         quick={"n": 1},
     )
@@ -64,6 +65,17 @@ class TestRequestResolution:
         assert session.request("STUB").kwargs["engine"] == "off"
         # Explicit overrides win over the session context.
         assert session.request("STUB", seed=1).kwargs["seed"] == 1
+
+    @pytest.mark.parametrize("engine", ["warp", "fast", 3])
+    def test_unknown_engine_rejected_at_construction(self, engine):
+        """A spec without the engine capability never sees the session's
+        engine, so the value is checked up front, with the per-spec error."""
+        with pytest.raises(ParameterValueError) as at_session:
+            Session(engine=engine, cache=None)
+        with pytest.raises(ParameterValueError) as at_spec:
+            REGISTRY["E1"].resolve(overrides={"engine": engine})
+        assert at_session.value.code == at_spec.value.code == "parameter_value"
+        assert str(at_session.value) == str(at_spec.value)
 
     def test_equal_requests_compare_equal_and_share_keys(self, registry):
         session = Session(cache=None, registry=registry)

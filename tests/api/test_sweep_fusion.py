@@ -148,35 +148,34 @@ class TestFusionContext:
 
     def test_codes_match_one_shot_matrix_for_prefix_and_extension(self):
         compiled = self._compiled()
-        for mode in ("fast", "exact"):
-            context = FusionContext()
-            grown = context.codes_for(compiled, 20, seed_base=5, salt="t", mode=mode)
-            prefix = context.codes_for(compiled, 8, seed_base=5, salt="t", mode=mode)
-            extended = context.codes_for(compiled, 32, seed_base=5, salt="t", mode=mode)
-            one_shot = construction_matrix(compiled, 32, seed=5, mode=mode, salt="t")
-            assert np.array_equal(extended, one_shot)
-            assert np.array_equal(grown, one_shot[:20])
-            assert np.array_equal(prefix, one_shot[:8])
-            assert context.hits == 1 and context.misses == 2  # prefix hit, two growths
+        context = FusionContext()
+        grown = context.codes_for(compiled, 20, seed_base=5, salt="t")
+        prefix = context.codes_for(compiled, 8, seed_base=5, salt="t")
+        extended = context.codes_for(compiled, 32, seed_base=5, salt="t")
+        one_shot = construction_matrix(compiled, 32, seed=5, salt="t")
+        assert np.array_equal(extended, one_shot)
+        assert np.array_equal(grown, one_shot[:20])
+        assert np.array_equal(prefix, one_shot[:8])
+        assert context.hits == 1 and context.misses == 2  # prefix hit, two growths
 
     def test_returned_matrix_is_read_only(self):
         context = FusionContext()
-        codes = context.codes_for(self._compiled(), 4, seed_base=0, salt=None, mode="fast")
+        codes = context.codes_for(self._compiled(), 4, seed_base=0, salt=None)
         with pytest.raises(ValueError):
             codes[0, 0] = 0
 
     def test_oversized_matrix_bypasses_retention(self):
         compiled = self._compiled(n=12)
         context = FusionContext(max_bytes=100)  # < 4 trials × 12 nodes × 4 bytes
-        assert context.codes_for(compiled, 4, seed_base=0, salt=None, mode="fast") is None
+        assert context.codes_for(compiled, 4, seed_base=0, salt=None) is None
         assert context.retained_bytes == 0
 
     def test_eviction_keeps_retained_bytes_bounded(self):
         compiled = self._compiled(n=12)
         # Each 4×12 int32 matrix is 192 bytes; the bound fits one, not two.
         context = FusionContext(max_bytes=256)
-        context.codes_for(compiled, 4, seed_base=0, salt="a", mode="fast")
-        context.codes_for(compiled, 4, seed_base=0, salt="b", mode="fast")
+        context.codes_for(compiled, 4, seed_base=0, salt="a")
+        context.codes_for(compiled, 4, seed_base=0, salt="b")
         assert len(context._entries) == 1
         assert context.retained_bytes <= 256
 

@@ -17,7 +17,6 @@ from repro.check.ir import (
     verify_vote_expr,
     verify_vote_program,
 )
-from repro.core.lcl import ProperColoring
 from repro.core.languages import Configuration
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,

@@ -36,7 +36,7 @@ def sample():
 def test_det001_flags_numpy_default_rng():
     found = findings_for(DET001_NUMPY)
     assert [(f.rule, f.path, f.line) for f in found] == [("DET001", PATH, 4)]
-    assert "derive_generator" in found[0].message
+    assert "counter_uniforms" in found[0].message
 
 
 def test_det001_flags_stdlib_random():
@@ -44,18 +44,17 @@ def test_det001_flags_stdlib_random():
     assert [(f.rule, f.line) for f in found] == [("DET001", 4)]
 
 
-def test_det001_clean_on_derive_generator():
+def test_det001_clean_on_counter_uniforms():
     clean = """\
-    from repro.local.randomness import derive_generator
+    from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 
-    def sample(seed, identity):
-        return derive_generator(seed, "salt", identity).random()
+    def sample(seed, trials, identities):
+        return counter_uniforms(node_keys(derive_seed(seed, "salt"), trials, identities), 1)
     """
     assert findings_for(clean) == []
 
 
 def test_det001_allowlisted_file_is_silent():
-    assert findings_for(DET001_NUMPY, path="local/randomness.py") == []
     assert findings_for(DET001_NUMPY, path="graphs/random_graphs.py") == []
 
 

@@ -20,7 +20,7 @@ from repro.core.decision import (
 from repro.core.languages import SELECTED, Amos, Configuration
 from repro.core.lcl import ProperColoring
 from repro.core.relaxations import f_resilient
-from repro.graphs.families import cycle_network, path_network
+from repro.graphs.families import cycle_network
 from repro.local.randomness import TapeFactory
 
 

@@ -11,8 +11,6 @@ bounds.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.construction import BallConstructor

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.languages import SELECTED, Amos, Configuration, Majority, PredicateLanguage
-from repro.graphs.families import cycle_network, path_network
+from repro.graphs.families import path_network
 
 
 def select(network, how_many):

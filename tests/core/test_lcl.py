@@ -17,8 +17,7 @@ from repro.core.lcl import (
     ProperColoring,
     WeakColoring,
 )
-from repro.graphs.families import cycle_network, path_network, star_network
-from repro.graphs.random_graphs import random_regular_network
+from repro.graphs.families import path_network, star_network
 
 
 class TestProperColoring:

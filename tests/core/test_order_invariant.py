@@ -9,7 +9,6 @@ import pytest
 from repro.core.lcl import ProperColoring
 from repro.core.languages import Configuration
 from repro.core.order_invariant import (
-    CyclePatternAlgorithm,
     OrderInvariantAlgorithm,
     TableBallAlgorithm,
     count_order_invariant_cycle_algorithms,
@@ -20,7 +19,7 @@ from repro.core.order_invariant import (
     monochromatic_core,
 )
 from repro.core.relaxations import f_resilient
-from repro.graphs.families import cycle_network, path_network
+from repro.graphs.families import cycle_network
 from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.ball import collect_ball
 from repro.local.simulator import run_ball_algorithm

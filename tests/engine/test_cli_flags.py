@@ -31,8 +31,10 @@ class TestParsing:
     def test_engine_flag_parses_and_validates(self):
         args = build_parser().parse_args(["run", "E5", "--engine", "exact"])
         assert args.engine == "exact"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E5", "--engine", "warp"])
+        for name in ("warp", "fast"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["run", "E5", "--engine", name])
+            assert excinfo.value.code == 2
 
     def test_backend_flag_parses_and_validates(self):
         args = build_parser().parse_args(["run", "E5", "--backend", "process-pool"])

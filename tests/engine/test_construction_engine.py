@@ -3,11 +3,11 @@
 Coverage for :mod:`repro.engine.construct`:
 
 * the output-program IR interprets exactly like the reference tape draws,
-  and the compiled **exact** mode computes the per-trial
+  and the compiled construction computes the per-trial
   ``TapeFactory(seed, salt, trial=t)`` streams bit for bit — checked at
   distant and adjacent seeds and under multiple salts;
-* the **fast** mode is distributionally correct (closed-form output
-  frequencies within Monte-Carlo tolerance) and chunk-invariant: the same
+* the sampled outputs match their closed-form frequencies within
+  Monte-Carlo tolerance, and sampling is chunk-invariant: the same
   ``(seed, salt)`` yields the same ``trials × nodes`` matrix for any
   ``max_bytes``;
 * membership lowering (radius-0 tables, proper-coloring neighbour checks,
@@ -15,8 +15,8 @@ Coverage for :mod:`repro.engine.construct`:
   ``language.contains`` on every sampled row;
 * decider fusion tabulates radius-0 single-coin deciders and refuses
   multi-draw or positive-radius ones;
-* the ``engine=`` contract: ``auto`` degrades gracefully, explicit modes on
-  non-compilable constructors raise.
+* the ``engine=`` contract: ``auto`` degrades gracefully, ``exact`` on
+  non-compilable constructors raises.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core.construction import BallConstructor, estimate_success_probabilit
 from repro.core.decision import AmplifiedResilientDecider
 from repro.core.derandomization import choose_anchor, far_acceptance_probability
 from repro.core.languages import Configuration
-from repro.core.lcl import NotAllEqualLLL, PredicateLCL, ProperColoring
+from repro.core.lcl import NotAllEqualLLL, ProperColoring
 from repro.core.relaxations import eps_slack, f_resilient
 from repro.engine.construct import (
     MAX_OUTPUT_VALUES,
@@ -106,7 +106,7 @@ class TestOutputExprSemantics:
 
 
 # --------------------------------------------------------------------------- #
-# Exact-mode bit-identity
+# Bit-identity with the reference tapes
 # --------------------------------------------------------------------------- #
 class TestExactBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -116,7 +116,7 @@ class TestExactBitIdentity:
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
         trials = 25
-        codes = construction_matrix(compiled, trials, seed=seed, mode="exact", salt=salt)
+        codes = construction_matrix(compiled, trials, seed=seed, salt=salt)
         for trial in (0, 7, trials - 1):
             expected = reference_outputs(constructor, network, seed, salt, trial)
             assert compiled.decode_row(codes[trial]) == expected
@@ -127,9 +127,7 @@ class TestExactBitIdentity:
         constructor = _toy_faulty_constructor(0.3)
         compiled = compile_construction(constructor, network)
         trials = 30
-        codes = construction_matrix(
-            compiled, trials, seed=seed, mode="exact", salt="far/construct"
-        )
+        codes = construction_matrix(compiled, trials, seed=seed, salt="far/construct")
         for trial in range(0, trials, 5):
             expected = reference_outputs(constructor, network, seed, "far/construct", trial)
             assert compiled.decode_row(codes[trial]) == expected
@@ -182,15 +180,15 @@ class TestExactBitIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# Fast mode: distribution and chunk invariance
+# Distribution and chunk invariance
 # --------------------------------------------------------------------------- #
-class TestFastMode:
+class TestDistributionAndChunking:
     def test_output_frequencies_match_closed_form(self):
         network = cycle_network(30)
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
         trials = 6_000
-        codes = construction_matrix(compiled, trials, seed=5, mode="fast")
+        codes = construction_matrix(compiled, trials, seed=5)
         # Each color appears with probability 1/3 at every node.
         for code in range(3):
             frequency = float(np.count_nonzero(codes == code)) / codes.size
@@ -201,7 +199,7 @@ class TestFastMode:
         q = 0.3
         constructor = _toy_faulty_constructor(q)
         compiled = compile_construction(constructor, network)
-        codes = construction_matrix(compiled, 5_000, seed=3, mode="fast")
+        codes = construction_matrix(compiled, 5_000, seed=3)
         one = compiled.values.index(1)
         frequency = float(np.count_nonzero(codes == one)) / codes.size
         assert abs(frequency - q) < 0.02
@@ -211,28 +209,25 @@ class TestFastMode:
         network = cycle_network(24, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
-        reference = construction_matrix(
-            compiled, 500, seed=9, mode="fast", salt="chunk", max_bytes=1 << 30
-        )
-        chunked = construction_matrix(
-            compiled, 500, seed=9, mode="fast", salt="chunk", max_bytes=max_bytes
-        )
+        reference = construction_matrix(compiled, 500, seed=9, salt="chunk", max_bytes=1 << 30)
+        chunked = construction_matrix(compiled, 500, seed=9, salt="chunk", max_bytes=max_bytes)
         assert np.array_equal(reference, chunked)
 
-    def test_fused_vote_matrix_is_chunk_invariant(self):
+    def test_fused_vote_stream_is_chunk_invariant(self):
+        """The resumable vote stream over uneven chunks equals one
+        ``vote_row_exact`` call on the whole matrix."""
         network = cycle_network(16)
         constructor = _toy_faulty_constructor(0.4)
         decider = _toy_noisy_decider(0.8)
         compiled = compile_construction(constructor, network)
         fused = compile_fused_decision(decider, compiled)
-        codes = construction_matrix(compiled, 400, seed=2, mode="fast", salt="s")
-        reference = fused.vote_matrix_fast(codes, 2, "d", max_bytes=1 << 30)
-        for max_bytes in (64, 4096):
-            assert np.array_equal(
-                reference, fused.vote_matrix_fast(codes, 2, "d", max_bytes=max_bytes)
-            )
+        codes = construction_matrix(compiled, 400, seed=2, salt="s")
+        reference = fused.vote_row_exact(codes, 2, "d")
+        stream = fused.fast_vote_stream(2, "d")
+        chunks = [stream(codes[lo:hi]) for lo, hi in ((0, 1), (1, 65), (65, 66), (66, 400))]
+        assert np.array_equal(reference, np.concatenate(chunks))
 
-    def test_fast_acceptance_tracks_closed_form(self):
+    def test_acceptance_tracks_closed_form(self):
         """With the all-zeros language and the noisy decider, acceptance is
         ((1-q) + q(1-p))^n exactly (independent nodes, one coin each)."""
         q, p, n = 0.1, 0.8, 12
@@ -246,7 +241,7 @@ class TestFastMode:
             network,
             6_000,
             seed=4,
-            engine="fast",
+            engine="exact",
         )
         closed_acceptance = ((1 - q) + q * (1 - p)) ** n
         closed_membership = (1 - q) ** n
@@ -274,7 +269,7 @@ class TestMembershipLowering:
         compiled = compile_construction(constructor, network)
         membership = compile_membership(language, compiled)
         assert membership is not None
-        codes = construction_matrix(compiled, 200, seed=6, mode="fast")
+        codes = construction_matrix(compiled, 200, seed=6)
         lowered = membership.member_vector(codes)
         for trial in range(0, 200, 17):
             configuration = Configuration(network, compiled.decode_row(codes[trial]))
@@ -287,7 +282,7 @@ class TestMembershipLowering:
         compiled = compile_construction(constructor, network)
         membership = compile_membership(language, compiled)
         assert membership is not None
-        codes = construction_matrix(compiled, 100, seed=8, mode="fast")
+        codes = construction_matrix(compiled, 100, seed=8)
         lowered = membership.member_vector(codes)
         counts = membership.bad_counts(codes)
         for trial in range(100):
@@ -353,7 +348,6 @@ class TestFusedDecision:
                 seed=0,
                 construct_salt="c",
                 decide_salt="d",
-                mode="exact",
             )
             is None
         )
@@ -381,9 +375,10 @@ class TestEngineContract:
         )
         assert resolve_construction_engine("auto", plain) == "off"
         with pytest.raises(TypeError):
-            resolve_construction_engine("fast", plain)
-        with pytest.raises(ValueError):
-            resolve_construction_engine("warp", plain)
+            resolve_construction_engine("exact", plain)
+        for removed in ("warp", "fast"):
+            with pytest.raises(ValueError):
+                resolve_construction_engine(removed, plain)
         network = cycle_network(6)
         language = _toy_all_zeros_language()
         # auto on a non-compilable constructor: reference loop, no error.
@@ -393,7 +388,7 @@ class TestEngineContract:
         assert 0.0 <= estimate.success_probability <= 1.0
         with pytest.raises(TypeError):
             estimate_success_probability(
-                plain, language, [network], trials=10, seed=0, engine="fast"
+                plain, language, [network], trials=10, seed=0, engine="exact"
             )
 
     def test_find_hard_instances_is_strict_without_a_decider_side(self):
@@ -411,7 +406,7 @@ class TestEngineContract:
         with pytest.raises(TypeError):
             find_hard_instances(
                 plain, language, [cycle_network(6)], beta=0.1, count=1,
-                trials=10, seed=0, engine="fast",
+                trials=10, seed=0, engine="exact",
             )
         # auto still degrades gracefully (the instance is genuinely hard).
         found = find_hard_instances(
@@ -429,7 +424,7 @@ class TestEngineContract:
         )
         network = cycle_network(6)
         language = _toy_all_zeros_language()
-        for engine in ("auto", "exact", "fast", "off"):
+        for engine in ("auto", "exact", "off"):
             estimate = estimate_success_probability(
                 deterministic, language, [network], trials=10, seed=0, engine=engine
             )
@@ -443,7 +438,7 @@ class TestEngineContract:
         network = cycle_network(15, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
-        codes = construction_matrix(compiled, 300, seed=11, mode="fast")
+        codes = construction_matrix(compiled, 300, seed=11)
         reference = compile_membership(ProperColoring(3), compiled).bad_counts(codes)
         tiny = compile_membership(
             ProperColoring(3), compiled, max_bytes=64

@@ -1,10 +1,10 @@
 """Engine ↔ reference-path equivalence (the subsystem's acceptance test).
 
-Exact mode must reproduce the legacy accept/reject stream **bit for bit**
+The engine must reproduce the legacy accept/reject stream **bit for bit**
 under a fixed seed — same trial-by-trial outcomes, hence identical
-statistics.  Fast mode is a different (vectorized) stream of the same
-distribution: it must match the closed-form acceptance probabilities within
-Monte-Carlo tolerance and agree exactly on deterministic configurations.
+statistics.  Its estimates must also match the closed-form acceptance
+probabilities within Monte-Carlo tolerance and agree exactly on
+deterministic configurations.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class TestExactModeBitIdentity:
         trials = 60
         reference = legacy_per_trial_accepts(decider, configuration, trials, seed)
         compiled = compile_decision(decider, configuration)
-        engine = accept_vector(compiled, trials, seed=seed, mode="exact", salt=decider.name)
+        engine = accept_vector(compiled, trials, seed=seed, salt=decider.name)
         assert np.array_equal(engine, reference)
 
     def test_acceptance_probability_engine_auto_equals_off(self):
@@ -124,43 +124,42 @@ class TestExactModeBitIdentity:
             assert {node: bool(v) for node, v in zip(compiled.nodes, votes)} == outcome.votes
 
 
-class TestFastModeDistribution:
+class TestDistribution:
     def test_matches_closed_form_acceptance(self):
-        """Fast-mode estimates must agree with the exact product formula
+        """Engine estimates must agree with the exact product formula
         Pr[all accept] = Π p_v within Monte-Carlo tolerance."""
         for label, decider, configuration in CASES:
             compiled = compile_decision(decider, configuration)
             estimate = float(
-                np.count_nonzero(accept_vector(compiled, 6000, seed=2, mode="fast")) / 6000
+                np.count_nonzero(accept_vector(compiled, 6000, seed=2)) / 6000
             )
             assert estimate == pytest.approx(
                 compiled.deterministic_accept_probability, abs=0.03
             ), label
 
-    def test_deterministic_decider_is_exact_in_both_modes(self):
+    def test_deterministic_decider_is_exact(self):
         decider = LocalCheckerDecider(ProperColoring(3))
         good = broken_coloring(18, 0)
         bad = broken_coloring(18, 2)
         for configuration, expected in ((good, True), (bad, False)):
             compiled = compile_decision(decider, configuration)
-            for mode in ("fast", "exact"):
-                accepted = accept_vector(compiled, 10, seed=0, mode=mode)
-                assert bool(accepted.all()) is expected
-                assert bool(accepted.any()) is expected
+            accepted = accept_vector(compiled, 10, seed=0)
+            assert bool(accepted.all()) is expected
+            assert bool(accepted.any()) is expected
 
-    def test_fast_mode_reproducible_per_seed(self):
+    def test_reproducible_per_seed(self):
         decider, configuration = CASES[0][1], CASES[0][2]
         compiled = compile_decision(decider, configuration)
-        a = accept_vector(compiled, 100, seed=4, mode="fast")
-        b = accept_vector(compiled, 100, seed=4, mode="fast")
-        c = accept_vector(compiled, 100, seed=5, mode="fast")
+        a = accept_vector(compiled, 100, seed=4)
+        b = accept_vector(compiled, 100, seed=4)
+        c = accept_vector(compiled, 100, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_vote_matrix_columns_follow_probabilities(self):
         decider, configuration = CASES[2][1], CASES[2][2]
         compiled = compile_decision(decider, configuration)
-        votes = vote_matrix(compiled, 4000, seed=1, mode="fast")
+        votes = vote_matrix(compiled, 4000, seed=1)
         assert votes.shape == (4000, compiled.n_nodes)
         rates = votes.mean(axis=0)
         deterministic = np.isin(np.arange(compiled.n_nodes), compiled.random_index, invert=True)
@@ -173,16 +172,17 @@ class TestFastModeDistribution:
 
 
 class TestEngineParameterValidation:
-    def test_unknown_engine_value_rejected(self):
+    @pytest.mark.parametrize("engine", ["warp", "fast"])
+    def test_unknown_engine_value_rejected(self, engine):
         decider, configuration = CASES[0][1], CASES[0][2]
         with pytest.raises(ValueError):
-            decider.acceptance_probability(configuration, trials=10, engine="warp")
+            decider.acceptance_probability(configuration, trials=10, engine=engine)
 
     def test_explicit_engine_on_non_compilable_decider_raises(self, proper_three_coloring):
         from repro.core.decision import RandomizedDecider
 
         decider = RandomizedDecider(lambda ball, tape: True, radius=0, guarantee=0.9)
         with pytest.raises(TypeError):
-            decider.acceptance_probability(proper_three_coloring, trials=10, engine="fast")
+            decider.acceptance_probability(proper_three_coloring, trials=10, engine="exact")
         # "auto" falls back to the reference loop instead.
         assert decider.acceptance_probability(proper_three_coloring, trials=10) == 1.0

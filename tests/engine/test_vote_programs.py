@@ -2,12 +2,12 @@
 
 The satellite coverage for the vote-program compiler path:
 
-* multi-draw deciders are **bit-identical** between the engine's exact mode
-  and the reference loop under a fixed seed;
-* the fast mode is **distributionally** identical (closed-form acceptance
-  within Monte-Carlo tolerance), and independent of the chunking;
+* multi-draw deciders are **bit-identical** between the engine and the
+  reference loop under a fixed seed;
+* engine estimates match the closed-form acceptance within Monte-Carlo
+  tolerance, and the stream is independent of the chunking;
 * a decider whose draw counts exceed what the IR can express raises a clear
-  error under ``engine="fast"`` / ``"exact"`` instead of misreporting.
+  error under ``engine="exact"`` instead of misreporting.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from repro.core.decision import (
     AmplifiedResilientDecider,
     ProgramDecider,
     ResilientDecider,
+    estimate_guarantee,
     golden_ratio_guarantee,
     majority_success_probability,
     per_draw_probability_for_majority,
 )
-from repro.core.languages import SELECTED, Configuration
+from repro.core.languages import SELECTED, Amos, Configuration
 from repro.core.lcl import ProperColoring
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
@@ -197,7 +198,7 @@ class TestMultiDrawDeciders:
         trials = 60
         reference = legacy_per_trial_accepts(decider, configuration, trials, seed)
         compiled = compile_decision(decider, configuration)
-        engine = accept_vector(compiled, trials, seed=seed, mode="exact", salt=decider.name)
+        engine = accept_vector(compiled, trials, seed=seed, salt=decider.name)
         assert np.array_equal(engine, reference)
 
     @pytest.mark.parametrize(
@@ -212,9 +213,9 @@ class TestMultiDrawDeciders:
     @pytest.mark.parametrize(
         "label,decider,configuration", MULTI_DRAW_CASES, ids=[c[0] for c in MULTI_DRAW_CASES]
     )
-    def test_fast_mode_matches_closed_form(self, label, decider, configuration):
+    def test_engine_matches_closed_form(self, label, decider, configuration):
         compiled = compile_decision(decider, configuration)
-        accepted = accept_vector(compiled, 8000, seed=2, mode="fast")
+        accepted = accept_vector(compiled, 8000, seed=2)
         estimate = float(np.count_nonzero(accepted)) / 8000
         assert estimate == pytest.approx(compiled.deterministic_accept_probability, abs=0.03)
 
@@ -248,67 +249,64 @@ class TestChunkedExecution:
     @pytest.mark.parametrize(
         "label,decider,configuration", MULTI_DRAW_CASES, ids=[c[0] for c in MULTI_DRAW_CASES]
     )
-    def test_fast_accept_vector_independent_of_max_bytes(self, label, decider, configuration):
-        """Any working-set bound gives the same stream: per-node generators
-        make the fast mode chunk-invariant."""
+    def test_accept_vector_independent_of_max_bytes(self, label, decider, configuration):
+        """Any working-set bound gives the same stream: counter-based draws
+        make the engine chunk-invariant."""
         compiled = compile_decision(decider, configuration)
-        unchunked = accept_vector(compiled, 500, seed=7, mode="fast")
+        unchunked = accept_vector(compiled, 500, seed=7)
         for max_bytes in (1, 4_000, 64 * 1024):
-            chunked = accept_vector(compiled, 500, seed=7, mode="fast", max_bytes=max_bytes)
+            chunked = accept_vector(compiled, 500, seed=7, max_bytes=max_bytes)
             assert np.array_equal(chunked, unchunked), max_bytes
 
     def test_trial_axis_is_chunked_and_stream_invariant(self):
         """When a single node column at full trials exceeds max_bytes, the
-        trial axis is sliced too — and per-node generators consumed
-        sequentially keep the sliced stream identical to the unsliced one
-        (regression: the width floor used to breach the documented bound)."""
+        trial axis is sliced — and each trial's draws depend only on its own
+        keys, so the sliced stream is identical to the unsliced one."""
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         configuration = broken_coloring(21, 2)
         compiled = compile_decision(decider, configuration)
         trials = 4000  # one 3-draw column = 96 kB at full trials
-        unbounded = accept_vector(compiled, trials, seed=9, mode="fast")
-        tightly_bounded = accept_vector(
-            compiled, trials, seed=9, mode="fast", max_bytes=1024
-        )
+        unbounded = accept_vector(compiled, trials, seed=9)
+        tightly_bounded = accept_vector(compiled, trials, seed=9, max_bytes=1024)
         assert np.array_equal(tightly_bounded, unbounded)
 
-    def test_fast_vote_matrix_independent_of_max_bytes(self):
+    def test_vote_matrix_independent_of_max_bytes(self):
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         configuration = broken_coloring(21, 3)
         compiled = compile_decision(decider, configuration)
-        unchunked = vote_matrix(compiled, 200, seed=3, mode="fast")
-        chunked = vote_matrix(compiled, 200, seed=3, mode="fast", max_bytes=1)
+        unchunked = vote_matrix(compiled, 200, seed=3)
+        chunked = vote_matrix(compiled, 200, seed=3, max_bytes=1)
         assert np.array_equal(chunked, unchunked)
 
     def test_max_bytes_must_be_positive(self):
         decider = AmplifiedAmosDecider()
         compiled = compile_decision(decider, amos_configuration(9, {0}))
         with pytest.raises(ValueError):
-            accept_vector(compiled, 10, mode="fast", max_bytes=0)
+            accept_vector(compiled, 10, max_bytes=0)
 
     def test_env_override_is_honoured(self, monkeypatch):
         decider = AmplifiedAmosDecider()
         compiled = compile_decision(decider, amos_configuration(9, {0, 4}))
-        baseline = accept_vector(compiled, 300, seed=1, mode="fast")
+        baseline = accept_vector(compiled, 300, seed=1)
         monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "16")
-        assert np.array_equal(accept_vector(compiled, 300, seed=1, mode="fast"), baseline)
+        assert np.array_equal(accept_vector(compiled, 300, seed=1), baseline)
 
 
 class TestInexpressibleDeciders:
-    def test_engine_fast_raises_clear_error(self):
+    def test_engine_exact_raises_clear_error(self):
         decider = _TooManyDrawsDecider()
         configuration = amos_configuration(9, {0})
         with pytest.raises(ProgramCompilationError) as excinfo:
-            decider.acceptance_probability(configuration, trials=10, engine="fast")
+            decider.acceptance_probability(configuration, trials=10, engine="exact")
         message = str(excinfo.value)
         assert "sequential draws" in message and 'engine="off"' in message
         assert decider.name in message
 
-    def test_engine_exact_raises_too(self):
+    def test_engine_exact_raises_in_estimate_guarantee_too(self):
         decider = _TooManyDrawsDecider()
         configuration = amos_configuration(9, {0})
         with pytest.raises(ProgramCompilationError):
-            decider.acceptance_probability(configuration, trials=10, engine="exact")
+            estimate_guarantee(decider, Amos(), [configuration], trials=10, engine="exact")
 
     def test_reference_path_still_works(self):
         """engine="off" keeps running deciders the IR cannot express."""

@@ -40,6 +40,15 @@ identities = st.integers(-(2**31), 2**40)
 draw_indices = st.integers(0, 63)
 
 
+#: The ``(salt, identity)`` of every engine site that reads the tapes
+#: (executor votes, fused decide votes, construction outputs).
+EXACT_SITES = [
+    ("executor-exact", ("salt-a", 17)),
+    ("construct-exact-decide", ("s", 23)),
+    ("construct-exact-output", ("s", 23)),
+]
+
+
 def block_uniforms(seed, salt, trial, identity, draws):
     """Draws ``0 .. draws-1`` of one tape, through the engine's block code."""
     keys = node_keys(
@@ -116,6 +125,16 @@ class TestScalarEqualsBlock:
                 assert counter_uniforms(keys[trial : trial + 1, column], 3)[0, 2] == (
                     counter_uniform(node_key(base, trial, identity), 2)
                 )
+
+    @pytest.mark.parametrize("seed", [0, 1, 10_000])
+    @pytest.mark.parametrize("label,site", EXACT_SITES, ids=[s[0] for s in EXACT_SITES])
+    def test_exact_sites_compute_the_reference_tapes(self, seed, label, site):
+        salt, identity = site
+        keys = node_keys(derive_seed(seed, salt), np.arange(6), np.array([identity]))
+        block = counter_uniforms(keys, 8)
+        for trial in range(6):
+            reference = tape(seed, salt, trial, identity)
+            assert [reference.uniform() for _ in range(8)] == block[trial, 0].tolist()
 
 
 # --------------------------------------------------------------------------- #

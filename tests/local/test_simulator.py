@@ -3,13 +3,10 @@ repro.local.ports)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import pytest
 
-from repro.graphs.families import cycle_network, path_network, star_network
-from repro.local.algorithm import LocalAlgorithm, NodeContext
+from repro.graphs.families import path_network
+from repro.local.algorithm import LocalAlgorithm
 from repro.local.ports import assign_ports
 from repro.local.randomness import TapeFactory
 from repro.local.simulator import Simulator

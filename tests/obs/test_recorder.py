@@ -194,7 +194,7 @@ class TestNullOverhead:
 
         def instrumented() -> None:
             recorder = get_recorder()
-            with recorder.span("engine.chunk", mode="fast", trials=64):
+            with recorder.span("engine.stream_sample", trials=64, offset=0):
                 recorder.counter("engine.chunks")
 
         start = time.perf_counter()

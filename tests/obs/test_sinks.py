@@ -19,7 +19,7 @@ def sample_export():
     with recorder.span("session.request", experiment_id="E5"):
         with recorder.span("engine.compile", decider="amos"):
             pass
-        with recorder.span("engine.execute", mode="fast"):
+        with recorder.span("engine.execute", op="accept_vector"):
             recorder.counter("engine.chunks", 3)
     recorder.counter("cache.miss")
     recorder.histogram("cache.lookup_seconds", 0.002)

@@ -3,10 +3,10 @@
 Random small graphs (cycles, paths, stars, grids, random regular graphs) are
 paired with random single-coin deciders (per-node Bernoulli probabilities
 derived from the node identity through generated parameters).  For every
-pair the engine's exact mode must be **bit-identical** to the reference loop
+pair the engine must be **bit-identical** to the reference loop
 (``engine="off"``) at seeds 0, 1 and 10_000 — the trial is part of every
-tape key, so adjacent seeds are as independent as distant ones — and both
-modes must be invariant to the ``max_bytes`` working-set bound.
+tape key, so adjacent seeds are as independent as distant ones — and
+invariant to the ``max_bytes`` working-set bound.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class TestExactModeIsBitIdenticalToReference:
         decider = _decider_from(table)
         configuration = Configuration(network, {node: 0 for node in network.nodes()})
         compiled = compile_decision(decider, configuration)
-        votes = vote_matrix(compiled, 3, seed=seed, mode="exact", salt=decider.name)
+        votes = vote_matrix(compiled, 3, seed=seed, salt=decider.name)
         from repro.local.randomness import TapeFactory
 
         for trial in range(3):
@@ -133,17 +133,12 @@ class TestExactModeIsBitIdenticalToReference:
 
 
 class TestChunkSizeInvariance:
-    @given(
-        network=networks,
-        table=probability_tables,
-        seed=st.sampled_from(SEEDS),
-        mode=st.sampled_from(["exact", "fast"]),
-    )
+    @given(network=networks, table=probability_tables, seed=st.sampled_from(SEEDS))
     @settings(max_examples=30, deadline=None)
-    def test_accept_vector_is_max_bytes_invariant(self, network, table, seed, mode):
+    def test_accept_vector_is_max_bytes_invariant(self, network, table, seed):
         decider = _decider_from(table)
         configuration = Configuration(network, {node: 0 for node in network.nodes()})
         compiled = compile_decision(decider, configuration)
-        default = accept_vector(compiled, 48, seed=seed, mode=mode)
-        tiny = accept_vector(compiled, 48, seed=seed, mode=mode, max_bytes=64)
+        default = accept_vector(compiled, 48, seed=seed)
+        tiny = accept_vector(compiled, 48, seed=seed, max_bytes=64)
         assert np.array_equal(default, tiny)

@@ -12,8 +12,6 @@ These check structural invariants the paper's framework relies on:
 
 from __future__ import annotations
 
-import itertools
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +20,7 @@ from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring, WeakColoring
 from repro.core.order_invariant import OrderInvariantAlgorithm
 from repro.core.relaxations import eps_slack, f_resilient
-from repro.graphs.families import cycle_network, path_network
+from repro.graphs.families import cycle_network
 from repro.graphs.operations import disjoint_union, glue_instances
 from repro.local.ball import collect_ball
 from repro.local.identifiers import order_preserving_relabel

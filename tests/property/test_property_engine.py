@@ -227,9 +227,7 @@ class TestVoteProgramProperties:
         )
         decider = GeneratedDecider()
         compiled = compile_decision(decider, configuration)
-        engine_accepts = accept_vector(
-            compiled, trials, seed=seed, mode="exact", salt=decider.name
-        )
+        engine_accepts = accept_vector(compiled, trials, seed=seed, salt=decider.name)
         for trial in range(trials):
             outcome = decider.decide(
                 configuration, tape_factory=TapeFactory(seed, salt=decider.name, trial=trial)
@@ -238,7 +236,7 @@ class TestVoteProgramProperties:
 
     @given(expr=vote_exprs, seed=st.integers(0, 2**31))
     @settings(max_examples=25)
-    def test_fast_mode_is_chunk_invariant(self, expr, seed):
+    def test_engine_is_chunk_invariant(self, expr, seed):
         class GeneratedDecider(ProgramDecider):
             radius = 0
             name = "generated-chunk-decider"
@@ -249,8 +247,8 @@ class TestVoteProgramProperties:
         network = cycle_network(5)
         configuration = Configuration(network, {node: 0 for node in network.nodes()})
         compiled = compile_decision(GeneratedDecider(), configuration)
-        default = accept_vector(compiled, 64, seed=seed, mode="fast")
-        tiny = accept_vector(compiled, 64, seed=seed, mode="fast", max_bytes=128)
+        default = accept_vector(compiled, 64, seed=seed)
+        tiny = accept_vector(compiled, 64, seed=seed, max_bytes=128)
         assert np.array_equal(default, tiny)
 
 
@@ -268,7 +266,7 @@ class TestOutputProgramProperties:
     def test_compiled_construction_matches_the_interpreted_reference(
         self, expr_even, expr_odd, seed, trials
     ):
-        """The construction engine's exact mode must equal per-trial
+        """The construction engine must equal per-trial
         interpretation of the same output programs against the reference
         tapes — same draw methods, same bounds, same values."""
 
@@ -284,7 +282,7 @@ class TestOutputProgramProperties:
         )
         network = cycle_network(6)
         compiled = compile_construction(algorithm, network)
-        codes = construction_matrix(compiled, trials, seed=seed, mode="exact", salt="prop")
+        codes = construction_matrix(compiled, trials, seed=seed, salt="prop")
         for trial in range(trials):
             factory = TapeFactory(seed, salt="prop", trial=trial)
             expected = {
@@ -298,7 +296,7 @@ class TestOutputProgramProperties:
 
     @given(expr=output_exprs, seed=st.integers(0, 2**31))
     @settings(max_examples=25)
-    def test_fast_construction_is_chunk_invariant(self, expr, seed):
+    def test_construction_is_chunk_invariant(self, expr, seed):
         algorithm = FunctionBallAlgorithm(
             lambda ball, tape: evaluate_output_expr(expr, tape),
             radius=0,
@@ -307,8 +305,8 @@ class TestOutputProgramProperties:
             output_program=lambda ball: expr,
         )
         compiled = compile_construction(algorithm, cycle_network(5))
-        default = construction_matrix(compiled, 64, seed=seed, mode="fast")
-        tiny = construction_matrix(compiled, 64, seed=seed, mode="fast", max_bytes=64)
+        default = construction_matrix(compiled, 64, seed=seed)
+        tiny = construction_matrix(compiled, 64, seed=seed, max_bytes=64)
         assert np.array_equal(default, tiny)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import Client, Session
 from repro.errors import JobNotFound, ReproError, WireFormatError
-from repro.harness.registry import ExperimentRegistry, SpecValidationError
+from repro.harness.registry import ExperimentRegistry
 from repro.service import ServiceThread
 
 

@@ -460,6 +460,38 @@ class TestJournalReplay:
         assert "exploded" in job.error["message"]
         assert job.error_status == 500
 
+    def test_removed_engine_value_replays_to_a_typed_failure(self, tmp_path):
+        """A journal written by an older server may hold a submit whose engine
+        value no longer exists (``engine="fast"``).  Replay must not crash:
+        the job re-runs and fails with the registry's typed 400 error."""
+        from repro.api.session import PRESET_QUICK, RunRequest
+        from repro.api.wire import encode_request
+        from repro.harness.registry import REGISTRY
+
+        parameters = REGISTRY["E1"].resolve(preset=PRESET_QUICK)
+        parameters["engine"] = "fast"
+        request = RunRequest.create("E1", parameters, preset=PRESET_QUICK)
+        journal = JobJournal(tmp_path / "journal")
+        journal.append(
+            "submit", "j000001-00000000", request=encode_request(request),
+            cache_key="0" * 64, priority=0,
+        )
+        journal.close()
+
+        async def restart():
+            manager = JobManager(journal_dir=tmp_path / "journal", cache=None)
+            requeued = await manager.start()
+            job = await manager.wait("j000001-00000000")
+            await manager.close()
+            return requeued, job
+
+        requeued, job = run(restart())
+        assert requeued == 1
+        assert job.state == JobState.FAILED
+        assert job.error["error"] == "parameter_value"
+        assert "'fast'" in job.error["message"]
+        assert job.error_status == 400
+
     def test_replay_compacts_the_journal(self, registry, tmp_path, req):
         dirs = dict(journal_dir=tmp_path / "journal", cache=tmp_path / "cache")
 

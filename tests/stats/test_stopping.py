@@ -125,22 +125,20 @@ class TestSequentialEstimate:
 
 
 class TestAcceptStream:
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_concatenated_batches_equal_one_fixed_call(self, mode):
+    def test_concatenated_batches_equal_one_fixed_call(self):
         decider = AmplifiedResilientDecider(ProperColoring(3), f=4, repetitions=3)
         compiled = compile_decision(decider, _config())
-        fixed = accept_vector(compiled, 500, seed=11, mode=mode)
-        stream = AcceptStream(compiled, seed=11, mode=mode)
+        fixed = accept_vector(compiled, 500, seed=11)
+        stream = AcceptStream(compiled, seed=11)
         batches = [stream.sample(count) for count in (100, 1, 399)]
         assert np.array_equal(np.concatenate(batches), fixed)
         assert stream.trials_sampled == 500
 
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_batching_is_max_bytes_invariant(self, mode):
+    def test_batching_is_max_bytes_invariant(self):
         decider = ResilientDecider(ProperColoring(3), f=2)
         compiled = compile_decision(decider, _config())
-        fixed = accept_vector(compiled, 300, seed=2, mode=mode)
-        stream = AcceptStream(compiled, seed=2, mode=mode, max_bytes=128)
+        fixed = accept_vector(compiled, 300, seed=2)
+        stream = AcceptStream(compiled, seed=2, max_bytes=128)
         assert np.array_equal(
             np.concatenate([stream.sample(150), stream.sample(150)]), fixed
         )
@@ -162,13 +160,12 @@ class TestAcceptStream:
 
 
 class TestAdaptiveAcceptance:
-    @pytest.mark.parametrize("mode", ["exact", "fast"])
-    def test_adaptive_stop_equals_fixed_prefix(self, mode):
+    def test_adaptive_stop_equals_fixed_prefix(self):
         decider = ResilientDecider(ProperColoring(3), f=4)
         compiled = compile_decision(decider, _config())
         target = PrecisionTarget(half_width=0.04, min_trials=100, max_trials=5_000)
-        estimate = adaptive_acceptance(compiled, target, seed=3, mode=mode)
-        fixed = accept_vector(compiled, estimate.trials, seed=3, mode=mode)
+        estimate = adaptive_acceptance(compiled, target, seed=3)
+        fixed = accept_vector(compiled, estimate.trials, seed=3)
         assert estimate.successes == int(fixed.sum())
         assert estimate.half_width <= 0.04
         assert 100 <= estimate.trials < 5_000
@@ -274,7 +271,5 @@ class TestDeciderPrecisionThreading:
             if trials == 1:
                 assert rate == 1.0
                 continue
-            successes = engine_success_counts(
-                decider, configuration, member, trials, 2, index, "exact"
-            )
+            successes = engine_success_counts(decider, configuration, member, trials, 2, index)
             assert successes / trials == rate
