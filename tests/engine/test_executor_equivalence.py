@@ -123,6 +123,20 @@ class TestExactModeBitIdentity:
             votes = exact_single_trial_votes(compiled, master_seed, "any-salt")
             assert {node: bool(v) for node, v in zip(compiled.nodes, votes)} == outcome.votes
 
+    def test_single_trial_votes_at_later_trials_match_decide(self):
+        """``trial=t`` reads the tapes of ``TapeFactory(seed, salt, trial=t)``,
+        which are also row ``t`` of the vote matrix."""
+        decider, configuration = CASES[2][1], CASES[2][2]
+        compiled = compile_decision(decider, configuration)
+        matrix = vote_matrix(compiled, 8, seed=42, salt="any-salt")
+        for trial in (1, 7):
+            outcome = decider.decide(
+                configuration, tape_factory=TapeFactory(42, salt="any-salt", trial=trial)
+            )
+            votes = exact_single_trial_votes(compiled, 42, "any-salt", trial=trial)
+            assert {node: bool(v) for node, v in zip(compiled.nodes, votes)} == outcome.votes
+            assert np.array_equal(votes, matrix[trial])
+
 
 class TestDistribution:
     def test_matches_closed_form_acceptance(self):

@@ -291,6 +291,19 @@ class TestChunkedExecution:
         monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "16")
         assert np.array_equal(accept_vector(compiled, 300, seed=1), baseline)
 
+    def test_env_override_must_be_a_byte_count(self, monkeypatch):
+        compiled = compile_decision(AmplifiedAmosDecider(), amos_configuration(9, {0}))
+        monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "64MiB")
+        with pytest.raises(ValueError, match="plain byte count"):
+            accept_vector(compiled, 10)
+
+    def test_explicit_max_bytes_takes_precedence_over_env(self, monkeypatch):
+        decider = AmplifiedAmosDecider()
+        compiled = compile_decision(decider, amos_configuration(9, {0, 4}))
+        baseline = accept_vector(compiled, 300, seed=1)
+        monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "not-a-number")
+        assert np.array_equal(accept_vector(compiled, 300, seed=1, max_bytes=16), baseline)
+
 
 class TestInexpressibleDeciders:
     def test_engine_exact_raises_clear_error(self):

@@ -138,6 +138,30 @@ class TestScalarEqualsBlock:
 
 
 # --------------------------------------------------------------------------- #
+# Every key component separates streams
+# --------------------------------------------------------------------------- #
+class TestDistinctStreams:
+    #: ``(seed, salt, trial, identity)`` of the stream the others differ from.
+    BASE = (0, "salt", 0, 1)
+
+    @pytest.mark.parametrize(
+        "position,value", [(1, "other-salt"), (2, 1), (3, 2)], ids=["salt", "trial", "identity"]
+    )
+    def test_distinct_components_give_distinct_streams(self, position, value):
+        changed = list(self.BASE)
+        changed[position] = value
+        assert not np.array_equal(
+            block_uniforms(*self.BASE, 32), block_uniforms(*changed, 32)
+        )
+
+    def test_distant_seeds_give_distinct_streams(self):
+        distant = (10_000,) + self.BASE[1:]
+        assert not np.array_equal(
+            block_uniforms(*self.BASE, 32), block_uniforms(*distant, 32)
+        )
+
+
+# --------------------------------------------------------------------------- #
 # Statistics across adjacent trials, identities and seeds
 # --------------------------------------------------------------------------- #
 class TestStreamStatistics:

@@ -143,6 +143,16 @@ class TestAcceptStream:
             np.concatenate([stream.sample(150), stream.sample(150)]), fixed
         )
 
+    def test_explicit_salt_is_threaded(self):
+        decider = ResilientDecider(ProperColoring(3), f=2)
+        compiled = compile_decision(decider, _config())
+        fixed = accept_vector(compiled, 300, seed=4, salt=f"{decider.name}/3")
+        stream = AcceptStream(compiled, seed=4, salt=f"{decider.name}/3")
+        assert np.array_equal(
+            np.concatenate([stream.sample(120), stream.sample(180)]), fixed
+        )
+        assert not np.array_equal(fixed, accept_vector(compiled, 300, seed=4))
+
     def test_count_validated(self):
         compiled = compile_decision(ResilientDecider(ProperColoring(3), f=2), _config())
         with pytest.raises(ValueError):
