@@ -18,7 +18,12 @@ Two concrete constructor shapes are provided:
   benchmark harness compares against.
 
 :func:`estimate_success_probability` measures the empirical ``r`` of a
-constructor against a language over a set of instances.
+constructor against a language over a set of instances.  Each instance is
+one success stream (``_success_stream``, which
+:func:`~repro.core.derandomization.find_hard_instances` reads too), built
+by the construction engine when the constructor compiles and by the
+reference per-trial loop otherwise; :func:`repro.stats.run_estimate` runs
+it for a fixed trial count or to a ``precision=`` target.
 """
 
 from __future__ import annotations
@@ -28,18 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.languages import Configuration, DistributedLanguage
+from repro.engine.adapters import engine_or_reference
 from repro.engine.construct import (
     ConstructionCompilationError,
-    adaptive_success_estimate,
-    batched_success_counts,
     resolve_construction_engine,
+    success_stream,
 )
-from repro.stats import (
-    PrecisionTarget,
-    ProbabilityEstimate,
-    sequential_estimate,
-    wilson_half_width,
-)
+from repro.stats import PrecisionTarget, run_estimate, wilson_half_width
 from repro.local.algorithm import BallAlgorithm, LocalAlgorithm
 from repro.local.network import Network
 from repro.local.randomness import TapeFactory
@@ -220,90 +220,68 @@ def estimate_success_probability(
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each instance's trials sequentially until the CI
-    half-width target is met, with ``trials`` as the per-instance cap; the
-    streams are chunk-invariant, so an instance stopping at ``k`` trials
-    reports exactly its fixed ``k``-trial rate, and ``precision=None`` is
-    bit-identical to the historical behaviour.
+    half-width target is met, with ``trials`` as the per-instance cap.  A
+    fixed run is the first draw of the same stream, so an instance stopping
+    at ``k`` trials reports exactly its fixed ``k``-trial rate.  Fixed rows
+    report :func:`~repro.stats.wilson_half_width`; adaptive rows the
+    half-width of the target's interval.
     """
     target = PrecisionTarget.coerce(precision, default_cap=trials)
-    mode = resolve_construction_engine(engine, constructor)
+    path = resolve_construction_engine(engine, constructor)
+    if not constructor.randomized:
+        trials, target = 1, None
     estimate = SuccessEstimate()
     for index, network in enumerate(networks):
-        runs = trials if constructor.randomized else 1
-        if target is not None and constructor.randomized:
-            adaptive: Optional[ProbabilityEstimate] = None
-            if mode != "off":
-                try:
-                    adaptive = adaptive_success_estimate(
-                        constructor,
-                        language,
-                        network,
-                        target,
-                        seed=seed,
-                        salt=f"{constructor.name}/{index}",
-                    )
-                except ConstructionCompilationError:
-                    if engine != "auto":
-                        raise
-            if adaptive is None:
-                adaptive = _reference_adaptive_success(
-                    constructor, language, network, target, seed, index
-                )
-            estimate.per_instance[index] = (adaptive.estimate, adaptive.half_width)
-            estimate.trials_used[index] = adaptive.trials
-            continue
-        successes = None
-        if mode != "off":
-            try:
-                successes = batched_success_counts(
-                    constructor,
-                    language,
-                    network,
-                    runs,
-                    seed=seed,
-                    salt=f"{constructor.name}/{index}",
-                )
-            except ConstructionCompilationError:
-                # ``auto`` stays a safe default: a construction beyond the
-                # engine's shape degrades to the reference loop, while an
-                # explicit engine request surfaces the error.
-                if engine != "auto":
-                    raise
-        if successes is None:
-            successes = 0
-            for trial in range(runs):
-                factory = TapeFactory(seed, salt=f"{constructor.name}/{index}", trial=trial)
-                configuration = constructor.configuration(network, tape_factory=factory)
-                successes += int(language.contains(configuration))
-        estimate.per_instance[index] = (
-            successes / runs,
-            wilson_half_width(successes, runs),
+        draw, constant = _success_stream(
+            constructor, language, network, seed, f"{constructor.name}/{index}", engine, path
         )
-        estimate.trials_used[index] = runs
+        result = run_estimate(draw, trials, target, constant)
+        fixed_width = wilson_half_width(result.successes, result.trials)
+        half_width = result.half_width if target is not None else fixed_width
+        estimate.per_instance[index] = (result.estimate, half_width)
+        estimate.trials_used[index] = result.trials
     return estimate
 
 
-def _reference_adaptive_success(
+def _success_stream(
     constructor: Constructor,
     language: DistributedLanguage,
     network: Network,
-    target: PrecisionTarget,
     seed: int,
-    index: int,
-) -> ProbabilityEstimate:
-    """Sequential stopping on the reference per-trial construction loop
-    (the non-compilable fallback); trial ``t`` draws from
-    ``TapeFactory(seed, f"{name}/{index}", trial=t)`` exactly like the
-    fixed-trial loop."""
-    state = {"offset": 0}
+    salt: str,
+    engine: str,
+    path: str,
+) -> Tuple[Callable[[int], int], Optional[bool]]:
+    """The success stream of ``constructor`` on one instance.
 
-    def draw(count: int) -> int:
-        successes = 0
-        for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(seed, salt=f"{constructor.name}/{index}", trial=trial)
-            configuration = constructor.configuration(network, tape_factory=factory)
-            successes += int(language.contains(configuration))
-        state["offset"] += count
-        return successes
+    Returns ``(draw, constant)``: ``draw(count)`` runs the next ``count``
+    trials — trial ``t`` draws from ``TapeFactory(seed, salt, trial=t)`` —
+    and counts those whose configuration belongs to ``language``.
+    ``constant`` is the membership of an engine-compiled construction with
+    no random outputs, ``None`` otherwise.  The construction engine builds
+    the stream on the engine ``path``, the reference loop otherwise (see
+    :func:`~repro.engine.adapters.engine_or_reference`).
+    """
 
-    return sequential_estimate(target, draw)
+    def from_reference() -> Tuple[Callable[[int], int], Optional[bool]]:
+        offset = 0
+
+        def draw(count: int) -> int:
+            nonlocal offset
+            successes = 0
+            for trial in range(offset, offset + count):
+                factory = TapeFactory(seed, salt=salt, trial=trial)
+                configuration = constructor.configuration(network, tape_factory=factory)
+                successes += int(language.contains(configuration))
+            offset += count
+            return successes
+
+        return draw, None
+
+    return engine_or_reference(
+        engine,
+        path,
+        lambda: success_stream(constructor, language, network, seed=seed, salt=salt),
+        from_reference,
+        ConstructionCompilationError,
+    )

@@ -41,13 +41,18 @@ Multi-draw deciders (vote programs):
   coin amplified the same way (experiment E7).
 
 Monte-Carlo entry points (:meth:`Decider.acceptance_probability`,
-:func:`estimate_guarantee`) take an ``engine=`` parameter and dispatch to
-the batched :mod:`repro.engine` subsystem whenever the decider exposes a
-compilable vote, ``vote_program(ball)``; all concrete deciders above do.
-The engine reproduces the per-node tape streams of the reference loop bit
-for bit.  The default ``engine="auto"`` runs it whenever the decider
-compiles, ``engine="exact"`` raises instead of falling back when it does
-not, and ``engine="off"`` forces the reference loop.
+:meth:`Decider.acceptance_estimate`, :func:`estimate_guarantee`) read one
+success stream per configuration (``_success_stream``), which
+:func:`~repro.engine.adapters.engine_or_reference` builds from the batched
+:mod:`repro.engine` subsystem whenever the decider exposes a compilable
+vote, ``vote_program(ball)`` (all concrete deciders above do), and from the
+reference per-trial loop otherwise.  The engine reproduces the per-node
+tape streams of the reference loop bit for bit.  The default
+``engine="auto"`` runs it whenever the decider compiles, ``engine="exact"``
+raises instead of falling back when it does not, and ``engine="off"``
+forces the reference loop.  :func:`repro.stats.run_estimate` runs the
+stream: one ``draw(trials)`` for a fixed estimate, sequential stopping for
+a ``precision=`` target.
 """
 
 from __future__ import annotations
@@ -57,30 +62,22 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.languages import Configuration, DistributedLanguage, SELECTED
 from repro.core.lcl import LCLLanguage
-from repro.engine.adapters import (
-    engine_acceptance_probability,
-    engine_adaptive_acceptance,
-    engine_adaptive_success,
-    engine_success_counts,
-    resolve_engine,
-)
-from repro.stats import (
-    PrecisionTarget,
-    ProbabilityEstimate,
-    sequential_estimate,
-    wilson_half_width,
-    wilson_interval,
-)
+from repro.engine.adapters import engine_or_reference, resolve_engine
 from repro.engine.compiler import (
     ProgramCompilationError,
     VoteExpr,
     coin,
+    compile_decision,
     const,
     evaluate_vote_expr,
     majority,
 )
+from repro.engine.executor import AcceptStream, deterministic_accept_value
+from repro.stats import PrecisionTarget, ProbabilityEstimate, run_estimate, wilson_half_width
 from repro.local.ball import BallView
 from repro.local.randomness import RandomTape, TapeFactory
 from repro.local.simulator import run_ball_algorithm
@@ -286,47 +283,11 @@ class Decider(ABC):
         precision: Optional[object] = None,
     ) -> float:
         """Monte-Carlo estimate of Pr[all nodes accept] over the decider's
-        coins (1 trial suffices for a deterministic decider).
-
-        The configuration is fixed across trials, so the per-node balls are
-        extracted once and only the coin flips are redrawn — behaviourally
-        identical to repeated :meth:`decide` calls, but much faster.  When
-        the decider is compilable the trials run through
-        :mod:`repro.engine`; see the module docstring for the ``engine``
-        values (``auto``/``exact`` are bit-identical to ``off``).
-
-        ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
-        half-width) switches to sequential stopping: trials stream in chunks
-        and stop once the CI half-width target is met, with ``trials``
-        demoted to the cap.  The trial streams are chunk-invariant, so a run
-        stopping at ``k`` trials returns exactly the fixed ``k``-trial
-        estimate; ``precision=None`` (the default) is bit-identical to the
-        historical fixed-trial behaviour.  Use :meth:`acceptance_estimate`
-        to also get the interval and the realized trial count.
-        """
-        target = PrecisionTarget.coerce(precision, default_cap=trials)
-        if target is not None:
-            return self.acceptance_estimate(
-                configuration, trials=trials, seed=seed, engine=engine, precision=target
-            ).estimate
-        if not self.randomized:
-            return 1.0 if self.decide(configuration).accepted else 0.0
-        if resolve_engine(engine, self) != "off":
-            try:
-                return engine_acceptance_probability(self, configuration, trials, seed)
-            except ProgramCompilationError:
-                # ``auto`` stays a safe default: a vote program the IR cannot
-                # express falls back to the reference loop, while an explicit
-                # engine request surfaces the error.
-                if engine != "auto":
-                    raise
-        balls = self._balls_of(configuration)
-        accepted = 0
-        for trial in range(trials):
-            factory = TapeFactory(seed, salt=self.name, trial=trial)
-            if self._accepts_with(balls, configuration, factory):
-                accepted += 1
-        return accepted / trials
+        coins: :meth:`acceptance_estimate` without the interval and the
+        realized trial count."""
+        return self.acceptance_estimate(
+            configuration, trials=trials, seed=seed, engine=engine, precision=precision
+        ).estimate
 
     def acceptance_estimate(
         self,
@@ -336,78 +297,34 @@ class Decider(ABC):
         engine: str = "auto",
         precision: Optional[object] = None,
     ) -> ProbabilityEstimate:
-        """Pr[all accept] with its confidence interval and trial count.
+        """Pr[all nodes accept] over the decider's coins, with its
+        confidence interval and trial count.
 
-        Without a ``precision`` target this wraps the fixed ``trials``-trial
-        estimate (same coins as :meth:`acceptance_probability`) in a 95%
-        Wilson interval.  With one, trials stream in chunks and stop once
-        the target is met (``trials`` caps the run); the streams are the
-        fixed-trial streams, so a stop at ``k`` trials reports exactly the
-        fixed ``k``-trial estimate.  Structurally deterministic outcomes —
-        a non-randomized decider, or a configuration on which every vote
-        program is constant — return an exact degenerate estimate.
+        Trial ``t`` draws from ``TapeFactory(seed, salt=self.name,
+        trial=t)``; the configuration is fixed, so only the coins are
+        redrawn.  When the decider is compilable the trials run through
+        :mod:`repro.engine`; see the module docstring for the ``engine``
+        values (``auto``/``exact`` are bit-identical to ``off``).
+
+        Without a ``precision`` target this is the fixed ``trials``-trial
+        estimate in a 95% Wilson interval.  A target (a
+        :class:`~repro.stats.PrecisionTarget` or a bare half-width) streams
+        the trials in chunks until the CI half-width target is met, with
+        ``trials`` as the cap; a fixed run is the first draw of the same
+        stream, so a stop at ``k`` trials reports exactly the fixed
+        ``k``-trial estimate.  A non-randomized decider returns an exact
+        degenerate estimate, and so does, under a target, a configuration
+        on which every compiled vote program is constant.
         """
         target = PrecisionTarget.coerce(precision, default_cap=trials)
-        confidence = target.confidence if target is not None else 0.95
         if not self.randomized:
             return ProbabilityEstimate.exact(
-                self.decide(configuration).accepted, confidence=confidence
+                self.decide(configuration).accepted,
+                confidence=target.confidence if target is not None else 0.95,
             )
-        if target is None:
-            rate = self.acceptance_probability(
-                configuration, trials=trials, seed=seed, engine=engine
-            )
-            successes = int(round(rate * trials))
-            interval = wilson_interval(successes, trials, confidence=confidence)
-            return ProbabilityEstimate(
-                successes=successes,
-                trials=trials,
-                ci_low=interval.low,
-                ci_high=interval.high,
-                confidence=confidence,
-            )
-        if resolve_engine(engine, self) != "off":
-            try:
-                return engine_adaptive_acceptance(self, configuration, target, seed)
-            except ProgramCompilationError:
-                if engine != "auto":
-                    raise
-        balls = self._balls_of(configuration)
-        state = {"offset": 0}
-
-        def draw(count: int) -> int:
-            successes = 0
-            for trial in range(state["offset"], state["offset"] + count):
-                factory = TapeFactory(seed, salt=self.name, trial=trial)
-                successes += int(self._accepts_with(balls, configuration, factory))
-            state["offset"] += count
-            return successes
-
-        return sequential_estimate(target, draw)
-
-    # ------------------------------------------------------------------ #
-    # Internal fast paths (shared with estimate_guarantee)
-    # ------------------------------------------------------------------ #
-    def _balls_of(self, configuration: Configuration) -> Dict[Hashable, BallView]:
-        return {
-            node: configuration.ball(node, self.radius)
-            for node in configuration.nodes()
-        }
-
-    def _accepts_with(
-        self,
-        balls: Dict[Hashable, BallView],
-        configuration: Configuration,
-        factory: Optional[TapeFactory],
-    ) -> bool:
-        for node, ball in balls.items():
-            tape = None
-            if self.randomized:
-                assert factory is not None
-                tape = factory.tape_for(configuration.network.identity(node))
-            if not self.vote(ball, tape):
-                return False
-        return True
+        path = resolve_engine(engine, self)
+        draw, constant = _success_stream(self, configuration, True, seed, self.name, engine, path)
+        return run_estimate(draw, trials, target, constant)
 
 
 class DeterministicDecider(Decider):
@@ -733,89 +650,85 @@ def estimate_guarantee(
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each configuration's trials sequentially until the CI
-    half-width target is met, with ``trials`` as the per-configuration cap;
-    the streams are chunk-invariant, so a configuration stopping at ``k``
-    trials reports exactly its fixed ``k``-trial rate, and
-    ``precision=None`` is bit-identical to the historical behaviour.
+    half-width target is met, with ``trials`` as the per-configuration cap.
+    A fixed run is the first draw of the same stream, so a configuration
+    stopping at ``k`` trials reports exactly its fixed ``k``-trial rate.
+    Fixed rows report :func:`~repro.stats.wilson_half_width`; adaptive rows
+    the half-width of the target's interval.
     """
     target = PrecisionTarget.coerce(precision, default_cap=trials)
-    mode = resolve_engine(engine, decider) if decider.randomized else "off"
+    path = resolve_engine(engine, decider) if decider.randomized else "off"
+    if not decider.randomized:
+        trials, target = 1, None
     estimate = GuaranteeEstimate()
     for index, configuration in enumerate(configurations):
         member = language.contains(configuration)
-        runs = 1 if not decider.randomized else trials
-        if target is not None and decider.randomized:
-            adaptive: Optional[ProbabilityEstimate] = None
-            if mode != "off":
-                try:
-                    adaptive = engine_adaptive_success(
-                        decider, configuration, member, target, seed, index
-                    )
-                except ProgramCompilationError:
-                    if engine != "auto":
-                        raise
-                    mode = "off"  # inexpressible program: degrade to the reference loop
-            if adaptive is None:
-                adaptive = _reference_adaptive_success(
-                    decider, configuration, member, target, seed, index
-                )
-            estimate.per_configuration[index] = (
-                member,
-                adaptive.estimate,
-                adaptive.half_width,
-            )
-            estimate.trials_used[index] = adaptive.trials
-            continue
-        successes: Optional[int] = None
-        if mode != "off":
-            try:
-                successes = engine_success_counts(
-                    decider, configuration, member, runs, seed, index
-                )
-            except ProgramCompilationError:
-                if engine != "auto":
-                    raise
-                mode = "off"  # inexpressible program: degrade to the reference loop
-        if successes is None:
-            successes = 0
-            balls = decider._balls_of(configuration)
-            for trial in range(runs):
-                factory = TapeFactory(seed, salt=f"{decider.name}/{index}", trial=trial)
-                accepted = decider._accepts_with(balls, configuration, factory)
-                ok = accepted if member else not accepted
-                successes += int(ok)
-        rate = successes / runs
-        estimate.per_configuration[index] = (
-            member,
-            rate,
-            wilson_half_width(successes, runs),
+        draw, constant = _success_stream(
+            decider, configuration, member, seed, f"{decider.name}/{index}", engine, path
         )
-        estimate.trials_used[index] = runs
+        result = run_estimate(draw, trials, target, constant)
+        fixed_width = wilson_half_width(result.successes, result.trials)
+        half_width = result.half_width if target is not None else fixed_width
+        estimate.per_configuration[index] = (member, result.estimate, half_width)
+        estimate.trials_used[index] = result.trials
     return estimate
 
 
-def _reference_adaptive_success(
+def _success_stream(
     decider: Decider,
     configuration: Configuration,
     member: bool,
-    target: PrecisionTarget,
     seed: int,
-    index: int,
-) -> ProbabilityEstimate:
-    """Sequential stopping on the reference loop's per-trial coins (the
-    non-compilable fallback of :func:`estimate_guarantee`); trial ``t``
-    draws from ``TapeFactory(seed, f"{name}/{index}", trial=t)`` exactly
-    like the fixed-trial loop."""
-    balls = decider._balls_of(configuration)
-    state = {"offset": 0}
+    salt: str,
+    engine: str,
+    path: str,
+) -> Tuple[Callable[[int], int], Optional[bool]]:
+    """The success stream of ``decider`` on one configuration.
 
-    def draw(count: int) -> int:
-        successes = 0
-        for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(seed, salt=f"{decider.name}/{index}", trial=trial)
-            accepted = decider._accepts_with(balls, configuration, factory)
-            successes += int(accepted if member else not accepted)
-        state["offset"] += count
-        return successes
+    Returns ``(draw, constant)``: ``draw(count)`` runs the next ``count``
+    trials — trial ``t`` draws from ``TapeFactory(seed, salt, trial=t)`` —
+    and counts the successes, i.e. acceptances when ``member`` and
+    rejections otherwise.  ``constant`` is the structurally determined
+    success of an engine-compiled configuration whose vote programs are all
+    constant, ``None`` otherwise.  The engine builds the stream on the
+    engine ``path``, the reference loop otherwise (see
+    :func:`~repro.engine.adapters.engine_or_reference`).
+    """
 
-    return sequential_estimate(target, draw)
+    def from_engine() -> Tuple[Callable[[int], int], Optional[bool]]:
+        compiled = compile_decision(decider, configuration)
+        stream = AcceptStream(compiled, seed=seed, salt=salt)
+
+        def draw(count: int) -> int:
+            accepted = int(np.count_nonzero(stream.sample(count)))
+            return accepted if member else count - accepted
+
+        constant = deterministic_accept_value(compiled)
+        return draw, None if constant is None else constant == member
+
+    def from_reference() -> Tuple[Callable[[int], int], Optional[bool]]:
+        # The configuration is fixed across trials: extract the balls once
+        # and redraw only the coins, like repeated decide() calls.
+        network = configuration.network
+        balls = [
+            (network.identity(node), configuration.ball(node, decider.radius))
+            for node in configuration.nodes()
+        ]
+        offset = 0
+
+        def draw(count: int) -> int:
+            nonlocal offset
+            successes = 0
+            for trial in range(offset, offset + count):
+                factory = TapeFactory(seed, salt=salt, trial=trial)
+                accepted = all(
+                    decider.vote(ball, factory.tape_for(identity) if decider.randomized else None)
+                    for identity, ball in balls
+                )
+                successes += int(accepted == member)
+            offset += count
+            return successes
+
+        return draw, None
+
+    return engine_or_reference(engine, path, from_engine, from_reference, ProgramCompilationError)

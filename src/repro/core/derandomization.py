@@ -26,29 +26,40 @@ The contradiction with ``Pr[D accepts C(G)] ≥ p · Pr[C(G) ∈ L] ≥ p·r``
 concludes the proof.  Experiments E6 and E9 execute steps 3–4 numerically on
 a toy language with a deliberately faulty constructor and verify the decay
 the proof predicts.
+
+Every estimate here reads one success stream: the hard-instance screening
+reads the constructor's (shared with
+:func:`~repro.core.construction.estimate_success_probability`), and
+:func:`far_acceptance_probability` and :func:`choose_anchor` read one
+far-acceptance stream that counts every candidate anchor in one pass.
+:func:`~repro.engine.adapters.engine_or_reference` builds each stream from
+the construction engine when the constructor compiles (and, for far
+acceptance, the decider fuses), from the reference per-trial loop
+otherwise, and :func:`repro.stats.run_estimate` runs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.construction import Constructor
+from repro.core.construction import Constructor, _success_stream
 from repro.core.decision import Decider, DecisionOutcome
 from repro.core.languages import Configuration, DistributedLanguage
-from repro.engine.adapters import engine_single_trial_votes, resolve_engine
+from repro.engine.adapters import (
+    engine_or_reference,
+    engine_single_trial_votes,
+    resolve_engine,
+)
 from repro.engine.compiler import ProgramCompilationError
 from repro.engine.construct import (
     ConstructionCompilationError,
-    adaptive_far_acceptance,
     batched_acceptance_and_membership,
-    batched_far_acceptance,
-    batched_success_counts,
-    is_construction_compilable,
+    far_acceptance_stream,
     resolve_construction_engine,
 )
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
+from repro.stats import PrecisionTarget, run_estimate
 from repro.graphs.operations import GlueResult, disjoint_union, glue_instances
 from repro.local.network import Network
 from repro.local.randomness import TapeFactory
@@ -63,7 +74,6 @@ __all__ = [
     "find_hard_instances",
     "HardInstance",
     "far_acceptance_probability",
-    "far_acceptance_estimate",
     "choose_anchor",
     "AmplificationReport",
     "amplification_disjoint_union",
@@ -247,31 +257,14 @@ def find_hard_instances(
     # No decider side here, so the *strict* resolver applies: an explicit
     # engine request on a non-compilable randomized constructor raises
     # rather than silently measuring the reference loop.
-    construction_mode = resolve_construction_engine(engine, constructor)
+    path = resolve_construction_engine(engine, constructor)
+    runs = trials if constructor.randomized else 1
     found: List[HardInstance] = []
     for index, network in enumerate(candidates):
-        runs = trials if constructor.randomized else 1
-        failures = None
-        if construction_mode != "off":
-            try:
-                failures = runs - batched_success_counts(
-                    constructor,
-                    language,
-                    network,
-                    runs,
-                    seed=seed,
-                    salt=f"hard/{index}",
-                )
-            except ConstructionCompilationError:
-                if engine != "auto":
-                    raise
-        if failures is None:
-            failures = 0
-            for trial in range(runs):
-                factory = TapeFactory(seed, salt=f"hard/{index}", trial=trial)
-                configuration = constructor.configuration(network, tape_factory=factory)
-                failures += int(not language.contains(configuration))
-        rate = failures / runs
+        draw, _constant = _success_stream(
+            constructor, language, network, seed, f"hard/{index}", engine, path
+        )
+        rate = (runs - run_estimate(draw, runs).successes) / runs
         if rate >= beta:
             found.append(HardInstance(network, rate, runs))
             if len(found) >= count:
@@ -292,15 +285,10 @@ def _construction_mode(engine: str, constructor: Constructor) -> str:
     Unlike :func:`repro.engine.construct.resolve_construction_engine`, a
     non-compilable constructor never raises here: these loops also carry a
     decider side that may still honour an explicit engine request, so the
-    constructor side just degrades to the per-trial reference path.
+    constructor side just degrades to the per-trial reference path, as
+    under ``auto``.
     """
-    from repro.engine.adapters import ENGINE_CHOICES
-
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
-    if engine == "off" or not getattr(constructor, "randomized", False):
-        return "off"
-    return "exact" if is_construction_compilable(constructor) else "off"
+    return resolve_construction_engine("auto" if engine == "exact" else engine, constructor)
 
 
 def _decide_outcome(
@@ -358,127 +346,85 @@ def far_acceptance_probability(
     salts ``"far/construct"`` / ``"far/decide"``.
 
     When the constructor compiles (:mod:`repro.engine.construct`) and the
-    decider fuses (radius 0, one coin per node), the whole estimate runs as
-    one batched construct→decide pass; otherwise the configuration is
-    rebuilt per trial and the engine's role is the per-trial decision step.
+    decider fuses (radius 0, one coin per node), the trials run as batched
+    construct→decide passes; otherwise the configuration is rebuilt per
+    trial and the engine's role is the per-trial decision step.
     ``engine="auto"``/``"exact"`` remain bit-identical to ``"off"`` on both
     paths.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
-    half-width) switches to sequential stopping with ``trials`` as the cap
-    — see :func:`far_acceptance_estimate`, which also returns the interval.
+    half-width) switches to sequential stopping with ``trials`` as the cap.
+    A fixed run is the first draw of the same stream, so a stop at ``k``
+    trials reports exactly the fixed ``k``-trial estimate.
     """
-    if precision is not None:
-        target = PrecisionTarget.coerce(precision, default_cap=trials)
-        if target is not None:
-            return far_acceptance_estimate(
-                constructor,
-                decider,
-                network,
-                node,
-                distance,
-                target,
-                seed=seed,
-                engine=engine,
-            ).estimate
-    mode = resolve_engine(engine, decider)
-    construction_mode = _construction_mode(engine, constructor)
-    if construction_mode != "off":
-        try:
-            batched = batched_far_acceptance(
-                constructor,
-                decider,
-                network,
-                [node],
-                distance,
-                trials,
-                seed=seed,
-                construct_salt="far/construct",
-                decide_salt="far/decide",
-            )
-        except ConstructionCompilationError:
-            if engine != "auto":
-                raise
-            batched = None
-        if batched is not None:
-            return batched[node]
-    accepted_far = 0
-    for trial in range(trials):
-        c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
-        configuration = constructor.configuration(network, tape_factory=c_factory)
-        outcome, mode = _decide_outcome(
-            decider,
-            configuration,
-            seed,
-            "far/decide",
-            trial,
-            mode,
-            allow_fallback=engine == "auto",
-        )
-        accepted_far += int(outcome.accepted_far_from(configuration, node, distance))
-    return accepted_far / trials
+    target = PrecisionTarget.coerce(precision, default_cap=trials)
+    draw = _far_acceptance_stream(constructor, decider, network, [node], distance, seed, engine)
+    return run_estimate(lambda count: draw(count)[0], trials, target).estimate
 
 
-def far_acceptance_estimate(
+def _far_acceptance_stream(
     constructor: Constructor,
     decider: Decider,
     network: Network,
-    node: Hashable,
+    candidates: Sequence[Hashable],
     distance: int,
-    target: PrecisionTarget,
-    seed: int = 0,
-    engine: str = "auto",
-) -> ProbabilityEstimate:
-    """``Pr[D accepts C(H) far from u]`` under sequential stopping.
+    seed: int,
+    engine: str,
+) -> Callable[[int], List[int]]:
+    """The far-acceptance stream of every candidate anchor at once.
 
-    Same seeding and salts as :func:`far_acceptance_probability`; trials
-    stream in chunks (the fused construct→decide path when available, the
-    per-trial reference loop otherwise) and stop once ``target`` is met.
-    The streams are chunk-invariant, so stopping at ``k`` trials reports
-    exactly the fixed ``k``-trial estimate.
+    ``draw(count)`` runs the next ``count`` construct→decide trials and
+    returns, per candidate, how many accepted far from it.  The coins do
+    not depend on the candidate, so each trial is constructed and decided
+    once for all of them.  The fused engine pass builds the stream when the
+    constructor compiles and the decider fuses, the reference loop
+    otherwise (see :func:`~repro.engine.adapters.engine_or_reference`).
     """
     mode = resolve_engine(engine, decider)
-    construction_mode = _construction_mode(engine, constructor)
-    if construction_mode != "off":
-        try:
-            batched = adaptive_far_acceptance(
-                constructor,
-                decider,
-                network,
-                node,
-                distance,
-                target,
-                seed=seed,
-                construct_salt="far/construct",
-                decide_salt="far/decide",
-            )
-        except ConstructionCompilationError:
-            if engine != "auto":
-                raise
-            batched = None
-        if batched is not None:
-            return batched
-    state = {"offset": 0, "mode": mode}
 
-    def draw(count: int) -> int:
-        accepted_far = 0
-        for trial in range(state["offset"], state["offset"] + count):
-            c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
-            configuration = constructor.configuration(network, tape_factory=c_factory)
-            outcome, state["mode"] = _decide_outcome(
-                decider,
-                configuration,
-                seed,
-                "far/decide",
-                trial,
-                state["mode"],
-                allow_fallback=engine == "auto",
-            )
-            accepted_far += int(outcome.accepted_far_from(configuration, node, distance))
-        state["offset"] += count
-        return accepted_far
+    def from_reference() -> Callable[[int], List[int]]:
+        offset = 0
 
-    return sequential_estimate(target, draw)
+        def draw(count: int) -> List[int]:
+            nonlocal offset, mode
+            counts = [0] * len(candidates)
+            for trial in range(offset, offset + count):
+                c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
+                configuration = constructor.configuration(network, tape_factory=c_factory)
+                outcome, mode = _decide_outcome(
+                    decider,
+                    configuration,
+                    seed,
+                    "far/decide",
+                    trial,
+                    mode,
+                    allow_fallback=engine == "auto",
+                )
+                for position, node in enumerate(candidates):
+                    counts[position] += int(
+                        outcome.accepted_far_from(configuration, node, distance)
+                    )
+            offset += count
+            return counts
+
+        return draw
+
+    return engine_or_reference(
+        engine,
+        _construction_mode(engine, constructor),
+        lambda: far_acceptance_stream(
+            constructor,
+            decider,
+            network,
+            candidates,
+            distance,
+            seed=seed,
+            construct_salt="far/construct",
+            decide_salt="far/decide",
+        ),
+        from_reference,
+        ConstructionCompilationError,
+    )
 
 
 def choose_anchor(
@@ -499,51 +445,25 @@ def choose_anchor(
     and its estimated far-acceptance probability.
 
     The constructor's (and decider's) coins do not depend on the candidate —
-    every candidate is estimated at the same seed and salts — so on the
-    batched path **one** construction/vote matrix is shared by all
-    candidates, each reading its own far-node columns off the same votes;
-    this is bit-identical to the per-candidate loop, which replays the same
-    tape streams once per candidate.
+    every candidate is estimated at the same seed and salts as
+    :func:`far_acceptance_probability` — so one pass over the trials serves
+    all candidates, each reading its own far nodes off the same votes; this
+    is bit-identical to one :func:`far_acceptance_probability` call per
+    candidate.
     """
     if candidates is None:
         candidates = network.nodes()
     candidates = list(candidates)
     if not candidates:
         raise ValueError("choose_anchor needs at least one candidate node")
-    construction_mode = _construction_mode(engine, constructor)
-    probabilities: Optional[dict] = None
-    if construction_mode != "off":
-        try:
-            probabilities = batched_far_acceptance(
-                constructor,
-                decider,
-                network,
-                candidates,
-                distance,
-                trials,
-                seed=seed,
-                construct_salt="far/construct",
-                decide_salt="far/decide",
-            )
-        except ConstructionCompilationError:
-            if engine != "auto":
-                raise
-    if probabilities is None:
-        probabilities = {
-            node: far_acceptance_probability(
-                constructor,
-                decider,
-                network,
-                node,
-                distance,
-                trials=trials,
-                seed=seed,
-                engine=engine,
-            )
-            for node in candidates
-        }
-    best_node = min(candidates, key=lambda node: probabilities[node])
-    return best_node, probabilities[best_node]
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    draw = _far_acceptance_stream(
+        constructor, decider, network, candidates, distance, seed, engine
+    )
+    probabilities = [count / trials for count in draw(trials)]
+    best = min(range(len(candidates)), key=probabilities.__getitem__)
+    return candidates[best], probabilities[best]
 
 
 # --------------------------------------------------------------------------- #
@@ -600,43 +520,43 @@ def _estimate_acceptance_and_membership(
     one batched pass (exact mode bit-identical to the reference loop);
     anything else falls back per trial.
     """
-    construction_mode = _construction_mode(engine, constructor)
-    if construction_mode != "off":
-        try:
-            batched = batched_acceptance_and_membership(
-                constructor,
+
+    def from_reference() -> Tuple[float, float]:
+        mode = resolve_engine(engine, decider)
+        accepted = 0
+        member = 0
+        for trial in range(trials):
+            c_factory = TapeFactory(seed, salt="amp/construct", trial=trial)
+            configuration = constructor.configuration(network, tape_factory=c_factory)
+            member += int(language.contains(configuration))
+            outcome, mode = _decide_outcome(
                 decider,
-                language,
-                network,
-                trials,
-                seed=seed,
-                construct_salt="amp/construct",
-                decide_salt="amp/decide",
+                configuration,
+                seed,
+                "amp/decide",
+                trial,
+                mode,
+                allow_fallback=engine == "auto",
             )
-        except ConstructionCompilationError:
-            if engine != "auto":
-                raise
-            batched = None
-        if batched is not None:
-            return batched
-    mode = resolve_engine(engine, decider)
-    accepted = 0
-    member = 0
-    for trial in range(trials):
-        c_factory = TapeFactory(seed, salt="amp/construct", trial=trial)
-        configuration = constructor.configuration(network, tape_factory=c_factory)
-        member += int(language.contains(configuration))
-        outcome, mode = _decide_outcome(
+            accepted += int(outcome.accepted)
+        return accepted / trials, member / trials
+
+    return engine_or_reference(
+        engine,
+        _construction_mode(engine, constructor),
+        lambda: batched_acceptance_and_membership(
+            constructor,
             decider,
-            configuration,
-            seed,
-            "amp/decide",
-            trial,
-            mode,
-            allow_fallback=engine == "auto",
-        )
-        accepted += int(outcome.accepted)
-    return accepted / trials, member / trials
+            language,
+            network,
+            trials,
+            seed=seed,
+            construct_salt="amp/construct",
+            decide_salt="amp/decide",
+        ),
+        from_reference,
+        ConstructionCompilationError,
+    )
 
 
 def amplification_disjoint_union(

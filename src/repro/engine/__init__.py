@@ -15,16 +15,18 @@ Layers
   ``vote_program`` contract a decider must expose to be compilable;
 * :mod:`repro.engine.executor` — the trials×nodes Bernoulli-matrix
   evaluation: the reference counter-based tape streams, computed as one
-  array operation;
-* :mod:`repro.engine.adapters` — drop-in counterparts of the legacy entry
-  points, used by the ``engine=`` dispatch in :mod:`repro.core.decision`
-  and :mod:`repro.core.derandomization`;
+  array operation, and :class:`~repro.engine.executor.AcceptStream`, the
+  resumable acceptance stream every decision estimate samples;
+* :mod:`repro.engine.adapters` — the ``engine=`` dispatch:
+  :func:`resolve_engine` and :func:`engine_or_reference`, through which
+  :mod:`repro.core` builds each estimator's success stream from the engine
+  or from the reference loop;
 * :mod:`repro.engine.construct` — the **construction engine**: compiles
   constructors (``output_program(ball)`` contract) into vectorized per-node
   draw programs producing the ``trials × nodes`` output matrix in one pass,
   lowers language membership to array form, and fuses radius-0 single-coin
-  deciders on top, so the derandomization estimators (success probability,
-  far acceptance, the Claim 3/Theorem 1 amplification runs) need no
+  deciders on top, so the derandomization estimators (the success and
+  far-acceptance streams, the Claim 3/Theorem 1 amplification runs) need no
   per-trial Python;
 * :mod:`repro.engine.parallel` — ``imap``, the submission-ordered
   process-pool fan-out behind the ``process-pool`` backend, and
@@ -55,9 +57,8 @@ engine agrees with the reference loop bit for bit.
 
 from repro.engine.adapters import (
     ENGINE_CHOICES,
-    engine_acceptance_probability,
+    engine_or_reference,
     engine_single_trial_votes,
-    engine_success_counts,
     resolve_engine,
 )
 from repro.engine.cache import ResultCache, default_cache_dir, request_cache_key
@@ -99,7 +100,6 @@ from repro.engine.construct import (
 from repro.engine.executor import (
     DEFAULT_MAX_BYTES,
     accept_vector,
-    acceptance_probability,
     exact_single_trial_votes,
     vote_matrix,
 )
@@ -119,7 +119,6 @@ __all__ = [
     "VoteExpr",
     "VoteProgram",
     "accept_vector",
-    "acceptance_probability",
     "all_of",
     "any_of",
     "bernoulli_output",
@@ -133,9 +132,8 @@ __all__ = [
     "const_output",
     "construction_matrix",
     "default_cache_dir",
-    "engine_acceptance_probability",
+    "engine_or_reference",
     "engine_single_trial_votes",
-    "engine_success_counts",
     "evaluate_output_expr",
     "evaluate_vote_expr",
     "exact_single_trial_votes",

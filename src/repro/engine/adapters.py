@@ -1,42 +1,33 @@
-"""Drop-in engine counterparts of the legacy decision entry points.
+"""The ``engine=`` dispatch between the engine and the reference loops.
 
-These helpers are what :mod:`repro.core.decision` and
-:mod:`repro.core.derandomization` dispatch to when a decider is compilable
-(see :func:`repro.engine.compiler.is_compilable`).  Each takes the same
-``(seed, salt)`` stream the reference function it replaces draws from —
-trial ``t`` of node ``v`` reads the tape with key
-``(seed, salt, t, identity(v))``, whose draw ``k`` is the counter-based
-``U(key, k)`` of :mod:`repro.local.randomness` — so the engine returns
-bit-for-bit the accept/reject stream of the reference loop, computed as one
-``trials × coin-nodes × draws`` array operation.  Callers choose between
+:mod:`repro.core.decision`, :mod:`repro.core.construction` and
+:mod:`repro.core.derandomization` build every Monte-Carlo estimate as one
+success stream, either from the engine (when the decider or constructor
+compiles, see :func:`repro.engine.compiler.is_compilable`) or from the
+reference per-trial loop.  The engine reads the same ``(seed, salt)``
+stream as the reference loop it replaces — trial ``t`` of node ``v`` reads
+the tape with key ``(seed, salt, t, identity(v))``, whose draw ``k`` is the
+counter-based ``U(key, k)`` of :mod:`repro.local.randomness` — so both
+builders yield bit-for-bit the same stream.  Callers choose between
 
-* ``engine="auto"`` — run the engine when the decider compiles, the
-  reference loop otherwise (the default everywhere);
-* ``engine="exact"`` — run the engine, and raise when the decider does not
-  compile;
-* ``engine="off"`` — never used here; callers fall back to the reference
-  loop themselves.
+* ``engine="auto"`` — build from the engine when the decider compiles, from
+  the reference loop otherwise (the default everywhere);
+* ``engine="exact"`` — build from the engine, and raise when the decider
+  does not compile;
+* ``engine="off"`` — always build from the reference loop.
 
-A decider is compilable when it exposes ``vote_program(ball)``; see
-:mod:`repro.engine.compiler`.
+:func:`resolve_engine` maps the value to a path and
+:func:`engine_or_reference` is the one place that builds from the chosen
+side, including the ``auto`` fallback.  A decider is compilable when it
+exposes ``vote_program(ball)``; see :mod:`repro.engine.compiler`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Type, TypeVar
 
 from repro.engine.compiler import compile_decision, is_compilable
-from repro.engine.executor import (
-    AcceptStream,
-    accept_vector,
-    acceptance_probability,
-    adaptive_acceptance,
-    deterministic_accept_value,
-    exact_single_trial_votes,
-)
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
+from repro.engine.executor import exact_single_trial_votes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.decision import Decider
@@ -45,15 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ENGINE_CHOICES",
     "resolve_engine",
-    "engine_acceptance_probability",
-    "engine_adaptive_acceptance",
-    "engine_success_counts",
-    "engine_adaptive_success",
+    "engine_or_reference",
     "engine_single_trial_votes",
 ]
 
 #: Accepted values of the ``engine=`` parameter threaded through the stack.
 ENGINE_CHOICES = ("auto", "exact", "off")
+
+T = TypeVar("T")
 
 
 def resolve_engine(engine: str, decider: object) -> str:
@@ -80,83 +70,33 @@ def resolve_engine(engine: str, decider: object) -> str:
     return "exact"
 
 
-def engine_acceptance_probability(
-    decider: "Decider",
-    configuration: "Configuration",
-    trials: int,
-    seed: int,
-) -> float:
-    """Engine counterpart of :meth:`Decider.acceptance_probability`.
+def engine_or_reference(
+    engine: str,
+    path: str,
+    build_engine: Callable[[], Optional[T]],
+    build_reference: Callable[[], T],
+    error: Type[Exception],
+) -> T:
+    """Build from the engine on the engine ``path``, from the reference
+    loop otherwise.
 
-    Draws trial ``t`` from ``TapeFactory(seed, decider.name, trial=t)``,
-    like the reference loop, and therefore returns the identical estimate.
+    ``path`` is what :func:`resolve_engine` (or its construction-side
+    counterpart) made of ``engine``.  ``build_engine`` returns ``None`` when
+    the engine declines (fusion unavailable) and raises ``error`` for a
+    program beyond the IR; either way the reference loop takes over, except
+    that an explicit ``engine="exact"`` re-raises the error instead of
+    silently measuring something else.
     """
-    compiled = compile_decision(decider, configuration)
-    return acceptance_probability(compiled, trials, seed=seed, salt=decider.name)
-
-
-def engine_adaptive_acceptance(
-    decider: "Decider",
-    configuration: "Configuration",
-    target: PrecisionTarget,
-    seed: int,
-) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`engine_acceptance_probability`.
-
-    Same stream, but trials arrive in chunks until ``target`` is met —
-    stopping after ``k`` trials reports exactly the fixed ``k``-trial
-    estimate, because the streams are chunk-invariant.
-    """
-    compiled = compile_decision(decider, configuration)
-    return adaptive_acceptance(compiled, target, seed=seed, salt=decider.name)
-
-
-def engine_adaptive_success(
-    decider: "Decider",
-    configuration: "Configuration",
-    member: bool,
-    target: PrecisionTarget,
-    seed: int,
-    index: int,
-) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`engine_success_counts` (success =
-    accepted on members, rejected on non-members), on the same stream
-    ``TapeFactory(seed, f"{name}/{index}", trial=t)``.
-    """
-    compiled = compile_decision(decider, configuration)
-    constant = deterministic_accept_value(compiled)
-    if constant is not None:
-        return ProbabilityEstimate.exact(
-            constant if member else not constant, confidence=target.confidence
-        )
-    stream = AcceptStream(compiled, seed=seed, salt=f"{decider.name}/{index}")
-
-    def draw(count: int) -> int:
-        accepted = int(np.count_nonzero(stream.sample(count)))
-        return accepted if member else count - accepted
-
-    return sequential_estimate(target, draw)
-
-
-def engine_success_counts(
-    decider: "Decider",
-    configuration: "Configuration",
-    member: bool,
-    trials: int,
-    seed: int,
-    index: int,
-) -> int:
-    """Engine counterpart of one configuration's inner loop in
-    :func:`repro.core.decision.estimate_guarantee`.
-
-    Success means "accepted" on members and "rejected" on non-members; trial
-    ``t`` draws from ``TapeFactory(seed, f"{decider.name}/{index}",
-    trial=t)``, like the reference loop.
-    """
-    compiled = compile_decision(decider, configuration)
-    accepted = accept_vector(compiled, trials, seed=seed, salt=f"{decider.name}/{index}")
-    successes = accepted if member else ~accepted
-    return int(np.count_nonzero(successes))
+    if path != "off":
+        try:
+            built = build_engine()
+        except error:
+            if engine != "auto":
+                raise
+            built = None
+        if built is not None:
+            return built
+    return build_reference()
 
 
 def engine_single_trial_votes(

@@ -33,6 +33,12 @@ that per-trial Python out:
   decider on top of the construction: the decider's vote threshold is
   tabulated per ``(node, output value)`` once, so a whole amplification run
   (construct → membership → decide) needs no per-trial Python at all.
+* :func:`success_stream` and :func:`far_acceptance_stream` are the engine
+  forms of the derandomization estimators' success streams: ``draw(count)``
+  runs the next ``count`` trials.  Each draw reads its trial window
+  ``[start, start+count)`` from the ambient fusion memo (the suffix of the
+  shared ``start+count``-trial matrix) or from a :class:`ConstructionStream`
+  started at ``start``; a fixed run is the window at ``start = 0``.
 
 Exactness contract (shared with the reference loops)
 ----------------------------------------------------
@@ -78,7 +84,6 @@ from repro.errors import ReproError
 from repro.local.ball import collect_ball
 from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 from repro.obs import get_recorder
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.decision import Decider
@@ -108,13 +113,11 @@ __all__ = [
     "compile_membership",
     "FusedDecision",
     "compile_fused_decision",
-    "batched_success_counts",
+    "success_stream",
     "batched_bad_counts",
     "batched_acceptance_and_membership",
-    "batched_far_acceptance",
+    "far_acceptance_stream",
     "ConstructionStream",
-    "adaptive_success_estimate",
-    "adaptive_far_acceptance",
 ]
 
 #: Hard cap on the size of a compiled construction's output alphabet (guards
@@ -700,8 +703,10 @@ class FusedDecision:
         The returned callable maps the ``(count, nodes)`` code block of the
         next ``count`` trials to their votes, so successive calls over any
         chunking of a code matrix equal one :meth:`vote_row_exact` call on
-        the whole matrix.  The votes are exact; the name stays only because
-        the benchmark's instrumentation wraps this method by name.
+        the whole matrix.  No estimator calls it (the far-acceptance stream
+        passes its window's first trial to :meth:`vote_row_exact`); it stays
+        only because the benchmark's instrumentation wraps this method by
+        name.
         """
         offset = 0
 
@@ -772,49 +777,84 @@ def _active_fusion():
     return active_fusion()
 
 
-def _shared_codes(
+def _window_codes(
     compiled: CompiledConstruction,
-    trials: int,
+    start: int,
+    count: int,
     seed: int,
     salt: object,
     max_bytes: Optional[int],
 ) -> np.ndarray:
-    """The trial matrix of one batched estimator call: served from the
-    ambient fusion context when one is installed (bit-identical by the
-    context's exactness contract), one-shot otherwise."""
+    """The code matrix of trials ``start .. start+count-1``.
+
+    Inside a fused sweep group it is ``prefix[start:]`` of the shared
+    ``start+count``-trial matrix (bit-identical by the context's exactness
+    contract); otherwise, and when the request bypasses fusion, a
+    :class:`ConstructionStream` started at ``start`` samples it.  A fixed
+    run reads the window at ``start = 0``.
+    """
     context = _active_fusion()
     if context is not None:
-        codes = context.codes_for(compiled, trials, seed, salt)
+        codes = context.codes_for(compiled, start + count, seed, salt)
         if codes is not None:
-            return codes
-    return construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
+            return codes[start:]
+    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes, offset=start)
+    return stream.sample(count)
 
 
-def batched_success_counts(
+def _window_members(
+    language: "DistributedLanguage",
+    compiled: CompiledConstruction,
+    start: int,
+    count: int,
+    seed: int,
+    salt: object,
+    max_bytes: Optional[int],
+) -> np.ndarray:
+    """Per-trial membership of trials ``start .. start+count-1``, served like
+    :func:`_window_codes` (the fusion memo shares the membership vector
+    too)."""
+    context = _active_fusion()
+    if context is not None:
+        members = context.member_vector_for(compiled, language, start + count, seed, salt)
+        if members is not None:
+            return members[start:]
+    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes, offset=start)
+    return _member_vector(language, compiled, stream.sample(count))
+
+
+def success_stream(
     constructor: object,
     language: "DistributedLanguage",
     network: "Network",
-    trials: int,
     seed: int,
     salt: object,
     max_bytes: Optional[int] = None,
-) -> int:
-    """Engine counterpart of one instance's inner loop in
-    :func:`repro.core.construction.estimate_success_probability` (and, with
-    the complement, :func:`repro.core.derandomization.find_hard_instances`).
+) -> Tuple[Callable[[int], int], Optional[bool]]:
+    """Engine form of one instance's success stream in
+    :func:`repro.core.construction.estimate_success_probability` and
+    :func:`repro.core.derandomization.find_hard_instances`.
 
-    Computes the ``TapeFactory(seed, salt, trial=t)`` streams bit for bit.
-    Returns the number of trials whose constructed configuration belongs to
-    the language.
+    Returns ``(draw, constant)``: ``draw(count)`` counts the next ``count``
+    trials whose constructed configuration belongs to ``language``,
+    computing the ``TapeFactory(seed, salt, trial=t)`` streams bit for bit.
+    ``constant`` is the membership of a construction with no random
+    outputs, ``None`` otherwise.
     """
     compiled = compile_construction(constructor, network)
-    context = _active_fusion()
-    if context is not None:
-        members = context.member_vector_for(compiled, language, trials, seed, salt)
-        if members is not None:
-            return int(np.count_nonzero(members))
-    codes = construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
-    return int(np.count_nonzero(_member_vector(language, compiled, codes)))
+    offset = 0
+
+    def draw(count: int) -> int:
+        nonlocal offset
+        start, offset = offset, offset + count
+        members = _window_members(language, compiled, start, count, seed, salt, max_bytes)
+        return int(np.count_nonzero(members))
+
+    constant = None
+    if len(compiled.random_index) == 0:
+        codes = compiled.constant_codes[None, :]
+        constant = bool(_member_vector(language, compiled, codes)[0])
+    return draw, constant
 
 
 def batched_bad_counts(
@@ -897,7 +937,7 @@ def batched_acceptance_and_membership(
     members = None
     if context is not None:
         members = context.member_vector_for(compiled, language, trials, seed, construct_salt)
-    codes = _shared_codes(compiled, trials, seed, construct_salt, max_bytes)
+    codes = _window_codes(compiled, 0, trials, seed, construct_salt, max_bytes)
     if members is None:
         members = _member_vector(language, compiled, codes)
     accepted = fused.vote_row_exact(codes, seed, decide_salt).all(axis=1)
@@ -916,6 +956,10 @@ class ConstructionStream:
     trial count, because each trial is computed from its own counter-based
     keys.  This is the construction-side counterpart of
     :class:`repro.engine.executor.AcceptStream`.
+
+    ``offset`` is the trial the stream starts at: a stream started at ``o``
+    samples trials ``o, o+1, …``, exactly the rows a stream started at 0
+    returns after its first ``o``.
     """
 
     def __init__(
@@ -924,15 +968,12 @@ class ConstructionStream:
         seed: int = 0,
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
+        offset: int = 0,
     ) -> None:
         self.compiled = compiled
         self._base = derive_seed(seed, compiled.constructor_name if salt is None else salt)
         self._max_bytes = _resolve_max_bytes(max_bytes)
-        self._offset = 0
-
-    @property
-    def trials_sampled(self) -> int:
-        return self._offset
+        self._offset = int(offset)
 
     def sample(self, count: int) -> np.ndarray:
         if count < 1:
@@ -972,110 +1013,48 @@ class ConstructionStream:
             return codes
 
 
-def adaptive_success_estimate(
-    constructor: object,
-    language: "DistributedLanguage",
-    network: "Network",
-    target: PrecisionTarget,
-    seed: int,
-    salt: object,
-    max_bytes: Optional[int] = None,
-) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`batched_success_counts`: construct in
-    chunks, test membership per chunk, stop once ``target`` is met.
-
-    Same streams (``TapeFactory(seed, salt, trial=t)``), chunk-invariant —
-    stopping after ``k`` trials reports exactly the fixed ``k``-trial
-    success rate.  Constructions with no random outputs are deterministic
-    and return an exact degenerate estimate.
-    """
-    compiled = compile_construction(constructor, network)
-    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes)
-    if len(compiled.random_index) == 0:
-        member = bool(_member_vector(language, compiled, stream.sample(1))[0])
-        return ProbabilityEstimate.exact(member, confidence=target.confidence)
-    return sequential_estimate(
-        target,
-        lambda count: int(
-            np.count_nonzero(_member_vector(language, compiled, stream.sample(count)))
-        ),
-    )
-
-
-def adaptive_far_acceptance(
-    constructor: object,
-    decider: "Decider",
-    network: "Network",
-    node: Hashable,
-    distance: int,
-    target: PrecisionTarget,
-    seed: int,
-    construct_salt: object,
-    decide_salt: object,
-    max_bytes: Optional[int] = None,
-) -> Optional[ProbabilityEstimate]:
-    """Adaptive counterpart of :func:`batched_far_acceptance` for a single
-    anchor: fused construct→decide chunks until ``target`` is met.
-
-    Returns ``None`` when decider fusion is unavailable (callers fall back
-    to the per-trial reference loop, which handles every decider).  The
-    streams match the batched path bit for bit, so stopping after ``k``
-    trials reports the fixed ``k``-trial estimate.
-    """
-    compiled = compile_construction(constructor, network)
-    fused = compile_fused_decision(decider, compiled)
-    if fused is None:
-        return None
-    distances = network.distances_from(node)
-    far = np.array(
-        [distances.get(other, np.inf) > distance for other in compiled.nodes],
-        dtype=bool,
-    )
-    stream = ConstructionStream(compiled, seed=seed, salt=construct_salt, max_bytes=max_bytes)
-    votes_of = fused.fast_vote_stream(seed, decide_salt)
-
-    def draw(count: int) -> int:
-        votes = votes_of(stream.sample(count))
-        accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(count, bool)
-        return int(np.count_nonzero(accepted_far))
-
-    return sequential_estimate(target, draw)
-
-
-def batched_far_acceptance(
+def far_acceptance_stream(
     constructor: object,
     decider: "Decider",
     network: "Network",
     candidates: Sequence[Hashable],
     distance: int,
-    trials: int,
     seed: int,
     construct_salt: object,
     decide_salt: object,
     max_bytes: Optional[int] = None,
-) -> Optional[Dict[Hashable, float]]:
-    """Batched far-acceptance probabilities for *all* candidate anchors from
-    **one** construction pass.
+) -> Optional[Callable[[int], List[int]]]:
+    """Engine form of the far-acceptance stream of
+    :func:`repro.core.derandomization.far_acceptance_probability` and
+    :func:`~repro.core.derandomization.choose_anchor`, for *all* candidate
+    anchors at once.
 
-    The constructor's coins do not depend on the candidate (the reference
-    :func:`~repro.core.derandomization.far_acceptance_probability` loop uses
-    the same seed and salt for every candidate), so one ``trials × nodes``
-    vote matrix serves every candidate: per candidate only the "far" node
-    mask changes.  Returns ``None`` when decider fusion is unavailable.
+    ``draw(count)`` runs the next ``count`` fused construct→decide trials
+    and returns, per candidate, how many accepted far from it (every node at
+    distance greater than ``distance`` voted true), computing the
+    ``TapeFactory(seed, construct_salt/decide_salt, trial=t)`` streams bit
+    for bit.  The coins do not depend on the candidate, so one vote matrix
+    serves every candidate; only the far-node mask changes.  Returns
+    ``None`` when decider fusion is unavailable.
     """
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
     if fused is None:
         return None
-    codes = _shared_codes(compiled, trials, seed, construct_salt, max_bytes)
-    votes = fused.vote_row_exact(codes, seed, decide_salt)
-    results: Dict[Hashable, float] = {}
-    for candidate in candidates:
-        distances = network.distances_from(candidate)
-        far = np.array(
-            [distances.get(node, np.inf) > distance for node in compiled.nodes],
-            dtype=bool,
-        )
-        accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(trials, bool)
-        results[candidate] = float(np.count_nonzero(accepted_far)) / trials
-    return results
+    masks = [
+        np.array([distances.get(node, np.inf) > distance for node in compiled.nodes], dtype=bool)
+        for distances in map(network.distances_from, candidates)
+    ]
+    offset = 0
+
+    def draw(count: int) -> List[int]:
+        nonlocal offset
+        start, offset = offset, offset + count
+        codes = _window_codes(compiled, start, count, seed, construct_salt, max_bytes)
+        votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
+        return [
+            int(np.count_nonzero(votes[:, far].all(axis=1))) if far.any() else count
+            for far in masks
+        ]
+
+    return draw

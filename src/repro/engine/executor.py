@@ -28,6 +28,11 @@ trial has rejected.  Draws are pure functions of ``(trial, identity,
 draw)``, so every blocking, every ``max_bytes`` and every resumption offset
 yields the same values.  ``max_bytes`` defaults to :data:`DEFAULT_MAX_BYTES`
 and can be overridden per call or via ``$REPRO_ENGINE_MAX_BYTES``.
+
+:class:`AcceptStream` is the resumable form: ``sample(count)`` evaluates
+the next ``count`` trials, so a fixed estimate is one ``sample(trials)``
+and an adaptive one continues the same stream (:func:`accept_vector` is
+the one-shot call).
 """
 
 from __future__ import annotations
@@ -40,18 +45,15 @@ import numpy as np
 from repro.engine.compiler import ACCEPT, CompiledDecision, VoteProgram
 from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 from repro.obs import get_recorder
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "EXACT_BLOCK_BYTES",
     "accept_vector",
     "vote_matrix",
-    "acceptance_probability",
     "exact_single_trial_votes",
     "deterministic_accept_value",
     "AcceptStream",
-    "adaptive_acceptance",
 ]
 
 #: Default ``max_bytes``: the bound on fusion retention and membership
@@ -183,27 +185,12 @@ def accept_vector(
 
     Returns a boolean vector of length ``trials``.  Only the coin-flipping
     nodes are sampled; a deterministic reject anywhere short-circuits the
-    whole matrix to ``False``.  ``max_bytes`` bounds the uniform working set
-    (see the module docstring).
+    whole vector to ``False``.  ``max_bytes`` bounds the uniform working set
+    (see the module docstring).  This is the one-shot form of
+    :class:`AcceptStream` (a single ``sample(trials)`` on a fresh stream),
+    so one-shot and resumable sampling share one implementation.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    salt = _resolve_salt(compiled, salt)
-    max_bytes = _resolve_max_bytes(max_bytes)
-    if compiled.always_rejects:
-        return np.zeros(trials, dtype=bool)
-    random_positions = compiled.random_index
-    if len(random_positions) == 0:
-        return np.ones(trials, dtype=bool)
-    with get_recorder().span(
-        "engine.execute",
-        op="accept_vector",
-        trials=trials,
-        nodes=compiled.n_nodes,
-        random_nodes=len(random_positions),
-        max_bytes=max_bytes,
-    ):
-        return _exact_accept_vector(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
+    return AcceptStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes).sample(trials)
 
 
 def vote_matrix(
@@ -239,24 +226,12 @@ def vote_matrix(
         return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
 
 
-def acceptance_probability(
-    compiled: CompiledDecision,
-    trials: int,
-    seed: int = 0,
-    salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
-) -> float:
-    """Monte-Carlo Pr[all nodes accept] over ``trials`` batched trials."""
-    accepted = accept_vector(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
-    return float(np.count_nonzero(accepted)) / trials
-
-
 def deterministic_accept_value(compiled: CompiledDecision) -> Optional[bool]:
     """The global accept value when it is structurally determined.
 
     ``False`` when some node's program is constantly rejecting, ``True``
     when every program is constantly accepting, ``None`` when acceptance
-    genuinely depends on draws.  The adaptive estimators use this to report
+    genuinely depends on draws.  Adaptive estimates use this to report
     exact degenerate estimates instead of sampling a constant.
     """
     if compiled.always_rejects:
@@ -275,8 +250,9 @@ class AcceptStream:
     ``t`` is drawn from its own counter-based keys: a batch starting at
     offset ``o`` simply evaluates trials ``o .. o+count-1``.
 
-    This is what lets a sequential-stopping rule decide *after* a chunk
-    whether to continue, without perturbing a single sampled value.
+    Every decision estimate samples through this stream: a fixed run is one
+    ``sample(trials)``, and a sequential-stopping rule decides *after* each
+    chunk whether to continue, without perturbing a single sampled value.
     """
 
     def __init__(
@@ -304,33 +280,17 @@ class AcceptStream:
         self._offset += count
         if self._constant is not None:
             return np.full(count, self._constant, dtype=bool)
-        with get_recorder().span("engine.stream_sample", trials=count, offset=start):
-            return _exact_accept_vector(
-                self.compiled, self._base, start, count, self._max_bytes
-            )
-
-
-def adaptive_acceptance(
-    compiled: CompiledDecision,
-    target: PrecisionTarget,
-    seed: int = 0,
-    salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
-) -> ProbabilityEstimate:
-    """Estimate Pr[all accept] until ``target`` is met (sequential stopping).
-
-    The trial stream is the same chunk-invariant stream the fixed-trial
-    :func:`acceptance_probability` consumes, so stopping after ``k`` trials
-    reports exactly the ``k``-trial fixed estimate.  Structurally constant
-    decisions return the exact degenerate estimate without sampling.
-    """
-    constant = deterministic_accept_value(compiled)
-    if constant is not None:
-        return ProbabilityEstimate.exact(constant, confidence=target.confidence)
-    stream = AcceptStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes)
-    return sequential_estimate(
-        target, lambda count: int(np.count_nonzero(stream.sample(count)))
-    )
+        compiled = self.compiled
+        with get_recorder().span(
+            "engine.execute",
+            op="stream",
+            trials=count,
+            offset=start,
+            nodes=compiled.n_nodes,
+            random_nodes=len(compiled.random_index),
+            max_bytes=self._max_bytes,
+        ):
+            return _exact_accept_vector(compiled, self._base, start, count, self._max_bytes)
 
 
 def exact_single_trial_votes(

@@ -103,6 +103,8 @@ class ParameterSpec:
     ints where floats are declared) and rejects everything else, so the
     normalized form of a value is canonical: two logically equal requests
     produce byte-identical canonical JSON, hence identical cache keys.
+    ``minimum`` bounds an ``int`` parameter from below (trial counts are at
+    least 1).
     """
 
     name: str
@@ -110,6 +112,7 @@ class ParameterSpec:
     default: object
     choices: Optional[Tuple[str, ...]] = None
     doc: str = ""
+    minimum: Optional[int] = None
 
     _KINDS = ("int", "float", "str", "bool", "seq[int]", "seq[float]")
 
@@ -124,6 +127,10 @@ class ParameterSpec:
         if kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParameterValueError(f"{context}{self.name!r} must be an int, got {value!r}")
+            if self.minimum is not None and value < self.minimum:
+                raise ParameterValueError(
+                    f"{context}{self.name!r} must be at least {self.minimum}, got {value!r}"
+                )
             return value
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -418,7 +425,7 @@ REGISTRY = ExperimentRegistry(
             parameters=(
                 _int_seq("sizes", [12, 40]),
                 _int_seq("selected_counts", [0, 1, 2, 3]),
-                ParameterSpec("trials", "int", 3_000),
+                ParameterSpec("trials", "int", 3_000, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
                 *_precision_parameters(),
@@ -432,8 +439,8 @@ REGISTRY = ExperimentRegistry(
             parameters=(
                 _int_seq("sizes", [30, 100, 300, 1000]),
                 _float_seq("eps_values", [0.7, 0.62, 0.58]),
-                ParameterSpec("trials", "int", 200),
-                ParameterSpec("decider_trials", "int", 1_200),
+                ParameterSpec("trials", "int", 200, minimum=1),
+                ParameterSpec("decider_trials", "int", 1_200, minimum=1),
                 ParameterSpec("repetitions", "int", 3),
                 _seed_parameter(),
                 _engine_parameter(),
@@ -457,7 +464,7 @@ REGISTRY = ExperimentRegistry(
                 ParameterSpec("n", "int", 24),
                 _int_seq("radii", [0, 1]),
                 _int_seq("f_values", [1, 2, 4]),
-                ParameterSpec("trials", "int", 1_200),
+                ParameterSpec("trials", "int", 1_200, minimum=1),
                 ParameterSpec("repetitions", "int", 3),
                 _seed_parameter(),
                 _engine_parameter(),
@@ -481,7 +488,7 @@ REGISTRY = ExperimentRegistry(
             parameters=(
                 _int_seq("f_values", [1, 2, 4, 8]),
                 ParameterSpec("n", "int", 60),
-                ParameterSpec("trials", "int", 2_000),
+                ParameterSpec("trials", "int", 2_000, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
                 *_precision_parameters(),
@@ -497,7 +504,7 @@ REGISTRY = ExperimentRegistry(
                 ParameterSpec("p", "float", 0.8),
                 ParameterSpec("instance_size", "int", 12),
                 _int_seq("nu_values", [1, 2, 4, 8, 12]),
-                ParameterSpec("trials", "int", 400),
+                ParameterSpec("trials", "int", 400, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
             ),
@@ -512,7 +519,7 @@ REGISTRY = ExperimentRegistry(
                 # be divisible by 3 (16 crashed the workload builder).
                 ParameterSpec("n", "int", 24),
                 ParameterSpec("deterministic_radius", "int", 2),
-                ParameterSpec("trials", "int", 2_000),
+                ParameterSpec("trials", "int", 2_000, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
                 ParameterSpec("amplified_repetitions", "int", 3),
@@ -527,7 +534,7 @@ REGISTRY = ExperimentRegistry(
                 ParameterSpec("n", "int", 24),
                 ParameterSpec("eps", "float", 0.7),
                 _int_seq("f_values", [1, 2, 4]),
-                ParameterSpec("trials", "int", 400),
+                ParameterSpec("trials", "int", 400, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
             ),
@@ -541,7 +548,7 @@ REGISTRY = ExperimentRegistry(
                 ParameterSpec("q", "float", 0.3),
                 ParameterSpec("p", "float", 0.8),
                 ParameterSpec("instance_size", "int", 20),
-                ParameterSpec("trials", "int", 400),
+                ParameterSpec("trials", "int", 400, minimum=1),
                 _seed_parameter(),
                 _engine_parameter(),
             ),
@@ -554,7 +561,7 @@ REGISTRY = ExperimentRegistry(
             parameters=(
                 _int_seq("sizes", [20, 60, 160, 400]),
                 ParameterSpec("degree", "int", 3),
-                ParameterSpec("runs", "int", 5),
+                ParameterSpec("runs", "int", 5, minimum=1),
                 _seed_parameter(),
             ),
             quick={"sizes": [20, 40], "runs": 2},

@@ -88,8 +88,8 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.execute",
         "span",
         "engine/executor.py",
-        "op (`accept_vector`/`vote_matrix`), trials, node & random-node "
-        "counts, `max_bytes`",
+        "op (`stream` with its offset, or `vote_matrix`), trials, node & "
+        "random-node counts, `max_bytes`",
     ),
     Signal(
         "engine.construct",
@@ -110,12 +110,6 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine/fusion.py",
         "one fusion group's execution: point count, then hit/miss and "
         "retained-byte tallies on close",
-    ),
-    Signal(
-        "engine.stream_sample",
-        "span",
-        "engine/executor.py",
-        "one resumable accept-stream batch: trials, offset",
     ),
     Signal(
         "cache.lookup",

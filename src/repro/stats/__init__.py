@@ -10,11 +10,12 @@ precise?".  It provides
   :func:`hoeffding_interval`) plus the tri-state interval-vs-threshold
   verdicts the CI-aware harness uses (``True`` / ``False`` / ``None`` =
   unresolved),
-* the :class:`PrecisionTarget` sequential-stopping rule and
-  :func:`sequential_estimate`, which the chunked executor and construction
-  engine drive between chunks (see :mod:`repro.stats.stopping` for the
-  exactness contract: ``precision=None`` leaves every estimator
-  bit-identical to its fixed-trial history).
+* the :class:`PrecisionTarget` sequential-stopping rule,
+  :func:`sequential_estimate`, and :func:`run_estimate`, the one driver of
+  every estimator's success stream: ``draw(trials)`` for a fixed run,
+  sequential stopping over the same stream for an adaptive one (see
+  :mod:`repro.stats.stopping` for the exactness contract: a fixed run is
+  the first draw of the stream an adaptive run continues).
 
 Entry points upward: ``Decider.acceptance_probability`` /
 ``estimate_guarantee`` / ``estimate_success_probability`` /
@@ -32,7 +33,12 @@ from repro.stats.intervals import (
     wilson_half_width,
     wilson_interval,
 )
-from repro.stats.stopping import PrecisionTarget, ProbabilityEstimate, sequential_estimate
+from repro.stats.stopping import (
+    PrecisionTarget,
+    ProbabilityEstimate,
+    run_estimate,
+    sequential_estimate,
+)
 
 __all__ = [
     "BernoulliAccumulator",
@@ -45,5 +51,6 @@ __all__ = [
     "tri_all",
     "PrecisionTarget",
     "ProbabilityEstimate",
+    "run_estimate",
     "sequential_estimate",
 ]

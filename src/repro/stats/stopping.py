@@ -8,16 +8,22 @@ given ``confidence``, after at least ``min_trials`` and at most
 ``max_trials`` trials" — and :func:`sequential_estimate` drives any batched
 success counter to that target on a deterministic doubling schedule.
 
+Every Monte-Carlo estimator of the package is one resumable **success
+stream**: ``draw(count)`` runs the next ``count`` trials and returns how
+many succeeded.  :func:`run_estimate` is the one driver over such a stream:
+a fixed run is ``draw(trials)``, an adaptive run is
+:func:`sequential_estimate` over the same stream.
+
 Exactness contract
 ------------------
 The engine's trial streams are **chunk-invariant by construction** (every
 trial's draws are a pure function of its own counter-based tape keys), so
 the batch schedule never changes the sampled values — only *how many*
-trials are looked at.  Consequently an adaptive run that stops after ``k``
+trials are looked at.  A fixed ``trials``-trial run is the first draw of the
+stream an adaptive run continues, so an adaptive run that stops after ``k``
 trials reports exactly the estimate a fixed ``k``-trial run would have
-reported, and with no target at all the estimators run their historical
-fixed-trial path untouched (``precision=None`` is bit-identical to the
-pre-stats layer).
+reported, and ``precision=None`` stays byte-identical to the fixed-trial
+results.
 
 Peeking bias, stated honestly: stopping at the first batch whose interval is
 narrow enough is optional stopping, so the reported CI's coverage is the
@@ -41,7 +47,7 @@ from repro.stats.intervals import (
     wilson_interval,
 )
 
-__all__ = ["PrecisionTarget", "ProbabilityEstimate", "sequential_estimate"]
+__all__ = ["PrecisionTarget", "ProbabilityEstimate", "run_estimate", "sequential_estimate"]
 
 #: Interval methods a :class:`PrecisionTarget` may select.
 _METHODS = ("wilson", "hoeffding")
@@ -242,3 +248,36 @@ def sequential_estimate(
         ci_high=interval.high,
         confidence=target.confidence,
     )
+
+
+def run_estimate(
+    draw: Callable[[int], int],
+    trials: int,
+    target: Optional[PrecisionTarget] = None,
+    constant: Optional[bool] = None,
+) -> ProbabilityEstimate:
+    """Run one success stream, fixed or adaptive.
+
+    ``draw(count)`` samples the **next** ``count`` trials of a
+    chunk-invariant stream and returns how many succeeded.  With no
+    ``target`` the estimate is one ``draw(trials)`` in a 95% Wilson
+    interval.  With a target, ``constant`` (a structurally determined
+    outcome, when the stream's builder knows one) gives the exact
+    degenerate estimate without sampling; otherwise
+    :func:`sequential_estimate` drives the stream to the target.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if target is None:
+        successes = draw(trials)
+        interval = wilson_interval(successes, trials)
+        return ProbabilityEstimate(
+            successes=successes,
+            trials=trials,
+            ci_low=interval.low,
+            ci_high=interval.high,
+            confidence=interval.confidence,
+        )
+    if constant is not None:
+        return ProbabilityEstimate.exact(constant, confidence=target.confidence)
+    return sequential_estimate(target, draw)

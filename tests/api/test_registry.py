@@ -87,6 +87,15 @@ class TestParameterSpec:
     def test_default_must_satisfy_schema(self):
         with pytest.raises(ParameterValueError):
             ParameterSpec("n", "int", "three")
+        with pytest.raises(ParameterValueError):
+            ParameterSpec("trials", "int", 0, minimum=1)
+
+    def test_minimum_bounds_an_int_from_below(self):
+        spec = ParameterSpec("trials", "int", 10, minimum=1)
+        assert spec.normalize(1) == 1
+        for value in (0, -5):
+            with pytest.raises(ParameterValueError, match="at least 1"):
+                spec.normalize(value)
 
 
 class TestExperimentSpec:
@@ -224,6 +233,22 @@ class TestShippedSpecs:
                     list(declared) if isinstance(declared, tuple) else declared
                 )
                 assert parameter.default == normalized, f"{spec.id}.{parameter.name}"
+
+    def test_trial_counts_are_at_least_one(self):
+        """Every trial count (``trials``, ``decider_trials``, E10's ``runs``)
+        declares a minimum of 1, so a request for fewer trials fails
+        validation instead of reaching an estimator."""
+        declared = [
+            (spec.id, parameter)
+            for spec in REGISTRY.values()
+            for parameter in spec.parameters
+            if parameter.name in ("trials", "decider_trials", "runs")
+        ]
+        assert len(declared) == 10
+        for experiment_id, parameter in declared:
+            assert parameter.minimum == 1, f"{experiment_id}.{parameter.name}"
+            with pytest.raises(ParameterValueError):
+                REGISTRY[experiment_id].resolve(overrides={parameter.name: 0})
 
     def test_engine_capability_matches_engine_parameter(self):
         engineless = {"E4", "E10"}

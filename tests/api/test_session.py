@@ -77,6 +77,16 @@ class TestRequestResolution:
         assert at_session.value.code == at_spec.value.code == "parameter_value"
         assert str(at_session.value) == str(at_spec.value)
 
+    @pytest.mark.parametrize(
+        "experiment_id, parameter",
+        [("E5", "trials"), ("E2", "decider_trials"), ("E10", "runs")],
+    )
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_trial_count_below_one_rejected_before_running(self, experiment_id, parameter, engine):
+        session = Session(engine=engine, cache=None)
+        with pytest.raises(ParameterValueError, match="at least 1"):
+            session.run(experiment_id, preset="quick", **{parameter: 0})
+
     def test_equal_requests_compare_equal_and_share_keys(self, registry):
         session = Session(cache=None, registry=registry)
         a = session.request("STUB", factor=5, n=3)

@@ -34,7 +34,7 @@ from repro.core.relaxations import eps_slack, f_resilient
 from repro.engine.construct import (
     MAX_OUTPUT_VALUES,
     ConstructionCompilationError,
-    batched_far_acceptance,
+    ConstructionStream,
     bernoulli_output,
     compile_construction,
     compile_fused_decision,
@@ -42,6 +42,7 @@ from repro.engine.construct import (
     const_output,
     construction_matrix,
     evaluate_output_expr,
+    far_acceptance_stream,
     is_construction_compilable,
     resolve_construction_engine,
     uniform_choice,
@@ -213,6 +214,17 @@ class TestDistributionAndChunking:
         chunked = construction_matrix(compiled, 500, seed=9, salt="chunk", max_bytes=max_bytes)
         assert np.array_equal(reference, chunked)
 
+    @pytest.mark.parametrize("offset", [0, 1, 37])
+    def test_stream_started_at_an_offset_continues_the_matrix(self, offset):
+        """A stream started at trial ``o`` samples rows ``o, o+1, …`` of the
+        stream started at 0, at any ``max_bytes``."""
+        network = cycle_network(24, ids="consecutive")
+        compiled = compile_construction(RandomColoringConstructor(3), network)
+        reference = construction_matrix(compiled, offset + 90, seed=6, salt="window")
+        stream = ConstructionStream(compiled, seed=6, salt="window", max_bytes=64, offset=offset)
+        window = np.concatenate([stream.sample(40), stream.sample(50)])
+        assert np.array_equal(window, reference[offset:])
+
     def test_fused_vote_stream_is_chunk_invariant(self):
         """The resumable vote stream over uneven chunks equals one
         ``vote_row_exact`` call on the whole matrix."""
@@ -334,17 +346,16 @@ class TestFusedDecision:
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert compile_fused_decision(decider, compiled) is None
 
-    def test_batched_far_acceptance_declines_without_fusion(self):
+    def test_far_acceptance_stream_declines_without_fusion(self):
         network = cycle_network(9, ids="consecutive")
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert (
-            batched_far_acceptance(
+            far_acceptance_stream(
                 RandomColoringConstructor(3),
                 decider,
                 network,
                 [network.nodes()[0]],
                 0,
-                10,
                 seed=0,
                 construct_salt="c",
                 decide_salt="d",

@@ -27,6 +27,7 @@ from repro.core.decision import (
 )
 from repro.core.languages import SELECTED, Amos, Configuration
 from repro.core.lcl import ProperColoring
+from repro.engine.adapters import engine_or_reference
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
     ProgramCompilationError,
@@ -333,3 +334,55 @@ class TestInexpressibleDeciders:
     def test_program_deciders_are_compilable(self):
         assert is_compilable(AmplifiedAmosDecider())
         assert is_compilable(AmplifiedResilientDecider(ProperColoring(3), f=1))
+
+
+class TestEngineOrReference:
+    """The one engine/reference dispatch of the estimators."""
+
+    @staticmethod
+    def _beyond_the_ir():
+        raise ProgramCompilationError("beyond the IR")
+
+    def test_off_path_never_builds_from_the_engine(self):
+        def engine():
+            raise AssertionError("the engine must not run on the off path")
+
+        assert engine_or_reference("off", "off", engine, lambda: "ref", ValueError) == "ref"
+
+    @pytest.mark.parametrize("engine", ["auto", "exact"])
+    def test_engine_result_is_used_and_a_declined_engine_falls_back(self, engine):
+        def dispatch(build_engine):
+            return engine_or_reference(engine, "exact", build_engine, lambda: "ref", ValueError)
+
+        assert dispatch(lambda: "eng") == "eng"
+        assert dispatch(lambda: None) == "ref"
+
+    def test_error_falls_back_under_auto_and_raises_under_exact(self):
+        error = ProgramCompilationError
+        assert engine_or_reference(
+            "auto", "exact", self._beyond_the_ir, lambda: "ref", error
+        ) == "ref"
+        with pytest.raises(ProgramCompilationError):
+            engine_or_reference("exact", "exact", self._beyond_the_ir, lambda: "ref", error)
+
+    def test_other_errors_propagate_under_auto(self):
+        with pytest.raises(ProgramCompilationError):
+            engine_or_reference("auto", "exact", self._beyond_the_ir, lambda: "ref", KeyError)
+
+    def test_auto_falls_back_for_an_inexpressible_decider(self):
+        """Under ``auto`` a vote program beyond the IR runs the reference
+        stream, so every estimate equals ``engine="off"``."""
+        decider = _TooManyDrawsDecider()
+        configuration = amos_configuration(9, {0, 3})
+        for precision in (None, 0.1):
+            auto = decider.acceptance_estimate(
+                configuration, trials=300, seed=2, precision=precision
+            )
+            off = decider.acceptance_estimate(
+                configuration, trials=300, seed=2, engine="off", precision=precision
+            )
+            assert auto == off
+        auto = estimate_guarantee(decider, Amos(), [configuration], trials=80, seed=2)
+        off = estimate_guarantee(decider, Amos(), [configuration], trials=80, seed=2, engine="off")
+        assert auto.per_configuration == off.per_configuration
+        assert auto.trials_used == off.trials_used

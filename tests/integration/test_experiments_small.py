@@ -281,3 +281,38 @@ def test_engine_is_bit_identical_to_off_at_adjacent_and_distant_seeds(experiment
         run = ALL_EXPERIMENTS[experiment_id](engine=engine, **kwargs)
         assert run.rows == off.rows
         assert run.matches_paper == off.matches_paper
+
+
+#: E1 and E5 under a precision target: every row reads the adaptive stream.
+PRECISION_TOYS = {
+    "E1": dict(sizes=(9,), trials=120, precision=0.05),
+    "E5": dict(f_values=(1, 2), n=24, trials=120, precision=0.05),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10_000])
+@pytest.mark.parametrize("experiment_id", list(PRECISION_TOYS))
+def test_precision_rows_are_bit_identical_to_off(experiment_id, seed):
+    """Under a precision target the engine and ``off`` continue the same
+    streams, so every sampled row — estimate, ``ci_low``/``ci_high`` and
+    ``trials_used`` — is identical.  The one exception is by design: on an
+    empty configuration (E1's zero selected nodes, E5's zero bad balls)
+    every compiled vote program is constant, and the engine reports the
+    exact degenerate estimate (one trial, a zero-width interval), which the
+    reference loop has no compiled program to detect; ``off`` samples that
+    row to the target instead."""
+    kwargs = dict(PRECISION_TOYS[experiment_id], seed=seed)
+    off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
+    for engine in ("auto", "exact"):
+        run = ALL_EXPERIMENTS[experiment_id](engine=engine, **kwargs)
+        assert len(run.rows) == len(off.rows)
+        exact_rows = 0
+        for row, reference in zip(run.rows, off.rows):
+            if row["trials_used"] == 1:
+                exact_rows += 1
+                assert row["acceptance"] == reference["acceptance"] == 1.0
+                assert row["ci_low"] == row["ci_high"] == 1.0
+                assert reference["trials_used"] >= 100  # the target's min_trials
+            else:
+                assert row == reference
+        assert exact_rows == 2

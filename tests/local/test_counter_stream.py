@@ -24,7 +24,6 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.engine.construct import MAX_OUTPUT_VALUES  # noqa: E402
 from repro.local.randomness import (  # noqa: E402
     UNIT,
-    RandomTape,
     TapeFactory,
     counter_uniform,
     counter_uniforms,
@@ -85,7 +84,8 @@ class TestScalarEqualsBlock:
         reference = tape(seed, salt, trial, identity)
         for _ in range(k):
             reference.uniform()
-        assert reference.bernoulli(p) == bool(block_uniforms(seed, salt, trial, identity, k + 1)[k] < p)
+        expected = block_uniforms(seed, salt, trial, identity, k + 1)[k] < p
+        assert reference.bernoulli(p) == bool(expected)
 
     @given(
         seed=seeds,
@@ -257,7 +257,9 @@ class TestAdjacentSeeds:
         )
         trials = 200
         rates = [
-            AmosDecider().acceptance_probability(configuration, trials=trials, seed=seed, engine="off")
+            AmosDecider().acceptance_probability(
+                configuration, trials=trials, seed=seed, engine="off"
+            )
             for seed in range(10)
         ]
         gaps = [abs(a - b) for a, b in zip(rates, rates[1:])]

@@ -194,7 +194,7 @@ class TestNullOverhead:
 
         def instrumented() -> None:
             recorder = get_recorder()
-            with recorder.span("engine.stream_sample", trials=64, offset=0):
+            with recorder.span("engine.execute", op="stream", trials=64, offset=0):
                 recorder.counter("engine.chunks")
 
         start = time.perf_counter()

@@ -145,6 +145,33 @@ class TestErrorMapping:
         assert info.value.code == 400
         assert json.loads(info.value.read().decode("utf8"))["error"] == "spec_validation"
 
+    def test_trial_count_below_one_is_rejected_at_submit(self, tmp_path):
+        """A trial count below 1 fails parameter validation with a 400 at
+        submit: no job is queued, so nothing runs or is retried."""
+        from repro.api.wire import WIRE_SCHEMA
+
+        with ServiceThread(port=0, cache=tmp_path / "cache", max_retries=2) as service:
+            request = urllib.request.Request(
+                f"{service.url}/v1/jobs",
+                data=json.dumps(
+                    {
+                        "schema": WIRE_SCHEMA,
+                        "kind": "run_request",
+                        "experiment_id": "E5",
+                        "parameters": {"f_values": [1], "n": 24, "trials": 0},
+                        "preset": "quick",
+                    }
+                ).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=10)
+            assert info.value.code == 400
+            assert json.loads(info.value.read().decode("utf8"))["error"] == "parameter_value"
+            status, metrics = _get(f"{service.url}/v1/metrics")
+            assert status == 200
+            assert sum(metrics["jobs"].values()) == 0
+
     def test_result_before_terminal_is_409(self, gate, tmp_path):
         registry = ExperimentRegistry([gate.spec()])
         with ServiceThread(port=0, registry=registry, cache=tmp_path / "cache") as service:

@@ -12,23 +12,40 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
+from repro.core.construction import BallConstructor, estimate_success_probability
 from repro.core.decision import (
     AmplifiedResilientDecider,
     RandomizedDecider,
     ResilientDecider,
     estimate_guarantee,
 )
-from repro.core.lcl import ProperColoring
-from repro.core.relaxations import f_resilient
-from repro.engine.compiler import compile_decision
-from repro.engine.executor import (
-    AcceptStream,
-    accept_vector,
-    adaptive_acceptance,
-    deterministic_accept_value,
+from repro.core.derandomization import (
+    choose_anchor,
+    far_acceptance_probability,
+    find_hard_instances,
 )
-from repro.harness.experiments import _cycle_coloring_with_bad_balls
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
+from repro.core.lcl import ProperColoring
+from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine.compiler import coin, compile_decision
+from repro.engine.construct import const_output
+from repro.engine.executor import AcceptStream, accept_vector, deterministic_accept_value
+from repro.engine.fusion import fusion_scope
+from repro.graphs.families import cycle_network
+from repro.harness.experiments import (
+    _cycle_coloring_with_bad_balls,
+    _toy_all_zeros_language,
+    _toy_faulty_constructor,
+    _toy_noisy_decider,
+)
+from repro.local.algorithm import FunctionBallAlgorithm
+from repro.stats import (
+    PrecisionTarget,
+    ProbabilityEstimate,
+    run_estimate,
+    sequential_estimate,
+    wilson_interval,
+)
 
 
 def _config(n=30, bad=6):
@@ -124,6 +141,85 @@ class TestSequentialEstimate:
         assert exact.deterministic and exact.estimate == 1.0 and exact.half_width == 0.0
 
 
+class TestRunEstimate:
+    def test_fixed_run_is_one_draw_in_a_95_percent_wilson_interval(self):
+        calls = []
+
+        def draw(count):
+            calls.append(count)
+            return count // 3
+
+        estimate = run_estimate(draw, 300)
+        interval = wilson_interval(100, 300)
+        assert calls == [300]
+        assert (estimate.successes, estimate.trials) == (100, 300)
+        assert (estimate.ci_low, estimate.ci_high) == (interval.low, interval.high)
+        assert estimate.confidence == 0.95 and not estimate.deterministic
+
+    def test_fixed_run_samples_even_a_constant_outcome(self):
+        estimate = run_estimate(lambda count: count, 40, constant=True)
+        assert estimate.trials == 40 and not estimate.deterministic
+
+    def test_constant_outcome_under_a_target_is_exact_and_unsampled(self):
+        def draw(count):
+            raise AssertionError("a structurally constant outcome must not be sampled")
+
+        target = PrecisionTarget(half_width=0.05, confidence=0.9)
+        estimate = run_estimate(draw, 500, target, constant=False)
+        assert estimate == ProbabilityEstimate.exact(False, confidence=0.9)
+
+    def test_target_runs_sequential_estimate_on_the_same_stream(self):
+        target = PrecisionTarget(half_width=0.001, min_trials=100, max_trials=1_234)
+        expected = sequential_estimate(target, lambda count: count // 2)
+        assert run_estimate(lambda count: count // 2, 1_234, target) == expected
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_are_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_estimate(lambda count: 0, trials)
+        with pytest.raises(ValueError, match="trials"):
+            run_estimate(lambda count: 0, trials, PrecisionTarget(half_width=0.1))
+
+
+class TestTrialCountValidation:
+    """Every estimator rejects a trial count below 1 with the same
+    ``ValueError`` on the engine and on the reference loop."""
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_decision_estimates(self, engine, trials):
+        decider = ResilientDecider(ProperColoring(3), f=2)
+        language = f_resilient(ProperColoring(3), 2)
+        configuration = _config()
+        with pytest.raises(ValueError, match="trials"):
+            decider.acceptance_probability(configuration, trials=trials, engine=engine)
+        with pytest.raises(ValueError, match="trials"):
+            estimate_guarantee(decider, language, [configuration], trials=trials, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_construction_estimates(self, engine):
+        constructor = _toy_faulty_constructor(0.2)
+        language = _toy_all_zeros_language()
+        network = cycle_network(8)
+        with pytest.raises(ValueError, match="trials"):
+            estimate_success_probability(constructor, language, [network], trials=0, engine=engine)
+        with pytest.raises(ValueError, match="trials"):
+            find_hard_instances(constructor, language, [network], 0.1, 1, trials=0, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_far_acceptance_estimates(self, engine):
+        constructor = _toy_faulty_constructor(0.2)
+        decider = _toy_noisy_decider(0.8)
+        network = cycle_network(8)
+        node = network.nodes()[0]
+        with pytest.raises(ValueError, match="trials"):
+            far_acceptance_probability(
+                constructor, decider, network, node, 1, trials=0, engine=engine
+            )
+        with pytest.raises(ValueError, match="trials"):
+            choose_anchor(constructor, decider, network, 1, trials=0, engine=engine)
+
+
 class TestAcceptStream:
     def test_concatenated_batches_equal_one_fixed_call(self):
         decider = AmplifiedResilientDecider(ProperColoring(3), f=4, repetitions=3)
@@ -172,9 +268,10 @@ class TestAcceptStream:
 class TestAdaptiveAcceptance:
     def test_adaptive_stop_equals_fixed_prefix(self):
         decider = ResilientDecider(ProperColoring(3), f=4)
-        compiled = compile_decision(decider, _config())
+        configuration = _config()
         target = PrecisionTarget(half_width=0.04, min_trials=100, max_trials=5_000)
-        estimate = adaptive_acceptance(compiled, target, seed=3)
+        estimate = decider.acceptance_estimate(configuration, seed=3, precision=target)
+        compiled = compile_decision(decider, configuration)
         fixed = accept_vector(compiled, estimate.trials, seed=3)
         assert estimate.successes == int(fixed.sum())
         assert estimate.half_width <= 0.04
@@ -182,8 +279,8 @@ class TestAdaptiveAcceptance:
 
     def test_deterministic_decision_skips_sampling(self):
         proper = _cycle_coloring_with_bad_balls(30, 0)
-        compiled = compile_decision(ResilientDecider(ProperColoring(3), f=1), proper)
-        estimate = adaptive_acceptance(compiled, PrecisionTarget(half_width=0.01))
+        decider = ResilientDecider(ProperColoring(3), f=1)
+        estimate = decider.acceptance_estimate(proper, precision=PrecisionTarget(half_width=0.01))
         assert estimate.deterministic and estimate.trials == 1 and estimate.estimate == 1.0
 
 
@@ -271,15 +368,225 @@ class TestDeciderPrecisionThreading:
         assert adaptive.trials_used[0] == 1  # structurally deterministic row
         assert all(trials <= 400 for trials in adaptive.trials_used.values())
         # Rates are prefix rates of the same streams: re-count the successes
-        # at the realized trial count with the fixed-budget counter (same
+        # at the realized trial count with the one-shot accept vector (same
         # per-index salt) and compare.
-        from repro.engine.adapters import engine_success_counts
-
         for index, configuration in enumerate(configurations):
             member, rate, _hw = adaptive.per_configuration[index]
             trials = adaptive.trials_used[index]
             if trials == 1:
                 assert rate == 1.0
                 continue
-            successes = engine_success_counts(decider, configuration, member, trials, 2, index)
+            compiled = compile_decision(decider, configuration)
+            accepted = accept_vector(compiled, trials, seed=2, salt=f"{decider.name}/{index}")
+            successes = int(np.count_nonzero(accepted if member else ~accepted))
             assert successes / trials == rate
+
+
+# --------------------------------------------------------------------------- #
+# Construction-side streams: success and far acceptance
+# --------------------------------------------------------------------------- #
+def _schedule_stop(target, successes_at):
+    """The trial count a sequential run stops at, replayed from fixed runs:
+    the first total of the doubling schedule whose fixed-run counts meet the
+    target, or the cap."""
+    total = target.min_trials
+    while total < target.max_trials and not target.satisfied(successes_at(total), total):
+        total = min(2 * total, target.max_trials)
+    return total
+
+
+def _one_coin_far_decider():
+    """A radius-1 twin of the toy noisy decider: compilable, but not fusable,
+    so far acceptance runs the per-trial reference loop on every path."""
+    return RandomizedDecider(
+        rule=lambda ball, tape: True if ball.center_output() == 0 else tape.bernoulli(0.2),
+        radius=1,
+        guarantee=0.8,
+        name="radius-one-noisy-decider",
+        vote_program=lambda ball: coin(1.0 if ball.center_output() == 0 else 0.2),
+    )
+
+
+class TestConstructionStreams:
+    """The success and far-acceptance estimates are one stream each: the
+    engine and the reference loop build the same stream, a fixed run is its
+    first draw, and a precision target continues it."""
+
+    SUCCESS_TARGET = PrecisionTarget(half_width=0.04, min_trials=50, max_trials=800)
+    FAR_TARGET = PrecisionTarget(half_width=0.08, min_trials=40, max_trials=640)
+
+    @staticmethod
+    def _success_cases():
+        networks = [cycle_network(12), cycle_network(21, ids="consecutive")]
+        coloring = RandomColoringConstructor(3)
+        return [
+            (coloring, eps_slack(ProperColoring(3), 0.6), networks),
+            (coloring, ProperColoring(3), networks),
+            (_toy_faulty_constructor(0.05), _toy_all_zeros_language(), networks),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 10_000])
+    def test_success_precision_engine_equals_off(self, seed):
+        for constructor, language, networks in self._success_cases():
+            runs = {
+                engine: estimate_success_probability(
+                    constructor,
+                    language,
+                    networks,
+                    trials=800,
+                    seed=seed,
+                    engine=engine,
+                    precision=self.SUCCESS_TARGET,
+                )
+                for engine in ("off", "auto", "exact")
+            }
+            for engine in ("auto", "exact"):
+                assert runs[engine].per_instance == runs["off"].per_instance
+                assert runs[engine].trials_used == runs["off"].trials_used
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_success_precision_stops_at_the_fixed_prefix(self, engine):
+        target = self.SUCCESS_TARGET
+        for constructor, language, networks in self._success_cases():
+            adaptive = estimate_success_probability(
+                constructor,
+                language,
+                networks,
+                trials=800,
+                seed=3,
+                engine=engine,
+                precision=target,
+            )
+
+            def fixed_rate(trials, index):
+                return estimate_success_probability(
+                    constructor, language, networks, trials=trials, seed=3, engine=engine
+                ).per_instance[index][0]
+
+            for index in range(len(networks)):
+                stop = _schedule_stop(
+                    target, lambda trials: round(fixed_rate(trials, index) * trials)
+                )
+                assert adaptive.trials_used[index] == stop
+                assert adaptive.per_instance[index][0] == fixed_rate(stop, index)
+
+    def test_construction_without_random_outputs_is_exact(self):
+        language = _toy_all_zeros_language()
+        networks = [cycle_network(9)]
+        for value, expected in ((0, 1.0), (1, 0.0)):
+            constructor = BallConstructor(
+                FunctionBallAlgorithm(
+                    lambda ball, tape, value=value: value,
+                    radius=0,
+                    randomized=True,
+                    name=f"constant-{value}",
+                    output_program=lambda ball, value=value: const_output(value),
+                )
+            )
+            estimate = estimate_success_probability(
+                constructor, language, networks, trials=500, precision=self.SUCCESS_TARGET
+            )
+            assert estimate.per_instance[0] == (expected, 0.0)
+            assert estimate.trials_used[0] == 1
+
+    @pytest.mark.parametrize("seed", [0, 10_000])
+    def test_far_precision_engine_equals_off(self, seed):
+        network = cycle_network(10)
+        constructor = _toy_faulty_constructor(0.1)
+        for decider in (_toy_noisy_decider(0.8), _one_coin_far_decider()):
+            for node in network.nodes()[:3]:
+                values = {
+                    engine: far_acceptance_probability(
+                        constructor,
+                        decider,
+                        network,
+                        node,
+                        1,
+                        trials=640,
+                        seed=seed,
+                        engine=engine,
+                        precision=self.FAR_TARGET,
+                    )
+                    for engine in ("off", "auto", "exact")
+                }
+                assert values["auto"] == values["exact"] == values["off"]
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_far_precision_stops_at_the_fixed_prefix(self, engine):
+        network = cycle_network(10)
+        constructor = _toy_faulty_constructor(0.1)
+        decider = _toy_noisy_decider(0.8)
+        node = network.nodes()[4]
+
+        def fixed(trials):
+            return far_acceptance_probability(
+                constructor, decider, network, node, 1, trials=trials, seed=5, engine=engine
+            )
+
+        stop = _schedule_stop(self.FAR_TARGET, lambda trials: round(fixed(trials) * trials))
+        assert stop < self.FAR_TARGET.max_trials  # the target, not the cap, stopped it
+        adaptive = far_acceptance_probability(
+            constructor,
+            decider,
+            network,
+            node,
+            1,
+            trials=640,
+            seed=5,
+            engine=engine,
+            precision=self.FAR_TARGET,
+        )
+        assert adaptive == fixed(stop)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reference_anchor_is_the_per_candidate_minimum(self, seed):
+        """The one-pass reference loop of ``choose_anchor`` keeps the old
+        definition: the first candidate with the smallest per-candidate
+        ``far_acceptance_probability``."""
+        network = cycle_network(10)
+        constructor = _toy_faulty_constructor(0.3)
+        for decider in (_toy_noisy_decider(0.8), _one_coin_far_decider()):
+            candidates = network.nodes()
+            probabilities = [
+                far_acceptance_probability(
+                    constructor, decider, network, node, 1, trials=60, seed=seed, engine="off"
+                )
+                for node in candidates
+            ]
+            best = min(range(len(candidates)), key=probabilities.__getitem__)
+            anchor = choose_anchor(
+                constructor, decider, network, 1, trials=60, seed=seed, engine="off"
+            )
+            assert anchor == (candidates[best], probabilities[best])
+
+    def test_adaptive_estimates_inside_a_fusion_scope_equal_outside(self):
+        """Inside a fused group every window after the first (``start > 0``)
+        is served as a suffix of the shared matrix; the estimates must not
+        move."""
+        networks = [cycle_network(21, ids="consecutive")]
+        constructor = RandomColoringConstructor(3)
+        language = eps_slack(ProperColoring(3), 0.6)
+        target = self.SUCCESS_TARGET
+        outside = estimate_success_probability(
+            constructor, language, networks, trials=800, seed=1, precision=target
+        )
+        assert outside.trials_used[0] > target.min_trials  # several windows
+        with fusion_scope() as context:
+            inside = estimate_success_probability(
+                constructor, language, networks, trials=800, seed=1, precision=target
+            )
+        assert inside.per_instance == outside.per_instance
+        assert inside.trials_used == outside.trials_used
+        assert context.misses > 2  # the memo grew once per window, not once in all
+
+        network = cycle_network(10)
+        far = (_toy_faulty_constructor(0.1), _toy_noisy_decider(0.8), network, network.nodes()[0])
+        far_outside = far_acceptance_probability(
+            *far, 1, trials=640, seed=2, precision=self.FAR_TARGET
+        )
+        with fusion_scope() as context:
+            far_inside = far_acceptance_probability(
+                *far, 1, trials=640, seed=2, precision=self.FAR_TARGET
+            )
+        assert far_inside == far_outside
+        assert context.misses > 1
