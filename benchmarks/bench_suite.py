@@ -19,8 +19,8 @@ hard ``min_speedup`` floor (the E2/E3/E7 floors are the ≥5× acceptance
 criterion of the decision engine; the E6 ≥10× / E8 ≥3× / E9 ≥10× floors are
 the acceptance criterion of the construction engine; the fused-sweep
 workload's ≥1× floor keeps whole-sweep fusion from losing to the
-per-point path — its ratio is ``fuse="off"`` vs ``fuse="on"`` through
-``Session.sweep``; the
+per-point path — its ratio is the grid's requests one by one through
+``Session.run_many`` vs the fused ``Session.sweep``; the
 throughput microbenchmark keeps its ≥10× guard).  Workloads without an engine path are
 reported for trajectory tracking but not gated.  Use ``--update-baseline``
 after an intentional performance change, and ``--profile`` to print each
@@ -59,6 +59,7 @@ try:  # pragma: no cover - convenience for running without PYTHONPATH=src
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(_SRC))
 
+from repro.analysis.sweep import grid_points  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.harness.registry import REGISTRY  # noqa: E402
 from repro.obs import TraceRecorder, summarize  # noqa: E402
@@ -85,8 +86,9 @@ class Workload:
     #: Hard floor on the engine-vs-off speedup (None: report only).
     min_speedup: Optional[float] = None
     #: Set for fused-sweep workloads: the sweep grid.  The gated ratio is
-    #: then ``fuse="off"`` vs ``fuse="on"`` through ``Session.sweep`` (both
-    #: passes at the workload's own ``engine``), not engine-vs-off.
+    #: then the per-point path (``Session.run_many`` over the grid's
+    #: requests) vs the fused ``Session.sweep`` (both passes at the
+    #: workload's own ``engine``), not engine-vs-off.
     sweep_grid: Optional[Dict[str, object]] = None
 
     def run(self, engine: Optional[str] = None) -> object:
@@ -97,11 +99,22 @@ class Workload:
             overrides["engine"] = engine
         return SESSION.run(self.experiment, **overrides).result
 
-    def run_sweep(self, fuse: str) -> object:
-        """Run the workload's grid through ``Session.sweep`` with the given
-        ``fuse`` mode; only valid when ``sweep_grid`` is set."""
+    def run_sweep(self, fused: bool) -> List[object]:
+        """Run the workload's grid fused through ``Session.sweep``, or point
+        by point as one request per grid point through ``Session.run_many``;
+        returns the results in grid order.  Only valid when ``sweep_grid``
+        is set."""
         assert self.sweep_grid is not None
-        return SESSION.sweep(self.experiment, self.sweep_grid, fuse=fuse, **self.params)
+        if fused:
+            reports = SESSION.sweep(self.experiment, self.sweep_grid, **self.params).reports
+        else:
+            reports = SESSION.run_many(
+                [
+                    SESSION.request(self.experiment, **self.params, **point)
+                    for point in grid_points(self.sweep_grid)
+                ]
+            )
+        return [report.result for report in reports]
 
 
 def _throughput_workload() -> Dict[str, float]:
@@ -142,8 +155,8 @@ WORKLOADS: List[Workload] = [
     ),
     Workload(
         # The whole-sweep fusion workload: one 12-point ε grid over a shared
-        # (seed, size, trials) configuration, timed per-point (fuse="off")
-        # versus fused (fuse="on").  The two passes are bit-identical by
+        # (seed, size, trials) configuration, timed per-point (run_many)
+        # versus fused (Session.sweep).  The two passes are bit-identical by
         # contract, so every point verdict must be "pass" in both.  With
         # counter-based tapes a construction matrix costs milliseconds, so
         # fusion only saves the repeated compiles: the ratio measured
@@ -327,8 +340,8 @@ def _workload_telemetry(workload: Workload) -> Dict[str, object]:
     if workload.sweep_grid is not None:
         # Fused-sweep workloads trace their fused pass (the workload's own
         # engine mode), surfacing the engine.fuse* spans and counters.
-        session.sweep(workload.experiment, workload.sweep_grid, fuse="on", **overrides)
-        engine_label = str(overrides.get("engine", "auto")) + " (fuse=on)"
+        session.sweep(workload.experiment, workload.sweep_grid, **overrides)
+        engine_label = str(overrides.get("engine", "auto")) + " (fused sweep)"
     else:
         overrides["engine"] = "auto"
         session.run(workload.experiment, **overrides)
@@ -422,23 +435,19 @@ def run_suite(
             "min_speedup": workload.min_speedup,
         }
         if workload.sweep_grid is not None:
-            # Fused-sweep workload: the gated ratio is per-point (fuse="off")
-            # vs fused (fuse="on") through Session.sweep, both medianed.
+            # Fused-sweep workload: the gated ratio is per-point (run_many)
+            # vs fused (Session.sweep), both medianed.
             record["sweep_grid"] = workload.sweep_grid
-            off_seconds, off_report = _median_timed(
-                lambda w=workload: w.run_sweep("off"), repeats
+            off_seconds, off_results = _median_timed(
+                lambda w=workload: w.run_sweep(fused=False), repeats
             )
-            median_seconds, report = _median_timed(
-                lambda w=workload: w.run_sweep("on"), repeats
+            median_seconds, results = _median_timed(
+                lambda w=workload: w.run_sweep(fused=True), repeats
             )
             record["off_seconds"] = round(off_seconds, 4)
             record["median_seconds"] = round(median_seconds, 4)
             record["speedup_vs_off"] = round(off_seconds / median_seconds, 2)
-            verdicts = {
-                row["verdict"]
-                for sweep_report in (off_report, report)
-                for row in sweep_report.table.rows
-            }
+            verdicts = {result.verdict for result in off_results + results}
             record["matches_paper"] = verdicts == {"pass"}
         elif workload.engine_comparable:
             # The reference pass is medianed like the engine pass: the gated
@@ -480,7 +489,7 @@ def run_suite(
         records[workload.name] = record
         if profile:
             if workload.sweep_grid is not None:
-                profiled: Callable[[], object] = lambda w=workload: w.run_sweep("on")
+                profiled: Callable[[], object] = lambda w=workload: w.run_sweep(fused=True)
             else:
                 engine = "auto" if workload.engine_comparable else None
                 profiled = lambda w=workload, e=engine: w.run(e)  # noqa: E731

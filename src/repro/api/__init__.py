@@ -7,8 +7,8 @@ The facade every caller (the CLI included) goes through:
 * :class:`RunRequest` / :class:`RunReport` — declarative request in,
   provenance-carrying report out (result, cache hit, cache path, duration);
 * execution backends — ``inline`` (in-process) and ``process-pool``
-  (worker processes via :func:`repro.engine.parallel.imap`), both yielding
-  results in submission order;
+  (worker processes via :func:`repro.engine.parallel.imap`), each one
+  ``execute(groups)`` method yielding results in submission order;
 * the spec registry re-exports — :data:`REGISTRY`,
   :class:`~repro.harness.registry.ExperimentSpec`, and the validation
   errors, so ``import repro.api`` is a one-stop import;

@@ -1,31 +1,36 @@
 """Pluggable execution backends for the :class:`repro.api.Session` facade.
 
-A backend receives **request payloads** — the JSON-shaped dicts produced by
-:meth:`repro.api.RunRequest.to_payload` — and yields
-:class:`~repro.harness.results.ExperimentResult` objects **in submission
-order**.  The facade owns everything else (spec resolution, cache probes and
-writes, progress events); backends own only *where and how* the experiment
-functions execute:
+A backend receives **groups of request payloads** — lists of the
+JSON-shaped dicts produced by :meth:`repro.api.RunRequest.to_payload` — and
+yields :class:`~repro.harness.results.ExperimentResult` objects **in
+submission order**, flattened across groups.  A group of two or more
+payloads runs under one :func:`~repro.engine.fusion.fusion_scope` (the
+points of a fused sweep); a one-payload group runs plainly, which is how
+every ordinary request arrives.  The facade owns everything else (spec
+resolution, cache probes and writes, progress events); backends own only
+*where and how* the experiment functions execute:
 
 ``inline``
-    In the calling process, one request at a time, lazily — the default.
+    In the calling process, one group at a time, lazily — the default.
 ``process-pool``
-    Over a ``ProcessPoolExecutor``, via :func:`repro.engine.parallel.imap`;
-    all requests are submitted eagerly and results stream back in
-    submission order.
+    Over a ``ProcessPoolExecutor``, via :func:`repro.engine.parallel.imap`,
+    one task per group; all groups are submitted eagerly and results stream
+    back in submission order.
 
-Because payloads are plain JSON-able dicts and the worker entry point
-(:func:`execute_payload`) resolves experiments through the registry by id,
-any payload can be shipped to another process without pickling closures.
-The experiment service (:mod:`repro.service`) runs the same entry point
-behind the :mod:`repro.api.wire` records.
+Because payloads are plain JSON-able dicts and the worker entry points
+(:func:`execute_payload` per request, :func:`execute_group_payload` per
+group) resolve experiments through the registry by id, any group can be
+shipped to another process without pickling closures.  The experiment
+service (:mod:`repro.service`) runs :func:`execute_payload` behind the
+:mod:`repro.api.wire` records.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterator, Optional, Sequence, Union
+from contextlib import nullcontext
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.fusion import fusion_scope
 from repro.engine.parallel import imap
@@ -42,9 +47,12 @@ __all__ = [
     "execute_group_payload",
 ]
 
+#: One group of request payloads (see the module docstring).
+Group = Sequence[Dict[str, object]]
+
 
 def execute_payload(payload: Dict[str, object], registry=None) -> Dict[str, object]:
-    """Run one request payload; the worker entry point of every backend.
+    """Run one request payload.
 
     Top-level (hence picklable), resolves the experiment by id through
     ``registry`` (the shipped :data:`~repro.harness.registry.REGISTRY` when
@@ -59,19 +67,17 @@ def execute_payload(payload: Dict[str, object], registry=None) -> Dict[str, obje
     return spec.run(payload.get("parameters", {})).to_dict()
 
 
-def execute_group_payload(
-    payloads: Sequence[Dict[str, object]], registry=None
-) -> list:
-    """Run one fusion group's payloads in submission order under a shared
-    :class:`~repro.engine.fusion.FusionContext` (top-level, picklable — the
-    worker entry point of grouped execution).
+def execute_group_payload(payloads: Group, registry=None) -> List[Dict[str, object]]:
+    """Run one group's payloads in submission order; the entry point of
+    every backend (top-level, picklable).
 
-    Singleton groups skip the context: there is nothing to share, and the
-    plain path is what the group would be bit-identical to anyway.
+    A group of two or more shares one
+    :class:`~repro.engine.fusion.FusionContext`; a one-payload group skips
+    it — there is nothing to share, and the plain path is what a group is
+    bit-identical to anyway.
     """
-    if len(payloads) <= 1:
-        return [execute_payload(payload, registry) for payload in payloads]
-    with fusion_scope(points=len(payloads)):
+    scope = fusion_scope(points=len(payloads)) if len(payloads) > 1 else nullcontext()
+    with scope:
         return [execute_payload(payload, registry) for payload in payloads]
 
 
@@ -79,43 +85,27 @@ def _result_from(record: Dict[str, object]) -> ExperimentResult:
     return ExperimentResult.from_dict(record)
 
 
-def _traced_execute_payload(item: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry point of the telemetry path (top-level, picklable).
-
-    Runs the payload under a fresh in-process :class:`TraceRecorder` and
-    ships the export back next to the result — the worker-side half of the
-    cross-process merge contract.  ``queue_wait_seconds`` is the wall time
-    between the parent stamping the item at submission and the worker
-    starting it (same-host clocks; clamped at zero against skew).
-    """
-    payload: Dict[str, object] = item["payload"]  # type: ignore[assignment]
-    queue_wait = max(0.0, time.time() - float(item["submitted_at"]))
-    recorder = TraceRecorder()
-    with use_recorder(recorder):
-        with recorder.span(
-            "backend.worker",
-            experiment_id=str(payload.get("experiment_id")),
-            pid=os.getpid(),
-            queue_wait_seconds=round(queue_wait, 6),
-        ):
-            record = execute_payload(payload)
-    return {
-        "record": record,
-        "telemetry": recorder.export(),
-        "queue_wait_seconds": queue_wait,
-    }
+def _first_id(payloads: Group) -> Optional[str]:
+    return str(payloads[0].get("experiment_id")) if payloads else None
 
 
 def _traced_execute_group(item: Dict[str, object]) -> Dict[str, object]:
-    """Grouped counterpart of :func:`_traced_execute_payload`: runs one
-    fusion group under a fresh worker recorder (the ``engine.fuse_group``
-    span and its hit/miss tallies ride back inside the export)."""
-    payloads: Sequence[Dict[str, object]] = item["payloads"]  # type: ignore[assignment]
+    """Worker entry point of the telemetry path (top-level, picklable).
+
+    Runs one group under a fresh in-process :class:`TraceRecorder` and ships
+    the export back next to the records — the worker-side half of the
+    cross-process merge contract (a fused group's ``engine.fuse_group`` span
+    and hit/miss tallies ride back inside it).  ``queue_wait_seconds`` is
+    the wall time between the parent stamping the item at submission and
+    the worker starting it (same-host clocks; clamped at zero against skew).
+    """
+    payloads: Group = item["payloads"]  # type: ignore[assignment]
     queue_wait = max(0.0, time.time() - float(item["submitted_at"]))
     recorder = TraceRecorder()
     with use_recorder(recorder):
         with recorder.span(
             "backend.worker",
+            experiment_id=_first_id(payloads),
             pid=os.getpid(),
             points=len(payloads),
             queue_wait_seconds=round(queue_wait, 6),
@@ -129,89 +119,52 @@ def _traced_execute_group(item: Dict[str, object]) -> Dict[str, object]:
 
 
 class ExecutionBackend:
-    """Interface: run payloads, yield results in submission order.
+    """Interface: run groups of payloads, yield results in submission order.
 
     ``registry`` lets a session execute against a custom spec registry; the
-    ``process-pool`` backend ignores it because a worker process can only
-    resolve ids through the importable global registry.
+    ``process-pool`` backend rejects any other than the shipped one because
+    a worker process can only resolve ids through the importable global
+    registry.
     """
 
     name = "abstract"
 
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
+    def execute(self, groups: Sequence[Group], registry=None) -> Iterator[ExperimentResult]:
         raise NotImplementedError
-
-    def execute_grouped(
-        self,
-        groups: Sequence[Sequence[Dict[str, object]]],
-        registry=None,
-    ) -> Iterator[ExperimentResult]:
-        """Execute fusion groups, yielding results flattened in group order
-        (submission order within each group).
-
-        The base implementation runs each group through :meth:`execute`
-        with no shared context — correct for every backend (fusion shares
-        work, never randomness), so backends unaware of fusion keep working;
-        the inline and process-pool backends override this to install a
-        :class:`~repro.engine.fusion.FusionContext` per group.
-        """
-        for payloads in groups:
-            yield from self.execute(payloads, registry)
 
 
 class InlineBackend(ExecutionBackend):
-    """Serial in-process execution (the default)."""
+    """Serial in-process execution (the default).
+
+    Lazy across groups: nothing runs until the next result is asked for.
+    Eager within a group: the fusion context must not stay installed across
+    yields (a generator's ContextVar writes leak into the consumer between
+    ``next()`` calls), so a group runs to completion under its scope and
+    its results stream out after."""
 
     name = "inline"
 
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
+    def execute(self, groups: Sequence[Group], registry=None) -> Iterator[ExperimentResult]:
         recorder = get_recorder()
-        for payload in payloads:
+        for payloads in groups:
             with recorder.span(
                 "backend.task",
                 backend=self.name,
-                experiment_id=str(payload.get("experiment_id")),
+                experiment_id=_first_id(payloads),
+                points=len(payloads),
             ):
-                record = execute_payload(payload, registry)
-            yield _result_from(record)
-
-    def execute_grouped(
-        self,
-        groups: Sequence[Sequence[Dict[str, object]]],
-        registry=None,
-    ) -> Iterator[ExperimentResult]:
-        recorder = get_recorder()
-        for payloads in groups:
-            if len(payloads) <= 1:
-                yield from self.execute(payloads, registry)
-                continue
-            # Eager within the group: the fusion context must not stay
-            # installed across yields (a generator's ContextVar writes leak
-            # into the consumer between next() calls), so the group runs to
-            # completion under the scope and the results stream out after.
-            results = []
-            with fusion_scope(points=len(payloads), backend=self.name):
-                for payload in payloads:
-                    with recorder.span(
-                        "backend.task",
-                        backend=self.name,
-                        experiment_id=str(payload.get("experiment_id")),
-                    ):
-                        record = execute_payload(payload, registry)
-                    results.append(_result_from(record))
-            yield from results
+                records = execute_group_payload(payloads, registry)
+            yield from map(_result_from, records)
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan requests out over worker processes.
+    """Fan groups out over worker processes, one task per group.
 
     Built on :func:`repro.engine.parallel.imap`: submission is eager,
     results stream back in submission order, and a pool is created per batch
-    so the backend object itself stays picklable and stateless.
+    so the backend object itself stays picklable and stateless.  Fusion
+    happens inside the worker (a shared matrix cannot cross process
+    boundaries).
     """
 
     name = "process-pool"
@@ -221,8 +174,7 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive (or None for one per CPU)")
         self.max_workers = max_workers
 
-    @staticmethod
-    def _check_registry(registry) -> None:
+    def execute(self, groups: Sequence[Group], registry=None) -> Iterator[ExperimentResult]:
         # A registry instance cannot be shipped to the workers — a fresh
         # process resolves payload ids through the importable global registry
         # only.  Running a *custom* registry here would silently execute the
@@ -236,56 +188,17 @@ class ProcessPoolBackend(ExecutionBackend):
                     "shipped repro.harness.registry.REGISTRY inside its worker "
                     "processes; use the inline backend with a custom registry"
                 )
-
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        self._check_registry(registry)
-        recorder = get_recorder()
-        if not recorder.active:
-            for record in imap(execute_payload, list(payloads), self.max_workers):
-                yield _result_from(record)
-            return
-        # Telemetry path: each worker runs under its own TraceRecorder and
-        # ships the export back with the result; the parent re-attaches it
-        # under a per-task span, in submission order, so the merged trace
-        # reads like one process (queue wait vs compute split out).
-        items = [
-            {"payload": payload, "submitted_at": time.time()} for payload in payloads
-        ]
-        for item, wrapped in zip(items, imap(_traced_execute_payload, items, self.max_workers)):
-            telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
-            worker_spans = telemetry.get("spans") or []
-            compute = worker_spans[0].get("wall_seconds", 0.0) if worker_spans else 0.0
-            with recorder.span(
-                "backend.task",
-                backend=self.name,
-                experiment_id=str(item["payload"].get("experiment_id")),
-                queue_wait_seconds=round(float(wrapped["queue_wait_seconds"]), 6),
-                compute_seconds=round(float(compute), 6),
-            ):
-                recorder.merge(telemetry)
-            yield _result_from(wrapped["record"])
-
-    def execute_grouped(
-        self,
-        groups: Sequence[Sequence[Dict[str, object]]],
-        registry=None,
-    ) -> Iterator[ExperimentResult]:
-        """Shard across fusion groups: one worker task per group, fusion
-        inside the worker (a shared matrix cannot cross process boundaries),
-        results streaming back flattened in group-submission order."""
-        self._check_registry(registry)
         recorder = get_recorder()
         tasks = [list(payloads) for payloads in groups]
         if not recorder.active:
             for records in imap(execute_group_payload, tasks, self.max_workers):
-                for record in records:
-                    yield _result_from(record)
+                yield from map(_result_from, records)
             return
-        items = [
-            {"payloads": payloads, "submitted_at": time.time()} for payloads in tasks
-        ]
+        # Telemetry path: each worker runs under its own TraceRecorder and
+        # ships the export back with the records; the parent re-attaches it
+        # under a per-task span, in submission order, so the merged trace
+        # reads like one process (queue wait vs compute split out).
+        items = [{"payloads": payloads, "submitted_at": time.time()} for payloads in tasks]
         for item, wrapped in zip(items, imap(_traced_execute_group, items, self.max_workers)):
             telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
             worker_spans = telemetry.get("spans") or []
@@ -293,16 +206,13 @@ class ProcessPoolBackend(ExecutionBackend):
             with recorder.span(
                 "backend.task",
                 backend=self.name,
-                experiment_id=str(item["payloads"][0].get("experiment_id"))
-                if item["payloads"]
-                else None,
+                experiment_id=_first_id(item["payloads"]),
                 points=len(item["payloads"]),
                 queue_wait_seconds=round(float(wrapped["queue_wait_seconds"]), 6),
                 compute_seconds=round(float(compute), 6),
             ):
                 recorder.merge(telemetry)
-            for record in wrapped["records"]:
-                yield _result_from(record)
+            yield from map(_result_from, wrapped["records"])
 
 
 #: Backend names accepted by :func:`resolve_backend` (and the CLI).

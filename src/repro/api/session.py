@@ -13,12 +13,17 @@ True
 
 Everything the CLI does goes through this class; external callers get the
 exact same behavior (same normalization, same cache keys, same backends) by
-constructing a session themselves.
+constructing a session themselves.  Every batch runs through one loop: the
+requests become groups of payloads for the backend (one request per group,
+or a sweep's fusion groups).  The cache seam — :func:`open_cache`,
+:func:`cached_report`, :func:`store_result` — is shared with the experiment
+service (:mod:`repro.service.jobs`).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -58,11 +63,10 @@ __all__ = [
     "Session",
     "PRESET_FULL",
     "PRESET_QUICK",
-    "FUSE_CHOICES",
+    "open_cache",
+    "cached_report",
+    "store_result",
 ]
-
-#: The ``Session.sweep(fuse=...)`` settings.
-FUSE_CHOICES = ("auto", "on", "off")
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,11 @@ class RunRequest:
 
 @dataclass
 class RunReport:
-    """The outcome of one request: the result plus its provenance."""
+    """The outcome of one request: the result plus its provenance.
+
+    ``duration_seconds`` is the wall time spent waiting for the request's
+    result.  The points of a fused group share one run, so it is timed on
+    the group's first point and the others read about zero."""
 
     request: RunRequest
     result: ExperimentResult
@@ -143,9 +151,10 @@ class RunReport:
 class ProgressEvent:
     """One per-request progress notification.
 
-    ``kind`` is ``"start"`` when a request begins executing, ``"cached"``
-    when it is served from the result cache, and ``"done"`` when execution
-    finished (``report`` is set for ``cached`` and ``done``).
+    ``kind`` is ``"start"`` when a request begins executing (every point
+    of a fused group starts when the group does), ``"cached"`` when it is
+    served from the result cache, and ``"done"`` when execution finished
+    (``report`` is set for ``cached`` and ``done``).
     """
 
     kind: str
@@ -158,13 +167,67 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
+# --------------------------------------------------------------------------- #
+# The cache seam (shared with repro.service.jobs)
+# --------------------------------------------------------------------------- #
+def open_cache(cache: Union[bool, None, str, Path, ResultCache]) -> Optional[ResultCache]:
+    """Resolve a ``cache=`` argument: ``True`` for the standard on-disk
+    cache, ``None``/``False`` for none, a path for an explicit directory, or
+    a :class:`ResultCache` instance, passed through."""
+    if isinstance(cache, ResultCache):
+        return cache
+    if cache is True:
+        return ResultCache()
+    if cache in (None, False):
+        return None
+    return ResultCache(Path(cache))
+
+
+def cached_report(
+    cache: Optional[ResultCache], request: RunRequest, key: str
+) -> Optional[RunReport]:
+    """The cache's answer for ``key`` as a ``from_cache`` report, or
+    ``None`` on a miss, with no cache, or for a foreign/stale payload."""
+    if cache is None:
+        return None
+    payload = cache.get(key)
+    if payload is None:
+        return None
+    try:
+        result = ExperimentResult.from_dict(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return RunReport(
+        request=request, result=result, from_cache=True, cache_path=cache.path_for(key)
+    )
+
+
+def store_result(
+    cache: Optional[ResultCache], request: RunRequest, key: str, record: Dict[str, object]
+) -> Optional[Path]:
+    """Write a fresh result record under ``key`` (with the request's key
+    fields alongside); returns the entry's path, ``None`` with no cache."""
+    if cache is None:
+        return None
+    return cache.put(
+        key,
+        record,
+        key_fields={
+            "experiment_id": request.experiment_id,
+            "parameters": request.kwargs,
+            "preset": request.preset,
+        },
+    )
+
+
 @dataclass
 class SweepReport:
     """The outcome of :meth:`Session.sweep`: per-point reports in grid order
     plus the flat summary table the analysis layer consumes.
 
     ``plan`` is the :class:`~repro.engine.fusion.FusedSweepPlan` the sweep
-    executed under, or ``None`` when it ran point by point."""
+    executed under, or ``None`` when no group had two points (every point
+    ran alone)."""
 
     reports: List[RunReport] = field(default_factory=list)
     table: SweepResult = field(default_factory=SweepResult)
@@ -255,14 +318,7 @@ class Session:
             raise TypeError(
                 f"telemetry must be a repro.obs.Recorder, True, or None; got {telemetry!r}"
             )
-        if isinstance(cache, ResultCache):
-            self.cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.cache = ResultCache()
-        elif cache in (None, False):
-            self.cache = None
-        else:
-            self.cache = ResultCache(Path(cache))
+        self.cache = open_cache(cache)
 
     # ------------------------------------------------------------------ #
     def spec(self, experiment_id: str) -> ExperimentSpec:
@@ -328,64 +384,60 @@ class Session:
         self,
         requests: Sequence[RunRequest],
         progress: Optional[ProgressCallback],
-        plan: Optional[FusedSweepPlan] = None,
+        groups: Optional[Sequence[Sequence[int]]] = None,
     ) -> Iterator[RunReport]:
+        """The one run loop.  ``groups`` partitions the request indices into
+        the backend's groups (a sweep's fusion groups, members ascending);
+        by default each request is its own group.  Cache hits leave their
+        group, the misses go to the backend in one batch, and results, which
+        arrive group by group, are buffered just long enough to yield in
+        request order."""
         emit = progress if progress is not None else self.progress
         total = len(requests)
+        if groups is None:
+            groups = [(index,) for index in range(total)]
 
-        cached: Dict[int, Tuple[RunReport, str]] = {}
-        misses: List[Tuple[int, RunRequest, Optional[str]]] = []
+        keys: List[Optional[str]] = [None] * total
+        hits: Dict[int, RunReport] = {}
         for index, request in enumerate(requests):
-            key = None
             if self.cache is not None:
-                key = request.cache_key(self.registry)
-                payload = self.cache.get(key)
-                if payload is not None:
-                    try:
-                        result = ExperimentResult.from_dict(payload)
-                    except (KeyError, TypeError, ValueError):
-                        pass  # foreign/stale payload shape: treat as a miss
-                    else:
-                        cached[index] = (
-                            RunReport(
-                                request=request,
-                                result=result,
-                                from_cache=True,
-                                cache_path=self.cache.path_for(key),
-                            ),
-                            key,
-                        )
-                        continue
-            misses.append((index, request, key))
-
-        if plan is not None:
-            yield from self._run_grouped(requests, cached, misses, plan, emit, total)
-            return
-
+                key = keys[index] = request.cache_key(self.registry)
+                hit = cached_report(self.cache, request, key)
+                if hit is not None:
+                    hits[index] = hit
+        pending = [[index for index in group if index not in hits] for group in groups]
+        pending = [members for members in pending if members]
         executing = self.backend.execute(
-            [request.to_payload() for _, request, _ in misses], registry=self.registry
+            [[requests[index].to_payload() for index in members] for members in pending],
+            registry=self.registry,
         )
-        miss_iterator = iter(misses)
+        arriving = iter(pending)
+        ready: Dict[int, RunReport] = {}
         for index, request in enumerate(requests):
-            if index in cached:
-                yield self._serve_cached(cached[index], index, total, emit)
+            if index in hits:
+                yield self._serve_cached(hits[index], keys[index], index, total, emit)
                 continue
-            miss_index, miss_request, key = next(miss_iterator)
-            assert miss_index == index
-            if emit is not None:
-                emit(ProgressEvent("start", request, index, total))
-            report = self._execute_miss(executing, request, key, index, total, emit)
-            yield report
+            while index not in ready:
+                members = next(arriving)
+                # Every member starts when its group does, before any result.
+                if emit is not None:
+                    for member in members:
+                        emit(ProgressEvent("start", requests[member], member, total))
+                for member in members:
+                    ready[member] = self._execute_miss(
+                        executing, requests[member], keys[member], member, total, emit
+                    )
+            yield ready.pop(index)
 
     def _serve_cached(
         self,
-        hit: Tuple[RunReport, str],
+        report: RunReport,
+        key: Optional[str],
         index: int,
         total: int,
         emit: Optional[ProgressCallback],
     ) -> RunReport:
-        report, hit_key = hit
-        with self._request_span(report.request, hit_key, from_cache=True):
+        with self._request_span(report.request, key, from_cache=True):
             pass
         if emit is not None:
             emit(ProgressEvent("cached", report.request, index, total, report))
@@ -413,17 +465,7 @@ class Session:
                     f"({request.experiment_id})"
                 ) from None
             duration = time.perf_counter() - started
-            cache_path = None
-            if self.cache is not None and key is not None:
-                cache_path = self.cache.put(
-                    key,
-                    result.to_dict(),
-                    key_fields={
-                        "experiment_id": request.experiment_id,
-                        "parameters": request.kwargs,
-                        "preset": request.preset,
-                    },
-                )
+            cache_path = store_result(self.cache, request, key, result.to_dict())
         report = RunReport(
             request=request,
             result=result,
@@ -434,53 +476,6 @@ class Session:
         if emit is not None:
             emit(ProgressEvent("done", request, index, total, report))
         return report
-
-    def _run_grouped(
-        self,
-        requests: Sequence[RunRequest],
-        cached: Dict[int, Tuple[RunReport, str]],
-        misses: List[Tuple[int, RunRequest, Optional[str]]],
-        plan: FusedSweepPlan,
-        emit: Optional[ProgressCallback],
-        total: int,
-    ) -> Iterator[RunReport]:
-        """The fused execution path: misses are partitioned into the plan's
-        fusion groups, the backend shards across groups (fusing within each),
-        and results — which arrive flattened in group order, not request
-        order — are buffered just long enough to yield in request order."""
-        grouped: Dict[int, List[Tuple[int, RunRequest, Optional[str]]]] = {}
-        group_order: List[int] = []
-        for entry in misses:
-            group = plan.group_of(entry[0])
-            if group not in grouped:
-                group_order.append(group)
-                grouped[group] = []
-            grouped[group].append(entry)
-        group_lists = [grouped[group] for group in group_order]
-        executing = self.backend.execute_grouped(
-            [[request.to_payload() for _, request, _ in group] for group in group_lists],
-            registry=self.registry,
-        )
-        arrival_order = iter([entry for group in group_lists for entry in group])
-        ready: Dict[int, RunReport] = {}
-        for index, request in enumerate(requests):
-            if index in cached:
-                yield self._serve_cached(cached[index], index, total, emit)
-                continue
-            while index not in ready:
-                try:
-                    miss_index, miss_request, key = next(arrival_order)
-                except StopIteration:  # pragma: no cover - mirrors _execute_miss
-                    raise RuntimeError(
-                        f"backend {self.backend.name!r} yielded fewer results "
-                        f"than requests during a fused sweep"
-                    ) from None
-                if emit is not None:
-                    emit(ProgressEvent("start", miss_request, miss_index, total))
-                ready[miss_index] = self._execute_miss(
-                    executing, miss_request, key, miss_index, total, emit
-                )
-            yield ready.pop(index)
 
     def run_many(
         self,
@@ -531,7 +526,6 @@ class Session:
         grid: Mapping[str, Sequence[object]],
         preset: str = PRESET_FULL,
         progress: Optional[ProgressCallback] = None,
-        fuse: str = "auto",
         **fixed: object,
     ) -> SweepReport:
         """A first-class parameter sweep: the Cartesian grid becomes one
@@ -546,19 +540,15 @@ class Session:
         summary table (point parameters + verdict/provenance columns) in
         grid order.
 
-        ``fuse`` selects whole-sweep fusion (:mod:`repro.engine.fusion`):
-        points sharing a construction configuration execute against one
-        shared trial matrix instead of resampling it per point.  ``"auto"``
-        (default) fuses when at least two points share a fusion group,
-        ``"on"`` always routes through the plan (unfusible points fall back
-        to singleton groups), ``"off"`` runs point by point.  Fusion shares
-        work, never randomness: the results are bit-identical across the
-        three settings, per-point ``point_seed`` derivation included.
+        Whole-sweep fusion (:mod:`repro.engine.fusion`): the points are
+        grouped by a :class:`~repro.engine.fusion.FusedSweepPlan`, and the
+        points of one group execute against one shared trial matrix instead
+        of resampling it per point.  Fusion shares work, never randomness:
+        the results are bit-identical to running the same requests through
+        :meth:`run_many`, per-point ``point_seed`` derivation included.
+        ``SweepReport.plan`` is the plan when some group has two or more
+        points, ``None`` when every point ran alone.
         """
-        if fuse not in FUSE_CHOICES:
-            raise ValueError(
-                f"unknown fuse setting {fuse!r}; expected one of {FUSE_CHOICES}"
-            )
         spec = self.spec(experiment_id)
         colliding = sorted(set(grid) & set(fixed))
         if colliding:
@@ -587,30 +577,27 @@ class Session:
             )
             requests.append(RunRequest.create(spec.id, parameters, preset=preset))
 
-        plan: Optional[FusedSweepPlan] = None
-        if fuse != "off":
-            plan = FusedSweepPlan.build(spec, requests)
-            if fuse == "auto" and not plan.has_fusion:
-                plan = None
-
+        plan = FusedSweepPlan.build(spec, requests)
+        fuse_span = (
+            self.telemetry.span(
+                "engine.fuse",
+                experiment_id=spec.id,
+                points=len(requests),
+                groups=len(plan.groups),
+                fused_points=plan.fused_points,
+                backend=self.backend.name,
+            )
+            if plan.has_fusion
+            else nullcontext()
+        )
         token = push_recorder(self.telemetry)
         try:
-            if plan is not None:
-                with self.telemetry.span(
-                    "engine.fuse",
-                    experiment_id=spec.id,
-                    points=len(requests),
-                    groups=len(plan.groups),
-                    fused_points=plan.fused_points,
-                    backend=self.backend.name,
-                ):
-                    run_reports = list(self._run_iter(requests, progress, plan=plan))
-            else:
-                run_reports = list(self._run_iter(requests, progress))
+            with fuse_span:
+                run_reports = list(self._run_iter(requests, progress, plan.groups))
         finally:
             pop_recorder(token)
 
-        report = SweepReport(plan=plan)
+        report = SweepReport(plan=plan if plan.has_fusion else None)
         for point, run_report in zip(points, run_reports, strict=True):
             result = run_report.result
             report.reports.append(run_report)

@@ -98,7 +98,6 @@ from repro.engine.construct import (
     uniform_int,
 )
 from repro.engine.executor import (
-    DEFAULT_MAX_BYTES,
     accept_vector,
     exact_single_trial_votes,
     vote_matrix,
@@ -106,7 +105,6 @@ from repro.engine.executor import (
 from repro.engine.parallel import point_seed
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
     "ENGINE_CHOICES",
     "MAX_OUTPUT_VALUES",
     "MAX_PROGRAM_DRAWS",

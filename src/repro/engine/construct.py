@@ -79,7 +79,7 @@ from repro.engine.compiler import (
     is_compilable,
     lower_program,
 )
-from repro.engine.executor import EXACT_BLOCK_BYTES, _resolve_max_bytes
+from repro.engine.executor import EXACT_BLOCK_BYTES, WORKING_SET_BYTES
 from repro.errors import ReproError
 from repro.local.ball import collect_ball
 from repro.local.randomness import counter_uniforms, derive_seed, node_keys
@@ -502,13 +502,12 @@ def construction_matrix(
     trials: int,
     seed: int = 0,
     salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """The ``trials × nodes`` matrix of output codes.
 
     Row ``t`` is bit-for-bit the outputs of the reference
     ``constructor.configuration(network, TapeFactory(seed, salt, trial=t))``
-    (see the module docstring), for any ``max_bytes``.
+    (see the module docstring), for any block size.
 
     This is the one-shot form of :class:`ConstructionStream` (a single
     ``sample(trials)`` on a fresh stream), so the fixed-trial and adaptive
@@ -516,7 +515,7 @@ def construction_matrix(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    return ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes).sample(trials)
+    return ConstructionStream(compiled, seed=seed, salt=salt).sample(trials)
 
 
 # --------------------------------------------------------------------------- #
@@ -567,7 +566,7 @@ def _radius_zero_table_counter(
 
 
 def _proper_coloring_counter(
-    base, compiled: CompiledConstruction, max_bytes: int
+    base, compiled: CompiledConstruction
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Padded-neighbour equality counter for proper coloring: a node's ball
     is bad iff its color leaves the palette or equals a neighbour's color.
@@ -594,9 +593,8 @@ def _proper_coloring_counter(
         trials = codes.shape[0]
         counts = np.empty(trials, dtype=np.int64)
         # 8 bytes/element bounds the dominant (block, n, max_degree)
-        # gathered-codes temporary, keeping the working set under
-        # ``max_bytes`` like every other chunked path in the engine.
-        block = max(1, max_bytes // max(1, 8 * n * padded.shape[1]))
+        # gathered-codes temporary, keeping it under WORKING_SET_BYTES.
+        block = max(1, WORKING_SET_BYTES // max(1, 8 * n * padded.shape[1]))
         for start in range(0, trials, block):
             stop = min(trials, start + block)
             chunk = codes[start:stop]
@@ -611,9 +609,7 @@ def _proper_coloring_counter(
 
 
 def compile_membership(
-    language: "DistributedLanguage",
-    compiled: CompiledConstruction,
-    max_bytes: Optional[int] = None,
+    language: "DistributedLanguage", compiled: CompiledConstruction
 ) -> Optional[MembershipProgram]:
     """Lower a language to batched membership over the code matrix.
 
@@ -625,7 +621,6 @@ def compile_membership(
     from repro.core.lcl import LCLLanguage, ProperColoring
     from repro.core.relaxations import EpsSlackLanguage, FResilientLanguage
 
-    max_bytes = _resolve_max_bytes(max_bytes)
     base, budget = language, 0
     if isinstance(language, FResilientLanguage):
         base, budget = language.base, language.f
@@ -634,7 +629,7 @@ def compile_membership(
 
     counter: Optional[Callable[[np.ndarray], np.ndarray]] = None
     if isinstance(base, ProperColoring):
-        counter = _proper_coloring_counter(base, compiled, max_bytes)
+        counter = _proper_coloring_counter(base, compiled)
     elif isinstance(base, LCLLanguage) and int(base.radius) == 0:
         counter = _radius_zero_table_counter(base, compiled)
     if counter is None:
@@ -783,7 +778,6 @@ def _window_codes(
     count: int,
     seed: int,
     salt: object,
-    max_bytes: Optional[int],
 ) -> np.ndarray:
     """The code matrix of trials ``start .. start+count-1``.
 
@@ -798,8 +792,7 @@ def _window_codes(
         codes = context.codes_for(compiled, start + count, seed, salt)
         if codes is not None:
             return codes[start:]
-    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes, offset=start)
-    return stream.sample(count)
+    return ConstructionStream(compiled, seed=seed, salt=salt, offset=start).sample(count)
 
 
 def _window_members(
@@ -809,7 +802,6 @@ def _window_members(
     count: int,
     seed: int,
     salt: object,
-    max_bytes: Optional[int],
 ) -> np.ndarray:
     """Per-trial membership of trials ``start .. start+count-1``, served like
     :func:`_window_codes` (the fusion memo shares the membership vector
@@ -819,7 +811,7 @@ def _window_members(
         members = context.member_vector_for(compiled, language, start + count, seed, salt)
         if members is not None:
             return members[start:]
-    stream = ConstructionStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes, offset=start)
+    stream = ConstructionStream(compiled, seed=seed, salt=salt, offset=start)
     return _member_vector(language, compiled, stream.sample(count))
 
 
@@ -829,7 +821,6 @@ def success_stream(
     network: "Network",
     seed: int,
     salt: object,
-    max_bytes: Optional[int] = None,
 ) -> Tuple[Callable[[int], int], Optional[bool]]:
     """Engine form of one instance's success stream in
     :func:`repro.core.construction.estimate_success_probability` and
@@ -847,7 +838,7 @@ def success_stream(
     def draw(count: int) -> int:
         nonlocal offset
         start, offset = offset, offset + count
-        members = _window_members(language, compiled, start, count, seed, salt, max_bytes)
+        members = _window_members(language, compiled, start, count, seed, salt)
         return int(np.count_nonzero(members))
 
     constant = None
@@ -864,7 +855,6 @@ def batched_bad_counts(
     trials: int,
     seed: int,
     salt: object,
-    max_bytes: Optional[int] = None,
 ) -> Optional[np.ndarray]:
     """Per-trial bad-ball counts of ``language`` over freshly constructed
     configurations — the engine counterpart of a ``fraction_bad`` probe loop
@@ -880,10 +870,10 @@ def batched_bad_counts(
         counts = context.bad_counts_for(compiled, language, trials, seed, salt)
         if counts is not None:
             return counts
-    membership = compile_membership(language, compiled, max_bytes)
+    membership = compile_membership(language, compiled)
     if membership is None:
         return None
-    codes = construction_matrix(compiled, trials, seed=seed, salt=salt, max_bytes=max_bytes)
+    codes = construction_matrix(compiled, trials, seed=seed, salt=salt)
     return membership.bad_counts(codes)
 
 
@@ -919,7 +909,6 @@ def batched_acceptance_and_membership(
     seed: int,
     construct_salt: object,
     decide_salt: object,
-    max_bytes: Optional[int] = None,
 ) -> Optional[Tuple[float, float]]:
     """Fused engine counterpart of the amplification estimator
     :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
@@ -937,7 +926,7 @@ def batched_acceptance_and_membership(
     members = None
     if context is not None:
         members = context.member_vector_for(compiled, language, trials, seed, construct_salt)
-    codes = _window_codes(compiled, 0, trials, seed, construct_salt, max_bytes)
+    codes = _window_codes(compiled, 0, trials, seed, construct_salt)
     if members is None:
         members = _member_vector(language, compiled, codes)
     accepted = fused.vote_row_exact(codes, seed, decide_salt).all(axis=1)
@@ -967,12 +956,10 @@ class ConstructionStream:
         compiled: CompiledConstruction,
         seed: int = 0,
         salt: Optional[object] = None,
-        max_bytes: Optional[int] = None,
         offset: int = 0,
     ) -> None:
         self.compiled = compiled
         self._base = derive_seed(seed, compiled.constructor_name if salt is None else salt)
-        self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = int(offset)
 
     def sample(self, count: int) -> np.ndarray:
@@ -999,8 +986,7 @@ class ConstructionStream:
                 (compiled.programs[int(program_id)], np.flatnonzero(program_ids == program_id))
                 for program_id in np.unique(program_ids)
             ]
-            budget = min(self._max_bytes, EXACT_BLOCK_BYTES) // 8
-            rows = max(1, budget // len(random_positions))
+            rows = max(1, EXACT_BLOCK_BYTES // 8 // len(random_positions))
             for lo in range(0, count, rows):
                 hi = min(count, lo + rows)
                 recorder.counter("engine.chunks")
@@ -1022,7 +1008,6 @@ def far_acceptance_stream(
     seed: int,
     construct_salt: object,
     decide_salt: object,
-    max_bytes: Optional[int] = None,
 ) -> Optional[Callable[[int], List[int]]]:
     """Engine form of the far-acceptance stream of
     :func:`repro.core.derandomization.far_acceptance_probability` and
@@ -1050,7 +1035,7 @@ def far_acceptance_stream(
     def draw(count: int) -> List[int]:
         nonlocal offset
         start, offset = offset, offset + count
-        codes = _window_codes(compiled, start, count, seed, construct_salt, max_bytes)
+        codes = _window_codes(compiled, start, count, seed, construct_salt)
         votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
         return [
             int(np.count_nonzero(votes[:, far].all(axis=1))) if far.any() else count

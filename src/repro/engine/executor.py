@@ -22,12 +22,10 @@ Chunked execution
 -----------------
 No entry point materialises one giant ``trials × coins`` matrix of
 uniforms: the executor walks trial blocks of at most
-:data:`EXACT_BLOCK_BYTES` of uniforms (or ``max_bytes``, if smaller; at
-least one trial per block), and :func:`accept_vector` stops once every
-trial has rejected.  Draws are pure functions of ``(trial, identity,
-draw)``, so every blocking, every ``max_bytes`` and every resumption offset
-yields the same values.  ``max_bytes`` defaults to :data:`DEFAULT_MAX_BYTES`
-and can be overridden per call or via ``$REPRO_ENGINE_MAX_BYTES``.
+:data:`EXACT_BLOCK_BYTES` of uniforms (at least one trial per block), and
+:func:`accept_vector` stops once every trial has rejected.  Draws are pure
+functions of ``(trial, identity, draw)``, so every block size and every
+resumption offset yields the same values.
 
 :class:`AcceptStream` is the resumable form: ``sample(count)`` evaluates
 the next ``count`` trials, so a fixed estimate is one ``sample(trials)``
@@ -37,7 +35,6 @@ the one-shot call).
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -47,8 +44,8 @@ from repro.local.randomness import counter_uniforms, derive_seed, node_keys
 from repro.obs import get_recorder
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
     "EXACT_BLOCK_BYTES",
+    "WORKING_SET_BYTES",
     "accept_vector",
     "vote_matrix",
     "exact_single_trial_votes",
@@ -56,28 +53,15 @@ __all__ = [
     "AcceptStream",
 ]
 
-#: Default ``max_bytes``: the bound on fusion retention and membership
-#: gathers, in bytes (the uniform blocks are capped lower still).
-DEFAULT_MAX_BYTES = 64 * 1024 * 1024
-
 #: Bound on one block of uniforms, in bytes.  Small and fixed:
 #: counter-based draws gain nothing from larger batches once the per-block
 #: numpy overhead is amortized, and a small block keeps peak memory flat.
 EXACT_BLOCK_BYTES = 128 * 1024
 
-
-def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
-    if max_bytes is None:
-        raw = os.environ.get("REPRO_ENGINE_MAX_BYTES", "")
-        try:
-            max_bytes = int(raw) if raw else DEFAULT_MAX_BYTES
-        except ValueError:
-            raise ValueError(
-                f"$REPRO_ENGINE_MAX_BYTES must be a plain byte count, got {raw!r}"
-            ) from None
-    if max_bytes < 1:
-        raise ValueError("max_bytes must be positive")
-    return max_bytes
+#: Bound on the engine's larger working sets, in bytes: the construction
+#: matrices a fusion memo retains, and one block of the proper-coloring
+#: membership gather.
+WORKING_SET_BYTES = 64 * 1024 * 1024
 
 
 def _resolve_salt(compiled: CompiledDecision, salt: Optional[object]) -> object:
@@ -116,7 +100,6 @@ def _exact_blocks(
     base: int,
     offset: int,
     count: int,
-    max_bytes: int,
 ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
     """Vote blocks of trials ``offset .. offset+count-1`` at the listed coin
     positions.
@@ -124,11 +107,11 @@ def _exact_blocks(
     Yields ``(lo, hi, columns, votes)``: ``votes`` is the
     ``(hi-lo) × len(columns)`` vote block of trials ``offset+lo ..
     offset+hi-1`` at ``positions[columns]``.  Positions are grouped by
-    program, and each block holds at most ``min(max_bytes,
-    EXACT_BLOCK_BYTES)`` bytes of uniforms (at least one trial).
+    program, and each block holds at most :data:`EXACT_BLOCK_BYTES` bytes of
+    uniforms (at least one trial).
     """
     recorder = get_recorder()
-    budget = min(max_bytes, EXACT_BLOCK_BYTES) // 8
+    budget = EXACT_BLOCK_BYTES // 8
     program_ids = compiled.program_ids[positions]
     for program_id in np.unique(program_ids):
         program = compiled.programs[int(program_id)]
@@ -144,12 +127,12 @@ def _exact_blocks(
 
 
 def _exact_accept_vector(
-    compiled: CompiledDecision, base: int, offset: int, count: int, max_bytes: int
+    compiled: CompiledDecision, base: int, offset: int, count: int
 ) -> np.ndarray:
     """Per-trial global acceptance of trials ``offset .. offset+count-1``."""
     accepted = np.ones(count, dtype=bool)
     for lo, hi, _columns, votes in _exact_blocks(
-        compiled, compiled.random_index, base, offset, count, max_bytes
+        compiled, compiled.random_index, base, offset, count
     ):
         accepted[lo:hi] &= votes.all(axis=1)
         if not accepted.any():  # pure draws: skipping the rest changes nothing
@@ -158,15 +141,13 @@ def _exact_accept_vector(
 
 
 def _exact_vote_matrix(
-    compiled: CompiledDecision, base: int, offset: int, count: int, max_bytes: int
+    compiled: CompiledDecision, base: int, offset: int, count: int
 ) -> np.ndarray:
     """The ``count × nodes`` vote matrix of trials ``offset ..
     offset+count-1`` (every node evaluated in every trial)."""
     votes = np.broadcast_to(compiled.probabilities >= 1.0, (count, compiled.n_nodes)).copy()
     random_positions = compiled.random_index
-    for lo, hi, columns, block in _exact_blocks(
-        compiled, random_positions, base, offset, count, max_bytes
-    ):
+    for lo, hi, columns, block in _exact_blocks(compiled, random_positions, base, offset, count):
         votes[lo:hi, random_positions[columns]] = block
     return votes
 
@@ -179,18 +160,16 @@ def accept_vector(
     trials: int,
     seed: int = 0,
     salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """Per-trial global acceptance (``all`` over the node votes).
 
     Returns a boolean vector of length ``trials``.  Only the coin-flipping
     nodes are sampled; a deterministic reject anywhere short-circuits the
-    whole vector to ``False``.  ``max_bytes`` bounds the uniform working set
-    (see the module docstring).  This is the one-shot form of
+    whole vector to ``False``.  This is the one-shot form of
     :class:`AcceptStream` (a single ``sample(trials)`` on a fresh stream),
     so one-shot and resumable sampling share one implementation.
     """
-    return AcceptStream(compiled, seed=seed, salt=salt, max_bytes=max_bytes).sample(trials)
+    return AcceptStream(compiled, seed=seed, salt=salt).sample(trials)
 
 
 def vote_matrix(
@@ -198,7 +177,6 @@ def vote_matrix(
     trials: int,
     seed: int = 0,
     salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """The full ``trials × nodes`` boolean vote matrix.
 
@@ -211,7 +189,6 @@ def vote_matrix(
     if trials < 1:
         raise ValueError("trials must be positive")
     salt = _resolve_salt(compiled, salt)
-    max_bytes = _resolve_max_bytes(max_bytes)
     random_positions = compiled.random_index
     if len(random_positions) == 0:
         return np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
@@ -221,9 +198,8 @@ def vote_matrix(
         trials=trials,
         nodes=compiled.n_nodes,
         random_nodes=len(random_positions),
-        max_bytes=max_bytes,
     ):
-        return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials, max_bytes)
+        return _exact_vote_matrix(compiled, derive_seed(seed, salt), 0, trials)
 
 
 def deterministic_accept_value(compiled: CompiledDecision) -> Optional[bool]:
@@ -260,11 +236,9 @@ class AcceptStream:
         compiled: CompiledDecision,
         seed: int = 0,
         salt: Optional[object] = None,
-        max_bytes: Optional[int] = None,
     ) -> None:
         self.compiled = compiled
         self._base = derive_seed(seed, _resolve_salt(compiled, salt))
-        self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._constant = deterministic_accept_value(compiled)
 
@@ -288,9 +262,8 @@ class AcceptStream:
             offset=start,
             nodes=compiled.n_nodes,
             random_nodes=len(compiled.random_index),
-            max_bytes=self._max_bytes,
         ):
-            return _exact_accept_vector(compiled, self._base, start, count, self._max_bytes)
+            return _exact_accept_vector(compiled, self._base, start, count)
 
 
 def exact_single_trial_votes(
@@ -305,6 +278,4 @@ def exact_single_trial_votes(
     tape_factory=TapeFactory(master_seed, salt, trial))`` restricted to the
     vote booleans, and bit-for-bit identical to it for compilable deciders.
     """
-    return _exact_vote_matrix(
-        compiled, derive_seed(master_seed, salt), int(trial), 1, EXACT_BLOCK_BYTES
-    )[0]
+    return _exact_vote_matrix(compiled, derive_seed(master_seed, salt), int(trial), 1)[0]

@@ -15,8 +15,8 @@ This module factors that sharing out:
   needing more trials than a previous one extends the cached matrix and a
   point needing fewer is served a prefix — both bit-identical to a fresh
   one-shot matrix by the stream's chunk-invariance contract.  Retained bytes
-  are bounded by the same ``max_bytes`` discipline as the chunked executor
-  (LRU eviction; requests whose matrix alone would bust the bound bypass
+  are bounded by :data:`~repro.engine.executor.WORKING_SET_BYTES` (LRU
+  eviction; requests whose matrix alone would bust the bound bypass
   retention entirely and fall back to the per-point path).
 * :func:`fusion_scope` / :func:`active_fusion` — the ambient context,
   carried in a :class:`contextvars.ContextVar` like the telemetry recorder:
@@ -56,7 +56,7 @@ from repro.engine.construct import (
     ConstructionStream,
     compile_membership,
 )
-from repro.engine.executor import _resolve_max_bytes
+from repro.engine.executor import WORKING_SET_BYTES
 from repro.obs import get_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,8 +105,7 @@ class FusionContext:
     shared live across threads or processes, mirroring the recorder's
     discipline."""
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        self.max_bytes = _resolve_max_bytes(max_bytes)
+    def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, _MatrixEntry]" = OrderedDict()  # loop-confined
         self._compiled_keys: Dict[int, Tuple[CompiledConstruction, Hashable]] = {}
         self.hits = 0
@@ -159,7 +158,7 @@ class FusionContext:
         # A matrix that alone busts the byte bound is never retained: the
         # caller falls back to the one-shot path, whose transient working
         # set is chunk-bounded exactly like before fusion existed.
-        if trials * max(compiled.n_nodes, 1) * 4 > self.max_bytes:
+        if trials * max(compiled.n_nodes, 1) * 4 > WORKING_SET_BYTES:
             return None
         try:
             key = (self._compiled_key(compiled), int(seed_base), salt)
@@ -169,9 +168,7 @@ class FusionContext:
         entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = _MatrixEntry(
-                ConstructionStream(
-                    compiled, seed=int(seed_base), salt=salt, max_bytes=self.max_bytes
-                )
+                ConstructionStream(compiled, seed=int(seed_base), salt=salt)
             )
         self._entries.move_to_end(key)
         return entry
@@ -193,7 +190,7 @@ class FusionContext:
 
     def _evict(self) -> None:
         """Drop least-recently-used entries until the retained bytes fit."""
-        while len(self._entries) > 1 and self.retained_bytes > self.max_bytes:
+        while len(self._entries) > 1 and self.retained_bytes > WORKING_SET_BYTES:
             self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------ #
@@ -361,8 +358,7 @@ class FusedSweepPlan:
     :func:`fusion_group_key`; unfusible requests get singleton groups.  The
     backends shard across groups and fuse within them."""
 
-    def __init__(self, group_ids: Tuple[int, ...], groups: Tuple[Tuple[int, ...], ...]) -> None:
-        self.group_ids = group_ids
+    def __init__(self, groups: Tuple[Tuple[int, ...], ...]) -> None:
         self.groups = groups
 
     @classmethod
@@ -370,26 +366,17 @@ class FusedSweepPlan:
         """Group ``requests`` (``RunRequest`` objects for ``spec``) by their
         fusion key; the preset is constant across one sweep, so it does not
         enter the key."""
-        key_to_group: Dict[Hashable, int] = {}
         groups: List[List[int]] = []
-        group_ids: List[int] = []
+        by_key: Dict[Hashable, List[int]] = {}
         for index, request in enumerate(requests):
             key = fusion_group_key(spec, request.kwargs)
-            if key is None:
-                group = len(groups)
-                groups.append([index])
-            else:
-                group = key_to_group.get(key, -1)
-                if group < 0:
-                    group = key_to_group[key] = len(groups)
-                    groups.append([index])
-                else:
-                    groups[group].append(index)
-            group_ids.append(group)
-        return cls(tuple(group_ids), tuple(tuple(members) for members in groups))
-
-    def group_of(self, index: int) -> int:
-        return self.group_ids[index]
+            if key in by_key:
+                by_key[key].append(index)
+                continue
+            groups.append([index])
+            if key is not None:
+                by_key[key] = groups[-1]
+        return cls(tuple(tuple(members) for members in groups))
 
     @property
     def fused_points(self) -> int:

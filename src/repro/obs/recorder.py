@@ -28,7 +28,7 @@ across process boundaries except through the explicit export/merge path.
 Invariants, by construction: recorders only ever *observe* (clocks and
 Python object graphs) — no code path here draws randomness, touches tapes,
 or reorders trials, so ``telemetry=on`` vs ``off`` is bit-identical on every
-estimate, and a trace may differ across ``max_bytes``/backends while the
+estimate, and a trace may differ across block sizes/backends while the
 results may not.
 """
 

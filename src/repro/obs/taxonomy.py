@@ -62,14 +62,15 @@ SIGNALS: Tuple[Signal, ...] = (
         "backend.task",
         "span",
         "api/backends.py",
-        "per payload, parent side; the pool backend adds queue-wait vs "
-        "compute seconds",
+        "per group, parent side: first experiment id, point count; the pool "
+        "backend adds queue-wait vs compute seconds",
     ),
     Signal(
         "backend.worker",
         "span",
         "api/backends.py",
-        "worker side, pool only: worker pid, queue wait",
+        "per group, worker side, pool only: worker pid, first experiment "
+        "id, point count, queue wait",
     ),
     Signal("parallel.submit", "span", "engine/parallel.py", "task count, worker count"),
     Signal(
@@ -89,7 +90,7 @@ SIGNALS: Tuple[Signal, ...] = (
         "span",
         "engine/executor.py",
         "op (`stream` with its offset, or `vote_matrix`), trials, node & "
-        "random-node counts, `max_bytes`",
+        "random-node counts",
     ),
     Signal(
         "engine.construct",

@@ -86,7 +86,13 @@ from pathlib import Path
 from typing import AsyncIterator, Dict, List, Optional, Set, Tuple, Union
 
 from repro.api.backends import execute_payload
-from repro.api.session import RunReport, RunRequest
+from repro.api.session import (
+    RunReport,
+    RunRequest,
+    cached_report,
+    open_cache,
+    store_result,
+)
 from repro.api.wire import WIRE_SCHEMA, decode_request, encode_request
 from repro.engine.cache import ResultCache
 from repro.errors import (
@@ -245,14 +251,7 @@ class JobManager:
         journal_fsync: bool = True,
     ) -> None:
         self.registry = registry if registry is not None else REGISTRY
-        if isinstance(cache, ResultCache):
-            self.cache: Optional[ResultCache] = cache
-        elif cache is True:
-            self.cache = ResultCache()
-        elif cache in (None, False):
-            self.cache = None
-        else:
-            self.cache = ResultCache(Path(cache))
+        self.cache = open_cache(cache)
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be positive (or None for the default)")
         if job_timeout is not None and job_timeout <= 0:
@@ -305,25 +304,6 @@ class JobManager:
         except Exception:
             self.recorder.counter("service.journal_errors")
 
-    def _cached_report(self, request: RunRequest, key: str) -> Optional[RunReport]:
-        """The cache's answer for a key as a ``from_cache`` report, if any."""
-        if self.cache is None:
-            return None
-        with use_recorder(self.recorder):
-            payload = self.cache.get(key)
-        if payload is None:
-            return None
-        try:
-            result = ExperimentResult.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None  # foreign/stale payload shape: treat as a miss
-        return RunReport(
-            request=request,
-            result=result,
-            from_cache=True,
-            cache_path=self.cache.path_for(key),
-        )
-
     async def submit(self, request: RunRequest, priority: int = 0) -> Tuple[Job, bool]:
         """Submit one request; returns ``(job, deduplicated)``.
 
@@ -350,7 +330,8 @@ class JobManager:
         # read) so two immediate identical submissions cannot both miss; the
         # manager's recorder sees the cache.lookup span.  Cache hits bypass
         # admission control — they consume no queue slot.
-        report = self._cached_report(request, key)
+        with use_recorder(self.recorder):
+            report = cached_report(self.cache, request, key)
         if report is not None:
             job = Job(f"j{next(self._ids):06d}-{key[:8]}", request, key, priority)
             self._jobs[job.id] = job
@@ -570,17 +551,7 @@ class JobManager:
                 ) as span:
                     record = execute_payload(job.request.to_payload(), self.registry)
                     result = ExperimentResult.from_dict(record)
-                    cache_path = None
-                    if self.cache is not None:
-                        cache_path = self.cache.put(
-                            job.cache_key,
-                            record,
-                            key_fields={
-                                "experiment_id": job.request.experiment_id,
-                                "parameters": job.request.kwargs,
-                                "preset": job.request.preset,
-                            },
-                        )
+                    cache_path = store_result(self.cache, job.request, job.cache_key, record)
                     span.annotate(verdict=result.verdict, cached=cache_path is not None)
             duration = time.perf_counter() - started
         except BaseException as error:
@@ -638,7 +609,8 @@ class JobManager:
                     job.error_status = entry.error_status
                     job.emit("failed", error=dict(job.error), replayed=True)
                     continue
-                report = self._cached_report(request, entry.cache_key)
+                with use_recorder(self.recorder):
+                    report = cached_report(self.cache, request, entry.cache_key)
                 if report is not None:
                     job.report = report
                     job.from_cache = True

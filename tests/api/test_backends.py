@@ -18,6 +18,11 @@ def _payloads(session, *ids):
     return [session.request(experiment_id, preset="quick").to_payload() for experiment_id in ids]
 
 
+def _singletons(payloads):
+    """One group per payload: how the session submits ordinary requests."""
+    return [[payload] for payload in payloads]
+
+
 class TestResolveBackend:
     def test_names_resolve(self):
         assert resolve_backend("inline").name == "inline"
@@ -81,17 +86,17 @@ class TestBackendEquivalence:
             session.request("E5", preset="quick", trials=150).to_payload(),
             session.request("E1", preset="quick", trials=150).to_payload(),
         ]
-        inline = [result.to_dict() for result in InlineBackend().execute(payloads)]
+        inline = [result.to_dict() for result in InlineBackend().execute(_singletons(payloads))]
         pooled = [
             result.to_dict()
-            for result in ProcessPoolBackend(max_workers=2).execute(payloads)
+            for result in ProcessPoolBackend(max_workers=2).execute(_singletons(payloads))
         ]
         assert [record["experiment_id"] for record in inline] == ["E5", "E1"]
         assert pooled == inline
 
     def test_inline_backend_is_lazy(self):
         session = Session(seed=4, cache=None)
-        iterator = InlineBackend().execute(_payloads(session, "E5", "E1"))
+        iterator = InlineBackend().execute(_singletons(_payloads(session, "E5", "E1")))
         first = next(iterator)
         assert first.experiment_id == "E5"
         iterator.close()  # abandoning the iterator must not raise

@@ -40,7 +40,7 @@ class TestWorkerExceptionPropagation:
         backend = InlineBackend()
         payload = {"experiment_id": "TOY", "parameters": {"seed": 3}}
         with pytest.raises(RuntimeError, match="boom at seed 3"):
-            list(backend.execute([payload], registry=_registry_with(exploding)))
+            list(backend.execute([[payload]], registry=_registry_with(exploding)))
 
     def test_inline_backend_is_lazy_until_iterated(self):
         """execute() returns a generator: submission itself must not run
@@ -54,7 +54,7 @@ class TestWorkerExceptionPropagation:
 
         backend = InlineBackend()
         iterator = backend.execute(
-            [{"experiment_id": "TOY", "parameters": {}}], registry=_registry_with(recording)
+            [[{"experiment_id": "TOY", "parameters": {}}]], registry=_registry_with(recording)
         )
         assert calls == []
         list(iterator)
@@ -62,13 +62,13 @@ class TestWorkerExceptionPropagation:
 
     def test_pool_backend_propagates_worker_exceptions(self):
         """An unknown experiment id raises inside a worker process (batches
-        of two or more payloads genuinely fan out — single payloads run
+        of two or more groups genuinely fan out — a single group runs
         in-process); the pool must re-raise in the caller instead of hanging
         or yielding garbage."""
         backend = ProcessPoolBackend(max_workers=2)
         payloads = [
-            {"experiment_id": "E999", "parameters": {}},
-            {"experiment_id": "E998", "parameters": {}},
+            [{"experiment_id": "E999", "parameters": {}}],
+            [{"experiment_id": "E998", "parameters": {}}],
         ]
         with pytest.raises(KeyError):
             list(backend.execute(payloads))
@@ -78,8 +78,8 @@ class TestWorkerExceptionPropagation:
         arrive intact, then the worker exception surfaces."""
         backend = ProcessPoolBackend(max_workers=2)
         payloads = [
-            {"experiment_id": "E5", "parameters": {"f_values": [1], "n": 24, "trials": 60}},
-            {"experiment_id": "E999", "parameters": {}},
+            [{"experiment_id": "E5", "parameters": {"f_values": [1], "n": 24, "trials": 60}}],
+            [{"experiment_id": "E999", "parameters": {}}],
         ]
         iterator = backend.execute(payloads)
         first = next(iterator)
@@ -92,8 +92,8 @@ class TestWorkerExceptionPropagation:
         the worker; the error must carry the offending parameter."""
         backend = ProcessPoolBackend(max_workers=2)
         payloads = [
-            {"experiment_id": "E5", "parameters": {"trials": "many"}},
-            {"experiment_id": "E5", "parameters": {"trials": "several"}},
+            [{"experiment_id": "E5", "parameters": {"trials": "many"}}],
+            [{"experiment_id": "E5", "parameters": {"trials": "several"}}],
         ]
         with pytest.raises(Exception, match="trials"):
             list(backend.execute(payloads))

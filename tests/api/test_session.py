@@ -374,7 +374,7 @@ class TestSweep:
         class UnderYieldingBackend(ExecutionBackend):
             name = "under-yield"
 
-            def execute(self, payloads, registry=None):
+            def execute(self, groups, registry=None):
                 return iter(())  # yields nothing, whatever was requested
 
         session = Session(

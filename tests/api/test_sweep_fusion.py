@@ -1,10 +1,11 @@
-"""Whole-sweep fusion (repro.engine.fusion + Session.sweep(fuse=...)).
+"""Whole-sweep fusion (repro.engine.fusion + Session.sweep).
 
 The contract under test is **bit-identity**: a fused sweep — one shared
 construction matrix per fusion group, every point's decision DAG lowered
-against it — must equal the per-point path exactly, at several seeds, on
-both grids of the paper's sweep-shaped experiments (E2's ε grid, E8's f
-grid), through the inline and process-pool backends alike.
+against it — must equal the same grid run point by point through
+``Session.run_many``, at several seeds, on both grids of the paper's
+sweep-shaped experiments (E2's ε grid, E8's f grid), through the inline and
+process-pool backends alike.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import InlineBackend, ProcessPoolBackend, Session
+from repro.analysis.sweep import grid_points
+from repro.api import InlineBackend, ProcessPoolBackend, Session, UnknownParameterError
+from repro.engine import fusion
 from repro.engine.construct import compile_construction, construction_matrix
 from repro.engine.fusion import (
     FusedSweepPlan,
@@ -23,6 +26,7 @@ from repro.engine.fusion import (
 )
 from repro.graphs.families import cycle_network
 from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
+from repro.engine.parallel import point_seed
 from repro.harness.registry import REGISTRY
 from repro.obs import TraceRecorder
 
@@ -38,66 +42,71 @@ def _dicts(report):
     return [run.result.to_dict() for run in report.reports]
 
 
+def _per_point(session, experiment, grid, **fixed):
+    """The sweep's requests run one by one through ``Session.run_many``
+    (the per-point path), seeded like ``Session.sweep`` seeds them."""
+    requests = []
+    for point in grid_points(grid):
+        overrides = {**fixed, **point}
+        if session.seed is not None and "seed" not in overrides:
+            overrides["seed"] = point_seed(session.seed, point)
+        requests.append(session.request(experiment, **overrides))
+    return [run.result.to_dict() for run in session.run_many(requests)]
+
+
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("seed", [0, 10_000])
     @pytest.mark.parametrize("experiment,grid,fixed", CASES)
     def test_inline_fused_equals_per_point(self, experiment, grid, fixed, seed):
-        base = Session(cache=None).sweep(experiment, grid, fuse="off", seed=seed, **fixed)
-        fused = Session(cache=None).sweep(experiment, grid, fuse="on", seed=seed, **fixed)
-        auto = Session(cache=None).sweep(experiment, grid, fuse="auto", seed=seed, **fixed)
-        assert base.plan is None
+        base = _per_point(Session(cache=None), experiment, grid, seed=seed, **fixed)
+        fused = Session(cache=None).sweep(experiment, grid, seed=seed, **fixed)
         assert fused.plan is not None and fused.plan.has_fusion
-        assert auto.plan is not None and auto.plan.has_fusion
-        assert _dicts(fused) == _dicts(base)
-        assert _dicts(auto) == _dicts(base)
-        assert fused.table.rows == base.table.rows
-        assert auto.table.rows == base.table.rows
+        assert _dicts(fused) == base
 
     @pytest.mark.parametrize("seed", [0, 10_000])
     @pytest.mark.parametrize("experiment,grid,fixed", CASES)
     def test_pool_fused_equals_per_point(self, experiment, grid, fixed, seed):
         pool = Session(cache=None, backend=ProcessPoolBackend(max_workers=2))
-        base = Session(cache=None).sweep(experiment, grid, fuse="off", seed=seed, **fixed)
-        fused = pool.sweep(experiment, grid, fuse="on", seed=seed, **fixed)
+        base = _per_point(Session(cache=None), experiment, grid, seed=seed, **fixed)
+        fused = pool.sweep(experiment, grid, seed=seed, **fixed)
         assert fused.plan is not None and fused.plan.has_fusion
-        assert _dicts(fused) == _dicts(base)
-        assert fused.table.rows == base.table.rows
+        assert _dicts(fused) == base
 
     def test_session_seed_points_stay_singletons_and_identical(self):
         # A session master seed derives a distinct per-point seed, so no two
         # points may share randomness — the plan must degrade to singleton
         # groups, and results still match the per-point path exactly.
-        base = Session(seed=11, cache=None).sweep("E8", E8_GRID, fuse="off", **E8_FIXED)
-        fused = Session(seed=11, cache=None).sweep("E8", E8_GRID, fuse="on", **E8_FIXED)
-        assert fused.plan is not None and not fused.plan.has_fusion
-        assert _dicts(fused) == _dicts(base)
+        base = _per_point(Session(seed=11, cache=None), "E8", E8_GRID, **E8_FIXED)
+        fused = Session(seed=11, cache=None).sweep("E8", E8_GRID, **E8_FIXED)
+        assert fused.plan is None
+        assert _dicts(fused) == base
 
     def test_fused_sweep_through_inline_backend_object(self):
         # Explicit backend objects take the same grouped path as the default.
-        base = Session(cache=None, backend=InlineBackend()).sweep(
-            "E8", E8_GRID, fuse="off", seed=0, **E8_FIXED
+        base = _per_point(
+            Session(cache=None, backend=InlineBackend()), "E8", E8_GRID, seed=0, **E8_FIXED
         )
         fused = Session(cache=None, backend=InlineBackend()).sweep(
-            "E8", E8_GRID, fuse="on", seed=0, **E8_FIXED
+            "E8", E8_GRID, seed=0, **E8_FIXED
         )
-        assert _dicts(fused) == _dicts(base)
+        assert _dicts(fused) == base
 
 
 class TestSweepFuseArgument:
-    def test_unknown_fuse_choice_is_rejected(self):
-        with pytest.raises(ValueError, match="fuse"):
-            Session(cache=None).sweep("E8", E8_GRID, fuse="maybe", **E8_FIXED)
+    @pytest.mark.parametrize("fuse", ["auto", "on", "off"])
+    def test_unknown_fuse_choice_is_rejected(self, fuse):
+        # There is one run path: a leftover fuse= is just an undeclared
+        # parameter, rejected by the spec's schema.
+        with pytest.raises(UnknownParameterError, match="fuse"):
+            Session(cache=None).sweep("E8", E8_GRID, fuse=fuse, seed=0, **E8_FIXED)
 
-    def test_auto_drops_the_plan_when_nothing_fuses(self):
-        # engine="off" makes every group a singleton; fuse="auto" then runs
-        # the plain per-point path (no plan on the report), while fuse="on"
-        # keeps the (degenerate) plan.
+    def test_plan_is_none_when_nothing_fuses(self):
+        # engine="off" makes every group a singleton: the report carries no
+        # plan, and the points run exactly as they do one by one.
         fixed = dict(E8_FIXED, engine="off")
-        auto = Session(cache=None).sweep("E8", E8_GRID, fuse="auto", seed=0, **fixed)
-        forced = Session(cache=None).sweep("E8", E8_GRID, fuse="on", seed=0, **fixed)
-        assert auto.plan is None
-        assert forced.plan is not None and not forced.plan.has_fusion
-        assert _dicts(auto) == _dicts(forced)
+        sweep = Session(cache=None).sweep("E8", E8_GRID, seed=0, **fixed)
+        assert sweep.plan is None
+        assert _dicts(sweep) == _per_point(Session(cache=None), "E8", E8_GRID, seed=0, **fixed)
 
 
 class TestFusedSweepPlan:
@@ -114,7 +123,6 @@ class TestFusedSweepPlan:
         requests = self._requests(session, E8_GRID, 0, **E8_FIXED)
         plan = FusedSweepPlan.build(REGISTRY["E8"], requests)
         assert plan.groups == ((0, 1),)
-        assert plan.group_of(0) == plan.group_of(1) == 0
         assert plan.fused_points == 2 and plan.has_fusion
 
     def test_mixed_seeds_split_groups(self):
@@ -164,16 +172,18 @@ class TestFusionContext:
         with pytest.raises(ValueError):
             codes[0, 0] = 0
 
-    def test_oversized_matrix_bypasses_retention(self):
+    def test_oversized_matrix_bypasses_retention(self, monkeypatch):
         compiled = self._compiled(n=12)
-        context = FusionContext(max_bytes=100)  # < 4 trials × 12 nodes × 4 bytes
+        monkeypatch.setattr(fusion, "WORKING_SET_BYTES", 100)  # < 4 trials × 12 nodes × 4 bytes
+        context = FusionContext()
         assert context.codes_for(compiled, 4, seed_base=0, salt=None) is None
         assert context.retained_bytes == 0
 
-    def test_eviction_keeps_retained_bytes_bounded(self):
+    def test_eviction_keeps_retained_bytes_bounded(self, monkeypatch):
         compiled = self._compiled(n=12)
         # Each 4×12 int32 matrix is 192 bytes; the bound fits one, not two.
-        context = FusionContext(max_bytes=256)
+        monkeypatch.setattr(fusion, "WORKING_SET_BYTES", 256)
+        context = FusionContext()
         context.codes_for(compiled, 4, seed_base=0, salt="a")
         context.codes_for(compiled, 4, seed_base=0, salt="b")
         assert len(context._entries) == 1
@@ -190,7 +200,7 @@ class TestFusionTelemetry:
     def test_fused_sweep_emits_spans_and_counters(self):
         recorder = TraceRecorder()
         session = Session(cache=None, telemetry=recorder)
-        session.sweep("E8", E8_GRID, fuse="on", seed=0, **E8_FIXED)
+        session.sweep("E8", E8_GRID, seed=0, **E8_FIXED)
 
         def walk(spans):
             for span in spans:
@@ -205,8 +215,48 @@ class TestFusionTelemetry:
         assert counters.get("engine.fuse_misses", 0) > 0
 
     def test_telemetry_does_not_change_results(self):
-        silent = Session(cache=None).sweep("E8", E8_GRID, fuse="on", seed=0, **E8_FIXED)
+        silent = Session(cache=None).sweep("E8", E8_GRID, seed=0, **E8_FIXED)
         traced = Session(cache=None, telemetry=TraceRecorder()).sweep(
-            "E8", E8_GRID, fuse="on", seed=0, **E8_FIXED
+            "E8", E8_GRID, seed=0, **E8_FIXED
         )
         assert _dicts(traced) == _dicts(silent)
+
+
+class TestFusedProgress:
+    def test_fused_points_start_before_the_group_runs(self):
+        # Both points of the group start when the group does; neither is
+        # reported as starting after the shared run has finished.
+        events = []
+        Session(cache=None).sweep(
+            "E8", E8_GRID, seed=0, progress=lambda event: events.append(event), **E8_FIXED
+        )
+        assert [(event.kind, event.index) for event in events] == [
+            ("start", 0),
+            ("start", 1),
+            ("done", 0),
+            ("done", 1),
+        ]
+
+
+class TestTracedPoolFusion:
+    @pytest.mark.parametrize(
+        "grid",
+        [E8_GRID, {**E8_GRID, "seed": [0, 1]}],
+        ids=["one-group", "two-groups"],
+    )
+    def test_pool_group_runs_as_one_traced_task(self, grid):
+        fixed = E8_FIXED if "seed" in grid else dict(E8_FIXED, seed=0)
+        recorder = TraceRecorder()
+        pool = Session(cache=None, backend=ProcessPoolBackend(max_workers=2), telemetry=recorder)
+        fused = pool.sweep("E8", grid, **fixed)
+        tasks = [span for span in recorder.iter_spans() if span.name == "backend.task"]
+        assert len(tasks) == len(fused.plan.groups) == len(grid.get("seed", [0]))
+        for task in tasks:
+            assert task.attributes["points"] == 2
+            assert task.attributes["experiment_id"] == "E8"
+            (worker,) = [span for span in task.children if span.name == "backend.worker"]
+            assert worker.attributes["points"] == 2
+            assert isinstance(worker.attributes["pid"], int)
+            assert "engine.fuse_group" in {span.name for span in worker.walk()}
+        assert recorder.counters["engine.fuse_hits"] > 0
+        assert _dicts(fused) == _dicts(Session(cache=None).sweep("E8", grid, **fixed))

@@ -9,7 +9,7 @@ Coverage for :mod:`repro.engine.construct`:
 * the sampled outputs match their closed-form frequencies within
   Monte-Carlo tolerance, and sampling is chunk-invariant: the same
   ``(seed, salt)`` yields the same ``trials × nodes`` matrix for any
-  ``max_bytes``;
+  block size;
 * membership lowering (radius-0 tables, proper-coloring neighbour checks,
   f-resilient / ε-slack thresholds) agrees with the reference
   ``language.contains`` on every sampled row;
@@ -31,6 +31,7 @@ from repro.core.derandomization import choose_anchor, far_acceptance_probability
 from repro.core.languages import Configuration
 from repro.core.lcl import NotAllEqualLLL, ProperColoring
 from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine import construct
 from repro.engine.construct import (
     MAX_OUTPUT_VALUES,
     ConstructionCompilationError,
@@ -205,23 +206,26 @@ class TestDistributionAndChunking:
         frequency = float(np.count_nonzero(codes == one)) / codes.size
         assert abs(frequency - q) < 0.02
 
-    @pytest.mark.parametrize("max_bytes", [64, 4096, 1 << 20])
-    def test_matrix_is_chunk_invariant(self, max_bytes):
+    @pytest.mark.parametrize("block_bytes", [64, 4096, 1 << 20])
+    def test_matrix_is_chunk_invariant(self, block_bytes, monkeypatch):
         network = cycle_network(24, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
-        reference = construction_matrix(compiled, 500, seed=9, salt="chunk", max_bytes=1 << 30)
-        chunked = construction_matrix(compiled, 500, seed=9, salt="chunk", max_bytes=max_bytes)
+        monkeypatch.setattr(construct, "EXACT_BLOCK_BYTES", 1 << 30)
+        reference = construction_matrix(compiled, 500, seed=9, salt="chunk")
+        monkeypatch.setattr(construct, "EXACT_BLOCK_BYTES", block_bytes)
+        chunked = construction_matrix(compiled, 500, seed=9, salt="chunk")
         assert np.array_equal(reference, chunked)
 
     @pytest.mark.parametrize("offset", [0, 1, 37])
-    def test_stream_started_at_an_offset_continues_the_matrix(self, offset):
+    def test_stream_started_at_an_offset_continues_the_matrix(self, offset, monkeypatch):
         """A stream started at trial ``o`` samples rows ``o, o+1, …`` of the
-        stream started at 0, at any ``max_bytes``."""
+        stream started at 0, at any block size."""
         network = cycle_network(24, ids="consecutive")
         compiled = compile_construction(RandomColoringConstructor(3), network)
         reference = construction_matrix(compiled, offset + 90, seed=6, salt="window")
-        stream = ConstructionStream(compiled, seed=6, salt="window", max_bytes=64, offset=offset)
+        monkeypatch.setattr(construct, "EXACT_BLOCK_BYTES", 64)
+        stream = ConstructionStream(compiled, seed=6, salt="window", offset=offset)
         window = np.concatenate([stream.sample(40), stream.sample(50)])
         assert np.array_equal(window, reference[offset:])
 
@@ -445,15 +449,14 @@ class TestEngineContract:
                 deterministic, language, [network], trials=10, seed=0, engine="bogus"
             )
 
-    def test_coloring_counter_is_chunk_invariant_under_tiny_budgets(self):
+    def test_coloring_counter_is_chunk_invariant_under_tiny_budgets(self, monkeypatch):
         network = cycle_network(15, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         compiled = compile_construction(constructor, network)
         codes = construction_matrix(compiled, 300, seed=11)
         reference = compile_membership(ProperColoring(3), compiled).bad_counts(codes)
-        tiny = compile_membership(
-            ProperColoring(3), compiled, max_bytes=64
-        ).bad_counts(codes)
+        monkeypatch.setattr(construct, "WORKING_SET_BYTES", 64)
+        tiny = compile_membership(ProperColoring(3), compiled).bad_counts(codes)
         assert np.array_equal(reference, tiny)
 
     def test_oversized_alphabet_raises_clear_error(self):

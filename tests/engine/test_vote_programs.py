@@ -43,6 +43,7 @@ from repro.engine.compiler import (
     majority,
     neg,
 )
+from repro.engine import executor
 from repro.engine.executor import accept_vector, vote_matrix
 from repro.graphs.families import cycle_network
 from repro.local.randomness import RandomTape, TapeFactory
@@ -250,60 +251,52 @@ class TestChunkedExecution:
     @pytest.mark.parametrize(
         "label,decider,configuration", MULTI_DRAW_CASES, ids=[c[0] for c in MULTI_DRAW_CASES]
     )
-    def test_accept_vector_independent_of_max_bytes(self, label, decider, configuration):
-        """Any working-set bound gives the same stream: counter-based draws
-        make the engine chunk-invariant."""
+    def test_accept_vector_independent_of_block_size(
+        self, label, decider, configuration, monkeypatch
+    ):
+        """Any block size gives the same stream: counter-based draws make
+        the engine chunk-invariant."""
         compiled = compile_decision(decider, configuration)
         unchunked = accept_vector(compiled, 500, seed=7)
-        for max_bytes in (1, 4_000, 64 * 1024):
-            chunked = accept_vector(compiled, 500, seed=7, max_bytes=max_bytes)
-            assert np.array_equal(chunked, unchunked), max_bytes
+        for block_bytes in (1, 4_000, 64 * 1024):
+            monkeypatch.setattr(executor, "EXACT_BLOCK_BYTES", block_bytes)
+            chunked = accept_vector(compiled, 500, seed=7)
+            assert np.array_equal(chunked, unchunked), block_bytes
 
-    def test_trial_axis_is_chunked_and_stream_invariant(self):
-        """When a single node column at full trials exceeds max_bytes, the
+    def test_trial_axis_is_chunked_and_stream_invariant(self, monkeypatch):
+        """When a single node column at full trials exceeds the block, the
         trial axis is sliced — and each trial's draws depend only on its own
         keys, so the sliced stream is identical to the unsliced one."""
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         configuration = broken_coloring(21, 2)
         compiled = compile_decision(decider, configuration)
         trials = 4000  # one 3-draw column = 96 kB at full trials
+        monkeypatch.setattr(executor, "EXACT_BLOCK_BYTES", 1 << 30)
         unbounded = accept_vector(compiled, trials, seed=9)
-        tightly_bounded = accept_vector(compiled, trials, seed=9, max_bytes=1024)
+        monkeypatch.setattr(executor, "EXACT_BLOCK_BYTES", 1024)
+        tightly_bounded = accept_vector(compiled, trials, seed=9)
         assert np.array_equal(tightly_bounded, unbounded)
 
-    def test_vote_matrix_independent_of_max_bytes(self):
+    def test_vote_matrix_independent_of_block_size(self, monkeypatch):
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         configuration = broken_coloring(21, 3)
         compiled = compile_decision(decider, configuration)
         unchunked = vote_matrix(compiled, 200, seed=3)
-        chunked = vote_matrix(compiled, 200, seed=3, max_bytes=1)
+        monkeypatch.setattr(executor, "EXACT_BLOCK_BYTES", 1)
+        chunked = vote_matrix(compiled, 200, seed=3)
         assert np.array_equal(chunked, unchunked)
 
-    def test_max_bytes_must_be_positive(self):
-        decider = AmplifiedAmosDecider()
-        compiled = compile_decision(decider, amos_configuration(9, {0}))
-        with pytest.raises(ValueError):
-            accept_vector(compiled, 10, max_bytes=0)
-
-    def test_env_override_is_honoured(self, monkeypatch):
-        decider = AmplifiedAmosDecider()
-        compiled = compile_decision(decider, amos_configuration(9, {0, 4}))
-        baseline = accept_vector(compiled, 300, seed=1)
-        monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "16")
-        assert np.array_equal(accept_vector(compiled, 300, seed=1), baseline)
-
-    def test_env_override_must_be_a_byte_count(self, monkeypatch):
+    def test_max_bytes_is_not_a_parameter(self):
         compiled = compile_decision(AmplifiedAmosDecider(), amos_configuration(9, {0}))
-        monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "64MiB")
-        with pytest.raises(ValueError, match="plain byte count"):
-            accept_vector(compiled, 10)
+        with pytest.raises(TypeError):
+            accept_vector(compiled, 10, max_bytes=1024)
 
-    def test_explicit_max_bytes_takes_precedence_over_env(self, monkeypatch):
-        decider = AmplifiedAmosDecider()
-        compiled = compile_decision(decider, amos_configuration(9, {0, 4}))
+    def test_environment_does_not_size_the_blocks(self, monkeypatch):
+        compiled = compile_decision(AmplifiedAmosDecider(), amos_configuration(9, {0, 4}))
+        monkeypatch.delenv("REPRO_ENGINE_MAX_BYTES", raising=False)
         baseline = accept_vector(compiled, 300, seed=1)
         monkeypatch.setenv("REPRO_ENGINE_MAX_BYTES", "not-a-number")
-        assert np.array_equal(accept_vector(compiled, 300, seed=1, max_bytes=16), baseline)
+        assert np.array_equal(accept_vector(compiled, 300, seed=1), baseline)
 
 
 class TestInexpressibleDeciders:

@@ -6,10 +6,12 @@ derived from the node identity through generated parameters).  For every
 pair the engine must be **bit-identical** to the reference loop
 (``engine="off"``) at seeds 0, 1 and 10_000 — the trial is part of every
 tape key, so adjacent seeds are as independent as distant ones — and
-invariant to the ``max_bytes`` working-set bound.
+invariant to the size of the engine's uniform blocks.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.core.decision import RandomizedDecider, estimate_guarantee  # noqa: E402
 from repro.core.languages import Configuration, DistributedLanguage  # noqa: E402
 from repro.engine.compiler import coin, compile_decision  # noqa: E402
+from repro.engine import executor  # noqa: E402
 from repro.engine.executor import accept_vector, vote_matrix  # noqa: E402
 from repro.graphs.families import (  # noqa: E402
     cycle_network,
@@ -135,10 +138,11 @@ class TestExactModeIsBitIdenticalToReference:
 class TestChunkSizeInvariance:
     @given(network=networks, table=probability_tables, seed=st.sampled_from(SEEDS))
     @settings(max_examples=30, deadline=None)
-    def test_accept_vector_is_max_bytes_invariant(self, network, table, seed):
+    def test_accept_vector_is_block_size_invariant(self, network, table, seed):
         decider = _decider_from(table)
         configuration = Configuration(network, {node: 0 for node in network.nodes()})
         compiled = compile_decision(decider, configuration)
         default = accept_vector(compiled, 48, seed=seed)
-        tiny = accept_vector(compiled, 48, seed=seed, max_bytes=64)
+        with mock.patch.object(executor, "EXACT_BLOCK_BYTES", 64):
+            tiny = accept_vector(compiled, 48, seed=seed)
         assert np.array_equal(default, tiny)

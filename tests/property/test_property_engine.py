@@ -14,6 +14,8 @@ against three independent implementations of the same semantics:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.decision import ProgramDecider  # noqa: E402
 from repro.core.languages import Configuration  # noqa: E402
+from repro.engine import construct, executor  # noqa: E402
 from repro.engine.compiler import (  # noqa: E402
     AllOf,
     AnyOf,
@@ -248,7 +251,8 @@ class TestVoteProgramProperties:
         configuration = Configuration(network, {node: 0 for node in network.nodes()})
         compiled = compile_decision(GeneratedDecider(), configuration)
         default = accept_vector(compiled, 64, seed=seed)
-        tiny = accept_vector(compiled, 64, seed=seed, max_bytes=128)
+        with mock.patch.object(executor, "EXACT_BLOCK_BYTES", 128):
+            tiny = accept_vector(compiled, 64, seed=seed)
         assert np.array_equal(default, tiny)
 
 
@@ -306,7 +310,8 @@ class TestOutputProgramProperties:
         )
         compiled = compile_construction(algorithm, cycle_network(5))
         default = construction_matrix(compiled, 64, seed=seed)
-        tiny = construction_matrix(compiled, 64, seed=seed, max_bytes=64)
+        with mock.patch.object(construct, "EXACT_BLOCK_BYTES", 64):
+            tiny = construction_matrix(compiled, 64, seed=seed)
         assert np.array_equal(default, tiny)
 
 

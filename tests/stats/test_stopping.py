@@ -27,6 +27,7 @@ from repro.core.derandomization import (
 )
 from repro.core.lcl import ProperColoring
 from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine import executor
 from repro.engine.compiler import coin, compile_decision
 from repro.engine.construct import const_output
 from repro.engine.executor import AcceptStream, accept_vector, deterministic_accept_value
@@ -230,11 +231,12 @@ class TestAcceptStream:
         assert np.array_equal(np.concatenate(batches), fixed)
         assert stream.trials_sampled == 500
 
-    def test_batching_is_max_bytes_invariant(self):
+    def test_batching_is_block_size_invariant(self, monkeypatch):
         decider = ResilientDecider(ProperColoring(3), f=2)
         compiled = compile_decision(decider, _config())
         fixed = accept_vector(compiled, 300, seed=2)
-        stream = AcceptStream(compiled, seed=2, max_bytes=128)
+        monkeypatch.setattr(executor, "EXACT_BLOCK_BYTES", 128)
+        stream = AcceptStream(compiled, seed=2)
         assert np.array_equal(
             np.concatenate([stream.sample(150), stream.sample(150)]), fixed
         )
