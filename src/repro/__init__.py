@@ -61,8 +61,9 @@ The per-node Python voting rules in :mod:`repro.core.decision` are the
 any decider exposing ``vote_program(ball)`` (its vote as a Bernoulli circuit
 over the node's tape) is compiled and executed in batch, reproducing the
 reference coin streams bit for bit (``engine="auto"``, the default, falls
-back to the reference path for deciders that do not compile; ``"exact"``
-raises instead; ``"off"`` forces the reference path).  See the
+back to the reference path for deciders that do not compile and counts each
+fallback as an ``engine.fallback.*`` signal; ``"off"`` forces the reference
+path).  See the
 :mod:`repro.engine` docstring for the authoring guide, and DESIGN.md for the
 architecture notes.
 

@@ -247,7 +247,7 @@ class Session:
         contract (unless the request pins its own); ``None`` leaves the
         schema default in place.
     engine:
-        Engine selector (``auto``/``exact``/``off``) injected into
+        Engine selector (``auto``/``off``) injected into
         every request whose spec declares the engine capability; any other
         value raises :class:`~repro.harness.registry.ParameterValueError`.
     precision:

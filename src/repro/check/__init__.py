@@ -1,6 +1,6 @@
 """repro.check — zero-dependency static verification of the repo's contracts.
 
-The load-bearing guarantees of this codebase — bit-identity of exact mode
+The load-bearing guarantees of this codebase — bit-identity of the engine
 with the reference tapes, the tape-only randomness convention, the span
 taxonomy, loop-confinement in the asyncio service — are conventions, and
 conventions rot.  This package turns them into machine-checked rules:

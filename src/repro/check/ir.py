@@ -13,8 +13,8 @@ Checked invariants, vote programs (:func:`verify_vote_program`):
 * every edge goes from a higher index to a **strictly lower** one, which is
   the topological-order invariant and hence a proof of acyclicity;
 * a node at depth ``d`` only reaches nodes at depth ``>= d + 1`` (each
-  program node consumes exactly the draw at its depth — the property exact
-  mode's bit-identity stands on);
+  program node consumes exactly the draw at its depth — the property the
+  engine's bit-identity stands on);
 * thresholds lie in ``[0, 1]``, depths in ``[0, MAX_PROGRAM_DRAWS)``, and
   ``max_draws`` matches the deepest node;
 * ``constant`` and ``accept_probability`` agree with the closed-form

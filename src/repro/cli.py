@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run E1 E3 --output-dir results/
     python -m repro run all --quick --parallel 2 --seed 7
-    python -m repro run E5 --engine exact --no-cache
+    python -m repro run E5 --engine off --no-cache
     python -m repro run all --quick --backend process-pool --parallel 2
     python -m repro run all --quick --trace trace.jsonl --metrics
     python -m repro cache stats

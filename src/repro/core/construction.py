@@ -34,11 +34,7 @@ from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.languages import Configuration, DistributedLanguage
 from repro.engine.adapters import engine_or_reference
-from repro.engine.construct import (
-    ConstructionCompilationError,
-    resolve_construction_engine,
-    success_stream,
-)
+from repro.engine.construct import resolve_construction_engine, success_stream
 from repro.stats import PrecisionTarget, run_estimate, wilson_half_width
 from repro.local.algorithm import BallAlgorithm, LocalAlgorithm
 from repro.local.network import Network
@@ -215,8 +211,8 @@ def estimate_success_probability(
 
     Compilable constructors (those exposing ``output_program(ball)``)
     dispatch their trials to :mod:`repro.engine.construct`:
-    ``engine="auto"``/``"exact"`` compute the same tape streams as one array
-    operation (bit-identical), ``engine="off"`` forces the reference loop.
+    ``engine="auto"`` computes the same tape streams as one array operation
+    (bit-identical), ``engine="off"`` forces the reference loop.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each instance's trials sequentially until the CI
@@ -233,7 +229,7 @@ def estimate_success_probability(
     estimate = SuccessEstimate()
     for index, network in enumerate(networks):
         draw, constant = _success_stream(
-            constructor, language, network, seed, f"{constructor.name}/{index}", engine, path
+            constructor, language, network, seed, f"{constructor.name}/{index}", path
         )
         result = run_estimate(draw, trials, target, constant)
         fixed_width = wilson_half_width(result.successes, result.trials)
@@ -249,7 +245,6 @@ def _success_stream(
     network: Network,
     seed: int,
     salt: str,
-    engine: str,
     path: str,
 ) -> Tuple[Callable[[int], int], Optional[bool]]:
     """The success stream of ``constructor`` on one instance.
@@ -279,9 +274,7 @@ def _success_stream(
         return draw, None
 
     return engine_or_reference(
-        engine,
         path,
         lambda: success_stream(constructor, language, network, seed=seed, salt=salt),
         from_reference,
-        ConstructionCompilationError,
     )

@@ -48,11 +48,12 @@ success stream per configuration (``_success_stream``), which
 vote, ``vote_program(ball)`` (all concrete deciders above do), and from the
 reference per-trial loop otherwise.  The engine reproduces the per-node
 tape streams of the reference loop bit for bit.  The default
-``engine="auto"`` runs it whenever the decider compiles, ``engine="exact"``
-raises instead of falling back when it does not, and ``engine="off"``
-forces the reference loop.  :func:`repro.stats.run_estimate` runs the
-stream: one ``draw(trials)`` for a fixed estimate, sequential stopping for
-a ``precision=`` target.
+``engine="auto"`` runs it whenever the decider compiles (and counts an
+``engine.fallback.*`` signal when it does not, see
+:mod:`repro.engine.adapters`), and ``engine="off"`` forces the reference
+loop.  :func:`repro.stats.run_estimate` runs the stream: one
+``draw(trials)`` for a fixed estimate, sequential stopping for a
+``precision=`` target.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.core.languages import Configuration, DistributedLanguage, SELECTED
 from repro.core.lcl import LCLLanguage
 from repro.engine.adapters import engine_or_reference, resolve_engine
 from repro.engine.compiler import (
-    ProgramCompilationError,
     VoteExpr,
     coin,
     compile_decision,
@@ -304,7 +304,7 @@ class Decider(ABC):
         trial=t)``; the configuration is fixed, so only the coins are
         redrawn.  When the decider is compilable the trials run through
         :mod:`repro.engine`; see the module docstring for the ``engine``
-        values (``auto``/``exact`` are bit-identical to ``off``).
+        values (``auto`` is bit-identical to ``off``).
 
         Without a ``precision`` target this is the fixed ``trials``-trial
         estimate in a 95% Wilson interval.  A target (a
@@ -317,13 +317,13 @@ class Decider(ABC):
         on which every compiled vote program is constant.
         """
         target = PrecisionTarget.coerce(precision, default_cap=trials)
+        path = resolve_engine(engine, self)
         if not self.randomized:
             return ProbabilityEstimate.exact(
                 self.decide(configuration).accepted,
                 confidence=target.confidence if target is not None else 0.95,
             )
-        path = resolve_engine(engine, self)
-        draw, constant = _success_stream(self, configuration, True, seed, self.name, engine, path)
+        draw, constant = _success_stream(self, configuration, True, seed, self.name, path)
         return run_estimate(draw, trials, target, constant)
 
 
@@ -645,8 +645,8 @@ def estimate_guarantee(
     coins.  Success means "accepted" on members and "rejected" on
     non-members, matching Eq. (1).  Deterministic deciders are run once.
     Compilable randomized deciders dispatch their trials to
-    :mod:`repro.engine` (``engine="auto"``/``"exact"`` reproduce the
-    reference coins bit for bit; see the module docstring).
+    :mod:`repro.engine` (``engine="auto"`` reproduces the reference coins
+    bit for bit; see the module docstring).
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each configuration's trials sequentially until the CI
@@ -657,14 +657,14 @@ def estimate_guarantee(
     the half-width of the target's interval.
     """
     target = PrecisionTarget.coerce(precision, default_cap=trials)
-    path = resolve_engine(engine, decider) if decider.randomized else "off"
+    path = resolve_engine(engine, decider)
     if not decider.randomized:
         trials, target = 1, None
     estimate = GuaranteeEstimate()
     for index, configuration in enumerate(configurations):
         member = language.contains(configuration)
         draw, constant = _success_stream(
-            decider, configuration, member, seed, f"{decider.name}/{index}", engine, path
+            decider, configuration, member, seed, f"{decider.name}/{index}", path
         )
         result = run_estimate(draw, trials, target, constant)
         fixed_width = wilson_half_width(result.successes, result.trials)
@@ -680,7 +680,6 @@ def _success_stream(
     member: bool,
     seed: int,
     salt: str,
-    engine: str,
     path: str,
 ) -> Tuple[Callable[[int], int], Optional[bool]]:
     """The success stream of ``decider`` on one configuration.
@@ -731,4 +730,4 @@ def _success_stream(
 
         return draw, None
 
-    return engine_or_reference(engine, path, from_engine, from_reference, ProgramCompilationError)
+    return engine_or_reference(path, from_engine, from_reference)

@@ -34,8 +34,10 @@ reads the constructor's (shared with
 far-acceptance stream that counts every candidate anchor in one pass.
 :func:`~repro.engine.adapters.engine_or_reference` builds each stream from
 the construction engine when the constructor compiles (and, for far
-acceptance, the decider fuses), from the reference per-trial loop
-otherwise, and :func:`repro.stats.run_estimate` runs it.
+acceptance and the amplification runs, the decider fuses onto it), from
+the reference per-trial loop otherwise, and :func:`repro.stats.run_estimate`
+runs it.  There is no third path: a decider that does not fuse runs the
+whole estimate on the reference loop.
 """
 
 from __future__ import annotations
@@ -45,16 +47,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.construction import Constructor, _success_stream
-from repro.core.decision import Decider, DecisionOutcome
-from repro.core.languages import Configuration, DistributedLanguage
-from repro.engine.adapters import (
-    engine_or_reference,
-    engine_single_trial_votes,
-    resolve_engine,
-)
-from repro.engine.compiler import ProgramCompilationError
+from repro.core.decision import Decider
+from repro.core.languages import DistributedLanguage
+from repro.engine.adapters import engine_or_reference
 from repro.engine.construct import (
-    ConstructionCompilationError,
     batched_acceptance_and_membership,
     far_acceptance_stream,
     resolve_construction_engine,
@@ -254,15 +250,12 @@ def find_hard_instances(
     that is the expected outcome and is, in effect, the proof failing to
     derive its contradiction.
     """
-    # No decider side here, so the *strict* resolver applies: an explicit
-    # engine request on a non-compilable randomized constructor raises
-    # rather than silently measuring the reference loop.
     path = resolve_construction_engine(engine, constructor)
     runs = trials if constructor.randomized else 1
     found: List[HardInstance] = []
     for index, network in enumerate(candidates):
         draw, _constant = _success_stream(
-            constructor, language, network, seed, f"hard/{index}", engine, path
+            constructor, language, network, seed, f"hard/{index}", path
         )
         rate = (runs - run_estimate(draw, runs).successes) / runs
         if rate >= beta:
@@ -278,54 +271,6 @@ def find_hard_instances(
 # --------------------------------------------------------------------------- #
 # Far-acceptance probabilities and anchors (Claims 4 and 5)
 # --------------------------------------------------------------------------- #
-def _construction_mode(engine: str, constructor: Constructor) -> str:
-    """The constructor-side path of a derandomization loop: ``"exact"``
-    (the construction engine) or ``"off"`` (the reference loop).
-
-    Unlike :func:`repro.engine.construct.resolve_construction_engine`, a
-    non-compilable constructor never raises here: these loops also carry a
-    decider side that may still honour an explicit engine request, so the
-    constructor side just degrades to the per-trial reference path, as
-    under ``auto``.
-    """
-    return resolve_construction_engine("auto" if engine == "exact" else engine, constructor)
-
-
-def _decide_outcome(
-    decider: Decider,
-    configuration: Configuration,
-    master_seed: int,
-    salt: str,
-    trial: int,
-    mode: str,
-    allow_fallback: bool = False,
-) -> Tuple[DecisionOutcome, str]:
-    """One decider execution, through the engine when compiled.
-
-    The engine's exact mode computes the tape streams of
-    ``TapeFactory(master_seed, salt, trial)`` bit for bit, so the two
-    branches are interchangeable; the engine one skips the per-node Python
-    voting.  With
-    ``allow_fallback`` (the ``engine="auto"`` contract), a vote program the
-    IR cannot express degrades to the reference execution instead of
-    raising.  Returns the outcome together with the mode that actually ran,
-    so trial loops can latch onto the reference path instead of paying a
-    compile-and-raise on every trial.
-    """
-    if mode != "off":
-        try:
-            votes = engine_single_trial_votes(decider, configuration, master_seed, salt, trial)
-            return DecisionOutcome(votes=votes), mode
-        except ProgramCompilationError:
-            if not allow_fallback:
-                raise
-            mode = "off"
-    outcome = decider.decide(
-        configuration, tape_factory=TapeFactory(master_seed, salt=salt, trial=trial)
-    )
-    return outcome, mode
-
-
 def far_acceptance_probability(
     constructor: Constructor,
     decider: Decider,
@@ -347,10 +292,9 @@ def far_acceptance_probability(
 
     When the constructor compiles (:mod:`repro.engine.construct`) and the
     decider fuses (radius 0, one coin per node), the trials run as batched
-    construct→decide passes; otherwise the configuration is rebuilt per
-    trial and the engine's role is the per-trial decision step.
-    ``engine="auto"``/``"exact"`` remain bit-identical to ``"off"`` on both
-    paths.
+    construct→decide passes; otherwise the reference loop rebuilds and
+    decides the configuration per trial.  ``engine="auto"`` is
+    bit-identical to ``"off"``.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) switches to sequential stopping with ``trials`` as the cap.
@@ -380,26 +324,18 @@ def _far_acceptance_stream(
     constructor compiles and the decider fuses, the reference loop
     otherwise (see :func:`~repro.engine.adapters.engine_or_reference`).
     """
-    mode = resolve_engine(engine, decider)
 
     def from_reference() -> Callable[[int], List[int]]:
         offset = 0
 
         def draw(count: int) -> List[int]:
-            nonlocal offset, mode
+            nonlocal offset
             counts = [0] * len(candidates)
             for trial in range(offset, offset + count):
                 c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
+                d_factory = TapeFactory(seed, salt="far/decide", trial=trial)
                 configuration = constructor.configuration(network, tape_factory=c_factory)
-                outcome, mode = _decide_outcome(
-                    decider,
-                    configuration,
-                    seed,
-                    "far/decide",
-                    trial,
-                    mode,
-                    allow_fallback=engine == "auto",
-                )
+                outcome = decider.decide(configuration, tape_factory=d_factory)
                 for position, node in enumerate(candidates):
                     counts[position] += int(
                         outcome.accepted_far_from(configuration, node, distance)
@@ -410,8 +346,7 @@ def _far_acceptance_stream(
         return draw
 
     return engine_or_reference(
-        engine,
-        _construction_mode(engine, constructor),
+        resolve_construction_engine(engine, constructor),
         lambda: far_acceptance_stream(
             constructor,
             decider,
@@ -423,7 +358,6 @@ def _far_acceptance_stream(
             decide_salt="far/decide",
         ),
         from_reference,
-        ConstructionCompilationError,
     )
 
 
@@ -517,33 +451,25 @@ def _estimate_acceptance_and_membership(
     Trial ``t`` draws both sides' coins from ``TapeFactory(seed, salt,
     trial=t)`` with salts ``"amp/construct"`` / ``"amp/decide"``.
     Compilable constructors with fusable deciders run the whole estimate as
-    one batched pass (exact mode bit-identical to the reference loop);
-    anything else falls back per trial.
+    one batched pass (bit-identical to the reference loop); anything else
+    runs the reference loop.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
 
     def from_reference() -> Tuple[float, float]:
-        mode = resolve_engine(engine, decider)
         accepted = 0
         member = 0
         for trial in range(trials):
             c_factory = TapeFactory(seed, salt="amp/construct", trial=trial)
+            d_factory = TapeFactory(seed, salt="amp/decide", trial=trial)
             configuration = constructor.configuration(network, tape_factory=c_factory)
             member += int(language.contains(configuration))
-            outcome, mode = _decide_outcome(
-                decider,
-                configuration,
-                seed,
-                "amp/decide",
-                trial,
-                mode,
-                allow_fallback=engine == "auto",
-            )
-            accepted += int(outcome.accepted)
+            accepted += int(decider.decide(configuration, tape_factory=d_factory).accepted)
         return accepted / trials, member / trials
 
     return engine_or_reference(
-        engine,
-        _construction_mode(engine, constructor),
+        resolve_construction_engine(engine, constructor),
         lambda: batched_acceptance_and_membership(
             constructor,
             decider,
@@ -555,7 +481,6 @@ def _estimate_acceptance_and_membership(
             decide_salt="amp/decide",
         ),
         from_reference,
-        ConstructionCompilationError,
     )
 
 

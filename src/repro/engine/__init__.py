@@ -20,7 +20,8 @@ Layers
 * :mod:`repro.engine.adapters` — the ``engine=`` dispatch:
   :func:`resolve_engine` and :func:`engine_or_reference`, through which
   :mod:`repro.core` builds each estimator's success stream from the engine
-  or from the reference loop;
+  or from the reference loop, counting every ``auto`` fallback
+  (``engine.fallback.*``);
 * :mod:`repro.engine.construct` — the **construction engine**: compiles
   constructors (``output_program(ball)`` contract) into vectorized per-node
   draw programs producing the ``trials × nodes`` output matrix in one pass,
@@ -50,17 +51,13 @@ A single-coin decider returns ``coin(p)`` (``const`` for a vote that
 ignores the tape).  Deciders whose coin usage exceeds the IR (more than
 :data:`~repro.engine.compiler.MAX_PROGRAM_DRAWS` sequential draws) must
 stay on the reference path; ``engine="auto"`` falls back automatically for
-deciders without a ``vote_program``, while ``engine="exact"`` raises rather
-than misreport.  An equivalence test in ``tests/engine`` asserts that the
-engine agrees with the reference loop bit for bit.
+deciders without a ``vote_program`` or beyond the IR, and the ambient
+recorder counts each such fallback with its reason (``engine.fallback.*``,
+see :mod:`repro.engine.adapters`).  An equivalence test in ``tests/engine``
+asserts that the engine agrees with the reference loop bit for bit.
 """
 
-from repro.engine.adapters import (
-    ENGINE_CHOICES,
-    engine_or_reference,
-    engine_single_trial_votes,
-    resolve_engine,
-)
+from repro.engine.adapters import ENGINE_CHOICES, engine_or_reference, resolve_engine
 from repro.engine.cache import ResultCache, default_cache_dir, request_cache_key
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
@@ -131,7 +128,6 @@ __all__ = [
     "construction_matrix",
     "default_cache_dir",
     "engine_or_reference",
-    "engine_single_trial_votes",
     "evaluate_output_expr",
     "evaluate_vote_expr",
     "exact_single_trial_votes",

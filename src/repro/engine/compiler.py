@@ -13,7 +13,7 @@ as plain NumPy arrays:
   per-node assignment ``program_ids`` and the per-node acceptance
   probabilities ``probabilities[i] ∈ [0, 1]``,
 * the node identities, which seed the per-node random streams in the
-  executor's exact mode.
+  executor.
 
 Vote programs — the Bernoulli-circuit IR
 ----------------------------------------
@@ -38,8 +38,8 @@ The contract is that interpreting the program against a fresh tape
 ``vote(ball, tape)``: same result, same number of tape draws consumed along
 the way.  :func:`lower_program` compiles the expression into a flat decision
 DAG whose internal nodes each consume one draw — the draw consumed by a
-program node is exactly its depth, which is what lets the executor's exact
-mode replay the reference tape streams bit for bit.  Programs are capped at
+program node is exactly its depth, which is what lets the executor replay
+the reference tape streams bit for bit.  Programs are capped at
 :data:`MAX_PROGRAM_DRAWS` sequential draws (and :data:`MAX_PROGRAM_NODES`
 lowered nodes); richer deciders must stay on the reference path.
 
@@ -193,7 +193,7 @@ def majority(count: int, p: float, threshold: Optional[int] = None) -> VoteExpr:
     Mirrors the eager Python tally loop ``sum(tape.bernoulli(p) for _ in
     range(count)) >= threshold``: **all** ``count`` draws are consumed on
     every path, even once the outcome is already decided — which is what
-    keeps the exact mode bit-identical to that reference rule.  The default
+    keeps the engine bit-identical to that reference rule.  The default
     threshold is a strict majority, ``count // 2 + 1``.
     """
     count = int(count)

@@ -32,7 +32,9 @@ that per-trial Python out:
 * :func:`compile_fused_decision` fuses a radius-0, single-coin-per-node
   decider on top of the construction: the decider's vote threshold is
   tabulated per ``(node, output value)`` once, so a whole amplification run
-  (construct → membership → decide) needs no per-trial Python at all.
+  (construct → membership → decide) needs no per-trial Python at all.  A
+  decider that does not fuse runs the whole estimate on the reference loop
+  (counted as ``engine.fallback.declined``, see :mod:`repro.engine.adapters`).
 * :func:`success_stream` and :func:`far_acceptance_stream` are the engine
   forms of the derandomization estimators' success streams: ``draw(count)``
   runs the next ``count`` trials.  Each draw reads its trial window
@@ -259,28 +261,18 @@ def is_construction_compilable(constructor: object) -> bool:
 def resolve_construction_engine(engine: str, constructor: object) -> str:
     """The constructor-side counterpart of
     :func:`repro.engine.adapters.resolve_engine`: maps an ``engine=`` value
-    to ``"off"`` or ``"exact"``.  ``auto`` selects the engine when the
-    constructor is compilable and degrades to the reference path otherwise;
-    explicitly requesting ``exact`` on a non-compilable randomized
-    constructor raises, because silently falling back would misreport what
-    was measured.  Deterministic constructors have no coins to batch, so any
-    (valid) engine value resolves to the reference path."""
-    from repro.engine.adapters import ENGINE_CHOICES
+    to ``"engine"`` or ``"off"``.  ``auto`` selects the engine when the
+    constructor is compilable and falls back to the reference path
+    otherwise, counting ``engine.fallback.no_program``.  Deterministic
+    constructors have no coins to batch, so any (valid) engine value
+    resolves to the reference path."""
+    from repro.engine.adapters import _resolve
 
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}")
-    if engine == "off" or not getattr(constructor, "randomized", False):
-        return "off"
-    compilable = is_construction_compilable(constructor)
-    if engine == "auto":
-        return "exact" if compilable else "off"
-    if not compilable:
-        raise TypeError(
-            f"engine={engine!r} requested but constructor "
-            f"{getattr(constructor, 'name', constructor)!r} exposes no "
-            "output_program(ball) and cannot be compiled"
-        )
-    return "exact"
+    return _resolve(
+        engine,
+        getattr(constructor, "randomized", False),
+        is_construction_compilable(constructor),
+    )
 
 
 @dataclass(frozen=True)
@@ -723,7 +715,7 @@ def compile_fused_decision(
     compilable vote, checks a radius beyond 0 (its ball would then contain
     neighbours' sampled outputs, which the per-value table cannot express),
     or some per-value program needs more than one draw.  Callers fall back
-    to the per-trial decision path, which handles all of those.
+    to the reference loop, which handles all of those.
     """
     if not is_compilable(decider) or int(getattr(decider, "radius", 0)) != 0:
         return None
@@ -914,7 +906,7 @@ def batched_acceptance_and_membership(
     :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
 
     Returns ``(acceptance, membership)`` or ``None`` when decider fusion is
-    unavailable (the caller then keeps the per-trial decision loop).
+    unavailable (the caller then runs the reference loop).
     Computes the reference streams ``TapeFactory(seed,
     construct_salt/decide_salt, trial=t)`` bit for bit.
     """

@@ -732,7 +732,7 @@ def _toy_all_zeros_language() -> PredicateLCL:
 def _toy_faulty_constructor(q: float) -> BallConstructor:
     # The rule and its ``output_program`` are the same single bernoulli(q)
     # draw, which makes the constructor compilable by the construction
-    # engine (exact mode replays the reference coins bit for bit).
+    # engine (which replays the reference coins bit for bit).
     return BallConstructor(
         FunctionBallAlgorithm(
             lambda ball, tape: 1 if tape.bernoulli(q) else 0,
@@ -748,7 +748,7 @@ def _toy_noisy_decider(p: float) -> RandomizedDecider:
     # The rule is written as a single direct Bernoulli (accept a non-zero
     # output with probability 1 − p) so the matching one-coin
     # ``vote_program`` makes the decider compilable by repro.engine, with the
-    # engine's exact mode reproducing the reference coins bit for bit.
+    # engine reproducing the reference coins bit for bit.
     return RandomizedDecider(
         rule=lambda ball, tape: True
         if ball.center_output() == 0

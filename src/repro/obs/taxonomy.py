@@ -176,6 +176,27 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine/fusion.py",
         "matrix/count requests that had to sample or count fresh trials",
     ),
+    Signal(
+        "engine.fallback.no_program",
+        "counter",
+        "engine/adapters.py",
+        "`auto` estimates on the reference loop because a randomized decider "
+        "or constructor has no vote or output program (counted by the resolvers)",
+    ),
+    Signal(
+        "engine.fallback.beyond_ir",
+        "counter",
+        "engine/adapters.py",
+        "`auto` estimates on the reference loop because the engine build "
+        "raised a compile error (a program beyond the IR)",
+    ),
+    Signal(
+        "engine.fallback.declined",
+        "counter",
+        "engine/adapters.py",
+        "`auto` estimates on the reference loop because the engine build "
+        "returned `None` (a decider that does not fuse)",
+    ),
     Signal("cache.hit", "counter", "engine/cache.py", "lookups served from disk"),
     Signal("cache.miss", "counter", "engine/cache.py", "lookups that found nothing"),
     Signal("cache.write", "counter", "engine/cache.py", "entries persisted"),

@@ -66,7 +66,7 @@ class TestRequestResolution:
         # Explicit overrides win over the session context.
         assert session.request("STUB", seed=1).kwargs["seed"] == 1
 
-    @pytest.mark.parametrize("engine", ["warp", "fast", 3])
+    @pytest.mark.parametrize("engine", ["warp", "fast", "exact", 3])
     def test_unknown_engine_rejected_at_construction(self, engine):
         """A spec without the engine capability never sees the session's
         engine, so the value is checked up front, with the per-spec error."""

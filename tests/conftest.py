@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from typing import Dict, Iterator, Mapping
 
 import pytest
 
@@ -34,6 +36,29 @@ from repro.core.lcl import ProperColoring
 from repro.graphs.families import cycle_network, grid_network, path_network, star_network
 from repro.graphs.random_graphs import random_regular_network
 from repro.local.randomness import TapeFactory
+from repro.obs import TraceRecorder, use_recorder
+
+
+def fallback_counters(counters: Mapping[str, int]) -> Dict[str, int]:
+    """The ``engine.fallback.*`` entries of a recorder's counters."""
+    return {name: value for name, value in counters.items() if name.startswith("engine.fallback.")}
+
+
+@contextmanager
+def engine_ran() -> Iterator[TraceRecorder]:
+    """Run the block under a fresh ambient :class:`TraceRecorder` and assert
+    that ``engine="auto"`` never fell back to the reference loop in it.
+
+    An ``auto``-vs-``off`` comparison checks the engine against the
+    reference loop only if ``auto`` really ran the engine; without this
+    check a silent fallback would compare ``off`` with ``off``.  A
+    :class:`~repro.api.Session` installs its own recorder, so pass it the
+    yielded one (``Session(telemetry=recorder)``).
+    """
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        yield recorder
+    assert fallback_counters(recorder.counters) == {}, "auto fell back to the reference loop"
 
 
 @pytest.fixture

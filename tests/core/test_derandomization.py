@@ -13,8 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
 from repro.core.construction import BallConstructor
-from repro.core.decision import LocalCheckerDecider, RandomizedDecider
+from repro.core.decision import (
+    LocalCheckerDecider,
+    ProgramDecider,
+    RandomizedDecider,
+    ResilientDecider,
+)
 from repro.core.derandomization import (
     AmplificationReport,
     DerandomizationParameters,
@@ -29,9 +35,13 @@ from repro.core.derandomization import (
     nu_connected,
     nu_disconnected,
 )
-from repro.core.lcl import PredicateLCL
+from repro.core.lcl import PredicateLCL, ProperColoring
+from repro.engine.compiler import all_of, coin
 from repro.graphs.families import cycle_network
+from repro.harness.experiments import _toy_faulty_constructor, _toy_noisy_decider
 from repro.local.algorithm import FunctionBallAlgorithm
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import fallback_counters
 
 # --------------------------------------------------------------------------- #
 # The toy language, constructor, and decider
@@ -319,4 +329,124 @@ class TestAmplification:
         with pytest.raises(ValueError):
             amplification_disjoint_union(
                 faulty_constructor(), noisy_decider(), ALL_ZEROS, [], beta=0.3, p=0.8
+            )
+
+
+# --------------------------------------------------------------------------- #
+# The engine= contract of the derandomization estimators
+# --------------------------------------------------------------------------- #
+class _BeyondTheIRDecider(ProgramDecider):
+    """A radius-0 decider whose vote needs 80 sequential draws, more than
+    the vote-program IR can express, so it never fuses onto a construction."""
+
+    name = "beyond-the-ir"
+    radius = 0
+
+    def vote_program(self, ball):
+        return all_of(*[coin(0.999)] * 80)
+
+
+def _instances(count, size=6):
+    return [cycle_network(size, id_start=1 + 1000 * i) for i in range(count)]
+
+
+class TestAutoFallbacks:
+    """Under ``auto`` every estimate runs fused on the engine or on the
+    reference loop; the result equals ``engine="off"`` and each fallback is
+    counted with its reason."""
+
+    @staticmethod
+    def _fallbacks_of(estimate):
+        """Run ``estimate(engine)`` on both engines, check they agree, and
+        return the ``engine.fallback.*`` counts of the ``auto`` run."""
+        off = estimate("off")
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = estimate("auto")
+        assert auto == off
+        return fallback_counters(recorder.counters)
+
+    def test_decider_beyond_the_ir_falls_back_in_every_estimator(self):
+        constructor = _toy_faulty_constructor(0.1)
+        decider = _BeyondTheIRDecider()
+        network = cycle_network(6)
+        common = dict(trials=40, seed=3)
+
+        def far(engine):
+            return far_acceptance_probability(
+                constructor, decider, network, network.nodes()[0], 1, engine=engine, **common
+            )
+
+        def anchor(engine):
+            return choose_anchor(constructor, decider, network, 1, engine=engine, **common)
+
+        def disjoint(engine):
+            return amplification_disjoint_union(
+                constructor, decider, ALL_ZEROS, _instances(2), beta=0.1, p=0.8,
+                engine=engine, **common,
+            )
+
+        def glued(engine):
+            return amplification_glued(
+                constructor, decider, ALL_ZEROS, _instances(2), beta=0.1, p=0.8,
+                t=0, t_prime=0, engine=engine, **common,
+            )
+
+        assert self._fallbacks_of(far) == {"engine.fallback.beyond_ir": 1}
+        assert self._fallbacks_of(anchor) == {"engine.fallback.beyond_ir": 1}
+        # The union and each of its two instances: three estimates.
+        assert self._fallbacks_of(disjoint) == {"engine.fallback.beyond_ir": 3}
+        # Two anchor choices, then the glued graph and its two instances.
+        assert self._fallbacks_of(glued) == {"engine.fallback.beyond_ir": 5}
+
+    def test_non_fusing_decider_counts_one_declined_fusion(self):
+        """A radius-1 decider does not fuse onto a compilable constructor:
+        the whole estimate runs on the reference loop, counted once."""
+        constructor = RandomColoringConstructor(3)
+        decider = ResilientDecider(ProperColoring(3), f=1)
+        network = cycle_network(12, ids="consecutive")
+
+        def far(engine):
+            return far_acceptance_probability(
+                constructor, decider, network, network.nodes()[0], 2,
+                trials=60, seed=4, engine=engine,
+            )
+
+        assert self._fallbacks_of(far) == {"engine.fallback.declined": 1}
+
+    def test_constructor_without_program_counts_no_program(self):
+        network = cycle_network(8)
+
+        def far(constructor):
+            return lambda engine: far_acceptance_probability(
+                constructor, noisy_decider(), network, network.nodes()[0], 1,
+                trials=40, seed=5, engine=engine,
+            )
+
+        assert self._fallbacks_of(far(faulty_constructor(0.2))) == {
+            "engine.fallback.no_program": 1
+        }
+        # A deterministic constructor has no coins to batch: not a fallback.
+        assert self._fallbacks_of(far(perfect_constructor())) == {}
+
+    def test_removed_engine_value_raises(self):
+        network = cycle_network(6)
+        with pytest.raises(ValueError):
+            far_acceptance_probability(
+                _toy_faulty_constructor(0.1), noisy_decider(), network, network.nodes()[0],
+                1, trials=10, engine="exact",
+            )
+
+    @pytest.mark.parametrize("engine", ["auto", "off"])
+    def test_amplification_rejects_zero_trials(self, engine):
+        """Every estimator rejects ``trials=0`` with the same message, on
+        both engines (the fused pass and the reference loop alike)."""
+        instances = _instances(2)
+        common = dict(beta=0.1, p=0.8, trials=0, engine=engine)
+        constructor, decider = _toy_faulty_constructor(0.1), _toy_noisy_decider(0.8)
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            amplification_disjoint_union(constructor, decider, ALL_ZEROS, instances, **common)
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            amplification_glued(
+                constructor, decider, ALL_ZEROS, instances, t=0, t_prime=0,
+                anchors=[network.nodes()[0] for network in instances], **common,
             )

@@ -78,7 +78,7 @@ class TestRequestCacheKeyCanonicalization:
         for name, changed in [
             ("n", 61),
             ("seed", 1),
-            ("engine", "exact"),
+            ("engine", "off"),
             ("f_values", [1, 3]),
         ]:
             assert request_cache_key("E5", {**self.PARAMS, name: changed}) != base

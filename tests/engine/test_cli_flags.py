@@ -10,6 +10,7 @@ import pytest
 from repro.cli import DEFAULT_SEED, build_parser, main
 from repro.harness.registry import REGISTRY, ExperimentSpec, ParameterSpec
 from repro.harness.results import ExperimentResult
+from tests.conftest import fallback_counters
 
 
 def run_cli(argv):
@@ -29,9 +30,9 @@ class TestParsing:
         assert args.engine is None
 
     def test_engine_flag_parses_and_validates(self):
-        args = build_parser().parse_args(["run", "E5", "--engine", "exact"])
-        assert args.engine == "exact"
-        for name in ("warp", "fast"):
+        for name in ("auto", "off"):
+            assert build_parser().parse_args(["run", "E5", "--engine", name]).engine == name
+        for name in ("exact", "warp", "fast"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(["run", "E5", "--engine", name])
             assert excinfo.value.code == 2
@@ -112,17 +113,30 @@ class TestRunBehaviour:
     def test_different_engine_misses_cache(self, tmp_path):
         base = ["run", "E5", "--quick", "--cache-dir", str(tmp_path)]
         run_cli(base)
-        code, out = run_cli(base + ["--engine", "exact"])
+        code, out = run_cli(base + ["--engine", "off"])
         assert code == 0
         assert "cached result reused" not in out
 
-    def test_exact_engine_output_matches_reference(self, tmp_path):
-        """--engine exact and --engine off print bit-identical tables (the
-        engine's exactness contract, exercised through the CLI surface)."""
+    def test_auto_engine_output_matches_reference(self, tmp_path):
+        """--engine auto and --engine off print bit-identical tables (the
+        engine's exactness contract, exercised through the CLI surface), and
+        the trace of the auto run records no engine.fallback.* counter, so
+        the engine really ran."""
+        from repro.obs import read_jsonl
+
         base = ["run", "E5", "--quick", "--seed", "5", "--no-cache"]
-        code_a, out_a = run_cli(base + ["--engine", "exact"])
+        trace_path = tmp_path / "trace.jsonl"
+        code_a, out_a = run_cli(base + ["--engine", "auto", "--trace", str(trace_path)])
+        counters = {
+            record["name"]: record["value"]
+            for record in read_jsonl(trace_path)
+            if record["record"] == "counter"
+        }
+        assert counters["engine.chunks"] > 0
+        assert fallback_counters(counters) == {}
         code_b, out_b = run_cli(base + ["--engine", "off"])
         assert code_a == code_b == 0
+        out_a = out_a.split("wrote trace")[0]
         table_a = [line for line in out_a.splitlines() if "engine" not in line]
         table_b = [line for line in out_b.splitlines() if "engine" not in line]
         assert table_a == table_b

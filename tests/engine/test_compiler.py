@@ -17,6 +17,8 @@ from repro.core.languages import SELECTED, Configuration
 from repro.core.lcl import ProperColoring
 from repro.engine.compiler import Coin, coin, compile_decision, const, is_compilable
 from repro.graphs.families import cycle_network
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import fallback_counters
 
 
 def amos_configuration(n, selected_positions):
@@ -53,16 +55,17 @@ class TestIsCompilable:
     def test_vote_probability_alone_is_not_compilable(self):
         """``vote_program`` is the compiler's only entry contract: a decider
         carrying just the retired single-coin ``vote_probability`` attribute
-        stays on the reference path."""
+        stays on the reference path, and ``auto`` counts that fallback as
+        ``engine.fallback.no_program``."""
         configuration = amos_configuration(9, {0, 4})
         decider = RandomizedDecider(
             lambda ball, tape: tape.bernoulli(0.9), radius=0, guarantee=0.9
         )
         decider.vote_probability = lambda ball: 0.9
         assert not is_compilable(decider)
-        with pytest.raises(TypeError):
-            decider.acceptance_probability(configuration, trials=50, seed=3, engine="exact")
-        auto = decider.acceptance_probability(configuration, trials=50, seed=3, engine="auto")
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = decider.acceptance_probability(configuration, trials=50, seed=3, engine="auto")
+        assert fallback_counters(recorder.counters) == {"engine.fallback.no_program": 1}
         off = decider.acceptance_probability(configuration, trials=50, seed=3, engine="off")
         assert auto == off
 

@@ -15,8 +15,9 @@ Coverage for :mod:`repro.engine.construct`:
   ``language.contains`` on every sampled row;
 * decider fusion tabulates radius-0 single-coin deciders and refuses
   multi-draw or positive-radius ones;
-* the ``engine=`` contract: ``auto`` degrades gracefully, ``exact`` on
-  non-compilable constructors raises.
+* the ``engine=`` contract: ``auto`` and ``off`` are the only values, and
+  ``auto`` falls back to the reference loop for a constructor it cannot
+  compile, counting the fallback with its reason (``engine.fallback.*``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from repro.harness.experiments import (
 )
 from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.randomness import TapeFactory
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import engine_ran, fallback_counters
 
 #: Seeds of the exactness checks: distant ones and an adjacent pair.
 SEEDS = (0, 1, 10_000)
@@ -135,7 +138,7 @@ class TestExactBitIdentity:
             assert compiled.decode_row(codes[trial]) == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_estimate_success_probability_exact_equals_off(self, seed):
+    def test_estimate_success_probability_auto_equals_off(self, seed):
         network = cycle_network(21, ids="consecutive")
         constructor = RandomColoringConstructor(3)
         for language in (
@@ -146,13 +149,14 @@ class TestExactBitIdentity:
             off = estimate_success_probability(
                 constructor, language, [network], trials=60, seed=seed, engine="off"
             )
-            exact = estimate_success_probability(
-                constructor, language, [network], trials=60, seed=seed, engine="exact"
-            )
-            assert off.per_instance == exact.per_instance
+            with engine_ran():
+                auto = estimate_success_probability(
+                    constructor, language, [network], trials=60, seed=seed, engine="auto"
+                )
+            assert off.per_instance == auto.per_instance
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_far_acceptance_exact_equals_off(self, seed):
+    def test_far_acceptance_auto_equals_off(self, seed):
         network = cycle_network(14)
         constructor = _toy_faulty_constructor(0.3)
         decider = _toy_noisy_decider(0.8)
@@ -160,10 +164,11 @@ class TestExactBitIdentity:
         off = far_acceptance_probability(
             constructor, decider, network, node, 1, trials=80, seed=seed, engine="off"
         )
-        exact = far_acceptance_probability(
-            constructor, decider, network, node, 1, trials=80, seed=seed, engine="exact"
-        )
-        assert off == exact
+        with engine_ran():
+            auto = far_acceptance_probability(
+                constructor, decider, network, node, 1, trials=80, seed=seed, engine="auto"
+            )
+        assert off == auto
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_choose_anchor_shares_one_matrix_bit_identically(self, seed):
@@ -175,10 +180,11 @@ class TestExactBitIdentity:
         off = choose_anchor(
             constructor, decider, network, 0, trials=50, seed=seed, engine="off"
         )
-        exact = choose_anchor(
-            constructor, decider, network, 0, trials=50, seed=seed, engine="exact"
-        )
-        assert off == exact
+        with engine_ran():
+            auto = choose_anchor(
+                constructor, decider, network, 0, trials=50, seed=seed, engine="auto"
+            )
+        assert off == auto
 
 
 # --------------------------------------------------------------------------- #
@@ -250,15 +256,16 @@ class TestDistributionAndChunking:
         network = cycle_network(n)
         from repro.core.derandomization import _estimate_acceptance_and_membership
 
-        acceptance, membership = _estimate_acceptance_and_membership(
-            _toy_faulty_constructor(q),
-            _toy_noisy_decider(p),
-            _toy_all_zeros_language(),
-            network,
-            6_000,
-            seed=4,
-            engine="exact",
-        )
+        with engine_ran():
+            acceptance, membership = _estimate_acceptance_and_membership(
+                _toy_faulty_constructor(q),
+                _toy_noisy_decider(p),
+                _toy_all_zeros_language(),
+                network,
+                6_000,
+                seed=4,
+                engine="auto",
+            )
         closed_acceptance = ((1 - q) + q * (1 - p)) ** n
         closed_membership = (1 - q) ** n
         assert abs(acceptance - closed_acceptance) < 0.02
@@ -309,7 +316,9 @@ class TestMembershipLowering:
     def test_inexpressible_language_returns_none_and_falls_back(self):
         """A radius-1 LCL outside the lowered shapes (not-all-equal) has no
         array form; the batched estimators still work through the decoded
-        per-trial fallback and stay bit-identical in exact mode."""
+        per-trial membership and stay bit-identical to ``off``.  Decoding is
+        an engine sub-path, not a reference fallback, so nothing is
+        counted."""
         network = cycle_network(9)
         constructor = _toy_faulty_constructor(0.5)
         compiled = compile_construction(constructor, network)
@@ -319,11 +328,12 @@ class TestMembershipLowering:
                 constructor, NotAllEqualLLL(), [network], trials=40, seed=seed,
                 engine="off",
             )
-            exact = estimate_success_probability(
-                constructor, NotAllEqualLLL(), [network], trials=40, seed=seed,
-                engine="exact",
-            )
-            assert off.per_instance == exact.per_instance
+            with engine_ran():
+                auto = estimate_success_probability(
+                    constructor, NotAllEqualLLL(), [network], trials=40, seed=seed,
+                    engine="auto",
+                )
+            assert off.per_instance == auto.per_instance
 
 
 # --------------------------------------------------------------------------- #
@@ -372,82 +382,113 @@ class TestFusedDecision:
 # The engine= contract
 # --------------------------------------------------------------------------- #
 class TestEngineContract:
+    @staticmethod
+    def _plain():
+        """A randomized constructor without an ``output_program``."""
+        return BallConstructor(
+            FunctionBallAlgorithm(
+                lambda ball, tape: tape.bit(), radius=0, randomized=True, name="plain"
+            )
+        )
+
     def test_compilability_probe(self):
         assert is_construction_compilable(RandomColoringConstructor(3))
         assert is_construction_compilable(_toy_faulty_constructor(0.1))
-        plain = BallConstructor(
-            FunctionBallAlgorithm(
-                lambda ball, tape: tape.bit(), radius=0, randomized=True, name="plain"
-            )
-        )
-        assert not is_construction_compilable(plain)
+        assert not is_construction_compilable(self._plain())
 
-    def test_auto_degrades_and_explicit_raises(self):
-        plain = BallConstructor(
-            FunctionBallAlgorithm(
-                lambda ball, tape: tape.bit(), radius=0, randomized=True, name="plain"
-            )
-        )
-        assert resolve_construction_engine("auto", plain) == "off"
-        with pytest.raises(TypeError):
-            resolve_construction_engine("exact", plain)
-        for removed in ("warp", "fast"):
+    def test_auto_counts_no_program_and_removed_values_raise(self):
+        plain = self._plain()
+        with use_recorder(TraceRecorder()) as recorder:
+            assert resolve_construction_engine("auto", plain) == "off"
+        assert fallback_counters(recorder.counters) == {"engine.fallback.no_program": 1}
+        assert resolve_construction_engine("off", plain) == "off"
+        assert resolve_construction_engine("auto", RandomColoringConstructor(3)) == "engine"
+        for removed in ("exact", "warp", "fast"):
             with pytest.raises(ValueError):
                 resolve_construction_engine(removed, plain)
         network = cycle_network(6)
         language = _toy_all_zeros_language()
-        # auto on a non-compilable constructor: reference loop, no error.
-        estimate = estimate_success_probability(
-            plain, language, [network], trials=10, seed=0, engine="auto"
+        off = estimate_success_probability(
+            plain, language, [network], trials=10, seed=0, engine="off"
         )
-        assert 0.0 <= estimate.success_probability <= 1.0
-        with pytest.raises(TypeError):
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = estimate_success_probability(
+                plain, language, [network], trials=10, seed=0, engine="auto"
+            )
+        assert auto.per_instance == off.per_instance
+        assert fallback_counters(recorder.counters) == {"engine.fallback.no_program": 1}
+        with pytest.raises(ValueError):
             estimate_success_probability(
                 plain, language, [network], trials=10, seed=0, engine="exact"
             )
 
-    def test_find_hard_instances_is_strict_without_a_decider_side(self):
-        """find_hard_instances has no decider side, so an explicit engine
-        request on a non-compilable constructor must raise, not silently
-        measure the reference loop."""
+    def test_find_hard_instances_counts_no_program(self):
+        """find_hard_instances has no decider side: a non-compilable
+        constructor runs the reference loop under ``auto``, and the fallback
+        is counted rather than silent."""
         from repro.core.derandomization import find_hard_instances
 
-        plain = BallConstructor(
+        plain = self._plain()
+        language = _toy_all_zeros_language()
+        kwargs = dict(beta=0.1, count=1, trials=10, seed=0)
+        off = find_hard_instances(plain, language, [cycle_network(6)], engine="off", **kwargs)
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = find_hard_instances(
+                plain, language, [cycle_network(6)], engine="auto", **kwargs
+            )
+        # The instance is genuinely hard on both paths, at the same rate.
+        assert [h.estimated_failure for h in auto] == [h.estimated_failure for h in off]
+        assert len(auto) == 1
+        assert fallback_counters(recorder.counters) == {"engine.fallback.no_program": 1}
+        with pytest.raises(ValueError):
+            find_hard_instances(plain, language, [cycle_network(6)], engine="exact", **kwargs)
+
+    def test_construction_beyond_ir_falls_back_and_counts(self):
+        """An output program the construction engine cannot express (an
+        unhashable output) runs the reference loop under ``auto``, counted
+        as ``engine.fallback.beyond_ir``."""
+        constructor = BallConstructor(
             FunctionBallAlgorithm(
-                lambda ball, tape: tape.bit(), radius=0, randomized=True, name="plain"
+                lambda ball, tape: [1] if tape.bernoulli(0.3) else 0,
+                radius=0,
+                randomized=True,
+                name="unhashable-one",
+                output_program=lambda ball: bernoulli_output(0.3, [1], 0),
             )
         )
         language = _toy_all_zeros_language()
-        with pytest.raises(TypeError):
-            find_hard_instances(
-                plain, language, [cycle_network(6)], beta=0.1, count=1,
-                trials=10, seed=0, engine="exact",
-            )
-        # auto still degrades gracefully (the instance is genuinely hard).
-        found = find_hard_instances(
-            plain, language, [cycle_network(6)], beta=0.1, count=1,
-            trials=10, seed=0, engine="auto",
+        networks = [cycle_network(4), cycle_network(5)]
+        off = estimate_success_probability(
+            constructor, language, networks, trials=20, seed=1, engine="off"
         )
-        assert len(found) == 1
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = estimate_success_probability(
+                constructor, language, networks, trials=20, seed=1, engine="auto"
+            )
+        assert auto.per_instance == off.per_instance
+        assert 0.0 < off.per_instance[0][0] < 1.0
+        assert fallback_counters(recorder.counters) == {"engine.fallback.beyond_ir": 2}
 
     def test_deterministic_constructor_validates_engine_name_only(self):
-        """A deterministic constructor has no coins to batch: any valid
-        engine value runs the single reference pass, but a bogus name still
-        raises."""
+        """A deterministic constructor has no coins to batch: ``auto`` and
+        ``off`` run the single reference pass without counting a fallback,
+        and any other name raises."""
         deterministic = BallConstructor(
             FunctionBallAlgorithm(lambda ball: 0, radius=0, name="zeros")
         )
         network = cycle_network(6)
         language = _toy_all_zeros_language()
-        for engine in ("auto", "exact", "off"):
-            estimate = estimate_success_probability(
-                deterministic, language, [network], trials=10, seed=0, engine=engine
-            )
+        for engine in ("auto", "off"):
+            with engine_ran():
+                estimate = estimate_success_probability(
+                    deterministic, language, [network], trials=10, seed=0, engine=engine
+                )
             assert estimate.success_probability == 1.0
-        with pytest.raises(ValueError):
-            estimate_success_probability(
-                deterministic, language, [network], trials=10, seed=0, engine="bogus"
-            )
+        for name in ("bogus", "exact"):
+            with pytest.raises(ValueError):
+                estimate_success_probability(
+                    deterministic, language, [network], trials=10, seed=0, engine=name
+                )
 
     def test_coloring_counter_is_chunk_invariant_under_tiny_budgets(self, monkeypatch):
         network = cycle_network(15, ids="consecutive")

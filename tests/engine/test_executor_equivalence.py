@@ -25,6 +25,8 @@ from repro.engine.compiler import compile_decision
 from repro.engine.executor import accept_vector, exact_single_trial_votes, vote_matrix
 from repro.graphs.families import cycle_network
 from repro.local.randomness import TapeFactory
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import engine_ran, fallback_counters
 
 
 def amos_configuration(n, selected_positions):
@@ -81,13 +83,11 @@ class TestExactModeBitIdentity:
         decider, configuration = CASES[0][1], CASES[0][2]
         for seed in (0, 5):
             off = decider.acceptance_probability(configuration, trials=80, seed=seed, engine="off")
-            auto = decider.acceptance_probability(
-                configuration, trials=80, seed=seed, engine="auto"
-            )
-            exact = decider.acceptance_probability(
-                configuration, trials=80, seed=seed, engine="exact"
-            )
-            assert off == auto == exact
+            with engine_ran():
+                auto = decider.acceptance_probability(
+                    configuration, trials=80, seed=seed, engine="auto"
+                )
+            assert off == auto
 
     def test_estimate_guarantee_engine_auto_equals_off(self):
         one = amos_configuration(15, {0})
@@ -186,17 +186,57 @@ class TestDistribution:
 
 
 class TestEngineParameterValidation:
-    @pytest.mark.parametrize("engine", ["warp", "fast"])
+    def test_resolve_engine_maps_auto_and_off_only(self):
+        from repro.engine.adapters import ENGINE_CHOICES, resolve_engine
+
+        assert ENGINE_CHOICES == ("auto", "off")
+        decider = CASES[0][1]
+        assert resolve_engine("auto", decider) == "engine"
+        assert resolve_engine("off", decider) == "off"
+        for removed in ("exact", "fast"):
+            with pytest.raises(ValueError):
+                resolve_engine(removed, decider)
+
+    @pytest.mark.parametrize("engine", ["warp", "fast", "exact"])
     def test_unknown_engine_value_rejected(self, engine):
         decider, configuration = CASES[0][1], CASES[0][2]
         with pytest.raises(ValueError):
             decider.acceptance_probability(configuration, trials=10, engine=engine)
 
-    def test_explicit_engine_on_non_compilable_decider_raises(self, proper_three_coloring):
+    def test_non_compilable_decider_counts_no_program(self, proper_three_coloring):
+        """A randomized decider without a vote program runs the reference
+        loop under ``auto``, counted once per estimate as
+        ``engine.fallback.no_program``."""
         from repro.core.decision import RandomizedDecider
 
         decider = RandomizedDecider(lambda ball, tape: True, radius=0, guarantee=0.9)
-        with pytest.raises(TypeError):
-            decider.acceptance_probability(proper_three_coloring, trials=10, engine="exact")
-        # "auto" falls back to the reference loop instead.
-        assert decider.acceptance_probability(proper_three_coloring, trials=10) == 1.0
+        with use_recorder(TraceRecorder()) as recorder:
+            assert decider.acceptance_probability(proper_three_coloring, trials=10) == 1.0
+            estimate_guarantee(
+                decider, ProperColoring(3), [proper_three_coloring] * 3, trials=10
+            )
+        assert fallback_counters(recorder.counters) == {"engine.fallback.no_program": 2}
+
+    @pytest.mark.parametrize("engine", ["bogus", "exact"])
+    def test_deterministic_decider_validates_engine(self, engine, proper_three_coloring):
+        """A deterministic decider has no coins to batch, but an engine
+        value outside ``auto``/``off`` still raises before it runs."""
+        decider = LocalCheckerDecider(ProperColoring(3))
+        with pytest.raises(ValueError):
+            decider.acceptance_probability(proper_three_coloring, engine=engine)
+        with pytest.raises(ValueError):
+            decider.acceptance_estimate(proper_three_coloring, engine=engine)
+        with pytest.raises(ValueError):
+            estimate_guarantee(
+                decider, ProperColoring(3), [proper_three_coloring], engine=engine
+            )
+
+    def test_deterministic_decider_is_not_a_fallback(self, proper_three_coloring):
+        decider = LocalCheckerDecider(ProperColoring(3))
+        for engine in ("auto", "off"):
+            with engine_ran():
+                assert decider.acceptance_probability(proper_three_coloring, engine=engine) == 1.0
+                guarantee = estimate_guarantee(
+                    decider, ProperColoring(3), [proper_three_coloring], engine=engine
+                )
+            assert guarantee.per_configuration[0][1] == 1.0

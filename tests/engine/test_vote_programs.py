@@ -6,8 +6,9 @@ The satellite coverage for the vote-program compiler path:
   reference loop under a fixed seed;
 * engine estimates match the closed-form acceptance within Monte-Carlo
   tolerance, and the stream is independent of the chunking;
-* a decider whose draw counts exceed what the IR can express raises a clear
-  error under ``engine="exact"`` instead of misreporting.
+* a decider whose draw counts exceed what the IR can express fails to
+  compile with a clear error, and ``engine="auto"`` then runs the reference
+  loop and counts ``engine.fallback.beyond_ir`` instead of misreporting.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.decision import (
 from repro.core.languages import SELECTED, Amos, Configuration
 from repro.core.lcl import ProperColoring
 from repro.engine.adapters import engine_or_reference
+from repro.engine.construct import ConstructionCompilationError
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
     ProgramCompilationError,
@@ -47,6 +49,8 @@ from repro.engine import executor
 from repro.engine.executor import accept_vector, vote_matrix
 from repro.graphs.families import cycle_network
 from repro.local.randomness import RandomTape, TapeFactory
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import engine_ran, fallback_counters
 
 
 def broken_coloring(n, conflicts):
@@ -206,11 +210,11 @@ class TestMultiDrawDeciders:
     @pytest.mark.parametrize(
         "label,decider,configuration", MULTI_DRAW_CASES, ids=[c[0] for c in MULTI_DRAW_CASES]
     )
-    def test_acceptance_probability_exact_equals_off(self, label, decider, configuration):
+    def test_acceptance_probability_auto_equals_off(self, label, decider, configuration):
         off = decider.acceptance_probability(configuration, trials=80, seed=5, engine="off")
-        exact = decider.acceptance_probability(configuration, trials=80, seed=5, engine="exact")
-        auto = decider.acceptance_probability(configuration, trials=80, seed=5, engine="auto")
-        assert off == exact == auto
+        with engine_ran():
+            auto = decider.acceptance_probability(configuration, trials=80, seed=5, engine="auto")
+        assert off == auto
 
     @pytest.mark.parametrize(
         "label,decider,configuration", MULTI_DRAW_CASES, ids=[c[0] for c in MULTI_DRAW_CASES]
@@ -300,20 +304,28 @@ class TestChunkedExecution:
 
 
 class TestInexpressibleDeciders:
-    def test_engine_exact_raises_clear_error(self):
+    def test_compile_error_is_clear_and_auto_counts_it(self):
         decider = _TooManyDrawsDecider()
         configuration = amos_configuration(9, {0})
         with pytest.raises(ProgramCompilationError) as excinfo:
-            decider.acceptance_probability(configuration, trials=10, engine="exact")
+            compile_decision(decider, configuration)
         message = str(excinfo.value)
         assert "sequential draws" in message and 'engine="off"' in message
         assert decider.name in message
+        off = decider.acceptance_probability(configuration, trials=10, engine="off")
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = decider.acceptance_probability(configuration, trials=10, engine="auto")
+        assert auto == off
+        assert fallback_counters(recorder.counters) == {"engine.fallback.beyond_ir": 1}
 
-    def test_engine_exact_raises_in_estimate_guarantee_too(self):
+    def test_estimate_guarantee_counts_one_fallback_per_configuration(self):
         decider = _TooManyDrawsDecider()
-        configuration = amos_configuration(9, {0})
-        with pytest.raises(ProgramCompilationError):
-            estimate_guarantee(decider, Amos(), [configuration], trials=10, engine="exact")
+        configurations = [amos_configuration(9, {0}), amos_configuration(9, {0, 4})]
+        off = estimate_guarantee(decider, Amos(), configurations, trials=10, engine="off")
+        with use_recorder(TraceRecorder()) as recorder:
+            auto = estimate_guarantee(decider, Amos(), configurations, trials=10, engine="auto")
+        assert auto.per_configuration == off.per_configuration
+        assert fallback_counters(recorder.counters) == {"engine.fallback.beyond_ir": 2}
 
     def test_reference_path_still_works(self):
         """engine="off" keeps running deciders the IR cannot express."""
@@ -330,37 +342,48 @@ class TestInexpressibleDeciders:
 
 
 class TestEngineOrReference:
-    """The one engine/reference dispatch of the estimators."""
+    """The one engine/reference dispatch of the estimators, and the
+    ``engine.fallback.*`` counts it records."""
 
     @staticmethod
-    def _beyond_the_ir():
-        raise ProgramCompilationError("beyond the IR")
+    def _dispatch(path, build_engine):
+        with use_recorder(TraceRecorder()) as recorder:
+            built = engine_or_reference(path, build_engine, lambda: "ref")
+        return built, fallback_counters(recorder.counters)
 
     def test_off_path_never_builds_from_the_engine(self):
         def engine():
             raise AssertionError("the engine must not run on the off path")
 
-        assert engine_or_reference("off", "off", engine, lambda: "ref", ValueError) == "ref"
+        assert self._dispatch("off", engine) == ("ref", {})
 
-    @pytest.mark.parametrize("engine", ["auto", "exact"])
-    def test_engine_result_is_used_and_a_declined_engine_falls_back(self, engine):
-        def dispatch(build_engine):
-            return engine_or_reference(engine, "exact", build_engine, lambda: "ref", ValueError)
+    def test_engine_result_is_used_uncounted(self):
+        assert self._dispatch("engine", lambda: "eng") == ("eng", {})
 
-        assert dispatch(lambda: "eng") == "eng"
-        assert dispatch(lambda: None) == "ref"
+    def test_declined_engine_falls_back_and_counts_declined(self):
+        assert self._dispatch("engine", lambda: None) == (
+            "ref",
+            {"engine.fallback.declined": 1},
+        )
 
-    def test_error_falls_back_under_auto_and_raises_under_exact(self):
-        error = ProgramCompilationError
-        assert engine_or_reference(
-            "auto", "exact", self._beyond_the_ir, lambda: "ref", error
-        ) == "ref"
-        with pytest.raises(ProgramCompilationError):
-            engine_or_reference("exact", "exact", self._beyond_the_ir, lambda: "ref", error)
+    @pytest.mark.parametrize("error", [ProgramCompilationError, ConstructionCompilationError])
+    def test_compile_errors_fall_back_and_count_beyond_ir(self, error):
+        def beyond_the_ir():
+            raise error("beyond the IR")
 
-    def test_other_errors_propagate_under_auto(self):
-        with pytest.raises(ProgramCompilationError):
-            engine_or_reference("auto", "exact", self._beyond_the_ir, lambda: "ref", KeyError)
+        assert self._dispatch("engine", beyond_the_ir) == (
+            "ref",
+            {"engine.fallback.beyond_ir": 1},
+        )
+
+    def test_other_errors_propagate_uncounted(self):
+        def broken():
+            raise KeyError("not a compile error")
+
+        with use_recorder(TraceRecorder()) as recorder:
+            with pytest.raises(KeyError):
+                engine_or_reference("engine", broken, lambda: "ref")
+        assert fallback_counters(recorder.counters) == {}
 
     def test_auto_falls_back_for_an_inexpressible_decider(self):
         """Under ``auto`` a vote program beyond the IR runs the reference

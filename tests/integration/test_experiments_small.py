@@ -26,6 +26,7 @@ from repro.harness.experiments import (
     experiment_e10_baselines,
 )
 from repro.harness.reporting import render_experiment
+from tests.conftest import engine_ran
 
 
 class TestExperimentRegistry:
@@ -72,14 +73,15 @@ class TestE2EpsSlack:
         )
         assert result.matches_paper
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         kwargs = dict(
             sizes=(30, 60), eps_values=(0.7,), trials=40, decider_trials=120, seed=11
         )
         off = experiment_e2_eps_slack_random_coloring(engine="off", **kwargs)
-        exact = experiment_e2_eps_slack_random_coloring(engine="exact", **kwargs)
-        assert off.rows == exact.rows
-        assert off.matches_paper == exact.matches_paper
+        with engine_ran():
+            auto = experiment_e2_eps_slack_random_coloring(engine="auto", **kwargs)
+        assert off.rows == auto.rows
+        assert off.matches_paper == auto.matches_paper
 
     @pytest.mark.parametrize(
         "no_accepts, no_theory, green",
@@ -144,12 +146,13 @@ class TestE3ResilientLowerBound:
             for f in (1, 2):
                 assert row[f"decider_acceptance_f_{f}"] < 0.5
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         kwargs = dict(n=15, radii=(0, 1), f_values=(1, 2), trials=150, seed=12)
         off = experiment_e3_resilient_lower_bound(engine="off", **kwargs)
-        exact = experiment_e3_resilient_lower_bound(engine="exact", **kwargs)
-        assert off.rows == exact.rows
-        assert off.matches_paper == exact.matches_paper
+        with engine_ran():
+            auto = experiment_e3_resilient_lower_bound(engine="auto", **kwargs)
+        assert off.rows == auto.rows
+        assert off.matches_paper == auto.matches_paper
 
 
 class TestE4LogStar:
@@ -181,15 +184,16 @@ class TestE6Amplification:
         # The final row applies Eq. (3) and must push membership below r = 0.5.
         assert result.rows[-1]["union_membership"] < 0.5
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         for seed in (14, 10_014):
             kwargs = dict(
                 q=0.08, p=0.8, instance_size=8, nu_values=(1, 3), trials=60, seed=seed
             )
             off = experiment_e6_error_amplification(engine="off", **kwargs)
-            exact = experiment_e6_error_amplification(engine="exact", **kwargs)
-            assert off.rows == exact.rows
-            assert off.matches_paper == exact.matches_paper
+            with engine_ran():
+                auto = experiment_e6_error_amplification(engine="auto", **kwargs)
+            assert off.rows == auto.rows
+            assert off.matches_paper == auto.matches_paper
 
 
 class TestE7Separations:
@@ -205,12 +209,13 @@ class TestE7Separations:
         amplified = [row for row in result.rows if "amplified" in row["language"]]
         assert len(amplified) == 1 and amplified[0]["decidable_in_O1"] is False
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         kwargs = dict(n=15, deterministic_radius=1, trials=200, seed=13)
         off = experiment_e7_separations(engine="off", **kwargs)
-        exact = experiment_e7_separations(engine="exact", **kwargs)
-        assert off.rows == exact.rows
-        assert off.matches_paper == exact.matches_paper
+        with engine_ran():
+            auto = experiment_e7_separations(engine="auto", **kwargs)
+        assert off.rows == auto.rows
+        assert off.matches_paper == auto.matches_paper
 
 
 class TestE8SlackVsResilient:
@@ -224,13 +229,14 @@ class TestE8SlackVsResilient:
         assert all(row["success_probability"] > 0.5 for row in slack_rows)
         assert all(not row["solvable_in_O1"] for row in resilient_rows)
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         for seed in (15, 10_015):
             kwargs = dict(n=15, eps=0.75, f_values=(1, 2), trials=60, seed=seed)
             off = experiment_e8_slack_vs_resilient(engine="off", **kwargs)
-            exact = experiment_e8_slack_vs_resilient(engine="exact", **kwargs)
-            assert off.rows == exact.rows
-            assert off.matches_paper == exact.matches_paper
+            with engine_ran():
+                auto = experiment_e8_slack_vs_resilient(engine="auto", **kwargs)
+            assert off.rows == auto.rows
+            assert off.matches_paper == auto.matches_paper
 
 
 class TestE9FarAcceptance:
@@ -239,13 +245,14 @@ class TestE9FarAcceptance:
         assert result.matches_paper
         assert all(0.0 <= row["far_acceptance"] <= 1.0 for row in result.rows)
 
-    def test_exact_engine_is_bit_identical_to_off(self):
+    def test_auto_engine_is_bit_identical_to_off(self):
         for seed in (16, 10_016):
             kwargs = dict(q=0.3, p=0.8, instance_size=10, trials=80, seed=seed)
             off = experiment_e9_far_acceptance(engine="off", **kwargs)
-            exact = experiment_e9_far_acceptance(engine="exact", **kwargs)
-            assert off.rows == exact.rows
-            assert off.matches_paper == exact.matches_paper
+            with engine_ran():
+                auto = experiment_e9_far_acceptance(engine="auto", **kwargs)
+            assert off.rows == auto.rows
+            assert off.matches_paper == auto.matches_paper
 
 
 class TestE10Baselines:
@@ -273,14 +280,13 @@ ENGINE_TOYS = {
 @pytest.mark.parametrize("experiment_id", list(ENGINE_TOYS))
 def test_engine_is_bit_identical_to_off_at_adjacent_and_distant_seeds(experiment_id, seed):
     """The engine computes the reference tape streams themselves, so
-    ``auto``/``exact`` reproduce ``off`` at every seed, adjacent ones
-    included."""
+    ``auto`` reproduces ``off`` at every seed, adjacent ones included."""
     kwargs = dict(ENGINE_TOYS[experiment_id], seed=seed)
     off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
-    for engine in ("auto", "exact"):
-        run = ALL_EXPERIMENTS[experiment_id](engine=engine, **kwargs)
-        assert run.rows == off.rows
-        assert run.matches_paper == off.matches_paper
+    with engine_ran():
+        run = ALL_EXPERIMENTS[experiment_id](engine="auto", **kwargs)
+    assert run.rows == off.rows
+    assert run.matches_paper == off.matches_paper
 
 
 #: E1 and E5 under a precision target: every row reads the adaptive stream.
@@ -303,16 +309,26 @@ def test_precision_rows_are_bit_identical_to_off(experiment_id, seed):
     row to the target instead."""
     kwargs = dict(PRECISION_TOYS[experiment_id], seed=seed)
     off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
-    for engine in ("auto", "exact"):
-        run = ALL_EXPERIMENTS[experiment_id](engine=engine, **kwargs)
-        assert len(run.rows) == len(off.rows)
-        exact_rows = 0
-        for row, reference in zip(run.rows, off.rows):
-            if row["trials_used"] == 1:
-                exact_rows += 1
-                assert row["acceptance"] == reference["acceptance"] == 1.0
-                assert row["ci_low"] == row["ci_high"] == 1.0
-                assert reference["trials_used"] >= 100  # the target's min_trials
-            else:
-                assert row == reference
-        assert exact_rows == 2
+    with engine_ran():
+        run = ALL_EXPERIMENTS[experiment_id](engine="auto", **kwargs)
+    assert len(run.rows) == len(off.rows)
+    exact_rows = 0
+    for row, reference in zip(run.rows, off.rows):
+        if row["trials_used"] == 1:
+            exact_rows += 1
+            assert row["acceptance"] == reference["acceptance"] == 1.0
+            assert row["ci_low"] == row["ci_high"] == 1.0
+            assert reference["trials_used"] >= 100  # the target's min_trials
+        else:
+            assert row == reference
+    assert exact_rows == 2
+
+
+def test_quick_run_all_never_falls_back():
+    """Every Monte-Carlo stage of the quick preset runs on the engine under
+    the default ``auto``: no ``engine.fallback.*`` counter is recorded."""
+    from repro.api import Session
+
+    with engine_ran() as recorder:
+        reports = Session(cache=None, telemetry=recorder).run_all(preset="quick")
+    assert len(reports) == len(ALL_EXPERIMENTS)

@@ -33,6 +33,7 @@ from repro.graphs.families import (  # noqa: E402
     star_network,
 )
 from repro.graphs.random_graphs import random_regular_network  # noqa: E402
+from tests.conftest import engine_ran  # noqa: E402
 
 #: The master seeds of the differential contract: distant and adjacent.
 SEEDS = (0, 1, 10_000)
@@ -96,10 +97,11 @@ class TestExactModeIsBitIdenticalToReference:
             reference = decider.acceptance_probability(
                 configuration, trials=40, seed=seed, engine="off"
             )
-            exact = decider.acceptance_probability(
-                configuration, trials=40, seed=seed, engine="exact"
-            )
-            assert exact == reference
+            with engine_ran():
+                auto = decider.acceptance_probability(
+                    configuration, trials=40, seed=seed, engine="auto"
+                )
+            assert auto == reference
 
     @given(network=networks, table=probability_tables)
     @settings(max_examples=20, deadline=None)
@@ -111,10 +113,11 @@ class TestExactModeIsBitIdenticalToReference:
             reference = estimate_guarantee(
                 decider, language, [configuration], trials=25, seed=seed, engine="off"
             )
-            exact = estimate_guarantee(
-                decider, language, [configuration], trials=25, seed=seed, engine="exact"
-            )
-            assert exact.per_configuration == reference.per_configuration
+            with engine_ran():
+                auto = estimate_guarantee(
+                    decider, language, [configuration], trials=25, seed=seed, engine="auto"
+                )
+            assert auto.per_configuration == reference.per_configuration
 
     @given(network=networks, table=probability_tables, seed=st.sampled_from(SEEDS))
     @settings(max_examples=20, deadline=None)

@@ -172,6 +172,35 @@ class TestErrorMapping:
             assert status == 200
             assert sum(metrics["jobs"].values()) == 0
 
+    def test_removed_engine_value_is_rejected_at_submit(self, tmp_path):
+        """``engine="exact"`` is gone: a submit naming it fails parameter
+        validation with a 400, and no job is queued."""
+        from repro.api.wire import WIRE_SCHEMA
+
+        with ServiceThread(port=0, cache=tmp_path / "cache") as service:
+            request = urllib.request.Request(
+                f"{service.url}/v1/jobs",
+                data=json.dumps(
+                    {
+                        "schema": WIRE_SCHEMA,
+                        "kind": "run_request",
+                        "experiment_id": "E5",
+                        "parameters": {"f_values": [1], "n": 24, "engine": "exact"},
+                        "preset": "quick",
+                    }
+                ).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=10)
+            assert info.value.code == 400
+            body = json.loads(info.value.read().decode("utf8"))
+            assert body["error"] == "parameter_value"
+            assert "'exact'" in body["message"]
+            status, metrics = _get(f"{service.url}/v1/metrics")
+            assert status == 200
+            assert sum(metrics["jobs"].values()) == 0
+
     def test_result_before_terminal_is_409(self, gate, tmp_path):
         registry = ExperimentRegistry([gate.spec()])
         with ServiceThread(port=0, registry=registry, cache=tmp_path / "cache") as service:

@@ -460,16 +460,18 @@ class TestJournalReplay:
         assert "exploded" in job.error["message"]
         assert job.error_status == 500
 
-    def test_removed_engine_value_replays_to_a_typed_failure(self, tmp_path):
+    @pytest.mark.parametrize("removed", ["fast", "exact"])
+    def test_removed_engine_value_replays_to_a_typed_failure(self, tmp_path, removed):
         """A journal written by an older server may hold a submit whose engine
-        value no longer exists (``engine="fast"``).  Replay must not crash:
-        the job re-runs and fails with the registry's typed 400 error."""
+        value no longer exists (``engine="fast"`` or ``"exact"``).  Replay
+        must not crash: the job re-runs and fails with the registry's typed
+        400 error."""
         from repro.api.session import PRESET_QUICK, RunRequest
         from repro.api.wire import encode_request
         from repro.harness.registry import REGISTRY
 
         parameters = REGISTRY["E1"].resolve(preset=PRESET_QUICK)
-        parameters["engine"] = "fast"
+        parameters["engine"] = removed
         request = RunRequest.create("E1", parameters, preset=PRESET_QUICK)
         journal = JobJournal(tmp_path / "journal")
         journal.append(
@@ -489,7 +491,7 @@ class TestJournalReplay:
         assert requeued == 1
         assert job.state == JobState.FAILED
         assert job.error["error"] == "parameter_value"
-        assert "'fast'" in job.error["message"]
+        assert repr(removed) in job.error["message"]
         assert job.error_status == 400
 
     def test_replay_compacts_the_journal(self, registry, tmp_path, req):

@@ -47,6 +47,8 @@ from repro.stats import (
     sequential_estimate,
     wilson_interval,
 )
+from repro.obs import TraceRecorder, use_recorder
+from tests.conftest import engine_ran, fallback_counters
 
 
 def _config(n=30, bad=6):
@@ -322,8 +324,8 @@ class TestDeciderPrecisionThreading:
 
     def test_reference_path_adaptive_matches_engine(self):
         """A decider without a compilable vote runs the reference adaptive
-        loop; with one, the engine's exact mode replays the same coins — the
-        estimates must agree at the realized trial count."""
+        loop; with one, the engine replays the same coins — the estimates
+        must agree at the realized trial count."""
         base = ProperColoring(3)
         configuration = _config()
         compilable = ResilientDecider(base, f=2)
@@ -338,9 +340,10 @@ class TestDeciderPrecisionThreading:
             name=compilable.name,  # same name => same tape salts
         )
         target = PrecisionTarget(half_width=0.05, min_trials=100, max_trials=2_000)
-        engine_estimate = compilable.acceptance_estimate(
-            configuration, seed=4, precision=target, engine="exact"
-        )
+        with engine_ran():
+            engine_estimate = compilable.acceptance_estimate(
+                configuration, seed=4, precision=target, engine="auto"
+            )
         reference_estimate = opaque.acceptance_estimate(
             configuration, seed=4, precision=target, engine="off"
         )
@@ -399,7 +402,8 @@ def _schedule_stop(target, successes_at):
 
 def _one_coin_far_decider():
     """A radius-1 twin of the toy noisy decider: compilable, but not fusable,
-    so far acceptance runs the per-trial reference loop on every path."""
+    so far acceptance runs the reference loop on every path (under ``auto``
+    a declined fusion, counted as ``engine.fallback.declined``)."""
     return RandomizedDecider(
         rule=lambda ball, tape: True if ball.center_output() == 0 else tape.bernoulli(0.2),
         radius=1,
@@ -430,8 +434,9 @@ class TestConstructionStreams:
     @pytest.mark.parametrize("seed", [0, 10_000])
     def test_success_precision_engine_equals_off(self, seed):
         for constructor, language, networks in self._success_cases():
-            runs = {
-                engine: estimate_success_probability(
+
+            def run(engine):
+                return estimate_success_probability(
                     constructor,
                     language,
                     networks,
@@ -440,11 +445,12 @@ class TestConstructionStreams:
                     engine=engine,
                     precision=self.SUCCESS_TARGET,
                 )
-                for engine in ("off", "auto", "exact")
-            }
-            for engine in ("auto", "exact"):
-                assert runs[engine].per_instance == runs["off"].per_instance
-                assert runs[engine].trials_used == runs["off"].trials_used
+
+            off = run("off")
+            with engine_ran():
+                auto = run("auto")
+            assert auto.per_instance == off.per_instance
+            assert auto.trials_used == off.trials_used
 
     @pytest.mark.parametrize("engine", ["auto", "off"])
     def test_success_precision_stops_at_the_fixed_prefix(self, engine):
@@ -495,10 +501,14 @@ class TestConstructionStreams:
     def test_far_precision_engine_equals_off(self, seed):
         network = cycle_network(10)
         constructor = _toy_faulty_constructor(0.1)
-        for decider in (_toy_noisy_decider(0.8), _one_coin_far_decider()):
+        for decider, fallbacks in (
+            (_toy_noisy_decider(0.8), {}),
+            (_one_coin_far_decider(), {"engine.fallback.declined": 1}),
+        ):
             for node in network.nodes()[:3]:
-                values = {
-                    engine: far_acceptance_probability(
+
+                def run(engine):
+                    return far_acceptance_probability(
                         constructor,
                         decider,
                         network,
@@ -509,9 +519,12 @@ class TestConstructionStreams:
                         engine=engine,
                         precision=self.FAR_TARGET,
                     )
-                    for engine in ("off", "auto", "exact")
-                }
-                assert values["auto"] == values["exact"] == values["off"]
+
+                off = run("off")
+                with use_recorder(TraceRecorder()) as recorder:
+                    auto = run("auto")
+                assert auto == off
+                assert fallback_counters(recorder.counters) == fallbacks
 
     @pytest.mark.parametrize("engine", ["auto", "off"])
     def test_far_precision_stops_at_the_fixed_prefix(self, engine):
