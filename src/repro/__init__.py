@@ -16,12 +16,12 @@ the paper's framework on top of it:
 * :mod:`repro.analysis` — metrics, log*, growth fits, sweep tables;
 * :mod:`repro.engine` — the batched vectorized Monte-Carlo execution layer:
   it compiles a ``(Configuration, Decider)`` pair once into flat NumPy form
-  (CSR adjacency + per-node Bernoulli vote programs) and evaluates
-  thousands of trials as single array reductions, plus the process-pool
-  fan-out and the content-addressed JSON result cache behind the CLI;
-* :mod:`repro.stats` — adaptive-precision statistics: streaming
-  accumulators, Wilson/Hoeffding confidence intervals, and the
-  :class:`~repro.stats.PrecisionTarget` sequential-stopping rule the
+  (per-node Bernoulli vote programs) and evaluates thousands of trials as
+  single array reductions, plus the process-pool fan-out and the
+  content-addressed JSON result cache behind the CLI;
+* :mod:`repro.stats` — adaptive-precision statistics: Wilson/Hoeffding
+  confidence intervals and the :class:`~repro.stats.PrecisionTarget`
+  sequential-stopping rule the
   chunked engine drives between chunks ("run until the CI half-width is
   ±0.005 at 99%" instead of guessing trial counts); ``precision=None``
   leaves every estimator bit-identical to its fixed-trial behaviour;
@@ -30,15 +30,14 @@ the paper's framework on top of it:
   schemas, ``full``/``quick`` presets, seed/engine capabilities) over the
   E1–E10 runner functions, plus result records and reporting;
 * :mod:`repro.api` — the programmatic facade: :class:`~repro.api.Session`
-  runs single experiments, selections, and parameter sweeps through
-  pluggable execution backends (``inline``, ``process-pool``)
-  with canonical spec-derived cache keys; the CLI is a thin client of it
-  (see DESIGN.md and EXPERIMENTS.md);
+  runs single experiments, selections, and parameter sweeps inline or on
+  a process pool (``parallel=N``) with canonical spec-derived cache keys;
+  the CLI is a thin client of it (see DESIGN.md and EXPERIMENTS.md);
 * :mod:`repro.obs` — zero-dependency observability: the
   :class:`~repro.obs.Recorder` protocol (nested spans, counters,
   histograms) every layer is instrumented against, with a near-zero-cost
   null recorder as the default, an in-memory
-  :class:`~repro.obs.TraceRecorder` with JSONL/summary sinks, and an
+  :class:`~repro.obs.TraceRecorder` with JSONL and summary output, and an
   export/merge contract that carries worker-process telemetry back to the
   parent; telemetry is observation-only — results are bit-identical with
   it on or off (``Session(telemetry=...)``, ``--trace``/``--metrics``);

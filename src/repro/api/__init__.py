@@ -2,13 +2,15 @@
 
 The facade every caller (the CLI included) goes through:
 
-* :class:`Session` — fixes seed / engine / cache / backend once, then runs
-  single experiments, selections, and first-class parameter sweeps;
+* :class:`Session` — fixes seed / engine / cache / worker count once, then
+  runs single experiments, selections, and first-class parameter sweeps;
 * :class:`RunRequest` / :class:`RunReport` — declarative request in,
   provenance-carrying report out (result, cache hit, cache path, duration);
-* execution backends — ``inline`` (in-process) and ``process-pool``
-  (worker processes via :func:`repro.engine.parallel.imap`), each one
-  ``execute(groups)`` method yielding results in submission order;
+* execution backends — :class:`InlineBackend` (in-process, the default)
+  and :class:`ProcessPoolBackend` (worker processes via
+  :func:`repro.engine.parallel.imap`, picked by ``parallel=N`` for N > 1),
+  each one ``execute(groups)`` method yielding results in submission
+  order;
 * the spec registry re-exports — :data:`REGISTRY`,
   :class:`~repro.harness.registry.ExperimentSpec`, and the validation
   errors, so ``import repro.api`` is a one-stop import;
@@ -30,7 +32,6 @@ Quickstart
 """
 
 from repro.api.backends import (
-    BACKEND_CHOICES,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
@@ -58,7 +59,6 @@ from repro.harness.registry import (
 )
 
 __all__ = [
-    "BACKEND_CHOICES",
     "PRESET_FULL",
     "PRESET_QUICK",
     "REGISTRY",

@@ -10,12 +10,13 @@ every ordinary request arrives.  The facade owns everything else (spec
 resolution, cache probes and writes, progress events); backends own only
 *where and how* the experiment functions execute:
 
-``inline``
+:class:`InlineBackend`
     In the calling process, one group at a time, lazily — the default.
-``process-pool``
+:class:`ProcessPoolBackend`
     Over a ``ProcessPoolExecutor``, via :func:`repro.engine.parallel.imap`,
     one task per group; all groups are submitted eagerly and results stream
-    back in submission order.
+    back in submission order.  A session with ``parallel=N`` for N > 1
+    runs on one with N workers.
 
 Because payloads are plain JSON-able dicts and the worker entry points
 (:func:`execute_payload` per request, :func:`execute_group_payload` per
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.engine.fusion import fusion_scope
 from repro.engine.parallel import imap
@@ -41,7 +42,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "BACKEND_CHOICES",
     "resolve_backend",
     "execute_payload",
     "execute_group_payload",
@@ -215,29 +215,27 @@ class ProcessPoolBackend(ExecutionBackend):
             yield from map(_result_from, wrapped["records"])
 
 
-#: Backend names accepted by :func:`resolve_backend` (and the CLI).
-BACKEND_CHOICES = ("inline", "process-pool")
-
-
 def resolve_backend(
-    backend: Union[str, ExecutionBackend, None],
+    backend: Optional[ExecutionBackend] = None,
     parallel: Optional[int] = None,
 ) -> ExecutionBackend:
-    """Turn a backend selector into an instance.
+    """The backend a session runs on.
 
-    ``None`` picks ``inline`` (or ``process-pool`` when ``parallel`` asks for
-    more than one worker); a string names one of :data:`BACKEND_CHOICES`; an
-    :class:`ExecutionBackend` instance passes through untouched.  A worker
-    count below 1 raises ``ValueError``.
+    An :class:`ExecutionBackend` instance passes through untouched; ``None``
+    picks a :class:`ProcessPoolBackend` with ``parallel`` workers when
+    ``parallel`` asks for more than one, and an :class:`InlineBackend`
+    otherwise.  A worker count below 1 raises ``ValueError``; any other
+    ``backend`` raises ``TypeError``.
     """
     if parallel is not None and parallel < 1:
         raise ValueError(f"parallel must be a positive worker count; got {parallel}")
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend is None:
-        backend = "process-pool" if parallel is not None and parallel > 1 else "inline"
-    if backend == "inline":
-        return InlineBackend()
-    if backend == "process-pool":
+    if backend is not None:
+        raise TypeError(
+            f"backend must be an ExecutionBackend instance or None; got {backend!r} "
+            "(use parallel=N to run on N worker processes)"
+        )
+    if parallel is not None and parallel > 1:
         return ProcessPoolBackend(max_workers=parallel)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}")
+    return InlineBackend()

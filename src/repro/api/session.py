@@ -51,6 +51,7 @@ from repro.harness.registry import (
     ExperimentRegistry,
     ExperimentSpec,
     _engine_parameter,
+    _precision_parameters,
 )
 from repro.harness.results import ExperimentResult
 
@@ -254,19 +255,22 @@ class Session:
         CI half-width target injected into every request whose spec declares
         the precision capability (adaptive sequential stopping; the spec's
         trial budget becomes a cap).  ``None`` leaves the schema default
-        (0.0, fixed trials) in place.
+        (0.0, fixed trials) in place; a value that is neither 0 nor inside
+        (0, 0.5) raises :class:`~repro.harness.registry.ParameterValueError`.
     confidence:
-        Confidence level accompanying ``precision`` (same injection rule).
+        Confidence level accompanying ``precision`` (same injection rule);
+        a value outside (0, 1) raises the same error.
     cache:
         ``True`` (default) for the standard on-disk result cache, ``None`` or
         ``False`` to disable caching, a path for an explicit cache directory,
         or a :class:`ResultCache` instance.
     backend:
-        ``"inline"`` (default), ``"process-pool"``, or an
-        :class:`ExecutionBackend` instance.
+        An :class:`ExecutionBackend` instance to run on; ``None`` (default)
+        lets ``parallel`` pick one.  Any other value raises ``TypeError``.
     parallel:
-        Worker count for the ``process-pool`` backend (at least 1); with the
-        default backend selector, ``parallel > 1`` implies ``process-pool``.
+        Worker count (at least 1): ``parallel > 1`` runs on a
+        :class:`~repro.api.backends.ProcessPoolBackend` with that many
+        workers, anything else inline.
     registry:
         The spec registry to resolve experiments against (defaults to the
         shipped :data:`~repro.harness.registry.REGISTRY`).
@@ -289,7 +293,7 @@ class Session:
         seed: Optional[int] = None,
         engine: Optional[str] = None,
         cache: Union[bool, None, str, Path, ResultCache] = True,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Optional[ExecutionBackend] = None,
         parallel: Optional[int] = None,
         registry: Optional[ExperimentRegistry] = None,
         progress: Optional[ProgressCallback] = None,
@@ -297,10 +301,13 @@ class Session:
         confidence: Optional[float] = None,
         telemetry: Union[Recorder, bool, None] = None,
     ) -> None:
-        if engine is not None:
-            # The per-spec check, made up front: a spec without the engine
-            # capability never sees the value, so nothing else would reject it.
-            _engine_parameter().normalize(engine)
+        # The per-spec checks, made up front: a spec without the engine or
+        # precision capability never sees the value, so nothing else would
+        # reject it.
+        parameters = (_engine_parameter(), *_precision_parameters())
+        for parameter, value in zip(parameters, (engine, precision, confidence)):
+            if value is not None:
+                parameter.normalize(value)
         self.seed = seed
         self.engine = engine
         self.precision = precision

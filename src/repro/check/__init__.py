@@ -7,7 +7,7 @@ conventions rot.  This package turns them into machine-checked rules:
 
 * :mod:`repro.check.ir` — structural + semantic verification of compiled
   vote programs and output programs (DAG shape, arities, probability
-  ranges, draw caps, CSR consistency, closed-form cross-checks).  Runs
+  ranges, draw caps, closed-form cross-checks).  Runs
   automatically inside ``compile_decision``/``compile_construction`` when
   ``REPRO_CHECK_IR=1`` (on in CI and the test suite, off in hot paths).
 * :mod:`repro.check.lint` — an ``ast``-based determinism & invariant

@@ -26,8 +26,8 @@ checks (``const`` → one code, ``randint`` → one code per integer of
 ``[low, high]``, ``bernoulli`` → a pair and ``q ∈ [0, 1]``) and the
 alphabet-cap check; compiled containers
 (:func:`verify_compiled_decision` / :func:`verify_compiled_construction`)
-add program-id ranges, probability-table consistency, identity uniqueness,
-and CSR ``indptr``/``indices`` consistency.
+add program-id ranges, probability-table consistency and identity
+uniqueness.
 
 All failures raise :class:`repro.errors.IRVerificationError`.  The
 verifiers run automatically inside ``compile_decision`` /
@@ -39,7 +39,7 @@ set it; hot paths leave it unset and pay only one ``os.environ`` lookup.
 from __future__ import annotations
 
 import os
-from typing import Optional, Set
+from typing import Set
 
 import numpy as np
 
@@ -272,22 +272,6 @@ def verify_output_program(program: OutputProgram, alphabet_size: int) -> None:
 # --------------------------------------------------------------------------- #
 # Compiled containers
 # --------------------------------------------------------------------------- #
-def _verify_csr(indptr: np.ndarray, indices: np.ndarray, n_nodes: int) -> None:
-    if len(indptr) != n_nodes + 1:
-        raise _fail(f"indptr has {len(indptr)} entries for {n_nodes} nodes")
-    if len(indptr) and int(indptr[0]) != 0:
-        raise _fail(f"indptr must start at 0, got {int(indptr[0])}")
-    if np.any(np.diff(indptr) < 0):
-        raise _fail("indptr must be non-decreasing")
-    if len(indptr) and int(indptr[-1]) != len(indices):
-        raise _fail(
-            f"indptr ends at {int(indptr[-1])} but indices holds "
-            f"{len(indices)} entries"
-        )
-    if len(indices) and (indices.min() < 0 or indices.max() >= n_nodes):
-        raise _fail(f"adjacency indices fall outside [0, {n_nodes})")
-
-
 def _verify_assignment(
     program_ids: np.ndarray, n_programs: int, identities: np.ndarray, n_nodes: int
 ) -> None:
@@ -301,18 +285,9 @@ def _verify_assignment(
         raise _fail("node identities are not unique")
 
 
-def verify_compiled_decision(
-    compiled: CompiledDecision, csr: Optional[bool] = None
-) -> None:
-    """Verify a compiled decision end to end.
-
-    ``csr`` controls the adjacency check: ``True`` forces it (materializing
-    the CSR if needed), ``False`` skips it, and the default ``None`` checks
-    it only when the lazy CSR is already built — the automatic
-    ``REPRO_CHECK_IR`` hook runs right after compilation, where forcing the
-    adjacency would defeat its laziness (the derandomization loops compile
-    once per trial and never read it).
-    """
+def verify_compiled_decision(compiled: CompiledDecision) -> None:
+    """Verify a compiled decision end to end (per-program invariants,
+    assignment, probability table)."""
     for program in compiled.programs:
         verify_vote_program(program)
     _verify_assignment(
@@ -334,10 +309,6 @@ def verify_compiled_decision(
                 f"node {position}: probability table claims {claimed}, its "
                 f"program's accept_probability is {derived}"
             )
-    if csr is None:
-        csr = "_csr" in compiled.__dict__
-    if csr:
-        _verify_csr(compiled.indptr, compiled.indices, compiled.n_nodes)
 
 
 def verify_compiled_construction(compiled: CompiledConstruction) -> None:

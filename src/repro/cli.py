@@ -6,7 +6,6 @@ Usage::
     python -m repro run E1 E3 --output-dir results/
     python -m repro run all --quick --parallel 2 --seed 7
     python -m repro run E5 --engine off --no-cache
-    python -m repro run all --quick --backend process-pool --parallel 2
     python -m repro run all --quick --trace trace.jsonl --metrics
     python -m repro cache stats
     python -m repro serve --port 8765
@@ -30,14 +29,16 @@ deadlines, retry budgets, and admission control.
 Every knob is session configuration, not CLI logic: ``--quick`` selects the
 spec's ``quick`` preset, ``--seed`` reseeds every experiment whose spec
 declares the seed contract, ``--engine`` picks the execution engine for
-every spec with the engine capability, ``--parallel``/``--backend`` choose
-the execution backend, and results are memoised in the
+every spec with the engine capability, ``--parallel N`` runs the
+experiments over N worker processes, and results are memoised in the
 :mod:`repro.engine.cache` result cache under the spec-derived canonical key
 (``--no-cache`` bypasses it in both directions).  Observability is opt-in:
 ``--trace PATH`` records the run under a :class:`repro.obs.TraceRecorder`
 and writes the span tree as JSONL; ``--metrics`` prints the summary table
 (span timings, counters, histograms) after the run.  Both are observation
-only — results are bit-identical with them on or off.  External callers get
+only — results are bit-identical with them on or off.  A value the spec
+schema rejects (``--precision -0.05``, ``--confidence 1.5``) is a usage
+error: exit status 2, before anything runs.  External callers get
 the identical behavior from ``repro.api`` directly — the CLI holds no
 experiment knowledge of its own.
 """
@@ -49,10 +50,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.api import BACKEND_CHOICES, PRESET_FULL, PRESET_QUICK, RunReport, Session
+from repro.api import PRESET_FULL, PRESET_QUICK, RunReport, Session
 from repro.engine.adapters import ENGINE_CHOICES
 from repro.engine.cache import ResultCache
-from repro.harness.registry import REGISTRY
+from repro.harness.registry import REGISTRY, SpecValidationError
 from repro.harness.reporting import render_experiment, write_json
 from repro.harness.summary import load_results_directory, render_experiments_markdown
 from repro.obs import TraceRecorder, render_summary, summarize, write_jsonl
@@ -152,15 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run the selected experiments over N worker processes (default: 1, serial)",
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help=(
-            "execution backend (default: inline, or process-pool when "
-            "--parallel N > 1)"
-        ),
     )
     run_parser.add_argument(
         "--no-cache",
@@ -321,25 +313,29 @@ def _command_run(args: argparse.Namespace, stream) -> int:
     else:
         cache = True
     recorder = TraceRecorder() if (args.trace is not None or args.metrics) else None
-    session = Session(
-        seed=args.seed,
-        engine=args.engine,
-        cache=cache,
-        backend=args.backend,
-        parallel=args.parallel,
-        precision=args.precision,
-        confidence=args.confidence,
-        telemetry=recorder,
-    )
     preset = PRESET_QUICK if args.quick else PRESET_FULL
+    try:
+        session = Session(
+            seed=args.seed,
+            engine=args.engine,
+            cache=cache,
+            parallel=args.parallel,
+            precision=args.precision,
+            confidence=args.confidence,
+            telemetry=recorder,
+        )
+        requests = [
+            session.request(experiment_id, preset=preset) for experiment_id in experiment_ids
+        ]
+    except SpecValidationError as error:
+        _say(sys.stderr, f"repro run: error: {error}")
+        return 2
 
     failures: List[str] = []
     # run_iter streams reports in request order as soon as each is available,
     # so long runs show progress and an interrupted run keeps everything
     # already printed and persisted.
-    for report in session.run_iter(
-        [session.request(experiment_id, preset=preset) for experiment_id in experiment_ids]
-    ):
+    for report in session.run_iter(requests):
         _emit_report(report, args.output_dir, stream)
         # Anything but an affirmative verdict is a failure: an unset verdict
         # (None) means the experiment never judged its claim, and an

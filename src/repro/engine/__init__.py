@@ -3,8 +3,8 @@
 The reference decision path (:mod:`repro.core.decision`) re-runs pure-Python
 per-node voting once per trial, even though the configuration — and with it
 every ball classification — is fixed across trials.  This subsystem compiles
-a ``(Configuration, Decider)`` pair **once** into flat NumPy form (CSR
-adjacency, per-node vote probabilities) and then evaluates thousands of
+a ``(Configuration, Decider)`` pair **once** into flat NumPy form (per-node
+vote programs and probabilities) and then evaluates thousands of
 trials as single array operations.  It is the package's *fast path*; the
 per-node Python rules remain the *reference path* that defines correctness.
 

@@ -7,8 +7,6 @@ that invariant work out: it walks the configuration **once**, asks the
 decider for each node's **vote program** (see below), and stores the result
 as plain NumPy arrays:
 
-* a CSR adjacency (``indptr``/``indices`` over the identity-sorted node
-  order) describing the graph,
 * one lowered :class:`VoteProgram` per distinct per-node program, plus the
   per-node assignment ``program_ids`` and the per-node acceptance
   probabilities ``probabilities[i] ∈ [0, 1]``,
@@ -63,7 +61,6 @@ from repro.obs import get_recorder
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.decision import Decider
     from repro.core.languages import Configuration
-    from repro.local.network import Network
 
 __all__ = [
     "ACCEPT",
@@ -518,12 +515,6 @@ class CompiledDecision:
     programs / program_ids:
         The distinct lowered :class:`VoteProgram` objects and the per-node
         assignment into them.
-    indptr / indices:
-        CSR adjacency over the same node order (neighbours sorted by
-        identity, as everywhere else in the package).  Built lazily on
-        first access: trial execution never reads the adjacency, and the
-        derandomization loops compile once per trial, so eager CSR
-        construction would be dead weight on their hot path.
     decider_name:
         Name of the compiled decider (the legacy tape salt).
     radius:
@@ -535,29 +526,8 @@ class CompiledDecision:
     probabilities: np.ndarray
     programs: Tuple[VoteProgram, ...]
     program_ids: np.ndarray
-    network: "Network" = field(repr=False)
     decider_name: str
     radius: int
-
-    # ------------------------------------------------------------------ #
-    @cached_property
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        position_of = {node: position for position, node in enumerate(self.nodes)}
-        indptr = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        flat_indices: List[int] = []
-        for position, node in enumerate(self.nodes):
-            neighbors = self.network.neighbors(node)
-            flat_indices.extend(position_of[neighbor] for neighbor in neighbors)
-            indptr[position + 1] = len(flat_indices)
-        return indptr, np.array(flat_indices, dtype=np.int64)
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._csr[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._csr[1]
 
     # ------------------------------------------------------------------ #
     @property
@@ -595,10 +565,6 @@ class CompiledDecision:
     def program_of(self, position: int) -> VoteProgram:
         """The lowered program of the node at ``position``."""
         return self.programs[int(self.program_ids[position])]
-
-    def degrees(self) -> np.ndarray:
-        """Per-node degrees, read off the CSR index pointer."""
-        return np.diff(self.indptr)
 
 
 def _structural_key(
@@ -656,11 +622,10 @@ def compile_decision(decider: "Decider", configuration: "Configuration") -> Comp
 
     Extracts every radius-``t`` ball once, asks the decider for its per-node
     vote program, lowers each distinct program once, and freezes the result
-    into a :class:`CompiledDecision` (whose CSR adjacency materialises
-    lazily on first access).  Raises ``TypeError`` for deciders without a
-    ``vote_program`` — callers should check :func:`is_compilable` first and
-    fall back to the reference path — and :class:`ProgramCompilationError`
-    for programs beyond the IR's draw cap.
+    into a :class:`CompiledDecision`.  Raises ``TypeError`` for deciders
+    without a ``vote_program`` — callers should check :func:`is_compilable`
+    first and fall back to the reference path — and
+    :class:`ProgramCompilationError` for programs beyond the IR's draw cap.
     """
     recorder = get_recorder()
     with recorder.span(
@@ -723,7 +688,6 @@ def _compile_decision(decider: "Decider", configuration: "Configuration") -> Com
         probabilities=probabilities,
         programs=tuple(programs),
         program_ids=program_ids,
-        network=network,
         decider_name=str(decider.name),
         radius=radius,
     )

@@ -134,7 +134,7 @@ class WireFormatError(ReproError, ValueError):
 class IRVerificationError(ReproError, ValueError):
     """A compiled program violates the engine IR's structural contract
     (cycle, bad arity, probability outside ``[0, 1]``, draw index beyond the
-    cap, inconsistent CSR, or a closed-form claim that does not re-derive).
+    cap, or a closed-form claim that does not re-derive).
 
     Raised by :mod:`repro.check.ir`; defined here (not in the check package)
     so the engine can surface it without importing the analyzers.  A

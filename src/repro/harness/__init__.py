@@ -19,13 +19,12 @@ from repro.harness.registry import (
     SpecValidationError,
     UnknownParameterError,
 )
-from repro.harness.results import ExperimentResult, ExperimentRegistry
+from repro.harness.results import ExperimentResult
 from repro.harness.reporting import render_experiment, write_json, load_json
 
 __all__ = [
     "REGISTRY",
     "ExperimentResult",
-    "ExperimentRegistry",
     "ExperimentSpec",
     "ParameterSpec",
     "ParameterValueError",

@@ -85,7 +85,6 @@ __all__ = [
     "experiment_e8_slack_vs_resilient",
     "experiment_e9_far_acceptance",
     "experiment_e10_baselines",
-    "ALL_EXPERIMENTS",
 ]
 
 
@@ -189,12 +188,14 @@ def _decider_row_ok(
 # --------------------------------------------------------------------------- #
 # E1 — the amos golden-ratio decider
 # --------------------------------------------------------------------------- #
-def _precision_target(precision: float, confidence: float, trials: int):
+def _precision_target(
+    precision: float, confidence: float, trials: int
+) -> Optional[PrecisionTarget]:
     """The experiment-level stopping rule: ``precision`` is the CI
     half-width target (0 disables adaptive stopping entirely — the fixed
     trial budget then applies bit-identically to the pre-stats layer), and
     ``trials`` is demoted from a prescription to a cap."""
-    if precision <= 0.0:
+    if precision == 0.0:
         return None
     return PrecisionTarget(
         half_width=precision,
@@ -207,21 +208,28 @@ def _precision_target(precision: float, confidence: float, trials: int):
 def _apply_ci_verdict(result: ExperimentResult, verdicts: Sequence[Optional[bool]]) -> None:
     """Fold per-row tri-state verdicts into the result: any refuted criterion
     fails; otherwise any CI straddling its threshold leaves the experiment
-    UNRESOLVED (ask for a tighter ``precision``) instead of flapping."""
+    UNRESOLVED (ask for a tighter ``precision``) instead of flapping.  The
+    boolean verdicts of a fixed-trial run fold to their conjunction."""
     combined = tri_all(verdicts)
     result.matches_paper = combined
     result.unresolved = combined is None
 
 
-def _record_estimate(
-    result: ExperimentResult, estimate: ProbabilityEstimate
-) -> ProbabilityEstimate:
-    """Accumulate an adaptive estimate's provenance on the result record:
+def _ci_columns(
+    result: ExperimentResult,
+    estimate: ProbabilityEstimate,
+    target: Optional[PrecisionTarget],
+) -> Dict[str, object]:
+    """The interval columns of an adaptive row (none for a fixed-trial run).
+
+    An adaptive estimate's provenance also accumulates on the result record:
     total trials consumed and the binding (widest) interval."""
+    if target is None:
+        return {}
     result.trials_used = (result.trials_used or 0) + estimate.trials
     if result.ci_low is None or estimate.half_width > (result.ci_high - result.ci_low) / 2.0:
         result.ci_low, result.ci_high = estimate.ci_low, estimate.ci_high
-    return estimate
+    return {"ci_low": estimate.ci_low, "ci_high": estimate.ci_high, "trials_used": estimate.trials}
 
 
 def experiment_e1_amos_decider(
@@ -261,7 +269,6 @@ def experiment_e1_amos_decider(
     p = golden_ratio_guarantee()
     decider = AmosDecider()
     target = _precision_target(precision, confidence, trials)
-    ok = True
     verdicts: List[Optional[bool]] = []
     for kind, factory in (("cycle", cycle_network), ("path", path_network)):
         for n in sizes:
@@ -269,51 +276,27 @@ def experiment_e1_amos_decider(
             for selected in selected_counts:
                 configuration = _amos_configuration(network, selected)
                 member = Amos().contains(configuration)
-                if target is not None:
-                    estimate = _record_estimate(
-                        result,
-                        decider.acceptance_estimate(
-                            configuration,
-                            trials=trials,
-                            seed=seed,
-                            engine=engine,
-                            precision=target,
-                        ),
-                    )
-                    acceptance = estimate.estimate
-                    if selected == 0:
-                        expected = 1.0
-                        criterion: Optional[bool] = acceptance == 1.0
-                    elif selected == 1:
-                        expected = p
-                        criterion = estimate.interval.tri_between(p - 0.05, p + 0.05)
-                    else:
-                        expected = p**selected
-                        criterion = estimate.interval.tri_at_most(1.0 - p + 0.05)
-                    verdicts.append(criterion)
-                    result.add_row(
-                        graph=f"{kind}-{n}",
-                        selected=selected,
-                        member=member,
-                        acceptance=acceptance,
-                        expected_acceptance=expected,
-                        within_guarantee=criterion,
-                        ci_low=estimate.ci_low,
-                        ci_high=estimate.ci_high,
-                        trials_used=estimate.trials,
-                    )
-                    continue
-                acceptance = decider.acceptance_probability(
-                    configuration, trials=trials, seed=seed, engine=engine
+                estimate = decider.acceptance_estimate(
+                    configuration, trials=trials, seed=seed, engine=engine, precision=target
                 )
+                acceptance = estimate.estimate
                 tolerance = _closed_form_tolerance(trials, floor=0.05)
+                criterion: Optional[bool]
                 if selected == 0:
                     expected, criterion = 1.0, acceptance == 1.0
                 elif selected == 1:
-                    expected, criterion = p, abs(acceptance - p) < tolerance
+                    expected = p
+                    if target is None:
+                        criterion = abs(acceptance - p) < tolerance
+                    else:
+                        criterion = estimate.interval.tri_between(p - 0.05, p + 0.05)
                 else:
-                    expected, criterion = p**selected, (1 - acceptance) >= p - tolerance
-                ok = ok and criterion
+                    expected = p**selected
+                    if target is None:
+                        criterion = (1 - acceptance) >= p - tolerance
+                    else:
+                        criterion = estimate.interval.tri_at_most(1.0 - p + 0.05)
+                verdicts.append(criterion)
                 result.add_row(
                     graph=f"{kind}-{n}",
                     selected=selected,
@@ -321,11 +304,9 @@ def experiment_e1_amos_decider(
                     acceptance=acceptance,
                     expected_acceptance=expected,
                     within_guarantee=criterion,
+                    **_ci_columns(result, estimate, target),
                 )
-    if target is not None:
-        _apply_ci_verdict(result, verdicts)
-    else:
-        result.matches_paper = ok
+    _apply_ci_verdict(result, verdicts)
     result.notes = (
         "acceptance on k≥2 selected nodes is p^k exactly (independent coins), "
         "always below 1 − p as required"
@@ -652,7 +633,6 @@ def experiment_e5_resilient_decider(
     )
     base = ProperColoring(3)
     target = _precision_target(precision, confidence, trials)
-    ok = True
     verdicts: List[Optional[bool]] = []
     for f in f_values:
         decider = ResilientDecider(base, f=f)
@@ -662,48 +642,25 @@ def experiment_e5_resilient_decider(
             actual_bad = base.violation_count(configuration)
             member = relaxed.contains(configuration)
             theoretical = decider.theoretical_acceptance(actual_bad)
-            if target is not None:
-                estimate = _record_estimate(
-                    result,
-                    decider.acceptance_estimate(
-                        configuration,
-                        trials=trials,
-                        seed=seed,
-                        engine=engine,
-                        precision=target,
-                    ),
-                )
-                acceptance = estimate.estimate
-                success = acceptance if member else 1 - acceptance
-                closed_form = estimate.interval.tri_between(
-                    theoretical - 0.05, theoretical + 0.05
-                )
+            estimate = decider.acceptance_estimate(
+                configuration, trials=trials, seed=seed, engine=engine, precision=target
+            )
+            acceptance = estimate.estimate
+            success = acceptance if member else 1 - acceptance
+            columns: Dict[str, object] = {}
+            verdict: Optional[bool]
+            if target is None:
+                verdict = _decider_row_ok(acceptance, theoretical, member, trials, floor=0.05)
+            else:
+                closed_form = estimate.interval.tri_between(theoretical - 0.05, theoretical + 0.05)
                 majority_side = (
                     estimate.interval.tri_at_least(0.5)
                     if member
                     else estimate.interval.tri_at_most(0.5)
                 )
-                row_verdict = tri_all([closed_form, majority_side])
-                verdicts.append(row_verdict)
-                result.add_row(
-                    f=f,
-                    p_bad_ball=decider.p_bad_ball,
-                    bad_balls=actual_bad,
-                    member=member,
-                    acceptance=acceptance,
-                    theoretical_acceptance=theoretical,
-                    success_probability=success,
-                    within_tolerance=row_verdict,
-                    ci_low=estimate.ci_low,
-                    ci_high=estimate.ci_high,
-                    trials_used=estimate.trials,
-                )
-                continue
-            acceptance = decider.acceptance_probability(
-                configuration, trials=trials, seed=seed, engine=engine
-            )
-            success = acceptance if member else 1 - acceptance
-            ok = ok and _decider_row_ok(acceptance, theoretical, member, trials, floor=0.05)
+                verdict = tri_all([closed_form, majority_side])
+                columns = dict(within_tolerance=verdict, **_ci_columns(result, estimate, target))
+            verdicts.append(verdict)
             result.add_row(
                 f=f,
                 p_bad_ball=decider.p_bad_ball,
@@ -712,11 +669,9 @@ def experiment_e5_resilient_decider(
                 acceptance=acceptance,
                 theoretical_acceptance=theoretical,
                 success_probability=success,
+                **columns,
             )
-    if target is not None:
-        _apply_ci_verdict(result, verdicts)
-    else:
-        result.matches_paper = ok
+    _apply_ci_verdict(result, verdicts)
     return result
 
 
@@ -1233,17 +1188,3 @@ def experiment_e10_baselines(
     result.matches_paper = ok
     return result
 
-
-#: Registry of all experiments for the bench driver and EXPERIMENTS.md.
-ALL_EXPERIMENTS = {
-    "E1": experiment_e1_amos_decider,
-    "E2": experiment_e2_eps_slack_random_coloring,
-    "E3": experiment_e3_resilient_lower_bound,
-    "E4": experiment_e4_logstar_coloring,
-    "E5": experiment_e5_resilient_decider,
-    "E6": experiment_e6_error_amplification,
-    "E7": experiment_e7_separations,
-    "E8": experiment_e8_slack_vs_resilient,
-    "E9": experiment_e9_far_acceptance,
-    "E10": experiment_e10_baselines,
-}

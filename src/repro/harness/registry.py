@@ -104,7 +104,8 @@ class ParameterSpec:
     normalized form of a value is canonical: two logically equal requests
     produce byte-identical canonical JSON, hence identical cache keys.
     ``minimum`` bounds an ``int`` parameter from below (trial counts are at
-    least 1).
+    least 1); ``bounds`` is a ``float`` parameter's range, as a predicate
+    and the phrase the error message names it by.
     """
 
     name: str
@@ -113,6 +114,7 @@ class ParameterSpec:
     choices: Optional[Tuple[str, ...]] = None
     doc: str = ""
     minimum: Optional[int] = None
+    bounds: Optional[Tuple[Callable[[float], bool], str]] = None
 
     _KINDS = ("int", "float", "str", "bool", "seq[int]", "seq[float]")
 
@@ -137,7 +139,12 @@ class ParameterSpec:
                 raise ParameterValueError(
                     f"{context}{self.name!r} must be a float, got {value!r}"
                 )
-            return float(value)
+            value = float(value)
+            if self.bounds is not None and not self.bounds[0](value):
+                raise ParameterValueError(
+                    f"{context}{self.name!r} must be {self.bounds[1]}, got {value!r}"
+                )
+            return value
         if kind == "bool":
             if not isinstance(value, bool):
                 raise ParameterValueError(f"{context}{self.name!r} must be a bool, got {value!r}")
@@ -187,22 +194,34 @@ def _engine_parameter() -> ParameterSpec:
     )
 
 
+def _valid_half_width(value: float) -> bool:
+    return value == 0.0 or 0.0 < value < 0.5
+
+
+def _valid_confidence(value: float) -> bool:
+    return 0.0 < value < 1.0
+
+
 def _precision_parameters() -> Tuple[ParameterSpec, ParameterSpec]:
     """The adaptive-precision contract: a CI half-width target (0 disables
     sequential stopping; the fixed trial budget then applies unchanged) and
-    the confidence level of the interval/verdicts."""
+    the confidence level of the interval/verdicts.  Both are held to the
+    ranges :class:`~repro.stats.PrecisionTarget` enforces, so a bad value
+    is rejected when the request is resolved, not when the runner starts."""
     return (
         ParameterSpec(
             "precision",
             "float",
             0.0,
             doc="CI half-width target for sequential stopping (0: fixed trials)",
+            bounds=(_valid_half_width, "0 or inside (0, 0.5)"),
         ),
         ParameterSpec(
             "confidence",
             "float",
             0.99,
             doc="confidence level of the adaptive CIs and CI-aware verdicts",
+            bounds=(_valid_confidence, "inside (0, 1)"),
         ),
     )
 

@@ -3,8 +3,7 @@
 An :class:`ExperimentResult` captures everything a row of EXPERIMENTS.md
 needs: the experiment identifier, the workload parameters, the measured rows,
 the claim from the paper it reproduces, and a free-form verdict on whether
-the measured shape matches.  The :class:`ExperimentRegistry` collects the
-results of one benchmark session so a single report can be rendered.
+the measured shape matches.
 
 CI-aware verdicts
 -----------------
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-__all__ = ["ExperimentResult", "ExperimentRegistry"]
+__all__ = ["ExperimentResult"]
 
 
 @dataclass
@@ -122,32 +121,3 @@ class ExperimentResult:
             notes=str(data.get("notes", "")),
         )
 
-
-@dataclass
-class ExperimentRegistry:
-    """A collection of experiment results from one benchmark session."""
-
-    results: Dict[str, ExperimentResult] = field(default_factory=dict)
-
-    def record(self, result: ExperimentResult) -> None:
-        self.results[result.experiment_id] = result
-
-    def get(self, experiment_id: str) -> ExperimentResult:
-        return self.results[experiment_id]
-
-    def __contains__(self, experiment_id: str) -> bool:
-        return experiment_id in self.results
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """One row per experiment: id, title, and the match verdict."""
-        return [
-            {
-                "experiment": result.experiment_id,
-                "title": result.title,
-                "matches_paper": result.matches_paper,
-            }
-            for result in sorted(self.results.values(), key=lambda r: r.experiment_id)
-        ]

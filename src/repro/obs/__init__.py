@@ -6,8 +6,8 @@ A zero-dependency telemetry subsystem for the experiment stack:
   (spans/counters/histograms), the near-zero-overhead :class:`NullRecorder`
   default, the in-memory :class:`TraceRecorder`, and the ambient-recorder
   context (:func:`get_recorder` / :func:`use_recorder`);
-* :mod:`repro.obs.sinks` — where finished exports go: an in-memory
-  collector, a JSONL trace writer, and the human-readable summary table.
+* :mod:`repro.obs.sinks` — where finished exports go: the JSONL trace
+  writer and reader, and the human-readable summary table.
 
 The engine (compile/execute/chunks), the result cache (hit/miss/write
 counters, lookup latency), the execution backends (per-task spans, worker
@@ -35,9 +35,6 @@ from repro.obs.recorder import (
     use_recorder,
 )
 from repro.obs.sinks import (
-    JsonlSink,
-    MemorySink,
-    Sink,
     iter_span_records,
     read_jsonl,
     render_summary,
@@ -56,9 +53,6 @@ __all__ = [
     "push_recorder",
     "pop_recorder",
     "use_recorder",
-    "Sink",
-    "MemorySink",
-    "JsonlSink",
     "iter_span_records",
     "write_jsonl",
     "read_jsonl",

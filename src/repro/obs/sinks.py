@@ -1,13 +1,13 @@
-"""Sinks: where a finished :class:`~repro.obs.TraceRecorder` export goes.
+"""Where a finished :class:`~repro.obs.TraceRecorder` export goes.
 
-A sink consumes the JSON-able export dict (see
-:meth:`repro.obs.TraceRecorder.export`) — recorders collect, sinks render:
+Each function consumes the JSON-able export dict (see
+:meth:`repro.obs.TraceRecorder.export`) — recorders collect, these render:
 
-* :class:`MemorySink` — keeps the exports in a list (tests, embedding).
-* :class:`JsonlSink` — one JSON object per line: flattened span records
+* :func:`write_jsonl` — one JSON object per line: flattened span records
   (``id``/``parent`` pairs preserve the tree), then counters, then
-  histograms.  :func:`read_jsonl` loads the lines back for round-trip
-  tests and offline analysis.
+  histograms; the CLI's ``--trace`` flag writes with it.
+  :func:`read_jsonl` loads the lines back for round-trip tests and offline
+  analysis.
 * :func:`summarize` — the per-span-name aggregation of an export: counts
   and total wall/CPU seconds, counter values, histogram summaries.  The
   benchmark suite embeds it in BENCH.json.
@@ -23,32 +23,12 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 __all__ = [
-    "Sink",
-    "MemorySink",
-    "JsonlSink",
     "iter_span_records",
     "write_jsonl",
     "read_jsonl",
     "summarize",
     "render_summary",
 ]
-
-
-class Sink:
-    """Interface: consume one finished telemetry export."""
-
-    def write(self, export: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-
-class MemorySink(Sink):
-    """Collect exports in memory (the test double)."""
-
-    def __init__(self) -> None:
-        self.exports: List[Dict[str, object]] = []
-
-    def write(self, export: Dict[str, object]) -> None:
-        self.exports.append(export)
 
 
 def iter_span_records(export: Dict[str, object]) -> Iterator[Dict[str, object]]:
@@ -81,7 +61,8 @@ def iter_span_records(export: Dict[str, object]) -> Iterator[Dict[str, object]]:
 
 
 def write_jsonl(export: Dict[str, object], path: Union[str, Path]) -> Path:
-    """Write one export as JSON lines: spans (flattened), counters, histograms."""
+    """Write one export as JSON lines: spans (flattened), counters,
+    histograms.  An existing file at ``path`` is replaced."""
     path = Path(path)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -110,16 +91,6 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, object]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-class JsonlSink(Sink):
-    """Write each export to a JSONL trace file (last write wins)."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-
-    def write(self, export: Dict[str, object]) -> None:
-        write_jsonl(export, self.path)
 
 
 # --------------------------------------------------------------------------- #

@@ -231,6 +231,8 @@ class ExperimentService:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise _HttpError(400, "malformed Content-Length") from None
+        if length < 0:
+            raise _HttpError(400, "malformed Content-Length")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""

@@ -3,9 +3,6 @@
 The fixed-trial estimators ask "how many trials?"; this layer answers "how
 precise?".  It provides
 
-* streaming accumulators (:class:`StreamingMoments`,
-  :class:`BernoulliAccumulator`) that fold the engine's trial chunks into
-  running statistics,
 * confidence intervals for proportions (:func:`wilson_interval`,
   :func:`hoeffding_interval`) plus the tri-state interval-vs-threshold
   verdicts the CI-aware harness uses (``True`` / ``False`` / ``None`` =
@@ -24,7 +21,6 @@ the precision capability; ``Session`` and the CLI expose
 ``--precision`` / ``--confidence``.
 """
 
-from repro.stats.accumulators import BernoulliAccumulator, StreamingMoments
 from repro.stats.intervals import (
     ConfidenceInterval,
     hoeffding_interval,
@@ -41,8 +37,6 @@ from repro.stats.stopping import (
 )
 
 __all__ = [
-    "BernoulliAccumulator",
-    "StreamingMoments",
     "ConfidenceInterval",
     "normal_quantile",
     "wilson_interval",

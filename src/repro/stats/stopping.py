@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from repro.obs import get_recorder
-from repro.stats.accumulators import BernoulliAccumulator
 from repro.stats.intervals import (
     ConfidenceInterval,
     hoeffding_interval,
@@ -204,7 +203,7 @@ def sequential_estimate(
     count is a pure function of the data.
     """
     recorder = get_recorder()
-    accumulator = BernoulliAccumulator()
+    successes = trials = 0
     with recorder.span(
         "stats.sequential_estimate",
         method=target.method,
@@ -217,10 +216,14 @@ def sequential_estimate(
         while True:
             count = batch
             if target.max_trials is not None:
-                count = min(count, target.max_trials - accumulator.trials)
+                count = min(count, target.max_trials - trials)
             if count <= 0:
                 break
-            accumulator.update(draw(count), count)
+            drawn = draw(count)
+            if not 0 <= drawn <= count:
+                raise ValueError(f"draw({count}) returned {drawn} successes")
+            successes += int(drawn)
+            trials += count
             # Trajectory telemetry: the extra interval evaluation happens
             # only when a trace recorder is installed and never feeds back
             # into the stopping decision, which stays on target.satisfied.
@@ -229,21 +232,21 @@ def sequential_estimate(
                 recorder.counter("stats.trials", count)
                 recorder.histogram(
                     "stats.ci_half_width",
-                    target.interval(accumulator.successes, accumulator.trials).half_width,
+                    target.interval(successes, trials).half_width,
                 )
-            if target.satisfied(accumulator.successes, accumulator.trials):
+            if target.satisfied(successes, trials):
                 stop_reason = "precision"
                 break
-            batch = accumulator.trials  # doubling schedule: total doubles per round
+            batch = trials  # doubling schedule: total doubles per round
         span.annotate(
-            trials=accumulator.trials,
-            successes=accumulator.successes,
+            trials=trials,
+            successes=successes,
             stop_reason=stop_reason,
         )
-    interval = target.interval(accumulator.successes, accumulator.trials)
+    interval = target.interval(successes, trials)
     return ProbabilityEstimate(
-        successes=accumulator.successes,
-        trials=accumulator.trials,
+        successes=successes,
+        trials=trials,
         ci_low=interval.low,
         ci_high=interval.high,
         confidence=target.confidence,

@@ -19,7 +19,7 @@ from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring
 from repro.graphs.families import path_network
 from repro.harness.reporting import load_json, render_experiment, write_json
-from repro.harness.results import ExperimentRegistry, ExperimentResult
+from repro.harness.results import ExperimentResult
 
 
 class TestMetrics:
@@ -163,11 +163,3 @@ class TestHarness:
         assert "E0" in text
         assert "MATCHES" in text
         assert "1.2500" in text
-
-    def test_registry(self):
-        registry = ExperimentRegistry()
-        registry.record(self.make_result())
-        assert "E0" in registry
-        assert len(registry) == 1
-        assert registry.get("E0").title == "toy experiment"
-        assert registry.summary_rows()[0]["matches_paper"] is True

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    BACKEND_CHOICES,
     InlineBackend,
     ProcessPoolBackend,
     Session,
@@ -24,25 +23,33 @@ def _singletons(payloads):
 
 
 class TestResolveBackend:
-    def test_names_resolve(self):
-        assert resolve_backend("inline").name == "inline"
-        assert resolve_backend("process-pool").name == "process-pool"
-        assert set(BACKEND_CHOICES) == {"inline", "process-pool"}
-
     def test_default_is_inline_unless_parallel(self):
         assert resolve_backend(None).name == "inline"
         assert resolve_backend(None, parallel=1).name == "inline"
-        assert resolve_backend(None, parallel=3).name == "process-pool"
+        pool = resolve_backend(None, parallel=3)
+        assert pool.name == "process-pool"
+        assert pool.max_workers == 3
 
     def test_instances_pass_through(self):
         backend = InlineBackend()
         assert resolve_backend(backend) is backend
+        pool = ProcessPoolBackend(max_workers=1)
+        assert resolve_backend(pool, parallel=4) is pool
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("mainframe")
+    @pytest.mark.parametrize("name", ["inline", "process-pool", "mainframe"])
+    def test_backend_names_are_rejected(self, name):
+        """Only instances select a backend; ``parallel`` picks the default."""
+        with pytest.raises(TypeError, match="ExecutionBackend instance"):
+            resolve_backend(name)
 
-    @pytest.mark.parametrize("backend", [None, "inline", "process-pool"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            None,
+            pytest.param(InlineBackend(), id="inline"),
+            pytest.param(ProcessPoolBackend(), id="process-pool"),
+        ],
+    )
     @pytest.mark.parametrize("parallel", [0, -3])
     def test_worker_counts_below_one_rejected(self, backend, parallel):
         with pytest.raises(ValueError, match="positive worker count"):

@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import ProcessPoolBackend, Session
 from repro.api.wire import decode_result, encode_result
-from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.registry import REGISTRY
 
 #: Toy-scale overrides per experiment: small enough for the test suite, rich
@@ -40,7 +39,7 @@ def test_session_is_bit_identical_to_direct_call(experiment_id):
     overrides = TOY_OVERRIDES[experiment_id]
     # The ground truth: the harness function called directly, exactly as the
     # pre-redesign callers did (partial kwargs, function defaults for the rest).
-    direct = ALL_EXPERIMENTS[experiment_id](**overrides)
+    direct = REGISTRY[experiment_id].runner(**overrides)
     # The facade: the same overrides resolved through the spec registry.
     report = Session(cache=None).run(experiment_id, **overrides)
 
@@ -58,7 +57,7 @@ def test_wire_round_trip_preserves_bit_identity():
     """The JSON wire crossing the service puts a result through must not
     perturb a single float in the result rows."""
     overrides = TOY_OVERRIDES["E5"]
-    direct = ALL_EXPERIMENTS["E5"](**overrides)
+    direct = REGISTRY["E5"].runner(**overrides)
     report = Session(cache=None).run("E5", **overrides)
     text = json.dumps(encode_result(report.result), sort_keys=True)
     crossed = decode_result(json.loads(text))
@@ -72,7 +71,7 @@ def test_process_pool_backend_preserves_bit_identity():
     requests = [session.request(name, **TOY_OVERRIDES[name]) for name in ("E5", "E1")]
     reports = session.run_many(requests)
     for name, report in zip(("E5", "E1"), reports):
-        direct = ALL_EXPERIMENTS[name](**TOY_OVERRIDES[name])
+        direct = REGISTRY[name].runner(**TOY_OVERRIDES[name])
         assert report.result.rows == direct.rows
         assert report.result.matches_paper == direct.matches_paper
 
@@ -89,10 +88,8 @@ class TestPrecisionDefaultsPreservePr4Identity:
     def test_disabled_precision_is_invisible(self, experiment_id, seed):
         overrides = dict(TOY_OVERRIDES[experiment_id])
         overrides["seed"] = seed
-        direct = ALL_EXPERIMENTS[experiment_id](**overrides)
-        spelled = ALL_EXPERIMENTS[experiment_id](
-            **overrides, precision=0.0, confidence=0.99
-        )
+        direct = REGISTRY[experiment_id].runner(**overrides)
+        spelled = REGISTRY[experiment_id].runner(**overrides, precision=0.0, confidence=0.99)
         via_session = Session(cache=None).run(experiment_id, **overrides)
         assert spelled.rows == direct.rows
         assert spelled.matches_paper == direct.matches_paper

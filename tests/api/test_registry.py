@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness import experiments
 from repro.harness.registry import (
     PRESET_FULL,
     PRESET_QUICK,
@@ -213,8 +213,10 @@ class TestShippedSpecs:
         assert list(REGISTRY) == [f"E{i}" for i in range(1, 11)]
 
     def test_runners_are_the_harness_functions(self):
-        for experiment_id, spec in REGISTRY.items():
-            assert spec.runner is ALL_EXPERIMENTS[experiment_id]
+        runners = [spec.runner for spec in REGISTRY.values()]
+        assert [runner.__name__ for runner in runners] == experiments.__all__
+        for runner in runners:
+            assert runner is getattr(experiments, runner.__name__)
 
     def test_every_spec_has_a_nonempty_quick_preset(self):
         for spec in REGISTRY.values():

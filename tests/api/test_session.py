@@ -78,6 +78,30 @@ class TestRequestResolution:
         assert str(at_session.value) == str(at_spec.value)
 
     @pytest.mark.parametrize(
+        "values",
+        [
+            {"precision": -0.05},
+            {"precision": 0.5},
+            {"precision": float("nan")},
+            {"confidence": 1.5},
+            {"confidence": 0.0},
+        ],
+    )
+    def test_out_of_range_precision_rejected(self, values):
+        """``precision`` must be 0 or inside (0, 0.5) and ``confidence``
+        inside (0, 1), the ranges PrecisionTarget enforces: checked when a
+        request is resolved and, like ``engine``, at construction."""
+        with pytest.raises(ParameterValueError) as at_request:
+            Session(cache=None).request("E5", preset="quick", **values)
+        with pytest.raises(ParameterValueError) as at_session:
+            Session(cache=None, **values)
+        assert str(at_session.value) == str(at_request.value)
+        # Spelled in range, the same parameters resolve.
+        session = Session(cache=None, precision=0.05, confidence=0.95)
+        assert session.request("E5", preset="quick").kwargs["precision"] == 0.05
+        assert session.request("E5", preset="quick", precision=0).kwargs["precision"] == 0.0
+
+    @pytest.mark.parametrize(
         "experiment_id, parameter",
         [("E5", "trials"), ("E2", "decider_trials"), ("E10", "runs")],
     )
@@ -411,10 +435,15 @@ class TestSessionConstruction:
 
     def test_backend_resolution(self):
         assert Session(cache=None).backend.name == "inline"
+        assert Session(cache=None, parallel=1).backend.name == "inline"
         assert Session(cache=None, parallel=4).backend.name == "process-pool"
-        for name in ("carrier-pigeon", "batch"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                Session(cache=None, backend=name)
+        assert Session(cache=None, parallel=4).backend.max_workers == 4
+        backend = InlineBackend()
+        assert Session(cache=None, backend=backend).backend is backend
+
+    def test_backend_name_is_rejected(self):
+        with pytest.raises(TypeError, match="ExecutionBackend instance"):
+            Session(cache=None, backend="process-pool")
 
     @pytest.mark.parametrize("parallel", [0, -1])
     def test_worker_counts_below_one_rejected(self, parallel):

@@ -1,5 +1,6 @@
 """Tests for the run-context CLI flags: --seed, --engine, --parallel,
---backend, --no-cache — all thin pass-throughs to repro.api.Session."""
+--precision/--confidence, --no-cache — all thin pass-throughs to
+repro.api.Session."""
 
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ class TestParsing:
                 build_parser().parse_args(["run", "E5", "--engine", name])
             assert excinfo.value.code == 2
 
-    def test_backend_flag_parses_and_validates(self):
-        args = build_parser().parse_args(["run", "E5", "--backend", "process-pool"])
-        assert args.backend == "process-pool"
-        for name in ("mainframe", "batch"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["run", "E5", "--backend", name])
+    def test_backend_flag_is_gone(self, capsys):
+        """--parallel N picks the backend; --backend is an unknown flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "E5", "--backend", "process-pool"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -50,7 +51,7 @@ class TestParsing:
             ["--parallel", "0"],
             ["--parallel", "-3"],
             ["--parallel", "two"],
-            ["--backend", "process-pool", "--parallel", "0"],
+            ["--quick", "--parallel", "0"],
         ],
     )
     def test_parallel_below_one_is_a_usage_error(self, argv, capsys):
@@ -66,7 +67,7 @@ class TestParsing:
         assert args.seed == DEFAULT_SEED
         assert args.cache_dir is None
         assert args.engine is None
-        assert args.backend is None
+        assert args.precision is None and args.confidence is None
 
     def test_seed_default_documented_in_help(self, capsys):
         try:
@@ -84,6 +85,19 @@ class TestRunBehaviour:
         code_b, out_b = run_cli(argv)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--precision", "-0.05"], ["--precision", "0.05", "--confidence", "1.5"]],
+    )
+    def test_out_of_range_precision_is_a_usage_error(self, flags, tmp_path, capsys):
+        """Values PrecisionTarget would reject exit 2 before anything runs,
+        instead of a silent fixed-trial run or a traceback."""
+        code, out = run_cli(["run", "E5", "--quick", "--cache-dir", str(tmp_path)] + flags)
+        assert code == 2
+        assert out == ""
+        assert "must be" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_cache_hit_on_second_run(self, tmp_path):
         argv = ["run", "E3", "--quick", "--cache-dir", str(tmp_path)]
@@ -180,12 +194,16 @@ class TestRunBehaviour:
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_process_pool_backend_matches_inline(self, tmp_path):
+    def test_traced_process_pool_matches_inline(self, tmp_path):
+        """The pool's telemetry path (worker exports merged back) prints the
+        inline tables byte for byte; only the trace line is added."""
         base = ["run", "E3", "E5", "--quick", "--seed", "2", "--no-cache"]
+        trace = tmp_path / "trace.jsonl"
         code_a, out_a = run_cli(base)
-        code_b, out_b = run_cli(base + ["--backend", "process-pool"])
+        code_b, out_b = run_cli(base + ["--parallel", "2", "--trace", str(trace)])
         assert code_a == code_b == 0
-        assert out_a == out_b
+        assert out_b == out_a + f"wrote trace {trace}\n"
+        assert trace.is_file()
 
     def test_parallel_results_are_cached(self, tmp_path):
         argv = [

@@ -181,22 +181,7 @@ class TestCompiledProbabilities:
             compile_decision(decider, proper_three_coloring)
 
 
-class TestCompiledAdjacency:
-    def test_csr_matches_network(self, small_cycle):
-        configuration = Configuration(small_cycle, {node: "" for node in small_cycle.nodes()})
-        compiled = compile_decision(AmosDecider(), configuration)
-        assert compiled.n_nodes == small_cycle.number_of_nodes()
-        assert list(compiled.degrees()) == [
-            small_cycle.degree(node) for node in small_cycle.nodes()
-        ]
-        assert compiled.indptr[-1] == 2 * small_cycle.number_of_edges()
-        position_of = {node: i for i, node in enumerate(compiled.nodes)}
-        for position, node in enumerate(compiled.nodes):
-            start, stop = compiled.indptr[position], compiled.indptr[position + 1]
-            neighbors = [compiled.nodes[j] for j in compiled.indices[start:stop]]
-            assert neighbors == small_cycle.neighbors(node)
-            assert all(position_of[nb] != position for nb in neighbors)
-
+class TestCompiledNodeOrder:
     def test_identities_follow_node_order(self, small_cycle):
         configuration = Configuration(small_cycle, {node: "" for node in small_cycle.nodes()})
         compiled = compile_decision(AmosDecider(), configuration)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
     experiment_e1_amos_decider,
     experiment_e2_eps_slack_random_coloring,
     experiment_e3_resilient_lower_bound,
@@ -25,17 +24,18 @@ from repro.harness.experiments import (
     experiment_e9_far_acceptance,
     experiment_e10_baselines,
 )
+from repro.harness.registry import REGISTRY
 from repro.harness.reporting import render_experiment
 from tests.conftest import engine_ran
 
 
 class TestExperimentRegistry:
     def test_all_ten_experiments_registered(self):
-        assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 11)}
+        assert set(REGISTRY) == {f"E{i}" for i in range(1, 11)}
 
     def test_registry_points_to_the_module_functions(self):
-        assert ALL_EXPERIMENTS["E1"] is experiment_e1_amos_decider
-        assert ALL_EXPERIMENTS["E10"] is experiment_e10_baselines
+        assert REGISTRY["E1"].runner is experiment_e1_amos_decider
+        assert REGISTRY["E10"].runner is experiment_e10_baselines
 
 
 class TestE1Amos:
@@ -282,9 +282,9 @@ def test_engine_is_bit_identical_to_off_at_adjacent_and_distant_seeds(experiment
     """The engine computes the reference tape streams themselves, so
     ``auto`` reproduces ``off`` at every seed, adjacent ones included."""
     kwargs = dict(ENGINE_TOYS[experiment_id], seed=seed)
-    off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
+    off = REGISTRY[experiment_id].runner(engine="off", **kwargs)
     with engine_ran():
-        run = ALL_EXPERIMENTS[experiment_id](engine="auto", **kwargs)
+        run = REGISTRY[experiment_id].runner(engine="auto", **kwargs)
     assert run.rows == off.rows
     assert run.matches_paper == off.matches_paper
 
@@ -308,9 +308,9 @@ def test_precision_rows_are_bit_identical_to_off(experiment_id, seed):
     reference loop has no compiled program to detect; ``off`` samples that
     row to the target instead."""
     kwargs = dict(PRECISION_TOYS[experiment_id], seed=seed)
-    off = ALL_EXPERIMENTS[experiment_id](engine="off", **kwargs)
+    off = REGISTRY[experiment_id].runner(engine="off", **kwargs)
     with engine_ran():
-        run = ALL_EXPERIMENTS[experiment_id](engine="auto", **kwargs)
+        run = REGISTRY[experiment_id].runner(engine="auto", **kwargs)
     assert len(run.rows) == len(off.rows)
     exact_rows = 0
     for row, reference in zip(run.rows, off.rows):
@@ -331,4 +331,4 @@ def test_quick_run_all_never_falls_back():
 
     with engine_ran() as recorder:
         reports = Session(cache=None, telemetry=recorder).run_all(preset="quick")
-    assert len(reports) == len(ALL_EXPERIMENTS)
+    assert len(reports) == len(REGISTRY)

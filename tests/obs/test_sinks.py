@@ -1,10 +1,8 @@
-"""Sink tests: JSONL round-trip, flattening, and the summary table."""
+"""Trace output tests: JSONL round-trip, flattening, and the summary table."""
 
 from __future__ import annotations
 
 from repro.obs import (
-    JsonlSink,
-    MemorySink,
     TraceRecorder,
     iter_span_records,
     read_jsonl,
@@ -73,12 +71,11 @@ class TestJsonl:
         path = write_jsonl(sample_export(), tmp_path / "deep" / "dir" / "trace.jsonl")
         assert path.is_file()
 
-    def test_jsonl_sink_last_write_wins(self, tmp_path):
-        sink = JsonlSink(tmp_path / "trace.jsonl")
-        sink.write(sample_export())
-        empty = TraceRecorder().export()
-        sink.write(empty)
-        records = read_jsonl(sink.path)
+    def test_write_jsonl_overwrites_an_existing_trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(sample_export(), path)
+        write_jsonl(TraceRecorder().export(), path)
+        records = read_jsonl(path)
         assert len(records) == 1  # header only: the empty export replaced it
 
 
@@ -124,9 +121,3 @@ class TestSummaries:
     def test_render_summary_of_empty_export(self):
         text = render_summary(summarize(TraceRecorder().export()))
         assert "(no spans recorded)" in text
-
-    def test_memory_sink_collects(self):
-        sink = MemorySink()
-        sink.write(sample_export())
-        sink.write(sample_export())
-        assert len(sink.exports) == 2

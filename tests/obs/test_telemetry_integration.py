@@ -91,9 +91,7 @@ class TestSessionTracing:
 class TestProcessPoolMerge:
     def test_worker_spans_merge_in_submission_order(self, tmp_path):
         recorder = TraceRecorder()
-        session = Session(
-            cache=None, backend="process-pool", parallel=2, telemetry=recorder
-        )
+        session = Session(cache=None, parallel=2, telemetry=recorder)
         requests = [
             session.request("E5", preset="quick"),
             session.request("E3", preset="quick"),
@@ -118,7 +116,7 @@ class TestProcessPoolMerge:
         assert recorder.counters["engine.chunks"] >= 2
 
     def test_pool_without_telemetry_skips_the_traced_wrapper(self):
-        session = Session(cache=None, backend="process-pool", parallel=2)
+        session = Session(cache=None, parallel=2)
         report = session.run(EXPERIMENT, preset="quick")
         assert report.ok
         assert session.telemetry is NULL_RECORDER
@@ -126,12 +124,13 @@ class TestProcessPoolMerge:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 10_000])
-    @pytest.mark.parametrize("backend", ["inline", "process-pool"])
-    def test_results_identical_with_telemetry_on_and_off(self, seed, backend):
+    @pytest.mark.parametrize(
+        "parallel", [pytest.param(1, id="inline"), pytest.param(2, id="process-pool")]
+    )
+    def test_results_identical_with_telemetry_on_and_off(self, seed, parallel):
         def run(telemetry):
-            session = Session(
-                cache=None, seed=seed, backend=backend, parallel=2, telemetry=telemetry
-            )
+            session = Session(cache=None, seed=seed, parallel=parallel, telemetry=telemetry)
+            assert session.backend.name == ("inline" if parallel == 1 else "process-pool")
             return session.run(EXPERIMENT, preset="quick").result.to_dict()
 
         recorder = TraceRecorder()

@@ -4,6 +4,7 @@ stdlib client (repro.api.client)."""
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +198,57 @@ class TestErrorMapping:
             body = json.loads(info.value.read().decode("utf8"))
             assert body["error"] == "parameter_value"
             assert "'exact'" in body["message"]
+            status, metrics = _get(f"{service.url}/v1/metrics")
+            assert status == 200
+            assert sum(metrics["jobs"].values()) == 0
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_malformed_content_length_is_400(self, service, length):
+        """A negative length is as malformed as a non-numeric one: both get
+        a 400 answer instead of a dropped connection."""
+        host, port = service.url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as raw:
+            raw.sendall(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("latin1")
+            )
+            response = b""
+            while chunk := raw.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1] == b"400"
+        assert json.loads(body.decode("utf8")) == {
+            "error": "bad_request",
+            "message": "malformed Content-Length",
+        }
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [{"precision": -0.05}, {"precision": 0.5}, {"precision": 0.05, "confidence": 1.5}],
+    )
+    def test_out_of_range_precision_is_rejected_at_submit(self, tmp_path, parameters):
+        """``precision`` outside 0 or (0, 0.5) and ``confidence`` outside
+        (0, 1) fail parameter validation with a 400 at submit."""
+        from repro.api.wire import WIRE_SCHEMA
+
+        with ServiceThread(port=0, cache=tmp_path / "cache") as service:
+            request = urllib.request.Request(
+                f"{service.url}/v1/jobs",
+                data=json.dumps(
+                    {
+                        "schema": WIRE_SCHEMA,
+                        "kind": "run_request",
+                        "experiment_id": "E5",
+                        "parameters": {"f_values": [1], "n": 24, **parameters},
+                        "preset": "quick",
+                    }
+                ).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as info:
+                urllib.request.urlopen(request, timeout=10)
+            assert info.value.code == 400
+            assert json.loads(info.value.read().decode("utf8"))["error"] == "parameter_value"
             status, metrics = _get(f"{service.url}/v1/metrics")
             assert status == 200
             assert sum(metrics["jobs"].values()) == 0

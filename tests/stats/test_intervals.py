@@ -1,4 +1,4 @@
-"""Tests for repro.stats: intervals, quantiles, and accumulators."""
+"""Tests for repro.stats: intervals and quantiles."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from repro.stats import (
-    BernoulliAccumulator,
     ConfidenceInterval,
-    StreamingMoments,
     hoeffding_interval,
     normal_quantile,
     tri_all,
@@ -160,63 +158,3 @@ class TestTriState:
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             ConfidenceInterval(0.6, 0.4, 0.95)
-
-
-class TestStreamingMoments:
-    def test_matches_numpy_on_scalar_updates(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(2.0, 3.0, size=500)
-        moments = StreamingMoments()
-        for value in values:
-            moments.update(value)
-        assert moments.count == 500
-        assert moments.mean == pytest.approx(values.mean(), abs=1e-10)
-        assert moments.variance == pytest.approx(values.var(), abs=1e-8)
-        assert moments.sample_variance == pytest.approx(values.var(ddof=1), abs=1e-8)
-
-    def test_update_many_equals_concatenation(self):
-        rng = np.random.default_rng(8)
-        values = rng.exponential(size=1000)
-        chunked = StreamingMoments()
-        for start in range(0, 1000, 137):
-            chunked.update_many(values[start : start + 137])
-        assert chunked.count == 1000
-        assert chunked.mean == pytest.approx(values.mean(), abs=1e-12)
-        assert chunked.variance == pytest.approx(values.var(), abs=1e-10)
-
-    def test_merge_is_concatenation(self):
-        rng = np.random.default_rng(9)
-        a, b = rng.normal(size=300), rng.normal(loc=5, size=200)
-        left = StreamingMoments().update_many(a)
-        right = StreamingMoments().update_many(b)
-        left.merge(right)
-        joined = np.concatenate([a, b])
-        assert left.count == 500
-        assert left.mean == pytest.approx(joined.mean(), abs=1e-12)
-        assert left.variance == pytest.approx(joined.var(), abs=1e-10)
-
-    def test_empty_states(self):
-        moments = StreamingMoments()
-        assert math.isnan(moments.variance)
-        assert math.isnan(StreamingMoments(count=1, mean=2.0).sample_variance)
-        assert StreamingMoments().merge(StreamingMoments()).count == 0
-
-
-class TestBernoulliAccumulator:
-    def test_counts_and_moments_view(self):
-        accumulator = BernoulliAccumulator()
-        accumulator.update(3, 10).update_vector(np.array([True, False, True]))
-        assert (accumulator.successes, accumulator.trials) == (5, 13)
-        moments = accumulator.moments
-        assert moments.count == 13
-        assert moments.mean == pytest.approx(5 / 13)
-        assert moments.m2 == pytest.approx(13 * (5 / 13) * (8 / 13))
-
-    def test_interval_and_validation(self):
-        accumulator = BernoulliAccumulator(successes=60, trials=100)
-        assert accumulator.interval(0.95).half_width == pytest.approx(
-            wilson_interval(60, 100, 0.95).half_width
-        )
-        with pytest.raises(ValueError):
-            accumulator.update(5, 3)
-        assert math.isnan(BernoulliAccumulator().estimate)

@@ -137,6 +137,15 @@ class TestSequentialEstimate:
         assert estimate.estimate == pytest.approx(0.25, abs=0.05)
         assert estimate.ci_low <= 0.25 <= estimate.ci_high
 
+    @pytest.mark.parametrize("second", [-1, 101])
+    def test_draw_outside_zero_to_count_is_rejected(self, second):
+        """Each draw is checked on its own: 50 then -1 (or 101) successes
+        in two draws of 100 keep the running totals in range."""
+        target = PrecisionTarget(half_width=0.01, min_trials=100, max_trials=1_000)
+        draws = iter([50, second])
+        with pytest.raises(ValueError):
+            sequential_estimate(target, lambda count: next(draws, 0))
+
     def test_estimate_record_invariants(self):
         with pytest.raises(ValueError):
             ProbabilityEstimate(successes=2, trials=1, ci_low=0, ci_high=1, confidence=0.9)
