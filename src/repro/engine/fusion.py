@@ -250,23 +250,26 @@ class FusionContext:
         entry = self._entry(compiled, trials, seed_base, salt)
         if entry is None:
             return None
+        key = self._count_key(language, compiled)
+        vector = None if key is None else entry.counts.get(key)
+        have = 0 if vector is None else len(vector)
+        if vector is not None and trials <= have:
+            # A hit needs no membership program: the stored vector was
+            # counted by one for this very (base, network, codes).  The
+            # matrix is still served, and tallied, as on a miss.
+            self._grow(entry, trials)
+            self._hit()
+            return vector[:trials]
         membership = compile_membership(language, compiled)
         if membership is None:
             return None
         codes = self._grow(entry, trials)
-        key = self._count_key(language, compiled)
         if key is None:
             return membership.bad_counts(codes)
-        vector = entry.counts.get(key)
-        have = 0 if vector is None else len(vector)
-        if trials > have:
-            fresh = membership.bad_counts(codes[have:trials])
-            vector = fresh if vector is None else np.concatenate([vector, fresh])
-            entry.counts[key] = vector
-            self._miss()
-        else:
-            self._hit()
-        assert vector is not None
+        fresh = membership.bad_counts(codes[have:trials])
+        vector = fresh if vector is None else np.concatenate([vector, fresh])
+        entry.counts[key] = vector
+        self._miss()
         return vector[:trials]
 
     def member_vector_for(

@@ -70,6 +70,7 @@ from repro.graphs.families import cycle_network, path_network
 from repro.graphs.random_graphs import random_regular_network
 from repro.harness.results import ExperimentResult
 from repro.local.algorithm import FunctionBallAlgorithm
+from repro.local.network import Network
 from repro.local.randomness import TapeFactory
 from repro.local.simulator import run_ball_algorithm
 from repro.stats import PrecisionTarget, ProbabilityEstimate, tri_all, wilson_interval
@@ -104,15 +105,16 @@ def _amos_configuration(network, selected_count: int) -> Configuration:
     )
 
 
-def _cycle_coloring_with_bad_balls(n: int, bad_balls: int) -> Configuration:
-    """A 3-coloring of C_n (n divisible by 3) with exactly ``bad_balls`` bad
-    balls, planted as ``bad_balls // 2`` isolated conflicting edges (bad_balls
-    must be even)."""
+def _cycle_coloring_with_bad_balls(network: Network, bad_balls: int) -> Configuration:
+    """A 3-coloring of a cycle ``network`` built by :func:`cycle_network`
+    (nodes in cyclic order, n divisible by 3) with exactly ``bad_balls`` bad
+    balls, planted as ``bad_balls // 2`` isolated conflicting edges
+    (bad_balls must be even)."""
+    n = len(network)
     if n % 3 != 0:
         raise ValueError("use a cycle length divisible by 3")
     if bad_balls % 2 != 0:
         raise ValueError("bad balls come in pairs (one conflicting edge each)")
-    network = cycle_network(n)
     nodes = network.nodes()
     colors = {node: (index % 3) + 1 for index, node in enumerate(nodes)}
     conflicts = bad_balls // 2
@@ -124,22 +126,23 @@ def _cycle_coloring_with_bad_balls(n: int, bad_balls: int) -> Configuration:
     return Configuration(network, colors)
 
 
-def _cycle_coloring_with_monochromatic_run(n: int, run_length: int) -> Configuration:
-    """A 3-coloring of C_n (n divisible by 3) that is proper outside one
-    contiguous monochromatic run of ``run_length`` nodes.
+def _cycle_coloring_with_monochromatic_run(network: Network, run_length: int) -> Configuration:
+    """A 3-coloring of a cycle ``network`` built by :func:`cycle_network`
+    (n divisible by 3) that is proper outside one contiguous monochromatic
+    run of ``run_length`` nodes.
 
     Unlike :func:`_cycle_coloring_with_bad_balls` (isolated conflicting
     edges, at most ``2n/3`` bad balls), the dense run plants ``run_length``
     bad balls for any ``2 ≤ run_length ≤ n − 3`` — enough to push the bad
     fraction above any slack ε < 1.
     """
+    n = len(network)
     if n % 3 != 0:
         raise ValueError("use a cycle length divisible by 3")
     if run_length == 0:
-        return _cycle_coloring_with_bad_balls(n, 0)
+        return _cycle_coloring_with_bad_balls(network, 0)
     if not 2 <= run_length <= n - 3:
         raise ValueError("the monochromatic run must have between 2 and n - 3 nodes")
-    network = cycle_network(n)
     nodes = network.nodes()
     colors = {node: (index % 3) + 1 for index, node in enumerate(nodes)}
     # Recolor the window [1, run_length] to a constant color differing from
@@ -351,8 +354,11 @@ def experiment_e2_eps_slack_random_coloring(
     constructor = RandomColoringConstructor(3)
     base = ProperColoring(3)
     expected_bad = 1 - expected_proper_fraction(3, 2)
+    # One cycle per size, shared by the probe, the success estimates and the
+    # decider scenarios.
+    cycles = {n: cycle_network(n) for n in sizes}
     for n in sizes:
-        network = cycle_network(n)
+        network = cycles[n]
         # Mean bad fraction over a handful of runs (linearity of expectation check).
         mean_bad = 0.0
         probe_runs = min(trials, 50)
@@ -409,6 +415,7 @@ def experiment_e2_eps_slack_random_coloring(
     # acceptance matches its closed form; a row turns red only on evidence
     # (:func:`_decider_row_ok`).
     decider_n = largest if largest % 3 == 0 else 3 * (largest // 3)
+    decider_network = cycles[decider_n] if decider_n in cycles else cycle_network(decider_n)
     for eps in eps_values:
         allowed = int(eps * decider_n)
         if allowed < 1 or decider_n < 12:
@@ -423,7 +430,7 @@ def experiment_e2_eps_slack_random_coloring(
             # a second yes-instance.
             scenarios.append(("no", no_run))
         for scenario, run_length in scenarios:
-            configuration = _cycle_coloring_with_monochromatic_run(decider_n, run_length)
+            configuration = _cycle_coloring_with_monochromatic_run(decider_network, run_length)
             actual_bad = base.violation_count(configuration)
             member = actual_bad <= allowed
             acceptance = decider.acceptance_probability(
@@ -633,12 +640,13 @@ def experiment_e5_resilient_decider(
     )
     base = ProperColoring(3)
     target = _precision_target(precision, confidence, trials)
+    network = cycle_network(n)
     verdicts: List[Optional[bool]] = []
     for f in f_values:
         decider = ResilientDecider(base, f=f)
         relaxed = f_resilient(base, f)
         for bad_balls in sorted({0, 2 * ((f + 1) // 2), 2 * ((f // 2) + 1), 2 * (f + 1)}):
-            configuration = _cycle_coloring_with_bad_balls(n, bad_balls)
+            configuration = _cycle_coloring_with_bad_balls(network, bad_balls)
             actual_bad = base.violation_count(configuration)
             member = relaxed.contains(configuration)
             theoretical = decider.theoretical_acceptance(actual_bad)
@@ -867,8 +875,8 @@ def experiment_e7_separations(
     network = cycle_network(n, ids="consecutive")
     base = ProperColoring(3)
     checker = LocalCheckerDecider(base)
-    good = _cycle_coloring_with_bad_balls(n, 0)
-    bad = _cycle_coloring_with_bad_balls(n, 2)
+    good = _cycle_coloring_with_bad_balls(network, 0)
+    bad = _cycle_coloring_with_bad_balls(network, 2)
     decidable = checker.decide(good).accepted and checker.decide(bad).rejected
     min_bad = min(
         base.violation_count(Configuration(network, run_ball_algorithm(network, algorithm)))

@@ -8,17 +8,25 @@ input-output configurations carry an output ``y(v)`` per node; the
 outputs live in :class:`repro.core.languages.Configuration` so the same
 network can be paired with many candidate outputs.
 
-Every network keeps an adjacency index, built once at construction: each
-node maps to the tuple of its neighbours sorted by identity.  Neighbour and
-degree queries, and ball extraction (:func:`repro.local.ball.collect_ball`),
-read the index instead of the graph.  The index is a second copy of the
-topology, so the network's private graph copy is frozen (``nx.freeze``):
-mutating it raises :class:`networkx.NetworkXError` instead of silently
-desynchronising the two.
+A network holds one copy of its topology: the node tuple, the edge tuple,
+and an adjacency index in which each node maps to the tuple of its
+neighbours sorted by identity.  Neighbour and degree queries, and ball
+extraction (:func:`repro.local.ball.collect_ball`), read the index.  The
+networkx form, :attr:`Network.graph`, is built from the two tuples on first
+read and frozen (``nx.freeze``), like
+:attr:`repro.local.ball.BallView.graph`; the networkx-backed structure
+queries (connectivity, diameter, distances) read it.  Networks derived with
+new inputs (:meth:`Network.with_inputs`, :meth:`Network.copy`) share their
+parent's topology instead of copying it.
+
+Equality is by content: nodes, edges, identities and inputs.  The hash is
+computed once, from the identities and the edges between them only, so it
+never hashes a node object and is the same in every process.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -39,11 +47,12 @@ class Network:
     Parameters
     ----------
     graph:
-        A simple undirected graph (no self-loops, no multi-edges).  The graph
-        is copied so later mutation of the argument does not affect the
-        network.  Connectivity is *not* required: the paper's Claim 3 works
-        with disconnected unions, and the gluing construction starts from
-        them.  Use :meth:`is_connected` to check.
+        A simple undirected graph (no self-loops, no multi-edges).  Its nodes
+        and edges are copied, in iteration order, so later mutation of the
+        argument does not affect the network.  Connectivity is *not*
+        required: the paper's Claim 3 works with disconnected unions, and the
+        gluing construction starts from them.  Use :meth:`is_connected` to
+        check.
     ids:
         Mapping node -> positive-integer identity.  Defaults to consecutive
         identities ``1..n`` in the graph's node iteration order.
@@ -67,47 +76,60 @@ class Network:
     ) -> None:
         if graph.is_directed():
             raise ValueError("LOCAL-model networks are undirected")
-        if any(u == v for u, v in graph.edges()):
+        if graph.is_multigraph():
+            raise ValueError("LOCAL-model networks are simple graphs (no parallel edges)")
+        edges = tuple(graph.edges())
+        if any(u == v for u, v in edges):
             raise ValueError("LOCAL-model networks are simple graphs (no self-loops)")
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(graph.nodes())
-        self._graph.add_edges_from(graph.edges())
-        nx.freeze(self._graph)
+        self._nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
+        self._edges: Tuple[Tuple[Hashable, Hashable], ...] = edges
+        self._label(graph.adjacency(), ids, inputs)
 
+    def _label(
+        self,
+        neighbourhoods: Iterable[Tuple[Hashable, Iterable[Hashable]]],
+        ids: Optional[Mapping[Hashable, int]],
+        inputs: Optional[Mapping[Hashable, object]],
+    ) -> None:
+        """Validate and attach identities and inputs to the nodes in
+        ``_nodes``, and index ``neighbourhoods`` (node, neighbours) pairs,
+        in node order, by identity."""
+        nodes = self._nodes
+        node_set = set(nodes)
         if ids is None:
-            ids = consecutive_ids(list(self._graph.nodes()))
-        missing = set(self._graph.nodes()) - set(ids)
+            ids = consecutive_ids(nodes)
+        missing = node_set.difference(ids)
         if missing:
             raise ValueError(f"identity missing for nodes: {sorted(map(repr, missing))[:5]}")
-        extra = set(ids) - set(self._graph.nodes())
+        extra = set(ids) - node_set
         if extra:
             raise ValueError(f"identities given for unknown nodes: {sorted(map(repr, extra))[:5]}")
         validate_id_assignment(ids)
-        self._ids: IdAssignment = {node: int(ids[node]) for node in self._graph.nodes()}
+        self._ids: IdAssignment = {node: int(ids[node]) for node in nodes}
 
         inputs = dict(inputs or {})
-        unknown = set(inputs) - set(self._graph.nodes())
+        unknown = set(inputs) - node_set
         if unknown:
             raise ValueError(f"inputs given for unknown nodes: {sorted(map(repr, unknown))[:5]}")
-        self._inputs: Dict[Hashable, object] = {
-            node: inputs.get(node, "") for node in self._graph.nodes()
-        }
+        self._inputs: Dict[Hashable, object] = {node: inputs.get(node, "") for node in nodes}
 
         self._id_to_node = {ident: node for node, ident in self._ids.items()}
         identity = self._ids.__getitem__
         self._adjacency: Dict[Hashable, Tuple[Hashable, ...]] = {
-            node: tuple(sorted(neighbours, key=identity))
-            for node, neighbours in self._graph.adjacency()
+            node: tuple(sorted(neighbours, key=identity)) for node, neighbours in neighbourhoods
         }
 
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph`, frozen: mutating it raises
-        :class:`networkx.NetworkXError`."""
-        return self._graph
+        """The network as a :class:`networkx.Graph`, built on first access and
+        cached; frozen: mutating it raises :class:`networkx.NetworkXError`."""
+        graph = nx.Graph()
+        graph.add_nodes_from(self._nodes)
+        graph.add_edges_from(self._edges)
+        return nx.freeze(graph)
 
     @property
     def adjacency(self) -> Mapping[Hashable, Tuple[Hashable, ...]]:
@@ -126,26 +148,29 @@ class Network:
 
     def nodes(self) -> list:
         """The nodes in a stable order (graph iteration order)."""
-        return list(self._graph.nodes())
+        return list(self._nodes)
 
     def edges(self) -> list:
-        """The edges of the network."""
-        return list(self._graph.edges())
+        """The edges of the network, in the graph's edge iteration order."""
+        return list(self._edges)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def __iter__(self) -> Iterator:
-        return iter(self._graph.nodes())
+        return iter(self._nodes)
 
     def __contains__(self, node: Hashable) -> bool:
-        return node in self._graph
+        try:
+            return node in self._adjacency
+        except TypeError:  # an unhashable object is no node, as in networkx
+            return False
 
     def number_of_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def number_of_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._edges)
 
     def neighbors(self, node: Hashable) -> list:
         """Neighbours of a node, sorted by identity for determinism."""
@@ -180,43 +205,58 @@ class Network:
     def is_connected(self) -> bool:
         if self.number_of_nodes() == 0:
             return True
-        return nx.is_connected(self._graph)
+        return nx.is_connected(self.graph)
 
     def connected_components(self) -> list[set]:
-        return [set(c) for c in nx.connected_components(self._graph)]
+        return [set(c) for c in nx.connected_components(self.graph)]
 
     def diameter(self) -> int:
         """Diameter of the network; for disconnected graphs, the maximum
         diameter over connected components."""
         if self.number_of_nodes() == 0:
             return 0
-        if nx.is_connected(self._graph):
-            return nx.diameter(self._graph)
-        return max(
-            nx.diameter(self._graph.subgraph(c))
-            for c in nx.connected_components(self._graph)
-        )
+        graph = self.graph
+        if nx.is_connected(graph):
+            return nx.diameter(graph)
+        return max(nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph))
 
     def distance(self, u: Hashable, v: Hashable) -> int:
         """Hop distance between two nodes (raises if unreachable)."""
-        return nx.shortest_path_length(self._graph, u, v)
+        return nx.shortest_path_length(self.graph, u, v)
 
     def distances_from(self, v: Hashable, cutoff: Optional[int] = None) -> Dict[Hashable, int]:
         """Hop distance from ``v`` to every node within ``cutoff`` hops."""
-        return dict(nx.single_source_shortest_path_length(self._graph, v, cutoff=cutoff))
+        return dict(nx.single_source_shortest_path_length(self.graph, v, cutoff=cutoff))
 
     # ------------------------------------------------------------------ #
     # Derived networks
     # ------------------------------------------------------------------ #
+    def _with_topology(self, inputs: Dict[Hashable, object]) -> "Network":
+        """This network with ``inputs`` (one value per node, in node order)
+        in place of its own.  Everything else, the cached hash included, is
+        shared: none of it is ever mutated.  The graph is rebuilt on demand."""
+        network = object.__new__(Network)
+        network.__dict__.update(
+            (name, value) for name, value in vars(self).items() if name != "graph"
+        )
+        network._inputs = inputs
+        return network
+
     def with_inputs(self, inputs: Mapping[Hashable, object]) -> "Network":
         """A copy of the network with (some) inputs replaced."""
+        unknown = set(inputs).difference(self._adjacency)
+        if unknown:
+            raise ValueError(f"inputs given for unknown nodes: {sorted(map(repr, unknown))[:5]}")
         merged = dict(self._inputs)
         merged.update(inputs)
-        return Network(self._graph, self._ids, merged)
+        return self._with_topology(merged)
 
     def with_ids(self, ids: Mapping[Hashable, int]) -> "Network":
         """A copy of the network with the identity assignment replaced."""
-        return Network(self._graph, ids, self._inputs)
+        network = object.__new__(Network)
+        network._nodes, network._edges = self._nodes, self._edges
+        network._label(self._adjacency.items(), ids, self._inputs)
+        return network
 
     def relabeled_by_identity(self) -> "Network":
         """A copy whose node objects *are* the identities.
@@ -225,7 +265,7 @@ class Network:
         node objects collide but whose identities are disjoint.
         """
         mapping = {node: ident for node, ident in self._ids.items()}
-        g = nx.relabel_nodes(self._graph, mapping, copy=True)
+        g = nx.relabel_nodes(self.graph, mapping, copy=True)
         ids = {ident: ident for ident in mapping.values()}
         inputs = {mapping[node]: val for node, val in self._inputs.items()}
         return Network(g, ids, inputs)
@@ -233,7 +273,7 @@ class Network:
     def induced_subnetwork(self, nodes: Iterable[Hashable]) -> "Network":
         """The sub-network induced by a set of nodes (ids and inputs kept)."""
         nodes = list(nodes)
-        sub = self._graph.subgraph(nodes)
+        sub = self.graph.subgraph(nodes)
         return Network(
             sub,
             {node: self._ids[node] for node in nodes},
@@ -241,7 +281,7 @@ class Network:
         )
 
     def copy(self) -> "Network":
-        return Network(self._graph, self._ids, self._inputs)
+        return self._with_topology(self._inputs)
 
     # ------------------------------------------------------------------ #
     # Dunder helpers
@@ -252,22 +292,31 @@ class Network:
             f"max_degree={self.max_degree()})"
         )
 
+    @cached_property
+    def _content_hash(self) -> int:
+        # Identities are ints, whose hashes are fixed; node objects (strings,
+        # say) may hash differently in every process.
+        identity = self._ids.__getitem__
+        return hash(
+            frozenset(
+                (identity(node), tuple(map(identity, neighbours)))
+                for node, neighbours in self._adjacency.items()
+            )
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
+        if self is other:
+            return True
+        # Equal identity maps give equal node sets; with them, equal
+        # identity-sorted indices give equal edge sets.
         return (
-            set(self._graph.nodes()) == set(other._graph.nodes())
-            and set(map(frozenset, self._graph.edges()))
-            == set(map(frozenset, other._graph.edges()))
+            self._content_hash == other._content_hash
             and self._ids == other._ids
+            and self._adjacency == other._adjacency
             and self._inputs == other._inputs
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                frozenset(self._graph.nodes()),
-                frozenset(map(frozenset, self._graph.edges())),
-                frozenset(self._ids.items()),
-            )
-        )
+        return self._content_hash

@@ -222,6 +222,27 @@ class TestFusionTelemetry:
         assert _dicts(traced) == _dicts(silent)
 
 
+class TestFusedCountMemo:
+    def test_memo_hits_compile_no_membership_program(self, monkeypatch):
+        # Per E2 point: the probe's counts, and the success estimate's budget
+        # and counts, each want a membership program.  Only the first probe
+        # and the first success count miss the shared memo; the budget is
+        # compiled at every point.
+        compiled = []
+        original = fusion.compile_membership
+
+        def counting(language, construction):
+            compiled.append(language.name)
+            return original(language, construction)
+
+        monkeypatch.setattr(fusion, "compile_membership", counting)
+        grid = {"eps_values": [[0.75], [0.7], [0.65]]}
+        fused = Session(cache=None).sweep("E2", grid, seed=0, **E2_FIXED)
+        assert fused.plan is not None and fused.plan.has_fusion
+        assert len(compiled) == len(grid["eps_values"]) + 2
+        assert _dicts(fused) == _per_point(Session(cache=None), "E2", grid, seed=0, **E2_FIXED)
+
+
 class TestFusedProgress:
     def test_fused_points_start_before_the_group_runs(self):
         # Both points of the group start when the group does; neither is

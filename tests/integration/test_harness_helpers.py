@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.core.languages import Amos
 from repro.core.lcl import ProperColoring
+from repro.harness import experiments
 from repro.harness.experiments import (
     _amos_configuration,
     _cycle_coloring_with_bad_balls,
@@ -50,16 +52,45 @@ class TestAmosConfigurations:
 class TestPlantedBadBalls:
     @pytest.mark.parametrize("bad", [0, 2, 4, 8])
     def test_exact_bad_ball_count(self, bad):
-        configuration = _cycle_coloring_with_bad_balls(24, bad)
+        configuration = _cycle_coloring_with_bad_balls(cycle_network(24), bad)
         assert ProperColoring(3).violation_count(configuration) == bad
 
     def test_odd_bad_ball_count_rejected(self):
         with pytest.raises(ValueError):
-            _cycle_coloring_with_bad_balls(24, 3)
+            _cycle_coloring_with_bad_balls(cycle_network(24), 3)
 
     def test_cycle_length_must_be_divisible_by_three(self):
         with pytest.raises(ValueError):
-            _cycle_coloring_with_bad_balls(20, 2)
+            _cycle_coloring_with_bad_balls(cycle_network(20), 2)
+
+
+class TestOneCyclePerRun:
+    """E2, E5 and E7 build each cycle once and share it between their rows."""
+
+    @pytest.fixture
+    def cycles_built(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return cycle_network(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "cycle_network", counting)
+        return built
+
+    def test_fused_e2_sweep_builds_one_cycle_per_point(self, cycles_built):
+        grid = {"eps_values": [[0.75], [0.7], [0.65]]}
+        report = Session(cache=None).sweep(
+            "E2", grid, sizes=[18], trials=25, decider_trials=40, seed=0
+        )
+        assert report.plan is not None and report.plan.has_fusion
+        assert len(report.reports) == len(cycles_built) == 3
+
+    @pytest.mark.parametrize("experiment", ["E5", "E7"])
+    def test_one_cycle_per_run(self, experiment, cycles_built):
+        report = Session(cache=None).run(experiment, preset="quick")
+        assert report.result.verdict == "pass"
+        assert len(cycles_built) == 1
 
 
 class TestToyDerandomizationIngredients:

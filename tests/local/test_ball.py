@@ -207,3 +207,12 @@ class TestBallGraphOnDemand:
         report = Session(cache=None).run("E2", preset="quick")
         assert report.result.verdict == "pass"
         assert built == []
+
+    def test_quick_e2_builds_no_network_graph(self, monkeypatch):
+        # A network's networkx graph is built on first read; E2 reads only
+        # the adjacency index, so it must never build one.
+        built = []
+        monkeypatch.setattr(Network, "graph", property(lambda network: built.append(network)))
+        report = Session(cache=None).run("E2", preset="quick")
+        assert report.result.verdict == "pass"
+        assert built == []

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
-from repro.graphs.families import cycle_network, path_network
+import repro
+from repro.graphs.families import cycle_network, grid_network, path_network, torus_network
+from repro.graphs.operations import (
+    disjoint_union,
+    double_subdivide_edge,
+    glue_instances,
+    relabel_disjoint,
+)
+from repro.graphs.random_graphs import random_regular_network
 from repro.local.network import Network
 
 
@@ -30,6 +42,11 @@ class TestConstruction:
         graph.add_edge(0, 0)
         with pytest.raises(ValueError, match="simple"):
             Network(graph)
+
+    def test_rejects_multigraph(self):
+        # nx.Graph would merge the parallel edges silently.
+        with pytest.raises(ValueError, match="simple graphs"):
+            Network(nx.MultiGraph([(0, 1), (0, 1), (1, 2)]))
 
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError, match="missing"):
@@ -173,3 +190,155 @@ class TestDerivedNetworks:
     def test_inequality_on_different_inputs(self):
         net = triangle()
         assert net != net.with_inputs({"b": "changed"})
+
+    def test_with_inputs_rejects_unknown_nodes_and_leaves_parent_untouched(self):
+        net = triangle()
+        before = (net.inputs, net.ids, net.edges(), hash(net))
+        with pytest.raises(ValueError, match="unknown"):
+            net.with_inputs({"b": "y", "z": "x"})
+        updated = net.with_inputs({"c": "y"})
+        assert (net.inputs, net.ids, net.edges(), hash(net)) == before
+        assert updated.inputs == {"a": "x", "b": "", "c": "y"}
+        assert updated.nodes() == net.nodes() and updated.edges() == net.edges()
+        assert dict(updated.adjacency) == dict(net.adjacency)
+
+    def test_with_ids_reindexes_the_shared_topology(self):
+        net = triangle()
+        updated = net.with_ids({"a": 1, "b": 2, "c": 3})
+        assert updated.edges() == net.edges()
+        assert updated.neighbors("c") == ["a", "b"]
+        assert net.neighbors("c") == ["b", "a"]
+        assert updated != net
+
+
+def _cycle():
+    return cycle_network(12)
+
+
+def _path():
+    return path_network(7, ids="shuffled", seed=3)
+
+
+def _grid():
+    return grid_network(3, 4)
+
+
+def _torus():
+    return torus_network(3, 4, ids="random", seed=1)
+
+
+def _random_regular():
+    return random_regular_network(12, 3, seed=1)
+
+
+def _relabelled():
+    return relabel_disjoint([cycle_network(6), grid_network(2, 3)])[1]
+
+
+def _union():
+    return disjoint_union([cycle_network(6), path_network(4), grid_network(2, 2)])
+
+
+def _subdivided():
+    return double_subdivide_edge(cycle_network(6), (2, 3), "v", "w", 100, 101)
+
+
+def _glued():
+    return glue_instances([cycle_network(6), torus_network(3, 3)], [0, (1, 1)]).network
+
+
+BUILDERS = [_cycle, _path, _grid, _torus, _random_regular, _relabelled, _union, _subdivided, _glued]
+
+
+@pytest.fixture
+def references(monkeypatch):
+    """Record, for every network built, a copy of its source graph made the
+    way a network used to copy it: ``nx.Graph()`` + ``add_nodes_from`` +
+    ``add_edges_from``."""
+    built = {}
+    init = Network.__init__
+
+    def recording_init(self, graph, ids=None, inputs=None):
+        reference = nx.Graph()
+        reference.add_nodes_from(graph.nodes())
+        reference.add_edges_from(graph.edges())
+        init(self, graph, ids, inputs)
+        built[id(self)] = (self, reference)
+
+    monkeypatch.setattr(Network, "__init__", recording_init)
+    return built
+
+
+class TestOneTopology:
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__.strip("_"))
+    def test_topology_matches_a_networkx_copy_in_order(self, build, references):
+        network = build()
+        held, reference = references[id(network)]
+        assert held is network
+        assert network.nodes() == list(reference.nodes())
+        assert network.edges() == list(reference.edges())
+        assert network.number_of_edges() == reference.number_of_edges()
+        assert list(network.adjacency.items()) == [
+            (node, tuple(sorted(neighbours, key=network.identity)))
+            for node, neighbours in reference.adjacency()
+        ]
+        assert "graph" not in vars(network)
+        graph = network.graph
+        assert "graph" in vars(network) and network.graph is graph
+        assert nx.is_frozen(graph)
+        assert list(graph.nodes()) == list(reference.nodes())
+        assert list(graph.edges()) == list(reference.edges())
+        assert [(node, list(nbrs)) for node, nbrs in graph.adjacency()] == [
+            (node, list(nbrs)) for node, nbrs in reference.adjacency()
+        ]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__.strip("_"))
+    def test_rebuilds_are_equal_and_hash_equal(self, build):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_hash_ignores_inputs_but_equality_does_not(self):
+        net = _grid()
+        updated = net.with_inputs({(0, 0): "x"})
+        assert hash(updated) == hash(net)
+        assert updated != net
+
+    def test_same_identities_different_edges_are_unequal(self):
+        cycle, path = cycle_network(5), path_network(5)
+        assert cycle.ids == path.ids
+        assert cycle != path
+        assert hash(cycle) != hash(path)
+
+    def test_with_inputs_and_copy_build_no_graph(self):
+        net = _grid()
+        net.graph  # noqa: B018 - the parent's graph is built; the copies' are not
+        for derived in (net.with_inputs({(0, 0): "x"}), net.copy()):
+            assert "graph" not in vars(derived)
+            assert list(derived.graph.edges()) == list(net.graph.edges())
+
+    def test_string_nodes_hash_the_same_in_every_process(self):
+        # String hashes are salted per process (PYTHONHASHSEED); identities
+        # are ints, so a network's hash is not.
+        script = (
+            "import networkx as nx\n"
+            "from repro.local.network import Network\n"
+            "graph = nx.Graph([('a', 'b'), ('b', 'c'), ('c', 'd')])\n"
+            "print(hash(Network(graph, inputs={'a': 'x'})), hash('a'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=environment,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(completed.stdout.split())
+        (network_1, string_1), (network_2, string_2) = outputs
+        assert string_1 != string_2
+        assert network_1 == network_2

@@ -52,7 +52,7 @@ from tests.conftest import engine_ran, fallback_counters
 
 
 def _config(n=30, bad=6):
-    return _cycle_coloring_with_bad_balls(n, bad)
+    return _cycle_coloring_with_bad_balls(cycle_network(n), bad)
 
 
 class TestPrecisionTarget:
@@ -268,7 +268,7 @@ class TestAcceptStream:
             AcceptStream(compiled).sample(0)
 
     def test_deterministic_accept_value(self):
-        proper = _cycle_coloring_with_bad_balls(30, 0)
+        proper = _cycle_coloring_with_bad_balls(cycle_network(30), 0)
         compiled = compile_decision(ResilientDecider(ProperColoring(3), f=2), proper)
         assert deterministic_accept_value(compiled) is True
         random_compiled = compile_decision(ResilientDecider(ProperColoring(3), f=2), _config())
@@ -291,7 +291,7 @@ class TestAdaptiveAcceptance:
         assert 100 <= estimate.trials < 5_000
 
     def test_deterministic_decision_skips_sampling(self):
-        proper = _cycle_coloring_with_bad_balls(30, 0)
+        proper = _cycle_coloring_with_bad_balls(cycle_network(30), 0)
         decider = ResilientDecider(ProperColoring(3), f=1)
         estimate = decider.acceptance_estimate(proper, precision=PrecisionTarget(half_width=0.01))
         assert estimate.deterministic and estimate.trials == 1 and estimate.estimate == 1.0
@@ -362,9 +362,9 @@ class TestDeciderPrecisionThreading:
         base = ProperColoring(3)
         decider = ResilientDecider(base, f=2)
         configurations = [
-            _cycle_coloring_with_bad_balls(30, 0),
-            _cycle_coloring_with_bad_balls(30, 2),
-            _cycle_coloring_with_bad_balls(30, 6),
+            _cycle_coloring_with_bad_balls(cycle_network(30), 0),
+            _cycle_coloring_with_bad_balls(cycle_network(30), 2),
+            _cycle_coloring_with_bad_balls(cycle_network(30), 6),
         ]
         language = f_resilient(base, 2)
         fixed = estimate_guarantee(decider, language, configurations, trials=400, seed=2)
