@@ -40,7 +40,7 @@ class RandomColoringAlgorithm(BallAlgorithm):
         if num_colors < 1:
             raise ValueError("need at least one color")
         self.num_colors = int(num_colors)
-        self.name = f"random-{num_colors}-coloring"
+        self.name = f"random-{self.num_colors}-coloring"
 
     def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
         if tape is None:
@@ -52,14 +52,24 @@ class RandomColoringAlgorithm(BallAlgorithm):
         ``randint(1, num_colors)`` draw, independent of the ball."""
         return uniform_int(1, self.num_colors)
 
+    def __eq__(self, other: object) -> bool:
+        # ``num_colors`` is the only state, so equal instances behave alike.
+        return type(other) is type(self) and self.num_colors == other.num_colors
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.num_colors))
+
 
 class RandomColoringConstructor(BallConstructor):
-    """Constructor wrapper around :class:`RandomColoringAlgorithm`."""
+    """Constructor wrapper around :class:`RandomColoringAlgorithm`, equal on ``num_colors``."""
 
     def __init__(self, num_colors: int = 3) -> None:
         algorithm = RandomColoringAlgorithm(num_colors)
         super().__init__(algorithm, name=algorithm.name)
-        self.num_colors = num_colors
+        self.num_colors = algorithm.num_colors
+
+    __eq__ = RandomColoringAlgorithm.__eq__
+    __hash__ = RandomColoringAlgorithm.__hash__
 
 
 def expected_proper_fraction(num_colors: int, degree: int = 2) -> float:

@@ -20,7 +20,8 @@ Concrete deciders:
 * :class:`ResilientDecider` — the decider from the proof of Corollary 1
   showing that the f-resilient relaxation of any LCL language is in BPLD:
   a node with a good ball accepts; a node with a bad ball accepts with
-  probability ``p`` chosen in ``(2^{-1/f}, 2^{-1/(f+1)})``.
+  probability ``p`` chosen in ``(2^{-1/f}, 2^{-1/(f+1)})``.  The engine
+  compiles it from the language's ``bad_mask``, without a ball.
 
 :func:`estimate_guarantee` measures the empirical guarantee of a randomized
 decider on a set of labelled configurations; experiment E1 and E5 are built
@@ -35,8 +36,9 @@ Multi-draw deciders (vote programs):
 * :class:`AmplifiedResilientDecider` — the Corollary 1 decider with each
   bad-ball coin replaced by a majority vote of ``repetitions`` weaker
   coins (per-node error amplification; same acceptance distribution, now a
-  genuine multi-draw program).  With ``f = ⌊ε·n⌋`` it also decides the
-  ε-slack relaxation on ``n``-node instances (experiment E2).
+  genuine multi-draw program, compiled the same way).  With ``f = ⌊ε·n⌋``
+  it also decides the ε-slack relaxation on ``n``-node instances
+  (experiment E2).
 * :class:`AmplifiedAmosDecider` — the amos decider with the selected-node
   coin amplified the same way (experiment E7).
 
@@ -458,14 +460,45 @@ class AmosDecider(RandomizedDecider):
         return coin(golden_ratio_guarantee())
 
 
-class ResilientDecider(RandomizedDecider):
+class _CorollaryOneDecider(ProgramDecider):
+    """The decider of Corollary 1's proof: a node whose ball is good for the
+    LCL ``language`` accepts, and a node in ``F(G)`` runs
+    ``bad_ball_program``, which accepts with probability ``p_bad_ball``.
+    The votes depend only on ``F(G)``, so :meth:`vote_programs` reads them
+    off ``language.bad_mask`` without a ball (the compiler's path)."""
+
+    language: LCLLanguage
+    p_bad_ball: float
+    bad_ball_program: VoteExpr
+
+    def vote_program(self, ball: BallView) -> VoteExpr:
+        """Good balls accept surely; bad balls run ``bad_ball_program``."""
+        if not self.language.is_bad_ball(ball):
+            return const(True)
+        return self.bad_ball_program
+
+    def vote_programs(self, configuration: Configuration) -> List[VoteExpr]:
+        """Every node's :meth:`vote_program`, in node order, from ``F(G)``."""
+        good = const(True)
+        return [
+            self.bad_ball_program if bad else good
+            for bad in self.language.bad_mask(configuration)
+        ]
+
+    def theoretical_acceptance(self, bad_ball_count: int) -> float:
+        """Exact Pr[all nodes accept] for a configuration with the given
+        number of bad balls (the coins at distinct nodes are independent)."""
+        return self.p_bad_ball ** int(bad_ball_count)
+
+
+class ResilientDecider(_CorollaryOneDecider):
     """The BPLD decider of the f-resilient relaxation ``L_f`` (Corollary 1).
 
     Every node collects its radius-``t`` ball (``t`` = checking radius of the
     base LCL language).  If the ball is good the node accepts; if the ball is
     bad the node accepts with probability ``p`` and rejects with probability
-    ``1 − p``, where ``p`` lies in the open window
-    ``(2^{-1/f}, 2^{-1/(f+1)})``.
+    ``1 − p`` (``bad_ball_program`` is the single draw ``coin(p)``), where
+    ``p`` lies in the open window ``(2^{-1/f}, 2^{-1/(f+1)})``.
 
     * On a yes-instance (at most ``f`` bad balls) all nodes accept with
       probability at least ``p^f > 1/2``.
@@ -483,33 +516,13 @@ class ResilientDecider(RandomizedDecider):
     ) -> None:
         self.language = language
         self.f = int(f)
-        self.p_bad_ball, guarantee = _resilient_parameters(f, acceptance_probability)
-        super().__init__(
-            rule=self._vote,
-            radius=language.radius,
-            guarantee=guarantee,
-            name=f"resilient-decider({language.name}, f={f})",
-        )
-
-    def _vote(self, ball: BallView, tape: RandomTape) -> bool:
-        if not self.language.is_bad_ball(ball):
-            return True
-        return tape.bernoulli(self.p_bad_ball)
-
-    def vote_program(self, ball: BallView) -> VoteExpr:
-        """Good balls accept surely; bad balls with probability
-        ``p_bad_ball`` — the compiled form of :meth:`_vote`."""
-        if not self.language.is_bad_ball(ball):
-            return const(True)
-        return coin(self.p_bad_ball)
-
-    def theoretical_acceptance(self, bad_ball_count: int) -> float:
-        """Exact Pr[all nodes accept] for a configuration with the given
-        number of bad balls (the coins at distinct nodes are independent)."""
-        return self.p_bad_ball ** int(bad_ball_count)
+        self.p_bad_ball, self.guarantee = _resilient_parameters(f, acceptance_probability)
+        self.bad_ball_program = coin(self.p_bad_ball)
+        self.radius = int(language.radius)
+        self.name = f"resilient-decider({language.name}, f={f})"
 
 
-class AmplifiedResilientDecider(ProgramDecider):
+class AmplifiedResilientDecider(_CorollaryOneDecider):
     """The Corollary 1 decider with per-node error amplification — a genuine
     **multi-draw** decider.
 
@@ -549,19 +562,7 @@ class AmplifiedResilientDecider(ProgramDecider):
         self.name = (
             f"amplified-resilient-decider({language.name}, f={f}, k={repetitions})"
         )
-        self._bad_ball_program = majority(repetitions, self.per_draw_probability)
-
-    def vote_program(self, ball: BallView) -> VoteExpr:
-        """Good balls accept surely; bad balls take the calibrated
-        ``repetitions``-coin majority."""
-        if not self.language.is_bad_ball(ball):
-            return const(True)
-        return self._bad_ball_program
-
-    def theoretical_acceptance(self, bad_ball_count: int) -> float:
-        """Exact Pr[all nodes accept] with the given number of bad balls
-        (identical to the single-coin resilient decider by calibration)."""
-        return self.p_bad_ball ** int(bad_ball_count)
+        self.bad_ball_program = majority(repetitions, self.per_draw_probability)
 
 
 class AmplifiedAmosDecider(ProgramDecider):

@@ -9,14 +9,18 @@ language iff none of its radius-``t`` balls (with outputs) is bad.
 predicate) provide the checking radius ``t`` and the bad-ball predicate.  The
 machinery shared by all of them —
 
-* ``bad_nodes`` / ``F(G)``: the set of nodes whose ball is bad (the paper's
-  ``F(G)`` in the proof of Corollary 1),
-* ``violation_count``: ``|F(G)|``,
+* ``bad_mask``: ``F(G)`` (the nodes whose ball is bad, in the proof of
+  Corollary 1) as per-node flags; ``bad_nodes``, ``violation_count``
+  (``|F(G)|``) and ``contains`` read it,
 * the induced canonical LD decider (every node checks its own ball, see
   :class:`repro.core.decision.LocalCheckerDecider`),
 * the f-resilient and ε-slack relaxations (:mod:`repro.core.relaxations`)
 
 — is what the paper's Corollary 1 builds on.
+
+``is_bad_ball`` is the specification, run on every ball by the default
+``bad_mask``; :class:`ProperColoring` computes the mask as array operations
+(:meth:`ProperColoring.bad_codes`, which the engine's counter runs too).
 
 Concrete LCL languages provided: proper ``q``-coloring, (deg+1)-list-style
 coloring, weak coloring, frugal coloring, maximal independent set, maximal
@@ -27,7 +31,9 @@ standing in for the Lovász-local-lemma style tasks mentioned in the paper.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.languages import Configuration, DistributedLanguage
 from repro.local.ball import BallView
@@ -62,25 +68,36 @@ class LCLLanguage(DistributedLanguage):
     # ------------------------------------------------------------------ #
     # Machinery shared by every LCL language
     # ------------------------------------------------------------------ #
+    def bad_mask(self, configuration: Configuration) -> np.ndarray:
+        """The paper's ``F(G)`` as per-node flags, in node order: the spec,
+        :meth:`is_bad_ball` on every ball, which an override must match."""
+        balls = (configuration.ball(node, self.radius) for node in configuration.nodes())
+        return np.array([bool(self.is_bad_ball(ball)) for ball in balls], dtype=bool)
+
     def bad_nodes(self, configuration: Configuration) -> List[Hashable]:
         """The paper's ``F(G)``: nodes whose radius-``t`` ball is bad."""
-        bad = []
-        for node in configuration.nodes():
-            ball = configuration.ball(node, self.radius)
-            if self.is_bad_ball(ball):
-                bad.append(node)
-        return bad
+        mask = self.bad_mask(configuration)
+        return [node for node, bad in zip(configuration.nodes(), mask) if bad]
 
     def violation_count(self, configuration: Configuration) -> int:
         """``|F(G)|`` — the number of bad balls."""
-        return len(self.bad_nodes(configuration))
+        return int(np.count_nonzero(self.bad_mask(configuration)))
 
     def contains(self, configuration: Configuration) -> bool:
         """Membership: no bad ball at all."""
+        return self.at_most_bad(configuration, 0)
+
+    def at_most_bad(self, configuration: Configuration, budget: int) -> bool:
+        """Whether at most ``budget`` balls are bad (the f-resilient and
+        ε-slack relaxations pass their tolerance).  Without a ``bad_mask``
+        override the spec loop stops at the first ball over budget."""
+        if type(self).bad_mask is not LCLLanguage.bad_mask:
+            return self.violation_count(configuration) <= budget
         for node in configuration.nodes():
-            ball = configuration.ball(node, self.radius)
-            if self.is_bad_ball(ball):
-                return False
+            if self.is_bad_ball(configuration.ball(node, self.radius)):
+                budget -= 1
+                if budget < 0:
+                    return False
         return True
 
     def fraction_bad(self, configuration: Configuration) -> float:
@@ -138,6 +155,35 @@ class ProperColoring(LCLLanguage):
             if ball.outputs[neighbor] == color:  # type: ignore[index]
                 return True
         return False
+
+    def bad_mask(self, configuration: Configuration) -> np.ndarray:
+        """:meth:`bad_codes` on the interned outputs.  Interning agrees with
+        ``==`` for ints, bools, strings and ``None`` only; any other output
+        (a float such as NaN, an unhashable or custom one) takes the spec."""
+        outputs = [configuration.outputs[node] for node in configuration.nodes()]
+        if not set(map(type, outputs)) <= _INTERNABLE:
+            return super().bad_mask(configuration)
+        code_of: Dict[object, int] = {}
+        codes = [code_of.setdefault(value, len(code_of)) for value in outputs]
+        neighbors = configuration.network.neighbor_positions
+        return self.bad_codes(np.array([codes], dtype=np.intp), tuple(code_of), neighbors)[0]
+
+    def bad_codes(
+        self, codes: np.ndarray, values: Sequence[object], neighbors: np.ndarray
+    ) -> np.ndarray:
+        """Bad flags of ``(rows, n)`` codes into the distinct ``values``, over
+        a :attr:`~repro.local.network.Network.neighbor_positions` index: a
+        ball is bad iff its color leaves the palette or equals a neighbour's."""
+        k = self.num_colors
+        palette_bad = [k is not None and not (isinstance(v, int) and 1 <= v <= k) for v in values]
+        # The sentinel column n holds code -1, which equals no code.
+        extended = np.concatenate([codes, np.full((len(codes), 1), -1, codes.dtype)], axis=1)
+        conflict = (extended[:, neighbors] == codes[:, :, None]).any(axis=2)
+        return conflict | np.array(palette_bad, dtype=bool)[codes]
+
+
+#: Output types whose ``==`` agrees with dict interning (``True == 1``).
+_INTERNABLE = frozenset({int, bool, str, type(None)})
 
 
 class WeakColoring(LCLLanguage):

@@ -52,14 +52,7 @@ class FResilientLanguage(DistributedLanguage):
         return self.base.radius
 
     def contains(self, configuration: Configuration) -> bool:
-        # Early-exit count: stop as soon as the budget is exceeded.
-        budget = self.f
-        for node in configuration.nodes():
-            if self.base.is_bad_ball(configuration.ball(node, self.base.radius)):
-                budget -= 1
-                if budget < 0:
-                    return False
-        return True
+        return self.base.at_most_bad(configuration, self.f)
 
     def violation_count(self, configuration: Configuration) -> int:
         """Number of bad balls *beyond* the tolerated budget."""
@@ -96,13 +89,7 @@ class EpsSlackLanguage(DistributedLanguage):
         return int(self.eps * n)
 
     def contains(self, configuration: Configuration) -> bool:
-        budget = self.allowed_bad(len(configuration))
-        for node in configuration.nodes():
-            if self.base.is_bad_ball(configuration.ball(node, self.base.radius)):
-                budget -= 1
-                if budget < 0:
-                    return False
-        return True
+        return self.base.at_most_bad(configuration, self.allowed_bad(len(configuration)))
 
     def violation_count(self, configuration: Configuration) -> int:
         return max(

@@ -43,7 +43,9 @@ lowered nodes); richer deciders must stay on the reference path.
 
 Deciders expose the IR through ``vote_program(ball) -> VoteExpr``, the
 compiler's one entry contract (see :func:`is_compilable`); a single-coin
-decider returns :func:`coin` or :func:`const`.
+decider returns :func:`coin` or :func:`const`.  A decider may also offer
+``vote_programs(configuration)``, every node's expression in node order,
+which :func:`compile_decision` then takes instead of extracting balls.
 """
 
 from __future__ import annotations
@@ -621,8 +623,9 @@ def compile_decision(decider: "Decider", configuration: "Configuration") -> Comp
     """Compile a decider against a fixed configuration.
 
     Extracts every radius-``t`` ball once, asks the decider for its per-node
-    vote program, lowers each distinct program once, and freezes the result
-    into a :class:`CompiledDecision`.  Raises ``TypeError`` for deciders
+    vote program (or takes ``vote_programs`` when offered), lowers each
+    distinct program once, and freezes the result into a
+    :class:`CompiledDecision`.  Raises ``TypeError`` for deciders
     without a ``vote_program`` — callers should check :func:`is_compilable`
     first and fall back to the reference path — and
     :class:`ProgramCompilationError` for programs beyond the IR's draw cap.
@@ -662,10 +665,15 @@ def _compile_decision(decider: "Decider", configuration: "Configuration") -> Com
     programs: List[VoteProgram] = []
     program_ids = np.empty(len(nodes), dtype=np.int32)
     probabilities = np.empty(len(nodes), dtype=np.float64)
+    offered = getattr(decider, "vote_programs", None)
+    expressions = (
+        iter(offered(configuration))
+        if callable(offered)
+        else (_node_expression(decider, configuration.ball(node, radius)) for node in nodes)
+    )
     for position, node in enumerate(nodes):
-        ball = configuration.ball(node, radius)
         try:
-            expr = _node_expression(decider, ball)
+            expr = next(expressions)
         except ValueError as error:
             raise ValueError(f"decider {decider.name!r} at node {node!r}: {error}") from error
         keepalive.append(expr)

@@ -16,16 +16,17 @@ that per-trial Python out:
   interpreting the program against a fresh tape
   (:func:`evaluate_output_expr`) is observationally identical to
   ``algorithm.compute(ball, tape)`` — same output, same draws consumed.
-* :func:`compile_construction` walks the network **once**, extracts each
-  node's ball, interns the finite output alphabet, and freezes the per-node
-  programs into NumPy form; :func:`construction_matrix` then produces the
-  ``trials × nodes`` matrix of output codes in one pass, computing the
-  reference streams ``TapeFactory(seed, salt, trial=t)`` as counter-based
-  uniform blocks (see below).
+* :func:`compile_construction` walks the network **once** (once per fused
+  sweep group), extracts each node's ball, lowers each distinct program,
+  interns the output alphabet, and freezes the per-node programs into NumPy
+  form; :func:`construction_matrix` then produces the ``trials × nodes``
+  matrix of output codes in one pass, computing the reference streams
+  ``TapeFactory(seed, salt, trial=t)`` as counter-based uniform blocks (see
+  below).
 * :func:`compile_membership` lowers language membership to array form over
   the code matrix: radius-0 LCL predicates become per-``(node, value)``
-  bad-ball tables, proper coloring becomes CSR-style padded neighbour
-  equality checks, and the f-resilient / ε-slack relaxations thresholds on
+  bad-ball tables, proper coloring runs the array check ``LCLLanguage``
+  membership reads too, and the f-resilient / ε-slack relaxations threshold
   the batched bad-ball counts.  Languages beyond these shapes return ``None``
   and the callers fall back to per-trial ``language.contains`` on decoded
   rows (still batched on the construction side).
@@ -78,6 +79,7 @@ import numpy as np
 from repro.engine.compiler import (
     ACCEPT,
     _node_expression,
+    _structural_key,
     is_compilable,
     lower_program,
 )
@@ -371,6 +373,18 @@ class CompiledConstruction:
     def program_of(self, position: int) -> OutputProgram:
         return self.programs[int(self.program_ids[position])]
 
+    @cached_property
+    def content_key(self) -> Hashable:
+        """What the code matrix and its decoding depend on, and nothing
+        else: the fusion memo's matrix key."""
+        return (
+            self.constructor_name,
+            self.values,
+            self.programs,
+            self.program_ids.tobytes(),
+            self.identities.tobytes(),
+        )
+
     def decode_row(self, row: np.ndarray) -> Dict[Hashable, object]:
         """One trial's code row as the reference output mapping."""
         return {
@@ -387,8 +401,18 @@ def compile_construction(constructor: object, network: "Network") -> CompiledCon
     programs.  Raises ``TypeError`` for constructors without the
     ``output_program`` contract and :class:`ConstructionCompilationError`
     for programs beyond the engine's shape (non-hashable values, alphabets
-    larger than :data:`MAX_OUTPUT_VALUES`).
+    larger than :data:`MAX_OUTPUT_VALUES`).  Inside a fused sweep group the
+    ambient :class:`~repro.engine.fusion.FusionContext` serves a pair it
+    has compiled before.
     """
+    context = _active_fusion()
+    if context is not None:
+        return context.compiled_construction(constructor, network, _compile_checked)
+    return _compile_checked(constructor, network)
+
+
+def _compile_checked(constructor: object, network: "Network") -> CompiledConstruction:
+    """One compile under its span, verified under ``$REPRO_CHECK_IR``."""
     recorder = get_recorder()
     with recorder.span(
         "engine.compile_construction",
@@ -461,12 +485,20 @@ def _compile_construction(
             "(const_output/uniform_int/uniform_choice/bernoulli_output)"
         )
 
+    lowered: Dict[OutputExpr, Tuple] = {}
     interned: Dict[Tuple, int] = {}
     programs: List[OutputProgram] = []
     program_ids = np.empty(len(nodes), dtype=np.int32)
     for position, node in enumerate(nodes):
-        ball = collect_ball(network, node, radius)
-        key = lower(program_fn(ball))
+        expr = program_fn(collect_ball(network, node, radius))
+        # Equal expressions lower to equal keys, so each distinct one lowers
+        # once; the alphabet still interns values in first-node order.
+        try:
+            key = lowered[expr]
+        except KeyError:
+            key = lowered[expr] = lower(expr)
+        except TypeError:  # an unhashable expression lowers per node
+            key = lower(expr)
         if key not in interned:
             kind, codes, low, high, q = key
             interned[key] = len(programs)
@@ -560,41 +592,18 @@ def _radius_zero_table_counter(
 def _proper_coloring_counter(
     base, compiled: CompiledConstruction
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Padded-neighbour equality counter for proper coloring: a node's ball
-    is bad iff its color leaves the palette or equals a neighbour's color.
-    Codes intern distinct values, so code equality is value equality."""
-    palette_bad = np.zeros(len(compiled.values), dtype=bool)
-    if base.num_colors is not None:
-        for code, value in enumerate(compiled.values):
-            palette_bad[code] = not (
-                isinstance(value, int) and 1 <= value <= base.num_colors
-            )
-    n = compiled.n_nodes
-    position_of = {node: position for position, node in enumerate(compiled.nodes)}
-    neighbor_lists = [
-        [position_of[u] for u in compiled.network.neighbors(node)]
-        for node in compiled.nodes
-    ]
-    max_degree = max((len(lst) for lst in neighbor_lists), default=0)
-    # Sentinel column n holds code -1, which never equals a real code.
-    padded = np.full((n, max(max_degree, 1)), n, dtype=np.int64)
-    for position, lst in enumerate(neighbor_lists):
-        padded[position, : len(lst)] = lst
+    """Per-row counts of :meth:`repro.core.lcl.ProperColoring.bad_codes`,
+    the language's own array check, in blocks."""
+    neighbors = compiled.network.neighbor_positions
+    # 8 bytes/element bounds the dominant (block, n, max_degree)
+    # gathered-codes temporary, keeping it under WORKING_SET_BYTES.
+    block = max(1, WORKING_SET_BYTES // max(1, 8 * compiled.n_nodes * neighbors.shape[1]))
 
     def counter(codes: np.ndarray) -> np.ndarray:
-        trials = codes.shape[0]
-        counts = np.empty(trials, dtype=np.int64)
-        # 8 bytes/element bounds the dominant (block, n, max_degree)
-        # gathered-codes temporary, keeping it under WORKING_SET_BYTES.
-        block = max(1, WORKING_SET_BYTES // max(1, 8 * n * padded.shape[1]))
-        for start in range(0, trials, block):
-            stop = min(trials, start + block)
-            chunk = codes[start:stop]
-            extended = np.concatenate(
-                [chunk, np.full((stop - start, 1), -1, dtype=chunk.dtype)], axis=1
-            )
-            conflict = (extended[:, padded] == chunk[:, :, None]).any(axis=2)
-            counts[start:stop] = (conflict | palette_bad[chunk]).sum(axis=1)
+        counts = np.empty(codes.shape[0], dtype=np.int64)
+        for start in range(0, codes.shape[0], block):
+            flags = base.bad_codes(codes[start : start + block], compiled.values, neighbors)
+            counts[start : start + len(flags)] = flags.sum(axis=1)
         return counts
 
     return counter
@@ -724,13 +733,22 @@ def compile_fused_decision(
     thresholds = np.zeros((n, n_values), dtype=np.float64)
     on_true = np.zeros((n, n_values), dtype=bool)
     on_false = np.zeros((n, n_values), dtype=bool)
+    # Each distinct program lowers once, keyed as in ``compile_decision``.
+    seen: Dict[int, int] = {}  # by id(): ``keepalive`` holds the expressions
+    tokens: Dict[Tuple, int] = {}
+    keepalive, lowered_by_key = [], {}
     for position, node in enumerate(compiled.nodes):
         program = compiled.program_of(position)
         for code in set(program.codes):
             ball = collect_ball(
                 compiled.network, node, 0, outputs={node: compiled.values[code]}
             )
-            lowered = lower_program(_node_expression(decider, ball))
+            expr = _node_expression(decider, ball)
+            keepalive.append(expr)
+            key = _structural_key(expr, seen, tokens)
+            if key not in lowered_by_key:
+                lowered_by_key[key] = lower_program(expr)
+            lowered = lowered_by_key[key]
             if lowered.max_draws > 1:
                 return None
             if lowered.root < 0:

@@ -6,11 +6,13 @@ same randomized construction once per point: every point compiles the same
 matrix before lowering its *own* membership / decision program against it.
 This module factors that sharing out:
 
-* :class:`FusionContext` — a per-group memo of construction matrices and
-  base-language bad-count vectors, keyed by **content** (the compiled
-  construction's programs/identities/alphabet plus seed and salt —
-  exactly the inputs :func:`~repro.engine.construct.construction_matrix` is a
-  deterministic function of), never by object identity.  Matrices grow via a
+* :class:`FusionContext` — a per-group memo of compiled constructions
+  (keyed by ``(constructor, network)`` under ordinary equality),
+  construction matrices and base-language bad-count vectors, the last two
+  keyed by **content** (``CompiledConstruction.content_key`` plus seed and
+  salt — exactly the inputs
+  :func:`~repro.engine.construct.construction_matrix` is a deterministic
+  function of), never by object identity.  Matrices grow via a
   retained :class:`~repro.engine.construct.ConstructionStream`, so a point
   needing more trials than a previous one extends the cached matrix and a
   point needing fewer is served a prefix — both bit-identical to a fresh
@@ -47,7 +49,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +64,7 @@ from repro.obs import get_recorder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.languages import DistributedLanguage
     from repro.harness.registry import ExperimentSpec
+    from repro.local.network import Network
 
 __all__ = [
     "FusionContext",
@@ -107,7 +110,7 @@ class FusionContext:
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, _MatrixEntry]" = OrderedDict()  # loop-confined
-        self._compiled_keys: Dict[int, Tuple[CompiledConstruction, Hashable]] = {}
+        self._compiled: Dict[Hashable, CompiledConstruction] = {}
         self.hits = 0
         self.misses = 0
 
@@ -125,24 +128,20 @@ class FusionContext:
         get_recorder().counter("engine.fuse_misses")
 
     # ------------------------------------------------------------------ #
-    def _compiled_key(self, compiled: CompiledConstruction) -> Hashable:
-        """The content key of a compiled construction — everything the code
-        matrix and the code → value decoding depend on, nothing else (the
-        adjacency only enters through the per-node programs and, for counts,
-        through the network component of the count key)."""
-        cached = self._compiled_keys.get(id(compiled))
-        if cached is not None and cached[0] is compiled:
-            return cached[1]
-        key = (
-            compiled.constructor_name,
-            compiled.values,
-            compiled.programs,
-            compiled.program_ids.tobytes(),
-            compiled.identities.tobytes(),
-        )
-        # Keep a strong reference so the id() above cannot be recycled.
-        self._compiled_keys[id(compiled)] = (compiled, key)
-        return key
+    def compiled_construction(
+        self, constructor: object, network: "Network", build: Callable
+    ) -> CompiledConstruction:
+        """``build(constructor, network)``, once per group for pairs equal
+        under ordinary equality (a constructor without value equality
+        matches only itself); an unhashable pair builds every time."""
+        key = (constructor, network)
+        try:
+            compiled = self._compiled.get(key)
+        except TypeError:
+            return build(constructor, network)
+        if compiled is None:
+            compiled = self._compiled[key] = build(constructor, network)
+        return compiled
 
     def _entry(
         self,
@@ -161,7 +160,7 @@ class FusionContext:
         if trials * max(compiled.n_nodes, 1) * 4 > WORKING_SET_BYTES:
             return None
         try:
-            key = (self._compiled_key(compiled), int(seed_base), salt)
+            key = (compiled.content_key, int(seed_base), salt)
             hash(key)
         except TypeError:
             return None

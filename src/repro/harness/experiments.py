@@ -105,16 +105,25 @@ def _amos_configuration(network, selected_count: int) -> Configuration:
     )
 
 
+def _planting_error(message: str) -> Exception:
+    """The typed error (HTTP 400, never retried) of an unplantable request."""
+    from repro.harness.registry import ParameterValueError  # imports this module
+
+    return ParameterValueError(message)
+
+
 def _cycle_coloring_with_bad_balls(network: Network, bad_balls: int) -> Configuration:
     """A 3-coloring of a cycle ``network`` built by :func:`cycle_network`
     (nodes in cyclic order, n divisible by 3) with exactly ``bad_balls`` bad
     balls, planted as ``bad_balls // 2`` isolated conflicting edges
-    (bad_balls must be even)."""
+    (bad_balls must be even and at most 2n/3)."""
     n = len(network)
-    if n % 3 != 0:
-        raise ValueError("use a cycle length divisible by 3")
-    if bad_balls % 2 != 0:
-        raise ValueError("bad balls come in pairs (one conflicting edge each)")
+    if n % 3 != 0 or bad_balls % 2 != 0 or not 0 <= bad_balls <= 2 * n // 3:
+        raise _planting_error(
+            f"cannot plant {bad_balls} bad balls on a {n}-node cycle: the planted "
+            "coloring needs n divisible by 3 and an even number of bad balls, "
+            f"at most 2n/3 = {2 * n // 3}"
+        )
     nodes = network.nodes()
     colors = {node: (index % 3) + 1 for index, node in enumerate(nodes)}
     conflicts = bad_balls // 2
@@ -137,12 +146,14 @@ def _cycle_coloring_with_monochromatic_run(network: Network, run_length: int) ->
     fraction above any slack ε < 1.
     """
     n = len(network)
-    if n % 3 != 0:
-        raise ValueError("use a cycle length divisible by 3")
+    if n % 3 != 0 or (run_length != 0 and not 2 <= run_length <= n - 3):
+        raise _planting_error(
+            f"cannot plant a monochromatic run of {run_length} nodes on a {n}-node "
+            "cycle: the planted coloring needs n divisible by 3 and a run of 0 "
+            f"or 2 to n - 3 = {n - 3} nodes"
+        )
     if run_length == 0:
         return _cycle_coloring_with_bad_balls(network, 0)
-    if not 2 <= run_length <= n - 3:
-        raise ValueError("the monochromatic run must have between 2 and n - 3 nodes")
     nodes = network.nodes()
     colors = {node: (index % 3) + 1 for index, node in enumerate(nodes)}
     # Recolor the window [1, run_length] to a constant color differing from

@@ -8,8 +8,9 @@ identities and inputs, and, for decision tasks, outputs) to local outputs.
 
 That definition lives in one place, :func:`_ball`: a breadth-first search to
 depth ``t`` over an adjacency mapping whose neighbour tuples are sorted by
-identity.  :func:`collect_ball` runs it on a network's adjacency index, and
-the message-passing lift (:mod:`repro.local.algorithm`) runs it on the
+identity (a radius-0 ball, the centre alone, skips the search).
+:func:`collect_ball` runs it on a network's adjacency index, and the
+message-passing lift (:mod:`repro.local.algorithm`) runs it on the
 adjacency a node has learned.  A :class:`BallView` stores the ball as that
 adjacency: members in BFS order, each with its in-ball neighbours in identity
 order.  Its ``graph`` (a frozen :class:`networkx.Graph`) is built only when
@@ -270,6 +271,10 @@ def _ball(
         raise ValueError("radius must be non-negative")
     if center not in adjacency:
         raise nx.NodeNotFound(f"Source {center} is not in G")
+    if radius == 0:  # the centre alone, as the search below would find it
+        ids, inputs = {center: identity(center)}, {center: input_of(center)}
+        out = None if outputs is None else {center: outputs[center]}
+        return BallView(center, 0, {center: ()}, ids, inputs, {center: 0}, out)
     distances = {center: 0}
     frontier = [center]
     for depth in range(1, radius + 1):

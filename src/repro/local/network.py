@@ -15,9 +15,11 @@ extraction (:func:`repro.local.ball.collect_ball`), read the index.  The
 networkx form, :attr:`Network.graph`, is built from the two tuples on first
 read and frozen (``nx.freeze``), like
 :attr:`repro.local.ball.BallView.graph`; the networkx-backed structure
-queries (connectivity, diameter, distances) read it.  Networks derived with
-new inputs (:meth:`Network.with_inputs`, :meth:`Network.copy`) share their
-parent's topology instead of copying it.
+queries (connectivity, diameter, distances) read it.  The array form of the
+index, :attr:`Network.neighbor_positions` (built on first read), serves the
+array membership checks.  Networks derived with new inputs
+(:meth:`Network.with_inputs`, :meth:`Network.copy`) share their parent's
+topology instead of copying it.
 
 Equality is by content: nodes, edges, identities and inputs.  The hash is
 computed once, from the identities and the edges between them only, so it
@@ -31,6 +33,7 @@ from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.local.identifiers import (
     IdAssignment,
@@ -135,6 +138,20 @@ class Network:
     def adjacency(self) -> Mapping[Hashable, Tuple[Hashable, ...]]:
         """Read-only index: node -> tuple of its neighbours sorted by identity."""
         return MappingProxyType(self._adjacency)
+
+    @cached_property
+    def neighbor_positions(self) -> np.ndarray:
+        """The index as a read-only ``(n, max(Δ, 1))`` array: row ``i`` holds
+        the positions of node ``i``'s neighbours in identity order, padded
+        with the sentinel ``n``.  Built on first read."""
+        n, position = len(self._nodes), {node: i for i, node in enumerate(self._nodes)}
+        degrees = np.fromiter(map(len, self._adjacency.values()), dtype=np.intp, count=n)
+        index = np.full((n, max(self.max_degree(), 1)), n, dtype=np.intp)
+        index[np.arange(index.shape[1]) < degrees[:, None]] = [
+            position[other] for others in self._adjacency.values() for other in others
+        ]
+        index.flags.writeable = False
+        return index
 
     @property
     def ids(self) -> IdAssignment:

@@ -298,28 +298,3 @@ class TapeFactory:
 
     def __iter__(self) -> Iterator[tuple[int, RandomTape]]:
         return iter(self._cache.items())
-
-
-def deterministic_factory() -> TapeFactory:
-    """A tape factory whose tapes always return 0 bits.
-
-    Useful for forcing a randomized algorithm to behave deterministically
-    (all coins fixed to zero), mirroring the ``C_sigma`` construction with
-    the all-zero string.
-    """
-
-    class _ZeroTape(RandomTape):
-        def _next(self) -> float:
-            return 0.0
-
-        def bit(self) -> int:  # type: ignore[override]
-            return 0
-
-        def permutation(self, n: int) -> list[int]:  # type: ignore[override]
-            return list(range(n))
-
-    class _ZeroFactory(TapeFactory):
-        def tape_for(self, identity: int) -> RandomTape:  # type: ignore[override]
-            return _ZeroTape(0)
-
-    return _ZeroFactory(0)

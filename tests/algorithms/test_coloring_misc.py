@@ -12,12 +12,13 @@ from repro.algorithms.coloring.random_coloring import (
 )
 from repro.algorithms.coloring.reduction import ColorReductionAlgorithm, ColorReductionConstructor
 from repro.analysis.metrics import fraction_bad_nodes
-from repro.core.construction import estimate_success_probability
+from repro.core.construction import BallConstructor, estimate_success_probability
 from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring
 from repro.core.relaxations import eps_slack
 from repro.graphs.families import cycle_network, grid_network, star_network
 from repro.graphs.random_graphs import random_regular_network
+from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.randomness import TapeFactory
 from repro.local.simulator import Simulator
 
@@ -40,6 +41,24 @@ class TestRandomColoring:
         ball = collect_ball(small_cycle, small_cycle.nodes()[0], 0)
         with pytest.raises(ValueError):
             algorithm.compute(ball, None)
+
+    def test_equality_is_on_num_colors(self):
+        three = RandomColoringConstructor(3)
+        assert three == RandomColoringConstructor(3)
+        assert hash(three) == hash(RandomColoringConstructor(3))
+        assert three != RandomColoringConstructor(4)
+        assert three.algorithm == RandomColoringAlgorithm(3)
+        assert hash(three.algorithm) == hash(RandomColoringAlgorithm(3))
+        assert three.algorithm != RandomColoringAlgorithm(4)
+        assert three != three.algorithm
+
+    def test_ball_constructor_over_a_lambda_equals_only_itself(self):
+        def build():
+            return BallConstructor(FunctionBallAlgorithm(lambda ball: 1, radius=0))
+
+        constructor = build()
+        assert constructor == constructor
+        assert constructor != build()
 
     def test_expected_proper_fraction_values(self):
         assert expected_proper_fraction(3, 2) == pytest.approx(4 / 9)

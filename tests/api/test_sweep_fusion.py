@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.sweep import grid_points
 from repro.api import InlineBackend, ProcessPoolBackend, Session, UnknownParameterError
-from repro.engine import fusion
+from repro.engine import construct, fusion
 from repro.engine.construct import compile_construction, construction_matrix
 from repro.engine.fusion import (
     FusedSweepPlan,
@@ -27,6 +27,7 @@ from repro.engine.fusion import (
 from repro.graphs.families import cycle_network
 from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
 from repro.engine.parallel import point_seed
+from repro.harness.experiments import _toy_faulty_constructor
 from repro.harness.registry import REGISTRY
 from repro.obs import TraceRecorder
 
@@ -241,6 +242,38 @@ class TestFusedCountMemo:
         assert fused.plan is not None and fused.plan.has_fusion
         assert len(compiled) == len(grid["eps_values"]) + 2
         assert _dicts(fused) == _per_point(Session(cache=None), "E2", grid, seed=0, **E2_FIXED)
+
+
+class TestConstructionCompileMemo:
+    def test_fused_sweep_compiles_each_size_once(self, monkeypatch):
+        # Every E2 point compiles the same construction twice (the probe and
+        # the success estimate); one group compiles it once per size.
+        sizes = []
+        original = construct._compile_construction
+
+        def counting(constructor, network, span):
+            sizes.append(len(network))
+            return original(constructor, network, span)
+
+        monkeypatch.setattr(construct, "_compile_construction", counting)
+        grid = {"eps_values": [[0.75], [0.7], [0.65]]}
+        fixed = dict(E2_FIXED, sizes=[18, 24])
+        fused = Session(cache=None).sweep("E2", grid, seed=0, **fixed)
+        assert fused.plan is not None and fused.plan.has_fusion
+        assert sorted(sizes) == [18, 24]
+        assert _dicts(fused) == _per_point(Session(cache=None), "E2", grid, seed=0, **fixed)
+
+    def test_memo_matches_constructors_by_equality_only(self):
+        network = cycle_network(9)
+        faulty = _toy_faulty_constructor(0.25)
+        with fusion_scope():
+            first = compile_construction(RandomColoringConstructor(3), network)
+            assert compile_construction(RandomColoringConstructor(3), network.copy()) is first
+            assert compile_construction(RandomColoringConstructor(4), network) is not first
+            compiled = compile_construction(faulty, network)
+            assert compile_construction(faulty, network) is compiled
+            assert compile_construction(_toy_faulty_constructor(0.25), network) is not compiled
+        assert compile_construction(RandomColoringConstructor(3), network) is not first
 
 
 class TestFusedProgress:

@@ -12,11 +12,13 @@ from repro.harness import experiments
 from repro.harness.experiments import (
     _amos_configuration,
     _cycle_coloring_with_bad_balls,
+    _cycle_coloring_with_monochromatic_run,
     _toy_all_zeros_language,
     _toy_faulty_constructor,
     _toy_noisy_decider,
 )
 from repro.graphs.families import cycle_network, path_network
+from repro.harness.registry import ParameterValueError
 from repro.local.randomness import TapeFactory
 
 
@@ -56,12 +58,33 @@ class TestPlantedBadBalls:
         assert ProperColoring(3).violation_count(configuration) == bad
 
     def test_odd_bad_ball_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterValueError, match="even"):
             _cycle_coloring_with_bad_balls(cycle_network(24), 3)
 
     def test_cycle_length_must_be_divisible_by_three(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterValueError, match="divisible by 3"):
             _cycle_coloring_with_bad_balls(cycle_network(20), 2)
+
+    def test_at_most_two_thirds_of_the_cycle(self):
+        configuration = _cycle_coloring_with_bad_balls(cycle_network(24), 16)
+        assert ProperColoring(3).violation_count(configuration) == 16
+        with pytest.raises(ParameterValueError, match="2n/3 = 16"):
+            _cycle_coloring_with_bad_balls(cycle_network(24), 18)
+
+    def test_monochromatic_run_limits(self):
+        with pytest.raises(ParameterValueError, match="divisible by 3"):
+            _cycle_coloring_with_monochromatic_run(cycle_network(20), 4)
+        with pytest.raises(ParameterValueError, match="n - 3 = 21"):
+            _cycle_coloring_with_monochromatic_run(cycle_network(24), 22)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(n=24, f_values=[8]), dict(n=12, f_values=[4]), dict(n=25)]
+    )
+    def test_session_reports_unplantable_rows_as_parameter_errors(self, overrides):
+        # Before the typed errors these raised a bare IndexError or
+        # ValueError, which the service retries as a transient crash.
+        with pytest.raises(ParameterValueError, match="cannot plant"):
+            Session(cache=None).run("E5", preset="quick", **overrides)
 
 
 class TestOneCyclePerRun:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Session
 from repro.graphs.families import cycle_network, grid_network, path_network, star_network
+from repro.local import ball as ball_module
 from repro.local.ball import BallView, all_balls, collect_ball
 from repro.local.identifiers import order_preserving_relabel
 from repro.local.network import Network
@@ -207,6 +208,21 @@ class TestBallGraphOnDemand:
         report = Session(cache=None).run("E2", preset="quick")
         assert report.result.verdict == "pass"
         assert built == []
+
+    def test_quick_e2_extracts_no_radius_one_view(self, monkeypatch):
+        # E2's memberships and Corollary 1 decider compiles read F(G) as
+        # array flags; only the radius-0 construction compiles take views.
+        radii = []
+        original = ball_module._ball
+
+        def counting(adjacency, center, radius, *args, **kwargs):
+            radii.append(radius)
+            return original(adjacency, center, radius, *args, **kwargs)
+
+        monkeypatch.setattr(ball_module, "_ball", counting)
+        report = Session(cache=None).run("E2", preset="quick")
+        assert report.result.verdict == "pass"
+        assert radii and set(radii) == {0}
 
     def test_quick_e2_builds_no_network_graph(self, monkeypatch):
         # A network's networkx graph is built on first read; E2 reads only

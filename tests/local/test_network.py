@@ -211,6 +211,35 @@ class TestDerivedNetworks:
         assert updated != net
 
 
+class TestNeighborPositions:
+    def test_rows_hold_positions_in_identity_order_padded_with_n(self):
+        net = triangle()  # nodes a, b, c with identities 3, 1, 2
+        assert net.neighbor_positions.tolist() == [[1, 2], [2, 0], [1, 0]]
+        graph = nx.Graph([("a", "b")])
+        graph.add_node("lone")
+        isolated = Network(graph)
+        assert isolated.neighbor_positions.tolist() == [[1], [0], [3]]
+        assert Network(nx.empty_graph(1)).neighbor_positions.tolist() == [[1]]
+
+    def test_built_on_first_read_and_read_only(self):
+        net = cycle_network(6)
+        assert "neighbor_positions" not in vars(net)
+        index = net.neighbor_positions
+        assert net.neighbor_positions is index
+        assert index.shape == (6, 2)
+        with pytest.raises(ValueError):
+            index[0, 0] = 5
+
+    def test_shared_by_with_inputs_and_copy_rebuilt_by_with_ids(self):
+        net = triangle()
+        index = net.neighbor_positions
+        assert net.with_inputs({"b": "y"}).neighbor_positions is index
+        assert net.copy().neighbor_positions is index
+        relabelled = net.with_ids({"a": 1, "b": 2, "c": 3})
+        assert "neighbor_positions" not in vars(relabelled)
+        assert relabelled.neighbor_positions.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+
 def _cycle():
     return cycle_network(12)
 

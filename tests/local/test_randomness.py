@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.local.randomness import RandomTape, TapeFactory, derive_seed, deterministic_factory
+from repro.local.randomness import RandomTape, TapeFactory, derive_seed
 
 
 class TestDeriveSeed:
@@ -145,14 +145,3 @@ class TestTapeFactory:
         factory.tape_for(1)
         factory.tape_for(2)
         assert {identity for identity, _tape in factory} == {1, 2}
-
-
-class TestDeterministicFactory:
-    def test_all_zero(self):
-        factory = deterministic_factory()
-        tape = factory.tape_for(99)
-        assert tape.bit() == 0
-        assert tape.bits(8) == [0] * 8
-        assert tape.uniform() == 0.0
-        assert tape.randint(2, 7) == 2
-        assert tape.permutation(4) == [0, 1, 2, 3]

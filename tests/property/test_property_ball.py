@@ -12,6 +12,7 @@ and that the message-passing lift reconstructs the same balls.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional, Tuple
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.local.algorithm import FunctionBallAlgorithm, ball_algorithm_to_local
-from repro.local.ball import collect_ball
+from repro.local.ball import BallView, collect_ball
 from repro.local.network import Network
 from repro.local.simulator import Simulator, run_ball_algorithm
 
@@ -231,6 +232,29 @@ class TestBallMatchesReference:
             assert {frozenset(e) for e in graph.edges()} == {
                 frozenset(e) for e in ref.edges()
             }
+
+
+class TestRadiusZeroView:
+    @SETTINGS
+    @given(case=networks_with_outputs())
+    def test_radius_zero_view_equals_the_bfs_definition(self, case):
+        # ``_ball`` builds a radius-0 view without its search; every field
+        # must still be what the breadth-first definition gives.
+        network, outputs = case
+        for center in network.nodes():
+            ball = collect_ball(network, center, 0, outputs=outputs)
+            ref = reference_ball(network, center, 0, outputs=outputs)
+            expected = {
+                "center": ref.center,
+                "radius": 0,
+                "adjacency": {node: tuple(ref.graph.neighbors(node)) for node in ref.graph},
+                "ids": ref.ids,
+                "inputs": ref.inputs,
+                "distances": ref.distances,
+                "outputs": ref.outputs,
+            }
+            fields = dataclasses.fields(BallView)
+            assert {field.name: getattr(ball, field.name) for field in fields} == expected
 
 
 def ball_description(ball) -> Tuple:

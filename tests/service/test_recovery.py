@@ -136,6 +136,29 @@ class TestRetries:
         assert job.error["error"] == "wire_format"
         assert "service.retries" not in manager.metrics()["counters"]
 
+    def test_unplantable_experiment_fails_once_as_a_parameter_error(self, req):
+        # E5 cannot plant 18 bad balls on a 24-node cycle; the typed error
+        # is deterministic, so the job fails on its first attempt.
+        from repro.harness.registry import REGISTRY
+
+        async def main():
+            manager = JobManager(
+                registry=REGISTRY, cache=None, max_retries=3, backoff=fast_backoff()
+            )
+            request = req(REGISTRY, "E5", n=24, f_values=[8], trials=50)
+            job, _ = await manager.submit(request)
+            await manager.wait(job.id)
+            await manager.close()
+            return manager, job
+
+        manager, job = run(main())
+        assert job.state == JobState.FAILED
+        assert job.attempt == 0
+        assert job.error["error"] == "parameter_value"
+        assert job.error_status == 400
+        assert [event["event"] for event in job.events] == ["start", "failed"]
+        assert "service.retries" not in manager.metrics()["counters"]
+
     def test_injected_worker_faults_retry_deterministically(self, req):
         """The chaos shape: a seeded plan injects two worker crashes; the
         job recovers on the third attempt and the plan's log proves the
