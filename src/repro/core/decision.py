@@ -60,6 +60,7 @@ loop.  :func:`repro.stats.run_estimate` runs the stream: one
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -129,15 +130,21 @@ def majority_success_probability(per_draw: float, repetitions: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def per_draw_probability_for_majority(target: float, repetitions: int) -> float:
     """The per-draw bias whose ``repetitions``-coin majority succeeds with
     probability ``target`` (inverse of :func:`majority_success_probability`,
-    by bisection — the tail is strictly increasing in the bias)."""
+    by at most 200 bisection steps — the tail is strictly increasing in the
+    bias).  Memoized: the deciders of one run share a few targets."""
     if not 0.0 < target < 1.0:
         raise ValueError("the target probability must lie strictly inside (0, 1)")
     low, high = 0.0, 1.0
     for _ in range(200):
         mid = (low + high) / 2.0
+        if mid == low or mid == high:
+            # No float lies strictly between the ends, so every later step
+            # would leave the midpoint where it is.
+            break
         if majority_success_probability(mid, repetitions) < target:
             low = mid
         else:

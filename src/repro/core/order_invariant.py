@@ -19,6 +19,11 @@ their values.  Two facts from the paper are made executable here:
   all core nodes — so it cannot solve the f-resilient relaxation of
   3-coloring.  :func:`monochromatic_core` returns that core, and experiment
   E3 verifies the monochromatic behaviour over the enumerated algorithms.
+
+The enumerated algorithms are evaluated once per ball class:
+:func:`cycle_ball_patterns` takes every node's ball once, and
+:meth:`CyclePatternAlgorithm.outputs_at` looks a table up at the patterns;
+:func:`~repro.local.simulator.run_ball_algorithm` is the specification.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.local.algorithm import BallAlgorithm
-from repro.local.ball import BallView
+from repro.local.ball import BallView, collect_ball
 from repro.local.identifiers import order_preserving_relabel
 from repro.local.network import Network
 from repro.local.randomness import RandomTape
@@ -40,6 +45,7 @@ __all__ = [
     "TableBallAlgorithm",
     "CyclePatternAlgorithm",
     "cycle_ball_pattern",
+    "cycle_ball_patterns",
     "is_order_invariant_on",
     "enumerate_cycle_ball_types",
     "enumerate_order_invariant_cycle_algorithms",
@@ -193,6 +199,16 @@ def cycle_ball_pattern(ball: BallView) -> Tuple[int, ...]:
     return min(forward, backward)
 
 
+def cycle_ball_patterns(network: Network, radius: int) -> List[Tuple[int, ...]]:
+    """The :func:`cycle_ball_pattern` of every node's radius-``radius`` ball,
+    in node order, from one ball per node.
+
+    Raises ``ValueError`` when the cycle is too short for the radius, as
+    :func:`cycle_ball_pattern` does.
+    """
+    return [cycle_ball_pattern(collect_ball(network, node, radius)) for node in network.nodes()]
+
+
 class CyclePatternAlgorithm(BallAlgorithm):
     """An order-invariant algorithm on cycles, given by a pattern table.
 
@@ -218,6 +234,10 @@ class CyclePatternAlgorithm(BallAlgorithm):
 
     def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
         return self.table.get(cycle_ball_pattern(ball), self.default)
+
+    def outputs_at(self, patterns: Iterable[Tuple[int, ...]]) -> List[object]:
+        """The outputs :meth:`compute` gives on balls of these patterns."""
+        return [self.table.get(pattern, self.default) for pattern in patterns]
 
 
 def enumerate_cycle_ball_types(radius: int) -> List[Tuple[int, ...]]:

@@ -1,7 +1,10 @@
 """Deterministic graph families used as workloads.
 
-Every constructor returns a :class:`~repro.local.network.Network`.  Identity
-assignment is controlled by the ``ids`` argument:
+Every constructor returns a :class:`~repro.local.network.Network`.  Cycles
+and paths are built from their node and edge sequences
+(:meth:`~repro.local.network.Network.from_edges`); the other families build a
+networkx graph first.  Identity assignment is controlled by the ``ids``
+argument:
 
 * ``"consecutive"`` — identities ``1..n`` follow the construction order; on
   :func:`cycle_network` this is exactly the consecutively-labelled cycle used
@@ -75,8 +78,8 @@ def cycle_network(
     """
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
-    graph = nx.cycle_graph(n)
-    return _build(graph, range(n), ids, seed, id_start, inputs)
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+    return Network.from_edges(range(n), edges, _make_ids(range(n), ids, seed, id_start), inputs)
 
 
 def path_network(
@@ -89,8 +92,8 @@ def path_network(
     """The n-node path P_n (n ≥ 1)."""
     if n < 1:
         raise ValueError("a path needs at least 1 node")
-    graph = nx.path_graph(n)
-    return _build(graph, range(n), ids, seed, id_start, inputs)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return Network.from_edges(range(n), edges, _make_ids(range(n), ids, seed, id_start), inputs)
 
 
 def grid_network(

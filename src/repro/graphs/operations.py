@@ -19,15 +19,16 @@ Three constructions appear in the paper:
 
 These operations are purely combinatorial, so they can be executed exactly;
 the error-amplification experiments (E6, E9) measure on their outputs the
-probability decay the proof establishes analytically.
+probability decay the proof establishes analytically.  Each one builds its
+result from node and edge sequences (:meth:`Network.from_edges`), never
+through a networkx graph, with the node and edge orders the same
+operations on networkx graphs would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.local.network import Network
 
@@ -55,10 +56,10 @@ def relabel_disjoint(networks: Sequence[Network]) -> List[Network]:
     offset = 0
     for index, network in enumerate(networks):
         mapping = {node: (index, network.identity(node)) for node in network.nodes()}
-        graph = nx.relabel_nodes(network.graph, mapping, copy=True)
         ids = {mapping[node]: network.identity(node) + offset for node in network.nodes()}
         inputs = {mapping[node]: network.input_of(node) for node in network.nodes()}
-        result.append(Network(graph, ids, inputs))
+        edges = [(mapping[u], mapping[v]) for u, v in network.edges()]
+        result.append(Network.from_edges(mapping.values(), edges, ids, inputs))
         offset = max(ids.values())
     return result
 
@@ -75,7 +76,7 @@ def disjoint_union(networks: Sequence[Network], relabel: bool = True) -> Network
         raise ValueError("need at least one network")
     parts = relabel_disjoint(networks) if relabel else list(networks)
 
-    graph = nx.Graph()
+    edges: List[Tuple[Hashable, Hashable]] = []
     ids: Dict[Hashable, int] = {}
     inputs: Dict[Hashable, object] = {}
     seen_identities: set[int] = set()
@@ -88,11 +89,41 @@ def disjoint_union(networks: Sequence[Network], relabel: bool = True) -> Network
                     f"identity collision on {part.identity(node)}; use relabel=True"
                 )
             seen_identities.add(part.identity(node))
-        graph.add_nodes_from(part.nodes())
-        graph.add_edges_from(part.edges())
-        ids.update({node: part.identity(node) for node in part.nodes()})
-        inputs.update({node: part.input_of(node) for node in part.nodes()})
-    return Network(graph, ids, inputs)
+            ids[node] = part.identity(node)
+            inputs[node] = part.input_of(node)
+        edges.extend(part.edges())
+    return Network.from_edges(ids, edges, ids, inputs)  # ``ids`` lists the nodes in order
+
+
+def _subdivided(
+    network: Network,
+    paths: Dict[Tuple[Hashable, Hashable], Sequence[Tuple[Hashable, int, object]]],
+    extra_edges: Sequence[Tuple[Hashable, Hashable]] = (),
+) -> Network:
+    """``network`` with every edge ``(a, b)`` of ``paths`` replaced by a path
+    from ``a`` through new ``(node, identity, input)`` triples to ``b``, then
+    ``extra_edges`` added.  One build, with the node and edge orders of
+    subdividing one edge at a time."""
+    ids, inputs = network.ids, network.inputs
+    used = set(ids.values())
+    removed: set = set()
+    added: List[Tuple[Hashable, Hashable]] = []
+    for (a, b), middle in paths.items():
+        if a not in network or b not in network.adjacency[a]:
+            raise ValueError(f"edge {(a, b)!r} not present")
+        removed.update({(a, b), (b, a)})
+        for node, identity, value in middle:
+            if node in ids:
+                raise ValueError(f"node object {node!r} already present")
+            if identity in used:
+                raise ValueError(f"identity {identity} already present")
+            used.add(identity)
+            ids[node], inputs[node] = identity, value
+        chain = [a, *(node for node, _, _ in middle), b]
+        added.extend(zip(chain, chain[1:]))
+    kept = [pair for pair in network.edges() if pair not in removed]
+    # ``ids`` lists the old nodes in order, then the new ones.
+    return Network.from_edges(ids, kept + added + list(extra_edges), ids, inputs)
 
 
 def subdivide_edge(
@@ -104,21 +135,7 @@ def subdivide_edge(
 ) -> Network:
     """Subdivide one edge once: replace ``{a, b}`` by ``{a, m}, {m, b}``."""
     a, b = edge
-    if not network.graph.has_edge(a, b):
-        raise ValueError(f"edge {edge!r} not present")
-    if new_node in network.graph:
-        raise ValueError(f"node object {new_node!r} already present")
-    if new_identity in set(network.ids.values()):
-        raise ValueError(f"identity {new_identity} already present")
-    graph = nx.Graph(network.graph)
-    graph.remove_edge(a, b)
-    graph.add_edge(a, new_node)
-    graph.add_edge(new_node, b)
-    ids = network.ids
-    ids[new_node] = new_identity
-    inputs = network.inputs
-    inputs[new_node] = new_input
-    return Network(graph, ids, inputs)
+    return _subdivided(network, {(a, b): [(new_node, new_identity, new_input)]})
 
 
 def double_subdivide_edge(
@@ -139,10 +156,11 @@ def double_subdivide_edge(
     degree 2 before the gluing edges are added.
     """
     a, b = edge
-    intermediate = subdivide_edge(network, (a, b), first_node, first_identity, first_input)
-    return subdivide_edge(
-        intermediate, (first_node, b), second_node, second_identity, second_input
-    )
+    middle = [
+        (first_node, first_identity, first_input),
+        (second_node, second_identity, second_input),
+    ]
+    return _subdivided(network, {(a, b): middle})
 
 
 @dataclass
@@ -227,35 +245,27 @@ def glue_instances(
 
     next_identity = union.max_identity() + 1
     subdivision_nodes: List[Tuple[Hashable, Hashable]] = []
-    current = union
+    paths = {}
     for index, anchor in enumerate(new_anchors):
-        neighbors = current.neighbors(anchor)
-        # Only consider neighbours that belong to the same original instance,
-        # so repeated subdivisions never pick an inserted node.
-        own = [nb for nb in neighbors if nb in instance_nodes[index]]
-        target = own[0] if own else neighbors[0]
+        # The edge towards the anchor's smallest-identity neighbour: every
+        # neighbour is in the anchor's own instance, and the instances'
+        # subdivisions touch disjoint edges, so the order of doing them does
+        # not matter.
+        target = union.neighbors(anchor)[0]
         v_node = ("glue-v", index)
         w_node = ("glue-w", index)
-        current = double_subdivide_edge(
-            current,
-            (anchor, target),
-            first_node=v_node,
-            second_node=w_node,
-            first_identity=next_identity,
-            second_identity=next_identity + 1,
-            first_input=filler_input,
-            second_input=filler_input,
-        )
+        paths[(anchor, target)] = [
+            (v_node, next_identity, filler_input),
+            (w_node, next_identity + 1, filler_input),
+        ]
         next_identity += 2
         subdivision_nodes.append((v_node, w_node))
-
-    graph = nx.Graph(current.graph)
     count = len(instances)
-    for index in range(count):
-        v_node = subdivision_nodes[index][0]
-        w_next = subdivision_nodes[(index + 1) % count][1]
-        graph.add_edge(v_node, w_next)
-    glued = Network(graph, current.ids, current.inputs)
+    gluing = [
+        (subdivision_nodes[index][0], subdivision_nodes[(index + 1) % count][1])
+        for index in range(count)
+    ]
+    glued = _subdivided(union, paths, gluing)
 
     return GlueResult(
         network=glued,

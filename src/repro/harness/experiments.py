@@ -16,7 +16,9 @@ Theorem 1).  EXPERIMENTS.md records paper-vs-measured for each.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.algorithms.coloring.cole_vishkin import (
     ColeVishkinConstructor,
@@ -56,6 +58,7 @@ from repro.core.lcl import (
     ProperColoring,
 )
 from repro.core.order_invariant import (
+    cycle_ball_patterns,
     enumerate_order_invariant_cycle_algorithms,
     monochromatic_core,
 )
@@ -72,7 +75,6 @@ from repro.harness.results import ExperimentResult
 from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.network import Network
 from repro.local.randomness import TapeFactory
-from repro.local.simulator import run_ball_algorithm
 from repro.stats import PrecisionTarget, ProbabilityEstimate, tri_all, wilson_interval
 
 __all__ = [
@@ -173,6 +175,45 @@ def _cycle_coloring_with_monochromatic_run(network: Network, run_length: int) ->
 #: any trial budget.
 VERDICT_SIGMAS = 3.5
 _VERDICT_CONFIDENCE = math.erf(VERDICT_SIGMAS / math.sqrt(2.0))
+
+
+#: The outputs of the enumerated order-invariant algorithms (E3, E7, E8).
+_COLORS = (1, 2, 3)
+
+
+def _order_invariant_colorings(
+    network: Network, radius: int, language: ProperColoring
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every order-invariant ``radius``-round algorithm with outputs
+    ``_COLORS`` on the cycle ``network``, evaluated once per ball class.
+
+    Returns the algorithms' outputs as an algorithms × nodes matrix of
+    indices into ``_COLORS`` (rows in enumeration order) and each
+    algorithm's bad-ball count under ``language``.  Each node's ball is
+    extracted once, not once per algorithm; ``run_ball_algorithm`` on every
+    algorithm is the specification.
+    """
+    algorithms = list(enumerate_order_invariant_cycle_algorithms(radius, _COLORS))
+    classes: Dict[Tuple[int, ...], int] = {}
+    node_class = [
+        classes.setdefault(pattern, len(classes))
+        for pattern in cycle_ball_patterns(network, radius)
+    ]
+    code_of = {color: code for code, color in enumerate(_COLORS)}
+    class_codes = np.array(
+        [[code_of[output] for output in algorithm.outputs_at(classes)] for algorithm in algorithms],
+        dtype=np.intp,
+    )
+    codes = class_codes[:, node_class]
+    bad = language.bad_codes(codes, _COLORS, network.neighbor_positions)
+    return codes, np.count_nonzero(bad, axis=1)
+
+
+def _coloring(network: Network, codes: np.ndarray) -> Configuration:
+    """The configuration whose outputs are ``_COLORS`` at one row of codes."""
+    return Configuration(
+        network, {node: _COLORS[code] for node, code in zip(network.nodes(), codes.tolist())}
+    )
 
 
 def _closed_form_tolerance(trials: int, floor: float = 0.0) -> float:
@@ -507,23 +548,17 @@ def experiment_e3_resilient_lower_bound(
     base = ProperColoring(3)
     ok = True
     for radius in radii:
-        algorithms = list(enumerate_order_invariant_cycle_algorithms(radius, [1, 2, 3]))
-        min_bad = math.inf
-        min_core_agreement = math.inf
+        codes, bad_counts = _order_invariant_colorings(network, radius, base)
+        best = int(np.argmin(bad_counts))  # the first algorithm on ties
+        min_bad = int(bad_counts[best])
+        best_configuration = _coloring(network, codes[best])
         core = set(monochromatic_core(n, radius))
-        best_configuration: Optional[Configuration] = None
-        for algorithm in algorithms:
-            outputs = run_ball_algorithm(network, algorithm)
-            configuration = Configuration(network, outputs)
-            bad = base.violation_count(configuration)
-            if bad < min_bad:
-                min_bad = bad
-                best_configuration = configuration
-            core_values = {
-                outputs[node] for node in network.nodes() if network.identity(node) in core
-            }
-            min_core_agreement = min(min_core_agreement, len(core_values))
-        assert best_configuration is not None
+        core_positions = [
+            position
+            for position, node in enumerate(network.nodes())
+            if network.identity(node) in core
+        ]
+        min_core_agreement = min(len(set(row)) for row in codes[:, core_positions].tolist())
         solved = {f: min_bad <= f for f in f_values}
         ok = ok and not any(solved.values()) and min_core_agreement == 1
         # The decidable-but-not-constructible cross-check, run through the
@@ -544,7 +579,7 @@ def experiment_e3_resilient_lower_bound(
             decider_acceptance[f"decider_acceptance_f_{f}"] = acceptance
         result.add_row(
             radius=radius,
-            algorithms=len(algorithms),
+            algorithms=len(codes),
             core_size=len(core),
             min_bad_balls=int(min_bad),
             monochromatic_core=bool(min_core_agreement == 1),
@@ -889,10 +924,7 @@ def experiment_e7_separations(
     good = _cycle_coloring_with_bad_balls(network, 0)
     bad = _cycle_coloring_with_bad_balls(network, 2)
     decidable = checker.decide(good).accepted and checker.decide(bad).rejected
-    min_bad = min(
-        base.violation_count(Configuration(network, run_ball_algorithm(network, algorithm)))
-        for algorithm in enumerate_order_invariant_cycle_algorithms(1, [1, 2, 3])
-    )
+    min_bad = int(_order_invariant_colorings(network, 1, base)[1].min())
     constructible = min_bad == 0
     ok = ok and decidable and not constructible
     result.add_row(
@@ -1060,16 +1092,10 @@ def experiment_e8_slack_vs_resilient(
     )
 
     ok = slack_estimate.success_probability > 0.5
-    algorithms = list(enumerate_order_invariant_cycle_algorithms(1, [1, 2, 3]))
-    min_bad = math.inf
-    best_output: Optional[Configuration] = None
-    for algorithm in algorithms:
-        candidate = Configuration(network, run_ball_algorithm(network, algorithm))
-        bad = base.violation_count(candidate)
-        if bad < min_bad:
-            min_bad = bad
-            best_output = candidate
-    assert best_output is not None
+    codes, bad_counts = _order_invariant_colorings(network, 1, base)
+    best = int(np.argmin(bad_counts))  # the first algorithm on ties
+    min_bad = int(bad_counts[best])
+    best_output = _coloring(network, codes[best])
     for f in f_values:
         resilient_language = f_resilient(base, f)
         deterministic_solvable = min_bad <= f
@@ -1092,7 +1118,7 @@ def experiment_e8_slack_vs_resilient(
         )
     result.matches_paper = ok
     result.notes = (
-        f"min bad balls over all {len(algorithms)} order-invariant radius-1 algorithms "
+        f"min bad balls over all {len(codes)} order-invariant radius-1 algorithms "
         f"on the consecutive cycle: {min_bad}"
     )
     return result

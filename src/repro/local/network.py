@@ -10,14 +10,19 @@ network can be paired with many candidate outputs.
 
 A network holds one copy of its topology: the node tuple, the edge tuple,
 and an adjacency index in which each node maps to the tuple of its
-neighbours sorted by identity.  Neighbour and degree queries, and ball
-extraction (:func:`repro.local.ball.collect_ball`), read the index.  The
-networkx form, :attr:`Network.graph`, is built from the two tuples on first
-read and frozen (``nx.freeze``), like
-:attr:`repro.local.ball.BallView.graph`; the networkx-backed structure
-queries (connectivity, diameter, distances) read it.  The array form of the
-index, :attr:`Network.neighbor_positions` (built on first read), serves the
-array membership checks.  Networks derived with new inputs
+neighbours sorted by identity.  There is one construction path, from a node
+sequence and an edge sequence (:meth:`Network.from_edges`);
+``Network(graph)`` passes a networkx graph's nodes and edges to it, and the
+edge tuple is kept in the order networkx iterates the same graph, so both
+ways give equal networks with equal node and edge orders.  Neighbour and
+degree queries, connectivity (:meth:`Network.connected_components`), and
+ball extraction (:func:`repro.local.ball.collect_ball`) read the index.
+The networkx form, :attr:`Network.graph`, is built from the two tuples on
+first read and frozen (``nx.freeze``), like
+:attr:`repro.local.ball.BallView.graph`; the networkx-backed distance
+queries (diameter, distances) read it.  The array form of the index,
+:attr:`Network.neighbor_positions` (built on first read), serves the array
+membership checks.  Networks derived with new inputs
 (:meth:`Network.with_inputs`, :meth:`Network.copy`) share their parent's
 topology instead of copying it.
 
@@ -81,24 +86,63 @@ class Network:
             raise ValueError("LOCAL-model networks are undirected")
         if graph.is_multigraph():
             raise ValueError("LOCAL-model networks are simple graphs (no parallel edges)")
-        edges = tuple(graph.edges())
-        if any(u == v for u, v in edges):
-            raise ValueError("LOCAL-model networks are simple graphs (no self-loops)")
-        self._nodes: Tuple[Hashable, ...] = tuple(graph.nodes())
-        self._edges: Tuple[Tuple[Hashable, Hashable], ...] = edges
-        self._label(graph.adjacency(), ids, inputs)
+        self._build(graph.nodes(), graph.edges(), ids, inputs)
 
-    def _label(
+    @classmethod
+    def from_edges(
+        cls,
+        nodes: Iterable[Hashable],
+        edges: Iterable[Tuple[Hashable, Hashable]],
+        ids: Optional[Mapping[Hashable, int]] = None,
+        inputs: Optional[Mapping[Hashable, object]] = None,
+    ) -> "Network":
+        """The network on ``nodes`` (in this order) joined by ``edges``.
+
+        Equal to ``Network(graph, ids, inputs)`` for the graph built by
+        ``add_nodes_from(nodes)`` then ``add_edges_from(edges)``, node and
+        edge order included, without building that graph.  Every endpoint
+        must be one of ``nodes``; a repeated edge, a self-loop or a repeated
+        node raises ``ValueError``.
+        """
+        network = object.__new__(cls)
+        network._build(nodes, edges, ids, inputs)
+        return network
+
+    def _build(
         self,
-        neighbourhoods: Iterable[Tuple[Hashable, Iterable[Hashable]]],
+        nodes: Iterable[Hashable],
+        edges: Iterable[Tuple[Hashable, Hashable]],
         ids: Optional[Mapping[Hashable, int]],
         inputs: Optional[Mapping[Hashable, object]],
     ) -> None:
-        """Validate and attach identities and inputs to the nodes in
-        ``_nodes``, and index ``neighbourhoods`` (node, neighbours) pairs,
-        in node order, by identity."""
-        nodes = self._nodes
-        node_set = set(nodes)
+        """The one construction path: index ``edges`` over ``nodes``, then
+        validate and attach identities and inputs."""
+        nodes = self._nodes = tuple(nodes)
+        # Neighbours in insertion order, as networkx keeps them.
+        around: Dict[Hashable, Dict[Hashable, None]] = {node: {} for node in nodes}
+        if len(around) != len(nodes):
+            raise ValueError("a node is listed twice")
+        for u, v in edges:
+            if u == v:
+                raise ValueError("LOCAL-model networks are simple graphs (no self-loops)")
+            try:
+                around_u, around_v = around[u], around[v]
+            except KeyError:
+                raise ValueError(f"edge {(u, v)!r} has an endpoint that is not a node") from None
+            if v in around_u:
+                raise ValueError("LOCAL-model networks are simple graphs (no parallel edges)")
+            around_u[v] = around_v[u] = None
+        # networkx's edge order: each node, in node order, with its
+        # neighbours not listed before it, in insertion order.
+        node_set: set = set()
+        edge_list = []
+        for node, others in around.items():
+            node_set.add(node)
+            for other in others:
+                if other not in node_set:
+                    edge_list.append((node, other))
+        self._edges: Tuple[Tuple[Hashable, Hashable], ...] = tuple(edge_list)
+
         if ids is None:
             ids = consecutive_ids(nodes)
         missing = node_set.difference(ids)
@@ -119,7 +163,7 @@ class Network:
         self._id_to_node = {ident: node for node, ident in self._ids.items()}
         identity = self._ids.__getitem__
         self._adjacency: Dict[Hashable, Tuple[Hashable, ...]] = {
-            node: tuple(sorted(neighbours, key=identity)) for node, neighbours in neighbourhoods
+            node: tuple(sorted(others, key=identity)) for node, others in around.items()
         }
 
     # ------------------------------------------------------------------ #
@@ -220,12 +264,25 @@ class Network:
     # Structure queries
     # ------------------------------------------------------------------ #
     def is_connected(self) -> bool:
-        if self.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(self.graph)
+        """Whether every node reaches every other (the empty network does)."""
+        return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[set]:
-        return [set(c) for c in nx.connected_components(self.graph)]
+        """The node sets of the components, ordered by their first node."""
+        components: list[set] = []
+        reached: set = set()
+        for start in self._nodes:
+            if start in reached:
+                continue
+            component, stack = {start}, [start]
+            while stack:
+                for other in self._adjacency[stack.pop()]:
+                    if other not in component:
+                        component.add(other)
+                        stack.append(other)
+            reached |= component
+            components.append(component)
+        return components
 
     def diameter(self) -> int:
         """Diameter of the network; for disconnected graphs, the maximum
@@ -270,10 +327,7 @@ class Network:
 
     def with_ids(self, ids: Mapping[Hashable, int]) -> "Network":
         """A copy of the network with the identity assignment replaced."""
-        network = object.__new__(Network)
-        network._nodes, network._edges = self._nodes, self._edges
-        network._label(self._adjacency.items(), ids, self._inputs)
-        return network
+        return Network.from_edges(self._nodes, self._edges, ids, self._inputs)
 
     def relabeled_by_identity(self) -> "Network":
         """A copy whose node objects *are* the identities.

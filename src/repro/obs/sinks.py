@@ -8,9 +8,10 @@ Each function consumes the JSON-able export dict (see
   histograms; the CLI's ``--trace`` flag writes with it.
   :func:`read_jsonl` loads the lines back for round-trip tests and offline
   analysis.
-* :func:`summarize` — the per-span-name aggregation of an export: counts
-  and total wall/CPU seconds, counter values, histogram summaries.  The
-  benchmark suite embeds it in BENCH.json.
+* :func:`summarize` — the per-span-name aggregation of an export: counts,
+  total wall/CPU seconds and self seconds (wall time not covered by child
+  spans), counter values, histogram summaries.  The benchmark suite embeds
+  it in BENCH.json.
 * :func:`render_summary` — the human-readable table of a
   :func:`summarize` result; the CLI's ``--metrics`` flag prints
   ``render_summary(summarize(export))``.
@@ -97,19 +98,32 @@ def read_jsonl(path: Union[str, Path]) -> List[Dict[str, object]]:
 # Aggregation and the human-readable table
 # --------------------------------------------------------------------------- #
 def summarize(export: Dict[str, object]) -> Dict[str, object]:
-    """Aggregate an export per span name: counts and total wall/CPU seconds,
-    next to the raw counters and histogram summaries."""
+    """Aggregate an export per span name: counts, total wall/CPU seconds and
+    self seconds, next to the raw counters and histogram summaries.
+
+    A span's self time is its wall time minus the wall time of its direct
+    children, clamped at 0 (children that ran concurrently can cover more
+    than their parent's wall time)."""
+    records = list(iter_span_records(export))
+    covered: Dict[object, float] = {}
+    for record in records:
+        if record["parent"] is not None:
+            wall = float(record.get("wall_seconds") or 0.0)
+            covered[record["parent"]] = covered.get(record["parent"], 0.0) + wall
     spans: Dict[str, Dict[str, float]] = {}
-    for record in iter_span_records(export):
+    for record in records:
         entry = spans.setdefault(
-            str(record["name"]), {"count": 0, "wall_seconds": 0.0, "cpu_seconds": 0.0}
+            str(record["name"]),
+            {"count": 0, "wall_seconds": 0.0, "cpu_seconds": 0.0, "self_seconds": 0.0},
         )
+        wall = float(record.get("wall_seconds") or 0.0)
         entry["count"] += 1
-        entry["wall_seconds"] += float(record.get("wall_seconds") or 0.0)
+        entry["wall_seconds"] += wall
         entry["cpu_seconds"] += float(record.get("cpu_seconds") or 0.0)
+        entry["self_seconds"] += max(0.0, wall - covered.get(record["id"], 0.0))
     for entry in spans.values():
-        entry["wall_seconds"] = round(entry["wall_seconds"], 6)
-        entry["cpu_seconds"] = round(entry["cpu_seconds"], 6)
+        for key in ("wall_seconds", "cpu_seconds", "self_seconds"):
+            entry[key] = round(entry[key], 6)
     histograms = {}
     for name, record in (export.get("histograms") or {}).items():
         count = int(record.get("count", 0))
@@ -132,12 +146,12 @@ def render_summary(summary: Dict[str, object]) -> str:
     lines: List[str] = []
 
     spans = summary["spans"]
-    lines.append(f"{'span':<36} {'count':>7} {'wall_s':>10} {'cpu_s':>10}")
+    lines.append(f"{'span':<36} {'count':>7} {'wall_s':>10} {'self_s':>10} {'cpu_s':>10}")
     for name in sorted(spans):
         entry = spans[name]
         lines.append(
-            f"{name:<36} {entry['count']:>7d} "
-            f"{entry['wall_seconds']:>10.4f} {entry['cpu_seconds']:>10.4f}"
+            f"{name:<36} {entry['count']:>7d} {entry['wall_seconds']:>10.4f} "
+            f"{entry['self_seconds']:>10.4f} {entry['cpu_seconds']:>10.4f}"
         )
     if not spans:
         lines.append("  (no spans recorded)")

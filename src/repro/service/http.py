@@ -66,6 +66,9 @@ __all__ = ["ExperimentService", "ServiceThread", "serve"]
 #: Largest accepted request body; submissions are small JSON documents.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Most header lines accepted in one request head; the clients send a few.
+MAX_HEADER_COUNT = 100
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -75,6 +78,7 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -221,10 +225,17 @@ class ExperimentService:
             raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except (ValueError, asyncio.LimitOverrunError):
+                raise _HttpError(431, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > MAX_HEADER_COUNT:
+                raise _HttpError(431, f"more than {MAX_HEADER_COUNT} header lines")
             name, _, value = line.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:

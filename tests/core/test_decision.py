@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.core.decision import (
     ResilientDecider,
     estimate_guarantee,
     golden_ratio_guarantee,
+    majority_success_probability,
+    per_draw_probability_for_majority,
     resilient_probability_window,
 )
 from repro.core.languages import SELECTED, Amos, Configuration
@@ -269,3 +272,44 @@ class TestEstimateGuarantee:
     def test_empty_workload_gives_nan(self):
         estimate = estimate_guarantee(AmosDecider(), Amos(), [], trials=10)
         assert math.isnan(estimate.guarantee)
+
+
+def _bisection_200_steps(target, repetitions):
+    """The majority calibration as a fixed 200-step bisection."""
+    low, high = 0.0, 1.0
+    for _ in range(200):
+        mid = (low + high) / 2.0
+        if majority_success_probability(mid, repetitions) < target:
+            low = mid
+        else:
+            high = mid
+    return (low + high) / 2.0
+
+
+class TestMajorityCalibration:
+    def test_stopping_at_convergence_matches_200_steps_bit_for_bit(self):
+        rng = random.Random(1995)
+        pairs = [(rng.random(), rng.choice((1, 2, 3, 5, 9, 15))) for _ in range(2_000)]
+        # Targets near the ends, where 200 halvings do not reach adjacent
+        # floats (a bias near 0) or reach them early.
+        pairs += [
+            (target, repetitions)
+            for target in (5e-324, 1e-300, 1e-12, 0.5, 1 - 1e-12, math.nextafter(1.0, 0.0))
+            for repetitions in (1, 2, 3, 5, 9, 15)
+        ]
+        per_draw_probability_for_majority.cache_clear()
+        for target, repetitions in pairs:
+            assert per_draw_probability_for_majority(target, repetitions) == (
+                _bisection_200_steps(target, repetitions)
+            ), (target, repetitions)
+
+    def test_memoized(self):
+        per_draw_probability_for_majority.cache_clear()
+        first = per_draw_probability_for_majority(0.75, 3)
+        assert per_draw_probability_for_majority(0.75, 3) == first
+        assert per_draw_probability_for_majority.cache_info().hits == 1
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.5, 1.5])
+    def test_target_outside_the_open_interval_raises(self, target):
+        with pytest.raises(ValueError, match="strictly inside"):
+            per_draw_probability_for_majority(target, 3)

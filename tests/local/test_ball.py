@@ -6,7 +6,9 @@ import networkx as nx
 import pytest
 
 from repro.api import Session
+from repro.core.order_invariant import CyclePatternAlgorithm
 from repro.graphs.families import cycle_network, grid_network, path_network, star_network
+from repro.harness import experiments
 from repro.local import ball as ball_module
 from repro.local.ball import BallView, all_balls, collect_ball
 from repro.local.identifiers import order_preserving_relabel
@@ -223,6 +225,59 @@ class TestBallGraphOnDemand:
         report = Session(cache=None).run("E2", preset="quick")
         assert report.result.verdict == "pass"
         assert radii and set(radii) == {0}
+
+    @pytest.mark.parametrize(
+        "experiment,radii,algorithms",
+        [("E3", [0, 1], [3, 27]), ("E7", [1], [27]), ("E8", [1], [27])],
+    )
+    def test_quick_enumeration_extracts_one_view_per_node_and_radius(
+        self, monkeypatch, experiment, radii, algorithms
+    ):
+        # The order-invariant algorithms are evaluated once per ball class:
+        # the enumeration takes each node's ball once per radius, however
+        # many algorithms it evaluates.
+        views, enumerations, inside = [], [], []
+        original_ball = ball_module._ball
+        original_enumeration = experiments._order_invariant_colorings
+
+        def counting_ball(adjacency, center, radius, *args, **kwargs):
+            if inside:
+                views.append(radius)
+            return original_ball(adjacency, center, radius, *args, **kwargs)
+
+        def counting_enumeration(network, radius, language):
+            inside.append(True)
+            try:
+                codes, bad_counts = original_enumeration(network, radius, language)
+            finally:
+                inside.pop()
+            enumerations.append((len(network), radius, len(codes)))
+            return codes, bad_counts
+
+        computed = []
+        monkeypatch.setattr(ball_module, "_ball", counting_ball)
+        monkeypatch.setattr(experiments, "_order_invariant_colorings", counting_enumeration)
+        monkeypatch.setattr(
+            CyclePatternAlgorithm, "compute", lambda *args, **kwargs: computed.append(args)
+        )
+        report = Session(cache=None).run(experiment, preset="quick")
+        assert report.result.verdict == "pass"
+        assert [(radius, count) for _, radius, count in enumerations] == list(
+            zip(radii, algorithms)
+        )
+        assert views == [radius for n, radius, _ in enumerations for _ in range(n)]
+        assert computed == []  # no algorithm is run ball by ball
+
+    @pytest.mark.parametrize("experiment", ["E4", "E6"])
+    def test_quick_cycles_and_gluing_build_no_network_graph(self, monkeypatch, experiment):
+        # E4's oriented cycles and connectivity check, and E6's cycles,
+        # unions and Theorem 1 gluings, are built and walked from node and
+        # edge sequences.
+        built = []
+        monkeypatch.setattr(Network, "graph", property(lambda network: built.append(network)))
+        report = Session(cache=None).run(experiment, preset="quick")
+        assert report.result.verdict == "pass"
+        assert built == []
 
     def test_quick_e2_builds_no_network_graph(self, monkeypatch):
         # A network's networkx graph is built on first read; E2 reads only

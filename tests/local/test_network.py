@@ -10,14 +10,21 @@ import networkx as nx
 import pytest
 
 import repro
+from repro.algorithms.coloring.cole_vishkin import oriented_cycle_network
 from repro.graphs.families import cycle_network, grid_network, path_network, torus_network
 from repro.graphs.operations import (
     disjoint_union,
     double_subdivide_edge,
     glue_instances,
     relabel_disjoint,
+    subdivide_edge,
 )
 from repro.graphs.random_graphs import random_regular_network
+from repro.local.identifiers import (
+    consecutive_ids,
+    random_distinct_ids,
+    shuffled_consecutive_ids,
+)
 from repro.local.network import Network
 
 
@@ -47,6 +54,33 @@ class TestConstruction:
         # nx.Graph would merge the parallel edges silently.
         with pytest.raises(ValueError, match="simple graphs"):
             Network(nx.MultiGraph([(0, 1), (0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize(
+        "nodes,edges,message",
+        [
+            ([0, 1], [(0, 0)], "self-loops"),
+            ([0, 1], [(0, 1), (0, 1)], "parallel edges"),
+            ([0, 1], [(0, 1), (1, 0)], "parallel edges"),
+            ([0, 1], [(0, 2)], "not a node"),
+            ([0, 1, 0], [(0, 1)], "listed twice"),
+        ],
+    )
+    def test_from_edges_rejects_what_is_not_a_simple_graph(self, nodes, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Network.from_edges(nodes, edges)
+
+    def test_from_edges_equals_the_graph_it_describes(self):
+        nodes, edges = ["c", "a", "d", "b"], [("a", "b"), ("c", "d"), ("b", "c"), ("d", "a")]
+        graph = nx.Graph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        ids, inputs = {"a": 4, "b": 2, "c": 9, "d": 1}, {"b": "x"}
+        network = Network.from_edges(nodes, edges, ids, inputs)
+        expected = Network(graph, ids, inputs)
+        assert network == expected and hash(network) == hash(expected)
+        assert network.nodes() == list(graph.nodes())
+        assert network.edges() == list(graph.edges())
+        assert dict(network.adjacency) == dict(expected.adjacency)
 
     def test_rejects_missing_identity(self):
         with pytest.raises(ValueError, match="missing"):
@@ -248,6 +282,10 @@ def _path():
     return path_network(7, ids="shuffled", seed=3)
 
 
+def _oriented_cycle():
+    return oriented_cycle_network(9, seed=4)
+
+
 def _grid():
     return grid_network(3, 4)
 
@@ -276,21 +314,108 @@ def _glued():
     return glue_instances([cycle_network(6), torus_network(3, 3)], [0, (1, 1)]).network
 
 
-BUILDERS = [_cycle, _path, _grid, _torus, _random_regular, _relabelled, _union, _subdivided, _glued]
+# --------------------------------------------------------------------------- #
+# The networkx constructions the tuple-built networks replace, each returning
+# (graph, ids, inputs) as the builder used to pass them to ``Network``.
+# --------------------------------------------------------------------------- #
+def _nx_relabel_disjoint(networks):
+    parts, offset = [], 0
+    for index, network in enumerate(networks):
+        mapping = {node: (index, network.identity(node)) for node in network.nodes()}
+        graph = nx.relabel_nodes(network.graph, mapping, copy=True)
+        ids = {mapping[node]: network.identity(node) + offset for node in network.nodes()}
+        inputs = {mapping[node]: network.input_of(node) for node in network.nodes()}
+        parts.append((graph, ids, inputs))
+        offset = max(ids.values())
+    return parts
+
+
+def _nx_union(parts):
+    graph, ids, inputs = nx.Graph(), {}, {}
+    for part_graph, part_ids, part_inputs in parts:
+        graph.add_nodes_from(part_graph.nodes())
+        graph.add_edges_from(part_graph.edges())
+        ids.update(part_ids)
+        inputs.update(part_inputs)
+    return graph, ids, inputs
+
+
+def _nx_subdivide(graph, ids, inputs, edge, new_node, new_identity, new_input=""):
+    graph = nx.Graph(graph)
+    graph.remove_edge(*edge)
+    graph.add_edge(edge[0], new_node)
+    graph.add_edge(new_node, edge[1])
+    return graph, {**ids, new_node: new_identity}, {**inputs, new_node: new_input}
+
+
+def _nx_glue(instances, anchors):
+    graph, ids, inputs = _nx_union(_nx_relabel_disjoint(instances))
+    fresh = max(ids.values()) + 1
+    for index, (instance, anchor) in enumerate(zip(instances, anchors)):
+        anchor = (index, instance.identity(anchor))
+        target = min((node for node in graph[anchor] if node[0] == index), key=ids.get)
+        v_node, w_node = ("glue-v", index), ("glue-w", index)
+        graph, ids, inputs = _nx_subdivide(graph, ids, inputs, (anchor, target), v_node, fresh)
+        graph, ids, inputs = _nx_subdivide(
+            graph, ids, inputs, (v_node, target), w_node, fresh + 1
+        )
+        fresh += 2
+    graph = nx.Graph(graph)
+    for index in range(len(instances)):
+        graph.add_edge(("glue-v", index), ("glue-w", (index + 1) % len(instances)))
+    return graph, ids, inputs
+
+
+def _nx_double_subdivided():
+    cycle = cycle_network(6)
+    first = _nx_subdivide(cycle.graph, cycle.ids, cycle.inputs, (2, 3), "v", 100)
+    return _nx_subdivide(*first, ("v", 3), "w", 101)
+
+
+def _oriented_reference():
+    ids = random_distinct_ids(range(9), seed=4)
+    return nx.cycle_graph(9), ids, {i: ids[(i + 1) % 9] for i in range(9)}
+
+
+NX_REFERENCES = {
+    _cycle: lambda: (nx.cycle_graph(12), consecutive_ids(range(12)), {}),
+    _path: lambda: (nx.path_graph(7), shuffled_consecutive_ids(range(7), seed=3), {}),
+    _oriented_cycle: _oriented_reference,
+    _relabelled: lambda: _nx_relabel_disjoint([cycle_network(6), grid_network(2, 3)])[1],
+    _union: lambda: _nx_union(
+        _nx_relabel_disjoint([cycle_network(6), path_network(4), grid_network(2, 2)])
+    ),
+    _subdivided: _nx_double_subdivided,
+    _glued: lambda: _nx_glue([cycle_network(6), torus_network(3, 3)], [0, (1, 1)]),
+}
+BUILDERS = [
+    _cycle, _path, _oriented_cycle, _grid, _torus, _random_regular,
+    _relabelled, _union, _subdivided, _glued,
+]
+
+
+def _name(build):
+    return build.__name__.strip("_")
+
+
+def _copy(graph):
+    """A copy of ``graph`` made the way a network used to copy its source
+    graph: ``nx.Graph()`` + ``add_nodes_from`` + ``add_edges_from``."""
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.nodes())
+    reference.add_edges_from(graph.edges())
+    return reference
 
 
 @pytest.fixture
 def references(monkeypatch):
-    """Record, for every network built, a copy of its source graph made the
-    way a network used to copy it: ``nx.Graph()`` + ``add_nodes_from`` +
-    ``add_edges_from``."""
+    """Record, for every network built from a graph, a :func:`_copy` of its
+    source graph."""
     built = {}
     init = Network.__init__
 
     def recording_init(self, graph, ids=None, inputs=None):
-        reference = nx.Graph()
-        reference.add_nodes_from(graph.nodes())
-        reference.add_edges_from(graph.edges())
+        reference = _copy(graph)
         init(self, graph, ids, inputs)
         built[id(self)] = (self, reference)
 
@@ -298,30 +423,70 @@ def references(monkeypatch):
     return built
 
 
+def _assert_same_topology(network, reference):
+    """``network`` holds ``reference``'s nodes and edges in its order, and
+    builds the same graph on first read."""
+    assert network.nodes() == list(reference.nodes())
+    assert network.edges() == list(reference.edges())
+    assert network.number_of_edges() == reference.number_of_edges()
+    assert list(network.adjacency.items()) == [
+        (node, tuple(sorted(neighbours, key=network.identity)))
+        for node, neighbours in reference.adjacency()
+    ]
+    assert "graph" not in vars(network)
+    graph = network.graph
+    assert "graph" in vars(network) and network.graph is graph
+    assert nx.is_frozen(graph)
+    assert list(graph.nodes()) == list(reference.nodes())
+    assert list(graph.edges()) == list(reference.edges())
+    assert [(node, list(nbrs)) for node, nbrs in graph.adjacency()] == [
+        (node, list(nbrs)) for node, nbrs in reference.adjacency()
+    ]
+
+
 class TestOneTopology:
-    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__.strip("_"))
+    @pytest.mark.parametrize("build", BUILDERS, ids=_name)
     def test_topology_matches_a_networkx_copy_in_order(self, build, references):
         network = build()
-        held, reference = references[id(network)]
-        assert held is network
-        assert network.nodes() == list(reference.nodes())
-        assert network.edges() == list(reference.edges())
-        assert network.number_of_edges() == reference.number_of_edges()
-        assert list(network.adjacency.items()) == [
-            (node, tuple(sorted(neighbours, key=network.identity)))
-            for node, neighbours in reference.adjacency()
-        ]
-        assert "graph" not in vars(network)
-        graph = network.graph
-        assert "graph" in vars(network) and network.graph is graph
-        assert nx.is_frozen(graph)
-        assert list(graph.nodes()) == list(reference.nodes())
-        assert list(graph.edges()) == list(reference.edges())
-        assert [(node, list(nbrs)) for node, nbrs in graph.adjacency()] == [
-            (node, list(nbrs)) for node, nbrs in reference.adjacency()
-        ]
+        if build in NX_REFERENCES:
+            # Built from node and edge sequences: the networkx construction
+            # it replaced gives the same network, orders and hash included.
+            graph, ids, inputs = NX_REFERENCES[build]()
+            expected = Network(graph, ids, inputs)
+            assert list(network.ids.items()) == [(node, ids[node]) for node in graph.nodes()]
+            assert list(network.inputs.items()) == list(expected.inputs.items())
+            assert network == expected
+            assert hash(network) == hash(expected)
+            reference = _copy(graph)
+        else:
+            held, reference = references[id(network)]
+            assert held is network
+        _assert_same_topology(network, reference)
 
-    @pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__.strip("_"))
+    def test_tuple_builders_and_connectivity_build_no_networkx_graph(self, monkeypatch):
+        cycle, path, grid, torus = (
+            cycle_network(6), path_network(4), grid_network(2, 3), torus_network(3, 3)
+        )
+        constructed = []
+        monkeypatch.setattr(nx.Graph, "__init__", lambda *args, **kwargs: constructed.append(1))
+        built = [
+            cycle_network(12),
+            path_network(7, ids="shuffled", seed=3),
+            oriented_cycle_network(9, seed=4),
+            *relabel_disjoint([cycle, grid]),
+            disjoint_union([cycle, path, grid]),
+            subdivide_edge(cycle, (2, 3), "m", 100),
+            double_subdivide_edge(cycle, (2, 3), "v", "w", 100, 101),
+            glue_instances([cycle, torus], [0, (1, 1)]).network,
+        ]
+        connected = [network.is_connected() for network in built + [grid]]
+        components = [len(network.connected_components()) for network in built]
+        monkeypatch.undo()
+        assert constructed == []
+        assert connected == [True, True, True, True, True, False, True, True, True, True]
+        assert components == [1, 1, 1, 1, 1, 3, 1, 1, 1]
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=_name)
     def test_rebuilds_are_equal_and_hash_equal(self, build):
         first, second = build(), build()
         assert first is not second

@@ -89,6 +89,28 @@ class TestSummaries:
         assert histogram["count"] == 2
         assert histogram["mean"] == 0.003
 
+    def test_self_seconds_subtract_the_child_spans(self):
+        """A 1.0 s parent with 0.3 s and 0.2 s children has 0.5 s of its own;
+        children that cover more than their parent clamp it at 0."""
+
+        def span(name, wall, *children):
+            return {"name": name, "wall_seconds": wall, "children": list(children)}
+
+        export = {
+            "spans": [
+                span("parent", 1.0, span("child", 0.3), span("child", 0.2, span("leaf", 0.05))),
+                span("crowded", 0.1, span("child", 0.4)),
+            ]
+        }
+        spans = summarize(export)["spans"]
+        assert spans["parent"]["self_seconds"] == 0.5
+        assert spans["parent"]["wall_seconds"] == 1.0
+        assert spans["child"]["self_seconds"] == 0.85  # 0.3 + (0.2 - 0.05) + 0.4
+        assert spans["leaf"]["self_seconds"] == 0.05
+        assert spans["crowded"]["self_seconds"] == 0.0
+        header = render_summary(summarize(export)).splitlines()[0]
+        assert header.split() == ["span", "count", "wall_s", "self_s", "cpu_s"]
+
     def test_render_summary_mentions_every_signal(self):
         text = render_summary(summarize(sample_export()))
         for needle in (
@@ -104,7 +126,11 @@ class TestSummaries:
         """The table shows the summary's per-name totals, one row per span
         name, not the raw export's individual spans."""
         summary = {
-            "spans": {"engine.execute": {"count": 3, "wall_seconds": 1.5, "cpu_seconds": 0.25}},
+            "spans": {
+                "engine.execute": {
+                    "count": 3, "wall_seconds": 1.5, "self_seconds": 0.5, "cpu_seconds": 0.25
+                }
+            },
             "counters": {"engine.chunks": 7},
             "histograms": {
                 "cache.lookup_seconds": {"count": 2, "mean": None, "min": 0.5, "max": 1}
@@ -112,7 +138,7 @@ class TestSummaries:
         }
         rows = render_summary(summary).splitlines()
         assert [row for row in rows if row.startswith("engine.execute")] == [
-            f"{'engine.execute':<36} {3:>7d} {1.5:>10.4f} {0.25:>10.4f}"
+            f"{'engine.execute':<36} {3:>7d} {1.5:>10.4f} {0.5:>10.4f} {0.25:>10.4f}"
         ]
         assert f"{'engine.chunks':<36} {7:>7d}" in rows
         histogram_row = next(row for row in rows if row.startswith("cache.lookup_seconds"))

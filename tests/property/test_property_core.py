@@ -5,6 +5,8 @@ These check structural invariants the paper's framework relies on:
 * ball extraction agrees with graph distances and the boundary-edge rule;
 * order-preserving relabelling never changes an order-invariant algorithm's
   outputs, and never changes canonical order keys;
+* the enumerated order-invariant algorithms, evaluated once per ball class,
+  give ``run_ball_algorithm``'s outputs and bad-ball counts;
 * the relaxation hierarchy L ⊆ L_f ⊆ L_{f+1} and the bad-ball count algebra;
 * the resilient decider's acceptance probability formula p^{|F(G)|};
 * gluing preserves identities, degree bounds, and connectivity.
@@ -12,16 +14,23 @@ These check structural invariants the paper's framework relies on:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.decision import ResilientDecider, resilient_probability_window
 from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring, WeakColoring
-from repro.core.order_invariant import OrderInvariantAlgorithm
+from repro.core.order_invariant import (
+    CyclePatternAlgorithm,
+    OrderInvariantAlgorithm,
+    cycle_ball_patterns,
+    enumerate_order_invariant_cycle_algorithms,
+)
 from repro.core.relaxations import eps_slack, f_resilient
 from repro.graphs.families import cycle_network
 from repro.graphs.operations import disjoint_union, glue_instances
+from repro.harness.experiments import _coloring, _order_invariant_colorings
 from repro.local.ball import collect_ball
 from repro.local.identifiers import order_preserving_relabel
 from repro.local.simulator import run_ball_algorithm
@@ -102,6 +111,42 @@ class TestOrderInvarianceProperties:
             order_preserving_relabel(network.ids, [v * 3 + 2 for v in range(1, n + 1)])
         )
         assert run_ball_algorithm(relabelled, algorithm) == baseline
+
+
+class TestBallClassEvaluation:
+    """The enumerated order-invariant algorithms evaluated once per ball
+    class agree with :func:`run_ball_algorithm`, one ball per node per
+    algorithm (the specification)."""
+
+    @SETTINGS
+    @given(
+        n=cycle_sizes,
+        seed=seeds,
+        ids=st.sampled_from(["consecutive", "shuffled", "random"]),
+        radius=st.sampled_from([0, 1]),
+    )
+    def test_per_class_outputs_and_bad_counts_equal_the_spec(self, n, seed, ids, radius):
+        network = cycle_network(n, ids=ids, seed=seed)
+        base = ProperColoring(3)
+        patterns = cycle_ball_patterns(network, radius)
+        codes, bad_counts = _order_invariant_colorings(network, radius, base)
+        algorithms = list(enumerate_order_invariant_cycle_algorithms(radius, [1, 2, 3]))
+        assert len(codes) == len(bad_counts) == len(algorithms)
+        for algorithm, row, bad in zip(algorithms, codes, bad_counts):
+            expected = run_ball_algorithm(network, algorithm)
+            assert algorithm.outputs_at(patterns) == [expected[node] for node in network.nodes()]
+            configuration = _coloring(network, row)
+            assert configuration.outputs == expected
+            assert bad == base.violation_count(Configuration(network, expected))
+
+    @pytest.mark.parametrize("n,radius", [(3, 2), (4, 2), (6, 3)])
+    def test_cycle_too_short_for_the_radius_raises_the_spec_error(self, n, radius):
+        network = cycle_network(n)
+        with pytest.raises(ValueError) as spec:
+            run_ball_algorithm(network, CyclePatternAlgorithm({}, radius))
+        with pytest.raises(ValueError) as per_class:
+            cycle_ball_patterns(network, radius)
+        assert str(per_class.value) == str(spec.value)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ from repro.api import Client, Session
 from repro.errors import JobNotFound, ReproError, WireFormatError
 from repro.harness.registry import ExperimentRegistry
 from repro.service import ServiceThread
+from repro.service.http import MAX_HEADER_COUNT
 
 
 @pytest.fixture
@@ -26,6 +27,10 @@ def service(registry, tmp_path):
 @pytest.fixture
 def client(service, registry):
     return Client(service.url, registry=registry)
+
+
+def _filler_lines(count):
+    return "".join(f"X-Filler-{index}: {index}\r\n" for index in range(count))
 
 
 def _get(url):
@@ -221,6 +226,37 @@ class TestErrorMapping:
             "error": "bad_request",
             "message": "malformed Content-Length",
         }
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (_filler_lines(MAX_HEADER_COUNT), None),
+            (_filler_lines(MAX_HEADER_COUNT + 1), f"more than {MAX_HEADER_COUNT} header lines"),
+            ("X-Long: " + "a" * 70_000 + "\r\n", "header line too long"),
+        ],
+        ids=["at-cap", "over-cap", "long-line"],
+    )
+    def test_request_head_is_bounded_with_431(self, service, lines, message):
+        """A head of ``MAX_HEADER_COUNT`` header lines is read; one line
+        more, or one line over the stream limit, gets a 431 answer instead
+        of growing the header dict or dropping the connection."""
+        host, port = service.url.rsplit("/", 1)[-1].split(":")
+        response = b""
+        with socket.create_connection((host, int(port)), timeout=10) as raw:
+            raw.sendall(f"GET /v1/health HTTP/1.1\r\n{lines}\r\n".encode("latin1"))
+            try:
+                while chunk := raw.recv(65536):
+                    response += chunk
+            except ConnectionResetError:  # the server closed with our head unread
+                pass
+        status_line, _, rest = response.partition(b"\r\n")
+        body = json.loads(rest.partition(b"\r\n\r\n")[2].decode("utf8"))
+        if message is None:
+            assert status_line.split()[1] == b"200"
+            assert body["status"] == "ok"
+        else:
+            assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+            assert body == {"error": "bad_request", "message": message}
 
     @pytest.mark.parametrize(
         "parameters",
