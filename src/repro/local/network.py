@@ -20,7 +20,8 @@ ball extraction (:func:`repro.local.ball.collect_ball`) read the index.
 The networkx form, :attr:`Network.graph`, is built from the two tuples on
 first read and frozen (``nx.freeze``), like
 :attr:`repro.local.ball.BallView.graph`; the networkx-backed distance
-queries (diameter, distances) read it.  The array form of the index,
+queries (diameter, distances) read it, the diameter one component of the
+index at a time.  The array form of the index,
 :attr:`Network.neighbor_positions` (built on first read), serves the array
 membership checks.  Networks derived with new inputs
 (:meth:`Network.with_inputs`, :meth:`Network.copy`) share their parent's
@@ -290,9 +291,10 @@ class Network:
         if self.number_of_nodes() == 0:
             return 0
         graph = self.graph
-        if nx.is_connected(graph):
+        components = self.connected_components()
+        if len(components) == 1:
             return nx.diameter(graph)
-        return max(nx.diameter(graph.subgraph(c)) for c in nx.connected_components(graph))
+        return max(nx.diameter(graph.subgraph(c)) for c in components)
 
     def distance(self, u: Hashable, v: Hashable) -> int:
         """Hop distance between two nodes (raises if unreachable)."""
@@ -328,28 +330,6 @@ class Network:
     def with_ids(self, ids: Mapping[Hashable, int]) -> "Network":
         """A copy of the network with the identity assignment replaced."""
         return Network.from_edges(self._nodes, self._edges, ids, self._inputs)
-
-    def relabeled_by_identity(self) -> "Network":
-        """A copy whose node objects *are* the identities.
-
-        Useful when serialising instances or when combining networks whose
-        node objects collide but whose identities are disjoint.
-        """
-        mapping = {node: ident for node, ident in self._ids.items()}
-        g = nx.relabel_nodes(self.graph, mapping, copy=True)
-        ids = {ident: ident for ident in mapping.values()}
-        inputs = {mapping[node]: val for node, val in self._inputs.items()}
-        return Network(g, ids, inputs)
-
-    def induced_subnetwork(self, nodes: Iterable[Hashable]) -> "Network":
-        """The sub-network induced by a set of nodes (ids and inputs kept)."""
-        nodes = list(nodes)
-        sub = self.graph.subgraph(nodes)
-        return Network(
-            sub,
-            {node: self._ids[node] for node in nodes},
-            {node: self._inputs[node] for node in nodes},
-        )
 
     def copy(self) -> "Network":
         return self._with_topology(self._inputs)

@@ -177,6 +177,17 @@ class TestStructure:
         graph.add_edges_from([(0, 1), (2, 3), (3, 4), (4, 5)])
         assert Network(graph).diameter() == 3
 
+    def test_diameter_takes_its_components_from_the_adjacency_index(self, monkeypatch):
+        graph = nx.Graph([(0, 1), (2, 3), (3, 4), (4, 5)])
+        networks = [cycle_network(8), Network(graph), Network(nx.empty_graph(3))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx connectivity called")
+
+        monkeypatch.setattr(nx, "is_connected", refuse)
+        monkeypatch.setattr(nx, "connected_components", refuse)
+        assert [network.diameter() for network in networks] == [4, 3, 0]
+
     def test_distance_and_distances_from(self):
         net = path_network(5)
         nodes = net.nodes()
@@ -198,21 +209,6 @@ class TestDerivedNetworks:
         updated = net.with_ids({"a": 10, "b": 20, "c": 30})
         assert updated.identity("a") == 10
         assert net.identity("a") == 3
-
-    def test_relabeled_by_identity(self):
-        net = triangle()
-        relabelled = net.relabeled_by_identity()
-        assert set(relabelled.nodes()) == {1, 2, 3}
-        assert relabelled.input_of(3) == "x"
-        assert relabelled.number_of_edges() == 3
-
-    def test_induced_subnetwork(self):
-        net = cycle_network(6)
-        nodes = net.nodes()[:3]
-        sub = net.induced_subnetwork(nodes)
-        assert sub.number_of_nodes() == 3
-        assert sub.number_of_edges() == 2
-        assert all(sub.identity(node) == net.identity(node) for node in nodes)
 
     def test_copy_and_equality(self):
         net = triangle()
