@@ -18,7 +18,9 @@ The facade every caller (the CLI included) goes through:
   network boundary speaks (the service protocol and its journal);
 * :class:`Client` — the same surface over HTTP against a running
   ``repro serve`` service (submit / stream / wait / result), bit-identical
-  to an inline session at the same seed.
+  to an inline session at the same seed.  ``Client`` and ``RemoteJob`` are
+  loaded on first access, so importing the package for a :class:`Session`
+  loads no HTTP client stack.
 
 Quickstart
 ----------
@@ -31,13 +33,14 @@ Quickstart
 ...                                                       # doctest: +SKIP
 """
 
+from typing import TYPE_CHECKING
+
 from repro.api.backends import (
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
     resolve_backend,
 )
-from repro.api.client import Client, RemoteJob
 from repro.api.session import (
     PRESET_FULL,
     PRESET_QUICK,
@@ -57,6 +60,9 @@ from repro.harness.registry import (
     SpecValidationError,
     UnknownParameterError,
 )
+
+if TYPE_CHECKING:
+    from repro.api.client import Client, RemoteJob
 
 __all__ = [
     "PRESET_FULL",
@@ -81,3 +87,12 @@ __all__ = [
     "UnknownParameterError",
     "resolve_backend",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Load :class:`Client` and :class:`RemoteJob` on first access (PEP 562)."""
+    if name in ("Client", "RemoteJob"):
+        from repro.api import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

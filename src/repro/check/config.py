@@ -29,7 +29,8 @@ DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "input-instance sampling, intentionally outside the tape "
             "convention; all three families construct their generator via "
             "the module's _instance_rng helper, whose docstring carries the "
-            "full rationale"
+            "full rationale; the regular-graph pairing's stdlib "
+            "random.Random is seeded from an _instance_rng draw"
         ),
         "local/identifiers.py": (
             "identity-assignment schemes are *inputs* to the system under "

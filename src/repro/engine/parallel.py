@@ -4,7 +4,8 @@
   ``concurrent.futures.ProcessPoolExecutor`` and yields the results in
   submission order.  It is the primitive the ``process-pool`` execution
   backend of :mod:`repro.api` — and with it the CLI's ``--parallel N`` —
-  is built on.
+  is built on.  The process-pool machinery is imported only when a pool
+  starts.
 * :func:`point_seed` derives the seed of one sweep point from the master
   seed and the point's own parameters; :meth:`repro.api.Session.sweep`
   injects it into every point of a seeded sweep.
@@ -16,7 +17,6 @@ which worker ran it or on the grid shape.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 from repro.local.randomness import derive_seed
@@ -73,6 +73,8 @@ def imap(
         for payload in payloads:
             yield function(payload)
         return
+
+    from concurrent.futures import ProcessPoolExecutor
 
     recorder = get_recorder()
     pool = ProcessPoolExecutor(max_workers=max_workers)

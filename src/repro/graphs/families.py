@@ -3,8 +3,8 @@
 Every constructor returns a :class:`~repro.local.network.Network`.  Cycles
 and paths are built from their node and edge sequences
 (:meth:`~repro.local.network.Network.from_edges`); the other families build a
-networkx graph first.  Identity assignment is controlled by the ``ids``
-argument:
+networkx graph first, importing networkx when called.  Identity assignment
+is controlled by the ``ids`` argument:
 
 * ``"consecutive"`` — identities ``1..n`` follow the construction order; on
   :func:`cycle_network` this is exactly the consecutively-labelled cycle used
@@ -18,9 +18,7 @@ argument:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Sequence
 
 from repro.local.identifiers import (
     consecutive_ids,
@@ -28,6 +26,9 @@ from repro.local.identifiers import (
     shuffled_consecutive_ids,
 )
 from repro.local.network import Network
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "cycle_network",
@@ -107,6 +108,8 @@ def grid_network(
     """The rows × cols grid (maximum degree 4)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    import networkx as nx
+
     graph = nx.grid_2d_graph(rows, cols)
     order = [(r, c) for r in range(rows) for c in range(cols)]
     return _build(graph, order, ids, seed, id_start, inputs)
@@ -123,6 +126,8 @@ def torus_network(
     """The rows × cols torus (4-regular when both dimensions are ≥ 3)."""
     if rows < 3 or cols < 3:
         raise ValueError("torus dimensions must be at least 3 to stay simple")
+    import networkx as nx
+
     graph = nx.grid_2d_graph(rows, cols, periodic=True)
     order = [(r, c) for r in range(rows) for c in range(cols)]
     return _build(graph, order, ids, seed, id_start, inputs)
@@ -138,6 +143,8 @@ def complete_network(
     """The complete graph K_n."""
     if n < 1:
         raise ValueError("a complete graph needs at least 1 node")
+    import networkx as nx
+
     graph = nx.complete_graph(n)
     return _build(graph, range(n), ids, seed, id_start, inputs)
 
@@ -152,6 +159,8 @@ def star_network(
     """The star with one centre and ``leaves`` leaves."""
     if leaves < 1:
         raise ValueError("a star needs at least one leaf")
+    import networkx as nx
+
     graph = nx.star_graph(leaves)
     return _build(graph, range(leaves + 1), ids, seed, id_start, inputs)
 
@@ -167,6 +176,8 @@ def balanced_tree_network(
     """The perfectly balanced tree with given branching factor and height."""
     if branching < 1 or height < 0:
         raise ValueError("branching must be ≥ 1 and height ≥ 0")
+    import networkx as nx
+
     graph = nx.balanced_tree(branching, height)
     return _build(graph, sorted(graph.nodes()), ids, seed, id_start, inputs)
 
@@ -183,6 +194,8 @@ def caterpillar_network(
     spine node.  Maximum degree is ``legs_per_node + 2``."""
     if spine < 1 or legs_per_node < 0:
         raise ValueError("spine must be ≥ 1 and legs_per_node ≥ 0")
+    import networkx as nx
+
     graph = nx.Graph()
     order: list = []
     for i in range(spine):
@@ -209,6 +222,8 @@ def hypercube_network(
     degree ``dimension``)."""
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
+    import networkx as nx
+
     graph = nx.hypercube_graph(dimension)
     order = sorted(graph.nodes())
     return _build(graph, order, ids, seed, id_start, inputs)

@@ -6,13 +6,20 @@ trees, and a degree-truncated G(n, p) (Erdős–Rényi edges are dropped greedil
 whenever they would exceed the requested maximum degree, preserving
 simplicity and the degree bound while keeping the edge distribution close to
 G(n, p) for sparse p).
+
+Random regular graphs, the instances of E7 and E10, come from the pairing
+of Steger & Wormald ("Generating random regular graphs quickly", Combin.
+Probab. Comput. 8, 1999), run here draw for draw as networkx's
+``random_regular_graph`` runs it, so the instance definition lives in this
+module.  The other two families build a networkx graph, importing networkx
+when called.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+import random
+from typing import Dict, Mapping, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.local.identifiers import (
@@ -39,9 +46,66 @@ def _instance_rng(seed: int) -> np.random.Generator:
     graph generation to the tape layer would couple instance identity to
     engine internals.  This helper is the module's single RNG constructor;
     the DET001 allowlist entry for ``graphs/random_graphs.py`` in
-    :mod:`repro.check.config` points here.
+    :mod:`repro.check.config` points here.  The regular-graph pairing draws
+    from a stdlib :class:`random.Random`, seeded with one ``integers`` draw
+    of this generator per attempt.
     """
     return np.random.default_rng(seed)
+
+
+def _free_pair_left(edges: Set[Tuple[int, int]], leftover: Dict[int, int]) -> bool:
+    """Whether the pairing can go on: no stubs are left, or two nodes with
+    leftover stubs are not joined yet.
+
+    The scan is networkx's, quirk included: after a swap the smaller node
+    stays the first endpoint for the rest of the inner loop, so some pairs
+    are never looked at.  Changing that would change when a pairing
+    restarts, and with it every later draw.
+    """
+    if not leftover:
+        return True
+    for first in leftover:
+        for second in leftover:
+            if first == second:
+                break
+            if first > second:
+                first, second = second, first
+            if (first, second) not in edges:
+                return True
+    return False
+
+
+def _pairing(n: int, degree: int, rng: random.Random) -> Set[Tuple[int, int]]:
+    """The edge set of a random ``degree``-regular graph on ``0..n-1``.
+
+    Steger–Wormald pairing: shuffle ``degree`` stubs per node and pair them
+    off; a pair that would make a loop or a repeated edge returns its stubs
+    for the next round, and a round whose leftover stubs can no longer all
+    be paired restarts from scratch.  Draw for draw and edge for edge (set
+    insertion order included) networkx's ``random_regular_graph`` with the
+    same ``rng``.  The set holds tuples of ints, whose hashes do not depend
+    on the process, so its iteration order is reproducible.
+    """
+    while True:
+        edges: Set[Tuple[int, int]] = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            leftover: Dict[int, int] = {}
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for u, v in zip(pairs, pairs):
+                if u > v:
+                    u, v = v, u
+                if u != v and (u, v) not in edges:
+                    edges.add((u, v))
+                else:
+                    leftover[u] = leftover.get(u, 0) + 1
+                    leftover[v] = leftover.get(v, 0) + 1
+            if not _free_pair_left(edges, leftover):
+                break
+            stubs = [node for node, count in leftover.items() for _ in range(count)]
+        else:
+            return edges
 
 
 def _ids_for(nodes, ids: str, seed: int, start: int):
@@ -76,10 +140,12 @@ def random_regular_network(
     if (n * degree) % 2 != 0:
         raise ValueError("n * degree must be even for a regular graph to exist")
     rng = _instance_rng(seed)
+    assignment = _ids_for(range(n), ids, seed, id_start)
     for _ in range(max_attempts):
-        graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31 - 1)))
-        if not require_connected or nx.is_connected(graph):
-            return Network(graph, _ids_for(list(graph.nodes()), ids, seed, id_start), inputs)
+        edges = _pairing(n, degree, random.Random(int(rng.integers(0, 2**31 - 1))))
+        network = Network.from_edges(range(n), edges, assignment, inputs)
+        if not require_connected or network.is_connected():
+            return network
     raise RuntimeError(
         f"failed to sample a connected {degree}-regular graph on {n} nodes "
         f"in {max_attempts} attempts"
@@ -109,6 +175,8 @@ def bounded_degree_gnp_network(
         raise ValueError("p must lie in [0, 1]")
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    import networkx as nx
+
     rng = _instance_rng(seed)
     base = nx.gnp_random_graph(n, p, seed=int(rng.integers(0, 2**31 - 1)))
     edges = list(base.edges())
@@ -142,6 +210,8 @@ def random_tree_network(
     """A uniformly random labelled tree on ``n`` nodes (via Prüfer sequences)."""
     if n < 1:
         raise ValueError("a tree needs at least one node")
+    import networkx as nx
+
     if n == 1:
         graph = nx.Graph()
         graph.add_node(0)

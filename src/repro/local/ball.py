@@ -7,8 +7,10 @@ LOCAL algorithm is equivalent to a map from such balls (with their node
 identities and inputs, and, for decision tasks, outputs) to local outputs.
 
 That definition lives in one place, :func:`_ball`: a breadth-first search to
-depth ``t`` over an adjacency mapping whose neighbour tuples are sorted by
-identity (a radius-0 ball, the centre alone, skips the search).
+depth ``t`` (:func:`repro.local.network.breadth_first_distances`, the search
+the network's distance queries run) over an adjacency mapping whose
+neighbour tuples are sorted by identity (a radius-0 ball, the centre alone,
+skips the search).
 :func:`collect_ball` runs it on a network's adjacency index, and the
 message-passing lift (:mod:`repro.local.algorithm`) runs it on the
 adjacency a node has learned.  A :class:`BallView` stores the ball as that
@@ -28,11 +30,12 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
+from repro.local.network import Network, breadth_first_distances
 
-from repro.local.network import Network
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BallView", "collect_ball", "all_balls"]
 
@@ -80,6 +83,8 @@ class BallView:
     def graph(self) -> nx.Graph:
         """The ball as a frozen :class:`networkx.Graph`, built on first access
         and cached on the view."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.adjacency)
         graph.add_edges_from(self.edges())
@@ -236,6 +241,8 @@ class BallView:
         return ("exact", self.radius, best)
 
     def _wl_canonical_key(self, label_of) -> Tuple:
+        import networkx as nx
+
         attributed = nx.Graph()
         for node in self.adjacency:
             marker = "C" if node == self.center else "-"
@@ -269,22 +276,11 @@ def _ball(
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    if center not in adjacency:
-        raise nx.NodeNotFound(f"Source {center} is not in G")
-    if radius == 0:  # the centre alone, as the search below would find it
+    if radius == 0 and center in adjacency:  # the centre alone, as the search would find it
         ids, inputs = {center: identity(center)}, {center: input_of(center)}
         out = None if outputs is None else {center: outputs[center]}
         return BallView(center, 0, {center: ()}, ids, inputs, {center: 0}, out)
-    distances = {center: 0}
-    frontier = [center]
-    for depth in range(1, radius + 1):
-        reached = []
-        for node in frontier:
-            for other in adjacency[node]:
-                if other not in distances:
-                    distances[other] = depth
-                    reached.append(other)
-        frontier = reached
+    distances = breadth_first_distances(adjacency, center, radius)
     ball_adjacency = {}
     for node, dist in distances.items():
         # An interior node keeps every neighbour (all are at distance ≤ t);

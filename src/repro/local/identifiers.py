@@ -44,8 +44,16 @@ def validate_id_assignment(ids: Mapping[Hashable, int]) -> None:
 
     The LOCAL model requires identities to be pairwise-distinct positive
     integers (Section 2.1.1); this check is applied whenever a
-    :class:`~repro.local.network.Network` is built.
+    :class:`~repro.local.network.Network` is built.  All values are checked
+    at once; the per-node loop runs only to name the first offending node.
     """
+    values = ids.values()
+    if (
+        all(issubclass(kind, (int, np.integer)) for kind in dict.fromkeys(map(type, values)))
+        and (not values or min(values) > 0)
+        and len(set(values)) == len(values)
+    ):
+        return
     seen: set[int] = set()
     for node, ident in ids.items():
         if not isinstance(ident, (int, np.integer)):

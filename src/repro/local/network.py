@@ -17,11 +17,14 @@ edge tuple is kept in the order networkx iterates the same graph, so both
 ways give equal networks with equal node and edge orders.  Neighbour and
 degree queries, connectivity (:meth:`Network.connected_components`), and
 ball extraction (:func:`repro.local.ball.collect_ball`) read the index.
-The networkx form, :attr:`Network.graph`, is built from the two tuples on
+Connectivity and the distance queries (:meth:`Network.distances_from`,
+:meth:`Network.diameter`) are breadth-first searches over the index, the
+same search that extracts balls (:func:`breadth_first_distances`).  The
+networkx form, :attr:`Network.graph`, is built from the two tuples on
 first read and frozen (``nx.freeze``), like
-:attr:`repro.local.ball.BallView.graph`; the networkx-backed distance
-queries (diameter, distances) read it, the diameter one component of the
-index at a time.  The array form of the index,
+:attr:`repro.local.ball.BallView.graph`; networkx is imported only there
+and when a search is asked to start at a missing node.  The array form of
+the index,
 :attr:`Network.neighbor_positions` (built on first read), serves the array
 membership checks.  Networks derived with new inputs
 (:meth:`Network.with_inputs`, :meth:`Network.copy`) share their parent's
@@ -36,9 +39,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.local.identifiers import (
@@ -47,7 +49,42 @@ from repro.local.identifiers import (
     validate_id_assignment,
 )
 
-__all__ = ["Network"]
+if TYPE_CHECKING:
+    import networkx as nx
+
+__all__ = ["Network", "breadth_first_distances"]
+
+
+def breadth_first_distances(
+    adjacency: Mapping[Hashable, Iterable[Hashable]],
+    source: Hashable,
+    cutoff: Optional[int] = None,
+) -> Dict[Hashable, int]:
+    """Hop distance from ``source`` to every node within ``cutoff`` hops
+    (all reachable nodes when ``cutoff`` is ``None``), in breadth-first
+    order, neighbours visited in ``adjacency`` order.
+
+    The one search behind ball extraction, connectivity and the distance
+    queries.  Raises :class:`networkx.NodeNotFound` when ``source`` is not
+    in ``adjacency``, as networkx's searches do.
+    """
+    if source not in adjacency:
+        import networkx as nx
+
+        raise nx.NodeNotFound(f"Source {source} is not in G")
+    distances = {source: 0}
+    frontier = [source]
+    depth = 0
+    while frontier and (cutoff is None or depth < cutoff):
+        depth += 1
+        reached = []
+        for node in frontier:
+            for other in adjacency[node]:
+                if other not in distances:
+                    distances[other] = depth
+                    reached.append(other)
+        frontier = reached
+    return distances
 
 
 class Network:
@@ -174,6 +211,8 @@ class Network:
     def graph(self) -> nx.Graph:
         """The network as a :class:`networkx.Graph`, built on first access and
         cached; frozen: mutating it raises :class:`networkx.NetworkXError`."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._nodes)
         graph.add_edges_from(self._edges)
@@ -273,36 +312,23 @@ class Network:
         components: list[set] = []
         reached: set = set()
         for start in self._nodes:
-            if start in reached:
-                continue
-            component, stack = {start}, [start]
-            while stack:
-                for other in self._adjacency[stack.pop()]:
-                    if other not in component:
-                        component.add(other)
-                        stack.append(other)
-            reached |= component
-            components.append(component)
+            if start not in reached:
+                component = set(breadth_first_distances(self._adjacency, start))
+                reached |= component
+                components.append(component)
         return components
 
     def diameter(self) -> int:
         """Diameter of the network; for disconnected graphs, the maximum
-        diameter over connected components."""
-        if self.number_of_nodes() == 0:
-            return 0
-        graph = self.graph
-        components = self.connected_components()
-        if len(components) == 1:
-            return nx.diameter(graph)
-        return max(nx.diameter(graph.subgraph(c)) for c in components)
-
-    def distance(self, u: Hashable, v: Hashable) -> int:
-        """Hop distance between two nodes (raises if unreachable)."""
-        return nx.shortest_path_length(self.graph, u, v)
+        diameter over connected components (the largest distance from any
+        node to a node it reaches)."""
+        return max(
+            (max(self.distances_from(node).values()) for node in self._nodes), default=0
+        )
 
     def distances_from(self, v: Hashable, cutoff: Optional[int] = None) -> Dict[Hashable, int]:
         """Hop distance from ``v`` to every node within ``cutoff`` hops."""
-        return dict(nx.single_source_shortest_path_length(self.graph, v, cutoff=cutoff))
+        return breadth_first_distances(self._adjacency, v, cutoff)
 
     # ------------------------------------------------------------------ #
     # Derived networks

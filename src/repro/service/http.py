@@ -48,6 +48,7 @@ import contextlib
 import json
 import re
 import signal
+import sys
 import threading
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -68,6 +69,13 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Most header lines accepted in one request head; the clients send a few.
 MAX_HEADER_COUNT = 100
+
+#: The interpreter's thread switch interval while :func:`serve` runs (the
+#: default is 0.005 s).  A job computes on a worker thread that holds the
+#: GIL; a loop thread woken by a new request waits up to this long to take
+#: it back, so a submission identical to a running job is read while that
+#: job still runs and joins it instead of missing it.
+SERVE_SWITCH_INTERVAL = 0.0005
 
 _STATUS_TEXT = {
     200: "OK",
@@ -491,7 +499,8 @@ def serve(
     running jobs finish (their ``done`` records reach the journal), queued
     jobs stay journaled for the next start, and only then does the process
     exit.  A second signal during the drain is ignored — the drain is the
-    shutdown path.
+    shutdown path.  While it runs, the process's thread switch interval is
+    :data:`SERVE_SWITCH_INTERVAL`; the caller's is restored on return.
     """
 
     async def _main() -> None:
@@ -529,8 +538,12 @@ def serve(
                     await task
             await service.stop_async()
 
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL)
     try:
         asyncio.run(_main())
     except KeyboardInterrupt:
         pass
+    finally:
+        sys.setswitchinterval(previous_interval)
     return 0

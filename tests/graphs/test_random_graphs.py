@@ -2,13 +2,43 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
+import numpy as np
 import pytest
 
+from repro.graphs import random_graphs
 from repro.graphs.random_graphs import (
     bounded_degree_gnp_network,
     random_regular_network,
     random_tree_network,
 )
+from repro.local.identifiers import shuffled_consecutive_ids
+from repro.local.network import Network
+
+
+def _networkx_random_regular(n, degree, seed):
+    """The networkx construction :func:`random_regular_network` replaced:
+    ``nx.random_regular_graph`` seeded by one ``_instance_rng`` draw per
+    attempt, until the sample is connected."""
+    rng = np.random.default_rng(seed)
+    while True:
+        graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(0, 2**31 - 1)))
+        if nx.is_connected(graph):
+            return graph
+
+
+def _pairing_triples():
+    """1,008 ``(n, d, seed)`` triples: every feasible degree ``0 <= d < n``
+    with ``n * d`` even for ``n <= 12``, at 16 seeds each."""
+    return [
+        (n, d, seed)
+        for n in range(1, 13)
+        for d in range(n)
+        if n * d % 2 == 0
+        for seed in range(16)
+    ]
 
 
 class TestRandomRegular:
@@ -33,6 +63,49 @@ class TestRandomRegular:
     def test_disconnected_allowed_when_not_required(self):
         net = random_regular_network(10, 2, seed=1, require_connected=False)
         assert all(net.degree(node) == 2 for node in net.nodes())
+
+
+class TestPairing:
+    """The Steger–Wormald pairing behind :func:`random_regular_network` is
+    networkx's ``random_regular_graph`` draw for draw: same edges in the
+    same order, and the generator left in the same state."""
+
+    def test_pairing_equals_networkx_edge_for_edge(self, monkeypatch):
+        restarts = []
+        scan = random_graphs._free_pair_left
+
+        def recording(edges, leftover):
+            free = scan(edges, leftover)
+            restarts.append(not free)
+            return free
+
+        monkeypatch.setattr(random_graphs, "_free_pair_left", recording)
+        triples = _pairing_triples()
+        assert len(triples) >= 1000
+        assert {d for _, d, _ in triples} >= {0, 1}
+        for n, d, seed in triples:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            edges = random_graphs._pairing(n, d, ours)
+            graph = nx.random_regular_graph(d, n, seed=theirs)
+            assert Network.from_edges(range(n), edges).edges() == list(graph.edges()), (n, d, seed)
+            assert ours.getstate() == theirs.getstate(), (n, d, seed)
+        assert any(restarts)  # some triples restart the pairing
+
+    @pytest.mark.parametrize(
+        "n,seed",
+        [(16, 0), (16, 1), (16, 10_000), (24, 0), (24, 1)]  # E7: quick and full sizes
+        + [(n, seed + n) for n in (20, 40, 60, 160, 400) for seed in (0, 1, 10_000)],  # E10
+    )
+    def test_experiment_instances_equal_the_networkx_built_network(self, n, seed):
+        network = random_regular_network(n, 3, seed=seed)
+        graph = _networkx_random_regular(n, 3, seed)
+        ids = shuffled_consecutive_ids(list(graph.nodes()), seed=seed)
+        expected = Network(graph, ids)
+        assert network.nodes() == list(graph.nodes())
+        assert network.edges() == list(graph.edges())
+        assert list(network.ids.items()) == [(node, ids[node]) for node in graph.nodes()]
+        assert network == expected
+        assert hash(network) == hash(expected)
 
 
 class TestBoundedDegreeGnp:

@@ -39,7 +39,7 @@ class TestAmosConfigurations:
         configuration = _amos_configuration(network, 3)
         selected = configuration.selected_nodes()
         distances = [
-            configuration.network.distance(selected[i], selected[j])
+            configuration.network.distances_from(selected[i])[selected[j]]
             for i in range(3)
             for j in range(i + 1, 3)
         ]

@@ -61,8 +61,9 @@ class TestCollectBall:
     def test_distances_match_network(self, small_grid):
         node = small_grid.nodes()[0]
         ball = collect_ball(small_grid, node, 2)
+        distances = nx.single_source_shortest_path_length(small_grid.graph, node)
         for member in ball.graph.nodes():
-            assert ball.distances[member] == small_grid.distance(node, member)
+            assert ball.distances[member] == distances[member]
 
     def test_negative_radius_rejected(self, small_cycle):
         with pytest.raises(ValueError):
@@ -277,6 +278,18 @@ class TestBallGraphOnDemand:
         monkeypatch.setattr(Network, "graph", property(lambda network: built.append(network)))
         report = Session(cache=None).run(experiment, preset="quick")
         assert report.result.verdict == "pass"
+        assert built == []
+
+    def test_quick_pass_builds_no_graph(self, monkeypatch):
+        # E7's diameter and E9's distances are breadth-first searches over
+        # the adjacency index (they built the only two network graphs of a
+        # quick pass), and no experiment reads a ball's graph.
+        built = []
+        record = property(lambda view: built.append(view))
+        monkeypatch.setattr(Network, "graph", record)
+        monkeypatch.setattr(BallView, "graph", record)
+        reports = Session(cache=None).run_all(preset="quick")
+        assert [report.ok for report in reports] == [True] * 10
         assert built == []
 
     def test_quick_e2_builds_no_network_graph(self, monkeypatch):

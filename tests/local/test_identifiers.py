@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.local.identifiers import (
@@ -30,6 +31,33 @@ class TestValidation:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError, match="not an integer"):
             validate_id_assignment({"a": "x"})
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            ({"a": 1, "b": 2.0, "c": "x"}, "identity of node 'b' is not an integer: 2.0"),
+            (
+                {"a": 1, "b": np.bool_(True)},
+                f"identity of node 'b' is not an integer: {np.bool_(True)!r}",
+            ),
+            ({"a": 1, "b": 0}, "identity of node 'b' must be positive, got 0"),
+            ({"a": 3, "b": -2, "c": 0}, "identity of node 'b' must be positive, got -2"),
+            ({"a": 1, "b": False}, "identity of node 'b' must be positive, got False"),
+            ({"a": 1, "b": 2, "c": 1, "d": 2}, "duplicate identity 1 (node 'c')"),
+            ({"a": np.int64(1), "b": True}, "duplicate identity True (node 'b')"),
+            # The first offender in node order, whatever its kind.
+            ({"a": 2, "b": 2, "c": -1, "d": "x"}, "duplicate identity 2 (node 'b')"),
+            ({"a": 2, "b": -1, "c": 2}, "identity of node 'b' must be positive, got -1"),
+        ],
+    )
+    def test_each_error_names_the_first_offending_node(self, ids, message):
+        with pytest.raises(ValueError) as raised:
+            validate_id_assignment(ids)
+        assert str(raised.value) == message
+
+    def test_accepts_numpy_integers_and_bools(self):
+        validate_id_assignment({"a": np.int64(3), "b": np.uint8(2), "c": True, "d": 10**30})
+        validate_id_assignment({})
 
 
 class TestConsecutive:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import repro
@@ -186,12 +187,15 @@ class TestStructure:
 
         monkeypatch.setattr(nx, "is_connected", refuse)
         monkeypatch.setattr(nx, "connected_components", refuse)
+        monkeypatch.setattr(nx, "diameter", refuse)
+        monkeypatch.setattr(nx, "single_source_shortest_path_length", refuse)
         assert [network.diameter() for network in networks] == [4, 3, 0]
+        assert networks[0].distances_from(0, cutoff=2) == {0: 0, 1: 1, 7: 1, 2: 2, 6: 2}
+        assert all("graph" not in vars(network) for network in networks)
 
     def test_distance_and_distances_from(self):
         net = path_network(5)
         nodes = net.nodes()
-        assert net.distance(nodes[0], nodes[4]) == 4
         distances = net.distances_from(nodes[0], cutoff=2)
         assert distances == {nodes[0]: 0, nodes[1]: 1, nodes[2]: 2}
 
@@ -373,10 +377,20 @@ def _oriented_reference():
     return nx.cycle_graph(9), ids, {i: ids[(i + 1) % 9] for i in range(9)}
 
 
+def _nx_random_regular():
+    # One instance-RNG draw seeds each attempt, until the sample is connected.
+    rng = np.random.default_rng(1)
+    while True:
+        graph = nx.random_regular_graph(3, 12, seed=int(rng.integers(0, 2**31 - 1)))
+        if nx.is_connected(graph):
+            return graph, shuffled_consecutive_ids(list(graph.nodes()), seed=1), {}
+
+
 NX_REFERENCES = {
     _cycle: lambda: (nx.cycle_graph(12), consecutive_ids(range(12)), {}),
     _path: lambda: (nx.path_graph(7), shuffled_consecutive_ids(range(7), seed=3), {}),
     _oriented_cycle: _oriented_reference,
+    _random_regular: _nx_random_regular,
     _relabelled: lambda: _nx_relabel_disjoint([cycle_network(6), grid_network(2, 3)])[1],
     _union: lambda: _nx_union(
         _nx_relabel_disjoint([cycle_network(6), path_network(4), grid_network(2, 2)])
@@ -474,13 +488,14 @@ class TestOneTopology:
             subdivide_edge(cycle, (2, 3), "m", 100),
             double_subdivide_edge(cycle, (2, 3), "v", "w", 100, 101),
             glue_instances([cycle, torus], [0, (1, 1)]).network,
+            random_regular_network(12, 3, seed=1),
         ]
         connected = [network.is_connected() for network in built + [grid]]
         components = [len(network.connected_components()) for network in built]
         monkeypatch.undo()
         assert constructed == []
-        assert connected == [True, True, True, True, True, False, True, True, True, True]
-        assert components == [1, 1, 1, 1, 1, 3, 1, 1, 1]
+        assert connected == [True, True, True, True, True, False, True, True, True, True, True]
+        assert components == [1, 1, 1, 1, 1, 3, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("build", BUILDERS, ids=_name)
     def test_rebuilds_are_equal_and_hash_equal(self, build):

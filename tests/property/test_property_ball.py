@@ -7,7 +7,9 @@ breadth-first search over the network's adjacency index.  The properties
 below check, on random graphs (disconnected ones, grids with tuple nodes,
 shuffled and sparse identities, with and without outputs), that every
 observable of a :class:`~repro.local.ball.BallView` equals the reference,
-and that the message-passing lift reconstructs the same balls.
+and that the message-passing lift reconstructs the same balls.  The same
+search answers :meth:`Network.distances_from` and :meth:`Network.diameter`;
+they are pinned to networkx's searches on the same graphs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 import networkx as nx
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +60,7 @@ def reference_ball(
     """Nodes within ``radius`` hops (networkx BFS), and every host edge
     between them except those joining two nodes at distance exactly
     ``radius``."""
-    distances = network.distances_from(center, cutoff=radius)
+    distances = dict(nx.single_source_shortest_path_length(network.graph, center, cutoff=radius))
     members = set(distances)
     graph = nx.Graph()
     graph.add_nodes_from(members)
@@ -232,6 +235,44 @@ class TestBallMatchesReference:
             assert {frozenset(e) for e in graph.edges()} == {
                 frozenset(e) for e in ref.edges()
             }
+
+
+class TestDistancesMatchNetworkx:
+    @SETTINGS
+    @given(network=networks(), cutoff=st.sampled_from([None, -1, 0, 1, 2, 3]))
+    def test_distances_from_matches_networkx(self, network, cutoff):
+        for source in network.nodes():
+            distances = network.distances_from(source, cutoff)
+            assert distances == dict(
+                nx.single_source_shortest_path_length(network.graph, source, cutoff=cutoff)
+            )
+            # Breadth-first order: distances never decrease.
+            assert list(distances.values()) == sorted(distances.values())
+
+    @SETTINGS
+    @given(network=networks())
+    def test_diameter_is_the_largest_component_diameter(self, network):
+        graph = network.graph
+        assert network.diameter() == max(
+            nx.diameter(graph.subgraph(component))
+            for component in nx.connected_components(graph)
+        )
+
+    def test_edgeless_and_empty_networks(self):
+        for n in range(4):
+            network = Network(nx.empty_graph(n))
+            assert network.diameter() == 0
+            for node in network.nodes():
+                assert network.distances_from(node) == {node: 0}
+
+    def test_a_missing_source_raises_node_not_found(self):
+        network = Network(nx.path_graph(3))
+        with pytest.raises(nx.NodeNotFound):
+            network.distances_from(7)
+        with pytest.raises(nx.NodeNotFound):
+            collect_ball(network, 7, 0)
+        with pytest.raises(nx.NodeNotFound):
+            collect_ball(network, 7, 2)
 
 
 class TestRadiusZeroView:

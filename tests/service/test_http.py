@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from repro.api import Client, Session
 from repro.errors import JobNotFound, ReproError, WireFormatError
 from repro.harness.registry import ExperimentRegistry
 from repro.service import ServiceThread
+from repro.service import http as service_http
 from repro.service.http import MAX_HEADER_COUNT
 
 
@@ -346,3 +348,49 @@ class TestSingleFlightAcceptance:
         inline = Session(seed=seed, cache=None).run("E1", preset="quick")
         assert records[0]["result"] == inline.result.to_dict()
         assert inline.result.verdict == "pass"
+
+
+class TestServeSwitchInterval:
+    """``serve`` owns its process: while its loop runs, the thread switch
+    interval is short, so the loop thread gets the GIL back from a
+    computing worker quickly; the caller's interval comes back on return."""
+
+    @pytest.fixture
+    def caller_interval(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(0.002)
+        yield 0.002
+        sys.setswitchinterval(previous)
+
+    def test_serve_runs_with_the_short_interval_and_restores_the_callers(
+        self, monkeypatch, caller_interval
+    ):
+        seen = []
+
+        async def recording_start(service):
+            seen.append(sys.getswitchinterval())
+
+        async def stop_at_once(service):
+            return None
+
+        monkeypatch.setattr(service_http.ExperimentService, "start_async", recording_start)
+        monkeypatch.setattr(service_http.ExperimentService, "serve_forever", stop_at_once)
+        assert service_http.serve(port=0, cache=None) == 0
+        assert seen == [pytest.approx(service_http.SERVE_SWITCH_INTERVAL)]
+        assert service_http.SERVE_SWITCH_INTERVAL == 0.0005
+        assert sys.getswitchinterval() == pytest.approx(caller_interval)
+
+    def test_the_callers_interval_comes_back_when_start_up_raises(
+        self, monkeypatch, caller_interval
+    ):
+        seen = []
+
+        async def failing_start(service):
+            seen.append(sys.getswitchinterval())
+            raise OSError("address in use")
+
+        monkeypatch.setattr(service_http.ExperimentService, "start_async", failing_start)
+        with pytest.raises(OSError, match="address in use"):
+            service_http.serve(port=0, cache=None)
+        assert seen == [pytest.approx(service_http.SERVE_SWITCH_INTERVAL)]
+        assert sys.getswitchinterval() == pytest.approx(caller_interval)
