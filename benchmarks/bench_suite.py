@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Benchmark-suite driver: every bench workload, one machine-readable artifact.
 
-Runs one timed workload per ``bench_*.py`` file (the registry below is
-checked against the directory, so a new bench file without a suite entry is
-an error), and emits ``BENCH.json`` with per-workload **median seconds** and
+Runs the timed workloads registered below (the registry is checked against
+the experiment registry, so a new experiment without a suite entry is an
+error), and emits ``BENCH.json`` with per-workload **median seconds** and
 the **speedup versus** ``engine="off"`` for every workload with an engine
 path (the engine pass runs the default ``engine="auto"``).  This artifact is
 what CI tracks; ``benchmarks/baseline.json`` is the committed reference it is
@@ -76,10 +76,9 @@ SESSION = Session(cache=None)
 
 @dataclass
 class Workload:
-    """One timed workload of the suite (mapped 1:1 to a bench_*.py file)."""
+    """One timed workload of the suite."""
 
     name: str
-    file: str
     experiment: str  # spec id resolved against the registry
     params: Dict[str, object] = field(default_factory=dict)
     engine_comparable: bool = True
@@ -136,13 +135,11 @@ def _throughput_workload() -> Dict[str, float]:
 WORKLOADS: List[Workload] = [
     Workload(
         name="e1_amos",
-        file="bench_e1_amos.py",
         experiment="E1",
         params=dict(sizes=(12, 40), selected_counts=(0, 1, 2, 3), trials=1500, seed=0),
     ),
     Workload(
         name="e2_eps_slack",
-        file="bench_e2_eps_slack.py",
         experiment="E2",
         params=dict(
             sizes=(30, 90, 300),
@@ -162,7 +159,6 @@ WORKLOADS: List[Workload] = [
         # fusion only saves the repeated compiles: the ratio measured
         # 1.19–1.43× across runs, so the floor only asks fusion not to lose.
         name="sweep_e2_fusion",
-        file="bench_sweep_fusion.py",
         experiment="E2",
         params=dict(sizes=(240,), trials=1200, decider_trials=30, seed=0, engine="auto"),
         sweep_grid={
@@ -175,21 +171,18 @@ WORKLOADS: List[Workload] = [
     ),
     Workload(
         name="e3_resilient_lower_bound",
-        file="bench_e3_resilient_lower_bound.py",
         experiment="E3",
         params=dict(n=30, radii=(0, 1), f_values=(1, 2, 4), trials=3000, seed=0),
         min_speedup=5.0,
     ),
     Workload(
         name="e4_logstar",
-        file="bench_e4_logstar.py",
         experiment="E4",
         params=dict(sizes=(8, 32, 128, 512, 2048, 8192, 32768), seed=0),
         engine_comparable=False,
     ),
     Workload(
         name="e5_resilient_decider",
-        file="bench_e5_resilient_decider.py",
         experiment="E5",
         params=dict(f_values=(1, 2, 4), n=60, trials=1500, seed=0),
     ),
@@ -202,42 +195,36 @@ WORKLOADS: List[Workload] = [
         # where a finite-cap CI straddles the threshold and the verdict is
         # (correctly) UNRESOLVED rather than green.
         name="e5_precision",
-        file="bench_e5_resilient_decider.py",
         experiment="E5",
         params=dict(f_values=(1, 2), n=60, trials=1500, seed=0, precision=0.01),
         engine_comparable=False,
     ),
     Workload(
         name="e6_amplification",
-        file="bench_e6_amplification.py",
         experiment="E6",
         params=dict(q=0.05, p=0.8, instance_size=12, nu_values=(1, 2, 4), trials=300, seed=0),
         min_speedup=10.0,
     ),
     Workload(
         name="e7_separations",
-        file="bench_e7_separations.py",
         experiment="E7",
         params=dict(n=24, deterministic_radius=2, trials=10_000, seed=0),
         min_speedup=5.0,
     ),
     Workload(
         name="e8_slack_vs_resilient",
-        file="bench_e8_slack_vs_resilient.py",
         experiment="E8",
         params=dict(n=24, eps=0.7, f_values=(1, 2, 4), trials=400, seed=0),
         min_speedup=3.0,
     ),
     Workload(
         name="e9_far_acceptance",
-        file="bench_e9_far_acceptance.py",
         experiment="E9",
         params=dict(q=0.3, p=0.8, instance_size=20, trials=300, seed=0),
         min_speedup=10.0,
     ),
     Workload(
         name="e10_baselines",
-        file="bench_e10_baselines.py",
         experiment="E10",
         params=dict(sizes=(20, 60, 160, 400), degree=3, runs=5, seed=0),
         engine_comparable=False,
@@ -250,17 +237,10 @@ THROUGHPUT_FILE = "bench_engine_throughput.py"
 THROUGHPUT_MIN_SPEEDUP = 10.0
 
 
-def check_registry_covers_directory() -> List[str]:
-    """Every bench_*.py must have a suite entry (and vice versa), and the
-    suite must cover every spec in the experiment registry."""
-    present = {path.name for path in BENCH_DIR.glob("bench_*.py")}
-    present.discard(Path(__file__).name)
-    registered = {workload.file for workload in WORKLOADS} | {THROUGHPUT_FILE}
+def check_registry_covers_experiments() -> List[str]:
+    """The suite must cover every spec in the experiment registry, and name
+    no other."""
     problems = []
-    for missing in sorted(present - registered):
-        problems.append(f"bench file {missing} has no bench_suite workload")
-    for stale in sorted(registered - present):
-        problems.append(f"bench_suite workload references missing file {stale}")
     benched = {workload.experiment for workload in WORKLOADS}
     for spec_id in REGISTRY:
         if spec_id not in benched:
@@ -425,9 +405,8 @@ def run_suite(
     for workload in WORKLOADS:
         if only and workload.name not in only:
             continue
-        print(f"[bench] {workload.name} ({workload.file}) ...", flush=True)
+        print(f"[bench] {workload.name} ({workload.experiment}) ...", flush=True)
         record: Dict[str, object] = {
-            "file": workload.file,
             "params": {key: list(value) if isinstance(value, tuple) else value
                        for key, value in workload.params.items()},
             "engine_comparable": workload.engine_comparable,
@@ -610,7 +589,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--list", action="store_true", help="list workloads and exit")
     args = parser.parse_args(argv)
 
-    problems = check_registry_covers_directory()
+    problems = check_registry_covers_experiments()
     if problems:
         for problem in problems:
             print(f"[bench] ERROR: {problem}", file=sys.stderr)
@@ -619,7 +598,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         for workload in WORKLOADS:
             floor = f" (min speedup {workload.min_speedup}x)" if workload.min_speedup else ""
-            print(f"{workload.name:<28}{workload.file}{floor}")
+            print(f"{workload.name:<28}{workload.experiment}{floor}")
         print(f"{'engine_throughput':<28}{THROUGHPUT_FILE} (min speedup "
               f"{THROUGHPUT_MIN_SPEEDUP}x)")
         return 0

@@ -6,11 +6,11 @@ the paper's framework on top of it:
 
 * :mod:`repro.local` — the synchronous LOCAL-model simulator (networks,
   identities, balls, message passing, private randomness);
-* :mod:`repro.graphs` — graph families, the F_k promise, and the gluing
-  operations used in the proof of Theorem 1;
+* :mod:`repro.graphs` — graph families and the gluing operations used in
+  the proof of Theorem 1;
 * :mod:`repro.core` — distributed languages, LD/BPLD deciders, construction
-  tasks, f-resilient and ε-slack relaxations, order-invariant algorithms and
-  the derandomization machinery (Claims 2–5, Eq. (3));
+  tasks, f-resilient and ε-slack relaxations, order-invariant cycle
+  algorithms and the derandomization machinery (Claims 2–5, Eq. (3));
 * :mod:`repro.algorithms` — classic LOCAL baselines (Cole–Vishkin, Luby,
   random coloring, color reduction, matching, dominating sets, resampling);
 * :mod:`repro.analysis` — metrics, log*, growth fits, sweep tables;
@@ -19,8 +19,8 @@ the paper's framework on top of it:
   (per-node Bernoulli vote programs) and evaluates thousands of trials as
   single array reductions, plus the process-pool fan-out and the
   content-addressed JSON result cache behind the CLI;
-* :mod:`repro.stats` — adaptive-precision statistics: Wilson/Hoeffding
-  confidence intervals and the :class:`~repro.stats.PrecisionTarget`
+* :mod:`repro.stats` — adaptive-precision statistics: Wilson confidence
+  intervals and the :class:`~repro.stats.PrecisionTarget`
   sequential-stopping rule the
   chunked engine drives between chunks ("run until the CI half-width is
   ±0.005 at 99%" instead of guessing trial counts); ``precision=None``
@@ -96,7 +96,7 @@ True
 True
 """
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     "local",

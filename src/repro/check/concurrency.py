@@ -4,9 +4,11 @@
 The service's thread-safety argument is a *confinement* argument, not a
 locking one: :class:`~repro.service.jobs.JobManager` mutates all job state
 on one asyncio loop, worker threads communicate results back only through
-``loop.call_soon_threadsafe``, and the few genuinely shared structures
-(:attr:`~repro.engine.cache.ResultCache.stats`) hide behind a lock.  That
-argument lives in docstrings — this module makes it checkable.
+``loop.call_soon_threadsafe``, and the one object the workers share, the
+:class:`~repro.engine.cache.ResultCache`, keeps no in-memory state (an
+entry is published by an atomic ``os.replace``); state a lock must guard is
+declared with ``# guarded-by``.  That argument lives in docstrings — this
+module makes it checkable.
 
 Annotation convention (on the attribute's *declaration* line — the
 ``self.x = ...`` in ``__init__``/``__post_init__`` or the dataclass field

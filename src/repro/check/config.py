@@ -27,7 +27,7 @@ DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
     "DET001": {
         "graphs/random_graphs.py": (
             "input-instance sampling, intentionally outside the tape "
-            "convention; all three families construct their generator via "
+            "convention; both families construct their generator via "
             "the module's _instance_rng helper, whose docstring carries the "
             "full rationale; the regular-graph pairing's stdlib "
             "random.Random is seeded from an _instance_rng draw"
@@ -41,19 +41,11 @@ DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "port numberings are instance inputs (same convention as "
             "identifiers.py): seeded by the caller, never tape-derived"
         ),
-        "core/order_invariant.py": (
-            "the lower-bound search samples identity assignments — "
-            "instance-space search randomness, not execution randomness"
-        ),
     },
     "DET002": {
         "obs/": (
             "wall-clock readings are what a telemetry layer exists to "
             "record (span start timestamps for cross-process interleaving)"
-        ),
-        "engine/cache.py": (
-            "TTL expiry and LRU recency are defined against file mtimes, "
-            "which are epoch timestamps by construction"
         ),
         "api/backends.py": (
             "queue-wait accounting across process boundaries needs a clock "

@@ -10,7 +10,7 @@ Usage::
     python -m repro cache stats
     python -m repro serve --port 8765
     python -m repro check --format json
-    python -m repro report --results benchmarks/results --output EXPERIMENTS.md
+    python -m repro report --results results/ --output EXPERIMENTS.md
 
 ``run`` resolves the selected experiments of DESIGN.md's index against the
 spec registry (:data:`repro.harness.registry.REGISTRY`), executes them

@@ -16,17 +16,18 @@ Construction tasks, Monte-Carlo            :mod:`repro.core.construction`
 constructors (Section 2.2.1)
 f-resilient and ε-slack relaxations        :mod:`repro.core.relaxations`
 (Sections 1.1, 4)
-Order-invariant algorithms, Claim 1        :mod:`repro.core.order_invariant`
+Order-invariant cycle algorithms           :mod:`repro.core.order_invariant`
+(Claim 1, Section 4)
 Claims 2–5, Eq. (3), the gluing and the    :mod:`repro.core.derandomization`
 error amplification (Section 3)
-Class membership (LD, BPLD, separations)   :mod:`repro.core.classes`
+The amos separation LD ⊊ BPLD              :mod:`repro.core.classes`
+(Section 2.3.1)
 =========================================  =====================================
 """
 
 from repro.core.languages import (
     Configuration,
     DistributedLanguage,
-    PredicateLanguage,
     Amos,
     Majority,
     SELECTED,
@@ -34,8 +35,6 @@ from repro.core.languages import (
 from repro.core.lcl import (
     LCLLanguage,
     ProperColoring,
-    WeakColoring,
-    FrugalColoring,
     MaximalIndependentSet,
     MaximalMatching,
     MinimalDominatingSet,
@@ -65,15 +64,10 @@ from repro.core.relaxations import (
     eps_slack,
 )
 from repro.core.order_invariant import (
-    OrderInvariantAlgorithm,
-    TableBallAlgorithm,
-    is_order_invariant_on,
     enumerate_cycle_ball_types,
     enumerate_order_invariant_cycle_algorithms,
     count_order_invariant_cycle_algorithms,
     monochromatic_core,
-    CanonicalizedAlgorithm,
-    canonicalize_algorithm,
 )
 from repro.core.derandomization import (
     DerandomizationParameters,
@@ -88,30 +82,16 @@ from repro.core.derandomization import (
     far_acceptance_probability,
     AmplificationReport,
 )
-from repro.core.classes import (
-    empirical_ld_membership,
-    empirical_bpld_membership,
-    amos_separation_report,
-    MembershipReport,
-)
-from repro.core.bpld_node import (
-    SizeAwareSlackDecider,
-    slack_probability_window,
-    BpldNodeCounterexample,
-    bpld_node_counterexample_report,
-)
+from repro.core.classes import amos_separation_report
 
 __all__ = [
     "Configuration",
     "DistributedLanguage",
-    "PredicateLanguage",
     "Amos",
     "Majority",
     "SELECTED",
     "LCLLanguage",
     "ProperColoring",
-    "WeakColoring",
-    "FrugalColoring",
     "MaximalIndependentSet",
     "MaximalMatching",
     "MinimalDominatingSet",
@@ -133,15 +113,10 @@ __all__ = [
     "EpsSlackLanguage",
     "f_resilient",
     "eps_slack",
-    "OrderInvariantAlgorithm",
-    "TableBallAlgorithm",
-    "is_order_invariant_on",
     "enumerate_cycle_ball_types",
     "enumerate_order_invariant_cycle_algorithms",
     "count_order_invariant_cycle_algorithms",
     "monochromatic_core",
-    "CanonicalizedAlgorithm",
-    "canonicalize_algorithm",
     "DerandomizationParameters",
     "nu_disconnected",
     "nu_connected",
@@ -153,12 +128,5 @@ __all__ = [
     "amplification_glued",
     "far_acceptance_probability",
     "AmplificationReport",
-    "empirical_ld_membership",
-    "empirical_bpld_membership",
     "amos_separation_report",
-    "MembershipReport",
-    "SizeAwareSlackDecider",
-    "slack_probability_window",
-    "BpldNodeCounterexample",
-    "bpld_node_counterexample_report",
 ]

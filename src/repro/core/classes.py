@@ -1,142 +1,32 @@
-"""Empirical views of the local decision classes LD and BPLD (Section 2.2.2,
-2.3.2) and the separations the paper relies on.
+"""The amos separation LD ⊊ BPLD (Sections 2.2.2, 2.3).
 
 The classes are defined by quantification over *all* instances, which no
-finite experiment can certify; what we provide instead are
-
-* *witness checks*: given a decider, verify on a workload of labelled
-  configurations that it behaves as an LD decider (never errs) or as a BPLD
-  decider with guarantee at least ``p`` (within statistical tolerance);
-* the *amos separation* (LD ⊊ BPLD): a report showing that the golden-ratio
-  decider achieves its guarantee in zero rounds while every deterministic
-  decider with radius below ``D/2 − 1`` necessarily errs on some instance —
-  exhibited constructively by building the two-selected-nodes instance whose
-  selected nodes are farther apart than twice the radius.
+finite experiment can certify.  :func:`amos_separation_report` exhibits the
+separation instead: the golden-ratio decider achieves its guarantee in zero
+rounds while every deterministic decider with radius below ``D/2 − 1``
+necessarily errs on some instance — shown constructively by building the
+two-selected-nodes instance whose selected nodes are farther apart than
+twice the radius.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional
 
 from repro.core.decision import (
     AmosDecider,
     AmplifiedAmosDecider,
-    Decider,
     DeterministicDecider,
     estimate_guarantee,
 )
-from repro.core.languages import SELECTED, Amos, Configuration, DistributedLanguage
+from repro.core.languages import SELECTED, Amos, Configuration
 from repro.graphs.families import path_network
 from repro.local.ball import BallView
 
-__all__ = [
-    "MembershipReport",
-    "empirical_ld_membership",
-    "empirical_bpld_membership",
-    "amos_separation_report",
-    "AmosSeparationReport",
-]
+__all__ = ["amos_separation_report", "AmosSeparationReport"]
 
 
-@dataclass
-class MembershipReport:
-    """Outcome of a witness check for LD(t) or BPLD(t) membership.
-
-    Attributes
-    ----------
-    class_name:
-        ``"LD"`` or ``"BPLD"``.
-    radius:
-        The decider's round complexity ``t``.
-    holds:
-        Whether the witness check passed on the supplied workload.
-    measured_guarantee:
-        The empirical guarantee (1.0 for a perfect deterministic decider).
-    required_guarantee:
-        The guarantee that was required (1.0 for LD, the decider's claimed
-        ``p`` for BPLD).
-    failures:
-        Indices of configurations on which the check failed.
-    """
-
-    class_name: str
-    radius: int
-    holds: bool
-    measured_guarantee: float
-    required_guarantee: float
-    failures: List[int] = field(default_factory=list)
-
-
-def empirical_ld_membership(
-    decider: Decider,
-    language: DistributedLanguage,
-    configurations: Sequence[Configuration],
-) -> MembershipReport:
-    """Check that a deterministic decider decides ``language`` exactly on the
-    supplied configurations — the finite-workload witness of ``L ∈ LD(t)``."""
-    if decider.randomized:
-        raise ValueError("LD membership requires a deterministic decider")
-    failures: List[int] = []
-    for index, configuration in enumerate(configurations):
-        outcome = decider.decide(configuration)
-        member = language.contains(configuration)
-        if outcome.accepted != member:
-            failures.append(index)
-    return MembershipReport(
-        class_name="LD",
-        radius=decider.radius,
-        holds=not failures,
-        measured_guarantee=1.0 if not failures else 0.0,
-        required_guarantee=1.0,
-        failures=failures,
-    )
-
-
-def empirical_bpld_membership(
-    decider: Decider,
-    language: DistributedLanguage,
-    configurations: Sequence[Configuration],
-    required_guarantee: Optional[float] = None,
-    trials: int = 400,
-    seed: int = 0,
-    tolerance: float = 0.05,
-    engine: str = "auto",
-) -> MembershipReport:
-    """Check that a randomized decider achieves its guarantee on the workload.
-
-    For every configuration the success probability (acceptance on members,
-    rejection on non-members) is estimated over ``trials`` independent runs;
-    the check passes when every estimate is at least
-    ``required_guarantee − tolerance``.  The tolerance absorbs Monte-Carlo
-    noise — the reported confidence half-widths are available from
-    :func:`repro.core.decision.estimate_guarantee` for finer control.
-    """
-    if required_guarantee is None:
-        required_guarantee = getattr(decider, "guarantee", None)
-        if required_guarantee is None:
-            raise ValueError("a required guarantee must be supplied")
-    estimate = estimate_guarantee(
-        decider, language, configurations, trials=trials, seed=seed, engine=engine
-    )
-    failures = [
-        index
-        for index, (_member, rate, _hw) in estimate.per_configuration.items()
-        if rate < required_guarantee - tolerance
-    ]
-    return MembershipReport(
-        class_name="BPLD",
-        radius=decider.radius,
-        holds=not failures,
-        measured_guarantee=estimate.guarantee,
-        required_guarantee=float(required_guarantee),
-        failures=failures,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# The amos separation: LD ⊊ BPLD
-# --------------------------------------------------------------------------- #
 @dataclass
 class AmosSeparationReport:
     """The two halves of the amos separation (Section 2.3.1).

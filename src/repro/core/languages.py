@@ -13,16 +13,16 @@ least one accepted output.  A language defines two tasks:
 
 This module provides the global (possibly non-local) languages used in the
 paper — ``amos`` ("at most one selected", the canonical BPLD \\ LD witness)
-and ``majority`` (constructible in zero rounds but not locally decidable) —
-plus the generic :class:`PredicateLanguage`.  Locally checkable languages
-(coloring and friends) live in :mod:`repro.core.lcl`.
+and ``majority`` (constructible in zero rounds but not locally decidable).
+Locally checkable languages (coloring and friends) live in
+:mod:`repro.core.lcl`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Hashable, Mapping
 
 from repro.local.ball import BallView, collect_ball
 from repro.local.network import Network
@@ -31,7 +31,6 @@ __all__ = [
     "SELECTED",
     "Configuration",
     "DistributedLanguage",
-    "PredicateLanguage",
     "Amos",
     "Majority",
 ]
@@ -114,32 +113,6 @@ class DistributedLanguage(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class PredicateLanguage(DistributedLanguage):
-    """A language defined by an arbitrary global predicate on configurations.
-
-    Useful for building toy languages in tests and in the derandomization
-    experiments (where we need languages with controlled hardness).
-    """
-
-    def __init__(
-        self,
-        predicate: Callable[[Configuration], bool],
-        name: str = "predicate-language",
-        violation_counter: Optional[Callable[[Configuration], int]] = None,
-    ) -> None:
-        self._predicate = predicate
-        self.name = name
-        self._violation_counter = violation_counter
-
-    def contains(self, configuration: Configuration) -> bool:
-        return bool(self._predicate(configuration))
-
-    def violation_count(self, configuration: Configuration) -> int:
-        if self._violation_counter is not None:
-            return int(self._violation_counter(configuration))
-        return super().violation_count(configuration)
 
 
 class Amos(DistributedLanguage):

@@ -22,10 +22,10 @@ machinery shared by all of them —
 ``bad_mask``; :class:`ProperColoring` computes the mask as array operations
 (:meth:`ProperColoring.bad_codes`, which the engine's counter runs too).
 
-Concrete LCL languages provided: proper ``q``-coloring, (deg+1)-list-style
-coloring, weak coloring, frugal coloring, maximal independent set, maximal
-matching, minimal dominating set, and a "not-all-equal" constraint language
-standing in for the Lovász-local-lemma style tasks mentioned in the paper.
+Concrete LCL languages provided: proper ``q``-coloring, maximal independent
+set, maximal matching, minimal dominating set, and a "not-all-equal"
+constraint language standing in for the Lovász-local-lemma style tasks
+mentioned in the paper.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "LCLLanguage",
     "PredicateLCL",
     "ProperColoring",
-    "WeakColoring",
-    "FrugalColoring",
     "MaximalIndependentSet",
     "MaximalMatching",
     "MinimalDominatingSet",
@@ -184,59 +182,6 @@ class ProperColoring(LCLLanguage):
 
 #: Output types whose ``==`` agrees with dict interning (``True == 1``).
 _INTERNABLE = frozenset({int, bool, str, type(None)})
-
-
-class WeakColoring(LCLLanguage):
-    """Weak coloring (Naor–Stockmeyer): every non-isolated node has at least
-    one neighbour with a *different* color.
-
-    A radius-1 ball is bad iff the centre has degree ≥ 1 and every neighbour
-    carries the same color as the centre.  Weak 2-coloring of odd-degree
-    graphs is the paper's canonical example of a task both constructible and
-    decidable in constant time.
-    """
-
-    radius = 1
-    name = "weak-coloring"
-
-    def is_bad_ball(self, ball: BallView) -> bool:
-        neighbors = ball.neighbors(ball.center)
-        if not neighbors:
-            return False
-        color = ball.center_output()
-        return all(ball.outputs[u] == color for u in neighbors)  # type: ignore[index]
-
-
-class FrugalColoring(LCLLanguage):
-    """``c``-frugal coloring: proper coloring where, additionally, no color
-    appears more than ``c`` times in the neighbourhood of any node.
-
-    Mentioned in Section 4 as an LD language whose "local fixing" is not
-    straightforward — the reason Corollary 1 is more than a sledgehammer.
-    """
-
-    radius = 1
-
-    def __init__(self, c: int, num_colors: Optional[int] = None) -> None:
-        if c < 1:
-            raise ValueError("the frugality parameter c must be at least 1")
-        self.c = c
-        self.num_colors = num_colors
-        self.name = f"{c}-frugal-coloring"
-
-    def is_bad_ball(self, ball: BallView) -> bool:
-        color = ball.center_output()
-        if self.num_colors is not None:
-            if not isinstance(color, int) or not (1 <= color <= self.num_colors):
-                return True
-        neighbors = ball.neighbors(ball.center)
-        counts: Dict[object, int] = {}
-        for u in neighbors:
-            out = ball.outputs[u]  # type: ignore[index]
-            if out == color:
-                return True
-            counts[out] = counts.get(out, 0) + 1
-        return any(count > self.c for count in counts.values())
 
 
 # --------------------------------------------------------------------------- #

@@ -1,24 +1,23 @@
-"""Order-invariant algorithms and the Claim 1 / Section 4 machinery.
+"""Order-invariant algorithms on cycles: the Claim 1 / Section 4 machinery.
 
 An algorithm is *order-invariant* (Section 2.1.1) when the output of a node
 depends on the identities in its ball only through their relative order, not
 their values.  Two facts from the paper are made executable here:
 
-* **Claim 1** (from [3]): any constant-time deterministic construction
-  algorithm can be turned into an order-invariant one.  We do not re-prove
-  the Ramsey argument, but we provide (i) the wrapper
-  :class:`OrderInvariantAlgorithm` that *constructs* order-invariant
-  algorithms, (ii) :func:`is_order_invariant_on`, the empirical test that an
-  algorithm's outputs are unchanged under order-preserving relabelling, and
-  (iii) the finite enumeration of order-invariant algorithms on cycles that
-  Claim 2's counting argument (``β = 1/N``) relies on.
+* **Claim 1** (after Naor & Stockmeyer, *What can be computed locally?*):
+  any constant-time deterministic construction algorithm can be turned into
+  an order-invariant one.  We do not re-prove the Ramsey argument; on
+  inputless cycles the order-invariant ``t``-round algorithms are exactly
+  the tables from ball patterns (:func:`cycle_ball_pattern`) to outputs, and
+  :func:`enumerate_order_invariant_cycle_algorithms` lists that finite
+  family, the one Claim 2's counting argument (``β = 1/N``) relies on.
 
 * **Section 4's lower bound**: on the cycle with consecutive identities, all
   radius-``t`` balls centred at the "core" identities look identical to an
   order-invariant algorithm, hence the algorithm outputs the same colour at
   all core nodes — so it cannot solve the f-resilient relaxation of
-  3-coloring.  :func:`monochromatic_core` returns that core, and experiment
-  E3 verifies the monochromatic behaviour over the enumerated algorithms.
+  3-coloring.  :func:`monochromatic_core` returns that core; experiments E3,
+  E7 and E8 check the lower bound over the enumerated algorithms.
 
 The enumerated algorithms are evaluated once per ball class:
 :func:`cycle_ball_patterns` takes every node's ball once, and
@@ -28,131 +27,24 @@ The enumerated algorithms are evaluated once per ball class:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.local.algorithm import BallAlgorithm
 from repro.local.ball import BallView, collect_ball
-from repro.local.identifiers import order_preserving_relabel
 from repro.local.network import Network
 from repro.local.randomness import RandomTape
-from repro.local.simulator import run_ball_algorithm
 
 __all__ = [
-    "OrderInvariantAlgorithm",
-    "TableBallAlgorithm",
     "CyclePatternAlgorithm",
     "cycle_ball_pattern",
     "cycle_ball_patterns",
-    "is_order_invariant_on",
     "enumerate_cycle_ball_types",
     "enumerate_order_invariant_cycle_algorithms",
     "count_order_invariant_cycle_algorithms",
     "monochromatic_core",
-    "CanonicalizedAlgorithm",
-    "canonicalize_algorithm",
 ]
-
-
-class OrderInvariantAlgorithm(BallAlgorithm):
-    """A deterministic ball algorithm that is order-invariant by construction.
-
-    The user-supplied ``rule`` receives the ball and a mapping
-    ``node -> rank`` of identities within the ball; it must not look at
-    ``ball.ids`` directly (doing so would break the invariance the wrapper is
-    meant to provide — :func:`is_order_invariant_on` can be used to audit
-    rules one does not trust).
-    """
-
-    randomized = False
-
-    def __init__(
-        self,
-        rule: Callable[[BallView, Dict[Hashable, int]], object],
-        radius: int,
-        name: str = "order-invariant-algorithm",
-    ) -> None:
-        self._rule = rule
-        self.radius = int(radius)
-        self.name = name
-
-    def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
-        return self._rule(ball, ball.id_ranks())
-
-
-class TableBallAlgorithm(BallAlgorithm):
-    """A deterministic ball algorithm defined by a lookup table.
-
-    The table maps canonical ball keys (see
-    :meth:`repro.local.ball.BallView.canonical_key`) to outputs.  With the
-    default ``ids="order"`` key mode, the resulting algorithm is
-    order-invariant; with ``ids="values"`` it can depend on the raw identity
-    values.  This is the concrete representation of the "finite number of
-    order-invariant algorithms" in the counting argument of Claim 2.
-    """
-
-    randomized = False
-
-    def __init__(
-        self,
-        table: Dict[Tuple, object],
-        radius: int,
-        default: object = None,
-        ids: str = "order",
-        include_outputs: bool = False,
-        name: str = "table-ball-algorithm",
-    ) -> None:
-        self.table = dict(table)
-        self.radius = int(radius)
-        self.default = default
-        self.ids_mode = ids
-        self.include_outputs = include_outputs
-        self.name = name
-
-    def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
-        key = ball.canonical_key(ids=self.ids_mode, include_outputs=self.include_outputs)
-        return self.table.get(key, self.default)
-
-
-# --------------------------------------------------------------------------- #
-# The empirical order-invariance test
-# --------------------------------------------------------------------------- #
-def is_order_invariant_on(
-    algorithm: BallAlgorithm,
-    network: Network,
-    attempts: int = 3,
-    seed: int = 0,
-    outputs: Optional[Dict[Hashable, object]] = None,
-) -> bool:
-    """Empirically test order invariance of a deterministic algorithm.
-
-    The algorithm is run on the network with its original identities and
-    with ``attempts`` order-preserving relabellings (fresh identity values,
-    same relative order).  It is declared order-invariant on this network if
-    every node's output is identical across all runs.  This is a necessary
-    condition (over this instance) of genuine order invariance; the paper's
-    Claim 1 guarantees a *fully* order-invariant equivalent exists for any
-    constant-time algorithm.
-    """
-    if algorithm.randomized:
-        raise ValueError("order invariance is defined for deterministic algorithms")
-    import numpy as np
-
-    baseline = run_ball_algorithm(network, algorithm, outputs=outputs)
-    rng = np.random.default_rng(seed)
-    n = network.number_of_nodes()
-    for _ in range(attempts):
-        # Fresh strictly increasing identity values with random gaps.
-        gaps = rng.integers(1, 10_000, size=n)
-        values = list(itertools.accumulate(int(g) for g in gaps))
-        relabelled_ids = order_preserving_relabel(network.ids, values)
-        relabelled = network.with_ids(relabelled_ids)
-        relabelled_outputs = run_ball_algorithm(relabelled, algorithm, outputs=outputs)
-        if relabelled_outputs != baseline:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -298,53 +190,6 @@ def enumerate_order_invariant_cycle_algorithms(
         yield CyclePatternAlgorithm(
             table, radius, name=f"cycle-order-invariant-{radius}r-#{index}"
         )
-
-
-class CanonicalizedAlgorithm(BallAlgorithm):
-    """The A′ construction of Claim 1, with the Ramsey set replaced by ℕ.
-
-    Claim 1 turns an arbitrary ``t``-round deterministic algorithm A into an
-    order-invariant one A′: every node relabels its ball with the smallest
-    identities of an infinite Ramsey-extracted set U (in the order induced by
-    the original identities) and outputs whatever A would output on the
-    relabelled ball.  The Ramsey extraction only serves to make A′ *correct
-    whenever A is*; the construction itself — relabel order-preservingly with
-    the smallest available identities, then run A — is computable, and that
-    is what this wrapper does, using ``U = {base, base+1, …}``.
-
-    The result is order-invariant by construction for *any* A.  Whether it is
-    still a correct construction algorithm for the language depends on A (it
-    is, for instance, whenever A is itself order-invariant, or whenever A is
-    correct under arbitrary identity assignments drawn from U) — tests
-    exercise both the invariance (always) and correctness (for well-behaved
-    A) halves separately.
-    """
-
-    randomized = False
-
-    def __init__(self, base_algorithm: BallAlgorithm, base_identity: int = 1) -> None:
-        if base_algorithm.randomized:
-            raise ValueError("Claim 1 canonicalisation applies to deterministic algorithms")
-        if base_identity < 1:
-            raise ValueError("identities are positive integers")
-        self.base_algorithm = base_algorithm
-        self.base_identity = int(base_identity)
-        self.radius = base_algorithm.radius
-        self.name = f"canonicalized({base_algorithm.name})"
-
-    def compute(self, ball: BallView, tape: Optional[RandomTape] = None) -> object:
-        relabelled_ids = {
-            node: self.base_identity + rank for node, rank in ball.id_ranks().items()
-        }
-        relabelled = dataclasses.replace(ball, ids=relabelled_ids)
-        return self.base_algorithm.compute(relabelled, None)
-
-
-def canonicalize_algorithm(
-    algorithm: BallAlgorithm, base_identity: int = 1
-) -> CanonicalizedAlgorithm:
-    """Apply the Claim 1 construction to a deterministic ball algorithm."""
-    return CanonicalizedAlgorithm(algorithm, base_identity)
 
 
 def monochromatic_core(n: int, radius: int) -> List[int]:

@@ -21,14 +21,11 @@ parameters and seed.  :class:`ResultCache` memoises them on disk:
 * **Concurrency** — writes are atomic (unique tempfile in the target shard +
   ``os.replace``), so concurrent writers — threads of the experiment
   service, parallel CLI runs, or separate processes — each publish a
-  complete entry and readers never observe a torn file.  Per-instance
-  traffic counters are lock-protected.
-* **Eviction** — optional and off by default: ``ttl_seconds`` expires
-  entries by age, ``max_entries``/``max_bytes`` bound the cache size with
-  least-recently-*used* eviction (hits refresh an entry's mtime).  Evictions
-  are accounted in :attr:`ResultCache.stats` (:class:`CacheStats`) and the
-  ambient :mod:`repro.obs` counters, so the service's ``/metrics`` endpoint
-  sees them.
+  complete entry and readers never observe a torn file.
+* **Traffic** — lookups and writes are counted by the ambient
+  :mod:`repro.obs` recorder (``cache.hit``/``cache.miss``/``cache.write``/
+  ``cache.corrupt``), which is where the CLI's ``--metrics`` and the
+  service's ``/metrics`` endpoint read them.
 
 The cache stores plain JSON payloads (the CLI stores
 :meth:`~repro.harness.results.ExperimentResult.to_dict` dumps) and is safe
@@ -41,16 +38,13 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
 from repro.obs import get_recorder
 
 __all__ = [
-    "CacheStats",
     "ResultCache",
     "request_cache_key",
     "default_cache_dir",
@@ -113,28 +107,6 @@ def request_cache_key(
     return hashlib.sha256(encoded.encode("utf8")).hexdigest()
 
 
-@dataclass
-class CacheStats:
-    """Per-instance counters of one :class:`ResultCache`'s traffic.
-
-    ``hits``/``misses`` partition the :meth:`ResultCache.get` calls;
-    ``corrupt`` counts the subset of misses caused by an *existing* entry
-    that failed to parse or had the wrong shape (these are also misses);
-    ``writes`` counts :meth:`ResultCache.put` calls and ``evictions`` the
-    entries removed by :meth:`ResultCache.clear`, TTL expiry, or the
-    LRU size bound.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    corrupt: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-
 class ResultCache:
     """A sharded directory of content-addressed JSON results.
 
@@ -143,43 +115,17 @@ class ResultCache:
     directory:
         Cache directory; defaults to :func:`default_cache_dir`.  Created
         lazily on the first :meth:`put`.
-    ttl_seconds:
-        When set, entries older than this (by mtime) read as misses and are
-        deleted on sight; ``None`` (default) disables expiry.
-    max_entries / max_bytes:
-        When set, :meth:`put` evicts least-recently-used entries (hits
-        refresh recency) until the cache fits the bound; ``None`` (default)
-        leaves the cache unbounded.
 
-    Every instance tracks its own traffic in :attr:`stats`
-    (:class:`CacheStats`, lock-protected so the experiment service's worker
-    threads can share one instance), and mirrors the same signals into the
-    ambient :mod:`repro.obs` recorder: ``cache.hit``/``cache.miss``/
-    ``cache.write``/``cache.corrupt``/``cache.evict`` counters plus a
-    ``cache.lookup_seconds`` latency histogram (lookups are additionally
-    wrapped in ``cache.lookup`` / ``cache.write`` spans when a trace
-    recorder is installed).
+    Lookups and writes report to the ambient :mod:`repro.obs` recorder:
+    ``cache.hit``/``cache.miss``/``cache.write``/``cache.corrupt`` counters
+    plus a ``cache.lookup_seconds`` latency histogram (lookups are
+    additionally wrapped in ``cache.lookup`` / ``cache.write`` spans when a
+    trace recorder is installed).  An instance holds no mutable state, so
+    the experiment service's worker threads share one.
     """
 
-    def __init__(
-        self,
-        directory: Optional[Path] = None,
-        ttl_seconds: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, directory: Optional[Path] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError("ttl_seconds must be positive (or None to disable expiry)")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1 (or None for unbounded)")
-        self.ttl_seconds = ttl_seconds
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.stats = CacheStats()  # guarded-by: _stats_lock
-        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
@@ -192,10 +138,6 @@ class ResultCache:
             return
         yield from self.directory.glob(f"{'?' * SHARD_CHARS}/*.json")
 
-    def _count(self, field: str, value: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self.stats, field, getattr(self.stats, field) + value)
-
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The cached payload for a key, or ``None`` on miss (a corrupt or
@@ -206,18 +148,9 @@ class ResultCache:
             path = self.path_for(key)
             entry: object = None
             corrupt = False
-            expired = False
             try:
-                if self.ttl_seconds is not None:
-                    age = time.time() - path.stat().st_mtime
-                    if age > self.ttl_seconds:
-                        expired = True
-                        if self._remove_entry(path):
-                            self._count("evictions")
-                            recorder.counter("cache.evict")
-                if not expired:
-                    with path.open("r", encoding="utf8") as handle:
-                        entry = json.load(handle)
+                with path.open("r", encoding="utf8") as handle:
+                    entry = json.load(handle)
             except FileNotFoundError:
                 pass
             except (OSError, UnicodeDecodeError, json.JSONDecodeError):
@@ -230,20 +163,11 @@ class ResultCache:
                 corrupt = True
             recorder.histogram("cache.lookup_seconds", time.perf_counter() - started)
             if corrupt:
-                self._count("corrupt")
                 recorder.counter("cache.corrupt")
             if payload is None:
-                self._count("misses")
                 recorder.counter("cache.miss")
                 span.annotate(outcome="corrupt" if corrupt else "miss")
                 return None
-            if self.max_entries is not None or self.max_bytes is not None:
-                # Refresh recency so the LRU bound keeps hot entries.
-                try:
-                    os.utime(path, None)
-                except OSError:
-                    pass
-            self._count("hits")
             recorder.counter("cache.hit")
             span.annotate(outcome="hit")
             return payload
@@ -281,61 +205,8 @@ class ResultCache:
                 except OSError:
                     pass
                 raise
-            self._count("writes")
             recorder.counter("cache.write")
-        if self.max_entries is not None or self.max_bytes is not None or (
-            self.ttl_seconds is not None
-        ):
-            self.evict()
         return path
-
-    def _remove_entry(self, path: Path) -> bool:
-        """Best-effort unlink (a concurrent evictor may win the race)."""
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
-    def evict(self, now: Optional[float] = None) -> int:
-        """Apply the eviction policy; returns the number of entries removed.
-
-        TTL-expired entries go first, then the least-recently-used entries
-        until both ``max_entries`` and ``max_bytes`` are satisfied.  Safe to
-        call concurrently: racing evictors simply find fewer files.
-        """
-        if not self.directory.is_dir():
-            return 0
-        now = time.time() if now is None else now
-        survivors: List[Tuple[float, int, Path]] = []
-        removed = 0
-        for path in self._iter_entries():
-            try:
-                status = path.stat()
-            except OSError:
-                continue
-            if self.ttl_seconds is not None and now - status.st_mtime > self.ttl_seconds:
-                if self._remove_entry(path):
-                    removed += 1
-                continue
-            survivors.append((status.st_mtime, status.st_size, path))
-        survivors.sort(key=lambda item: item[0])  # oldest first
-        count = len(survivors)
-        total = sum(size for _, size, _ in survivors)
-        index = 0
-        while index < count and (
-            (self.max_entries is not None and count - index > self.max_entries)
-            or (self.max_bytes is not None and total > self.max_bytes)
-        ):
-            _, size, path = survivors[index]
-            if self._remove_entry(path):
-                removed += 1
-            total -= size
-            index += 1
-        if removed:
-            self._count("evictions", removed)
-            get_recorder().counter("cache.evict", removed)
-        return removed
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).is_file()
@@ -347,8 +218,11 @@ class ResultCache:
         """Delete every entry; returns the number of entries removed."""
         removed = 0
         for path in self._iter_entries():
-            if self._remove_entry(path):
+            try:
+                path.unlink()
                 removed += 1
+            except OSError:
+                pass  # a concurrent clear removed it first
         if self.directory.is_dir():
             for shard in self.directory.glob("?" * SHARD_CHARS):
                 if shard.is_dir():
@@ -356,14 +230,12 @@ class ResultCache:
                         shard.rmdir()
                     except OSError:
                         pass  # non-empty (e.g. an in-flight temp file)
-        self._count("evictions", removed)
         return removed
 
     def describe(self) -> Dict[str, object]:
         """On-disk shape of the cache (for ``python -m repro cache stats``):
-        directory, entry count, total payload bytes, shard count, and the
-        configured eviction policy.  Robust to a missing or empty directory
-        — every count reads as zero."""
+        directory, entry count, total payload bytes and shard count.  Robust
+        to a missing or empty directory — every count reads as zero."""
         entries = 0
         total_bytes = 0
         shards = set()
@@ -379,9 +251,4 @@ class ResultCache:
             "entries": entries,
             "total_bytes": total_bytes,
             "shards": len(shards),
-            "policy": {
-                "ttl_seconds": self.ttl_seconds,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-            },
         }

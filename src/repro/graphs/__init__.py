@@ -1,15 +1,12 @@
-"""Graph families, the F_k promise, and the paper's graph operations.
+"""Graph families and the paper's graph operations.
 
 The paper's results are stated under the promise ``F_k``: graphs of maximum
 degree at most ``k`` with input and output labels of at most ``k`` bits
 (Section 2.2.3).  This subpackage provides
 
-* deterministic graph families (cycles, paths, grids, tori, trees,
-  hypercubes, caterpillars) and random families (d-regular, bounded-degree
-  G(n, p)) used as workloads — all returned as
-  :class:`~repro.local.network.Network` objects;
-* the promise checker :func:`~repro.graphs.promise.satisfies_promise` and
-  label-size accounting;
+* deterministic graph families (cycles, paths, grids, stars) and random
+  bounded-degree families (d-regular, degree-truncated G(n, p)) used as
+  workloads — all returned as :class:`~repro.local.network.Network` objects;
 * the graph operations of the proof of Theorem 1: disjoint union (Claim 3),
   double edge subdivision, and the cyclic gluing of hard instances.
 """
@@ -18,23 +15,11 @@ from repro.graphs.families import (
     cycle_network,
     path_network,
     grid_network,
-    torus_network,
-    complete_network,
     star_network,
-    balanced_tree_network,
-    caterpillar_network,
-    hypercube_network,
 )
 from repro.graphs.random_graphs import (
     random_regular_network,
     bounded_degree_gnp_network,
-    random_tree_network,
-)
-from repro.graphs.promise import (
-    PromiseFk,
-    satisfies_promise,
-    label_size,
-    violations_of_promise,
 )
 from repro.graphs.operations import (
     disjoint_union,
@@ -48,19 +33,9 @@ __all__ = [
     "cycle_network",
     "path_network",
     "grid_network",
-    "torus_network",
-    "complete_network",
     "star_network",
-    "balanced_tree_network",
-    "caterpillar_network",
-    "hypercube_network",
     "random_regular_network",
     "bounded_degree_gnp_network",
-    "random_tree_network",
-    "PromiseFk",
-    "satisfies_promise",
-    "label_size",
-    "violations_of_promise",
     "disjoint_union",
     "subdivide_edge",
     "double_subdivide_edge",

@@ -34,12 +34,7 @@ __all__ = [
     "cycle_network",
     "path_network",
     "grid_network",
-    "torus_network",
-    "complete_network",
     "star_network",
-    "balanced_tree_network",
-    "caterpillar_network",
-    "hypercube_network",
 ]
 
 
@@ -115,40 +110,6 @@ def grid_network(
     return _build(graph, order, ids, seed, id_start, inputs)
 
 
-def torus_network(
-    rows: int,
-    cols: int,
-    ids: str = "consecutive",
-    seed: int = 0,
-    id_start: int = 1,
-    inputs: Optional[Mapping[Hashable, object]] = None,
-) -> Network:
-    """The rows × cols torus (4-regular when both dimensions are ≥ 3)."""
-    if rows < 3 or cols < 3:
-        raise ValueError("torus dimensions must be at least 3 to stay simple")
-    import networkx as nx
-
-    graph = nx.grid_2d_graph(rows, cols, periodic=True)
-    order = [(r, c) for r in range(rows) for c in range(cols)]
-    return _build(graph, order, ids, seed, id_start, inputs)
-
-
-def complete_network(
-    n: int,
-    ids: str = "consecutive",
-    seed: int = 0,
-    id_start: int = 1,
-    inputs: Optional[Mapping[Hashable, object]] = None,
-) -> Network:
-    """The complete graph K_n."""
-    if n < 1:
-        raise ValueError("a complete graph needs at least 1 node")
-    import networkx as nx
-
-    graph = nx.complete_graph(n)
-    return _build(graph, range(n), ids, seed, id_start, inputs)
-
-
 def star_network(
     leaves: int,
     ids: str = "consecutive",
@@ -163,67 +124,3 @@ def star_network(
 
     graph = nx.star_graph(leaves)
     return _build(graph, range(leaves + 1), ids, seed, id_start, inputs)
-
-
-def balanced_tree_network(
-    branching: int,
-    height: int,
-    ids: str = "consecutive",
-    seed: int = 0,
-    id_start: int = 1,
-    inputs: Optional[Mapping[Hashable, object]] = None,
-) -> Network:
-    """The perfectly balanced tree with given branching factor and height."""
-    if branching < 1 or height < 0:
-        raise ValueError("branching must be ≥ 1 and height ≥ 0")
-    import networkx as nx
-
-    graph = nx.balanced_tree(branching, height)
-    return _build(graph, sorted(graph.nodes()), ids, seed, id_start, inputs)
-
-
-def caterpillar_network(
-    spine: int,
-    legs_per_node: int,
-    ids: str = "consecutive",
-    seed: int = 0,
-    id_start: int = 1,
-    inputs: Optional[Mapping[Hashable, object]] = None,
-) -> Network:
-    """A caterpillar: a spine path with ``legs_per_node`` pendant leaves per
-    spine node.  Maximum degree is ``legs_per_node + 2``."""
-    if spine < 1 or legs_per_node < 0:
-        raise ValueError("spine must be ≥ 1 and legs_per_node ≥ 0")
-    import networkx as nx
-
-    graph = nx.Graph()
-    order: list = []
-    for i in range(spine):
-        node = ("spine", i)
-        graph.add_node(node)
-        order.append(node)
-        if i > 0:
-            graph.add_edge(("spine", i - 1), node)
-        for leg in range(legs_per_node):
-            leaf = ("leg", i, leg)
-            graph.add_edge(node, leaf)
-            order.append(leaf)
-    return _build(graph, order, ids, seed, id_start, inputs)
-
-
-def hypercube_network(
-    dimension: int,
-    ids: str = "consecutive",
-    seed: int = 0,
-    id_start: int = 1,
-    inputs: Optional[Mapping[Hashable, object]] = None,
-) -> Network:
-    """The ``dimension``-dimensional hypercube (2^dimension nodes, regular of
-    degree ``dimension``)."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    import networkx as nx
-
-    graph = nx.hypercube_graph(dimension)
-    order = sorted(graph.nodes())
-    return _build(graph, order, ids, seed, id_start, inputs)

@@ -1,17 +1,17 @@
 """Random bounded-degree graph families.
 
-The promise ``F_k`` of the paper requires bounded degree, so the random
-families offered here are degree-controlled: random d-regular graphs, random
-trees, and a degree-truncated G(n, p) (Erdős–Rényi edges are dropped greedily
-whenever they would exceed the requested maximum degree, preserving
-simplicity and the degree bound while keeping the edge distribution close to
-G(n, p) for sparse p).
+The paper's results hold on graphs of bounded degree (the promise ``F_k``
+of Section 2.2.3), so the random families offered here are
+degree-controlled: random d-regular graphs and a degree-truncated G(n, p)
+(Erdős–Rényi edges are dropped greedily whenever they would exceed the
+requested maximum degree, preserving simplicity and the degree bound while
+keeping the edge distribution close to G(n, p) for sparse p).
 
 Random regular graphs, the instances of E7 and E10, come from the pairing
 of Steger & Wormald ("Generating random regular graphs quickly", Combin.
 Probab. Comput. 8, 1999), run here draw for draw as networkx's
 ``random_regular_graph`` runs it, so the instance definition lives in this
-module.  The other two families build a networkx graph, importing networkx
+module.  The truncated G(n, p) builds a networkx graph, importing networkx
 when called.
 """
 
@@ -32,7 +32,6 @@ from repro.local.network import Network
 __all__ = [
     "random_regular_network",
     "bounded_degree_gnp_network",
-    "random_tree_network",
 ]
 
 
@@ -197,29 +196,4 @@ def bounded_degree_gnp_network(
             if candidates_u and candidates_v:
                 graph.add_edge(candidates_u[0], candidates_v[0])
 
-    return Network(graph, _ids_for(list(graph.nodes()), ids, seed, id_start), inputs)
-
-
-def random_tree_network(
-    n: int,
-    seed: int = 0,
-    ids: str = "shuffled",
-    id_start: int = 1,
-    inputs: Optional[Mapping] = None,
-) -> Network:
-    """A uniformly random labelled tree on ``n`` nodes (via Prüfer sequences)."""
-    if n < 1:
-        raise ValueError("a tree needs at least one node")
-    import networkx as nx
-
-    if n == 1:
-        graph = nx.Graph()
-        graph.add_node(0)
-    elif n == 2:
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
-    else:
-        rng = _instance_rng(seed)
-        prufer = [int(v) for v in rng.integers(0, n, size=n - 2)]
-        graph = nx.from_prufer_sequence(prufer)
     return Network(graph, _ids_for(list(graph.nodes()), ids, seed, id_start), inputs)

@@ -1055,6 +1055,13 @@ def experiment_e8_slack_vs_resilient(
     also reports (via the ``engine=`` path) the Corollary 1 decider's
     acceptance probability on the best order-invariant algorithm's output:
     the relaxation stays *decidable* even though it is not constructible.
+
+    Every row also carries the smallest bad-ball fraction over the
+    order-invariant radius-1 algorithms on the consecutive cycle.  It must
+    exceed ε: that is Section 5's counterexample, where the ε-slack
+    relaxation has a 0-round Monte-Carlo constructor but no order-invariant
+    radius-1 one (so, via Claim 1, Theorem 1 does not extend to nodes that
+    know n).
     """
     result = ExperimentResult(
         experiment_id="E8",
@@ -1076,6 +1083,12 @@ def experiment_e8_slack_vs_resilient(
     network = cycle_network(n, ids="consecutive")
     constructor = RandomColoringConstructor(3)
 
+    codes, bad_counts = _order_invariant_colorings(network, 1, base)
+    best = int(np.argmin(bad_counts))  # the first algorithm on ties
+    min_bad = int(bad_counts[best])
+    best_output = _coloring(network, codes[best])
+    min_bad_fraction = min_bad / n
+
     slack_language = eps_slack(base, eps)
     slack_estimate = estimate_success_probability(
         constructor, slack_language, [network], trials=trials, seed=seed, engine=engine
@@ -1089,13 +1102,10 @@ def experiment_e8_slack_vs_resilient(
         success_probability=slack_estimate.success_probability,
         solvable_in_O1=slack_estimate.success_probability > 0.5,
         decider_acceptance_on_best_output="n/a",
+        min_order_invariant_bad_fraction=min_bad_fraction,
     )
 
-    ok = slack_estimate.success_probability > 0.5
-    codes, bad_counts = _order_invariant_colorings(network, 1, base)
-    best = int(np.argmin(bad_counts))  # the first algorithm on ties
-    min_bad = int(bad_counts[best])
-    best_output = _coloring(network, codes[best])
+    ok = slack_estimate.success_probability > 0.5 and min_bad_fraction > eps
     for f in f_values:
         resilient_language = f_resilient(base, f)
         deterministic_solvable = min_bad <= f
@@ -1115,6 +1125,7 @@ def experiment_e8_slack_vs_resilient(
             success_probability=randomized_estimate.success_probability,
             solvable_in_O1=deterministic_solvable,
             decider_acceptance_on_best_output=decider_acceptance,
+            min_order_invariant_bad_fraction=min_bad_fraction,
         )
     result.matches_paper = ok
     result.notes = (

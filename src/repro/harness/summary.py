@@ -2,10 +2,11 @@
 
 ``EXPERIMENTS.md`` records, for every experiment of DESIGN.md's index, what
 the paper claims, what was measured, and whether the shapes agree.  The file
-in the repository root was generated from the JSON artifacts the benchmark
-harness writes to ``benchmarks/results/`` via::
+in the repository root is the full preset at seed 0, rendered from the JSON
+artifacts ``repro run`` writes::
 
-    python -m repro report --results benchmarks/results --output EXPERIMENTS.md
+    python -m repro run all --seed 0 --output-dir D
+    python -m repro report --results D --output EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ Python simulator, not the authors' model-theoretic statements); the match
 criterion is the *shape*: which algorithm achieves which guarantee, where the
 thresholds fall, and which side of each separation wins.
 
-Regenerate with `pytest benchmarks/ --benchmark-only` followed by
-`python -m repro report --results benchmarks/results --output EXPERIMENTS.md`.
+Regenerate with `python -m repro run all --seed 0 --output-dir D` followed by
+`python -m repro report --results D --output EXPERIMENTS.md`.
 
 ## Documented substitutions
 
 | Paper ingredient | Substitution in this reproduction | Why the behaviour is preserved |
 |---|---|---|
 | Asymptotic statements (Ω(log* n), "arbitrarily large diameter") | Finite sweeps with trend checks (growth ≤ additive constant over 4096× size increase) | the lower/upper-bound *shapes* are observable at finite n |
-| The Ramsey/Adleman existence arguments (Claims 1–2) | Exhaustive enumeration of order-invariant algorithms on cycles for small radii, plus the executable A′ relabelling construction | the finiteness the proofs rely on is literal at small parameters |
+| The Ramsey/Adleman existence arguments (Claims 1–2) | Exhaustive enumeration of order-invariant algorithms on cycles for small radii | the finiteness the proofs rely on is literal at small parameters |
 | Weak coloring as the "constructible and decidable in O(1)" example | Color reduction under a k-coloring promise (E7, row 3) | fills the same cell of the separation table with a provably constant-round construction + radius-1 checker |
 | A hypothetical faulty Monte-Carlo constructor for a BPLD language (the object Theorem 1 reasons about) | A toy "all-zeros" language with a constructor corrupting each node independently with probability q | every probability in the proof (β, the amplification bounds) has a closed form to compare against |
 
@@ -78,7 +79,7 @@ def markdown_for_experiment(result: ExperimentResult) -> str:
             lines.append("")
             lines.append(
                 f"*({len(result.rows) - _MAX_ROWS} further rows in "
-                f"`benchmarks/results/{result.experiment_id.lower()}.json`)*"
+                f"`{result.experiment_id.lower()}.json`)*"
             )
         lines.append("")
     if result.matches_paper is None:

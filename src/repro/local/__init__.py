@@ -35,9 +35,6 @@ from repro.local.identifiers import (
     consecutive_ids,
     shuffled_consecutive_ids,
     random_distinct_ids,
-    offset_ids,
-    order_preserving_relabel,
-    id_order_pattern,
 )
 from repro.local.randomness import RandomTape, TapeFactory
 from repro.local.ports import PortNumbering, assign_ports
@@ -58,9 +55,6 @@ __all__ = [
     "consecutive_ids",
     "shuffled_consecutive_ids",
     "random_distinct_ids",
-    "offset_ids",
-    "order_preserving_relabel",
-    "id_order_pattern",
     "RandomTape",
     "TapeFactory",
     "PortNumbering",

@@ -17,17 +17,11 @@ adjacency a node has learned.  A :class:`BallView` stores the ball as that
 adjacency: members in BFS order, each with its in-ball neighbours in identity
 order.  Its ``graph`` (a frozen :class:`networkx.Graph`) is built only when
 first read.
-
-The :class:`BallView` also provides the canonical keys used by the
-order-invariant machinery (Claim 1): two balls receive the same
-``canonical_key`` exactly when an order-invariant algorithm is forced to
-behave identically on them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
@@ -38,11 +32,6 @@ if TYPE_CHECKING:
     import networkx as nx
 
 __all__ = ["BallView", "collect_ball", "all_balls"]
-
-#: Balls with at most this many nodes are canonicalised exactly (by searching
-#: over distance-respecting permutations); larger balls fall back to a
-#: Weisfeiler–Lehman hash, which is a sound but potentially coarser key.
-_EXACT_CANONICAL_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -142,116 +131,6 @@ class BallView:
     def id_ranks(self) -> Dict[Hashable, int]:
         """Rank (0-based) of every node's identity within the ball."""
         return {node: rank for rank, node in enumerate(self.nodes())}
-
-    def id_order_pattern(self) -> Tuple[int, ...]:
-        """Rank pattern of the identities, in identity-sorted node order.
-
-        By construction this is simply ``(0, 1, ..., len-1)``; it is exposed
-        for symmetry with :func:`repro.local.identifiers.id_order_pattern`
-        and used when composing canonical keys that must be insensitive to
-        the identity *values*.
-        """
-        return tuple(range(len(self)))
-
-    # ------------------------------------------------------------------ #
-    # Canonical keys
-    # ------------------------------------------------------------------ #
-    def canonical_key(
-        self,
-        ids: str = "order",
-        include_outputs: bool = False,
-    ) -> Tuple:
-        """A hashable key identifying the ball up to isomorphism.
-
-        Parameters
-        ----------
-        ids:
-            ``"order"`` — the key depends on identities only through their
-            relative order (the equivalence classes an *order-invariant*
-            algorithm must respect); ``"values"`` — the key includes the
-            identity values themselves (the equivalence classes a general
-            deterministic algorithm respects); ``"none"`` — identities are
-            ignored entirely (anonymous balls).
-        include_outputs:
-            Whether the outputs (if present) participate in the key, as they
-            must for decision tasks.
-
-        Notes
-        -----
-        Two balls with equal keys are isomorphic as labelled balls (same
-        structure, same centre position, same inputs, and same identity
-        information at the requested granularity).  For balls of at most
-        ``_EXACT_CANONICAL_LIMIT`` nodes the key is exact; beyond that a
-        Weisfeiler–Lehman certificate is used, which never merges balls that
-        an algorithm could distinguish into different keys being unequal —
-        i.e. equal keys may rarely be produced for non-isomorphic large
-        balls, so exactness-critical code (the order-invariant enumeration)
-        only operates on small balls.
-        """
-        if ids not in ("order", "values", "none"):
-            raise ValueError(f"unknown ids mode: {ids!r}")
-        if include_outputs and self.outputs is None:
-            raise ValueError("ball carries no outputs")
-
-        ranks = self.id_ranks() if ids == "order" else {}
-
-        def label_of(node: Hashable) -> Tuple:
-            parts: list = [self.distances[node], repr(self.inputs[node])]
-            if include_outputs:
-                parts.append(repr(self.outputs[node]))  # type: ignore[index]
-            if ids == "values":
-                parts.append(int(self.ids[node]))
-            elif ids == "order":
-                parts.append(ranks[node])
-            return tuple(parts)
-
-        if len(self) <= _EXACT_CANONICAL_LIMIT:
-            return self._exact_canonical_key(label_of)
-        return self._wl_canonical_key(label_of)
-
-    def _exact_canonical_key(self, label_of) -> Tuple:
-        """Exact canonical form: lexicographically smallest adjacency
-        certificate over all orderings that sort nodes by label first."""
-        labels = {node: label_of(node) for node in self.adjacency}
-        edges = self.edges()
-        # Group nodes by label; permute only within groups to keep the search
-        # small, as permutations across distinct labels can never produce the
-        # same certificate with different content.
-        groups: Dict[Tuple, list] = {}
-        for node, label in labels.items():
-            groups.setdefault(label, []).append(node)
-        sorted_labels = sorted(groups.keys(), key=repr)
-
-        best: Optional[Tuple] = None
-        group_perms = [
-            list(itertools.permutations(groups[lab])) for lab in sorted_labels
-        ]
-        for combo in itertools.product(*group_perms):
-            ordering: list = [node for group in combo for node in group]
-            index = {node: i for i, node in enumerate(ordering)}
-            adjacency = tuple(sorted(tuple(sorted((index[u], index[v]))) for u, v in edges))
-            certificate = (
-                tuple(labels[node] for node in ordering),
-                adjacency,
-                index[self.center],
-            )
-            if best is None or certificate < best:
-                best = certificate
-        assert best is not None
-        return ("exact", self.radius, best)
-
-    def _wl_canonical_key(self, label_of) -> Tuple:
-        import networkx as nx
-
-        attributed = nx.Graph()
-        for node in self.adjacency:
-            marker = "C" if node == self.center else "-"
-            attributed.add_node(node, label=repr((marker, label_of(node))))
-        attributed.add_edges_from(self.edges())
-        digest = nx.weisfeiler_lehman_graph_hash(
-            attributed, node_attr="label", iterations=3
-        )
-        return ("wl", self.radius, len(self), digest)
 
     def with_outputs(self, outputs: Mapping[Hashable, object]) -> "BallView":
         """Attach outputs (restricted to the ball's nodes) to this view."""

@@ -14,8 +14,7 @@ these identities:
 * The f-resilient lower bound of Section 4 uses the *consecutively labelled
   cycle*: adjacent nodes carry consecutive identities 1..n.
 
-This module provides the assignment schemes used by those arguments plus the
-order-pattern helpers used by :mod:`repro.core.order_invariant`.
+This module provides the assignment schemes used by those arguments.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ __all__ = [
     "consecutive_ids",
     "shuffled_consecutive_ids",
     "random_distinct_ids",
-    "offset_ids",
-    "order_preserving_relabel",
-    "id_order_pattern",
     "validate_id_assignment",
 ]
 
@@ -111,62 +107,3 @@ def random_distinct_ids(
     rng = np.random.default_rng(seed)
     values = rng.choice(np.arange(low, high + 1), size=n, replace=False)
     return {node: int(values[i]) for i, node in enumerate(nodes)}
-
-
-def offset_ids(ids: Mapping[Hashable, int], offset: int) -> IdAssignment:
-    """Shift every identity by ``offset`` (used to make ranges disjoint).
-
-    The proof of Theorem 1 builds a sequence of instances whose identity
-    ranges must not overlap: instance ``i+1`` uses identities at least
-    ``1 + max`` of the identities of instance ``i``.  Shifting preserves the
-    relative order, so an order-invariant algorithm behaves identically on
-    the shifted instance.
-    """
-    if offset < 0 and min(ids.values()) + offset <= 0:
-        raise ValueError("offset would produce non-positive identities")
-    return {node: int(ident) + offset for node, ident in ids.items()}
-
-
-def order_preserving_relabel(
-    ids: Mapping[Hashable, int], new_values: Sequence[int]
-) -> IdAssignment:
-    """Re-assign identities from ``new_values`` while preserving the order.
-
-    The node holding the i-th smallest old identity receives the i-th
-    smallest value of ``new_values``.  This is the elementary operation in
-    the order-invariance reduction (Claim 1): an order-invariant algorithm
-    cannot distinguish the original assignment from the relabelled one.
-
-    Parameters
-    ----------
-    ids:
-        The current assignment.
-    new_values:
-        At least ``len(ids)`` distinct positive integers; only the smallest
-        ``len(ids)`` of them are used.
-    """
-    distinct = sorted(set(int(v) for v in new_values))
-    if len(distinct) < len(ids):
-        raise ValueError("not enough distinct new identity values")
-    if distinct[0] <= 0:
-        raise ValueError("identities must be positive")
-    ranked_nodes = sorted(ids, key=lambda node: ids[node])
-    return {node: distinct[i] for i, node in enumerate(ranked_nodes)}
-
-
-def id_order_pattern(ids: Mapping[Hashable, int], nodes: Sequence[Hashable]) -> tuple:
-    """Return the order pattern of ``nodes`` under the assignment ``ids``.
-
-    The pattern is the tuple of ranks: position ``i`` holds the rank (0-based)
-    of ``nodes[i]``'s identity among the identities of all listed nodes.  Two
-    assignments induce the same ordering of the listed nodes if and only if
-    their patterns are equal; order-invariant algorithms are exactly the
-    algorithms whose output depends on the ball only through this pattern
-    (plus the ball structure and the inputs).
-    """
-    values = [ids[node] for node in nodes]
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0] * len(values)
-    for rank, idx in enumerate(order):
-        ranks[idx] = rank
-    return tuple(ranks)

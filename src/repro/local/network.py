@@ -104,9 +104,8 @@ class Network:
         identities ``1..n`` in the graph's node iteration order.
     inputs:
         Mapping node -> input value (the paper uses binary strings of length
-        at most ``k``; any hashable value is accepted, and
-        :func:`repro.graphs.promise.label_size` measures its encoded size).
-        Missing nodes default to the empty input ``""``.
+        at most ``k``; any hashable value is accepted).  Missing nodes
+        default to the empty input ``""``.
 
     Notes
     -----

@@ -206,12 +206,6 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine/cache.py",
         "entries that existed but failed to parse (also counted as misses)",
     ),
-    Signal(
-        "cache.evict",
-        "counter",
-        "engine/cache.py",
-        "entries removed by TTL expiry or the LRU size bound",
-    ),
     Signal("stats.rounds", "counter", "stats/stopping.py", "sequential-stopping rounds"),
     Signal("stats.trials", "counter", "stats/stopping.py", "trials consumed across rounds"),
     Signal("service.requests", "counter", "service/http.py", "HTTP requests served"),

@@ -687,9 +687,10 @@ class JobManager:
         return counts
 
     def metrics(self) -> Dict[str, object]:
-        """The ``/metrics`` summary: job states, telemetry counters,
-        per-span aggregates, queue/retry configuration, the journal's disk
-        shape, and the result cache's traffic and disk shape."""
+        """The ``/metrics`` summary: job states, telemetry counters (the
+        result cache's traffic among them, as ``cache.*``), per-span
+        aggregates, queue/retry configuration, and the journal's and the
+        result cache's disk shape."""
         spans: Dict[str, Dict[str, float]] = {}
         counters: Dict[str, int] = {}
         if isinstance(self.recorder, TraceRecorder):
@@ -700,7 +701,6 @@ class JobManager:
                 entry["wall_seconds"] += span.wall_seconds
         cache: Dict[str, object] = {"enabled": self.cache is not None}
         if self.cache is not None:
-            cache["stats"] = self.cache.stats.as_dict()
             cache["disk"] = self.cache.describe()
         journal: Dict[str, object] = {"enabled": self._journal is not None}
         if self._journal is not None:

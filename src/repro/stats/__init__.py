@@ -3,10 +3,9 @@
 The fixed-trial estimators ask "how many trials?"; this layer answers "how
 precise?".  It provides
 
-* confidence intervals for proportions (:func:`wilson_interval`,
-  :func:`hoeffding_interval`) plus the tri-state interval-vs-threshold
-  verdicts the CI-aware harness uses (``True`` / ``False`` / ``None`` =
-  unresolved),
+* the Wilson confidence interval for proportions (:func:`wilson_interval`)
+  plus the tri-state interval-vs-threshold verdicts the CI-aware harness
+  uses (``True`` / ``False`` / ``None`` = unresolved),
 * the :class:`PrecisionTarget` sequential-stopping rule,
   :func:`sequential_estimate`, and :func:`run_estimate`, the one driver of
   every estimator's success stream: ``draw(trials)`` for a fixed run,
@@ -23,7 +22,6 @@ the precision capability; ``Session`` and the CLI expose
 
 from repro.stats.intervals import (
     ConfidenceInterval,
-    hoeffding_interval,
     normal_quantile,
     tri_all,
     wilson_half_width,
@@ -40,7 +38,6 @@ __all__ = [
     "ConfidenceInterval",
     "normal_quantile",
     "wilson_interval",
-    "hoeffding_interval",
     "wilson_half_width",
     "tri_all",
     "PrecisionTarget",

@@ -5,12 +5,9 @@ rate estimated from finitely many trials; this module supplies the interval
 mathematics the adaptive-precision layer (:mod:`repro.stats.stopping`) and
 the CI-aware verdicts are built on:
 
-* :func:`wilson_interval` — the Wilson score interval, the default.  Unlike
-  the normal approximation it behaves sensibly at success rates near 0 and
-  1, which are common here (deterministic rows, ``p^k`` tails).
-* :func:`hoeffding_interval` — the distribution-free Hoeffding bound
-  ``±sqrt(ln(2/α) / (2n))``.  Wider than Wilson but a *guaranteed* coverage
-  bound rather than an asymptotic one; the stopping rule accepts either.
+* :func:`wilson_interval` — the Wilson score interval.  Unlike the normal
+  approximation it behaves sensibly at success rates near 0 and 1, which
+  are common here (deterministic rows, ``p^k`` tails).
 * :func:`normal_quantile` — the standard normal quantile ``z_{1-α/2}``
   backing Wilson, computed with Acklam's rational approximation refined by a
   Halley step on ``erfc`` (|relative error| far below any tolerance used
@@ -35,7 +32,6 @@ __all__ = [
     "ConfidenceInterval",
     "normal_quantile",
     "wilson_interval",
-    "hoeffding_interval",
     "wilson_half_width",
     "tri_all",
 ]
@@ -197,21 +193,6 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Co
     if successes == 0:
         low = 0.0
     return ConfidenceInterval(low=low, high=high, confidence=confidence)
-
-
-def hoeffding_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> ConfidenceInterval:
-    """The Hoeffding interval ``phat ± sqrt(ln(2/α) / (2n))``, clipped to [0, 1]."""
-    _validate_counts(successes, trials)
-    alpha = 1.0 - confidence
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("confidence must lie strictly inside (0, 1)")
-    phat = successes / trials
-    spread = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
-    return ConfidenceInterval(
-        low=max(0.0, phat - spread), high=min(1.0, phat + spread), confidence=confidence
-    )
 
 
 def wilson_half_width(successes: int, trials: int, z: float = 1.96) -> float:

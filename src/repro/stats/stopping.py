@@ -29,9 +29,7 @@ Peeking bias, stated honestly: stopping at the first batch whose interval is
 narrow enough is optional stopping, so the reported CI's coverage is the
 fixed-sample coverage at the realised trial count, not a fully sequential
 (always-valid) band.  The half-width target bounds the *precision* of the
-estimate; callers needing strict anytime coverage should use
-``method="hoeffding"`` with a confidence adjusted for the O(log n/min)
-looks, which the doubling schedule keeps small.
+estimate; the doubling schedule keeps the number of looks at O(log n/min).
 """
 
 from __future__ import annotations
@@ -40,21 +38,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from repro.obs import get_recorder
-from repro.stats.intervals import (
-    ConfidenceInterval,
-    hoeffding_interval,
-    wilson_interval,
-)
+from repro.stats.intervals import ConfidenceInterval, wilson_interval
 
 __all__ = ["PrecisionTarget", "ProbabilityEstimate", "run_estimate", "sequential_estimate"]
-
-#: Interval methods a :class:`PrecisionTarget` may select.
-_METHODS = ("wilson", "hoeffding")
 
 
 @dataclass(frozen=True)
 class PrecisionTarget:
-    """A sequential-stopping rule for a Bernoulli proportion estimate.
+    """A sequential-stopping rule for a Bernoulli proportion estimate, on
+    the Wilson interval.
 
     Attributes
     ----------
@@ -69,15 +61,12 @@ class PrecisionTarget:
         Hard cap; ``None`` means "no cap here" and the estimators substitute
         their fixed trial budget, so a target can never run longer than the
         fixed-trial run it replaces unless explicitly told to.
-    method:
-        ``"wilson"`` (default) or ``"hoeffding"``.
     """
 
     half_width: float
     confidence: float = 0.95
     min_trials: int = 100
     max_trials: Optional[int] = None
-    method: str = "wilson"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.half_width < 0.5:
@@ -88,8 +77,6 @@ class PrecisionTarget:
             raise ValueError("min_trials must be positive")
         if self.max_trials is not None and self.max_trials < self.min_trials:
             raise ValueError("max_trials must be at least min_trials")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown interval method {self.method!r}; expected {_METHODS}")
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -127,8 +114,6 @@ class PrecisionTarget:
         return target
 
     def interval(self, successes: int, trials: int) -> ConfidenceInterval:
-        if self.method == "hoeffding":
-            return hoeffding_interval(successes, trials, confidence=self.confidence)
         return wilson_interval(successes, trials, confidence=self.confidence)
 
     def satisfied(self, successes: int, trials: int) -> bool:
@@ -206,7 +191,6 @@ def sequential_estimate(
     successes = trials = 0
     with recorder.span(
         "stats.sequential_estimate",
-        method=target.method,
         half_width_target=target.half_width,
         min_trials=target.min_trials,
         max_trials=target.max_trials,

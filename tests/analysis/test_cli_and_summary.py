@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +175,16 @@ class TestCliExecution:
 
         monkeypatch.setitem(REGISTRY, "E1", self._stub_spec(unjudged))
         assert main(["run", "E1", "--no-cache"], stream=io.StringIO()) == 1
+
+
+class TestCommittedExperimentsRecord:
+    def test_experiments_md_regenerates_byte_identically(self, tmp_path):
+        """The committed EXPERIMENTS.md is what its header's two commands
+        write: the full preset at seed 0, rendered from its artifacts."""
+        committed = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+        results, output = tmp_path / "results", tmp_path / "EXPERIMENTS.md"
+        run = ["run", "all", "--seed", "0", "--output-dir", str(results), "--no-cache"]
+        assert main(run, stream=io.StringIO()) == 0
+        report = ["report", "--results", str(results), "--output", str(output)]
+        assert main(report, stream=io.StringIO()) == 0
+        assert output.read_bytes() == committed.read_bytes()

@@ -1,102 +1,11 @@
-"""Tests for class-membership witnesses and the amos separation
-(repro.core.classes)."""
+"""Tests for the amos separation (repro.core.classes)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.classes import (
-    amos_separation_report,
-    empirical_bpld_membership,
-    empirical_ld_membership,
-)
-from repro.core.decision import AmosDecider, LocalCheckerDecider, golden_ratio_guarantee
-from repro.core.languages import SELECTED, Amos, Configuration
-from repro.core.lcl import ProperColoring
-from repro.graphs.families import cycle_network
-
-
-def amos_workload(network, selected_counts):
-    configs = []
-    nodes = network.nodes()
-    for count in selected_counts:
-        configs.append(
-            Configuration(
-                network,
-                {node: (SELECTED if index < count else "") for index, node in enumerate(nodes)},
-            )
-        )
-    return configs
-
-
-class TestLDMembership:
-    def test_local_checker_witnesses_ld(self, proper_three_coloring, broken_three_coloring):
-        report = empirical_ld_membership(
-            LocalCheckerDecider(ProperColoring(3)),
-            ProperColoring(3),
-            [proper_three_coloring, broken_three_coloring],
-        )
-        assert report.holds
-        assert report.class_name == "LD"
-        assert report.measured_guarantee == 1.0
-        assert report.failures == []
-
-    def test_wrong_decider_fails_witness(self, proper_three_coloring):
-        # A decider for a *different* language (4-coloring accepts palette
-        # violations the 3-coloring language rejects, and vice versa here we
-        # simply use weak acceptance: always accept).
-        from repro.core.decision import DeterministicDecider
-
-        always_accept = DeterministicDecider(lambda ball: True, radius=0)
-        bad_config = proper_three_coloring.with_outputs(
-            {
-                proper_three_coloring.nodes()[0]: proper_three_coloring.output_of(
-                    proper_three_coloring.nodes()[1]
-                )
-            }
-        )
-        report = empirical_ld_membership(always_accept, ProperColoring(3), [bad_config])
-        assert not report.holds
-        assert report.failures == [0]
-
-    def test_randomized_decider_rejected(self, proper_three_coloring):
-        with pytest.raises(ValueError):
-            empirical_ld_membership(AmosDecider(), Amos(), [proper_three_coloring])
-
-
-class TestBPLDMembership:
-    def test_amos_decider_witnesses_bpld(self):
-        network = cycle_network(8)
-        workload = amos_workload(network, [0, 1, 2, 3])
-        report = empirical_bpld_membership(
-            AmosDecider(), Amos(), workload, trials=1500, seed=1
-        )
-        assert report.holds
-        assert report.class_name == "BPLD"
-        assert report.measured_guarantee >= golden_ratio_guarantee() - 0.05
-
-    def test_insufficient_guarantee_detected(self):
-        network = cycle_network(8)
-        workload = amos_workload(network, [1])
-        # Demanding an impossible guarantee of 0.99 must fail on the
-        # one-selected instance (accepted only with probability ≈ 0.618).
-        report = empirical_bpld_membership(
-            AmosDecider(), Amos(), workload, required_guarantee=0.99, trials=800, seed=2
-        )
-        assert not report.holds
-        assert 0 in report.failures
-
-    def test_requires_guarantee_when_not_declared(self):
-        from repro.core.decision import DeterministicDecider
-
-        class NoGuarantee(DeterministicDecider):
-            randomized = True  # pretend to be randomized without a guarantee
-
-        decider = NoGuarantee(lambda ball: True, radius=0)
-        decider.guarantee = None
-        network = cycle_network(5)
-        with pytest.raises(ValueError):
-            empirical_bpld_membership(decider, Amos(), amos_workload(network, [0]))
+from repro.core.classes import amos_separation_report
+from repro.core.decision import golden_ratio_guarantee
 
 
 class TestAmosSeparation:

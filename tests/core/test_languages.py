@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.languages import SELECTED, Amos, Configuration, Majority, PredicateLanguage
+from repro.core.languages import SELECTED, Amos, Configuration, DistributedLanguage, Majority
 from repro.graphs.families import path_network
 
 
@@ -86,26 +86,11 @@ class TestMajority:
         assert majority.violation_count(select(net, 3)) == 0
 
 
-class TestPredicateLanguage:
-    def test_wraps_predicate(self, small_cycle):
-        language = PredicateLanguage(
-            lambda config: all(value == 1 for value in config.outputs.values()),
-            name="all-ones",
-        )
-        ones = Configuration(small_cycle, {node: 1 for node in small_cycle.nodes()})
-        zeros = Configuration(small_cycle, {node: 0 for node in small_cycle.nodes()})
-        assert language.contains(ones)
-        assert not language.contains(zeros)
-
+class TestDistributedLanguage:
     def test_default_violation_count_is_indicator(self, small_cycle):
-        language = PredicateLanguage(lambda config: False)
-        configuration = Configuration(small_cycle, {node: 0 for node in small_cycle.nodes()})
-        assert language.violation_count(configuration) == 1
+        class Nothing(DistributedLanguage):
+            def contains(self, configuration):
+                return False
 
-    def test_custom_violation_counter(self, small_cycle):
-        language = PredicateLanguage(
-            lambda config: False,
-            violation_counter=lambda config: sum(config.outputs.values()),
-        )
-        configuration = Configuration(small_cycle, {node: 2 for node in small_cycle.nodes()})
-        assert language.violation_count(configuration) == 18
+        configuration = Configuration(small_cycle, {node: 0 for node in small_cycle.nodes()})
+        assert Nothing().violation_count(configuration) == 1

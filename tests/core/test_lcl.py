@@ -8,14 +8,12 @@ from repro.algorithms.matching.proposal_matching import greedy_maximal_matching
 from repro.algorithms.mis.greedy_mis import greedy_mis_by_identity
 from repro.core.languages import Configuration
 from repro.core.lcl import (
-    FrugalColoring,
     MaximalIndependentSet,
     MaximalMatching,
     MinimalDominatingSet,
     NotAllEqualLLL,
     PredicateLCL,
     ProperColoring,
-    WeakColoring,
 )
 from repro.graphs.families import path_network, star_network
 
@@ -51,61 +49,6 @@ class TestProperColoring:
     def test_name(self):
         assert ProperColoring(3).name == "3-coloring"
         assert ProperColoring().name == "proper-coloring"
-
-
-class TestWeakColoring:
-    def test_alternating_coloring_is_weak(self, small_path):
-        colors = {node: index % 2 for index, node in enumerate(small_path.nodes())}
-        assert WeakColoring().contains(Configuration(small_path, colors))
-
-    def test_monochromatic_star_center_ok_leaves_bad(self):
-        net = star_network(4)
-        configuration = Configuration(net, {node: 0 for node in net.nodes()})
-        bad = WeakColoring().bad_nodes(configuration)
-        # Every node's whole neighbourhood is monochromatic, so all are bad.
-        assert len(bad) == 5
-
-    def test_star_with_distinct_center_is_weak(self):
-        net = star_network(4)
-        outputs = {node: 1 for node in net.nodes()}
-        outputs[net.nodes()[0]] = 0  # centre differs from all leaves
-        assert WeakColoring().contains(Configuration(net, outputs))
-
-    def test_isolated_node_is_never_bad(self):
-        net = path_network(1)
-        assert WeakColoring().contains(Configuration(net, {net.nodes()[0]: 0}))
-
-    def test_weak_coloring_weaker_than_proper(self, proper_three_coloring):
-        # Any proper coloring (of a graph with min degree >= 1) is weak.
-        assert WeakColoring().contains(proper_three_coloring)
-
-
-class TestFrugalColoring:
-    def test_proper_and_frugal(self):
-        net = star_network(4)
-        outputs = {net.nodes()[0]: 1}
-        outputs.update({leaf: 2 + index for index, leaf in enumerate(net.nodes()[1:])})
-        assert FrugalColoring(c=1).contains(Configuration(net, outputs))
-
-    def test_color_repetition_in_neighbourhood_violates_frugality(self):
-        net = star_network(4)
-        outputs = {net.nodes()[0]: 1}
-        outputs.update({leaf: 2 for leaf in net.nodes()[1:]})  # same color 4 times
-        language = FrugalColoring(c=3)
-        configuration = Configuration(net, outputs)
-        assert not language.contains(configuration)
-        assert language.bad_nodes(configuration) == [net.nodes()[0]]
-
-    def test_conflict_is_also_bad(self, broken_three_coloring):
-        assert not FrugalColoring(c=2).contains(broken_three_coloring)
-
-    def test_frugality_parameter_validated(self):
-        with pytest.raises(ValueError):
-            FrugalColoring(c=0)
-
-    def test_palette_enforced(self, small_cycle):
-        outputs = {node: 100 + index for index, node in enumerate(small_cycle.nodes())}
-        assert not FrugalColoring(c=2, num_colors=3).contains(Configuration(small_cycle, outputs))
 
 
 class TestMaximalIndependentSet:

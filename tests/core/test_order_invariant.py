@@ -9,72 +9,16 @@ import pytest
 from repro.core.lcl import ProperColoring
 from repro.core.languages import Configuration
 from repro.core.order_invariant import (
-    OrderInvariantAlgorithm,
-    TableBallAlgorithm,
     count_order_invariant_cycle_algorithms,
     cycle_ball_pattern,
     enumerate_cycle_ball_types,
     enumerate_order_invariant_cycle_algorithms,
-    is_order_invariant_on,
     monochromatic_core,
 )
 from repro.core.relaxations import f_resilient
 from repro.graphs.families import cycle_network
-from repro.local.algorithm import FunctionBallAlgorithm
 from repro.local.ball import collect_ball
 from repro.local.simulator import run_ball_algorithm
-
-
-class TestOrderInvariantWrapper:
-    def test_rule_sees_ranks_not_values(self):
-        algorithm = OrderInvariantAlgorithm(
-            rule=lambda ball, ranks: ranks[ball.center],
-            radius=1,
-            name="center-rank",
-        )
-        small_ids = cycle_network(7, ids="consecutive")
-        large_ids = cycle_network(7, ids="consecutive", id_start=1000)
-        out_small = run_ball_algorithm(small_ids, algorithm)
-        out_large = run_ball_algorithm(large_ids, algorithm)
-        assert list(out_small.values()) == list(out_large.values())
-
-    def test_wrapper_passes_empirical_invariance_check(self):
-        algorithm = OrderInvariantAlgorithm(
-            rule=lambda ball, ranks: ranks[ball.center], radius=1
-        )
-        assert is_order_invariant_on(algorithm, cycle_network(9, ids="shuffled", seed=2))
-
-    def test_id_dependent_algorithm_fails_the_check(self):
-        algorithm = FunctionBallAlgorithm(
-            lambda ball: ball.center_id() % 2, radius=0, name="id-parity"
-        )
-        assert not is_order_invariant_on(algorithm, cycle_network(9, ids="shuffled", seed=2))
-
-    def test_check_rejects_randomized_algorithms(self):
-        algorithm = FunctionBallAlgorithm(
-            lambda ball, tape: tape.bit(), radius=0, randomized=True
-        )
-        with pytest.raises(ValueError):
-            is_order_invariant_on(algorithm, cycle_network(5))
-
-
-class TestTableBallAlgorithm:
-    def test_lookup_and_default(self, small_cycle):
-        ball = collect_ball(small_cycle, small_cycle.nodes()[4], 1)
-        key = ball.canonical_key(ids="order")
-        algorithm = TableBallAlgorithm({key: "hit"}, radius=1, default="miss")
-        outputs = run_ball_algorithm(small_cycle, algorithm)
-        # The consecutive-identity cycle has identical interior ball types, so
-        # most nodes hit the table entry.
-        assert "hit" in outputs.values()
-        assert set(outputs.values()) <= {"hit", "miss"}
-
-    def test_order_mode_is_order_invariant(self, small_cycle):
-        ball = collect_ball(small_cycle, small_cycle.nodes()[4], 1)
-        algorithm = TableBallAlgorithm(
-            {ball.canonical_key(ids="order"): 1}, radius=1, default=0
-        )
-        assert is_order_invariant_on(algorithm, small_cycle)
 
 
 class TestCycleBallPatterns:
@@ -121,9 +65,11 @@ class TestEnumeration:
         assert len(algorithms) == 27
 
     def test_enumerated_algorithms_are_order_invariant(self):
+        """Outputs are unchanged under an order-preserving relabelling."""
         net = cycle_network(9, ids="shuffled", seed=7)
+        relabelled = net.with_ids({node: 7 * ident + 3 for node, ident in net.ids.items()})
         for algorithm in list(enumerate_order_invariant_cycle_algorithms(1, [1, 2]))[:4]:
-            assert is_order_invariant_on(algorithm, net, attempts=2)
+            assert run_ball_algorithm(relabelled, algorithm) == run_ball_algorithm(net, algorithm)
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.languages import Configuration
-from repro.core.lcl import ProperColoring, WeakColoring
+from repro.core.lcl import MinimalDominatingSet, ProperColoring
 from repro.core.relaxations import EpsSlackLanguage, FResilientLanguage, eps_slack, f_resilient
 from repro.graphs.families import cycle_network
 
@@ -62,8 +62,8 @@ class TestFResilient:
             FResilientLanguage(ProperColoring(3), -1)
 
     def test_radius_and_name_exposed(self):
-        relaxed = f_resilient(WeakColoring(), 3)
-        assert relaxed.radius == WeakColoring.radius
+        relaxed = f_resilient(MinimalDominatingSet(), 3)
+        assert relaxed.radius == MinimalDominatingSet.radius
         assert "f=3" in relaxed.name
 
 

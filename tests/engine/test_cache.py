@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from repro.engine.cache import (
     default_cache_dir,
     request_cache_key,
 )
+from repro.obs import TraceRecorder, use_recorder
 
 
 def key_for(experiment_id, parameters, seed, version=None):
@@ -149,22 +149,30 @@ class TestResultCache:
         assert cache.get("deadbeef") is None
         assert cache.clear() == 0
 
+    def test_entry_deleted_after_contains_reads_as_miss(self, tmp_path):
+        """An entry deleted between ``__contains__`` and ``get`` (the
+        smallest version of a read racing a clear) is a miss, not a crash."""
+        cache = ResultCache(tmp_path)
+        key = key_for("E1", {}, 0)
+        path = cache.put(key, {"rows": []})
+        assert key in cache
+        path.unlink()
+        assert cache.get(key) is None
+
 
 class TestCacheStats:
+    """Cache traffic is read from the ambient recorder's ``cache.*``
+    counters (what ``--metrics`` and the service's ``/v1/metrics`` show)."""
+
     def test_traffic_counters(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = key_for("E1", {"trials": 10}, 0)
-        cache.get(key)  # miss
-        cache.put(key, {"rows": []})
-        cache.get(key)  # hit
-        cache.get(key_for("E1", {"trials": 11}, 0))  # miss
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
-        assert cache.stats.writes == 1
-        assert cache.stats.corrupt == 0
-        assert cache.stats.as_dict() == {
-            "hits": 1, "misses": 2, "writes": 1, "corrupt": 0, "evictions": 0,
-        }
+        with use_recorder(TraceRecorder()) as recorder:
+            cache.get(key)  # miss
+            cache.put(key, {"rows": []})
+            cache.get(key)  # hit
+            cache.get(key_for("E1", {"trials": 11}, 0))  # miss
+        assert recorder.counters == {"cache.hit": 1, "cache.miss": 2, "cache.write": 1}
 
     def test_corrupt_entries_counted_as_corrupt_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -175,21 +183,15 @@ class TestCacheStats:
         wrong_path = cache.path_for(wrong_shape)
         wrong_path.parent.mkdir(parents=True, exist_ok=True)
         wrong_path.write_text('{"payload": [1, 2]}', encoding="utf8")
-        assert cache.get(unparsable) is None
-        assert cache.get(wrong_shape) is None
-        assert cache.stats.corrupt == 2
-        assert cache.stats.misses == 2  # corrupt entries are also misses
-        # A plain absent key is a miss but not corrupt.
-        assert cache.get(key_for("E1", {"i": 2}, 0)) is None
-        assert cache.stats.misses == 3
-        assert cache.stats.corrupt == 2
-
-    def test_clear_counts_evictions(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for index in range(2):
-            cache.put(key_for("E1", {"i": index}, 0), {"i": index})
-        cache.clear()
-        assert cache.stats.evictions == 2
+        with use_recorder(TraceRecorder()) as recorder:
+            assert cache.get(unparsable) is None
+            assert cache.get(wrong_shape) is None
+            assert recorder.counters["cache.corrupt"] == 2
+            assert recorder.counters["cache.miss"] == 2  # corrupt entries are also misses
+            # A plain absent key is a miss but not corrupt.
+            assert cache.get(key_for("E1", {"i": 2}, 0)) is None
+        assert recorder.counters["cache.miss"] == 3
+        assert recorder.counters["cache.corrupt"] == 2
 
     def test_describe_reports_disk_shape(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -198,7 +200,6 @@ class TestCacheStats:
         assert shape["entries"] == 0
         assert shape["total_bytes"] == 0
         assert shape["shards"] == 0
-        assert shape["policy"] == {"ttl_seconds": None, "max_entries": None, "max_bytes": None}
         cache.put(key_for("E1", {}, 0), {"rows": [1]})
         shape = cache.describe()
         assert shape["entries"] == 1
@@ -247,142 +248,6 @@ class TestShardedLayout:
         assert not shard.exists()
 
 
-class TestEviction:
-    def test_policy_parameters_are_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, ttl_seconds=0)
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_bytes=0)
-
-    def test_ttl_expired_entry_reads_as_miss_and_is_deleted(self, tmp_path):
-        import os as _os
-
-        cache = ResultCache(tmp_path, ttl_seconds=60.0)
-        key = key_for("E1", {}, 0)
-        path = cache.put(key, {"rows": []})
-        assert cache.get(key) == {"rows": []}
-        stale = path.stat().st_mtime - 3600
-        _os.utime(path, (stale, stale))
-        assert cache.get(key) is None
-        assert not path.exists()
-        assert cache.stats.evictions == 1
-
-    def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        import os as _os
-
-        cache = ResultCache(tmp_path, max_entries=2)
-        keys = [key_for("E1", {"i": index}, 0) for index in range(3)]
-        now = time.time()
-        for offset, key in enumerate(keys[:2]):
-            path = cache.put(key, {"i": key})
-            # Distinct mtimes so LRU order is deterministic.
-            _os.utime(path, (now - 100 + offset, now - 100 + offset))
-        # Touch keys[0]: it becomes the most recently used of the two.
-        assert cache.get(keys[0]) is not None
-        cache.put(keys[2], {"i": keys[2]})
-        assert len(cache) == 2
-        assert cache.get(keys[1]) is None  # the LRU entry was evicted
-        assert cache.get(keys[0]) is not None
-        assert cache.get(keys[2]) is not None
-        assert cache.stats.evictions == 1
-
-    def test_max_bytes_bounds_total_size(self, tmp_path):
-        import os as _os
-
-        # Each entry is ~1.1 KB on disk; the bound holds one but not two.
-        cache = ResultCache(tmp_path, max_bytes=1500)
-        now = time.time()
-        newest = key_for("E1", {"i": 1}, 0)
-        first = cache.put(key_for("E1", {"i": 0}, 0), {"blob": "x" * 1000})
-        assert first.stat().st_size < 1500
-        _os.utime(first, (now - 10, now - 10))
-        cache.put(newest, {"blob": "y" * 1000})
-        assert len(cache) == 1
-        assert cache.get(newest) is not None
-        assert cache.stats.evictions == 1
-
-    def test_unbounded_cache_never_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for index in range(5):
-            cache.put(key_for("E1", {"i": index}, 0), {"i": index})
-        assert len(cache) == 5
-        assert cache.evict() == 0
-        assert cache.stats.evictions == 0
-
-
-class TestEvictionEdges:
-    """Boundary and race behaviour of the eviction policy."""
-
-    def test_entry_exactly_at_ttl_is_still_valid(self, tmp_path):
-        """Expiry is strict (*older* than the TTL): an entry whose age is
-        exactly ``ttl_seconds`` survives; one instant older does not."""
-        cache = ResultCache(tmp_path, ttl_seconds=60.0)
-        key = key_for("E1", {}, 0)
-        path = cache.put(key, {"rows": []})
-        written = path.stat().st_mtime
-        assert cache.evict(now=written + 60.0) == 0
-        assert cache.get(key) is not None
-        assert cache.evict(now=written + 60.001) == 1
-        assert not path.exists()
-
-    def test_future_mtime_is_never_expired(self, tmp_path):
-        """Clock skew (an mtime ahead of ``now``) must not evict: a negative
-        age is not older than any TTL."""
-        import os as _os
-
-        cache = ResultCache(tmp_path, ttl_seconds=1.0)
-        key = key_for("E1", {}, 0)
-        path = cache.put(key, {"rows": []})
-        ahead = time.time() + 3600
-        _os.utime(path, (ahead, ahead))
-        assert cache.evict() == 0
-        assert cache.get(key) == {"rows": []}
-
-    def test_lru_eviction_racing_a_concurrent_reader(self, tmp_path):
-        """A reader hammering one key while writes force LRU evictions of
-        that very key: every read is a complete payload or a clean miss,
-        never an exception, and the bound holds throughout."""
-        import threading
-
-        cache = ResultCache(tmp_path, max_entries=1)
-        hot = key_for("E1", {"hot": True}, 0)
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    payload = cache.get(hot)
-                    assert payload is None or payload == {"hot": True}
-            except BaseException as error:  # noqa: BLE001 - reported to the test
-                errors.append(error)
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        try:
-            for index in range(50):
-                cache.put(hot, {"hot": True})
-                cache.put(key_for("E1", {"i": index}, 0), {"i": index})  # evicts hot
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not errors, errors
-        assert len(cache) <= 1
-        assert cache.stats.corrupt == 0
-
-    def test_eviction_of_a_statted_entry_reads_as_miss(self, tmp_path):
-        """An entry deleted between ``__contains__`` and ``get`` (the
-        smallest version of the read/evict race) is a miss, not a crash."""
-        cache = ResultCache(tmp_path)
-        key = key_for("E1", {}, 0)
-        path = cache.put(key, {"rows": []})
-        assert key in cache
-        path.unlink()
-        assert cache.get(key) is None
-
-
 def _hammer_writes(directory: str, key: str, marker: int, rounds: int) -> int:
     """Worker for the concurrent-writer test: repeatedly publish a large
     payload under one shared key (top-level, hence picklable)."""
@@ -404,7 +269,8 @@ class TestConcurrentWriters:
 
         key = key_for("E1", {"concurrent": True}, 0)
         cache = ResultCache(tmp_path)
-        with ProcessPoolExecutor(max_workers=2) as pool:
+        recorder = TraceRecorder()
+        with ProcessPoolExecutor(max_workers=2) as pool, use_recorder(recorder):
             futures = [
                 pool.submit(_hammer_writes, str(tmp_path), key, marker, 20)
                 for marker in (1, 2)
@@ -421,7 +287,7 @@ class TestConcurrentWriters:
         # The final state is one complete entry from one of the writers.
         final = cache.get(key)
         assert final is not None and final["marker"] in (1, 2)
-        assert cache.stats.corrupt == 0
+        assert "cache.corrupt" not in recorder.counters
         # No temp files were left behind by either writer.
         assert list(tmp_path.glob("**/*.tmp")) == []
 

@@ -4,17 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.families import (
-    balanced_tree_network,
-    caterpillar_network,
-    complete_network,
-    cycle_network,
-    grid_network,
-    hypercube_network,
-    path_network,
-    star_network,
-    torus_network,
-)
+from repro.graphs.families import cycle_network, grid_network, path_network, star_network
 
 
 class TestCycle:
@@ -69,7 +59,7 @@ class TestPath:
             path_network(0)
 
 
-class TestGridAndTorus:
+class TestGrid:
     def test_grid_structure(self):
         net = grid_network(3, 5)
         assert net.number_of_nodes() == 15
@@ -84,21 +74,8 @@ class TestGridAndTorus:
         with pytest.raises(ValueError):
             grid_network(0, 3)
 
-    def test_torus_is_four_regular(self):
-        net = torus_network(4, 5)
-        assert all(net.degree(node) == 4 for node in net.nodes())
 
-    def test_torus_minimum_size(self):
-        with pytest.raises(ValueError):
-            torus_network(2, 5)
-
-
-class TestCompleteAndStar:
-    def test_complete(self):
-        net = complete_network(6)
-        assert net.number_of_edges() == 15
-        assert net.max_degree() == 5
-
+class TestStar:
     def test_star(self):
         net = star_network(7)
         assert net.number_of_nodes() == 8
@@ -109,44 +86,6 @@ class TestCompleteAndStar:
     def test_star_needs_leaf(self):
         with pytest.raises(ValueError):
             star_network(0)
-
-
-class TestTrees:
-    def test_balanced_tree(self):
-        net = balanced_tree_network(2, 3)
-        assert net.number_of_nodes() == 2**4 - 1
-        assert net.number_of_edges() == net.number_of_nodes() - 1
-        assert net.is_connected()
-
-    def test_balanced_tree_invalid(self):
-        with pytest.raises(ValueError):
-            balanced_tree_network(0, 2)
-
-    def test_caterpillar(self):
-        net = caterpillar_network(spine=4, legs_per_node=2)
-        assert net.number_of_nodes() == 4 + 8
-        assert net.max_degree() == 4  # interior spine node: 2 spine + 2 legs
-        assert net.is_connected()
-
-    def test_caterpillar_no_legs_is_path(self):
-        net = caterpillar_network(spine=5, legs_per_node=0)
-        assert net.number_of_nodes() == 5
-        assert net.max_degree() == 2
-
-
-class TestHypercube:
-    def test_structure(self):
-        net = hypercube_network(4)
-        assert net.number_of_nodes() == 16
-        assert all(net.degree(node) == 4 for node in net.nodes())
-
-    def test_odd_dimension_gives_odd_degree(self):
-        net = hypercube_network(3)
-        assert all(net.degree(node) % 2 == 1 for node in net.nodes())
-
-    def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            hypercube_network(0)
 
 
 class TestInputs:

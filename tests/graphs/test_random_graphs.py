@@ -12,7 +12,6 @@ from repro.graphs import random_graphs
 from repro.graphs.random_graphs import (
     bounded_degree_gnp_network,
     random_regular_network,
-    random_tree_network,
 )
 from repro.local.identifiers import shuffled_consecutive_ids
 from repro.local.network import Network
@@ -128,24 +127,4 @@ class TestBoundedDegreeGnp:
     def test_reproducible(self):
         a = bounded_degree_gnp_network(30, 0.1, max_degree=4, seed=9)
         b = bounded_degree_gnp_network(30, 0.1, max_degree=4, seed=9)
-        assert set(map(frozenset, a.edges())) == set(map(frozenset, b.edges()))
-
-
-class TestRandomTree:
-    def test_is_tree(self):
-        net = random_tree_network(25, seed=4)
-        assert net.number_of_edges() == 24
-        assert net.is_connected()
-
-    def test_tiny_trees(self):
-        assert random_tree_network(1).number_of_edges() == 0
-        assert random_tree_network(2).number_of_edges() == 1
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            random_tree_network(0)
-
-    def test_reproducible(self):
-        a = random_tree_network(15, seed=8)
-        b = random_tree_network(15, seed=8)
         assert set(map(frozenset, a.edges())) == set(map(frozenset, b.edges()))

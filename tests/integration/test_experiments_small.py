@@ -229,6 +229,18 @@ class TestE8SlackVsResilient:
         assert all(row["success_probability"] > 0.5 for row in slack_rows)
         assert all(not row["solvable_in_O1"] for row in resilient_rows)
 
+    def test_verdict_needs_the_order_invariant_bad_fraction_above_eps(self):
+        """Section 5's counterexample: every row carries (n − 2)/n, the
+        smallest bad-ball fraction an order-invariant radius-1 algorithm
+        leaves on the consecutive cycle, and the verdict needs it above ε."""
+        kwargs = dict(n=15, f_values=(1,), trials=40, seed=8)
+        below = experiment_e8_slack_vs_resilient(eps=0.75, **kwargs)
+        assert {row["min_order_invariant_bad_fraction"] for row in below.rows} == {13 / 15}
+        assert below.matches_paper
+        above = experiment_e8_slack_vs_resilient(eps=0.9, **kwargs)
+        assert above.rows[0]["success_probability"] > 0.5
+        assert not above.matches_paper
+
     def test_auto_engine_is_bit_identical_to_off(self):
         for seed in (15, 10_015):
             kwargs = dict(n=15, eps=0.75, f_values=(1, 2), trials=60, seed=seed)

@@ -7,11 +7,10 @@ import pytest
 
 from repro.api import Session
 from repro.core.order_invariant import CyclePatternAlgorithm
-from repro.graphs.families import cycle_network, grid_network, path_network, star_network
+from repro.graphs.families import grid_network, path_network
 from repro.harness import experiments
 from repro.local import ball as ball_module
 from repro.local.ball import BallView, all_balls, collect_ball
-from repro.local.identifiers import order_preserving_relabel
 from repro.local.network import Network
 
 
@@ -120,77 +119,6 @@ class TestBallViewAccessors:
         enriched = ball.with_outputs(outputs)
         assert enriched.center_output() == 1
         assert set(enriched.outputs) == set(ball.graph.nodes())
-
-
-class TestCanonicalKeys:
-    def test_same_structure_same_key_order_mode(self):
-        a = cycle_network(9, ids="consecutive")
-        b = cycle_network(9, ids="consecutive", id_start=100)
-        ball_a = collect_ball(a, a.nodes()[4], 1)
-        ball_b = collect_ball(b, b.nodes()[4], 1)
-        assert ball_a.canonical_key(ids="order") == ball_b.canonical_key(ids="order")
-
-    def test_value_mode_distinguishes_id_values(self):
-        a = cycle_network(9, ids="consecutive")
-        b = cycle_network(9, ids="consecutive", id_start=100)
-        ball_a = collect_ball(a, a.nodes()[4], 1)
-        ball_b = collect_ball(b, b.nodes()[4], 1)
-        assert ball_a.canonical_key(ids="values") != ball_b.canonical_key(ids="values")
-
-    def test_key_detects_structural_difference(self):
-        cycle = cycle_network(9)
-        star = star_network(2)  # path of 3 nodes with centre in the middle
-        ball_cycle = collect_ball(cycle, cycle.nodes()[0], 1)
-        ball_star_leaf = collect_ball(star, star.nodes()[1], 1)
-        assert ball_cycle.canonical_key(ids="none") != ball_star_leaf.canonical_key(ids="none")
-
-    def test_key_depends_on_inputs(self):
-        base = path_network(3)
-        with_input = base.with_inputs({1: "special"})
-        ball_plain = collect_ball(base, 1, 1)
-        ball_marked = collect_ball(with_input, 1, 1)
-        assert ball_plain.canonical_key() != ball_marked.canonical_key()
-
-    def test_key_depends_on_outputs_when_requested(self, small_cycle):
-        node = small_cycle.nodes()[0]
-        ball_a = collect_ball(small_cycle, node, 1, outputs={n: 1 for n in small_cycle.nodes()})
-        ball_b = collect_ball(small_cycle, node, 1, outputs={n: 2 for n in small_cycle.nodes()})
-        key_with = ball_a.canonical_key(include_outputs=True)
-        assert key_with != ball_b.canonical_key(include_outputs=True)
-        key_without = ball_a.canonical_key(include_outputs=False)
-        assert key_without == ball_b.canonical_key(include_outputs=False)
-
-    def test_include_outputs_without_outputs_raises(self, small_cycle):
-        ball = collect_ball(small_cycle, small_cycle.nodes()[0], 1)
-        with pytest.raises(ValueError):
-            ball.canonical_key(include_outputs=True)
-
-    def test_unknown_ids_mode_rejected(self, small_cycle):
-        ball = collect_ball(small_cycle, small_cycle.nodes()[0], 1)
-        with pytest.raises(ValueError):
-            ball.canonical_key(ids="bogus")
-
-    def test_key_invariant_under_order_preserving_relabel(self):
-        net = cycle_network(9, ids="shuffled", seed=3)
-        relabelled = net.with_ids(
-            order_preserving_relabel(net.ids, [v * 17 + 5 for v in range(1, 10)])
-        )
-        for node in net.nodes():
-            key_a = collect_ball(net, node, 1).canonical_key(ids="order")
-            key_b = collect_ball(relabelled, node, 1).canonical_key(ids="order")
-            assert key_a == key_b
-
-    def test_large_ball_uses_wl_key(self):
-        net = grid_network(5, 5)
-        center = net.nodes()[12]
-        ball = collect_ball(net, center, 2)
-        assert len(ball) > 9
-        key = ball.canonical_key()
-        assert key[0] == "wl"
-
-    def test_small_ball_uses_exact_key(self, small_cycle):
-        ball = collect_ball(small_cycle, small_cycle.nodes()[0], 1)
-        assert ball.canonical_key()[0] == "exact"
 
 
 class TestBallGraphOnDemand:

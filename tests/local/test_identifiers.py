@@ -7,9 +7,6 @@ import pytest
 
 from repro.local.identifiers import (
     consecutive_ids,
-    id_order_pattern,
-    offset_ids,
-    order_preserving_relabel,
     random_distinct_ids,
     shuffled_consecutive_ids,
     validate_id_assignment,
@@ -102,53 +99,3 @@ class TestRandomDistinct:
     def test_reproducible(self):
         nodes = list(range(10))
         assert random_distinct_ids(nodes, seed=9) == random_distinct_ids(nodes, seed=9)
-
-
-class TestOffset:
-    def test_shifts_all_values(self):
-        ids = {"a": 1, "b": 5}
-        assert offset_ids(ids, 10) == {"a": 11, "b": 15}
-
-    def test_preserves_order(self):
-        ids = {"a": 3, "b": 1, "c": 2}
-        shifted = offset_ids(ids, 7)
-        assert sorted(ids, key=ids.get) == sorted(shifted, key=shifted.get)
-
-    def test_rejects_offset_into_non_positive(self):
-        with pytest.raises(ValueError):
-            offset_ids({"a": 1}, -1)
-
-
-class TestOrderPreservingRelabel:
-    def test_preserves_order(self):
-        ids = {"a": 30, "b": 10, "c": 20}
-        relabelled = order_preserving_relabel(ids, [100, 200, 300, 400])
-        assert relabelled == {"b": 100, "c": 200, "a": 300}
-
-    def test_needs_enough_values(self):
-        with pytest.raises(ValueError):
-            order_preserving_relabel({"a": 1, "b": 2}, [5])
-
-    def test_values_must_be_positive(self):
-        with pytest.raises(ValueError):
-            order_preserving_relabel({"a": 1}, [0, 3])
-
-    def test_uses_smallest_values(self):
-        relabelled = order_preserving_relabel({"a": 1}, [9, 4, 7])
-        assert relabelled == {"a": 4}
-
-
-class TestOrderPattern:
-    def test_pattern_of_sorted_sequence(self):
-        ids = {"a": 5, "b": 9, "c": 12}
-        assert id_order_pattern(ids, ["a", "b", "c"]) == (0, 1, 2)
-
-    def test_pattern_reflects_permutation(self):
-        ids = {"a": 50, "b": 9, "c": 12}
-        assert id_order_pattern(ids, ["a", "b", "c"]) == (2, 0, 1)
-
-    def test_pattern_invariant_under_order_preserving_relabel(self):
-        ids = {"a": 17, "b": 3, "c": 999, "d": 42}
-        nodes = ["c", "a", "d", "b"]
-        relabelled = order_preserving_relabel(ids, [1, 2, 3, 4])
-        assert id_order_pattern(ids, nodes) == id_order_pattern(relabelled, nodes)

@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.algorithms.coloring.cole_vishkin import oriented_cycle_network
-from repro.graphs.families import cycle_network, grid_network, path_network, torus_network
+from repro.graphs.families import cycle_network, grid_network, path_network
 from repro.graphs.operations import (
     disjoint_union,
     double_subdivide_edge,
@@ -27,6 +27,13 @@ from repro.local.identifiers import (
     shuffled_consecutive_ids,
 )
 from repro.local.network import Network
+
+
+def torus_network(rows: int, cols: int, ids: str = "consecutive", seed: int = 0) -> Network:
+    """The rows × cols torus, a 4-regular network built through networkx."""
+    order = [(r, c) for r in range(rows) for c in range(cols)]
+    assignment = random_distinct_ids(order, seed=seed) if ids == "random" else consecutive_ids(order)
+    return Network(nx.grid_2d_graph(rows, cols, periodic=True), assignment)
 
 
 def triangle() -> Network:

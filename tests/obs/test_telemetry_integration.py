@@ -57,9 +57,7 @@ class TestSessionTracing:
 
         assert recorder.counters["cache.miss"] == 1
         assert recorder.counters["cache.hit"] == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.writes == 1
+        assert recorder.counters["cache.write"] == 1
         roots = request_roots(recorder)
         assert [root.attributes["from_cache"] for root in roots] == [False, True]
         # Both requests address the same canonical key.

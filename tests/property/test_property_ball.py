@@ -1,9 +1,8 @@
 """Ball extraction pinned against a networkx reference implementation.
 
-:func:`reference_ball` and :func:`reference_canonical_key` are the networkx
-formulation of the paper's ball ``B_G(v, t)`` (Section 2.1.1) that
-:func:`repro.local.ball.collect_ball` used before it ran its own
-breadth-first search over the network's adjacency index.  The properties
+:func:`reference_ball` is the networkx formulation of the paper's ball
+``B_G(v, t)`` (Section 2.1.1) that :func:`repro.local.ball.collect_ball` used
+before it ran its own breadth-first search over the network's adjacency index.  The properties
 below check, on random graphs (disconnected ones, grids with tuple nodes,
 shuffled and sparse identities, with and without outputs), that every
 observable of a :class:`~repro.local.ball.BallView` equals the reference,
@@ -15,9 +14,8 @@ they are pinned to networkx's searches on the same graphs.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Hashable, Mapping, Optional, Tuple
 
 import networkx as nx
 import pytest
@@ -33,8 +31,6 @@ SETTINGS = settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-EXACT_CANONICAL_LIMIT = 9
-ID_MODES = ("order", "values", "none")
 
 
 # --------------------------------------------------------------------------- #
@@ -78,60 +74,6 @@ def reference_ball(
         distances=distances,
         outputs=None if outputs is None else {node: outputs[node] for node in members},
     )
-
-
-def reference_canonical_key(
-    ball: ReferenceBall, ids: str = "order", include_outputs: bool = False
-) -> Tuple:
-    """The canonical key computed over the reference ball's graph."""
-
-    def id_rank(node: Hashable) -> int:
-        ranked = sorted(ball.graph.nodes(), key=lambda u: ball.ids[u])
-        return ranked.index(node)
-
-    def label_of(node: Hashable) -> Tuple:
-        parts: list = [ball.distances[node], repr(ball.inputs[node])]
-        if include_outputs:
-            parts.append(repr(ball.outputs[node]))  # type: ignore[index]
-        if ids == "values":
-            parts.append(int(ball.ids[node]))
-        elif ids == "order":
-            parts.append(id_rank(node))
-        return tuple(parts)
-
-    n = ball.graph.number_of_nodes()
-    if n > EXACT_CANONICAL_LIMIT:
-        attributed = nx.Graph()
-        attributed.add_nodes_from(ball.graph.nodes())
-        attributed.add_edges_from(ball.graph.edges())
-        for node in attributed.nodes():
-            marker = "C" if node == ball.center else "-"
-            attributed.nodes[node]["label"] = repr((marker, label_of(node)))
-        digest = nx.weisfeiler_lehman_graph_hash(attributed, node_attr="label", iterations=3)
-        return ("wl", ball.radius, n, digest)
-
-    labels = {node: label_of(node) for node in ball.graph.nodes()}
-    groups: Dict[Tuple, list] = {}
-    for node in ball.graph.nodes():
-        groups.setdefault(labels[node], []).append(node)
-    best: Optional[Tuple] = None
-    group_perms = [
-        list(itertools.permutations(groups[lab])) for lab in sorted(groups, key=repr)
-    ]
-    for combo in itertools.product(*group_perms):
-        ordering = [node for group in combo for node in group]
-        index = {node: i for i, node in enumerate(ordering)}
-        adjacency = tuple(
-            sorted(tuple(sorted((index[u], index[v]))) for u, v in ball.graph.edges())
-        )
-        certificate = (
-            tuple(labels[node] for node in ordering),
-            adjacency,
-            index[ball.center],
-        )
-        if best is None or certificate < best:
-            best = certificate
-    return ("exact", ball.radius, best)
 
 
 # --------------------------------------------------------------------------- #
@@ -219,12 +161,6 @@ class TestBallMatchesReference:
                 node for node, dist in ref.distances.items() if dist == radius
             }
 
-            for mode in ID_MODES:
-                for with_outputs in {False, outputs is not None}:
-                    assert ball.canonical_key(
-                        ids=mode, include_outputs=with_outputs
-                    ) == reference_canonical_key(ref, ids=mode, include_outputs=with_outputs)
-
     @SETTINGS
     @given(network=networks(), radius=st.integers(0, 3))
     def test_lazy_graph_matches_reference(self, network, radius):
@@ -311,7 +247,6 @@ def ball_description(ball) -> Tuple:
         ),
         frozenset(ident(node) for node in ball.boundary()),
         ball.center_degree(),
-        tuple(ball.canonical_key(ids=mode) for mode in ID_MODES),
     )
 
 

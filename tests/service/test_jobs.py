@@ -239,5 +239,6 @@ class TestMetrics:
         assert metrics["spans"]["service.execute"]["count"] == 1
         assert metrics["spans"]["service.queue_wait"]["count"] == 1
         assert metrics["cache"]["enabled"] is True
-        assert metrics["cache"]["stats"]["misses"] == 1
+        assert metrics["counters"]["cache.miss"] == 1
+        assert "stats" not in metrics["cache"]
         assert metrics["cache"]["disk"]["entries"] == 1

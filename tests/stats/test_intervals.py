@@ -9,7 +9,6 @@ import pytest
 
 from repro.stats import (
     ConfidenceInterval,
-    hoeffding_interval,
     normal_quantile,
     tri_all,
     wilson_half_width,
@@ -90,50 +89,18 @@ class TestWilson:
             wilson_interval(6, 5)
 
 
-class TestHoeffding:
-    def test_closed_form(self):
-        interval = hoeffding_interval(60, 100, confidence=0.95)
-        spread = math.sqrt(math.log(2.0 / 0.05) / 200.0)
-        assert interval.low == pytest.approx(max(0.0, 0.6 - spread))
-        assert interval.high == pytest.approx(min(1.0, 0.6 + spread))
-
-    def test_wider_than_wilson_midrange(self):
-        """Hoeffding is distribution-free and must dominate Wilson away from
-        the boundary."""
-        assert (
-            hoeffding_interval(500, 1000, 0.95).half_width
-            > wilson_interval(500, 1000, 0.95).half_width
-        )
-
-
-    def test_stays_inside_the_unit_interval(self):
-        assert hoeffding_interval(0, 5, 0.999).low == 0.0
-        assert hoeffding_interval(5, 5, 0.999).high == 1.0
-        interval = hoeffding_interval(1, 10, 0.95)
-        assert 0.0 <= interval.low <= 0.1 <= interval.high <= 1.0
-
-    def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            hoeffding_interval(5, 0)
-        with pytest.raises(ValueError):
-            hoeffding_interval(6, 5)
-        with pytest.raises(ValueError):
-            hoeffding_interval(-1, 5)
-
-
 class TestCoverage:
-    @pytest.mark.parametrize("interval", [wilson_interval, hoeffding_interval])
-    def test_coverage_is_close_to_nominal(self, interval):
-        """Frequentist check of the interval implementations: 95% intervals
+    def test_coverage_is_close_to_nominal(self):
+        """Frequentist check of the interval implementation: 95% intervals
         over repeated binomial samples cover the true rate about 95% of the
-        time (Hoeffding, being conservative, more often)."""
+        time."""
         rng = np.random.default_rng(0)
         p = 0.37
         covered = 0
         repetitions = 300
         for _ in range(repetitions):
             successes = int(rng.binomial(200, p))
-            covered += int(interval(successes, 200, 0.95).contains(p))
+            covered += int(wilson_interval(successes, 200, 0.95).contains(p))
         assert covered / repetitions > 0.9
 
 

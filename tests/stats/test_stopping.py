@@ -67,8 +67,6 @@ class TestPrecisionTarget:
             PrecisionTarget(half_width=0.1, min_trials=0)
         with pytest.raises(ValueError):
             PrecisionTarget(half_width=0.1, min_trials=10, max_trials=5)
-        with pytest.raises(ValueError):
-            PrecisionTarget(half_width=0.1, method="bayes")
 
     def test_coerce_none_zero_float_and_target(self):
         assert PrecisionTarget.coerce(None) is None
@@ -97,11 +95,6 @@ class TestPrecisionTarget:
         assert target.satisfied(0, 400)
         tight = PrecisionTarget(half_width=0.001, min_trials=50, max_trials=100)
         assert not tight.satisfied(50, 100)
-
-    def test_hoeffding_method_selectable(self):
-        wilson = PrecisionTarget(half_width=0.05)
-        hoeffding = PrecisionTarget(half_width=0.05, method="hoeffding")
-        assert hoeffding.interval(50, 100).half_width > wilson.interval(50, 100).half_width
 
 
 class TestSequentialEstimate:
