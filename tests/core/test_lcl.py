@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.algorithms.matching.proposal_matching import greedy_maximal_matching
@@ -15,7 +17,9 @@ from repro.core.lcl import (
     PredicateLCL,
     ProperColoring,
 )
-from repro.graphs.families import path_network, star_network
+from repro.core.relaxations import eps_slack, f_resilient
+from repro.graphs.families import cycle_network, grid_network, path_network, star_network
+from repro.graphs.random_graphs import bounded_degree_gnp_network, random_regular_network
 
 
 class TestProperColoring:
@@ -167,3 +171,89 @@ class TestPredicateLCL:
         configuration = Configuration(small_cycle, outputs)
         assert language.bad_nodes(configuration) == [small_cycle.nodes()[3]]
         assert language.radius == 1
+
+
+# --------------------------------------------------------------------------- #
+# Every membership query reads the spec
+# --------------------------------------------------------------------------- #
+def _colors(network, rng):
+    """Colors 1..4: out of palette for 2- and 3-coloring, conflicts likely."""
+    return {node: rng.choice((1, 2, 3, 4)) for node in network.nodes()}
+
+
+def _flags(network, rng):
+    return {node: rng.random() < 0.4 for node in network.nodes()}
+
+
+def _bits(network, rng):
+    return {node: rng.randrange(2) for node in network.nodes()}
+
+
+def _partners(network, rng):
+    """A random matching (reciprocal partners), then one node pointing at a
+    random identity, which may break reciprocity or adjacency."""
+    partner = {node: None for node in network.nodes()}
+    edges = network.edges()
+    rng.shuffle(edges)
+    for u, v in edges:
+        if partner[u] is None and partner[v] is None and rng.random() < 0.7:
+            partner[u], partner[v] = network.identity(v), network.identity(u)
+    stray = rng.choice(network.nodes())
+    partner[stray] = network.identity(rng.choice(network.nodes()))
+    return partner
+
+
+LANGUAGES = {
+    "3-coloring": (lambda: ProperColoring(3), _colors),
+    "2-coloring": (lambda: ProperColoring(2), _colors),
+    "proper-coloring": (ProperColoring, _colors),
+    "mis": (MaximalIndependentSet, _flags),
+    "matching": (MaximalMatching, _partners),
+    "mds": (MinimalDominatingSet, _flags),
+    "nae": (NotAllEqualLLL, _bits),
+}
+
+NETWORKS = {
+    "cycle": lambda: cycle_network(9, ids="shuffled", seed=3),
+    "path": lambda: path_network(7),
+    "grid": lambda: grid_network(3, 4, ids="random", seed=1),
+    "star": lambda: star_network(5),
+    "cubic": lambda: random_regular_network(12, 3, seed=1),
+    # Two isolated nodes: balls with no neighbour at all.
+    "sparse-gnp": lambda: bounded_degree_gnp_network(15, 0.1, max_degree=4, seed=2, connect=False),
+}
+
+
+class TestMembershipQueriesReadTheSpec:
+    """``bad_mask`` (ProperColoring's array override included), ``bad_nodes``,
+    ``violation_count``, ``contains``, ``fraction_bad`` and ``at_most_bad``
+    (the early-exit spec loop without an override) all agree with
+    ``is_bad_ball`` run on every ball, and so do the f-resilient and
+    ε-slack relaxations built on them."""
+
+    @pytest.mark.parametrize("network_name", sorted(NETWORKS))
+    @pytest.mark.parametrize("language_name", sorted(LANGUAGES))
+    def test_every_query_agrees_with_is_bad_ball(self, language_name, network_name):
+        make_language, sample = LANGUAGES[language_name]
+        language, network = make_language(), NETWORKS[network_name]()
+        nodes, n = network.nodes(), len(network)
+        for seed in range(8):
+            configuration = Configuration(network, sample(network, random.Random(seed)))
+            spec = [
+                bool(language.is_bad_ball(configuration.ball(node, language.radius)))
+                for node in nodes
+            ]
+            count = sum(spec)
+            assert language.bad_mask(configuration).tolist() == spec
+            assert language.bad_nodes(configuration) == [v for v, bad in zip(nodes, spec) if bad]
+            assert language.violation_count(configuration) == count
+            assert language.contains(configuration) is (count == 0)
+            assert language.fraction_bad(configuration) == count / n
+            for budget in range(n + 1):
+                assert language.at_most_bad(configuration, budget) is (count <= budget)
+                assert f_resilient(language, budget).contains(configuration) is (count <= budget)
+            for eps in (0.0, 0.25, 0.5, 1.0):
+                relaxed = eps_slack(language, eps)
+                allowed = int(eps * n)
+                assert relaxed.contains(configuration) is (count <= allowed)
+                assert relaxed.violation_count(configuration) == max(0, count - allowed)

@@ -9,8 +9,10 @@ import pytest
 from repro.core.lcl import ProperColoring
 from repro.core.languages import Configuration
 from repro.core.order_invariant import (
+    CyclePatternAlgorithm,
     count_order_invariant_cycle_algorithms,
     cycle_ball_pattern,
+    cycle_ball_patterns,
     enumerate_cycle_ball_types,
     enumerate_order_invariant_cycle_algorithms,
     monochromatic_core,
@@ -109,3 +111,62 @@ class TestMonochromaticCore:
             outputs = run_ball_algorithm(net, algorithm)
             configuration = Configuration(net, outputs)
             assert not relaxed.contains(configuration)
+
+
+class TestBallTypeCounting:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_types_are_the_reflection_classes_of_rank_orders(self, radius):
+        length = 2 * radius + 1
+        types = enumerate_cycle_ball_types(radius)
+        assert types == sorted(set(types))
+        assert all(sorted(pattern) == list(range(length)) for pattern in types)
+        assert all(pattern <= tuple(reversed(pattern)) for pattern in types)
+        assert len(types) == max(1, math.factorial(length) // 2)
+
+    @pytest.mark.parametrize("num_outputs", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_count_is_one_output_per_ball_type(self, radius, num_outputs):
+        """Claim 2's ``N``: one table entry per ball type."""
+        types = len(enumerate_cycle_ball_types(radius))
+        assert count_order_invariant_cycle_algorithms(radius, num_outputs) == num_outputs**types
+
+
+class TestPatternsOfCycles:
+    """:func:`cycle_ball_patterns` on whole cycles: one enumerated type per
+    node, unchanged by order-preserving relabelling, carried along by
+    rotating or reflecting the identities, and what a pattern table reads."""
+
+    @pytest.mark.parametrize("scheme", ["consecutive", "shuffled", "random"])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_patterns_follow_the_identity_order(self, radius, scheme):
+        n = 13
+        net = cycle_network(n, ids=scheme, seed=radius)
+        patterns = cycle_ball_patterns(net, radius)
+        nodes = net.nodes()
+        assert patterns == [cycle_ball_pattern(collect_ball(net, v, radius)) for v in nodes]
+        types = enumerate_cycle_ball_types(radius)
+        assert set(patterns) <= set(types)
+
+        scaled = net.with_ids({v: 5 * net.identity(v) + 2 for v in nodes})
+        assert cycle_ball_patterns(scaled, radius) == patterns
+        rotated = net.with_ids({v: net.identity(nodes[(i + 1) % n]) for i, v in enumerate(nodes)})
+        assert cycle_ball_patterns(rotated, radius) == patterns[1:] + patterns[:1]
+        reflected = net.with_ids({v: net.identity(nodes[-i % n]) for i, v in enumerate(nodes)})
+        assert cycle_ball_patterns(reflected, radius) == [patterns[-i % n] for i in range(n)]
+
+        algorithm = CyclePatternAlgorithm({t: i for i, t in enumerate(types)}, radius, default=-1)
+        outputs = run_ball_algorithm(net, algorithm)
+        assert algorithm.outputs_at(patterns) == [outputs[v] for v in nodes]
+        assert -1 not in outputs.values()
+
+    @pytest.mark.parametrize("n,radius", [(7, 1), (10, 1), (10, 2), (16, 2), (15, 3), (9, 4)])
+    def test_core_is_exactly_the_increasing_pattern(self, n, radius):
+        """On the consecutive cycle the nodes whose ball reads increasing
+        identities are the core, ``n - 2t`` of them; every other ball holds
+        the wrap-around pair ``{1, n}``."""
+        net = cycle_network(n, ids="consecutive")
+        increasing = tuple(range(2 * radius + 1))
+        patterns = cycle_ball_patterns(net, radius)
+        core = [net.identity(v) for v, p in zip(net.nodes(), patterns) if p == increasing]
+        assert core == monochromatic_core(n, radius)
+        assert len(core) == n - 2 * radius

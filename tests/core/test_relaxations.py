@@ -103,6 +103,11 @@ class TestEpsSlack:
         assert relaxed.violation_count(configuration) == 2
         assert relaxed.bad_ball_count(configuration) == 4
 
+    def test_radius_and_name_exposed(self):
+        relaxed = eps_slack(MinimalDominatingSet(), 0.25)
+        assert relaxed.radius == MinimalDominatingSet.radius
+        assert "eps=0.25" in relaxed.name
+
     def test_eps_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             EpsSlackLanguage(ProperColoring(3), 1.5)

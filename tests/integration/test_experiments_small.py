@@ -344,3 +344,14 @@ def test_quick_run_all_never_falls_back():
     with engine_ran() as recorder:
         reports = Session(cache=None, telemetry=recorder).run_all(preset="quick")
     assert len(reports) == len(REGISTRY)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("experiment_id", sorted(REGISTRY, key=lambda name: int(name[1:])))
+def test_quick_preset_passes_away_from_seed_zero(experiment_id, seed):
+    """EXPERIMENTS.md and most tests run at seed 0; every quick-preset
+    verdict also passes at other seeds, so none hangs on one lucky draw."""
+    from repro.api import Session
+
+    report = Session(seed=seed, cache=None).run(experiment_id, preset="quick")
+    assert report.result.verdict == "pass"

@@ -113,6 +113,12 @@ class TestBallViewAccessors:
         boundary_ids = {ball.ids[node] for node in ball.boundary()}
         assert boundary_ids == {small_path.identity(nodes[1]), small_path.identity(nodes[5])}
 
+    def test_membership_is_distance_at_most_radius(self, small_path):
+        nodes = small_path.nodes()
+        ball = collect_ball(small_path, nodes[3], 2)
+        assert [node in ball for node in nodes] == [False, True, True, True, True, True, False]
+        assert "not-a-node" not in ball
+
     def test_with_outputs(self, small_cycle):
         outputs = {node: 1 for node in small_cycle.nodes()}
         ball = collect_ball(small_cycle, small_cycle.nodes()[0], 1)

@@ -89,6 +89,36 @@ class TestWilson:
             wilson_interval(6, 5)
 
 
+class TestWilsonScoreEquation:
+    """The Wilson interval is the set of ``p`` with ``|p̂ − p| ≤ z·√(p(1−p)/n)``:
+    both endpoints solve the equality, the set contains ``p̂``, mirrors under
+    ``s ↦ n − s`` and grows with the confidence."""
+
+    @pytest.mark.parametrize(
+        "successes,trials",
+        [(0, 1), (1, 1), (0, 10), (3, 10), (5, 10), (10, 10)]
+        + [(1, 100), (50, 100), (99, 100), (0, 1000), (618, 1000), (999, 1000)],
+    )
+    def test_endpoints_solve_the_score_equation(self, successes, trials):
+        phat = successes / trials
+        previous = None
+        for confidence in (0.9, 0.95, 0.99):
+            z = normal_quantile(confidence)
+            interval = wilson_interval(successes, trials, confidence)
+            for p in (interval.low, interval.high):
+                assert (phat - p) ** 2 == pytest.approx(z * z * p * (1 - p) / trials, abs=1e-12)
+            assert interval.low <= phat <= interval.high
+            mirror = wilson_interval(trials - successes, trials, confidence)
+            assert interval.low == pytest.approx(1.0 - mirror.high, abs=1e-12)
+            assert interval.high == pytest.approx(1.0 - mirror.low, abs=1e-12)
+            assert wilson_half_width(successes, trials, z) == pytest.approx(
+                interval.half_width, abs=1e-12
+            )
+            if previous is not None:
+                assert interval.low <= previous.low and previous.high <= interval.high
+            previous = interval
+
+
 class TestCoverage:
     def test_coverage_is_close_to_nominal(self):
         """Frequentist check of the interval implementation: 95% intervals
