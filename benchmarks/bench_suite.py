@@ -22,7 +22,14 @@ workload's ≥1× floor keeps whole-sweep fusion from losing to the
 per-point path — its ratio is the grid's requests one by one through
 ``Session.run_many`` vs the fused ``Session.sweep``; the
 throughput microbenchmark keeps its ≥10× guard).  Workloads without an engine path are
-reported for trajectory tracking but not gated.  Use ``--update-baseline``
+reported for trajectory tracking but not gated.
+
+A gated ratio is sampled as ``--repeats`` alternating (reference, engine)
+pairs, so both sides of each ratio run under the same host load, and the
+gate reads the median of the per-pair ratios.  Each sample repeats its
+pass back to back until it lasts at least :data:`MIN_SAMPLE_SECONDS`, as
+``timeit.Timer.autorange`` does, so a pass of a few milliseconds is timed
+over many runs instead of one.  Use ``--update-baseline``
 after an intentional performance change, and ``--profile`` to print each
 workload's top-10 cumulative cProfile hotspots after the timed passes.
 
@@ -385,6 +392,55 @@ def _profile_workload(
         print(f"[bench]   {line.rstrip()}")
 
 
+#: Least length of one timed sample, in seconds.
+MIN_SAMPLE_SECONDS = 0.1
+
+
+def _sample(fn: Callable[[], object], number: int) -> Tuple[float, object]:
+    """Seconds per run over ``number`` back-to-back runs of ``fn``, and the
+    last result."""
+    start = time.perf_counter()
+    for _ in range(number):
+        result = fn()
+    return (time.perf_counter() - start) / number, result
+
+
+def _runs_per_sample(fn: Callable[[], object]) -> int:
+    """The first of 1, 2, 5, 10, 20, 50, … back-to-back runs of ``fn`` that
+    last at least :data:`MIN_SAMPLE_SECONDS` (``timeit.Timer.autorange``'s
+    sequence); the calibration runs double as a warm-up."""
+    base = 1
+    while True:
+        for number in (base, 2 * base, 5 * base):
+            seconds, _ = _sample(fn, number)
+            if seconds * number >= MIN_SAMPLE_SECONDS:
+                return number
+        base *= 10
+
+
+def _paired_timed(
+    reference: Callable[[], object], engine: Callable[[], object], repeats: int
+) -> Tuple[float, float, float, object, object]:
+    """``repeats`` alternating (reference, engine) samples: the median
+    seconds per run of each side, the median of the per-pair ratios
+    (reference over engine), and each side's last result."""
+    numbers = _runs_per_sample(reference), _runs_per_sample(engine)
+    reference_times, engine_times, ratios = [], [], []
+    for _ in range(max(1, repeats)):
+        reference_seconds, reference_result = _sample(reference, numbers[0])
+        engine_seconds, engine_result = _sample(engine, numbers[1])
+        reference_times.append(reference_seconds)
+        engine_times.append(engine_seconds)
+        ratios.append(reference_seconds / engine_seconds)
+    return (
+        statistics.median(reference_times),
+        statistics.median(engine_times),
+        statistics.median(ratios),
+        reference_result,
+        engine_result,
+    )
+
+
 def _median_timed(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
     durations = []
     result = None
@@ -415,32 +471,27 @@ def run_suite(
         }
         if workload.sweep_grid is not None:
             # Fused-sweep workload: the gated ratio is per-point (run_many)
-            # vs fused (Session.sweep), both medianed.
+            # vs fused (Session.sweep), sampled in alternating pairs.
             record["sweep_grid"] = workload.sweep_grid
-            off_seconds, off_results = _median_timed(
-                lambda w=workload: w.run_sweep(fused=False), repeats
-            )
-            median_seconds, results = _median_timed(
-                lambda w=workload: w.run_sweep(fused=True), repeats
+            off_seconds, median_seconds, speedup, off_results, results = _paired_timed(
+                lambda w=workload: w.run_sweep(fused=False),
+                lambda w=workload: w.run_sweep(fused=True),
+                repeats,
             )
             record["off_seconds"] = round(off_seconds, 4)
             record["median_seconds"] = round(median_seconds, 4)
-            record["speedup_vs_off"] = round(off_seconds / median_seconds, 2)
+            record["speedup_vs_off"] = round(speedup, 2)
             verdicts = {result.verdict for result in off_results + results}
             record["matches_paper"] = verdicts == {"pass"}
         elif workload.engine_comparable:
-            # The reference pass is medianed like the engine pass: the gated
-            # metric is their ratio, so a single noisy off timing would put
-            # its full variance straight into the regression gate.
-            off_seconds, off_result = _median_timed(
-                lambda w=workload: w.run("off"), repeats
-            )
-            median_seconds, result = _median_timed(
-                lambda w=workload: w.run("auto"), repeats
+            # The gated metric is the off/auto ratio, so each ratio comes
+            # from one alternating pair, and the gate reads their median.
+            off_seconds, median_seconds, speedup, off_result, result = _paired_timed(
+                lambda w=workload: w.run("off"), lambda w=workload: w.run("auto"), repeats
             )
             record["off_seconds"] = round(off_seconds, 4)
             record["median_seconds"] = round(median_seconds, 4)
-            record["speedup_vs_off"] = round(off_seconds / median_seconds, 2)
+            record["speedup_vs_off"] = round(speedup, 2)
             verdicts = {getattr(off_result, "matches_paper", None),
                         getattr(result, "matches_paper", None)}
             record["matches_paper"] = False not in verdicts and None not in verdicts
@@ -571,7 +622,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed relative speedup regression (default: 0.30)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per engine run; the median is kept (default: 3)")
+                        help="alternating off/auto sample pairs per gated workload "
+                             "(timing repeats otherwise); medians are kept (default: 3)")
     parser.add_argument("--only", nargs="+", default=None,
                         help="run only the named workloads")
     parser.add_argument("--profile", action="store_true",

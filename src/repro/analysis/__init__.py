@@ -20,7 +20,7 @@ from repro.analysis.growth import (
     GROWTH_ORDER,
 )
 from repro.analysis.sweep import SweepResult
-from repro.analysis.tables import format_table, format_series
+from repro.analysis.tables import format_table
 
 __all__ = [
     "fraction_bad_nodes",
@@ -39,5 +39,4 @@ __all__ = [
     "GROWTH_ORDER",
     "SweepResult",
     "format_table",
-    "format_series",
 ]

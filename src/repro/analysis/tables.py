@@ -8,9 +8,9 @@ diff against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _format_value(value: object, precision: int) -> str:
@@ -64,18 +64,3 @@ def format_table(
     parts.extend([header, separator, body])
     return "\n".join(parts)
 
-
-def format_series(
-    xs: Iterable[object],
-    ys: Iterable[object],
-    x_name: str = "x",
-    y_name: str = "y",
-    precision: int = 4,
-    title: Optional[str] = None,
-) -> str:
-    """Render two parallel sequences as a two-column table."""
-    rows = [
-        {x_name: x, y_name: y}
-        for x, y in zip(list(xs), list(ys))
-    ]
-    return format_table(rows, columns=[x_name, y_name], precision=precision, title=title)

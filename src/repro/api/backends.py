@@ -3,12 +3,12 @@
 A backend receives **groups of request payloads** — lists of the
 JSON-shaped dicts produced by :meth:`repro.api.RunRequest.to_payload` — and
 yields :class:`~repro.harness.results.ExperimentResult` objects **in
-submission order**, flattened across groups.  A group of two or more
-payloads runs under one :func:`~repro.engine.fusion.fusion_scope` (the
-points of a fused sweep); a one-payload group runs plainly, which is how
-every ordinary request arrives.  The facade owns everything else (spec
-resolution, cache probes and writes, progress events); backends own only
-*where and how* the experiment functions execute:
+submission order**, flattened across groups.  Every group runs under one
+:func:`~repro.engine.fusion.fusion_scope`, so the construction memo spans
+one ordinary request (a one-payload group, which is how every request
+arrives) or the points of a fused sweep.  The facade owns everything else
+(spec resolution, cache probes and writes, progress events); backends own
+only *where and how* the experiment functions execute:
 
 :class:`InlineBackend`
     In the calling process, one group at a time, lazily — the default.
@@ -22,15 +22,15 @@ Because payloads are plain JSON-able dicts and the worker entry points
 (:func:`execute_payload` per request, :func:`execute_group_payload` per
 group) resolve experiments through the registry by id, any group can be
 shipped to another process without pickling closures.  The experiment
-service (:mod:`repro.service`) runs :func:`execute_payload` behind the
-:mod:`repro.api.wire` records.
+service (:mod:`repro.service`) runs :func:`execute_payload` per job behind
+the :mod:`repro.api.wire` records, outside any scope, so each of a job's
+estimators takes a memo of its own.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.engine.fusion import fusion_scope
@@ -68,16 +68,12 @@ def execute_payload(payload: Dict[str, object], registry=None) -> Dict[str, obje
 
 
 def execute_group_payload(payloads: Group, registry=None) -> List[Dict[str, object]]:
-    """Run one group's payloads in submission order; the entry point of
-    every backend (top-level, picklable).
-
-    A group of two or more shares one
-    :class:`~repro.engine.fusion.FusionContext`; a one-payload group skips
-    it — there is nothing to share, and the plain path is what a group is
-    bit-identical to anyway.
+    """Run one group's payloads in submission order under one
+    :class:`~repro.engine.fusion.FusionContext`; the entry point of every
+    backend (top-level, picklable).  The memo only shares work, so a group
+    is bit-identical to its payloads run one by one.
     """
-    scope = fusion_scope(points=len(payloads)) if len(payloads) > 1 else nullcontext()
-    with scope:
+    with fusion_scope(points=len(payloads)):
         return [execute_payload(payload, registry) for payload in payloads]
 
 

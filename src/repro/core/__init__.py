@@ -75,7 +75,6 @@ from repro.core.derandomization import (
     nu_connected,
     mu_from_guarantee,
     diameter_requirement,
-    beta_from_algorithm_count,
     find_hard_instances,
     amplification_disjoint_union,
     amplification_glued,
@@ -122,7 +121,6 @@ __all__ = [
     "nu_connected",
     "mu_from_guarantee",
     "diameter_requirement",
-    "beta_from_algorithm_count",
     "find_hard_instances",
     "amplification_disjoint_union",
     "amplification_glued",

@@ -207,28 +207,6 @@ class DecisionOutcome:
     def rejecting_nodes(self) -> List[Hashable]:
         return [node for node, vote in self.votes.items() if not vote]
 
-    def accepted_far_from(
-        self, configuration: Configuration, node: Hashable, distance: int
-    ) -> bool:
-        """Whether every node at distance **greater than** ``distance`` from
-        ``node`` accepted — the "accepts far from u" event of Claim 4."""
-        distances = configuration.network.distances_from(node)
-        for other, vote in self.votes.items():
-            if distances.get(other, math.inf) > distance and not vote:
-                return False
-        return True
-
-    def rejecting_nodes_within(
-        self, configuration: Configuration, node: Hashable, distance: int
-    ) -> List[Hashable]:
-        """Rejecting nodes at distance at most ``distance`` from ``node``
-        (the set ``Reject(u, σ')`` of Claim 4)."""
-        distances = configuration.network.distances_from(node, cutoff=distance)
-        return [
-            other
-            for other in self.rejecting_nodes()
-            if other in distances
-        ]
 
 
 class _DeciderBallAlgorithm(BallAlgorithm):
@@ -625,16 +603,6 @@ class GuaranteeEstimate:
         if not self.per_configuration:
             return float("nan")
         return min(rate for (_member, rate, _hw) in self.per_configuration.values())
-
-    @property
-    def worst_member_rate(self) -> float:
-        rates = [r for (member, r, _hw) in self.per_configuration.values() if member]
-        return min(rates) if rates else float("nan")
-
-    @property
-    def worst_non_member_rate(self) -> float:
-        rates = [r for (member, r, _hw) in self.per_configuration.values() if not member]
-        return min(rates) if rates else float("nan")
 
 
 def estimate_guarantee(

@@ -5,16 +5,14 @@ Monte-Carlo constructor ``C`` (success probability ``r``) for a language
 ``L ∈ BPLD`` (decider ``D`` with guarantee ``p``) and assuming no ``t``-round
 deterministic constructor exists, it
 
-1. counts the finite family of order-invariant algorithms and sets
-   ``β = 1/N`` (Claim 2) — :func:`beta_from_algorithm_count`;
-2. collects hard instances ``(H_i, x_i, id_i)`` on which ``C`` fails with
+1. collects hard instances ``(H_i, x_i, id_i)`` on which ``C`` fails with
    probability ≥ β, with pairwise-disjoint identity ranges and arbitrarily
    large diameters — :func:`find_hard_instances`;
-3. amplifies the failure: on the disjoint union of ``ν`` hard instances
+2. amplifies the failure: on the disjoint union of ``ν`` hard instances
    (Claim 3), ``Pr[D accepts C(G)] ≤ (1 − βp)^ν``, which drops below ``r·p``
    for the ``ν`` of Eq. (3) — :func:`nu_disconnected`,
    :func:`amplification_disjoint_union`;
-4. for the connected case, chooses in each ``H_i`` an anchor ``u_i`` whose
+3. for the connected case, chooses in each ``H_i`` an anchor ``u_i`` whose
    *far* acceptance probability is at most ``1 − β(1−p)/μ`` (Claims 4 and 5,
    with ``μ = ⌈1/(2p−1)⌉``) — :func:`far_acceptance_probability`,
    :func:`choose_anchor` — and glues the instances through doubly-subdivided
@@ -27,17 +25,20 @@ concludes the proof.  Experiments E6 and E9 execute steps 3–4 numerically on
 a toy language with a deliberately faulty constructor and verify the decay
 the proof predicts.
 
-Every estimate here reads one success stream: the hard-instance screening
-reads the constructor's (shared with
+Every estimate here reads one stream: the hard-instance screening reads
+the constructor's success stream (shared with
 :func:`~repro.core.construction.estimate_success_probability`), and
-:func:`far_acceptance_probability` and :func:`choose_anchor` read one
-far-acceptance stream that counts every candidate anchor in one pass.
+:func:`far_acceptance_probability`, :func:`choose_anchor` and both
+amplification reports read one construct→decide stream, which counts per
+node mask the trials in which every masked node accepted (one mask per
+candidate anchor's far nodes, or all nodes) and, for the amplification
+runs, the trials whose configuration belongs to the language.
 :func:`~repro.engine.adapters.engine_or_reference` builds each stream from
-the construction engine when the constructor compiles (and, for far
-acceptance and the amplification runs, the decider fuses onto it), from
-the reference per-trial loop otherwise, and :func:`repro.stats.run_estimate`
-runs it.  There is no third path: a decider that does not fuse runs the
-whole estimate on the reference loop.
+the construction engine when the constructor compiles (and, for the
+construct→decide stream, the decider fuses onto it), from the reference
+per-trial loop otherwise, and :func:`repro.stats.run_estimate` runs it.
+There is no third path: a decider that does not fuse runs the whole
+estimate on the reference loop.
 """
 
 from __future__ import annotations
@@ -46,15 +47,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.construction import Constructor, _success_stream
 from repro.core.decision import Decider
 from repro.core.languages import DistributedLanguage
 from repro.engine.adapters import engine_or_reference
-from repro.engine.construct import (
-    batched_acceptance_and_membership,
-    far_acceptance_stream,
-    resolve_construction_engine,
-)
+from repro.engine.construct import construct_decide_stream, resolve_construction_engine
 from repro.stats import PrecisionTarget, run_estimate
 from repro.graphs.operations import GlueResult, disjoint_union, glue_instances
 from repro.local.network import Network
@@ -62,7 +61,6 @@ from repro.local.randomness import TapeFactory
 
 __all__ = [
     "DerandomizationParameters",
-    "beta_from_algorithm_count",
     "mu_from_guarantee",
     "diameter_requirement",
     "nu_disconnected",
@@ -80,14 +78,6 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # The numeric parameters of the proof
 # --------------------------------------------------------------------------- #
-def beta_from_algorithm_count(n_algorithms: int) -> float:
-    """``β = 1/N`` where ``N`` is the number of order-invariant algorithms
-    (Claim 2)."""
-    if n_algorithms < 1:
-        raise ValueError("there must be at least one order-invariant algorithm")
-    return 1.0 / float(n_algorithms)
-
-
 def mu_from_guarantee(p: float) -> int:
     """``μ = ⌈1 / (2p − 1)⌉`` — the number of pairwise-far candidate anchors
     examined in each hard instance (Claim 4).
@@ -302,60 +292,86 @@ def far_acceptance_probability(
     trials reports exactly the fixed ``k``-trial estimate.
     """
     target = PrecisionTarget.coerce(precision, default_cap=trials)
-    draw = _far_acceptance_stream(constructor, decider, network, [node], distance, seed, engine)
-    return run_estimate(lambda count: draw(count)[0], trials, target).estimate
+    masks = _far_masks(network, [node], distance)
+    draw = _construct_decide_stream(
+        constructor, decider, network, masks, None, seed, "far", engine
+    )
+    return run_estimate(lambda count: draw(count)[0][0], trials, target).estimate
 
 
-def _far_acceptance_stream(
+def _far_masks(
+    network: Network, candidates: Sequence[Hashable], distance: int
+) -> List[np.ndarray]:
+    """Per candidate ``u``, the mask over ``network.nodes()`` of the nodes at
+    distance greater than ``distance`` from ``u`` — the nodes whose votes
+    the "accepts far from u" event of Claim 4 reads.  A node ``u`` cannot
+    reach counts as far; ``u`` itself (distance 0) never does."""
+    nodes = network.nodes()
+    return [
+        np.array([distances.get(node, math.inf) > distance for node in nodes], dtype=bool)
+        for distances in map(network.distances_from, candidates)
+    ]
+
+
+def _construct_decide_stream(
     constructor: Constructor,
     decider: Decider,
     network: Network,
-    candidates: Sequence[Hashable],
-    distance: int,
+    masks: Sequence[np.ndarray],
+    language: Optional[DistributedLanguage],
     seed: int,
+    salt: str,
     engine: str,
-) -> Callable[[int], List[int]]:
-    """The far-acceptance stream of every candidate anchor at once.
+) -> Callable[[int], Tuple[List[int], int]]:
+    """The construct→decide stream of far acceptance, anchor choice and
+    amplification.
 
-    ``draw(count)`` runs the next ``count`` construct→decide trials and
-    returns, per candidate, how many accepted far from it.  The coins do
-    not depend on the candidate, so each trial is constructed and decided
-    once for all of them.  The fused engine pass builds the stream when the
-    constructor compiles and the decider fuses, the reference loop
-    otherwise (see :func:`~repro.engine.adapters.engine_or_reference`).
+    ``draw(count)`` runs the next ``count`` trials — trial ``t`` constructs
+    from ``TapeFactory(seed, f"{salt}/construct", trial=t)`` and decides
+    from ``TapeFactory(seed, f"{salt}/decide", trial=t)`` — and returns
+    ``(accepted, members)``: per node mask (over ``network.nodes()``), how
+    many trials every masked node accepted in, and how many configurations
+    belong to ``language`` (0 without one).  The coins do not depend on the
+    mask, so each trial is constructed and decided once for all of them.
+    The fused engine pass builds the stream when the constructor compiles
+    and the decider fuses, the reference loop otherwise (see
+    :func:`~repro.engine.adapters.engine_or_reference`).
     """
+    construct_salt, decide_salt = f"{salt}/construct", f"{salt}/decide"
 
-    def from_reference() -> Callable[[int], List[int]]:
+    def from_reference() -> Callable[[int], Tuple[List[int], int]]:
+        nodes = network.nodes()
+        masked = [[node for node, inside in zip(nodes, mask) if inside] for mask in masks]
         offset = 0
 
-        def draw(count: int) -> List[int]:
+        def draw(count: int) -> Tuple[List[int], int]:
             nonlocal offset
-            counts = [0] * len(candidates)
+            accepted, members = [0] * len(masks), 0
             for trial in range(offset, offset + count):
-                c_factory = TapeFactory(seed, salt="far/construct", trial=trial)
-                d_factory = TapeFactory(seed, salt="far/decide", trial=trial)
+                c_factory = TapeFactory(seed, salt=construct_salt, trial=trial)
+                d_factory = TapeFactory(seed, salt=decide_salt, trial=trial)
                 configuration = constructor.configuration(network, tape_factory=c_factory)
-                outcome = decider.decide(configuration, tape_factory=d_factory)
-                for position, node in enumerate(candidates):
-                    counts[position] += int(
-                        outcome.accepted_far_from(configuration, node, distance)
-                    )
+                votes = decider.decide(configuration, tape_factory=d_factory).votes
+                for position, voters in enumerate(masked):
+                    accepted[position] += all(votes[node] for node in voters)
+                if language is not None:
+                    members += int(language.contains(configuration))
             offset += count
-            return counts
+            return accepted, members
 
         return draw
 
     return engine_or_reference(
         resolve_construction_engine(engine, constructor),
-        lambda: far_acceptance_stream(
+        lambda: construct_decide_stream(
             constructor,
             decider,
             network,
-            candidates,
-            distance,
+            masks,
+            language,
             seed=seed,
-            construct_salt="far/construct",
-            decide_salt="far/decide",
+            construct_salt=construct_salt,
+            decide_salt=decide_salt,
         ),
         from_reference,
     )
@@ -392,10 +408,11 @@ def choose_anchor(
         raise ValueError("choose_anchor needs at least one candidate node")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    draw = _far_acceptance_stream(
-        constructor, decider, network, candidates, distance, seed, engine
+    masks = _far_masks(network, candidates, distance)
+    draw = _construct_decide_stream(
+        constructor, decider, network, masks, None, seed, "far", engine
     )
-    probabilities = [count / trials for count in draw(trials)]
+    probabilities = [count / trials for count in draw(trials)[0]]
     best = min(range(len(candidates)), key=probabilities.__getitem__)
     return candidates[best], probabilities[best]
 
@@ -456,32 +473,12 @@ def _estimate_acceptance_and_membership(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-
-    def from_reference() -> Tuple[float, float]:
-        accepted = 0
-        member = 0
-        for trial in range(trials):
-            c_factory = TapeFactory(seed, salt="amp/construct", trial=trial)
-            d_factory = TapeFactory(seed, salt="amp/decide", trial=trial)
-            configuration = constructor.configuration(network, tape_factory=c_factory)
-            member += int(language.contains(configuration))
-            accepted += int(decider.decide(configuration, tape_factory=d_factory).accepted)
-        return accepted / trials, member / trials
-
-    return engine_or_reference(
-        resolve_construction_engine(engine, constructor),
-        lambda: batched_acceptance_and_membership(
-            constructor,
-            decider,
-            language,
-            network,
-            trials,
-            seed=seed,
-            construct_salt="amp/construct",
-            decide_salt="amp/decide",
-        ),
-        from_reference,
+    everyone = [np.ones(network.number_of_nodes(), dtype=bool)]
+    draw = _construct_decide_stream(
+        constructor, decider, network, everyone, language, seed, "amp", engine
     )
+    (accepted,), members = draw(trials)
+    return accepted / trials, members / trials
 
 
 def amplification_disjoint_union(

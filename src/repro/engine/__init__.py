@@ -26,9 +26,9 @@ Layers
   constructors (``output_program(ball)`` contract) into vectorized per-node
   draw programs producing the ``trials × nodes`` output matrix in one pass,
   lowers language membership to array form, and fuses radius-0 single-coin
-  deciders on top, so the derandomization estimators (the success and
-  far-acceptance streams, the Claim 3/Theorem 1 amplification runs) need no
-  per-trial Python;
+  deciders on top, so the derandomization estimators (the success stream
+  and the construct→decide stream of far acceptance and the Claim
+  3/Theorem 1 amplification runs) need no per-trial Python;
 * :mod:`repro.engine.parallel` — ``imap``, the submission-ordered
   process-pool fan-out behind the ``process-pool`` backend, and
   :func:`point_seed`, the deterministic per-point sweep seed;

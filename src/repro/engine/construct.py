@@ -16,8 +16,8 @@ that per-trial Python out:
   interpreting the program against a fresh tape
   (:func:`evaluate_output_expr`) is observationally identical to
   ``algorithm.compute(ball, tape)`` — same output, same draws consumed.
-* :func:`compile_construction` walks the network **once** (once per fused
-  sweep group), extracts each node's ball, lowers each distinct program,
+* :func:`compile_construction` walks the network **once** (once per
+  memo), extracts each node's ball, lowers each distinct program,
   interns the output alphabet, and freezes the per-node programs into NumPy
   form; :func:`construction_matrix` then produces the ``trials × nodes``
   matrix of output codes in one pass, computing the reference streams
@@ -36,12 +36,15 @@ that per-trial Python out:
   (construct → membership → decide) needs no per-trial Python at all.  A
   decider that does not fuse runs the whole estimate on the reference loop
   (counted as ``engine.fallback.declined``, see :mod:`repro.engine.adapters`).
-* :func:`success_stream` and :func:`far_acceptance_stream` are the engine
-  forms of the derandomization estimators' success streams: ``draw(count)``
-  runs the next ``count`` trials.  Each draw reads its trial window
-  ``[start, start+count)`` from the ambient fusion memo (the suffix of the
-  shared ``start+count``-trial matrix) or from a :class:`ConstructionStream`
-  started at ``start``; a fixed run is the window at ``start = 0``.
+* :func:`success_stream` and :func:`construct_decide_stream` are the engine
+  forms of the constructor estimators' streams (:func:`batched_bad_counts`
+  serves E2's bad-fraction probe): ``draw(count)`` runs the next ``count``
+  trials.  Each takes its compile, code windows, bad counts and membership
+  from the installed :class:`~repro.engine.fusion.FusionContext`, or from a
+  fresh one outside any scope; a draw reads its trial window
+  ``[start, start+count)`` as the suffix of the memo's
+  ``start+count``-trial matrix, and a fixed run is the window at
+  ``start = 0``.
 
 Exactness contract (shared with the reference loops)
 ----------------------------------------------------
@@ -119,8 +122,7 @@ __all__ = [
     "compile_fused_decision",
     "success_stream",
     "batched_bad_counts",
-    "batched_acceptance_and_membership",
-    "far_acceptance_stream",
+    "construct_decide_stream",
     "ConstructionStream",
 ]
 
@@ -401,14 +403,11 @@ def compile_construction(constructor: object, network: "Network") -> CompiledCon
     programs.  Raises ``TypeError`` for constructors without the
     ``output_program`` contract and :class:`ConstructionCompilationError`
     for programs beyond the engine's shape (non-hashable values, alphabets
-    larger than :data:`MAX_OUTPUT_VALUES`).  Inside a fused sweep group the
-    ambient :class:`~repro.engine.fusion.FusionContext` serves a pair it
-    has compiled before.
+    larger than :data:`MAX_OUTPUT_VALUES`).  The installed
+    :class:`~repro.engine.fusion.FusionContext` (one per ``Session``
+    request or sweep group) serves a pair it has compiled before.
     """
-    context = _active_fusion()
-    if context is not None:
-        return context.compiled_construction(constructor, network, _compile_checked)
-    return _compile_checked(constructor, network)
+    return _fusion().compiled_construction(constructor, network, _compile_checked)
 
 
 def _compile_checked(constructor: object, network: "Network") -> CompiledConstruction:
@@ -699,10 +698,10 @@ class FusedDecision:
         The returned callable maps the ``(count, nodes)`` code block of the
         next ``count`` trials to their votes, so successive calls over any
         chunking of a code matrix equal one :meth:`vote_row_exact` call on
-        the whole matrix.  No estimator calls it (the far-acceptance stream
-        passes its window's first trial to :meth:`vote_row_exact`); it stays
-        only because the benchmark's instrumentation wraps this method by
-        name.
+        the whole matrix.  No estimator calls it (the construct→decide
+        stream passes its window's first trial to :meth:`vote_row_exact`);
+        it stays only because the benchmark's instrumentation wraps this
+        method by name.
         """
         offset = 0
 
@@ -771,58 +770,14 @@ def compile_fused_decision(
 # --------------------------------------------------------------------------- #
 # Batched counterparts of the derandomization estimators
 # --------------------------------------------------------------------------- #
-def _active_fusion():
-    """The ambient :class:`repro.engine.fusion.FusionContext`, if any.
+def _fusion():
+    """The installed :class:`repro.engine.fusion.FusionContext`, or a fresh
+    one for an estimator called outside any scope.
 
-    Lazy import: :mod:`repro.engine.fusion` imports this module, and the
-    ambient context only exists inside a fused sweep group, so stand-alone
-    estimator calls pay one ContextVar read."""
-    from repro.engine.fusion import active_fusion
+    Lazy import: :mod:`repro.engine.fusion` imports this module."""
+    from repro.engine.fusion import FusionContext, active_fusion
 
-    return active_fusion()
-
-
-def _window_codes(
-    compiled: CompiledConstruction,
-    start: int,
-    count: int,
-    seed: int,
-    salt: object,
-) -> np.ndarray:
-    """The code matrix of trials ``start .. start+count-1``.
-
-    Inside a fused sweep group it is ``prefix[start:]`` of the shared
-    ``start+count``-trial matrix (bit-identical by the context's exactness
-    contract); otherwise, and when the request bypasses fusion, a
-    :class:`ConstructionStream` started at ``start`` samples it.  A fixed
-    run reads the window at ``start = 0``.
-    """
-    context = _active_fusion()
-    if context is not None:
-        codes = context.codes_for(compiled, start + count, seed, salt)
-        if codes is not None:
-            return codes[start:]
-    return ConstructionStream(compiled, seed=seed, salt=salt, offset=start).sample(count)
-
-
-def _window_members(
-    language: "DistributedLanguage",
-    compiled: CompiledConstruction,
-    start: int,
-    count: int,
-    seed: int,
-    salt: object,
-) -> np.ndarray:
-    """Per-trial membership of trials ``start .. start+count-1``, served like
-    :func:`_window_codes` (the fusion memo shares the membership vector
-    too)."""
-    context = _active_fusion()
-    if context is not None:
-        members = context.member_vector_for(compiled, language, start + count, seed, salt)
-        if members is not None:
-            return members[start:]
-    stream = ConstructionStream(compiled, seed=seed, salt=salt, offset=start)
-    return _member_vector(language, compiled, stream.sample(count))
+    return active_fusion() or FusionContext()
 
 
 def success_stream(
@@ -842,19 +797,19 @@ def success_stream(
     ``constant`` is the membership of a construction with no random
     outputs, ``None`` otherwise.
     """
+    context = _fusion()
     compiled = compile_construction(constructor, network)
     offset = 0
 
     def draw(count: int) -> int:
         nonlocal offset
         start, offset = offset, offset + count
-        members = _window_members(language, compiled, start, count, seed, salt)
-        return int(np.count_nonzero(members))
+        members = context.member_vector_for(compiled, language, offset, seed, salt)
+        return int(np.count_nonzero(members[start:]))
 
     constant = None
     if len(compiled.random_index) == 0:
-        codes = compiled.constant_codes[None, :]
-        constant = bool(_member_vector(language, compiled, codes)[0])
+        constant = bool(context.member_vector_for(compiled, language, 1, seed, salt)[0])
     return draw, constant
 
 
@@ -872,78 +827,55 @@ def batched_bad_counts(
 
     Computes the ``TapeFactory(seed, salt, trial=t)`` streams bit for bit.
     Returns ``None`` when the language's membership cannot be lowered
-    (callers keep their reference loop).  Inside a fused sweep group the
-    matrix and the counts are served from the shared context."""
+    (callers keep their reference loop)."""
+    context = _fusion()
     compiled = compile_construction(constructor, network)
-    context = _active_fusion()
-    if context is not None:
-        counts = context.bad_counts_for(compiled, language, trials, seed, salt)
-        if counts is not None:
-            return counts
-    membership = compile_membership(language, compiled)
-    if membership is None:
-        return None
-    codes = construction_matrix(compiled, trials, seed=seed, salt=salt)
-    return membership.bad_counts(codes)
+    return context.bad_counts_for(compiled, language, trials, seed, salt)
 
 
-def _member_vector(
-    language: "DistributedLanguage", compiled: CompiledConstruction, codes: np.ndarray
-) -> np.ndarray:
-    """Per-trial membership, lowered when possible and decoded otherwise.
-
-    Membership is a deterministic function of the outputs, so the decoded
-    fallback is bit-identical to the lowered evaluation — just slower (it
-    still benefits from the batched construction side).
-    """
-    membership = compile_membership(language, compiled)
-    if membership is not None:
-        return membership.member_vector(codes)
-    from repro.core.languages import Configuration
-
-    return np.array(
-        [
-            language.contains(Configuration(compiled.network, compiled.decode_row(row)))
-            for row in codes
-        ],
-        dtype=bool,
-    )
-
-
-def batched_acceptance_and_membership(
+def construct_decide_stream(
     constructor: object,
     decider: "Decider",
-    language: "DistributedLanguage",
     network: "Network",
-    trials: int,
+    masks: Sequence[np.ndarray],
+    language: Optional["DistributedLanguage"],
     seed: int,
     construct_salt: object,
     decide_salt: object,
-) -> Optional[Tuple[float, float]]:
-    """Fused engine counterpart of the amplification estimator
-    :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
+) -> Optional[Callable[[int], Tuple[List[int], int]]]:
+    """Engine form of the construct→decide stream of
+    :mod:`repro.core.derandomization` (far acceptance, anchor choice and
+    the Claim 3/Theorem 1 amplification runs).
 
-    Returns ``(acceptance, membership)`` or ``None`` when decider fusion is
-    unavailable (the caller then runs the reference loop).
-    Computes the reference streams ``TapeFactory(seed,
-    construct_salt/decide_salt, trial=t)`` bit for bit.
+    ``draw(count)`` runs the next ``count`` fused construct→decide trials
+    and returns ``(accepted, members)``: per node mask (a boolean vector
+    over ``network.nodes()``), how many trials every masked node accepted
+    in, and how many constructed configurations belong to ``language``
+    (0 without one).  It computes the ``TapeFactory(seed,
+    construct_salt/decide_salt, trial=t)`` streams bit for bit; the coins
+    do not depend on the mask, so one vote matrix serves every mask.
+    Returns ``None`` when decider fusion is unavailable.
     """
+    context = _fusion()
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
     if fused is None:
         return None
-    context = _active_fusion()
-    members = None
-    if context is not None:
-        members = context.member_vector_for(compiled, language, trials, seed, construct_salt)
-    codes = _window_codes(compiled, 0, trials, seed, construct_salt)
-    if members is None:
-        members = _member_vector(language, compiled, codes)
-    accepted = fused.vote_row_exact(codes, seed, decide_salt).all(axis=1)
-    return (
-        float(np.count_nonzero(accepted)) / trials,
-        float(np.count_nonzero(members)) / trials,
-    )
+    offset = 0
+
+    def draw(count: int) -> Tuple[List[int], int]:
+        nonlocal offset
+        start, offset = offset, offset + count
+        codes = context.codes_for(compiled, offset, seed, construct_salt)[start:]
+        votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
+        accepted = [int(np.count_nonzero(votes[:, mask].all(axis=1))) for mask in masks]
+        members = 0
+        if language is not None:
+            vector = context.member_vector_for(compiled, language, offset, seed, construct_salt)
+            members = int(np.count_nonzero(vector[start:]))
+        return accepted, members
+
+    return draw
 
 
 class ConstructionStream:
@@ -1007,49 +939,3 @@ class ConstructionStream:
                         uniforms[:, columns]
                     )
             return codes
-
-
-def far_acceptance_stream(
-    constructor: object,
-    decider: "Decider",
-    network: "Network",
-    candidates: Sequence[Hashable],
-    distance: int,
-    seed: int,
-    construct_salt: object,
-    decide_salt: object,
-) -> Optional[Callable[[int], List[int]]]:
-    """Engine form of the far-acceptance stream of
-    :func:`repro.core.derandomization.far_acceptance_probability` and
-    :func:`~repro.core.derandomization.choose_anchor`, for *all* candidate
-    anchors at once.
-
-    ``draw(count)`` runs the next ``count`` fused construct→decide trials
-    and returns, per candidate, how many accepted far from it (every node at
-    distance greater than ``distance`` voted true), computing the
-    ``TapeFactory(seed, construct_salt/decide_salt, trial=t)`` streams bit
-    for bit.  The coins do not depend on the candidate, so one vote matrix
-    serves every candidate; only the far-node mask changes.  Returns
-    ``None`` when decider fusion is unavailable.
-    """
-    compiled = compile_construction(constructor, network)
-    fused = compile_fused_decision(decider, compiled)
-    if fused is None:
-        return None
-    masks = [
-        np.array([distances.get(node, np.inf) > distance for node in compiled.nodes], dtype=bool)
-        for distances in map(network.distances_from, candidates)
-    ]
-    offset = 0
-
-    def draw(count: int) -> List[int]:
-        nonlocal offset
-        start, offset = offset, offset + count
-        codes = _window_codes(compiled, start, count, seed, construct_salt)
-        votes = fused.vote_row_exact(codes, seed, decide_salt, trial=start)
-        return [
-            int(np.count_nonzero(votes[:, far].all(axis=1))) if far.any() else count
-            for far in masks
-        ]
-
-    return draw

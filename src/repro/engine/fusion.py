@@ -1,30 +1,32 @@
-"""Whole-sweep fusion: share construction-engine work across a sweep's points.
+"""The construction memo: share construction-engine work within a group.
 
-Grid sweeps over decider parameters (E2's ε grid, E8's f grid) re-run the
-same randomized construction once per point: every point compiles the same
-``(constructor, network)`` pair and samples the same ``trials × nodes`` code
-matrix before lowering its *own* membership / decision program against it.
-This module factors that sharing out:
+Every group a backend runs — one ``Session`` request, or the points of a
+fused sweep (E2's ε grid, E8's f grid) — runs under one memo, and the
+estimators of :mod:`repro.engine.construct` take every compile, code
+window, bad count and membership vector from it.  A request's own estimates
+share it (E2's bad-fraction probe and its ε rows compile and sample one
+construction per size), and a sweep's points share it across the group:
 
-* :class:`FusionContext` — a per-group memo of compiled constructions
-  (keyed by ``(constructor, network)`` under ordinary equality),
-  construction matrices and base-language bad-count vectors, the last two
-  keyed by **content** (``CompiledConstruction.content_key`` plus seed and
-  salt — exactly the inputs
-  :func:`~repro.engine.construct.construction_matrix` is a deterministic
-  function of), never by object identity.  Matrices grow via a
-  retained :class:`~repro.engine.construct.ConstructionStream`, so a point
-  needing more trials than a previous one extends the cached matrix and a
-  point needing fewer is served a prefix — both bit-identical to a fresh
-  one-shot matrix by the stream's chunk-invariance contract.  Retained bytes
-  are bounded by :data:`~repro.engine.executor.WORKING_SET_BYTES` (LRU
-  eviction; requests whose matrix alone would bust the bound bypass
-  retention entirely and fall back to the per-point path).
-* :func:`fusion_scope` / :func:`active_fusion` — the ambient context,
-  carried in a :class:`contextvars.ContextVar` like the telemetry recorder:
-  the batched estimators in :mod:`repro.engine.construct` consult
-  :func:`active_fusion` and fall back to their stand-alone path when no
-  context is installed, so nothing changes outside a fused sweep.
+* :class:`FusionContext` — the memo of compiled constructions (keyed by
+  ``(constructor, network)`` under ordinary equality), construction
+  matrices and base-language bad-count vectors, the last two keyed by
+  **content** (``CompiledConstruction.content_key`` plus seed and salt —
+  exactly the inputs :func:`~repro.engine.construct.construction_matrix`
+  is a deterministic function of), never by object identity.  Matrices
+  grow via a retained :class:`~repro.engine.construct.ConstructionStream`,
+  so a request needing more trials than a previous one extends the cached
+  matrix and a request needing fewer is served a prefix — both
+  bit-identical to a fresh one-shot matrix by the stream's
+  chunk-invariance contract.  Retained bytes are bounded by
+  :data:`~repro.engine.executor.WORKING_SET_BYTES` (LRU eviction).  A
+  request whose matrix alone would bust the bound, or whose salt is
+  unhashable, is sampled one-shot inside the context and not retained.
+* :func:`fusion_scope` / :func:`active_fusion` — the installed context,
+  carried in a :class:`contextvars.ContextVar` like the telemetry recorder.
+  :func:`repro.api.backends.execute_group_payload` installs one per group;
+  an estimator called outside any scope (a library call, or a service job
+  through :func:`~repro.api.backends.execute_payload`) takes a fresh
+  context of its own, so there is one path either way.
 * :class:`FusedSweepPlan` — groups a sweep's requests by the coarse
   construction cache key ``(experiment, preset, engine, seed)``.  Grouping
   is a *sharing heuristic*, not a correctness boundary: the memo keys above
@@ -33,14 +35,14 @@ This module factors that sharing out:
   selector, runs with ``engine="off"``, or derives a per-point seed land in
   singleton groups — the "fusion is inexpressible" fallback.
 
-Exactness contract: a fused sweep is **bit-identical** to the per-point
-path.  Every served matrix equals the one-shot ``construction_matrix`` call
+Exactness contract: a memo-served estimate is **bit-identical** to a fresh
+one.  Every served matrix equals the one-shot ``construction_matrix`` call
 it replaces (same compiled content, seed, salt; prefix/extension
 equality by chunk invariance), and every shared bad-count vector equals the
-point's own ``MembershipProgram.bad_counts`` on that matrix (the counter is
-a deterministic function of the base language, the network, and the codes —
-the memo key carries all three, using the content-based ``Network``
-equality).  Only work is shared, never randomness: points with different
+request's own ``MembershipProgram.bad_counts`` on that matrix (the counter
+is a deterministic function of the base language, the network, and the
+codes — the memo key carries all three, using the content-based ``Network``
+equality).  Only work is shared, never randomness: requests with different
 seeds never share an entry.
 """
 
@@ -56,7 +58,9 @@ import numpy as np
 from repro.engine.construct import (
     CompiledConstruction,
     ConstructionStream,
+    MembershipProgram,
     compile_membership,
+    construction_matrix,
 )
 from repro.engine.executor import WORKING_SET_BYTES
 from repro.obs import get_recorder
@@ -101,24 +105,23 @@ class _MatrixEntry:
 
 
 class FusionContext:
-    """The per-group construction memo of a fused sweep.
+    """The construction memo of one group's execution.
 
-    A context is confined to one fusion group's execution (one thread in the
-    inline backend, one worker process in the pool backend) — it is never
-    shared live across threads or processes, mirroring the recorder's
-    discipline."""
+    A context is confined to one group's execution (one thread in the
+    inline backend, one worker process in the pool backend), or to the one
+    estimator that made it outside any scope — it is never shared live
+    across threads or processes, mirroring the recorder's discipline.
+    ``retained_bytes`` is the running total of the retained matrices and
+    count vectors."""
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, _MatrixEntry]" = OrderedDict()  # loop-confined
-        self._compiled: Dict[Hashable, CompiledConstruction] = {}
+        self._compiled: List[Tuple[object, "Network", CompiledConstruction]] = []
         self.hits = 0
         self.misses = 0
+        self.retained_bytes = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def retained_bytes(self) -> int:
-        return sum(entry.nbytes for entry in self._entries.values())
-
     def _hit(self) -> None:
         self.hits += 1
         get_recorder().counter("engine.fuse_hits")
@@ -131,16 +134,15 @@ class FusionContext:
     def compiled_construction(
         self, constructor: object, network: "Network", build: Callable
     ) -> CompiledConstruction:
-        """``build(constructor, network)``, once per group for pairs equal
+        """``build(constructor, network)``, once per context for pairs equal
         under ordinary equality (a constructor without value equality
-        matches only itself); an unhashable pair builds every time."""
-        key = (constructor, network)
-        try:
-            compiled = self._compiled.get(key)
-        except TypeError:
-            return build(constructor, network)
-        if compiled is None:
-            compiled = self._compiled[key] = build(constructor, network)
+        matches only itself).  A scan, not a hash lookup: the first compile
+        of a fresh context hashes no network content."""
+        for known, known_network, compiled in self._compiled:
+            if known == constructor and known_network == network:
+                return compiled
+        compiled = build(constructor, network)
+        self._compiled.append((constructor, network, compiled))
         return compiled
 
     def _entry(
@@ -152,19 +154,15 @@ class FusionContext:
     ) -> Optional[_MatrixEntry]:
         """The retained entry for one matrix request, or ``None`` when the
         request cannot (hashability) or should not (size) be retained."""
-        if trials < 1:
-            return None
-        # A matrix that alone busts the byte bound is never retained: the
-        # caller falls back to the one-shot path, whose transient working
-        # set is chunk-bounded exactly like before fusion existed.
-        if trials * max(compiled.n_nodes, 1) * 4 > WORKING_SET_BYTES:
+        # A matrix that alone busts the byte bound is never retained: it is
+        # sampled one-shot, whose transient working set is chunk-bounded.
+        if trials < 1 or trials * max(compiled.n_nodes, 1) * 4 > WORKING_SET_BYTES:
             return None
         try:
             key = (compiled.content_key, int(seed_base), salt)
-            hash(key)
+            entry = self._entries.get(key)
         except TypeError:
             return None
-        entry = self._entries.get(key)
         if entry is None:
             entry = self._entries[key] = _MatrixEntry(
                 ConstructionStream(compiled, seed=int(seed_base), salt=salt)
@@ -172,25 +170,38 @@ class FusionContext:
         self._entries.move_to_end(key)
         return entry
 
-    def _grow(self, entry: _MatrixEntry, trials: int) -> np.ndarray:
+    def _codes(
+        self,
+        entry: Optional[_MatrixEntry],
+        compiled: CompiledConstruction,
+        trials: int,
+        seed_base: int,
+        salt: object,
+    ) -> np.ndarray:
         """The first ``trials`` rows of the entry's matrix, sampling the
         missing suffix (chunk-invariant, so prefixes and extensions are both
-        bit-identical to a one-shot matrix)."""
+        bit-identical to a one-shot matrix); without an entry, the one-shot
+        matrix itself, not retained."""
+        if entry is None:
+            return construction_matrix(compiled, trials, seed=seed_base, salt=salt)
         have = entry.trials
         if trials > have:
             fresh = entry.stream.sample(trials - have)
             entry.codes = fresh if entry.codes is None else np.concatenate([entry.codes, fresh])
             self._miss()
-            self._evict()
+            self._retain(fresh.nbytes)
         else:
             self._hit()
         assert entry.codes is not None
         return entry.codes[:trials]
 
-    def _evict(self) -> None:
-        """Drop least-recently-used entries until the retained bytes fit."""
+    def _retain(self, nbytes: int) -> None:
+        """Add ``nbytes`` to the running total, then drop least-recently-used
+        entries until the retained bytes fit."""
+        self.retained_bytes += int(nbytes)
         while len(self._entries) > 1 and self.retained_bytes > WORKING_SET_BYTES:
-            self._entries.popitem(last=False)
+            _key, evicted = self._entries.popitem(last=False)
+            self.retained_bytes -= evicted.nbytes
 
     # ------------------------------------------------------------------ #
     def codes_for(
@@ -199,18 +210,16 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-    ) -> Optional[np.ndarray]:
-        """The shared ``trials × nodes`` code matrix, or ``None`` when this
-        request bypasses fusion (caller falls back to the one-shot path).
+    ) -> np.ndarray:
+        """The ``trials × nodes`` code matrix, as a read-only array.
 
         Bit-identical to ``construction_matrix(compiled, trials,
         seed=seed_base, salt=salt)`` — ``seed_base`` is the stream's master
-        seed, exactly what every batched estimator passes.  The returned
-        array is a read-only view of the retained matrix."""
+        seed, exactly what every batched estimator passes.  A retained
+        matrix is served as a view; a request too large to retain, or with
+        an unhashable salt, is that one-shot matrix."""
         entry = self._entry(compiled, trials, seed_base, salt)
-        if entry is None:
-            return None
-        codes = self._grow(entry, trials)
+        codes = self._codes(entry, compiled, trials, seed_base, salt)
         codes.flags.writeable = False
         return codes
 
@@ -219,7 +228,7 @@ class FusionContext:
     ) -> Optional[Hashable]:
         """The sharing key of a base language's bad counts, or ``None`` for
         languages without a safe structural fingerprint (those still share
-        the matrix; only the counts stay per-point)."""
+        the matrix; only the counts stay per-request)."""
         from repro.core.lcl import ProperColoring
         from repro.core.relaxations import EpsSlackLanguage, FResilientLanguage
 
@@ -240,35 +249,54 @@ class FusionContext:
         seed_base: int,
         salt: object,
     ) -> Optional[np.ndarray]:
-        """Per-trial bad-ball counts of ``language``'s base over the shared
-        matrix, or ``None`` when fusion/lowering is unavailable.
+        """Per-trial bad-ball counts of ``language``'s base over the matrix
+        of :meth:`codes_for`, or ``None`` when the language has no lowered
+        membership.
 
         Equal to ``compile_membership(language, compiled).bad_counts(codes)``
         on the matching one-shot matrix: the counter is a deterministic
         function of (base, network, codes), all of which the memo key pins."""
+        return self._bad_counts(
+            compiled,
+            language,
+            trials,
+            seed_base,
+            salt,
+            lambda: compile_membership(language, compiled),
+        )
+
+    def _bad_counts(
+        self,
+        compiled: CompiledConstruction,
+        language: "DistributedLanguage",
+        trials: int,
+        seed_base: int,
+        salt: object,
+        membership: Callable[[], Optional[MembershipProgram]],
+    ) -> Optional[np.ndarray]:
+        """:meth:`bad_counts_for`, building the membership program with
+        ``membership()`` only when there are rows to count."""
         entry = self._entry(compiled, trials, seed_base, salt)
-        if entry is None:
-            return None
-        key = self._count_key(language, compiled)
+        key = None if entry is None else self._count_key(language, compiled)
         vector = None if key is None else entry.counts.get(key)
         have = 0 if vector is None else len(vector)
         if vector is not None and trials <= have:
             # A hit needs no membership program: the stored vector was
             # counted by one for this very (base, network, codes).  The
             # matrix is still served, and tallied, as on a miss.
-            self._grow(entry, trials)
+            self._codes(entry, compiled, trials, seed_base, salt)
             self._hit()
             return vector[:trials]
-        membership = compile_membership(language, compiled)
-        if membership is None:
+        program = membership()
+        if program is None:
             return None
-        codes = self._grow(entry, trials)
+        codes = self._codes(entry, compiled, trials, seed_base, salt)
         if key is None:
-            return membership.bad_counts(codes)
-        fresh = membership.bad_counts(codes[have:trials])
-        vector = fresh if vector is None else np.concatenate([vector, fresh])
-        entry.counts[key] = vector
+            return program.bad_counts(codes)
+        fresh = program.bad_counts(codes[have:trials])
+        vector = entry.counts[key] = fresh if vector is None else np.concatenate([vector, fresh])
         self._miss()
+        self._retain(fresh.nbytes)
         return vector[:trials]
 
     def member_vector_for(
@@ -278,22 +306,26 @@ class FusionContext:
         trials: int,
         seed_base: int,
         salt: object,
-    ) -> Optional[np.ndarray]:
-        """Per-trial membership over the shared matrix, or ``None`` when the
-        matrix itself bypasses fusion.  Languages the engine cannot lower
-        still share the matrix and run the decoded per-row fallback on it —
-        bit-identical either way (membership is a deterministic function of
-        the outputs)."""
-        entry = self._entry(compiled, trials, seed_base, salt)
-        if entry is None:
-            return None
+    ) -> np.ndarray:
+        """Per-trial membership over the matrix of :meth:`codes_for`.
+        Languages the engine cannot lower run the decoded per-row fallback
+        on it — bit-identical either way (membership is a deterministic
+        function of the outputs).  The membership program is built at most
+        once per call."""
         membership = compile_membership(language, compiled)
         if membership is None:
-            from repro.engine.construct import _member_vector
+            from repro.core.languages import Configuration
 
-            return _member_vector(language, compiled, self._grow(entry, trials))
-        counts = self.bad_counts_for(compiled, language, trials, seed_base, salt)
-        assert counts is not None  # the entry above exists and lowering succeeded
+            codes = self.codes_for(compiled, trials, seed_base, salt)
+            return np.array(
+                [
+                    language.contains(Configuration(compiled.network, compiled.decode_row(row)))
+                    for row in codes
+                ],
+                dtype=bool,
+            )
+        counts = self._bad_counts(compiled, language, trials, seed_base, salt, lambda: membership)
+        assert counts is not None  # lowering succeeded above
         return counts <= membership.budget
 
 

@@ -18,13 +18,9 @@ is controlled by the ``ids`` argument:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
-from repro.local.identifiers import (
-    consecutive_ids,
-    random_distinct_ids,
-    shuffled_consecutive_ids,
-)
+from repro.local.identifiers import assign_ids
 from repro.local.network import Network
 
 if TYPE_CHECKING:
@@ -38,16 +34,6 @@ __all__ = [
 ]
 
 
-def _make_ids(nodes: Sequence[Hashable], ids: str, seed: int, start: int) -> Dict:
-    if ids == "consecutive":
-        return consecutive_ids(nodes, start=start)
-    if ids == "shuffled":
-        return shuffled_consecutive_ids(nodes, seed=seed, start=start)
-    if ids == "random":
-        return random_distinct_ids(nodes, seed=seed, low=start)
-    raise ValueError(f"unknown id scheme: {ids!r}")
-
-
 def _build(
     graph: nx.Graph,
     node_order: Sequence[Hashable],
@@ -56,7 +42,7 @@ def _build(
     start: int,
     inputs: Optional[Mapping[Hashable, object]],
 ) -> Network:
-    assignment = _make_ids(list(node_order), ids, seed, start)
+    assignment = assign_ids(list(node_order), ids, seed, start)
     return Network(graph, assignment, inputs)
 
 
@@ -75,7 +61,7 @@ def cycle_network(
     if n < 3:
         raise ValueError("a cycle needs at least 3 nodes")
     edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    return Network.from_edges(range(n), edges, _make_ids(range(n), ids, seed, id_start), inputs)
+    return Network.from_edges(range(n), edges, assign_ids(range(n), ids, seed, id_start), inputs)
 
 
 def path_network(
@@ -89,7 +75,7 @@ def path_network(
     if n < 1:
         raise ValueError("a path needs at least 1 node")
     edges = [(i, i + 1) for i in range(n - 1)]
-    return Network.from_edges(range(n), edges, _make_ids(range(n), ids, seed, id_start), inputs)
+    return Network.from_edges(range(n), edges, assign_ids(range(n), ids, seed, id_start), inputs)
 
 
 def grid_network(

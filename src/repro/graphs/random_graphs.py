@@ -22,11 +22,7 @@ from typing import Dict, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.local.identifiers import (
-    consecutive_ids,
-    random_distinct_ids,
-    shuffled_consecutive_ids,
-)
+from repro.local.identifiers import assign_ids
 from repro.local.network import Network
 
 __all__ = [
@@ -107,16 +103,6 @@ def _pairing(n: int, degree: int, rng: random.Random) -> Set[Tuple[int, int]]:
             return edges
 
 
-def _ids_for(nodes, ids: str, seed: int, start: int):
-    if ids == "consecutive":
-        return consecutive_ids(nodes, start=start)
-    if ids == "shuffled":
-        return shuffled_consecutive_ids(nodes, seed=seed, start=start)
-    if ids == "random":
-        return random_distinct_ids(nodes, seed=seed, low=start)
-    raise ValueError(f"unknown id scheme: {ids!r}")
-
-
 def random_regular_network(
     n: int,
     degree: int,
@@ -139,7 +125,7 @@ def random_regular_network(
     if (n * degree) % 2 != 0:
         raise ValueError("n * degree must be even for a regular graph to exist")
     rng = _instance_rng(seed)
-    assignment = _ids_for(range(n), ids, seed, id_start)
+    assignment = assign_ids(range(n), ids, seed, id_start)
     for _ in range(max_attempts):
         edges = _pairing(n, degree, random.Random(int(rng.integers(0, 2**31 - 1))))
         network = Network.from_edges(range(n), edges, assignment, inputs)
@@ -196,4 +182,4 @@ def bounded_degree_gnp_network(
             if candidates_u and candidates_v:
                 graph.add_edge(candidates_u[0], candidates_v[0])
 
-    return Network(graph, _ids_for(list(graph.nodes()), ids, seed, id_start), inputs)
+    return Network(graph, assign_ids(list(graph.nodes()), ids, seed, id_start), inputs)

@@ -63,6 +63,7 @@ from repro.core.order_invariant import (
     monochromatic_core,
 )
 from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine.adapters import engine_or_reference
 from repro.engine.compiler import coin
 from repro.engine.construct import (
     batched_bad_counts,
@@ -412,27 +413,35 @@ def experiment_e2_eps_slack_random_coloring(
     for n in sizes:
         network = cycles[n]
         # Mean bad fraction over a handful of runs (linearity of expectation check).
-        mean_bad = 0.0
         probe_runs = min(trials, 50)
-        probe_counts = (
-            batched_bad_counts(constructor, base, network, probe_runs, seed=seed, salt="e2-probe")
-            if resolve_construction_engine(engine, constructor) != "off"
-            else None
-        )
-        if probe_counts is not None:
-            # Engine probe: the engine computes the TapeFactory(seed,
-            # "e2-probe", trial=run) streams bit for bit, and the
-            # accumulation below mirrors the reference loop's order, so the
-            # float is identical too.  Inside a fused sweep the counts come
-            # from the shared matrix.
-            for count in probe_counts:
-                mean_bad += (int(count) / n) / probe_runs
-        else:
-            for run in range(probe_runs):
-                configuration = constructor.configuration(
-                    network, tape_factory=TapeFactory(seed, salt="e2-probe", trial=run)
+
+        def probe_reference() -> List[float]:
+            return [
+                base.fraction_bad(
+                    constructor.configuration(
+                        network, tape_factory=TapeFactory(seed, salt="e2-probe", trial=run)
+                    )
                 )
-                mean_bad += base.fraction_bad(configuration) / probe_runs
+                for run in range(probe_runs)
+            ]
+
+        def probe_engine() -> List[float]:
+            # The engine computes the TapeFactory(seed, "e2-probe", trial=run)
+            # streams bit for bit; the memo shares its matrix and counts with
+            # the success estimates.  A language it cannot lower is not a
+            # fallback: the reference loop then runs uncounted.
+            counts = batched_bad_counts(
+                constructor, base, network, probe_runs, seed=seed, salt="e2-probe"
+            )
+            if counts is None:
+                return probe_reference()
+            return [int(count) / n for count in counts]
+
+        mean_bad = 0.0
+        path = resolve_construction_engine(engine, constructor)
+        for fraction in engine_or_reference(path, probe_engine, probe_reference):
+            # Both paths accumulate in trial order, so the float is identical.
+            mean_bad += fraction / probe_runs
         for eps in eps_values:
             relaxed = eps_slack(base, eps)
             estimate = estimate_success_probability(

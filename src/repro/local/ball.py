@@ -31,7 +31,7 @@ from repro.local.network import Network, breadth_first_distances
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["BallView", "collect_ball", "all_balls"]
+__all__ = ["BallView", "collect_ball"]
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,3 @@ def collect_ball(
     """
     return _ball(network.adjacency, center, radius, network.identity, network.input_of, outputs)
 
-
-def all_balls(
-    network: Network,
-    radius: int,
-    outputs: Optional[Mapping[Hashable, object]] = None,
-) -> Dict[Hashable, BallView]:
-    """Collect the radius-``radius`` ball around every node of the network."""
-    return {
-        node: collect_ball(network, node, radius, outputs=outputs)
-        for node in network.nodes()
-    }

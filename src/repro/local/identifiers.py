@@ -28,6 +28,7 @@ __all__ = [
     "consecutive_ids",
     "shuffled_consecutive_ids",
     "random_distinct_ids",
+    "assign_ids",
     "validate_id_assignment",
 ]
 
@@ -107,3 +108,16 @@ def random_distinct_ids(
     rng = np.random.default_rng(seed)
     values = rng.choice(np.arange(low, high + 1), size=n, replace=False)
     return {node: int(values[i]) for i, node in enumerate(nodes)}
+
+
+def assign_ids(nodes: Sequence[Hashable], scheme: str, seed: int, start: int) -> IdAssignment:
+    """The ``ids=`` switch of the graph families: the ``"consecutive"``,
+    ``"shuffled"`` or ``"random"`` assignment of ``nodes``, starting at
+    ``start``."""
+    if scheme == "consecutive":
+        return consecutive_ids(nodes, start=start)
+    if scheme == "shuffled":
+        return shuffled_consecutive_ids(nodes, seed=seed, start=start)
+    if scheme == "random":
+        return random_distinct_ids(nodes, seed=seed, low=start)
+    raise ValueError(f"unknown id scheme: {scheme!r}")

@@ -296,9 +296,6 @@ class Network:
     def max_identity(self) -> int:
         return max(self._ids.values()) if self._ids else 0
 
-    def min_identity(self) -> int:
-        return min(self._ids.values()) if self._ids else 0
-
     # ------------------------------------------------------------------ #
     # Structure queries
     # ------------------------------------------------------------------ #

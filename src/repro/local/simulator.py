@@ -49,10 +49,6 @@ class RunResult:
     messages_sent: int
     trace: Optional[list] = None
 
-    def output_map_by_identity(self, network: Network) -> Dict[int, object]:
-        """The outputs re-keyed by node identity."""
-        return {network.identity(node): out for node, out in self.outputs.items()}
-
 
 class Simulator:
     """Synchronous executor for message-passing LOCAL algorithms.

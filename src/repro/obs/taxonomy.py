@@ -109,7 +109,8 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.fuse_group",
         "span",
         "engine/fusion.py",
-        "one fusion group's execution: point count, then hit/miss and "
+        "one backend group's execution under the construction memo (every "
+        "request, or a fused sweep's points): point count, then hit/miss and "
         "retained-byte tallies on close",
     ),
     Signal(

@@ -248,7 +248,6 @@ class JobManager:
         max_queue: Optional[int] = None,
         backoff: Optional[BackoffPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        journal_fsync: bool = True,
     ) -> None:
         self.registry = registry if registry is not None else REGISTRY
         self.cache = open_cache(cache)
@@ -268,7 +267,7 @@ class JobManager:
         self.faults = faults
         self.recorder: Recorder = recorder if recorder is not None else TraceRecorder()
         self._journal: Optional[JobJournal] = (
-            JobJournal(Path(journal_dir), fsync=journal_fsync, faults=faults)
+            JobJournal(Path(journal_dir), faults=faults)
             if journal_dir is not None
             else None
         )

@@ -14,7 +14,7 @@ from repro.analysis.metrics import (
     matching_size,
 )
 from repro.analysis.sweep import SweepResult, grid_points, merge_point_row
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring
 from repro.graphs.families import path_network
@@ -128,10 +128,6 @@ class TestTables:
     def test_format_table_column_selection(self):
         text = format_table([{"a": 1, "b": 2}], columns=["b"])
         assert "a" not in text.splitlines()[0]
-
-    def test_format_series(self):
-        text = format_series([1, 2], [True, False], x_name="n", y_name="ok")
-        assert "yes" in text and "no" in text
 
 
 class TestHarness:

@@ -15,8 +15,9 @@ import pytest
 
 from repro.analysis.sweep import grid_points
 from repro.api import InlineBackend, ProcessPoolBackend, Session, UnknownParameterError
+from repro.core.lcl import ProperColoring
 from repro.engine import construct, fusion
-from repro.engine.construct import compile_construction, construction_matrix
+from repro.engine.construct import compile_construction, compile_membership, construction_matrix
 from repro.engine.fusion import (
     FusedSweepPlan,
     FusionContext,
@@ -27,7 +28,7 @@ from repro.engine.fusion import (
 from repro.graphs.families import cycle_network
 from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
 from repro.engine.parallel import point_seed
-from repro.harness.experiments import _toy_faulty_constructor
+from repro.harness.experiments import _toy_all_zeros_language, _toy_faulty_constructor
 from repro.harness.registry import REGISTRY
 from repro.obs import TraceRecorder
 
@@ -174,11 +175,23 @@ class TestFusionContext:
             codes[0, 0] = 0
 
     def test_oversized_matrix_bypasses_retention(self, monkeypatch):
+        # A request the memo cannot keep is the one-shot matrix, unretained.
         compiled = self._compiled(n=12)
         monkeypatch.setattr(fusion, "WORKING_SET_BYTES", 100)  # < 4 trials × 12 nodes × 4 bytes
         context = FusionContext()
-        assert context.codes_for(compiled, 4, seed_base=0, salt=None) is None
-        assert context.retained_bytes == 0
+        codes = context.codes_for(compiled, 4, seed_base=0, salt=None)
+        assert np.array_equal(codes, construction_matrix(compiled, 4, seed=0, salt=None))
+        assert context.retained_bytes == 0 and not context._entries
+
+    def test_unhashable_salt_is_sampled_unretained(self):
+        compiled = self._compiled()
+        context = FusionContext()
+        codes = context.codes_for(compiled, 5, seed_base=3, salt=["s"])
+        assert np.array_equal(codes, construction_matrix(compiled, 5, seed=3, salt=["s"]))
+        counts = context.bad_counts_for(compiled, ProperColoring(3), 5, seed_base=3, salt=["s"])
+        membership = compile_membership(ProperColoring(3), compiled)
+        assert np.array_equal(counts, membership.bad_counts(codes))
+        assert context.retained_bytes == 0 and not context._entries
 
     def test_eviction_keeps_retained_bytes_bounded(self, monkeypatch):
         compiled = self._compiled(n=12)
@@ -189,6 +202,26 @@ class TestFusionContext:
         context.codes_for(compiled, 4, seed_base=0, salt="b")
         assert len(context._entries) == 1
         assert context.retained_bytes <= 256
+
+    def test_retained_bytes_is_the_sum_over_retained_entries(self, monkeypatch):
+        # A 4-trial matrix is 192 bytes and a grown entry (6 rows plus a
+        # 6-count vector) 336: the bound keeps one grown entry, so the
+        # sequence below grows, counts and evicts.
+        monkeypatch.setattr(fusion, "WORKING_SET_BYTES", 500)
+        compiled = self._compiled(n=12)
+        context = FusionContext()
+        evicted = False
+        for salt in ("a", "b", "a", "c", "b"):
+            for request in (
+                lambda: context.codes_for(compiled, 4, seed_base=0, salt=salt),
+                lambda: context.bad_counts_for(compiled, ProperColoring(3), 6, 0, salt),
+            ):
+                before = len(context._entries)
+                request()
+                evicted = evicted or len(context._entries) <= before
+                retained = sum(entry.nbytes for entry in context._entries.values())
+                assert context.retained_bytes == retained
+        assert evicted and context.retained_bytes <= 500
 
     def test_scope_installs_and_restores_the_ambient_context(self):
         assert active_fusion() is None
@@ -227,8 +260,8 @@ class TestFusedCountMemo:
     def test_memo_hits_compile_no_membership_program(self, monkeypatch):
         # Per E2 point: the probe's counts, and the success estimate's budget
         # and counts, each want a membership program.  Only the first probe
-        # and the first success count miss the shared memo; the budget is
-        # compiled at every point.
+        # misses the shared memo; every point builds one program for its
+        # success estimate, whose budget and first counts share it.
         compiled = []
         original = fusion.compile_membership
 
@@ -240,8 +273,28 @@ class TestFusedCountMemo:
         grid = {"eps_values": [[0.75], [0.7], [0.65]]}
         fused = Session(cache=None).sweep("E2", grid, seed=0, **E2_FIXED)
         assert fused.plan is not None and fused.plan.has_fusion
-        assert len(compiled) == len(grid["eps_values"]) + 2
+        assert len(compiled) == len(grid["eps_values"]) + 1
         assert _dicts(fused) == _per_point(Session(cache=None), "E2", grid, seed=0, **E2_FIXED)
+
+
+class TestMembershipProgramOncePerCall:
+    def test_member_vector_for_builds_one_radius_zero_table(self, monkeypatch):
+        # The all-zeros language (E6, E9) has no count key: its membership
+        # program is built once per call, not once more inside the counts.
+        built = []
+        original = construct._radius_zero_table_counter
+
+        def counting(base, compiled):
+            built.append(base.name)
+            return original(base, compiled)
+
+        monkeypatch.setattr(construct, "_radius_zero_table_counter", counting)
+        language = _toy_all_zeros_language()
+        compiled = compile_construction(_toy_faulty_constructor(0.2), cycle_network(9))
+        members = FusionContext().member_vector_for(compiled, language, 30, seed_base=0, salt="m")
+        assert built == ["all-zeros"]
+        codes = construction_matrix(compiled, 30, seed=0, salt="m")
+        assert np.array_equal(members, compile_membership(language, compiled).member_vector(codes))
 
 
 class TestConstructionCompileMemo:
@@ -262,6 +315,15 @@ class TestConstructionCompileMemo:
         assert fused.plan is not None and fused.plan.has_fusion
         assert sorted(sizes) == [18, 24]
         assert _dicts(fused) == _per_point(Session(cache=None), "E2", grid, seed=0, **fixed)
+
+    def test_a_plain_request_compiles_each_size_once(self):
+        # Outside a sweep a request still runs under one memo: E2's probe
+        # and its success estimates share one compile per quick size.
+        recorder = TraceRecorder()
+        Session(cache=None, telemetry=recorder).run("E2", preset="quick")
+        names = [span.name for span in recorder.iter_spans()]
+        assert names.count("engine.compile_construction") == 2
+        assert names.count("engine.fuse_group") == 1
 
     def test_memo_matches_constructors_by_equality_only(self):
         network = cycle_network(9)

@@ -24,9 +24,9 @@ from repro.core.decision import (
 from repro.core.derandomization import (
     AmplificationReport,
     DerandomizationParameters,
+    _far_masks,
     amplification_disjoint_union,
     amplification_glued,
-    beta_from_algorithm_count,
     choose_anchor,
     diameter_requirement,
     far_acceptance_probability,
@@ -37,7 +37,8 @@ from repro.core.derandomization import (
 )
 from repro.core.lcl import PredicateLCL, ProperColoring
 from repro.engine.compiler import all_of, coin
-from repro.graphs.families import cycle_network
+from repro.graphs.families import cycle_network, path_network
+from repro.local.network import Network
 from repro.harness.experiments import _toy_faulty_constructor, _toy_noisy_decider
 from repro.local.algorithm import FunctionBallAlgorithm
 from repro.obs import TraceRecorder, use_recorder
@@ -90,11 +91,6 @@ def instance_failure_probability(n: int, q: float = Q) -> float:
 
 
 class TestParameterFormulas:
-    def test_beta_from_count(self):
-        assert beta_from_algorithm_count(27) == pytest.approx(1 / 27)
-        with pytest.raises(ValueError):
-            beta_from_algorithm_count(0)
-
     @pytest.mark.parametrize("p,expected", [(1.0, 2), (0.9, 2), (0.75, 3), (0.7, 3), (0.6, 6)])
     def test_mu(self, p, expected):
         assert mu_from_guarantee(p) == expected
@@ -207,6 +203,23 @@ class TestFarAcceptance:
         # from u is 0.7^19, essentially zero.
         assert probability < 0.2
 
+    def test_far_acceptance_reads_the_votes_beyond_the_distance(self):
+        # A radius-0 checker that rejects exactly the path's first node: the
+        # trials accept far from that node at distance 0, and never far
+        # from the other end at distance 2.
+        network = path_network(7, ids="consecutive")
+        nodes = network.nodes()
+        decider = LocalCheckerDecider(
+            PredicateLCL(
+                is_bad=lambda ball: ball.center == nodes[0], radius=0, name="end-rejects"
+            )
+        )
+        for node, distance, expected in ((nodes[0], 0, 1.0), (nodes[6], 2, 0.0)):
+            probability = far_acceptance_probability(
+                perfect_constructor(), decider, network, node, distance, trials=5
+            )
+            assert probability == expected
+
     def test_choose_anchor_returns_node_and_probability(self):
         network = cycle_network(10)
         anchor, probability = choose_anchor(
@@ -220,6 +233,46 @@ class TestFarAcceptance:
         )
         assert anchor in network.nodes()[:3]
         assert 0.0 <= probability <= 1.0
+
+
+class TestFarMasks:
+    """The far-node masks: node ``v`` is in ``u``'s mask at ``distance``
+    exactly when ``dist(u, v) > distance`` — the nodes whose votes the
+    "accepts far from u" event of Claim 4 reads."""
+
+    def test_rejection_at_exactly_the_cutoff_is_not_far(self):
+        network = path_network(7, ids="consecutive")
+        nodes = network.nodes()
+        (at_three,) = _far_masks(network, [nodes[0]], 3)
+        (at_two,) = _far_masks(network, [nodes[0]], 2)
+        # nodes[3] sits at distance exactly 3 from nodes[0].
+        assert not at_three[3] and at_two[3]
+        assert at_three.tolist() == [False] * 4 + [True] * 3
+
+    def test_unreachable_node_counts_as_far(self):
+        network = Network.from_edges(["a", "b", "island"], [("a", "b")])
+        (mask,) = _far_masks(network, ["a"], 10**6)
+        assert mask.tolist() == [False, False, True]
+        # From the island's own side, the other component is the far part.
+        (mask,) = _far_masks(network, ["island"], 0)
+        assert mask.tolist() == [True, True, False]
+
+    def test_queried_node_itself_is_never_far(self):
+        network = path_network(7, ids="consecutive")
+        nodes = network.nodes()
+        for distance in (0, 5):
+            (mask,) = _far_masks(network, [nodes[0]], distance)
+            assert not mask[0]
+        assert _far_masks(network, [nodes[0]], 0)[0].tolist() == [False] + [True] * 6
+
+    def test_one_mask_per_candidate_in_node_order(self):
+        network = cycle_network(6, ids="consecutive")
+        nodes = network.nodes()
+        masks = _far_masks(network, nodes[:3], 1)
+        assert len(masks) == 3
+        for candidate, mask in zip(nodes[:3], masks):
+            distances = network.distances_from(candidate)
+            assert mask.tolist() == [distances[node] > 1 for node in nodes]
 
 
 class TestAmplification:

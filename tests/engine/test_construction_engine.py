@@ -42,9 +42,9 @@ from repro.engine.construct import (
     compile_fused_decision,
     compile_membership,
     const_output,
+    construct_decide_stream,
     construction_matrix,
     evaluate_output_expr,
-    far_acceptance_stream,
     is_construction_compilable,
     resolve_construction_engine,
     uniform_choice,
@@ -360,16 +360,16 @@ class TestFusedDecision:
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert compile_fused_decision(decider, compiled) is None
 
-    def test_far_acceptance_stream_declines_without_fusion(self):
+    def test_construct_decide_stream_declines_without_fusion(self):
         network = cycle_network(9, ids="consecutive")
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert (
-            far_acceptance_stream(
+            construct_decide_stream(
                 RandomColoringConstructor(3),
                 decider,
                 network,
-                [network.nodes()[0]],
-                0,
+                [np.ones(len(network), dtype=bool)],
+                None,
                 seed=0,
                 construct_salt="c",
                 decide_salt="d",
@@ -540,3 +540,21 @@ class TestEngineContract:
         )
         compiled = compile_construction(constructor, cycle_network(4))
         assert len(compiled.values) == 1
+
+    def test_e2_probe_falls_back_like_every_estimate(self, monkeypatch):
+        """A construction compile error in E2's bad-fraction probe runs the
+        reference loop, counted as ``engine.fallback.beyond_ir`` like every
+        other estimate, and the quick E2 result equals ``engine="off"``."""
+        from repro.api import Session
+
+        def beyond_ir(constructor, network, span):
+            raise ConstructionCompilationError("planted: beyond the IR")
+
+        off = Session(cache=None, engine="off").run("E2", preset="quick").result.to_dict()
+        monkeypatch.setattr(construct, "_compile_construction", beyond_ir)
+        recorder = TraceRecorder()
+        auto = Session(cache=None, telemetry=recorder).run("E2", preset="quick").result.to_dict()
+        assert auto["parameters"].pop("engine") == "auto"
+        assert off["parameters"].pop("engine") == "off"
+        assert auto == off
+        assert set(fallback_counters(recorder.counters)) == {"engine.fallback.beyond_ir"}

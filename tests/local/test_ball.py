@@ -10,7 +10,7 @@ from repro.core.order_invariant import CyclePatternAlgorithm
 from repro.graphs.families import grid_network, path_network
 from repro.harness import experiments
 from repro.local import ball as ball_module
-from repro.local.ball import BallView, all_balls, collect_ball
+from repro.local.ball import BallView, collect_ball
 from repro.local.network import Network
 
 
@@ -78,11 +78,6 @@ class TestCollectBall:
         ball = collect_ball(small_cycle, node, 1, outputs=outputs)
         assert ball.center_output() == 3
         assert set(ball.outputs) == set(ball.graph.nodes())
-
-    def test_all_balls_covers_every_node(self, small_cycle):
-        balls = all_balls(small_cycle, 1)
-        assert set(balls) == set(small_cycle.nodes())
-        assert all(ball.center == node for node, ball in balls.items())
 
 
 class TestBallViewAccessors:

@@ -148,9 +148,8 @@ class TestAccessors:
         for node in net.nodes():
             assert net.node_with_identity(net.identity(node)) == node
 
-    def test_min_max_identity(self):
+    def test_max_identity(self):
         net = triangle()
-        assert net.min_identity() == 1
         assert net.max_identity() == 3
 
     def test_inputs_default_empty(self):

@@ -182,11 +182,6 @@ class TestSimulator:
         assert set(hidden.outputs.values()) == {None}
         assert set(exposed.outputs.values()) == {small_cycle.number_of_nodes()}
 
-    def test_output_map_by_identity(self, small_path):
-        result = Simulator(small_path).run(GatherNeighborIds(), rounds=1)
-        by_identity = result.output_map_by_identity(small_path)
-        assert set(by_identity) == set(small_path.ids.values())
-
 
 class ScriptedSend(LocalAlgorithm):
     """Round 1: every node sends whatever ``payload_of(ctx)`` says; the nodes

@@ -25,6 +25,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.decision import ProgramDecider  # noqa: E402
+from repro.core.derandomization import _construct_decide_stream  # noqa: E402
 from repro.core.languages import Configuration  # noqa: E402
 from repro.engine import construct, executor  # noqa: E402
 from repro.engine.compiler import (  # noqa: E402
@@ -55,9 +56,16 @@ from repro.engine.construct import (  # noqa: E402
     uniform_int,
 )
 from repro.engine.executor import accept_vector  # noqa: E402
-from repro.graphs.families import cycle_network  # noqa: E402
+from repro.graphs.families import cycle_network, path_network  # noqa: E402
+from repro.graphs.operations import disjoint_union  # noqa: E402
+from repro.harness.experiments import (  # noqa: E402
+    _toy_all_zeros_language,
+    _toy_faulty_constructor,
+    _toy_noisy_decider,
+)
 from repro.local.algorithm import FunctionBallAlgorithm  # noqa: E402
 from repro.local.randomness import TapeFactory  # noqa: E402
+from tests.conftest import engine_ran  # noqa: E402
 
 
 # --------------------------------------------------------------------------- #
@@ -319,3 +327,45 @@ def _ball(network, node):
     from repro.local.ball import collect_ball
 
     return collect_ball(network, node, 0)
+
+
+#: Connected and disconnected instances of the construct→decide stream.
+STREAM_NETWORKS = (
+    cycle_network(7),
+    path_network(5),
+    disjoint_union([cycle_network(4), path_network(3)]),
+)
+
+
+class TestConstructDecideStreamProperties:
+    @pytest.mark.parametrize("seed", [0, 10_000])
+    @given(
+        data=st.data(),
+        network=st.sampled_from(STREAM_NETWORKS),
+        q=st.sampled_from([0.1, 0.4, 0.7]),
+        with_language=st.booleans(),
+        chunks=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    )
+    @settings(max_examples=25)
+    def test_engine_stream_equals_its_reference_loop(
+        self, seed, data, network, q, with_language, chunks
+    ):
+        n = len(network)
+        drawn = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=3))
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        masks += [np.array(mask, dtype=bool) for mask in drawn]
+        language = _toy_all_zeros_language() if with_language else None
+        args = (_toy_faulty_constructor(q), _toy_noisy_decider(0.8), network, masks, language)
+        with engine_ran():
+            engine = _construct_decide_stream(*args, seed, "prop", "auto")
+            whole = _construct_decide_stream(*args, seed, "prop", "auto")(sum(chunks))
+        reference = _construct_decide_stream(*args, seed, "prop", "off")
+        accepted, members = [0] * len(masks), 0
+        for count in chunks:
+            window = engine(count)
+            assert window == reference(count)
+            accepted = [total + part for total, part in zip(accepted, window[0])]
+            members += window[1]
+        assert (accepted, members) == whole
+        if language is None:
+            assert members == 0
